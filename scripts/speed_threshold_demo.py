@@ -23,6 +23,7 @@ from tripmatch.types import (
     Activity,
     ActivitySegment,
     FilteredPoint,
+    FleetColumns,
     GeoPoint,
     LineType,
     VehiclePosition,
@@ -43,7 +44,7 @@ def scenario(speed_kmh: float, duration_s: float = 600.0):
                          Activity.IN_VEHICLE)
            for t in range(15, int(duration_s) - 14, 30)]
     return ActivitySegment(1, 1, Activity.IN_VEHICLE, tuple(pts)), \
-        PositionIndex(rows)
+        PositionIndex(FleetColumns.from_positions(rows))
 
 
 def main() -> None:

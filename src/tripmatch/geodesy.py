@@ -4,11 +4,17 @@ Distances are haversine on a spherical earth (R = 6,371,000 m), accurate to
 well under 0.5% at city scale, which is negligible against the 100 m matching
 thresholds. Segment-interior distances use an equirectangular projection about
 the query point; projection error at sub-kilometre scale is below 0.1 m.
+
+The element-wise array forms (``distances_m``, ``points_to_segments_m``)
+evaluate the same formulas in the same order as the scalar ones, which stay
+the reference.
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
+
+import numpy as np
 
 from .types import GeoPoint
 
@@ -34,11 +40,25 @@ def _local_xy(origin: LatLng, p: LatLng) -> tuple[float, float]:
     return x, y
 
 
+def distances_m(lat1: np.ndarray, lng1: np.ndarray, lat2: np.ndarray,
+                lng2: np.ndarray) -> np.ndarray:
+    """Element-wise distance_m between (lat1, lng1) and (lat2, lng2)."""
+    lat1, lng1 = np.radians(lat1), np.radians(lng1)
+    lat2, lng2 = np.radians(lat2), np.radians(lng2)
+    dlat = lat2 - lat1
+    dlng = lng2 - lng1
+    h = np.sin(dlat / 2) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlng / 2) ** 2
+    return 2 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+
+
 def point_to_segment_m(p: LatLng, a: LatLng, b: LatLng) -> float:
-    """Distance from p to the segment a-b.
+    """Distance from p to the segment a-b, never more than the spherical
+    distance to either endpoint.
 
     The nearest interior point is found in a local planar frame about p;
-    endpoint distances fall back to the spherical formula.
+    endpoint distances use the spherical formula. Near an endpoint the two
+    frames disagree by up to ~1e-6 m, so the planar result is capped by the
+    endpoint distances.
     """
     ax, ay = _local_xy(p, a)
     bx, by = _local_xy(p, b)
@@ -53,7 +73,27 @@ def point_to_segment_m(p: LatLng, a: LatLng, b: LatLng) -> float:
     if t >= 1.0:
         return distance_m(p, b)
     cx, cy = ax + t * dx, ay + t * dy
-    return math.hypot(cx, cy)
+    return min(math.hypot(cx, cy), distance_m(p, a), distance_m(p, b))
+
+
+def points_to_segments_m(p_lat: np.ndarray, p_lng: np.ndarray,
+                         a_lat: np.ndarray, a_lng: np.ndarray,
+                         b_lat: np.ndarray, b_lng: np.ndarray,
+                         da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """Element-wise point_to_segment_m, given the endpoint distances
+    da = distances_m(p, a) and db = distances_m(p, b)."""
+    cos_p = np.cos(np.radians(p_lat))
+    ax = np.radians(a_lng - p_lng) * cos_p * EARTH_RADIUS_M
+    ay = np.radians(a_lat - p_lat) * EARTH_RADIUS_M
+    bx = np.radians(b_lng - p_lng) * cos_p * EARTH_RADIUS_M
+    by = np.radians(b_lat - p_lat) * EARTH_RADIUS_M
+    dx, dy = bx - ax, by - ay
+    seg_len2 = dx * dx + dy * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -(ax * dx + ay * dy) / seg_len2
+    interior = np.minimum(np.hypot(ax + t * dx, ay + t * dy), np.minimum(da, db))
+    return np.where((seg_len2 == 0.0) | (t <= 0.0), da,
+                    np.where(t >= 1.0, db, interior))
 
 
 def point_to_linestring_m(p: LatLng, line: Sequence[LatLng]) -> float:

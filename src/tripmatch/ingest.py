@@ -14,15 +14,20 @@ from datetime import date, datetime
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .types import (
     Activity,
     DeviceModelEntry,
     DevicePoint,
     FilteredPoint,
+    FleetColumns,
+    LINE_TYPES,
     LineType,
     LIVE_LINE_TYPES,
     LOG_LINE_TYPES,
     ManualTrip,
+    TIME_REF,
     VehiclePosition,
 )
 
@@ -264,14 +269,23 @@ def load_filtered_data(path, *, permissive: bool = False,
 
 TRANSIT_LIVE_COLUMNS = ["time", "lat", "lng", "line_type", "line_name", "vehicle_ref"]
 
+#: bytes of transit_live.csv parsed per columnar chunk; bounds the transient
+#: per-cell strings whatever the file size
+_CHUNK_BYTES = 1 << 20
+
 
 def load_transit_live(path, *, permissive: bool = False,
                       diagnostics: list[str] | None = None,
                       default_date: date | None = None,
                       bounding_box: tuple[float, float, float, float] | None = None,
-                      ) -> list[VehiclePosition]:
-    """Load live fleet positions in file order (input order is not trusted
-    elsewhere; the position index sorts per vehicle).
+                      ) -> FleetColumns:
+    """Load live fleet positions as columns in file order (input order is not
+    trusted elsewhere; the position index sorts per vehicle).
+
+    Files whose timestamps are all 'YYYY-MM-DD HH:MM:SS' are parsed straight
+    into columns; any other file, including every file with a bad row, goes
+    through the located row path, so errors and skipped rows do not depend
+    on which path ran.
 
     Duplicate identical rows are retained and flagged in diagnostics.
     bounding_box, when given as (min_lat, min_lng, max_lat, max_lng), flags
@@ -279,10 +293,40 @@ def load_transit_live(path, *, permissive: bool = False,
     """
     rows = _Rows(path, TRANSIT_LIVE_COLUMNS, permissive=permissive,
                  diagnostics=diagnostics)
+    fleet = _read_fleet_columns(rows.path)
+    if fleet is None:
+        fleet = FleetColumns.from_positions(_transit_live_rows(rows, default_date))
+    n_dupes = _count_duplicates(fleet)
+    if n_dupes:
+        rows.warn(f"{n_dupes} duplicate identical row(s) retained")
+    if bounding_box is not None:
+        min_lat, min_lng, max_lat, max_lng = bounding_box
+        inside = ((fleet.lats >= min_lat) & (fleet.lats <= max_lat)
+                  & (fleet.lngs >= min_lng) & (fleet.lngs <= max_lng))
+        n_outside = int(np.count_nonzero(~inside))
+        if n_outside:
+            rows.warn(f"{n_outside} row(s) outside the configured bounding box")
+    log.info("%s: %d vehicle positions", path, len(fleet))
+    return fleet
+
+
+def _count_duplicates(fleet: FleetColumns) -> int:
+    """Rows equal in every column to an earlier row."""
+    order = np.lexsort((fleet.times_s, fleet.vehicle_ref))
+    ref, time = fleet.vehicle_ref[order], fleet.times_s[order]
+    tied = np.flatnonzero((ref[1:] == ref[:-1]) & (time[1:] == time[:-1]))
+    # duplicates share (vehicle_ref, time), so only rows in such ties can be
+    rows = order[np.union1d(tied, tied + 1)]
+    # +0.0 folds -0.0 into 0.0, which compare equal as row values
+    keys = np.column_stack([fleet.times_s[rows], fleet.lats[rows] + 0.0,
+                            fleet.lngs[rows] + 0.0, fleet.line_type[rows],
+                            fleet.line_name[rows], fleet.vehicle_ref[rows]])
+    return len(rows) - len(np.unique(keys, axis=0))
+
+
+def _transit_live_rows(rows: _Rows, default_date: date | None,
+                       ) -> list[VehiclePosition]:
     out: list[VehiclePosition] = []
-    seen: set[tuple] = set()
-    n_dupes = 0
-    n_outside = 0
     for line, cells in rows:
         try:
             time = _field(cells, "time",
@@ -300,21 +344,135 @@ def load_transit_live(path, *, permissive: bool = False,
             if rows.error(str(exc), line):
                 continue
             raise
-        key = (time, lat, lng, line_type, line_name, vehicle_ref)
-        if key in seen:
-            n_dupes += 1
-        seen.add(key)
-        if bounding_box is not None:
-            min_lat, min_lng, max_lat, max_lng = bounding_box
-            if not (min_lat <= lat <= max_lat and min_lng <= lng <= max_lng):
-                n_outside += 1
         out.append(VehiclePosition(time, lat, lng, line_type, line_name, vehicle_ref))
-    if n_dupes:
-        rows.warn(f"{n_dupes} duplicate identical row(s) retained")
-    if n_outside:
-        rows.warn(f"{n_outside} row(s) outside the configured bounding box")
-    log.info("%s: %d vehicle positions", path, len(out))
     return out
+
+
+def _read_fleet_columns(path: Path) -> FleetColumns | None:
+    """The columnar parse of transit_live.csv, or None when the file holds
+    anything the row path must judge: quoting, CR or NUL bytes, a row whose
+    cell count differs from the header's, a timestamp in another form, or a
+    cell that fails validation."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        if any(c in head.rstrip(b"\r\n") for c in (b'"', b"\r", b"\0")):
+            return None
+        try:
+            header = head.decode("utf-8-sig").rstrip("\r\n").split(",")
+        except UnicodeDecodeError:
+            return None
+        index = {h.strip().lower(): i for i, h in enumerate(header)}  # as _Rows
+        if any(c not in index for c in TRANSIT_LIVE_COLUMNS):
+            return None
+        width = len(header)
+        at = [index[c] for c in TRANSIT_LIVE_COLUMNS]
+        names: dict[str, int] = {}
+        refs: dict[str, int] = {}
+        types: dict[str, int] = {}
+        parts = []
+        while lines := fh.readlines(_CHUNK_BYTES):
+            chunk = b"".join(lines).replace(b"\r\n", b"\n")
+            if not chunk.endswith(b"\n"):
+                chunk += b"\n"
+            if b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
+                return None
+            # every line must hold exactly width cells: its separators are
+            # width - 1 commas and then a newline
+            buf = np.frombuffer(chunk, np.uint8)
+            newline = buf[np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))] == ord("\n")
+            n = len(newline) // width
+            if len(newline) % width or not (
+                    newline.reshape(n, width) == (np.arange(width) == width - 1)).all():
+                return None
+            try:
+                cells = chunk.decode("utf-8").replace("\n", ",").split(",")
+            except UnicodeDecodeError:
+                return None
+            time, lat, lng, line_type, line_name, vehicle_ref = (
+                cells[i:n * width:width] for i in at)
+            times_s = _stamp_seconds(time)
+            try:
+                lats = np.fromiter(map(float, lat), np.float64, n)
+                lngs = np.fromiter(map(float, lng), np.float64, n)
+            except ValueError:
+                return None
+            if times_s is None or not (
+                    ((lats >= -90.0) & (lats <= 90.0)).all()
+                    and ((lngs >= -180.0) & (lngs <= 180.0)).all()):
+                return None
+            parts.append((times_s, lats, lngs, _encode(line_type, types),
+                          _encode(line_name, names), _encode(vehicle_ref, refs)))
+    try:
+        type_map = [LINE_TYPES.index(_parse_line_type(v.strip(), LIVE_LINE_TYPES))
+                    for v in types]
+    except ValueError:
+        return None
+    name_map, names_out = _strip_codes(names)
+    ref_map, refs_out = _strip_codes(refs)
+    if "" in refs_out:
+        return None
+    if parts:
+        times_s, lats, lngs, type_raw, name_raw, ref_raw = (
+            np.concatenate(c) for c in zip(*parts))
+    else:
+        times_s = lats = lngs = np.empty(0)
+        type_raw = name_raw = ref_raw = np.empty(0, np.int32)
+    return FleetColumns(
+        times_s=times_s, lats=lats, lngs=lngs,
+        line_type=np.array(type_map, dtype=np.int8)[type_raw],
+        line_name=name_map[name_raw], vehicle_ref=ref_map[ref_raw],
+        names=names_out, refs=refs_out)
+
+
+def _encode(cells: list[str], codes: dict[str, int]) -> np.ndarray:
+    """Dictionary-encode cells, extending codes with unseen values."""
+    for value in dict.fromkeys(cells):
+        codes.setdefault(value, len(codes))
+    return np.fromiter(map(codes.__getitem__, cells), np.int32, len(cells))
+
+
+def _strip_codes(codes: dict[str, int]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Map raw-cell codes onto codes of the stripped cell values, as the row
+    path strips every cell."""
+    stripped: dict[str, int] = {}
+    remap = [stripped.setdefault(v.strip(), len(stripped)) for v in codes]
+    return np.array(remap, dtype=np.int32), tuple(stripped)
+
+
+_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_STAMP_SEPARATORS = {4: "-", 7: "-", 10: " ", 13: ":", 16: ":"}
+_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE_MONTH = np.cumsum(_DAYS_IN_MONTH) - _DAYS_IN_MONTH
+
+
+def _stamp_seconds(cells: list[str]) -> np.ndarray | None:
+    """Seconds after TIME_REF of 'YYYY-MM-DD HH:MM:SS' cells, computed with
+    the proleptic-Gregorian ordinal that datetime uses; None when any cell
+    has another form or is not a valid time."""
+    text = np.array(cells)
+    if text.dtype != np.dtype("U19"):
+        return None  # some cell is longer, or all are shorter
+    # UCS-4 code points; a shorter cell is padded with 0, which is no digit
+    chars = text.view(np.uint32).reshape(len(cells), 19).astype(np.int64)
+    digits = chars[:, _STAMP_DIGITS] - ord("0")
+    if (((digits < 0) | (digits > 9)).any()
+            or (chars[:, list(_STAMP_SEPARATORS)]
+                != [ord(c) for c in _STAMP_SEPARATORS.values()]).any()):
+        return None
+    year, month, day, hour, minute, second = (
+        digits[:, :4] @ [1000, 100, 10, 1], *(
+            digits[:, i:i + 2] @ [10, 1] for i in range(4, 14, 2)))
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    m = np.clip(month, 1, 12) - 1
+    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+            & (day <= _DAYS_IN_MONTH[m] + (leap & (m == 1)))
+            & (hour <= 23) & (minute <= 59) & (second <= 59)).all():
+        return None
+    y = year - 1
+    ordinal = (y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[m]
+               + (leap & (m > 1)) + day)
+    return ((ordinal - TIME_REF.toordinal()) * 86400
+            + hour * 3600 + minute * 60 + second).astype(np.float64)
 
 
 MANUAL_LOG_COLUMNS = ["device_id", "line_type", "line_name",

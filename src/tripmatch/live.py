@@ -12,28 +12,26 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Optional, Sequence
+from itertools import compress
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .geodesy import EARTH_RADIUS_M, distance_m, point_to_linestring_m
+from .geodesy import EARTH_RADIUS_M, distances_m, points_to_segments_m
 from .types import (
     ActivitySegment,
+    FleetColumns,
     GeoPoint,
+    LINE_TYPES,
     LineType,
     Linestring,
     TracePoint,
-    VehiclePosition,
+    as_seconds,
+    from_seconds,
 )
-
-_TIME_REF = datetime(2000, 1, 1)
 
 NEW_LIVE = "new-live"
 OLD_LIVE = "old-live"
-
-
-def _as_seconds(t: datetime) -> float:
-    return (t - _TIME_REF).total_seconds()
 
 
 @dataclass(frozen=True)
@@ -53,63 +51,72 @@ class LiveMatchConfig:
             raise ValueError("quorum_fraction must be in (0, 1]")
 
 
-class _VehicleTrack:
-    """One vehicle's fixes, time-sorted, with numpy views for fast windows."""
-
-    __slots__ = ("ref", "times_s", "lats", "lngs", "names", "types", "times")
-
-    def __init__(self, ref: str, rows: list[VehiclePosition]):
-        rows.sort(key=lambda r: r.time)
-        self.ref = ref
-        self.times = [r.time for r in rows]
-        self.times_s = np.array([_as_seconds(r.time) for r in rows])
-        self.lats = np.array([r.lat for r in rows])
-        self.lngs = np.array([r.lng for r in rows])
-        self.names = [r.line_name for r in rows]
-        self.types = [r.line_type for r in rows]
-
-    def window_bounds(self, t: datetime, window_s: float) -> tuple[int, int]:
-        ts = _as_seconds(t)
-        lo = int(np.searchsorted(self.times_s, ts - window_s, side="left"))
-        hi = int(np.searchsorted(self.times_s, ts + window_s, side="right"))
-        return lo, hi
-
-    def any_in_range(self, t0: datetime, t1: datetime) -> bool:
-        lo = int(np.searchsorted(self.times_s, _as_seconds(t0), side="left"))
-        return lo < len(self.times_s) and self.times_s[lo] <= _as_seconds(t1)
-
-    def bbox_in_range(self, t0: datetime, t1: datetime):
-        lo = int(np.searchsorted(self.times_s, _as_seconds(t0), side="left"))
-        hi = int(np.searchsorted(self.times_s, _as_seconds(t1), side="right"))
-        if lo >= hi:
-            return None
-        return (float(self.lats[lo:hi].min()), float(self.lngs[lo:hi].min()),
-                float(self.lats[lo:hi].max()), float(self.lngs[lo:hi].max()))
-
-
 class PositionIndex:
-    """Immutable fleet-position index grouped by vehicle_ref."""
+    """Immutable fleet-position index in CSR layout: every row sorted by
+    (vehicle, time), vehicles in vehicle_ref order, vehicle i owning rows
+    offsets[i]:offsets[i + 1]. Rows with equal (vehicle, time) keep input
+    order. A by-time permutation answers window queries."""
 
-    def __init__(self, positions: Iterable[VehiclePosition]):
-        grouped: dict[str, list[VehiclePosition]] = {}
-        for row in positions:
-            grouped.setdefault(row.vehicle_ref, []).append(row)
-        self._tracks = {ref: _VehicleTrack(ref, rows)
-                        for ref, rows in grouped.items()}
+    def __init__(self, fleet: FleetColumns):
+        by_ref = sorted(range(len(fleet.refs)), key=fleet.refs.__getitem__)
+        slot_of = np.empty(len(by_ref), np.int32)
+        slot_of[by_ref] = np.arange(len(by_ref), dtype=np.int32)
+        vehicle = slot_of[fleet.vehicle_ref]
+        order = np.lexsort((fleet.times_s, vehicle))
+        self.vehicle_refs = [fleet.refs[i] for i in by_ref]
+        self._slots = {ref: i for i, ref in enumerate(self.vehicle_refs)}
+        self._vehicle = vehicle[order]
+        self.offsets = np.searchsorted(self._vehicle,
+                                       np.arange(len(by_ref) + 1))
+        self.times_s = fleet.times_s[order]
+        self.lats = fleet.lats[order]
+        self.lngs = fleet.lngs[order]
+        self._line_type = fleet.line_type[order]
+        self._line_name = fleet.line_name[order]
+        self._names = fleet.names
+        self._by_time = np.argsort(self.times_s, kind="stable")
+        self._times_by_time = self.times_s[self._by_time]
 
     def __len__(self) -> int:
-        return len(self._tracks)
+        return len(self.vehicle_refs)
 
-    @property
-    def vehicle_refs(self) -> list[str]:
-        return sorted(self._tracks)
+    def rows(self, vehicle_ref: str) -> Optional[slice]:
+        """The vehicle's rows, time-sorted; None for an unknown vehicle."""
+        slot = self._slots.get(vehicle_ref)
+        if slot is None:
+            return None
+        return slice(int(self.offsets[slot]), int(self.offsets[slot + 1]))
 
-    def track(self, vehicle_ref: str) -> Optional[_VehicleTrack]:
-        return self._tracks.get(vehicle_ref)
+    def fix(self, row: int) -> tuple[str, LineType, datetime]:
+        """(line_name, line_type, time) of one row."""
+        return (self._names[self._line_name[row]],
+                LINE_TYPES[self._line_type[row]], from_seconds(self.times_s[row]))
+
+    def _window(self, t0: datetime, t1: datetime) -> tuple[np.ndarray, np.ndarray]:
+        """Rows with t0 <= time <= t1 grouped by vehicle, and the index of
+        each vehicle's first row among them."""
+        lo = np.searchsorted(self._times_by_time, as_seconds(t0), side="left")
+        hi = np.searchsorted(self._times_by_time, as_seconds(t1), side="right")
+        rows = np.sort(self._by_time[lo:hi])
+        starts = np.flatnonzero(np.diff(self._vehicle[rows], prepend=-1))
+        return rows, starts
 
     def vehicles_in_range(self, t0: datetime, t1: datetime) -> list[str]:
-        return sorted(ref for ref, track in self._tracks.items()
-                      if track.any_in_range(t0, t1))
+        """Vehicles with a fix in the closed window [t0, t1], in ref order."""
+        rows, starts = self._window(t0, t1)
+        return [self.vehicle_refs[v] for v in self._vehicle[rows[starts]].tolist()]
+
+    def boxes_in_range(self, t0: datetime, t1: datetime) -> np.ndarray:
+        """(min_lat, min_lng, max_lat, max_lng) of each vehicle's fixes in
+        [t0, t1], one row per vehicle of vehicles_in_range(t0, t1)."""
+        rows, starts = self._window(t0, t1)
+        if not len(rows):
+            return np.empty((0, 4))
+        lats, lngs = self.lats[rows], self.lngs[rows]
+        return np.column_stack([np.minimum.reduceat(lats, starts),
+                                np.minimum.reduceat(lngs, starts),
+                                np.maximum.reduceat(lats, starts),
+                                np.maximum.reduceat(lngs, starts)])
 
 
 def select_user_samples(trace: Sequence[TracePoint], max_samples: int,
@@ -127,16 +134,18 @@ def vehicle_linestring(vehicle_ref: str, t: datetime, window_s: float,
                        index: PositionIndex) -> Linestring:
     """The vehicle's path within the closed window [t - window_s, t + window_s];
     empty when the vehicle has no fix there."""
-    track = index.track(vehicle_ref)
-    if track is None:
+    rows = index.rows(vehicle_ref)
+    if rows is None:
         return Linestring()
-    lo, hi = track.window_bounds(t, window_s)
+    times = index.times_s[rows]
+    lo = rows.start + int(np.searchsorted(times, as_seconds(t) - window_s, side="left"))
+    hi = rows.start + int(np.searchsorted(times, as_seconds(t) + window_s, side="right"))
     if lo >= hi:
         return Linestring()
     return Linestring(
-        points=[GeoPoint(float(la), float(ln))
-                for la, ln in zip(track.lats[lo:hi], track.lngs[lo:hi])],
-        times=track.times[lo:hi],
+        points=[GeoPoint(la, ln) for la, ln in zip(index.lats[lo:hi].tolist(),
+                                                   index.lngs[lo:hi].tolist())],
+        times=[from_seconds(s) for s in index.times_s[lo:hi].tolist()],
     )
 
 
@@ -163,34 +172,57 @@ def score_vehicle(samples: Sequence[TracePoint], vehicle_ref: str,
     A sample matches when the vehicle's window geometry is non-empty and
     within the distance limit; samples with empty windows stay in the quorum
     denominator. Returns None below quorum or at zero score.
+
+    Every (sample, window fix) pair is evaluated in one array pass with the
+    geodesy formulas; scores are summed in sample order and each matched
+    sample votes for its first nearest fix, as a per-sample loop would.
     """
-    track = index.track(vehicle_ref)
-    if track is None or not samples:
+    rows = index.rows(vehicle_ref)
+    if rows is None or not samples:
         return None
-    distances: list[Optional[float]] = []
-    votes: list[tuple[str, LineType, datetime]] = []
-    matched = 0
-    score = 0.0
-    for sample in samples:
-        lo, hi = track.window_bounds(sample.time, cfg.window_s)
-        if lo >= hi:
-            distances.append(None)
-            continue
-        window = [(float(la), float(ln))
-                  for la, ln in zip(track.lats[lo:hi], track.lngs[lo:hi])]
-        p = (sample.lat, sample.lng)
-        point_dists = [distance_m(p, w) for w in window]
-        d = point_to_linestring_m(p, window) if use_linestring else min(point_dists)
-        distances.append(d)
-        if d <= cfg.distance_limit_m:
-            matched += 1
-            score += cfg.distance_limit_m - d
-            nearest = min(range(len(window)), key=lambda i: (point_dists[i], i))
-            votes.append((track.names[lo + nearest], track.types[lo + nearest],
-                          track.times[lo + nearest]))
-    fraction = matched / len(samples)
+    s_time = np.array([as_seconds(p.time) for p in samples])
+    s_lat = np.array([p.lat for p in samples])
+    s_lng = np.array([p.lng for p in samples])
+    times = index.times_s[rows]
+    lo = np.searchsorted(times, s_time - cfg.window_s, side="left")
+    hi = np.searchsorted(times, s_time + cfg.window_s, side="right")
+    counts = hi - lo
+    first = np.cumsum(counts) - counts
+    # one entry per (sample, window fix) pair, grouped by sample
+    sample = np.repeat(np.arange(len(samples)), counts)
+    row = rows.start + lo[sample] + np.arange(len(sample)) - first[sample]
+    p_lat, p_lng = s_lat[sample], s_lng[sample]
+    d_point = distances_m(p_lat, p_lng, index.lats[row], index.lngs[row])
+    if use_linestring:
+        # the window's segments start at every pair but a sample's last;
+        # a one-fix window is its fix
+        d_pair = np.where(counts[sample] > 1, np.inf, d_point)
+        seg = np.flatnonzero(sample[:-1] == sample[1:])
+        d_pair[seg] = points_to_segments_m(
+            p_lat[seg], p_lng[seg], index.lats[row[seg]], index.lngs[row[seg]],
+            index.lats[row[seg + 1]], index.lngs[row[seg + 1]],
+            d_point[seg], d_point[seg + 1])
+    else:
+        d_pair = d_point
+    windowed = np.flatnonzero(counts)
+    if len(windowed) == 0:
+        return None
+    starts = first[windowed]
+    d = np.minimum.reduceat(d_pair, starts)
+    nearest_d = np.repeat(np.minimum.reduceat(d_point, starts), counts[windowed])
+    hits = np.flatnonzero(d_point == nearest_d)
+    nearest = row[hits[np.diff(sample[hits], prepend=-1) != 0]]
+
+    matched = d <= cfg.distance_limit_m
+    fraction = int(np.count_nonzero(matched)) / len(samples)
+    gains = cfg.distance_limit_m - d[matched]
+    score = float(np.cumsum(gains)[-1]) if len(gains) else 0.0
     if fraction < cfg.quorum_fraction or score <= 0.0:
         return None
+    distances: list[Optional[float]] = [None] * len(samples)
+    for i, value in zip(windowed.tolist(), d.tolist()):
+        distances[i] = value
+    votes = [index.fix(r) for r in nearest[matched].tolist()]
     return VehicleScore(vehicle_ref, score, fraction, distances, votes)
 
 
@@ -214,10 +246,6 @@ def _segment_bbox(samples: Sequence[TracePoint], margin_m: float):
     dlng = math.degrees(margin_m / (EARTH_RADIUS_M *
                                     max(0.01, math.cos(math.radians(mid_lat)))))
     return (min(lats) - dlat, min(lngs) - dlng, max(lats) + dlat, max(lngs) + dlng)
-
-
-def _boxes_intersect(a, b) -> bool:
-    return not (a[2] < b[0] or b[2] < a[0] or a[3] < b[1] or b[3] < a[1])
 
 
 def _pick_identity(votes: list[tuple[str, LineType, datetime]],
@@ -249,12 +277,12 @@ def _match(segment: ActivitySegment, cfg: LiveMatchConfig, index: PositionIndex,
     t1 = segment.end_time + timedelta(seconds=cfg.window_s)
     seg_box = _segment_bbox(samples, cfg.bbox_margin_m)
 
+    refs = index.vehicles_in_range(t0, t1)
+    boxes = index.boxes_in_range(t0, t1)
+    overlap = ~((seg_box[2] < boxes[:, 0]) | (boxes[:, 2] < seg_box[0])
+                | (seg_box[3] < boxes[:, 1]) | (boxes[:, 3] < seg_box[1]))
     best: Optional[VehicleScore] = None
-    for ref in index.vehicles_in_range(t0, t1):
-        track = index.track(ref)
-        vbox = track.bbox_in_range(t0, t1)
-        if vbox is None or not _boxes_intersect(seg_box, vbox):
-            continue
+    for ref in compress(refs, overlap):
         scored = score_vehicle(samples, ref, cfg, index,
                                use_linestring=use_linestring)
         if scored is None:

@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from datetime import datetime
-from typing import NamedTuple, Optional
+from datetime import datetime, timedelta
+from typing import Iterable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 
 class Activity(str, enum.Enum):
@@ -68,6 +70,18 @@ def seconds_between(earlier: datetime, later: datetime) -> float:
     return (later - earlier).total_seconds()
 
 
+#: origin of the float-seconds time axis of columnar tables
+TIME_REF = datetime(2000, 1, 1)
+
+
+def as_seconds(t: datetime) -> float:
+    return (t - TIME_REF).total_seconds()
+
+
+def from_seconds(s: float) -> datetime:
+    return TIME_REF + timedelta(seconds=s)
+
+
 @dataclass(frozen=True)
 class DevicePoint:
     """One sampled mobile-device fix with ranked activity estimates."""
@@ -121,6 +135,58 @@ class VehiclePosition:
     @property
     def geo(self) -> GeoPoint:
         return GeoPoint(self.lat, self.lng)
+
+
+#: line_type codes of FleetColumns index this tuple
+LINE_TYPES = tuple(LineType)
+
+
+@dataclass(frozen=True, eq=False)
+class FleetColumns:
+    """Live fleet positions as parallel columns, one entry per row in input
+    order. Names and refs are dictionary-encoded: row i belongs to vehicle
+    refs[vehicle_ref[i]] on line names[line_name[i]]."""
+
+    times_s: np.ndarray     # float64, seconds after TIME_REF
+    lats: np.ndarray        # float64
+    lngs: np.ndarray        # float64
+    line_type: np.ndarray   # int8 index into LINE_TYPES
+    line_name: np.ndarray   # int32 index into names
+    vehicle_ref: np.ndarray  # int32 index into refs
+    names: tuple[str, ...]
+    refs: tuple[str, ...]
+
+    @classmethod
+    def from_positions(cls, positions: Iterable[VehiclePosition]) -> "FleetColumns":
+        rows = list(positions)
+        names: dict[str, int] = {}
+        refs: dict[str, int] = {}
+        return cls(
+            times_s=np.array([as_seconds(r.time) for r in rows], dtype=np.float64),
+            lats=np.array([r.lat for r in rows], dtype=np.float64),
+            lngs=np.array([r.lng for r in rows], dtype=np.float64),
+            line_type=np.array([LINE_TYPES.index(r.line_type) for r in rows],
+                               dtype=np.int8),
+            line_name=np.array([names.setdefault(r.line_name, len(names))
+                                for r in rows], dtype=np.int32),
+            vehicle_ref=np.array([refs.setdefault(r.vehicle_ref, len(refs))
+                                  for r in rows], dtype=np.int32),
+            names=tuple(names),
+            refs=tuple(refs),
+        )
+
+    def __len__(self) -> int:
+        return len(self.times_s)
+
+    def __iter__(self) -> Iterator[VehiclePosition]:
+        """The rows as VehiclePosition objects (for inspection, not the hot
+        path)."""
+        for t, lat, lng, lt, name, ref in zip(
+                self.times_s.tolist(), self.lats.tolist(), self.lngs.tolist(),
+                self.line_type.tolist(), self.line_name.tolist(),
+                self.vehicle_ref.tolist()):
+            yield VehiclePosition(from_seconds(t), lat, lng, LINE_TYPES[lt],
+                                  self.names[name], self.refs[ref])
 
 
 @dataclass(frozen=True)

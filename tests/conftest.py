@@ -22,11 +22,12 @@ from tripmatch.types import (
     GeoPoint,
 )
 from tripmatch import synthetic
+from tripmatch.config import DATA_DIR_ENV
 
 DAY = date(2016, 8, 26)
 T0 = datetime(2016, 8, 26, 9, 0, 0)
 
-DATASET_ENV = "TRIPMATCH_DATASET_DIR"
+DATASET_ENV = DATA_DIR_ENV
 DATASET_FILES = ["device_data.csv", "device_data_filtered.csv",
                  "transit_live.csv", "manual_log.csv"]
 

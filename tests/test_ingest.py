@@ -1,11 +1,12 @@
 from datetime import date, datetime
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripmatch import ingest
-from tripmatch.ingest import IngestError
+from tripmatch.ingest import TRANSIT_LIVE_COLUMNS, IngestError
 from tripmatch.types import Activity, DevicePoint, FilteredPoint, LineType
 
 DEVICE_HEADER = ("time,device_id,lat,lng,accuracy,activity_1,activity_1_conf,"
@@ -131,7 +132,7 @@ def test_filtered_output_time_ordered(tmp_path):
 def test_transit_live_parses_ferry(tmp_path):
     path = write(tmp_path, "t.csv", LIVE_HEADER,
                  "2016-08-26 09:00:00,60.15,24.96,FERRY,19,veh1")
-    rows = ingest.load_transit_live(path)
+    rows = list(ingest.load_transit_live(path))
     assert rows[0].line_type is LineType.FERRY
     assert rows[0].vehicle_ref == "veh1"
 
@@ -294,7 +295,7 @@ _live_rows = st.builds(
 def test_transit_live_round_trip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("rt") / "t.csv"
     ingest.write_transit_live(rows, path)
-    assert ingest.load_transit_live(path) == rows  # file order preserved
+    assert list(ingest.load_transit_live(path)) == rows  # file order preserved
 
 
 def _manual_trip(device_id, line_type, name, times, texts):
@@ -323,3 +324,108 @@ def test_manual_log_round_trip(tmp_path_factory, trips):
     path = tmp_path_factory.mktemp("rt") / "m.csv"
     ingest.write_manual_log(trips, path)
     assert ingest.load_manual_log(path) == trips
+
+
+# --- columnar transit_live path agrees with the row path ---
+
+_BOX = (59.5, 24.5, 60.5, 25.5)
+_DAY = date(2016, 8, 26)
+_LIVE_TYPES = ["SUBWAY", "BUS", "TRAM", "TRAIN", "FERRY"]
+
+
+def _stamp(t: datetime, form: str) -> str:
+    return {"plain": t.isoformat(" "), "iso": t.isoformat(),
+            "clock": t.time().isoformat()}[form]
+
+
+_live_cells = st.tuples(
+    st.datetimes().map(lambda t: t.replace(microsecond=0)),
+    st.sampled_from(["plain"] * 4 + ["iso", "clock"]),
+    st.decimals(min_value="59.0", max_value="61.0", places=5).map(str),
+    st.decimals(min_value="24.0", max_value="26.0", places=5).map(str),
+    st.sampled_from(_LIVE_TYPES), st.sampled_from(["", "16", "550", "M1"]),
+    st.sampled_from(["a1", "b2", "c3"]),
+)
+
+
+def _live_lines(draw_rows, pads):
+    """CSV lines for drawn rows; a row drawn twice is a duplicate, and a
+    padded cell gets surrounding blanks."""
+    lines = []
+    for (t, form, lat, lng, lt, name, ref), pad in zip(draw_rows, pads):
+        cells = [_stamp(t, form), lat, lng, lt, name, ref]
+        lines.append(",".join(f" {c} " if pad == i else c
+                              for i, c in enumerate(cells)))
+    return lines
+
+
+def _load_both(path, **kw):
+    """(outcome of the columnar loader, outcome of the row path): rows and
+    diagnostics, or the raised IngestError's location and message."""
+    def run():
+        diagnostics = []
+        try:
+            rows = list(ingest.load_transit_live(
+                path, diagnostics=diagnostics, default_date=_DAY,
+                bounding_box=_BOX, **kw))
+        except IngestError as err:
+            return ("error", err.line, err.column, str(err))
+        return rows, diagnostics
+
+    columnar = run()
+    with mock.patch.object(ingest, "_read_fleet_columns", return_value=None):
+        return columnar, run()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.lists(_live_cells, max_size=15), st.booleans())
+def test_columnar_loader_agrees_with_row_path(tmp_path_factory, data, rows,
+                                               crlf):
+    rows = rows + data.draw(st.lists(st.sampled_from(rows), max_size=3)
+                            if rows else st.just([]))
+    pads = data.draw(st.lists(st.integers(-1, 5), min_size=len(rows),
+                              max_size=len(rows)))
+    eol = "\r\n" if crlf else "\n"
+    path = tmp_path_factory.mktemp("cols") / "t.csv"
+    path.write_text(eol.join([LIVE_HEADER] + _live_lines(rows, pads)) + eol,
+                    encoding="utf-8")
+    columnar, row_path = _load_both(path)
+    assert columnar == row_path
+    positions, diagnostics = columnar
+    dupes = len(positions) - len(set(positions))
+    assert (f"{dupes} duplicate identical row(s) retained" in diagnostics) \
+        == bool(dupes)
+    plain = all(r[1] == "plain" for r in rows) and 0 not in pads
+    assert (ingest._read_fleet_columns(path) is not None) == plain
+
+
+_BAD_CELLS = {
+    "time": ["2016-02-30 10:00:00", "2016-08-26 24:00:00",
+             "2016-08-26 10:00:60", "0000-01-01 00:00:00",
+             "2016-08-26 10:00:0x", "10:00", ""],
+    "lat": ["90.5", "nan", "x", ""],
+    "lng": ["-180.5", "inf", "1e", ""],
+    "line_type": ["CAR", "ZEPPELIN", "bus", ""],
+    "line_name": ['1"6', " "],
+    "vehicle_ref": ["", "  "],
+}
+
+
+@pytest.mark.parametrize("column,bad", [(c, v) for c, values in _BAD_CELLS.items()
+                                        for v in values])
+@settings(max_examples=20, deadline=None)
+@given(st.data(), st.lists(_live_cells.map(lambda r: (r[0], "plain", *r[2:])),
+                           min_size=1, max_size=10), st.booleans())
+def test_corrupt_cell_fails_alike_on_both_paths(tmp_path_factory, column, bad,
+                                                data, rows, permissive):
+    lines = _live_lines(rows, [-1] * len(rows))
+    k = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[k].split(",")
+    cells[TRANSIT_LIVE_COLUMNS.index(column)] = bad
+    lines[k] = ",".join(cells)
+    path = tmp_path_factory.mktemp("bad") / "t.csv"
+    path.write_text("\n".join([LIVE_HEADER] + lines) + "\n", encoding="utf-8")
+    columnar, row_path = _load_both(path, permissive=permissive)
+    assert columnar == row_path
+    if column != "line_name" and not permissive:
+        assert columnar[0] == "error" and columnar[1] == k + 2

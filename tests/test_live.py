@@ -1,10 +1,11 @@
 import math
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripmatch.geodesy import offset_point
+from tripmatch.geodesy import distance_m, offset_point, point_to_linestring_m
 from tripmatch.live import (
     LiveMatchConfig,
     PositionIndex,
@@ -16,6 +17,7 @@ from tripmatch.live import (
 )
 from tripmatch.types import (
     Activity,
+    FleetColumns,
     GeoPoint,
     LineType,
     TracePoint,
@@ -30,6 +32,10 @@ BASE = GeoPoint(60.17, 24.94)
 
 def vp(seconds, pos, *, line_type=LineType.BUS, name="16", ref="v1"):
     return VehiclePosition(at(seconds), pos.lat, pos.lng, line_type, name, ref)
+
+
+def index_of(rows):
+    return PositionIndex(FleetColumns.from_positions(rows))
 
 
 def trace_points(specs):
@@ -63,10 +69,48 @@ def test_seventy_nine_points_spread_evenly():
     assert picked[0] == trace[0] and picked[-1] == trace[78]
 
 
+# --- PositionIndex ---
+
+def test_shift_handover_gap_is_not_in_range():
+    # v1 ends a shift before the window and starts the next after it
+    index = index_of([vp(-600, BASE, ref="v1"), vp(600, BASE, ref="v1"),
+                      vp(0, BASE, ref="v2")])
+    assert index.vehicles_in_range(at(-300), at(300)) == ["v2"]
+    assert index.boxes_in_range(at(-300), at(300)).shape == (1, 4)
+
+
+def test_fix_at_either_window_end_is_in_range():
+    index = index_of([vp(-300, BASE, ref="vb"), vp(300, BASE, ref="va")])
+    assert index.vehicles_in_range(at(-300), at(300)) == ["va", "vb"]
+    assert index.vehicles_in_range(at(-299), at(299)) == []
+    assert index.boxes_in_range(at(-299), at(299)).shape == (0, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 40), st.sampled_from("abcd"),
+                          st.floats(-500, 500), st.floats(-500, 500)),
+                max_size=30),
+       st.integers(0, 40), st.integers(0, 20))
+def test_index_window_queries_agree_with_brute_force(fixes, start, span):
+    rows = [vp(10 * t, offset_point(BASE, e, n), ref=ref)
+            for t, ref, e, n in fixes]
+    index = index_of(rows)
+    t0, t1 = at(10 * start), at(10 * (start + span))
+    inside = [r for r in rows if t0 <= r.time <= t1]
+    refs = sorted({r.vehicle_ref for r in inside})
+    assert index.vehicles_in_range(t0, t1) == refs
+    expected = [(min(r.lat for r in inside if r.vehicle_ref == ref),
+                 min(r.lng for r in inside if r.vehicle_ref == ref),
+                 max(r.lat for r in inside if r.vehicle_ref == ref),
+                 max(r.lng for r in inside if r.vehicle_ref == ref))
+                for ref in refs]
+    assert [tuple(b) for b in index.boxes_in_range(t0, t1).tolist()] == expected
+
+
 # --- vehicle_linestring ---
 
 def test_window_collects_surrounding_fixes():
-    index = PositionIndex([vp(-30, BASE), vp(0, BASE), vp(30, BASE),
+    index = index_of([vp(-30, BASE), vp(0, BASE), vp(30, BASE),
                            vp(120, BASE)])
     ls = vehicle_linestring("v1", at(0), 60.0, index)
     assert len(ls) == 3
@@ -74,17 +118,17 @@ def test_window_collects_surrounding_fixes():
 
 
 def test_fix_outside_window_is_empty():
-    index = PositionIndex([vp(-90, BASE)])
+    index = index_of([vp(-90, BASE)])
     assert len(vehicle_linestring("v1", at(0), 60.0, index)) == 0
 
 
 def test_window_endpoints_inclusive():
-    index = PositionIndex([vp(-60, BASE), vp(60, BASE)])
+    index = index_of([vp(-60, BASE), vp(60, BASE)])
     assert len(vehicle_linestring("v1", at(0), 60.0, index)) == 2
 
 
 def test_unknown_vehicle_is_empty():
-    index = PositionIndex([vp(0, BASE)])
+    index = index_of([vp(0, BASE)])
     assert len(vehicle_linestring("ghost", at(0), 60.0, index)) == 0
 
 
@@ -104,7 +148,7 @@ def _exact_match_setup(n_samples, n_matched, offset_m=0.0):
             line_base = offset_point(pos, offset_m, 0.0)
             rows.append(vp(t - 10, offset_point(line_base, 0.0, -40.0)))
             rows.append(vp(t + 10, offset_point(line_base, 0.0, 40.0)))
-    return samples, PositionIndex(rows)
+    return samples, index_of(rows)
 
 
 def test_perfect_match_scores_full():
@@ -161,6 +205,68 @@ def test_score_monotone_in_distance(d_far, shrink):
     assert near.score >= far.score - 1e-6
 
 
+def _reference_score(samples, rows, ref, cfg, use_linestring):
+    """The per-sample loop with the scalar geodesy functions."""
+    track = sorted((r for r in rows if r.vehicle_ref == ref),
+                   key=lambda r: r.time)
+    window = timedelta(seconds=cfg.window_s)
+    distances, votes, score = [], [], 0.0
+    for sample in samples:
+        fixes = [r for r in track
+                 if sample.time - window <= r.time <= sample.time + window]
+        if not fixes:
+            distances.append(None)
+            continue
+        p = (sample.lat, sample.lng)
+        point_dists = [distance_m(p, f.geo) for f in fixes]
+        d = (point_to_linestring_m(p, [f.geo for f in fixes])
+             if use_linestring else min(point_dists))
+        distances.append(d)
+        if d <= cfg.distance_limit_m:
+            score += cfg.distance_limit_m - d
+            nearest = fixes[point_dists.index(min(point_dists))]
+            votes.append((nearest.line_name, nearest.line_type, nearest.time))
+    fraction = len(votes) / len(samples)
+    if fraction < cfg.quorum_fraction or score <= 0.0:
+        return None
+    return score, fraction, distances, votes
+
+
+_offsets = st.tuples(st.floats(-150, 150), st.floats(-150, 150))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 60), _offsets, st.sampled_from("ab"),
+                          st.sampled_from(["16", "99"])), max_size=25),
+       st.lists(st.tuples(st.integers(0, 60), _offsets), min_size=1,
+                max_size=12),
+       st.sampled_from([0.01, 0.75]), st.booleans())
+def test_score_vehicle_agrees_with_scalar_reference(fixes, picks, quorum,
+                                                    use_linestring):
+    cfg = LiveMatchConfig(quorum_fraction=quorum)
+    rows = [vp(10 * t, offset_point(BASE, *off), name=name, ref=ref)
+            for t, off, ref, name in fixes]
+    samples = sorted((TracePoint(at(10 * t), *offset_point(BASE, *off))
+                      for t, off in picks), key=lambda p: p.time)
+    index = index_of(rows)
+    for ref in ("a", "b"):
+        got = score_vehicle(samples, ref, cfg, index, use_linestring)
+        want = _reference_score(samples, rows, ref, cfg, use_linestring)
+        if want is None:
+            assert got is None
+            continue
+        score, fraction, distances, votes = want
+        assert got is not None
+        assert got.matched_fraction == fraction
+        assert got.votes == votes
+        assert [d is None for d in got.sample_distances] == \
+            [d is None for d in distances]
+        for d_got, d_want in zip(got.sample_distances, distances):
+            if d_want is not None:
+                assert d_got == pytest.approx(d_want, abs=1e-9)
+        assert got.score == pytest.approx(score, abs=1e-9 * len(samples))
+
+
 # --- match_live ---
 
 def _riding_setup(speed_kmh, fix_period_s=30.0, sample_period_s=10.0,
@@ -180,7 +286,7 @@ def _riding_setup(speed_kmh, fix_period_s=30.0, sample_period_s=10.0,
     while t <= duration_s:
         specs.append((t, offset_point(BASE, 0.0, v * t)))
         t += sample_period_s
-    return ride_segment(specs), PositionIndex(rows)
+    return ride_segment(specs), index_of(rows)
 
 
 def test_match_live_identifies_vehicle():
@@ -216,7 +322,7 @@ def test_modal_name_vote_beats_flicker():
         rows.append(vp(t, offset_point(BASE, 0.0, v * t), name=name))
     specs = [(10.0 * i, offset_point(BASE, 0.0, v * 10.0 * i))
              for i in range(61)]
-    result = match_live(ride_segment(specs), CFG, PositionIndex(rows))
+    result = match_live(ride_segment(specs), CFG, index_of(rows))
     assert result is not None
     assert result.line_name == "550"
 
@@ -225,7 +331,7 @@ def test_no_vehicles_in_time_range_is_no_result():
     segment, _ = _riding_setup(20.0)
     late_rows = [vp(5000.0 + 30 * k, offset_point(BASE, 0.0, 5.0 * k))
                  for k in range(10)]
-    assert match_live(segment, CFG, PositionIndex(late_rows)) is None
+    assert match_live(segment, CFG, index_of(late_rows)) is None
 
 
 def test_tie_breaks_are_deterministic():
@@ -237,7 +343,7 @@ def test_tie_breaks_are_deterministic():
         for k in range(21):
             t = 30.0 * k
             rows.append(vp(t, offset_point(BASE, 0.0, v * t), ref=ref))
-    results = {match_live(segment, CFG, PositionIndex(rows)).vehicle_ref
+    results = {match_live(segment, CFG, index_of(rows)).vehicle_ref
                for _ in range(3)}
     assert results == {"vA"}
 
