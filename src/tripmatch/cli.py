@@ -13,7 +13,7 @@ from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
-from . import evaluation, pipeline, segmentation
+from . import pipeline, segmentation
 from .client_filter import OutOfOrderError
 from .config import (
     ALL_METHODS,
@@ -24,9 +24,9 @@ from .config import (
 )
 from .gtfs import GtfsError
 from .ingest import IngestError
-from .live import NEW_LIVE, OLD_LIVE, score_vehicle, select_user_samples
+from .live import score_vehicle, select_user_samples
 from .planner import PlanError, adjusted_query
-from .static import filter_plan, write_assessments_csv
+from .static import filter_plan
 from .types import Activity
 
 EXIT_OK = 0
@@ -97,68 +97,36 @@ def cmd_ingest(cfg: RunConfig) -> int:
 
 
 def cmd_segment(cfg: RunConfig) -> int:
-    segments = pipeline.build_segments(cfg)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    segmentation.write_segments_csv(segments, out_dir / pipeline.SEGMENTS_FILE)
+    segments = pipeline.stage_segment(cfg)
     candidates = segmentation.vehicular_candidates(segments)
     print(f"{len(segments)} segments, {len(candidates)} vehicular candidates")
-    print(f"wrote {out_dir / pipeline.SEGMENTS_FILE}")
+    print(f"wrote {Path(cfg.output_dir) / pipeline.SEGMENTS_FILE}")
     return EXIT_OK
 
 
 def cmd_match_live(cfg: RunConfig) -> int:
-    methods = [m for m in cfg.methods if m in (NEW_LIVE, OLD_LIVE)]
+    methods = pipeline.live_methods(cfg)
     if not methods:
         print("no live methods selected", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    segments = pipeline.build_segments(cfg)
-    index = pipeline.build_position_index(cfg)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for method in methods:
-        results = pipeline.run_live_stage(cfg, segments, index, method)
-        pipeline.write_match_csv(results, segments,
-                                 out_dir / pipeline.MATCH_FILES[method])
+    matched = pipeline.stage_match_live(cfg, pipeline.build_segments(cfg),
+                                        methods)
+    for method, results in matched.items():
         print(f"{method}: {len(results)} segment(s) matched -> "
-              f"{out_dir / pipeline.MATCH_FILES[method]}")
+              f"{Path(cfg.output_dir) / pipeline.MATCH_FILES[method]}")
     return EXIT_OK
 
 
 def cmd_match_static(cfg: RunConfig) -> int:
-    segments = pipeline.build_segments(cfg)
-    planner = pipeline.build_planner(cfg)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    results, assessments = pipeline.run_static_stage(cfg, segments, planner)
-    pipeline.write_match_csv(results, segments,
-                             out_dir / pipeline.MATCH_FILES[STATIC])
-    write_assessments_csv(assessments, out_dir / pipeline.ASSESSMENTS_FILE)
+    results = pipeline.stage_match_static(cfg, pipeline.build_segments(cfg))
     print(f"static: {len(results)} segment(s) matched -> "
-          f"{out_dir / pipeline.MATCH_FILES[STATIC]}")
+          f"{Path(cfg.output_dir) / pipeline.MATCH_FILES[STATIC]}")
     return EXIT_OK
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     """Evaluate from stage outputs already present in the output directory."""
-    segments = pipeline.build_segments(cfg)
-    trips = pipeline.load_trips(cfg)
-    out_dir = Path(cfg.output_dir)
-    recognitions = {}
-    for method in cfg.methods:
-        path = out_dir / pipeline.MATCH_FILES[method]
-        if not path.exists():
-            print(f"missing stage output {path}; run the matching stages or "
-                  f"'tripmatch run' first", file=sys.stderr)
-            return EXIT_INPUT_ERROR
-        recognitions[method] = pipeline.load_match_csv(path)
-    evaluated = pipeline.run_evaluation(cfg, trips, segments, recognitions)
-    (out_dir / pipeline.REPORT_TEXT_FILE).write_text(evaluated.report_text,
-                                                     encoding="utf-8")
-    (out_dir / pipeline.REPORT_CSV_FILE).write_text(evaluated.report_csv,
-                                                    encoding="utf-8")
-    evaluation.write_inventory_csv(evaluated.verdicts, list(recognitions),
-                                   out_dir / pipeline.INVENTORY_FILE)
+    evaluated = pipeline.stage_evaluate_saved(cfg)
     print(evaluated.report_text)
     return _gate_exit(evaluated)
 

@@ -7,26 +7,19 @@ Two cooperating pieces:
 * ``simulate_duty_cycle`` replays the ACTIVE/SLEEP power state machine with
   its restartable sleep timer.
 
-``regenerate_filtered`` composes the duty cycle with per-point activity
-selection to rebuild a filtered table from raw device data. The upstream
-filtered table was produced by an unpublished implementation, so the rebuild
-is a diagnostic: ``diff_filtered`` quantifies divergence instead of promising
-equality. Matchers consume the published filtered table by default.
+``winning_activities`` picks each fix's reliable activity. Matchers consume
+the published filtered table; the replay documents and tests the client's
+rules.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .geodesy import distance_m
-from .types import (
-    Activity,
-    DevicePoint,
-    FilteredPoint,
-    GOOD_ACTIVITIES,
-)
+from .types import Activity, DevicePoint, GOOD_ACTIVITIES
 
 
 class OutOfOrderError(Exception):
@@ -218,61 +211,3 @@ def select_activity(window: Sequence[DevicePoint],
         raise ValueError("window must be non-empty")
     center = (len(window) - 1) // 2
     return winning_activities(window, cfg)[center]
-
-
-def regenerate_filtered(points: Iterable[DevicePoint],
-                        cfg: FilterConfig | None = None) -> list[FilteredPoint]:
-    """Rebuild a filtered table from raw device data.
-
-    Drops points recorded in SLEEP mode and points whose winning activity is
-    STILL (the not-substantially-moving periods), attaches the winning
-    activity to the rest, and orders the result by (time, device_id).
-    """
-    cfg = cfg or FilterConfig()
-    by_device: dict[int, list[DevicePoint]] = {}
-    for p in points:
-        by_device.setdefault(p.device_id, []).append(p)
-
-    out: list[FilteredPoint] = []
-    for device_id in sorted(by_device):
-        stream = sorted(by_device[device_id], key=lambda p: p.time)
-        duty = simulate_duty_cycle(stream, cfg)
-        winners = winning_activities(stream, cfg)
-        for (p, mode), winner in zip(duty.annotated, winners):
-            if mode is Mode.SLEEP or winner is Activity.STILL or winner is None:
-                continue
-            out.append(FilteredPoint(p.time, p.device_id, p.lat, p.lng, winner))
-    out.sort(key=lambda p: (p.time, p.device_id))
-    return out
-
-
-@dataclass
-class FilteredDiff:
-    n_regenerated: int
-    n_published: int
-    missing: int  # published rows we did not regenerate
-    extra: int    # regenerated rows absent from the published table
-
-    @property
-    def agreement(self) -> float:
-        if self.n_published == 0:
-            return 1.0
-        return (self.n_published - self.missing) / self.n_published
-
-    def summary(self) -> str:
-        return (f"regenerated {self.n_regenerated} rows vs {self.n_published} "
-                f"published; {self.missing} missing, {self.extra} extra "
-                f"({self.agreement:.1%} of published rows reproduced)")
-
-
-def diff_filtered(regenerated: Sequence[FilteredPoint],
-                  published: Sequence[FilteredPoint]) -> FilteredDiff:
-    """Compare a regenerated table against the published one by (time, device)."""
-    ours = {(p.time, p.device_id) for p in regenerated}
-    theirs = {(p.time, p.device_id) for p in published}
-    return FilteredDiff(
-        n_regenerated=len(regenerated),
-        n_published=len(published),
-        missing=len(theirs - ours),
-        extra=len(ours - theirs),
-    )

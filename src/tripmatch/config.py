@@ -10,7 +10,6 @@ from typing import Any, Optional
 
 import yaml
 
-from .client_filter import FilterConfig
 from .live import LiveMatchConfig, NEW_LIVE, OLD_LIVE
 from .segmentation import DEFAULT_MAX_GAP_S
 from .static import MatchConstants
@@ -62,10 +61,8 @@ class RunConfig:
     jobs: int = 1
     permissive: bool = False
     max_gap_s: float = DEFAULT_MAX_GAP_S
-    filter: FilterConfig = field(default_factory=FilterConfig)
     live: LiveMatchConfig = field(default_factory=LiveMatchConfig)
     constants: MatchConstants = field(default_factory=MatchConstants)
-    planner_kind: str = "embedded"
     planner_search_window_s: float = 7200.0
     gates: list[Gate] = field(default_factory=list)
 
@@ -105,11 +102,14 @@ def _expand(text: str) -> str:
     return os.path.expanduser(os.path.expandvars(text))
 
 
-def _sub_config(cls, data: dict[str, Any], context: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+def _check_keys(data: dict[str, Any], known, context: str) -> None:
+    unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
+
+
+def _sub_config(cls, data: dict[str, Any], context: str):
+    _check_keys(data, {f.name for f in fields(cls)}, context)
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -135,9 +135,7 @@ def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunCo
 
     if "files" in raw:
         entries = raw.pop("files") or {}
-        unknown = set(entries) - set(DEFAULT_FILES)
-        if unknown:
-            raise ConfigError(f"files: unknown key(s) {sorted(unknown)}")
+        _check_keys(entries, DEFAULT_FILES, "files")
         cfg.files.update({k: str(v) for k, v in entries.items() if v})
         for key, value in entries.items():
             if value in (None, ""):
@@ -156,16 +154,15 @@ def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunCo
             setattr(cfg, key, raw.pop(key))
     if "segmentation" in raw:
         seg = raw.pop("segmentation") or {}
+        _check_keys(seg, {"max_gap_s"}, "segmentation")
         cfg.max_gap_s = float(seg.get("max_gap_s", cfg.max_gap_s))
-    if "filter" in raw:
-        cfg.filter = _sub_config(FilterConfig, raw.pop("filter") or {}, "filter")
     if "live" in raw:
         cfg.live = _sub_config(LiveMatchConfig, raw.pop("live") or {}, "live")
     if "static" in raw:
         cfg.constants = _sub_config(MatchConstants, raw.pop("static") or {}, "static")
     if "planner" in raw:
         planner = raw.pop("planner") or {}
-        cfg.planner_kind = planner.get("kind", cfg.planner_kind)
+        _check_keys(planner, {"search_window_s"}, "planner")
         cfg.planner_search_window_s = float(
             planner.get("search_window_s", cfg.planner_search_window_s))
     if "gates" in raw:

@@ -12,7 +12,7 @@ import json
 import logging
 from datetime import date, datetime
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .types import (
 log = logging.getLogger(__name__)
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
+
+T = TypeVar("T")
 
 
 class IngestError(Exception):
@@ -117,15 +119,27 @@ class _Rows:
                     cells[name] = row[i].strip() if i < len(row) else ""
                 yield reader.line_num, cells
 
-    def error(self, message: str, line: int, column: str | None = None) -> bool:
-        """Record or raise a row-level problem. Returns True when the row
-        should be skipped (permissive mode)."""
+    def parse(self, parse_row: Callable[[dict[str, str]], T]) -> list[T]:
+        """parse_row of every data row, in file order. A KeyError (a missing
+        required value) or ValueError it raises is a row error located at
+        the row's line: raised, or in permissive mode recorded in
+        diagnostics with the row skipped."""
+        out: list[T] = []
+        for line, cells in self:
+            try:
+                out.append(parse_row(cells))
+            except KeyError as exc:
+                self._error("missing value", line, column=exc.args[0])
+            except ValueError as exc:
+                self._error(str(exc), line)
+        return out
+
+    def _error(self, message: str, line: int, column: str | None = None) -> None:
         err = IngestError(message, path=self.path, line=line, column=column)
-        if self.permissive:
-            self.diagnostics.append(f"skipped row: {err}")
-            log.warning("%s", err)
-            return True
-        raise err
+        if not self.permissive:
+            raise err
+        self.diagnostics.append(f"skipped row: {err}")
+        log.warning("%s", err)
 
     def warn(self, message: str) -> None:
         self.diagnostics.append(message)
@@ -146,6 +160,12 @@ def _field(cells: dict[str, str], column: str, convert):
         return convert(value)
     except ValueError as exc:
         raise ValueError(f"column {column!r}: {exc}") from exc
+
+
+def _time(cells: dict[str, str], column: str, default_date: date | None,
+          ) -> datetime:
+    return _field(cells, column,
+                  lambda v: parse_timestamp(v, default_date=default_date))
 
 
 def _parse_coordinate(cells: dict[str, str]) -> tuple[float, float]:
@@ -186,48 +206,37 @@ def load_device_data(path, *, permissive: bool = False,
                      diagnostics: list[str] | None = None,
                      default_date: date | None = None) -> list[DevicePoint]:
     """Load raw device samples, sorted by (time, device_id)."""
-    rows = _Rows(path, DEVICE_DATA_COLUMNS[:5], permissive=permissive,
-                 diagnostics=diagnostics)
-    out: list[DevicePoint] = []
-    for line, cells in rows:
-        try:
-            time = _field(cells, "time",
-                          lambda v: parse_timestamp(v, default_date=default_date))
-            device_id = _field(cells, "device_id", int)
-            lat, lng = _parse_coordinate(cells)
-            accuracy = _field(cells, "accuracy", float)
-            if accuracy < 0:
+    def parse(cells: dict[str, str]) -> DevicePoint:
+        time = _time(cells, "time", default_date)
+        device_id = _field(cells, "device_id", int)
+        lat, lng = _parse_coordinate(cells)
+        accuracy = _field(cells, "accuracy", float)
+        if accuracy < 0:
+            raise ValueError(f"column 'accuracy': {accuracy} must be >= 0")
+        activities = []
+        for rank in (1, 2, 3):
+            kind_text = cells.get(f"activity_{rank}", "")
+            conf_text = cells.get(f"activity_{rank}_conf", "")
+            if kind_text == "" and conf_text == "":
+                continue
+            if kind_text == "" or conf_text == "":
                 raise ValueError(
-                    f"column 'accuracy': {accuracy} must be >= 0")
-            activities = []
-            for rank in (1, 2, 3):
-                kind_text = cells.get(f"activity_{rank}", "")
-                conf_text = cells.get(f"activity_{rank}_conf", "")
-                if kind_text == "" and conf_text == "":
-                    continue
-                if kind_text == "" or conf_text == "":
-                    raise ValueError(
-                        f"activity_{rank} and activity_{rank}_conf must be "
-                        "both present or both empty")
-                conf = _field(cells, f"activity_{rank}_conf", int)
-                if not 0 <= conf <= 100:
-                    raise ValueError(
-                        f"column 'activity_{rank}_conf': {conf} out of "
-                        "range [0, 100]")
-                activities.append((_parse_activity(kind_text), conf))
-            confs = [c for _, c in activities]
-            if any(later > earlier for earlier, later in zip(confs, confs[1:])):
-                raise ValueError(f"confidences {confs} increase with rank")
-        except KeyError as exc:
-            if rows.error("missing value", line, column=str(exc.args[0])):
-                continue
-            raise
-        except ValueError as exc:
-            if rows.error(str(exc), line):
-                continue
-            raise
-        out.append(DevicePoint(time, device_id, lat, lng, accuracy,
-                               tuple(activities)))
+                    f"activity_{rank} and activity_{rank}_conf must be "
+                    "both present or both empty")
+            conf = _field(cells, f"activity_{rank}_conf", int)
+            if not 0 <= conf <= 100:
+                raise ValueError(
+                    f"column 'activity_{rank}_conf': {conf} out of "
+                    "range [0, 100]")
+            activities.append((_parse_activity(kind_text), conf))
+        confs = [c for _, c in activities]
+        if any(later > earlier for earlier, later in zip(confs, confs[1:])):
+            raise ValueError(f"confidences {confs} increase with rank")
+        return DevicePoint(time, device_id, lat, lng, accuracy,
+                           tuple(activities))
+
+    out = _Rows(path, DEVICE_DATA_COLUMNS[:5], permissive=permissive,
+                diagnostics=diagnostics).parse(parse)
     out.sort(key=lambda p: (p.time, p.device_id))
     log.info("%s: %d device points", path, len(out))
     return out
@@ -240,25 +249,15 @@ def load_filtered_data(path, *, permissive: bool = False,
                        diagnostics: list[str] | None = None,
                        default_date: date | None = None) -> list[FilteredPoint]:
     """Load the filtered device table, sorted by (time, device_id)."""
+    def parse(cells: dict[str, str]) -> FilteredPoint:
+        return FilteredPoint(_time(cells, "time", default_date),
+                             _field(cells, "device_id", int),
+                             *_parse_coordinate(cells),
+                             _field(cells, "activity", _parse_activity))
+
     rows = _Rows(path, FILTERED_COLUMNS, permissive=permissive,
                  diagnostics=diagnostics)
-    out: list[FilteredPoint] = []
-    for line, cells in rows:
-        try:
-            time = _field(cells, "time",
-                          lambda v: parse_timestamp(v, default_date=default_date))
-            device_id = _field(cells, "device_id", int)
-            lat, lng = _parse_coordinate(cells)
-            activity = _field(cells, "activity", _parse_activity)
-        except KeyError as exc:
-            if rows.error("missing value", line, column=str(exc.args[0])):
-                continue
-            raise
-        except ValueError as exc:
-            if rows.error(str(exc), line):
-                continue
-            raise
-        out.append(FilteredPoint(time, device_id, lat, lng, activity))
+    out = rows.parse(parse)
     out.sort(key=lambda p: (p.time, p.device_id))
     n_dupes = len(out) - len({(p.time, p.device_id) for p in out})
     if n_dupes:
@@ -295,7 +294,8 @@ def load_transit_live(path, *, permissive: bool = False,
                  diagnostics=diagnostics)
     fleet = _read_fleet_columns(rows.path)
     if fleet is None:
-        fleet = FleetColumns.from_positions(_transit_live_rows(rows, default_date))
+        fleet = FleetColumns.from_positions(rows.parse(
+            lambda cells: _vehicle_position(cells, default_date)))
     n_dupes = _count_duplicates(fleet)
     if n_dupes:
         rows.warn(f"{n_dupes} duplicate identical row(s) retained")
@@ -324,28 +324,14 @@ def _count_duplicates(fleet: FleetColumns) -> int:
     return len(rows) - len(np.unique(keys, axis=0))
 
 
-def _transit_live_rows(rows: _Rows, default_date: date | None,
-                       ) -> list[VehiclePosition]:
-    out: list[VehiclePosition] = []
-    for line, cells in rows:
-        try:
-            time = _field(cells, "time",
-                          lambda v: parse_timestamp(v, default_date=default_date))
-            lat, lng = _parse_coordinate(cells)
-            line_type = _field(cells, "line_type",
-                               lambda v: _parse_line_type(v, LIVE_LINE_TYPES))
-            line_name = cells.get("line_name", "")
-            vehicle_ref = _require(cells, "vehicle_ref")
-        except KeyError as exc:
-            if rows.error("missing value", line, column=str(exc.args[0])):
-                continue
-            raise
-        except ValueError as exc:
-            if rows.error(str(exc), line):
-                continue
-            raise
-        out.append(VehiclePosition(time, lat, lng, line_type, line_name, vehicle_ref))
-    return out
+def _vehicle_position(cells: dict[str, str], default_date: date | None,
+                      ) -> VehiclePosition:
+    time = _time(cells, "time", default_date)
+    lat, lng = _parse_coordinate(cells)
+    line_type = _field(cells, "line_type",
+                       lambda v: _parse_line_type(v, LIVE_LINE_TYPES))
+    return VehiclePosition(time, lat, lng, line_type, cells.get("line_name", ""),
+                           _require(cells, "vehicle_ref"))
 
 
 def _read_fleet_columns(path: Path) -> FleetColumns | None:
@@ -488,75 +474,55 @@ def load_manual_log(path, *, permissive: bool = False,
                     diagnostics: list[str] | None = None,
                     default_date: date | None = None) -> list[ManualTrip]:
     """Load the manual travel diary in file order."""
-    rows = _Rows(path, MANUAL_LOG_COLUMNS[:3], permissive=permissive,
-                 diagnostics=diagnostics)
-    out: list[ManualTrip] = []
-
     def opt_time(cells, column):
-        text = cells.get(column, "")
-        if text == "":
+        if cells.get(column, "") == "":
             return None
-        try:
-            return parse_timestamp(text, default_date=default_date)
-        except ValueError as exc:
-            raise ValueError(f"column {column!r}: {exc}") from exc
+        return _time(cells, column, default_date)
 
-    for line, cells in rows:
-        try:
-            device_id = _field(cells, "device_id", int)
-            line_type = _field(cells, "line_type",
-                               lambda v: _parse_line_type(v, LOG_LINE_TYPES))
-            dep = opt_time(cells, "vehicle_dep_time")
-            arr = opt_time(cells, "vehicle_arr_time")
-            if dep is not None and arr is not None and dep > arr:
-                raise ValueError(
-                    f"vehicle_dep_time {format_timestamp(dep)} after "
-                    f"vehicle_arr_time {format_timestamp(arr)}")
-            trip = ManualTrip(
-                device_id=device_id,
-                line_type=line_type,
-                line_name=cells.get("line_name", ""),
-                vehicle_dep_time=dep,
-                vehicle_arr_time=arr,
-                st_entrance=cells.get("st_entrance", ""),
-                st_entry_time=opt_time(cells, "st_entry_time"),
-                vehicle_dep_stop=cells.get("vehicle_dep_stop", ""),
-                vehicle_arr_stop=cells.get("vehicle_arr_stop", ""),
-                st_exit_location=cells.get("st_exit_location", ""),
-                st_exit_time=opt_time(cells, "st_exit_time"),
-                comments=cells.get("comments", ""),
-            )
-        except KeyError as exc:
-            if rows.error("missing value", line, column=str(exc.args[0])):
-                continue
-            raise
-        except ValueError as exc:
-            if rows.error(str(exc), line):
-                continue
-            raise
-        out.append(trip)
+    def parse(cells: dict[str, str]) -> ManualTrip:
+        device_id = _field(cells, "device_id", int)
+        line_type = _field(cells, "line_type",
+                           lambda v: _parse_line_type(v, LOG_LINE_TYPES))
+        dep = opt_time(cells, "vehicle_dep_time")
+        arr = opt_time(cells, "vehicle_arr_time")
+        if dep is not None and arr is not None and dep > arr:
+            raise ValueError(
+                f"vehicle_dep_time {format_timestamp(dep)} after "
+                f"vehicle_arr_time {format_timestamp(arr)}")
+        return ManualTrip(
+            device_id=device_id,
+            line_type=line_type,
+            line_name=cells.get("line_name", ""),
+            vehicle_dep_time=dep,
+            vehicle_arr_time=arr,
+            st_entrance=cells.get("st_entrance", ""),
+            st_entry_time=opt_time(cells, "st_entry_time"),
+            vehicle_dep_stop=cells.get("vehicle_dep_stop", ""),
+            vehicle_arr_stop=cells.get("vehicle_arr_stop", ""),
+            st_exit_location=cells.get("st_exit_location", ""),
+            st_exit_time=opt_time(cells, "st_exit_time"),
+            comments=cells.get("comments", ""),
+        )
+
+    out = _Rows(path, MANUAL_LOG_COLUMNS[:3], permissive=permissive,
+                diagnostics=diagnostics).parse(parse)
     log.info("%s: %d manual trips", path, len(out))
     return out
 
 
 def load_device_models(path, *, permissive: bool = False,
                        diagnostics: list[str] | None = None) -> list[DeviceModelEntry]:
-    rows = _Rows(path, ["device_id", "model"], permissive=permissive,
-                 diagnostics=diagnostics)
-    out: list[DeviceModelEntry] = []
     seen: set[int] = set()
-    for line, cells in rows:
-        try:
-            device_id = _field(cells, "device_id", int)
-            if device_id in seen:
-                raise ValueError(f"duplicate device_id {device_id}")
-            seen.add(device_id)
-        except (KeyError, ValueError) as exc:
-            if rows.error(str(exc), line):
-                continue
-            raise
-        out.append(DeviceModelEntry(device_id, cells.get("model", "")))
-    return out
+
+    def parse(cells: dict[str, str]) -> DeviceModelEntry:
+        device_id = _field(cells, "device_id", int)
+        if device_id in seen:
+            raise ValueError(f"duplicate device_id {device_id}")
+        seen.add(device_id)
+        return DeviceModelEntry(device_id, cells.get("model", ""))
+
+    return _Rows(path, ["device_id", "model"], permissive=permissive,
+                 diagnostics=diagnostics).parse(parse)
 
 
 class TrainStops:

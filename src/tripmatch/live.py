@@ -21,10 +21,8 @@ from .geodesy import EARTH_RADIUS_M, distances_m, points_to_segments_m
 from .types import (
     ActivitySegment,
     FleetColumns,
-    GeoPoint,
     LINE_TYPES,
     LineType,
-    Linestring,
     TracePoint,
     as_seconds,
     from_seconds,
@@ -128,25 +126,6 @@ def select_user_samples(trace: Sequence[TracePoint], max_samples: int,
         return list(trace)
     last = n - 1
     return [trace[round(i * last / (max_samples - 1))] for i in range(max_samples)]
-
-
-def vehicle_linestring(vehicle_ref: str, t: datetime, window_s: float,
-                       index: PositionIndex) -> Linestring:
-    """The vehicle's path within the closed window [t - window_s, t + window_s];
-    empty when the vehicle has no fix there."""
-    rows = index.rows(vehicle_ref)
-    if rows is None:
-        return Linestring()
-    times = index.times_s[rows]
-    lo = rows.start + int(np.searchsorted(times, as_seconds(t) - window_s, side="left"))
-    hi = rows.start + int(np.searchsorted(times, as_seconds(t) + window_s, side="right"))
-    if lo >= hi:
-        return Linestring()
-    return Linestring(
-        points=[GeoPoint(la, ln) for la, ln in zip(index.lats[lo:hi].tolist(),
-                                                   index.lngs[lo:hi].tolist())],
-        times=[from_seconds(s) for s in index.times_s[lo:hi].tolist()],
-    )
 
 
 @dataclass

@@ -1,12 +1,14 @@
 """Stage orchestration: each stage loads what it needs, writes an
 intermediate CSV the next stage can load back, and is deterministic given the
-config. A worker pool (jobs > 1) may reorder completion; results are always
-collected in segment-id order."""
+config. ``run_all`` and the stage subcommands share the ``stage_*``
+functions; the ``run_*_stage`` matchers beneath them only compute. A worker
+pool (jobs > 1) may reorder completion; results are always collected in
+segment-id order."""
 from __future__ import annotations
 
 import csv
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -111,10 +113,6 @@ def build_position_index(cfg: RunConfig) -> PositionIndex:
 
 
 def build_planner(cfg: RunConfig) -> JourneyPlanner:
-    if cfg.planner_kind != "embedded":
-        raise ValueError(
-            f"planner kind {cfg.planner_kind!r} is not built in; pass a "
-            "JourneyPlanner implementing the adapter contract instead")
     return TimetablePlanner(load_gtfs(cfg.require_gtfs()), cfg.date,
                             search_window_s=cfg.planner_search_window_s)
 
@@ -125,7 +123,7 @@ def _map_segments(candidates: Sequence[ActivitySegment], jobs: int,
     """Apply fn over segments, in parallel when jobs > 1, collecting non-None
     results keyed and ordered by segment id."""
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(fn, candidates))
     else:
         results = [fn(s) for s in candidates]
@@ -147,7 +145,6 @@ def run_static_stage(cfg: RunConfig, segments: Sequence[ActivitySegment],
                      planner: JourneyPlanner,
                      ) -> tuple[dict[int, StaticMatchResult], list]:
     candidates = segmentation.vehicular_candidates(segments)
-    assessments: list = []
 
     def run_one(s: ActivitySegment):
         sink: list = []
@@ -159,17 +156,12 @@ def run_static_stage(cfg: RunConfig, segments: Sequence[ActivitySegment],
                                f"{s.segment_id}") from exc
         return result, sink
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(run_one, candidates))
-    else:
-        outcomes = [run_one(s) for s in candidates]
-    results: dict[int, StaticMatchResult] = {}
-    for segment, (result, sink) in zip(candidates, outcomes):
-        assessments.extend(sink)
-        if result is not None:
-            results[segment.segment_id] = result
-    return dict(sorted(results.items())), assessments
+    outcomes = _map_segments(candidates, cfg.jobs, run_one)
+    results = {segment_id: result
+               for segment_id, (result, _) in outcomes.items()
+               if result is not None}
+    assessments = [entry for _, sink in outcomes.values() for entry in sink]
+    return results, assessments
 
 
 def write_match_csv(results: dict[int, object],
@@ -262,6 +254,86 @@ def _gate_value(stats: dict[str, MethodStats], method: str,
     return None
 
 
+def _out_dir(cfg: RunConfig) -> Path:
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def live_methods(cfg: RunConfig) -> list[str]:
+    return [m for m in cfg.methods if m in (NEW_LIVE, OLD_LIVE)]
+
+
+def stage_segment(cfg: RunConfig,
+                  filtered: Sequence[FilteredPoint] | None = None,
+                  ) -> list[ActivitySegment]:
+    """Segment the filtered table and write segments.csv."""
+    segments = build_segments(cfg, filtered)
+    segmentation.write_segments_csv(segments, _out_dir(cfg) / SEGMENTS_FILE)
+    log.info("%d segments (%d vehicular candidates)", len(segments),
+             len(segmentation.vehicular_candidates(segments)))
+    return segments
+
+
+def stage_match_live(cfg: RunConfig, segments: Sequence[ActivitySegment],
+                     methods: Sequence[str],
+                     ) -> dict[str, dict[int, LiveMatchResult]]:
+    """Match segments against the fleet feed with each live method and
+    write its match table."""
+    index = build_position_index(cfg)
+    out_dir = _out_dir(cfg)
+    matched = {}
+    for method in methods:
+        matched[method] = run_live_stage(cfg, segments, index, method)
+        write_match_csv(matched[method], segments, out_dir / MATCH_FILES[method])
+    return matched
+
+
+def stage_match_static(cfg: RunConfig, segments: Sequence[ActivitySegment],
+                       ) -> dict[int, StaticMatchResult]:
+    """Match segments against the timetable and write the match table and
+    the plan assessments."""
+    planner = build_planner(cfg)
+    results, assessments = run_static_stage(cfg, segments, planner)
+    out_dir = _out_dir(cfg)
+    write_match_csv(results, segments, out_dir / MATCH_FILES[STATIC])
+    write_assessments_csv(assessments, out_dir / ASSESSMENTS_FILE)
+    return results
+
+
+def stage_evaluate(cfg: RunConfig, trips: Sequence[ManualTrip],
+                   segments: Sequence[ActivitySegment],
+                   recognitions: dict[str, dict[int, Recognition]],
+                   ) -> EvaluationOutput:
+    """Evaluate recognitions against the manual log and write the reports
+    and the trip inventory."""
+    evaluated = run_evaluation(cfg, trips, segments, recognitions)
+    out_dir = _out_dir(cfg)
+    (out_dir / REPORT_TEXT_FILE).write_text(evaluated.report_text,
+                                            encoding="utf-8")
+    (out_dir / REPORT_CSV_FILE).write_text(evaluated.report_csv,
+                                           encoding="utf-8")
+    evaluation.write_inventory_csv(evaluated.verdicts, list(recognitions),
+                                   out_dir / INVENTORY_FILE)
+    return evaluated
+
+
+def stage_evaluate_saved(cfg: RunConfig) -> EvaluationOutput:
+    """stage_evaluate over the segments.csv and match tables of cfg.methods
+    that earlier stages left in the output directory."""
+    out_dir = Path(cfg.output_dir)
+    paths = [out_dir / SEGMENTS_FILE] + [out_dir / MATCH_FILES[m]
+                                         for m in cfg.methods]
+    for path in paths:
+        if not path.exists():
+            raise FileNotFoundError(
+                f"missing stage output {path}; run the segment and matching "
+                "stages or 'tripmatch run' first")
+    segments = segmentation.load_segments_csv(paths[0], load_filtered(cfg))
+    recognitions = {m: load_match_csv(p) for m, p in zip(cfg.methods, paths[1:])}
+    return stage_evaluate(cfg, load_trips(cfg), segments, recognitions)
+
+
 @dataclass
 class RunOutputs:
     out_dir: Path
@@ -272,36 +344,16 @@ class RunOutputs:
 def run_all(cfg: RunConfig) -> RunOutputs:
     """Full pipeline: segment, match with the configured methods, evaluate,
     and write every intermediate plus the final report."""
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     filtered = load_filtered(cfg)
     trips = load_trips(cfg)
-    segments = build_segments(cfg, filtered)
-    segmentation.write_segments_csv(segments, out_dir / SEGMENTS_FILE)
-    log.info("%d segments (%d vehicular candidates)", len(segments),
-             len(segmentation.vehicular_candidates(segments)))
-
-    recognitions: dict[str, dict[int, Recognition]] = {}
-    live_methods = [m for m in cfg.methods if m in (NEW_LIVE, OLD_LIVE)]
-    if live_methods:
-        index = build_position_index(cfg)
-        for method in live_methods:
-            results = run_live_stage(cfg, segments, index, method)
-            write_match_csv(results, segments, out_dir / MATCH_FILES[method])
-            recognitions[method] = to_recognitions(results)
+    segments = stage_segment(cfg, filtered)
+    methods = live_methods(cfg)
+    matched: dict[str, dict] = (stage_match_live(cfg, segments, methods)
+                                if methods else {})
     if STATIC in cfg.methods:
-        planner = build_planner(cfg)
-        static_results, assessments = run_static_stage(cfg, segments, planner)
-        write_match_csv(static_results, segments, out_dir / MATCH_FILES[STATIC])
-        write_assessments_csv(assessments, out_dir / ASSESSMENTS_FILE)
-        recognitions[STATIC] = to_recognitions(static_results)
-
-    evaluated = run_evaluation(cfg, trips, segments, recognitions)
-    (out_dir / REPORT_TEXT_FILE).write_text(evaluated.report_text,
-                                            encoding="utf-8")
-    (out_dir / REPORT_CSV_FILE).write_text(evaluated.report_csv,
-                                           encoding="utf-8")
-    evaluation.write_inventory_csv(evaluated.verdicts, list(recognitions),
-                                   out_dir / INVENTORY_FILE)
-    return RunOutputs(out_dir=out_dir, segments=segments, evaluation=evaluated)
+        matched[STATIC] = stage_match_static(cfg, segments)
+    # report columns follow cfg.methods, as they do in stage_evaluate_saved
+    recognitions = {m: to_recognitions(matched[m]) for m in cfg.methods}
+    evaluated = stage_evaluate(cfg, trips, segments, recognitions)
+    return RunOutputs(out_dir=Path(cfg.output_dir), segments=segments,
+                      evaluation=evaluated)

@@ -6,7 +6,7 @@ no timezone conversion happens anywhere in the pipeline.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Iterator, NamedTuple, Optional
 
@@ -255,25 +255,3 @@ class ActivitySegment:
     @property
     def midpoint_time(self) -> datetime:
         return self.start_time + (self.end_time - self.start_time) / 2
-
-
-@dataclass
-class Linestring:
-    """Ordered polyline of geographic points, each optionally timestamped."""
-
-    points: list[GeoPoint] = field(default_factory=list)
-    times: Optional[list[datetime]] = None
-
-    def __post_init__(self) -> None:
-        if self.times is not None:
-            if len(self.times) != len(self.points):
-                raise ValueError("times must parallel points")
-            for a, b in zip(self.times, self.times[1:]):
-                if b < a:
-                    raise ValueError("linestring times must be non-decreasing")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __bool__(self) -> bool:
-        return bool(self.points)

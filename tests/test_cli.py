@@ -87,14 +87,47 @@ def test_stagewise_equals_run(synth, tmp_path, capsys):
     assert run_cli("evaluate", "--config", synth.config_path, "--out", out) == 0
     whole = tmp_path / "whole"
     assert run_cli("run", "--config", synth.config_path, "--out", whole) == 0
-    assert ((out / "report.txt").read_text()
-            == (whole / "report.txt").read_text())
+    names = sorted(p.name for p in whole.iterdir())
+    assert len(names) == 8
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+def test_evaluate_equals_run_for_any_method_order(synth, tmp_path):
+    out = tmp_path / "reordered"
+    methods = ("--methods", "static,new-live")
+    assert run_cli("run", "--config", synth.config_path, "--out", out,
+                   *methods) == 0
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert run_cli("evaluate", "--config", synth.config_path, "--out", out,
+                   *methods) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 
 def test_evaluate_without_stage_outputs_exits_1(synth, tmp_path, capsys):
     assert run_cli("evaluate", "--config", synth.config_path,
                    "--out", tmp_path / "empty") == 1
     assert "missing stage output" in capsys.readouterr().err
+
+
+def test_evaluate_reads_segments_of_the_matching_run(synth, tmp_path, capsys):
+    out = tmp_path / "staged"
+    assert run_cli("run", "--config", synth.config_path, "--out", out) == 0
+    report = (out / "report.txt").read_bytes()
+    # a config that would cut other segments cannot change what the saved
+    # segments.csv and match tables say
+    cfg_raw = yaml.safe_load(Path(synth.config_path).read_text())
+    cfg_raw["segmentation"] = {"max_gap_s": 5}
+    regapped = tmp_path / "regapped.yaml"
+    regapped.write_text(yaml.safe_dump(cfg_raw), encoding="utf-8")
+    assert run_cli("evaluate", "--config", regapped, "--out", out) == 0
+    assert (out / "report.txt").read_bytes() == report
+    (out / "segments.csv").unlink()
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", synth.config_path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "missing stage output" in err and "segments.csv" in err
 
 
 def test_methods_flag_limits_columns(synth, tmp_path, capsys):

@@ -12,8 +12,6 @@ from tripmatch.client_filter import (
     OutOfOrderError,
     Reason,
     accept_point,
-    diff_filtered,
-    regenerate_filtered,
     select_activity,
     simulate_duty_cycle,
     winning_activities,
@@ -241,51 +239,3 @@ def test_leading_tilting_falls_back_to_own_ranked_good():
 def test_leading_unknown_with_no_good_estimate():
     pts = [dp(0, [(Activity.UNKNOWN, 100)]), dp(10, Activity.WALKING)]
     assert winning_activities(pts) == [None, Activity.WALKING]
-
-
-# --- regenerate_filtered ---
-
-def test_single_walking_point_filters_to_itself():
-    out = regenerate_filtered([dp(0, Activity.WALKING)])
-    assert len(out) == 1
-    assert out[0].activity is Activity.WALKING
-
-
-def test_empty_input():
-    assert regenerate_filtered([]) == []
-
-
-def test_still_runs_and_sleep_periods_dropped():
-    pts = [dp(0, Activity.WALKING)]
-    pts += [dp(10 + 10 * i, Activity.STILL) for i in range(8)]  # sleeps at +50
-    pts += [dp(120, Activity.WALKING), dp(130, Activity.WALKING)]
-    out = regenerate_filtered(pts)
-    assert [p.activity for p in out] == [Activity.WALKING] * 3
-    assert [p.time for p in out] == [at(0), at(120), at(130)]
-
-
-def test_regenerated_positions_subset_of_input():
-    rng = random.Random(5)
-    pts = []
-    for i in range(120):
-        pos = offset_point(GeoPoint(60.17, 24.94), rng.uniform(-900, 900),
-                           rng.uniform(-900, 900))
-        pts.append(dp(10.0 * i, rng.choice(list(Activity)), lat=pos.lat,
-                      lng=pos.lng, device_id=rng.choice([1, 2])))
-    out = regenerate_filtered(pts)
-    source = {(p.time, p.device_id, p.lat, p.lng) for p in pts}
-    assert all((p.time, p.device_id, p.lat, p.lng) in source for p in out)
-    keys = [(p.time, p.device_id) for p in out]
-    assert keys == sorted(keys)
-
-
-def test_diff_filtered_summary():
-    ours = regenerate_filtered([dp(0, Activity.WALKING),
-                                dp(10, Activity.WALKING)])
-    published = [p for p in ours][:1]
-    diff = diff_filtered(ours, published)
-    assert diff.n_regenerated == 2
-    assert diff.missing == 0
-    assert diff.extra == 1
-    assert diff.agreement == 1.0
-    assert "2 rows vs 1" in diff.summary()

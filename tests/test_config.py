@@ -1,4 +1,5 @@
 from datetime import date
+from pathlib import Path
 
 import pytest
 import yaml
@@ -18,7 +19,6 @@ def test_defaults():
     assert cfg.methods == ["new-live", "old-live", "static"]
     assert cfg.live.distance_limit_m == 100.0
     assert cfg.constants.total_delta_max_s == 1080.0
-    assert cfg.filter.sleep_timer_s == 40.0
 
 
 def test_load_config_resolves_relative_paths(tmp_path):
@@ -92,3 +92,33 @@ def test_require_path_reports_missing_file(tmp_path):
 def test_file_entry_can_be_disabled():
     cfg = config_from_dict({"files": {"trains_json": None}})
     assert cfg.path("trains_json") is None
+
+
+@pytest.mark.parametrize("section, key", [
+    ("segmentation", "max_gap"),
+    ("planner", "search_window"),
+    ("planner", "kind"),
+])
+def test_unknown_section_key_rejected(section, key):
+    with pytest.raises(ConfigError, match=rf"{section}: unknown key\(s\) \['{key}'\]"):
+        config_from_dict({section: {key: 10}})
+
+
+def test_section_keys_apply():
+    cfg = config_from_dict({"segmentation": {"max_gap_s": 10},
+                            "planner": {"search_window_s": 60}})
+    assert cfg.max_gap_s == 10.0
+    assert cfg.planner_search_window_s == 60.0
+
+
+def test_published_config_shows_the_defaults():
+    cfg = load_config(Path(__file__).parent.parent / "configs" / "published.yaml")
+    default = RunConfig()
+    assert cfg.files == default.files
+    assert cfg.date == default.date
+    assert cfg.methods == default.methods
+    assert cfg.jobs == default.jobs
+    assert cfg.max_gap_s == default.max_gap_s
+    assert cfg.live == default.live
+    assert cfg.constants == default.constants
+    assert cfg.planner_search_window_s == default.planner_search_window_s

@@ -214,6 +214,25 @@ def test_device_models_unique(tmp_path):
         ingest.load_device_models(path)
 
 
+def test_device_models_missing_id_names_column(tmp_path):
+    path = write(tmp_path, "dm.csv", "device_id,model", ",Pixel")
+    with pytest.raises(IngestError) as info:
+        ingest.load_device_models(path)
+    assert info.value.line == 2
+    assert info.value.column == "device_id"
+    assert str(info.value).endswith("column 'device_id': missing value")
+
+
+def test_device_models_permissive_skips_missing_id(tmp_path):
+    path = write(tmp_path, "dm.csv", "device_id,model", ",Pixel", "2,Nexus")
+    diagnostics = []
+    entries = ingest.load_device_models(path, permissive=True,
+                                        diagnostics=diagnostics)
+    assert [e.device_id for e in entries] == [2]
+    assert diagnostics == [
+        f"skipped row: {path}: line 2: column 'device_id': missing value"]
+
+
 def test_train_stops_counts_records(tmp_path):
     path = tmp_path / "trains.json"
     path.write_text('[{"trainNumber": 1}, {"trainNumber": 2}]', encoding="utf-8")

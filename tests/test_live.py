@@ -13,7 +13,6 @@ from tripmatch.live import (
     match_live_old,
     score_vehicle,
     select_user_samples,
-    vehicle_linestring,
 )
 from tripmatch.types import (
     Activity,
@@ -107,32 +106,37 @@ def test_index_window_queries_agree_with_brute_force(fixes, start, span):
     assert [tuple(b) for b in index.boxes_in_range(t0, t1).tolist()] == expected
 
 
-# --- vehicle_linestring ---
+# --- score_vehicle ---
 
 def test_window_collects_surrounding_fixes():
-    index = index_of([vp(-30, BASE), vp(0, BASE), vp(30, BASE),
-                           vp(120, BASE)])
-    ls = vehicle_linestring("v1", at(0), 60.0, index)
-    assert len(ls) == 3
-    assert ls.times == [at(-30), at(0), at(30)]
+    # the sample's window holds the fixes at -30, 0 and +30 s; the one at
+    # +120 s lies on the sample but is outside it
+    index = index_of([vp(-30, offset_point(BASE, 0, 20)),
+                      vp(0, offset_point(BASE, 0, 60)),
+                      vp(30, offset_point(BASE, 0, 40)), vp(120, BASE)])
+    scored = score_vehicle(trace_points([(0, BASE)]), "v1", CFG, index,
+                           use_linestring=False)
+    assert scored.sample_distances[0] == pytest.approx(20, abs=0.01)
+    assert [t for _, _, t in scored.votes] == [at(-30)]
 
 
 def test_fix_outside_window_is_empty():
     index = index_of([vp(-90, BASE)])
-    assert len(vehicle_linestring("v1", at(0), 60.0, index)) == 0
+    assert score_vehicle(trace_points([(0, BASE)]), "v1", CFG, index) is None
 
 
 def test_window_endpoints_inclusive():
     index = index_of([vp(-60, BASE), vp(60, BASE)])
-    assert len(vehicle_linestring("v1", at(0), 60.0, index)) == 2
+    scored = score_vehicle(trace_points([(0, BASE)]), "v1", CFG, index)
+    assert scored.sample_distances == [0.0]
 
 
 def test_unknown_vehicle_is_empty():
     index = index_of([vp(0, BASE)])
-    assert len(vehicle_linestring("ghost", at(0), 60.0, index)) == 0
+    samples = trace_points([(0, BASE), (10, BASE)])
+    assert score_vehicle(samples, "v1", CFG, index) is not None
+    assert score_vehicle(samples, "ghost", CFG, index) is None
 
-
-# --- score_vehicle ---
 
 def _exact_match_setup(n_samples, n_matched, offset_m=0.0):
     """n_samples user samples 100 s apart; the first n_matched have vehicle
