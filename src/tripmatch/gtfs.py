@@ -3,7 +3,9 @@ with referential-integrity validation and service-date resolution.
 
 Stop times are kept as integer seconds since midnight of the service date;
 values past 24:00:00 stay above 86400 per the GTFS convention, so late
-services sort and compare correctly.
+services sort and compare correctly. stop_times.txt, by far the largest
+file, is read in chunks into int32 columns (StopTimeColumns); no object is
+built per row.
 """
 from __future__ import annotations
 
@@ -12,10 +14,16 @@ import io
 import zipfile
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
+from itertools import islice
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
+import numpy as np
+
+from .ingest import _codes, _encode, _strip_codes
 from .types import GeoPoint, LineType
+
+T = TypeVar("T")
 
 
 class GtfsError(Exception):
@@ -79,11 +87,88 @@ class GtfsTrip:
 
 @dataclass(frozen=True)
 class GtfsStopTime:
+    """One stop_times.txt row, as StopTimeColumns yields it for inspection."""
+
     trip_id: str
     stop_id: str
     arrival_s: Optional[int]    # None on untimed intermediate stops
     departure_s: Optional[int]
     sequence: int
+
+
+#: arrival_s/departure_s of an untimed stop in StopTimeColumns
+UNTIMED = -1
+_INT32_MAX = 2**31 - 1
+
+
+@dataclass(frozen=True, eq=False)
+class StopTimeColumns:
+    """Stop times as int32 columns sorted by (trip, sequence). The rows of
+    trip trip_ids[t] are trip_rows[t]:trip_rows[t + 1]; trip codes follow
+    trip_id order and stop codes index stop_ids. UNTIMED marks a stop
+    without an arrival or departure time."""
+
+    trip: np.ndarray         # int32 index into trip_ids
+    stop: np.ndarray         # int32 index into stop_ids
+    arrival_s: np.ndarray    # int32
+    departure_s: np.ndarray  # int32
+    sequence: np.ndarray     # int32
+    trip_rows: np.ndarray    # int64 CSR offsets, len(trip_ids) + 1 entries
+    trip_ids: tuple[str, ...]
+    stop_ids: tuple[str, ...]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[GtfsStopTime]) -> "StopTimeColumns":
+        rows = list(rows)
+        trips: dict[str, int] = {}
+        stops: dict[str, int] = {}
+
+        def column(values) -> np.ndarray:
+            return np.fromiter(values, np.int32, len(rows))
+
+        return cls.from_arrays(
+            trip=column(trips.setdefault(r.trip_id, len(trips)) for r in rows),
+            stop=column(stops.setdefault(r.stop_id, len(stops)) for r in rows),
+            arrival_s=column(UNTIMED if r.arrival_s is None else r.arrival_s
+                             for r in rows),
+            departure_s=column(UNTIMED if r.departure_s is None
+                               else r.departure_s for r in rows),
+            sequence=column(r.sequence for r in rows),
+            trip_ids=tuple(trips), stop_ids=tuple(stops))
+
+    @classmethod
+    def from_arrays(cls, trip: np.ndarray, stop: np.ndarray,
+                    arrival_s: np.ndarray, departure_s: np.ndarray,
+                    sequence: np.ndarray, trip_ids: Sequence[str],
+                    stop_ids: tuple[str, ...]) -> "StopTimeColumns":
+        """The columns of rows given in file order, with trip codes into any
+        order of trip_ids: trips are recoded in trip_id order and the rows
+        sorted stably by (trip, sequence)."""
+        by_id = sorted(range(len(trip_ids)), key=trip_ids.__getitem__)
+        recode = np.empty(len(trip_ids), dtype=np.int32)
+        recode[by_id] = np.arange(len(trip_ids), dtype=np.int32)
+        trip = recode[trip]
+        order = np.lexsort((sequence, trip))
+        trip_rows = np.zeros(len(trip_ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(trip, minlength=len(trip_ids)), out=trip_rows[1:])
+        return cls(trip=trip[order], stop=stop[order],
+                   arrival_s=arrival_s[order], departure_s=departure_s[order],
+                   sequence=sequence[order], trip_rows=trip_rows,
+                   trip_ids=tuple(trip_ids[i] for i in by_id),
+                   stop_ids=tuple(stop_ids))
+
+    def __len__(self) -> int:
+        return len(self.trip)
+
+    def __iter__(self) -> Iterator[GtfsStopTime]:
+        """The rows as GtfsStopTime objects in (trip_id, sequence) order (for
+        inspection, not the hot path)."""
+        for trip, stop, arr, dep, seq in zip(
+                self.trip.tolist(), self.stop.tolist(), self.arrival_s.tolist(),
+                self.departure_s.tolist(), self.sequence.tolist()):
+            yield GtfsStopTime(self.trip_ids[trip], self.stop_ids[stop],
+                               None if arr == UNTIMED else arr,
+                               None if dep == UNTIMED else dep, seq)
 
 
 @dataclass(frozen=True)
@@ -99,20 +184,10 @@ class GtfsBundle:
     stops: dict[str, GtfsStop]
     routes: dict[str, GtfsRoute]
     trips: dict[str, GtfsTrip]
-    stop_times: list[GtfsStopTime]
+    stop_times: StopTimeColumns
     services: dict[str, GtfsService]
     service_exceptions: dict[date, dict[str, int]]  # date -> service_id -> 1|2
     shapes: dict[str, list[GeoPoint]] = field(default_factory=dict)
-    stop_times_by_trip: dict[str, list[GtfsStopTime]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.stop_times_by_trip:
-            by_trip: dict[str, list[GtfsStopTime]] = {}
-            for st in self.stop_times:
-                by_trip.setdefault(st.trip_id, []).append(st)
-            for sts in by_trip.values():
-                sts.sort(key=lambda st: st.sequence)
-            self.stop_times_by_trip = by_trip
 
     def counts(self) -> dict[str, int]:
         return {
@@ -141,7 +216,8 @@ class GtfsBundle:
         return {t.trip_id for t in self.trips.values() if t.service_id in active}
 
     def validate(self) -> None:
-        """Referential integrity; raises GtfsError listing the first 10 offenders."""
+        """Referential integrity; raises GtfsError listing the first 10 offenders.
+        Stop-time rows are checked in (trip_id, sequence) order."""
         problems: list[str] = []
 
         def check(condition: bool, message: str) -> None:
@@ -159,28 +235,37 @@ class GtfsBundle:
             if trip.shape_id is not None and self.shapes:
                 check(trip.shape_id in self.shapes,
                       f"trip {trip.trip_id} references missing shape {trip.shape_id}")
-        for st in self.stop_times:
-            check(st.trip_id in self.trips,
-                  f"stop_time references missing trip {st.trip_id}")
-            check(st.stop_id in self.stops,
-                  f"stop_time references missing stop {st.stop_id}")
-        for trip_id, sts in self.stop_times_by_trip.items():
-            seqs = [st.sequence for st in sts]
-            check(all(b > a for a, b in zip(seqs, seqs[1:])),
-                  f"trip {trip_id} has non-increasing stop sequences {seqs[:6]}")
+        st = self.stop_times
+        known_trip = np.array([t in self.trips for t in st.trip_ids], dtype=bool)
+        known_stop = np.array([s in self.stops for s in st.stop_ids], dtype=bool)
+        bad_trip = ~known_trip[st.trip]
+        bad_stop = ~known_stop[st.stop]
+        for row in np.flatnonzero(bad_trip | bad_stop)[:10].tolist():
+            check(not bad_trip[row], "stop_time references missing trip "
+                  f"{st.trip_ids[st.trip[row]]}")
+            check(not bad_stop[row], "stop_time references missing stop "
+                  f"{st.stop_ids[st.stop[row]]}")
+        # rows are sorted by sequence within a trip, so a non-increasing
+        # sequence shows as a repeated one
+        repeated = (st.trip[1:] == st.trip[:-1]) & (st.sequence[1:] == st.sequence[:-1])
+        for trip in np.unique(st.trip[1:][repeated])[:10].tolist():
+            seqs = st.sequence[st.trip_rows[trip]:st.trip_rows[trip + 1]].tolist()
+            check(False, f"trip {st.trip_ids[trip]} has non-increasing stop "
+                  f"sequences {seqs[:6]}")
         if problems:
             raise GtfsError("integrity violations (first 10): " + "; ".join(problems))
 
 
 def parse_gtfs_time(text: str) -> int:
     """'HH:MM:SS' to seconds since service-date midnight; hours may exceed 23."""
-    parts = text.strip().split(":")
-    if len(parts) != 3:
+    try:
+        h, m, s = (int(p) for p in text.strip().split(":"))
+    except ValueError:  # not three parts, or a part that is no integer
+        raise GtfsError(f"bad GTFS time {text!r}") from None
+    seconds = h * 3600 + m * 60 + s
+    if not (0 <= m < 60 and 0 <= s < 60 and h >= 0 and seconds <= _INT32_MAX):
         raise GtfsError(f"bad GTFS time {text!r}")
-    h, m, s = (int(p) for p in parts)
-    if not (0 <= m < 60 and 0 <= s < 60 and h >= 0):
-        raise GtfsError(f"bad GTFS time {text!r}")
-    return h * 3600 + m * 60 + s
+    return seconds
 
 
 def gtfs_time_to_datetime(day: date, seconds: int) -> datetime:
@@ -191,8 +276,32 @@ def _parse_gtfs_date(text: str) -> date:
     return datetime.strptime(text.strip(), "%Y%m%d").date()
 
 
+def _route_type(text: str) -> int:
+    route_type = int(text)
+    line_type_for_route_type(route_type)  # fail fast on unsupported route_type
+    return route_type
+
+
+def _int32(text: str) -> int:
+    value = int(text)
+    if not -_INT32_MAX - 1 <= value <= _INT32_MAX:
+        raise ValueError(f"{value} out of range")
+    return value
+
+
+def _field(cells: dict[str, str], column: str, convert: Callable[[str], T]) -> T:
+    """Convert a cell, folding the column name into any error."""
+    try:
+        return convert(cells[column])
+    except (ValueError, GtfsError) as exc:
+        raise ValueError(f"column {column!r}: {exc}") from None
+
+
 class _FeedSource:
-    """Uniform access to feed files in a directory or a zip archive."""
+    """Uniform access to feed files in a directory or a zip archive. Every
+    file is read through csv.reader, which handles quoting and CRLF; the
+    utf-8-sig codec drops a BOM. Header names and cells are stripped, a
+    short row reads as blank cells and blank lines are skipped."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -207,19 +316,83 @@ class _FeedSource:
             return name in self._names
         return (self.path / name).exists()
 
-    def rows(self, name: str) -> Iterator[dict[str, str]]:
+    def _open(self, name: str):
         if self.zip is not None:
-            fh = io.TextIOWrapper(self.zip.open(self._names[name]),
-                                  encoding="utf-8-sig", newline="")
-        else:
-            fh = open(self.path / name, newline="", encoding="utf-8-sig")
-        with fh:
-            for row in csv.DictReader(fh):
-                yield {(k.strip() if k else k): (v.strip() if v else "")
-                       for k, v in row.items() if k is not None}
+            return io.TextIOWrapper(self.zip.open(self._names[name]),
+                                    encoding="utf-8-sig", newline="")
+        return open(self.path / name, newline="", encoding="utf-8-sig")
+
+    def rows(self, name: str, required: Sequence[str],
+             parse: Callable[[dict[str, str]], T]) -> list[T]:
+        """parse of every data row's cells, keyed by column name; a
+        ValueError it raises becomes a GtfsError located at the row's line."""
+        out: list[T] = []
+        with self._open(name) as fh:
+            reader = csv.reader(fh)
+            index = _header(reader, name, required)
+            for row in reader:
+                if not row:
+                    continue
+                cells = {c: row[i].strip() if i < len(row) else ""
+                         for c, i in index.items()}
+                try:
+                    out.append(parse(cells))
+                except ValueError as exc:
+                    raise GtfsError(f"{name}: line {reader.line_num}: {exc}") from None
+        return out
+
+    def chunks(self, name: str, required: Sequence[str],
+               optional: Sequence[str]) -> Iterator[list[Sequence[str]]]:
+        """The raw cells of required + optional columns (an absent optional
+        column reads as blank cells), one column per list entry, for up to
+        _CHUNK_ROWS data rows at a time."""
+        with self._open(name) as fh:
+            reader = csv.reader(fh)
+            index = _header(reader, name, required)
+            width = max(index.values(), default=-1) + 1
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                rows = chunk if all(chunk) else [r for r in chunk if r]
+                if not rows:
+                    continue
+                if set(map(len, rows)) != {width}:
+                    pad = [""] * width
+                    rows = [(r + pad)[:width] for r in rows]
+                columns = list(zip(*rows))
+                blank = ("",) * len(rows)
+                yield [columns[index[c]] if c in index else blank
+                       for c in (*required, *optional)]
+
+    def line_of(self, name: str, row: int) -> int:
+        """The line on which data row number row (from 0) ends, as
+        csv.reader counts lines."""
+        with self._open(name) as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            for _ in filter(None, reader):
+                if row == 0:
+                    return reader.line_num
+                row -= 1
+        raise IndexError(row)
+
+
+def _header(reader, name: str, required: Sequence[str]) -> dict[str, int]:
+    """Column index by stripped header name; a missing required column is
+    an error."""
+    index = {h.strip(): i for i, h in enumerate(next(reader, []))}
+    for column in required:
+        if column not in index:
+            raise GtfsError(f"{name}: missing column {column!r}")
+    return index
 
 
 REQUIRED_FILES = ["stops.txt", "routes.txt", "trips.txt", "stop_times.txt"]
+
+#: data rows of stop_times.txt parsed per chunk. It bounds the cell strings
+#: alive at once whatever the file size, and it is below the cyclic GC's
+#: default threshold of 700 net container allocations, so a chunk's row
+#: lists are freed before they can trigger a collection (at 1 << 15 rows,
+#: collections took about a third of the load)
+_CHUNK_ROWS = 512
 
 
 def load_gtfs(path) -> GtfsBundle:
@@ -231,62 +404,59 @@ def load_gtfs(path) -> GtfsBundle:
     if not (src.has("calendar.txt") or src.has("calendar_dates.txt")):
         raise GtfsError(f"{path}: need calendar.txt and/or calendar_dates.txt")
 
-    stops: dict[str, GtfsStop] = {}
-    for row in src.rows("stops.txt"):
-        stop = GtfsStop(row["stop_id"], row.get("stop_name", ""),
-                        float(row["stop_lat"]), float(row["stop_lon"]))
-        stops[stop.stop_id] = stop
+    stops = {stop.stop_id: stop for stop in src.rows(
+        "stops.txt", ["stop_id", "stop_lat", "stop_lon"],
+        lambda cells: GtfsStop(cells["stop_id"], cells.get("stop_name", ""),
+                               _field(cells, "stop_lat", float),
+                               _field(cells, "stop_lon", float)))}
 
-    routes: dict[str, GtfsRoute] = {}
-    for row in src.rows("routes.txt"):
-        route = GtfsRoute(row["route_id"],
-                          row.get("route_short_name") or row.get("route_long_name", ""),
-                          int(row["route_type"]))
-        route.line_type  # fail fast on unsupported route_type
-        routes[route.route_id] = route
+    routes = {route.route_id: route for route in src.rows(
+        "routes.txt", ["route_id", "route_type"],
+        lambda cells: GtfsRoute(cells["route_id"],
+                                cells.get("route_short_name")
+                                or cells.get("route_long_name", ""),
+                                _field(cells, "route_type", _route_type)))}
 
-    trips: dict[str, GtfsTrip] = {}
-    for row in src.rows("trips.txt"):
-        trips[row["trip_id"]] = GtfsTrip(row["trip_id"], row["route_id"],
-                                         row["service_id"],
-                                         row.get("shape_id") or None)
+    trips = {trip.trip_id: trip for trip in src.rows(
+        "trips.txt", ["trip_id", "route_id", "service_id"],
+        lambda cells: GtfsTrip(cells["trip_id"], cells["route_id"],
+                               cells["service_id"],
+                               cells.get("shape_id") or None))}
 
-    def opt_time(text: str) -> Optional[int]:
-        return parse_gtfs_time(text) if text else None
-
-    stop_times = [
-        GtfsStopTime(row["trip_id"], row["stop_id"],
-                     opt_time(row.get("arrival_time", "")),
-                     opt_time(row.get("departure_time", "")),
-                     int(row["stop_sequence"]))
-        for row in src.rows("stop_times.txt")
-    ]
+    stop_times = _read_stop_times(src)
 
     services: dict[str, GtfsService] = {}
     if src.has("calendar.txt"):
         day_cols = ["monday", "tuesday", "wednesday", "thursday", "friday",
                     "saturday", "sunday"]
-        for row in src.rows("calendar.txt"):
-            services[row["service_id"]] = GtfsService(
-                row["service_id"],
-                tuple(row[c] == "1" for c in day_cols),
-                _parse_gtfs_date(row["start_date"]),
-                _parse_gtfs_date(row["end_date"]),
-            )
+        for svc in src.rows(
+                "calendar.txt", ["service_id", *day_cols, "start_date", "end_date"],
+                lambda cells: GtfsService(
+                    cells["service_id"], tuple(cells[c] == "1" for c in day_cols),
+                    _field(cells, "start_date", _parse_gtfs_date),
+                    _field(cells, "end_date", _parse_gtfs_date))):
+            services[svc.service_id] = svc
 
     exceptions: dict[date, dict[str, int]] = {}
     if src.has("calendar_dates.txt"):
-        for row in src.rows("calendar_dates.txt"):
-            day = _parse_gtfs_date(row["date"])
-            exceptions.setdefault(day, {})[row["service_id"]] = int(row["exception_type"])
+        for day, service_id, exception_type in src.rows(
+                "calendar_dates.txt", ["service_id", "date", "exception_type"],
+                lambda cells: (_field(cells, "date", _parse_gtfs_date),
+                               cells["service_id"],
+                               _field(cells, "exception_type", int))):
+            exceptions.setdefault(day, {})[service_id] = exception_type
 
     shapes: dict[str, list[GeoPoint]] = {}
     if src.has("shapes.txt"):
         raw: dict[str, list[tuple[int, GeoPoint]]] = {}
-        for row in src.rows("shapes.txt"):
-            raw.setdefault(row["shape_id"], []).append(
-                (int(row["shape_pt_sequence"]),
-                 GeoPoint(float(row["shape_pt_lat"]), float(row["shape_pt_lon"]))))
+        for shape_id, seq, point in src.rows(
+                "shapes.txt",
+                ["shape_id", "shape_pt_lat", "shape_pt_lon", "shape_pt_sequence"],
+                lambda cells: (cells["shape_id"],
+                               _field(cells, "shape_pt_sequence", int),
+                               GeoPoint(_field(cells, "shape_pt_lat", float),
+                                        _field(cells, "shape_pt_lon", float)))):
+            raw.setdefault(shape_id, []).append((seq, point))
         for shape_id, pts in raw.items():
             pts.sort(key=lambda item: item[0])
             shapes[shape_id] = [p for _, p in pts]
@@ -296,3 +466,59 @@ def load_gtfs(path) -> GtfsBundle:
                         service_exceptions=exceptions, shapes=shapes)
     bundle.validate()
     return bundle
+
+
+_STOP_TIME_CELLS = ("arrival_time", "departure_time", "stop_sequence")
+
+
+def _read_stop_times(src: _FeedSource) -> StopTimeColumns:
+    """stop_times.txt in one streamed pass: each chunk's cells are
+    dictionary-encoded, and each distinct trip or stop id is stripped and
+    each distinct time or sequence parsed once, at the end. A bad cell is
+    reported at the first row holding it, as a row-by-row parse would."""
+    name = "stop_times.txt"
+    trips, stops, times, seqs = _codes(), _codes(), _codes(), _codes()
+    parts: list[tuple[np.ndarray, ...]] = []
+    for trip, stop, seq, arrival, departure in src.chunks(
+            name, ["trip_id", "stop_id", "stop_sequence"],
+            ["arrival_time", "departure_time"]):
+        parts.append((_encode(trip, trips), _encode(stop, stops),
+                      _encode(arrival, times), _encode(departure, times),
+                      _encode(seq, seqs)))
+    if parts:
+        trip, stop, arrival, departure, seq = (np.concatenate(c) for c in zip(*parts))
+    else:
+        trip = stop = arrival = departure = seq = np.empty(0, np.int32)
+
+    time_of, bad_time = _parse_distinct(
+        times, lambda v: UNTIMED if v.strip() == "" else parse_gtfs_time(v.strip()))
+    seq_of, bad_seq = _parse_distinct(seqs, lambda v: _int32(v.strip()))
+    if bad_time or bad_seq:
+        cells = [(arrival, bad_time), (departure, bad_time), (seq, bad_seq)]
+        row, k = min((rows[0], k) for k, (c, bad) in enumerate(cells)
+                     if len(rows := np.flatnonzero(np.isin(c, list(bad)))))
+        column_codes, bad = cells[k]
+        raise GtfsError(f"{name}: line {src.line_of(name, int(row))}: "
+                        f"column {_STOP_TIME_CELLS[k]!r}: "
+                        f"{bad[int(column_codes[row])]}")
+
+    trip_map, trip_ids = _strip_codes(trips)
+    stop_map, stop_ids = _strip_codes(stops)
+    return StopTimeColumns.from_arrays(
+        trip=trip_map[trip], stop=stop_map[stop], arrival_s=time_of[arrival],
+        departure_s=time_of[departure], sequence=seq_of[seq],
+        trip_ids=trip_ids, stop_ids=stop_ids)
+
+
+def _parse_distinct(codes: dict[str, int], parse: Callable[[str], int],
+                    ) -> tuple[np.ndarray, dict[int, str]]:
+    """parse of each coded value as an int32 lookup table, and the error
+    message of each value it rejects, by code."""
+    table = np.zeros(len(codes), dtype=np.int32)
+    errors: dict[int, str] = {}
+    for value, code in codes.items():
+        try:
+            table[code] = parse(value)
+        except (ValueError, GtfsError) as exc:
+            errors[code] = str(exc)
+    return table, errors

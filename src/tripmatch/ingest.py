@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from collections import defaultdict
 from datetime import date, datetime
+from itertools import count
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
@@ -352,9 +354,7 @@ def _read_fleet_columns(path: Path) -> FleetColumns | None:
             return None
         width = len(header)
         at = [index[c] for c in TRANSIT_LIVE_COLUMNS]
-        names: dict[str, int] = {}
-        refs: dict[str, int] = {}
-        types: dict[str, int] = {}
+        names, refs, types = _codes(), _codes(), _codes()
         parts = []
         while lines := fh.readlines(_CHUNK_BYTES):
             chunk = b"".join(lines).replace(b"\r\n", b"\n")
@@ -410,10 +410,14 @@ def _read_fleet_columns(path: Path) -> FleetColumns | None:
         names=names_out, refs=refs_out)
 
 
-def _encode(cells: list[str], codes: dict[str, int]) -> np.ndarray:
+def _codes() -> defaultdict[str, int]:
+    """A value -> code map for _encode that gives each unseen value the
+    next code, so codes follow first appearance."""
+    return defaultdict(count().__next__)
+
+
+def _encode(cells: Sequence[str], codes: defaultdict[str, int]) -> np.ndarray:
     """Dictionary-encode cells, extending codes with unseen values."""
-    for value in dict.fromkeys(cells):
-        codes.setdefault(value, len(codes))
     return np.fromiter(map(codes.__getitem__, cells), np.int32, len(cells))
 
 

@@ -9,20 +9,22 @@ planner can stand in through the same query/response contract
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from typing import Optional, Protocol, Sequence
 
+import numpy as np
+
 from .geodesy import distance_m
-from .gtfs import GtfsBundle, GtfsStop, gtfs_time_to_datetime
+from .gtfs import UNTIMED, GtfsBundle, GtfsStop, gtfs_time_to_datetime
 from .types import ActivitySegment, GeoPoint, LineType
 
 WALK_SPEED_MPS = 1.34
 DEFAULT_WALK_BACK_S = 372.0     # earliest-start adjustment: 500 m at walk speed
 DEFAULT_MAX_WALK_M = 1000.0     # 2 x 500 m transition-point slack
 DEFAULT_N_PLANS = 3
+_DAY_S = 86400
 
 
 class PlanError(Exception):
@@ -146,7 +148,16 @@ class StopGrid:
 
 
 class TimetablePlanner:
-    """Embedded single-leg planner over a GTFS bundle bound to one date."""
+    """Embedded single-leg planner over a GTFS bundle bound to one date.
+
+    It plans over trip instances: every trip that runs on the day, and,
+    shifted back by one day, every trip of the day before with a time past
+    24:00:00, which reaches the small hours of the day. The two runs of one
+    trip are separate instances. The departures are arrays sorted by (stop,
+    departure, instance, sequence), so the departures of one stop in a time
+    window are one run, found by binary search on (stop, departure) keys;
+    instances follow (trip_id, day) order.
+    """
 
     def __init__(self, gtfs: GtfsBundle, day: date,
                  walk_speed_mps: float = WALK_SPEED_MPS,
@@ -155,21 +166,56 @@ class TimetablePlanner:
         self.day = day
         self.walk_speed_mps = walk_speed_mps
         self.search_window_s = search_window_s
-        self.active_trips = gtfs.trips_on(day)
-        if not self.active_trips:
+        st = self._st = gtfs.stop_times
+        today = gtfs.trips_on(day)
+        yesterday = gtfs.trips_on(day - timedelta(days=1))
+        runs_today = np.array([t in today for t in st.trip_ids], dtype=bool)
+        past_midnight = np.zeros(len(st.trip_ids), dtype=bool)
+        past_midnight[st.trip[np.maximum(st.arrival_s, st.departure_s)
+                              >= _DAY_S]] = True
+        runs_late = past_midnight & np.array(
+            [t in yesterday for t in st.trip_ids], dtype=bool)
+        if not today and not runs_late.any():
             raise PlanError(f"no GTFS services active on {day}")
         self.grid = StopGrid(list(gtfs.stops.values()))
-        # stop_id -> time-sorted [(departure_s, trip_id, sequence)]
-        self.departures: dict[str, list[tuple[int, str, int]]] = {}
-        for trip_id in self.active_trips:
-            for st in gtfs.stop_times_by_trip.get(trip_id, ()):
-                if st.departure_s is None:  # untimed stops are not boardable
-                    continue
-                self.departures.setdefault(st.stop_id, []).append(
-                    (st.departure_s, trip_id, st.sequence))
-        for entries in self.departures.values():
-            entries.sort()
+        self._stop_code = {sid: i for i, sid in enumerate(st.stop_ids)}
+
+        # instances in (trip, shift) order: the day before's run first
+        trip = np.concatenate([np.flatnonzero(runs_late), np.flatnonzero(runs_today)])
+        shift = np.repeat([-_DAY_S, 0], [runs_late.sum(), runs_today.sum()])
+        order = np.lexsort((shift, trip))
+        trip, shift = trip[order], shift[order]
+        self._inst_trip, self._inst_shift = trip.tolist(), shift.tolist()
+
+        # the stop-time rows of every instance, and their timed departures
+        first = st.trip_rows[trip]
+        lengths = st.trip_rows[trip + 1] - first
+        inst = np.repeat(np.arange(len(trip)), lengths)
+        rows = _ranges(first, lengths)
+        departure = st.departure_s[rows]
+        timed = departure != UNTIMED  # untimed stops are not boardable
+        inst, rows = inst[timed], rows[timed]
+        departure = departure[timed] + shift[inst]
+        stop = st.stop[rows]
+        by_stop = np.lexsort((st.sequence[rows], inst, departure, stop))
+        self._dep_s = departure[by_stop]
+        self._dep_inst = inst[by_stop]
+        self._dep_row = rows[by_stop]
+        self._dep_key = (stop[by_stop].astype(np.int64) << 32) + (self._dep_s + 2**31)
+        self._inst_end = st.trip_rows[trip + 1]
         self._midnight = datetime.combine(day, datetime.min.time())
+
+    def departures(self, stop_id: str) -> list[tuple[int, str, int]]:
+        """(departure_s, trip_id, sequence) of every boardable call at the stop,
+        in index order, with the day before's runs shifted back one day."""
+        code = self._stop_code.get(stop_id)
+        if code is None:
+            return []
+        lo, hi = np.searchsorted(self._dep_key, [code << 32, (code + 1) << 32])
+        return [(dep, self._st.trip_ids[self._inst_trip[inst]], seq)
+                for dep, inst, seq in zip(
+                    self._dep_s[lo:hi].tolist(), self._dep_inst[lo:hi].tolist(),
+                    self._st.sequence[self._dep_row[lo:hi]].tolist())]
 
     def _service_seconds(self, t: datetime) -> float:
         return (t - self._midnight).total_seconds()
@@ -183,63 +229,91 @@ class TimetablePlanner:
         if not dest_stops:
             return PlanResult([], reason=(
                 f"no stops within {query.max_walk_m:.0f} m of destination"))
-        dest_dist = {stop.stop_id: d for stop, d in dest_stops}
+        dest_dist = np.full(len(self._st.stop_ids), np.inf)
+        for stop, d in dest_stops:
+            if stop.stop_id in self._stop_code:
+                dest_dist[self._stop_code[stop.stop_id]] = d
 
         earliest_s = self._service_seconds(query.earliest_start)
         horizon_s = earliest_s + self.search_window_s
+        st = self._st
 
-        # per trip, the best boarding/alighting combination; the sort key is
-        # (end, duration, total walk, board stop, alight stop, departure)
-        best_by_trip: dict[str, tuple[tuple, tuple]] = {}
+        # the departures in the window at each origin stop, found in one
+        # search of the (stop, departure) keys
+        boards, codes, lows = [], [], []
         for board_stop, d_board in origin_stops:
-            walk_before = d_board / self.walk_speed_mps
-            entries = self.departures.get(board_stop.stop_id, [])
-            i = bisect.bisect_left(entries, (earliest_s + walk_before,))
-            for dep_s, trip_id, seq in entries[i:]:
-                if dep_s > horizon_s:
-                    break
-                for st in self.gtfs.stop_times_by_trip[trip_id]:
-                    if st.sequence <= seq or st.arrival_s is None:
-                        continue
-                    d_alight = dest_dist.get(st.stop_id)
-                    if d_alight is None or d_board + d_alight > query.max_walk_m:
-                        continue
-                    walk_after = d_alight / self.walk_speed_mps
-                    end_s = st.arrival_s + walk_after
-                    duration = walk_before + (st.arrival_s - dep_s) + walk_after
-                    key = (end_s, duration, d_board + d_alight,
-                           board_stop.stop_id, st.stop_id, dep_s, seq)
-                    payload = (board_stop.stop_id, seq, st, dep_s,
-                               d_board, d_alight)
-                    incumbent = best_by_trip.get(trip_id)
-                    if incumbent is None or key < incumbent[0]:
-                        best_by_trip[trip_id] = (key, payload)
-        ranked = sorted(best_by_trip.items(),
-                        key=lambda kv: (kv[1][0][0], kv[1][0][1], kv[0]))
-        itineraries = [self._build_itinerary(trip_id, payload)
-                       for trip_id, (_, payload) in ranked[:query.n_plans]]
+            code = self._stop_code.get(board_stop.stop_id)
+            if code is not None:
+                walk_before = d_board / self.walk_speed_mps
+                boards.append((board_stop.stop_id, d_board, walk_before))
+                codes.append(code)
+                lows.append(_key_of(code, math.ceil(earliest_s + walk_before)))
+        high = math.floor(horizon_s) + 1
+        bounds = np.searchsorted(
+            self._dep_key, lows + [_key_of(c, high) for c in codes]).tolist()
+        spans = [(b, i, j) for b, (i, j) in enumerate(
+            zip(bounds[:len(codes)], bounds[len(codes):])) if i < j]
+        if not spans:
+            return PlanResult([], reason="no reachable trip serves the query")
+        departure = np.array([i for _, lo, hi in spans for i in range(lo, hi)])
+        board = np.array([b for b, lo, hi in spans for _ in range(lo, hi)])
+        inst, row = self._dep_inst[departure], self._dep_row[departure]
+        # every later call of the trip, kept where a timed arrival lies
+        # within the walk budget of the destination
+        tail = self._inst_end[inst] - row - 1
+        alight = _ranges(row + 1, tail)
+        pair = np.repeat(np.arange(len(departure)), tail)
+        board_m = np.array([d for _, d, _ in boards])[board[pair]]
+        keep = ((board_m + dest_dist[st.stop[alight]] <= query.max_walk_m)
+                & (st.arrival_s[alight] != UNTIMED))
+        pair, alight = pair[keep], alight[keep]
+
+        # per instance, the best boarding/alighting combination; the sort key
+        # is (end, duration, total walk, board stop, alight stop, departure,
+        # row), where row order is sequence order within a trip
+        best: dict[int, tuple[tuple, tuple]] = {}
+        for b, dep_s, inst, row, alight_row, stop, arrival_s in zip(
+                board[pair].tolist(), self._dep_s[departure[pair]].tolist(),
+                inst[pair].tolist(), row[pair].tolist(), alight.tolist(),
+                st.stop[alight].tolist(), st.arrival_s[alight].tolist()):
+            board_stop_id, d_board, walk_before = boards[b]
+            d_alight = float(dest_dist[stop])
+            arrival_s += self._inst_shift[inst]
+            walk_after = d_alight / self.walk_speed_mps
+            end_s = arrival_s + walk_after
+            duration = walk_before + (arrival_s - dep_s) + walk_after
+            key = (end_s, duration, d_board + d_alight, board_stop_id,
+                   st.stop_ids[stop], dep_s, row)
+            incumbent = best.get(inst)
+            if incumbent is None or key < incumbent[0]:
+                best[inst] = (key, (board_stop_id, row, alight_row, dep_s,
+                                    arrival_s, d_board, d_alight))
+        ranked = sorted(best.items(), key=lambda kv: (
+            kv[1][0][0], kv[1][0][1], st.trip_ids[self._inst_trip[kv[0]]], kv[0]))
+        itineraries = [self._build_itinerary(self._inst_trip[inst], payload)
+                       for inst, (_, payload) in ranked[:query.n_plans]]
         if not itineraries:
             return PlanResult([], reason="no reachable trip serves the query")
         return PlanResult(itineraries)
 
-    def _build_itinerary(self, trip_id: str, payload: tuple) -> Itinerary:
-        board_stop_id, board_seq, alight_st, dep_s, d_board, d_alight = payload
-        trip = self.gtfs.trips[trip_id]
-        route = self.gtfs.routes[trip.route_id]
+    def _build_itinerary(self, trip: int, payload: tuple) -> Itinerary:
+        (board_stop_id, board_row, alight_row, dep_s, arrival_s, d_board,
+         d_alight) = payload
+        trip_id = self._st.trip_ids[trip]
+        route = self.gtfs.routes[self.gtfs.trips[trip_id].route_id]
         walk_before = d_board / self.walk_speed_mps
         walk_after = d_alight / self.walk_speed_mps
         board_dt = gtfs_time_to_datetime(self.day, dep_s)
-        alight_dt = gtfs_time_to_datetime(self.day, alight_st.arrival_s)
-        geometry = self._leg_geometry(trip_id, board_seq, alight_st.sequence)
+        alight_dt = gtfs_time_to_datetime(self.day, arrival_s)
         leg = TransitLeg(
             line_type=route.line_type,
             line_name=route.short_name,
             trip_id=trip_id,
             board_stop=board_stop_id,
             board_time=board_dt,
-            alight_stop=alight_st.stop_id,
+            alight_stop=self._st.stop_ids[self._st.stop[alight_row]],
             alight_time=alight_dt,
-            geometry=geometry,
+            geometry=self._leg_geometry(trip, board_row, alight_row),
         )
         start = board_dt - timedelta(seconds=walk_before)
         end = alight_dt + timedelta(seconds=walk_after)
@@ -252,18 +326,17 @@ class TimetablePlanner:
             total_duration_s=(end - start).total_seconds(),
         )
 
-    def _leg_geometry(self, trip_id: str, board_seq: int,
-                      alight_seq: int) -> tuple[GeoPoint, ...]:
-        trip = self.gtfs.trips[trip_id]
-        sts = self.gtfs.stop_times_by_trip[trip_id]
-        stop_seq = [self.gtfs.stops[st.stop_id].geo for st in sts]
-        board_idx = next(i for i, st in enumerate(sts)
-                         if st.sequence == board_seq)
-        alight_idx = next(i for i, st in enumerate(sts)
-                          if st.sequence == alight_seq)
+    def _leg_geometry(self, trip: int, board_row: int,
+                      alight_row: int) -> tuple[GeoPoint, ...]:
+        st = self._st
+        first, end = st.trip_rows[trip:trip + 2].tolist()
+        stop_seq = [self.gtfs.stops[st.stop_ids[s]].geo
+                    for s in st.stop[first:end].tolist()]
+        board_idx, alight_idx = board_row - first, alight_row - first
         board_geo, alight_geo = stop_seq[board_idx], stop_seq[alight_idx]
 
-        shape = self.gtfs.shapes.get(trip.shape_id) if trip.shape_id else None
+        shape_id = self.gtfs.trips[st.trip_ids[trip]].shape_id
+        shape = self.gtfs.shapes.get(shape_id) if shape_id else None
         if shape:
             i = min(range(len(shape)), key=lambda k: distance_m(shape[k], board_geo))
             j = min(range(len(shape)), key=lambda k: distance_m(shape[k], alight_geo))
@@ -275,6 +348,19 @@ class TimetablePlanner:
         if len(pts) < 2:
             pts = [board_geo, alight_geo]  # co-located stops still form a leg
         return tuple(pts)
+
+
+def _key_of(stop: int, departure_s: int) -> int:
+    """The key of a departure in the (stop, departure) order of the index;
+    a time outside the int32 range of stop times is clamped to just before
+    or just after every key of the stop."""
+    return (stop << 32) + min(max(departure_s + 2**31, -1), 2**32)
+
+
+def _ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated index ranges first[k]:first[k] + lengths[k]."""
+    return np.arange(lengths.sum()) + np.repeat(first - np.cumsum(lengths) + lengths,
+                                                lengths)
 
 
 def _dedupe(points: Sequence[GeoPoint]) -> list[GeoPoint]:

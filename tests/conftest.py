@@ -13,6 +13,7 @@ from tripmatch.gtfs import (
     GtfsStop,
     GtfsStopTime,
     GtfsTrip,
+    StopTimeColumns,
 )
 from tripmatch.types import (
     Activity,
@@ -79,7 +80,7 @@ def make_bundle(stops: dict[str, tuple[float, float]],
         stops=stop_objs,
         routes=route_objs,
         trips=trip_objs,
-        stop_times=stop_times,
+        stop_times=StopTimeColumns.from_rows(stop_times),
         services={"all": GtfsService("all", (True,) * 7,
                                      date(2016, 1, 1), date(2016, 12, 31))},
         service_exceptions={},

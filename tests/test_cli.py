@@ -57,6 +57,20 @@ def test_permissive_flag_downgrades_bad_row(tmp_path, synth, capsys):
     assert "note: skipped row" in out
 
 
+def test_run_with_bad_gtfs_column_exits_1(tmp_path, synth, capsys):
+    gtfs_dir = tmp_path / "gtfs"
+    shutil.copytree(synth.root / "gtfs", gtfs_dir)
+    stops = gtfs_dir / "stops.txt"
+    stops.write_text(stops.read_text().replace("stop_lat", "latitude", 1))
+    cfg = tmp_path / "cfg.yaml"
+    raw = yaml.safe_load(Path(synth.config_path).read_text())
+    raw.update(data_dir=str(synth.root), gtfs=str(gtfs_dir),
+               output_dir=str(tmp_path / "out"))
+    cfg.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert run_cli("run", "--config", cfg) == 1
+    assert "stops.txt: missing column 'stop_lat'" in capsys.readouterr().err
+
+
 def test_segment_command_writes_csv(synth, capsys, tmp_path):
     out = tmp_path / "segout"
     assert run_cli("segment", "--config", synth.config_path, "--out", out) == 0

@@ -1,8 +1,14 @@
+import csv
+import io
 import zipfile
 from datetime import date
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tripmatch import gtfs
 from tripmatch.gtfs import (
     GtfsError,
     gtfs_time_to_datetime,
@@ -144,7 +150,7 @@ def test_blank_intermediate_stop_times_allowed(tmp_path):
         "t1,C,10:20:00,10:20:00,3",
     ]
     bundle = load_gtfs(write_feed(tmp_path, tables))
-    sts = bundle.stop_times_by_trip["t1"]
+    sts = [row for row in bundle.stop_times if row.trip_id == "t1"]
     assert sts[1].arrival_s is None and sts[1].departure_s is None
     assert sts[2].arrival_s == 10 * 3600 + 20 * 60
 
@@ -152,6 +158,62 @@ def test_blank_intermediate_stop_times_allowed(tmp_path):
 def test_bad_time_rejected():
     with pytest.raises(GtfsError):
         parse_gtfs_time("10:75:00")
+
+
+@pytest.mark.parametrize("text", ["10:xx:00", "10:00", "-1:00:00", "",
+                                  "596524:00:00"])
+def test_malformed_time_is_gtfs_error(text):
+    # not a bare ValueError, and no value past the int32 stop-time columns
+    with pytest.raises(GtfsError, match="bad GTFS time"):
+        parse_gtfs_time(text)
+
+
+STOP_TIMES_HEADER = "trip_id,stop_id,arrival_time,departure_time,stop_sequence"
+
+
+@pytest.mark.parametrize("name, lines, message", [
+    ("stop_times.txt",
+     [STOP_TIMES_HEADER, "t1,A,10:00:00,10:00:00,1", "t1,B,10:75:00,10:10:00,2"],
+     "stop_times.txt: line 3: column 'arrival_time': bad GTFS time '10:75:00'"),
+    ("stop_times.txt",  # the first bad row wins over a bad cell further left
+     [STOP_TIMES_HEADER, "t1,A,10:00:00,10:xx:00,1", "t1,B,10:75:00,10:10:00,2"],
+     "stop_times.txt: line 2: column 'departure_time': bad GTFS time '10:xx:00'"),
+    ("stop_times.txt",
+     [STOP_TIMES_HEADER, "t1,A,10:00:00,10:00:00,1", "", "t1,B,10:10:00,10:10:00,x"],
+     "stop_times.txt: line 4: column 'stop_sequence': invalid literal for int() "
+     "with base 10: 'x'"),
+    ("stop_times.txt",  # a quoted cell spanning two lines
+     [STOP_TIMES_HEADER + ",note", 't1,A,10:00:00,10:00:00,1,"two', 'lines"',
+      "t1,B,10:10:00,10:10:00,9999999999,"],
+     "stop_times.txt: line 4: column 'stop_sequence': 9999999999 out of range"),
+    ("stop_times.txt",
+     ["trip_id,arrival_time,departure_time,stop_sequence", "t1,10:00:00,10:00:00,1"],
+     "stop_times.txt: missing column 'stop_id'"),
+    ("stops.txt", ["stop_id,stop_name,stop_lon", "A,Alpha,24.940"],
+     "stops.txt: missing column 'stop_lat'"),
+    ("stops.txt",
+     ["stop_id,stop_name,stop_lat,stop_lon", "A,Alpha,60.170,24.940",
+      "B,Beta,north,24.940"],
+     "stops.txt: line 3: column 'stop_lat': could not convert string to float: "
+     "'north'"),
+    ("routes.txt", ["route_id,route_short_name,route_type", "r1,16,bus"],
+     "routes.txt: line 2: column 'route_type': invalid literal for int() with "
+     "base 10: 'bus'"),
+    ("routes.txt", ["route_id,route_short_name,route_type", "r1,16,5000"],
+     "routes.txt: line 2: column 'route_type': unsupported route_type 5000"),
+    ("trips.txt", ["trip_id,route_id", "t1,r1"],
+     "trips.txt: missing column 'service_id'"),
+    ("calendar.txt",
+     ["service_id,monday,tuesday,wednesday,thursday,friday,saturday,sunday,"
+      "start_date,end_date", "wd,1,1,1,1,1,0,0,2016-08-01,20160930"],
+     "calendar.txt: line 2: column 'start_date': time data '2016-08-01' does not "
+     "match format '%Y%m%d'"),
+])
+def test_bad_feed_errors_are_located(tmp_path, name, lines, message):
+    tables = dict(MINIMAL, **{name: lines})
+    with pytest.raises(GtfsError) as err:
+        load_gtfs(write_feed(tmp_path, tables))
+    assert str(err.value) == message
 
 
 def test_route_type_mapping():
@@ -189,3 +251,89 @@ def test_dangling_shape_reference(tmp_path):
     ]
     with pytest.raises(GtfsError, match="missing shape"):
         load_gtfs(write_feed(tmp_path, tables))
+
+
+# --- columnar stop_times vs a row-by-row DictReader parse ---
+
+EXTRA_CELLS = ["", "x", "a, b", 'say "hi"', "two\nlines"]
+
+
+@st.composite
+def stop_time_feeds(draw):
+    """stop_times.txt rows of 1-4 trips over stops A-E (sequence gaps, blank
+    intermediate times, times past 24:00) in shuffled order, with extra and
+    reordered columns, padded cells, any quoting and blank lines, read in
+    chunks of any size."""
+    rows = []
+    for trip in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(2, 6))
+        seqs = sorted(draw(st.sets(st.integers(0, 40), min_size=n, max_size=n)))
+        t = draw(st.integers(0, 30 * 3600))
+        for k, seq in enumerate(seqs):
+            t += draw(st.integers(0, 900))
+            h, m, s = t // 3600, t % 3600 // 60, t % 60
+            clock = draw(st.sampled_from([f"{h:02d}:{m:02d}:{s:02d}",
+                                          f"{h}:{m:02d}:{s:02d}"]))
+            if 0 < k < n - 1 and draw(st.booleans()):
+                clock = ""
+            rows.append({"trip_id": f"t{trip}", "stop_id": draw(st.sampled_from("ABCDE")),
+                         "arrival_time": clock, "departure_time": clock,
+                         "stop_sequence": str(seq),
+                         "pickup_type": draw(st.sampled_from(["", "0", "1"])),
+                         "note": draw(st.sampled_from(EXTRA_CELLS))})
+    columns = draw(st.permutations(list(rows[0])))
+    pad = draw(st.sampled_from(["", " ", "  "]))
+    return (draw(st.permutations(rows)), columns, pad,
+            draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+            draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans()),
+            draw(st.booleans()), draw(st.sampled_from([0, 2, 5])),
+            draw(st.sampled_from([1, 3, 1 << 15])))
+
+
+def reference_stop_times(text):
+    """Every stop_times.txt row through csv.DictReader, cells stripped, sorted
+    by (trip_id, sequence)."""
+    def opt_time(cell):
+        return parse_gtfs_time(cell) if cell else None
+
+    out = []
+    for row in csv.DictReader(io.StringIO(text, newline="")):
+        cells = {k.strip(): (v or "").strip() for k, v in row.items()}
+        out.append((cells["trip_id"], cells["stop_id"],
+                    opt_time(cells["arrival_time"]),
+                    opt_time(cells["departure_time"]),
+                    int(cells["stop_sequence"])))
+    return sorted(out, key=lambda r: (r[0], r[4]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stop_time_feeds())
+def test_columnar_stop_times_equal_row_parse(tmp_path_factory, feed):
+    rows, columns, pad, quoting, newline, bom, as_zip, blank_every, chunk = feed
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, quoting=quoting, lineterminator=newline)
+    writer.writerow([pad + c + pad for c in columns])
+    for k, row in enumerate(rows):
+        writer.writerow([pad + row[c] + pad for c in columns])
+        if blank_every and k % blank_every == 0:
+            writer.writerow([])
+    text = ("\ufeff" if bom else "") + buf.getvalue()
+    tables = dict(MINIMAL)
+    tables["stops.txt"] = ["stop_id,stop_name,stop_lat,stop_lon"] + [
+        f"{s},{s},60.1{i},24.94" for i, s in enumerate("ABCDE")]
+    tables["trips.txt"] = ["trip_id,route_id,service_id"] + [
+        f"t{k},r1,wd" for k in range(4)]
+    tmp_path = tmp_path_factory.mktemp("feed")
+    tables.pop("stop_times.txt")
+    feed_path = write_feed(tmp_path, tables)
+    (feed_path / "stop_times.txt").write_bytes(text.encode("utf-8"))
+    if as_zip:
+        feed_path = tmp_path / "feed.zip"
+        with zipfile.ZipFile(feed_path, "w") as zf:
+            for f in (tmp_path / "feed").iterdir():
+                zf.write(f, f.name)
+    with mock.patch.object(gtfs, "_CHUNK_ROWS", chunk):
+        bundle = load_gtfs(feed_path)
+    got = [(r.trip_id, r.stop_id, r.arrival_s, r.departure_s, r.sequence)
+           for r in bundle.stop_times]
+    assert got == reference_stop_times(text.lstrip("\ufeff"))

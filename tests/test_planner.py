@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripmatch.geodesy import distance_m, offset_point
+from tripmatch.gtfs import GtfsService, GtfsTrip
 from tripmatch.planner import (
     ExternalPlannerAdapter,
     Itinerary,
@@ -135,43 +136,61 @@ def test_adjusted_query_clock_example():
 
 # --- brute-force equivalence oracle ---
 
+def _trip_instances(bundle, day):
+    """(trip_id, shift_s) -> the trip's stop times in sequence order: every
+    trip running on day, and every trip of the day before with a time past
+    24:00:00, whose times are shifted back one day."""
+    by_trip = {}
+    for st in bundle.stop_times:
+        by_trip.setdefault(st.trip_id, []).append(st)
+    for sts in by_trip.values():
+        sts.sort(key=lambda st: st.sequence)
+    instances = {(t, 0): by_trip.get(t, []) for t in bundle.trips_on(day)}
+    for t in bundle.trips_on(day - timedelta(days=1)):
+        if any(max(st.arrival_s or 0, st.departure_s or 0) >= 86400
+               for st in by_trip.get(t, [])):
+            instances[(t, -86400)] = by_trip[t]
+    return instances
+
+
 def oracle_plan(bundle, day, query, walk_speed=1.34, horizon_s=7200.0):
-    """Independent exhaustive scan over all (board, alight, trip) triples."""
+    """Independent exhaustive scan over all (board, alight, trip instance)
+    triples."""
     midnight = datetime.combine(day, datetime.min.time())
     earliest = (query.earliest_start - midnight).total_seconds()
     best = {}
-    for trip_id in sorted(bundle.trips_on(day)):
-        sts = bundle.stop_times_by_trip[trip_id]
+    for (trip_id, shift), sts in sorted(_trip_instances(bundle, day).items()):
         for i, st_b in enumerate(sts):
             if st_b.departure_s is None:
                 continue
+            dep = st_b.departure_s + shift
             d_b = distance_m(query.origin, bundle.stops[st_b.stop_id].geo)
             if d_b > query.max_walk_m:
                 continue
-            if st_b.departure_s < earliest + d_b / walk_speed:
+            if dep < earliest + d_b / walk_speed:
                 continue
-            if st_b.departure_s > earliest + horizon_s:
+            if dep > earliest + horizon_s:
                 continue
             for st_a in sts[i + 1:]:
                 if st_a.arrival_s is None:
                     continue
+                arr = st_a.arrival_s + shift
                 d_a = distance_m(query.destination,
                                  bundle.stops[st_a.stop_id].geo)
                 if d_a > query.max_walk_m or d_b + d_a > query.max_walk_m:
                     continue
-                end = st_a.arrival_s + d_a / walk_speed
-                duration = (d_b / walk_speed
-                            + (st_a.arrival_s - st_b.departure_s)
-                            + d_a / walk_speed)
+                end = arr + d_a / walk_speed
+                duration = d_b / walk_speed + (arr - dep) + d_a / walk_speed
                 key = (end, duration, d_b + d_a, st_b.stop_id, st_a.stop_id,
-                       st_b.departure_s, st_b.sequence)
-                value = (st_b.stop_id, st_a.stop_id, st_b.departure_s,
-                         st_a.arrival_s, round(d_b, 6), round(d_a, 6))
-                if trip_id not in best or key < best[trip_id][0]:
-                    best[trip_id] = (key, value)
+                       dep, st_b.sequence)
+                value = (st_b.stop_id, st_a.stop_id, dep, arr, round(d_b, 6),
+                         round(d_a, 6))
+                if (trip_id, shift) not in best or key < best[(trip_id, shift)][0]:
+                    best[(trip_id, shift)] = (key, value)
     ranked = sorted(best.items(), key=lambda kv: (kv[1][0][0], kv[1][0][1],
                                                   kv[0]))
-    return [(trip_id, value) for trip_id, (_, value) in ranked[:query.n_plans]]
+    return [(trip_id, value)
+            for (trip_id, _), (_, value) in ranked[:query.n_plans]]
 
 
 def _itinerary_signature(it: Itinerary, day) -> tuple:
@@ -182,7 +201,7 @@ def _itinerary_signature(it: Itinerary, day) -> tuple:
             round(it.walk_before_s * 1.34, 6), round(it.walk_after_s * 1.34, 6))
 
 
-def _random_bundle(rng: random.Random):
+def _random_bundle(rng: random.Random, first_departure_s: int = S9):
     n_routes = rng.randint(1, 5)
     stops, routes, trips = {}, {}, []
     for r in range(n_routes):
@@ -202,7 +221,7 @@ def _random_bundle(rng: random.Random):
             stops[sid] = (p.lat, p.lng)
             ids.append(sid)
         for t in range(rng.randint(1, 4)):
-            dep = S9 + rng.randrange(0, 5400, 60)
+            dep = first_departure_s + rng.randrange(0, 5400, 60)
             hop = rng.randrange(60, 240, 30)
             trips.append((f"t{r}_{t}", rid,
                           [(sid, dep + k * hop) for k, sid in enumerate(ids)]))
@@ -231,6 +250,102 @@ def test_planner_matches_brute_force_oracle(seed):
         assert sig[2] == float(v[2]) and sig[3] == float(v[3])  # times
         assert sig[4] == pytest.approx(v[4], abs=1e-4)    # walk distances
         assert sig[5] == pytest.approx(v[5], abs=1e-4)
+
+
+LATE = 23 * 3600 + 1800  # trips from 23:30 run past midnight
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_planner_matches_oracle_across_midnight(seed):
+    # every trip also runs the day before, so the small hours of DAY hold
+    # the day before's late runs; a search window over a day long reaches
+    # both runs of one trip
+    rng = random.Random(seed)
+    bundle = _random_bundle(rng, first_departure_s=LATE)
+    window = rng.choice([7200.0, 26 * 3600.0])
+    planner = TimetablePlanner(bundle, DAY, search_window_s=window)
+    # origin and destination near two calls of one trip, so that most
+    # queries find a ride
+    calls = {}
+    for row in bundle.stop_times:
+        calls.setdefault(row.trip_id, []).append(row.stop_id)
+    stops = calls[rng.choice(sorted(calls))]
+    i = rng.randrange(len(stops) - 1)
+    near = [offset_point(bundle.stops[sid].geo, rng.uniform(-300, 300),
+                         rng.uniform(-300, 300))
+            for sid in (stops[i], stops[rng.randrange(i + 1, len(stops))])]
+    midnight = datetime.combine(DAY, datetime.min.time())
+    query = PlanQuery(near[0], near[1],
+                      midnight + timedelta(seconds=rng.randrange(-3600, 3600, 30)),
+                      max_walk_m=rng.choice([500.0, 1000.0, 1500.0]),
+                      n_plans=rng.randint(1, 4))
+    expected = oracle_plan(bundle, DAY, query, horizon_s=window)
+    got = [(it.transit.trip_id, _itinerary_signature(it, DAY))
+           for it in planner.plan(query).itineraries]
+    assert [t for t, _ in got] == [t for t, _ in expected]
+    for (_, sig), (_, v) in zip(got, expected):
+        assert sig[:4] == (v[0], v[1], float(v[2]), float(v[3]))
+        assert sig[4] == pytest.approx(v[4], abs=1e-4)
+        assert sig[5] == pytest.approx(v[5], abs=1e-4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([S9, LATE]))
+def test_departures_per_stop_equal_sorted_brute_force(seed, first_departure_s):
+    bundle = _random_bundle(random.Random(seed), first_departure_s)
+    planner = TimetablePlanner(bundle, DAY)
+    expected = {}
+    for (trip_id, shift), sts in _trip_instances(bundle, DAY).items():
+        for stop_time in sts:
+            if stop_time.departure_s is not None:
+                expected.setdefault(stop_time.stop_id, []).append(
+                    (stop_time.departure_s + shift, trip_id, shift,
+                     stop_time.sequence))
+    for stop_id in bundle.stops:
+        assert planner.departures(stop_id) == [
+            (dep, trip_id, seq)
+            for dep, trip_id, _, seq in sorted(expected.get(stop_id, []))]
+
+
+def late_bundle(runs_on=None):
+    """simple_bundle plus trip "late" at 24:10 (A), 24:15 (B), 24:20 (C),
+    every day, or only on weekday runs_on (Monday = 0)."""
+    bundle = simple_bundle(extra_trips=[
+        ("late", "r1", [("A", 87000), ("B", 87300), ("C", 87600)])])
+    if runs_on is not None:
+        bundle.services["only"] = GtfsService(
+            "only", tuple(d == runs_on for d in range(7)),
+            date(2016, 1, 1), date(2016, 12, 31))
+        bundle.trips["late"] = GtfsTrip("late", "r1", "only")
+    return bundle
+
+
+MIDNIGHT = datetime.combine(DAY, datetime.min.time())  # Friday
+
+
+def test_previous_day_trip_past_midnight_is_planned():
+    # Thursday's 24:10 departure leaves at 00:10 on Friday
+    query = PlanQuery(grid_stop(50, 0), grid_stop(0, 3000),
+                      MIDNIGHT + timedelta(minutes=5))
+    [it] = TimetablePlanner(late_bundle(runs_on=3), DAY).plan(query).itineraries
+    assert it.transit.trip_id == "late"
+    assert it.transit.board_time == MIDNIGHT + timedelta(minutes=10)
+    assert it.transit.alight_time == MIDNIGHT + timedelta(minutes=20)
+    # a Friday-only run leaves at 00:10 on Saturday, out of the window
+    friday = TimetablePlanner(late_bundle(runs_on=4), DAY).plan(query)
+    assert friday.itineraries == []
+
+
+def test_two_runs_of_one_trip_are_planned_apart():
+    planner = TimetablePlanner(late_bundle(), DAY, search_window_s=2 * 86400.0)
+    result = planner.plan(PlanQuery(grid_stop(50, 0), grid_stop(0, 3000),
+                                    MIDNIGHT))
+    assert [(it.transit.trip_id, it.transit.board_time)
+            for it in result.itineraries] == [
+        ("late", MIDNIGHT + timedelta(minutes=10)),
+        ("t1000", MIDNIGHT + timedelta(hours=10)),
+        ("late", MIDNIGHT + timedelta(days=1, minutes=10))]
 
 
 # --- external planner adapter contract ---
