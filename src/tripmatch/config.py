@@ -103,6 +103,8 @@ def _expand(text: str) -> str:
 
 
 def _check_keys(data: dict[str, Any], known, context: str) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{context}: expected a mapping, got {data!r}")
     unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
@@ -114,6 +116,18 @@ def _sub_config(cls, data: dict[str, Any], context: str):
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _number(value: Any, kind: type, context: str):
+    """value as kind (int or float); booleans, and fractions for an int,
+    are refused."""
+    if not isinstance(value, bool) and not (kind is int and isinstance(value, float)):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    noun = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{context}: expected {noun}, got {value!r}")
 
 
 def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunConfig:
@@ -145,17 +159,31 @@ def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunCo
         cfg.gtfs = resolve_dir(str(value)) if value else None
     if "date" in raw:
         value = raw.pop("date")
-        cfg.date = value if isinstance(value, date) else \
-            datetime.strptime(str(value), "%Y-%m-%d").date()
+        try:
+            cfg.date = value if isinstance(value, date) else \
+                datetime.strptime(str(value), "%Y-%m-%d").date()
+        except ValueError:
+            raise ConfigError(f"date: expected YYYY-MM-DD, got {value!r}") from None
     if "output_dir" in raw:
         cfg.output_dir = resolve_dir(str(raw.pop("output_dir")))
-    for key in ("methods", "jobs", "permissive"):
-        if key in raw:
-            setattr(cfg, key, raw.pop(key))
+    if "methods" in raw:
+        methods = raw.pop("methods")
+        if not isinstance(methods, list):
+            raise ConfigError(f"methods: expected a list of method names, "
+                              f"got {methods!r}")
+        cfg.methods = [str(m) for m in methods]
+    if "jobs" in raw:
+        cfg.jobs = _number(raw.pop("jobs"), int, "jobs")
+    if "permissive" in raw:
+        cfg.permissive = raw.pop("permissive")
+        if not isinstance(cfg.permissive, bool):
+            raise ConfigError(f"permissive: expected true or false, "
+                              f"got {cfg.permissive!r}")
     if "segmentation" in raw:
         seg = raw.pop("segmentation") or {}
         _check_keys(seg, {"max_gap_s"}, "segmentation")
-        cfg.max_gap_s = float(seg.get("max_gap_s", cfg.max_gap_s))
+        cfg.max_gap_s = _number(seg.get("max_gap_s", cfg.max_gap_s), float,
+                                "segmentation: max_gap_s")
     if "live" in raw:
         cfg.live = _sub_config(LiveMatchConfig, raw.pop("live") or {}, "live")
     if "static" in raw:
@@ -163,14 +191,16 @@ def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunCo
     if "planner" in raw:
         planner = raw.pop("planner") or {}
         _check_keys(planner, {"search_window_s"}, "planner")
-        cfg.planner_search_window_s = float(
-            planner.get("search_window_s", cfg.planner_search_window_s))
+        cfg.planner_search_window_s = _number(
+            planner.get("search_window_s", cfg.planner_search_window_s), float,
+            "planner: search_window_s")
     if "gates" in raw:
-        cfg.gates = [_sub_config(Gate, g, "gates") for g in raw.pop("gates") or []]
+        gates = raw.pop("gates") or []
+        if not isinstance(gates, list):
+            raise ConfigError(f"gates: expected a list of gates, got {gates!r}")
+        cfg.gates = [_sub_config(Gate, g, "gates") for g in gates]
     if raw:
         raise ConfigError(f"unknown top-level config key(s) {sorted(raw)}")
-    cfg.methods = [str(m) for m in cfg.methods]
-    cfg.jobs = int(cfg.jobs)
     cfg.validate()
     return cfg
 

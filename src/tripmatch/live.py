@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import compress
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,18 +42,23 @@ class LiveMatchConfig:
     bbox_margin_m: float = 200.0
 
     def __post_init__(self) -> None:
-        if min(self.max_user_samples, self.distance_limit_m, self.window_s,
-               self.old_live_samples, self.bbox_margin_m) <= 0:
+        # a match needs two samples, and select_user_samples spreads them
+        # over max_samples - 1 gaps
+        for name in ("max_user_samples", "old_live_samples"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 2:
+                raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+        if min(self.distance_limit_m, self.window_s, self.bbox_margin_m) <= 0:
             raise ValueError("live matcher parameters must be positive")
         if not 0.0 < self.quorum_fraction <= 1.0:
             raise ValueError("quorum_fraction must be in (0, 1]")
 
 
 class PositionIndex:
-    """Immutable fleet-position index in CSR layout: every row sorted by
-    (vehicle, time), vehicles in vehicle_ref order, vehicle i owning rows
-    offsets[i]:offsets[i + 1]. Rows with equal (vehicle, time) keep input
-    order. A by-time permutation answers window queries."""
+    """Immutable fleet-position index: every row sorted by (vehicle, time),
+    vehicles in vehicle_ref order. Rows with equal (vehicle, time) keep input
+    order. A by-time permutation answers time-range queries; an integer
+    (vehicle, time) key answers window queries of many vehicles at once."""
 
     def __init__(self, fleet: FleetColumns):
         by_ref = sorted(range(len(fleet.refs)), key=fleet.refs.__getitem__)
@@ -63,9 +68,6 @@ class PositionIndex:
         order = np.lexsort((fleet.times_s, vehicle))
         self.vehicle_refs = [fleet.refs[i] for i in by_ref]
         self._slots = {ref: i for i, ref in enumerate(self.vehicle_refs)}
-        self._vehicle = vehicle[order]
-        self.offsets = np.searchsorted(self._vehicle,
-                                       np.arange(len(by_ref) + 1))
         self.times_s = fleet.times_s[order]
         self.lats = fleet.lats[order]
         self.lngs = fleet.lngs[order]
@@ -73,17 +75,23 @@ class PositionIndex:
         self._line_name = fleet.line_name[order]
         self._names = fleet.names
         self._by_time = np.argsort(self.times_s, kind="stable")
-        self._times_by_time = self.times_s[self._by_time]
+        # (vehicle, time) as one exact, ascending integer key: a time is
+        # replaced by the number of fixes earlier than it
+        self._stride = len(order) + 1
+        self._key = self._fixes_before(self.times_s, "left")
+        self._key += np.multiply(vehicle[order], self._stride, dtype=np.int64)
+
+    def _fixes_before(self, t_s, side: str) -> np.ndarray:
+        """Number of fixes earlier than t_s (side "left") or at most t_s
+        (side "right")."""
+        return np.searchsorted(self.times_s, t_s, side=side, sorter=self._by_time)
 
     def __len__(self) -> int:
         return len(self.vehicle_refs)
 
-    def rows(self, vehicle_ref: str) -> Optional[slice]:
-        """The vehicle's rows, time-sorted; None for an unknown vehicle."""
-        slot = self._slots.get(vehicle_ref)
-        if slot is None:
-            return None
-        return slice(int(self.offsets[slot]), int(self.offsets[slot + 1]))
+    def slot(self, vehicle_ref: str) -> Optional[int]:
+        """The vehicle's position in vehicle_refs; None for an unknown vehicle."""
+        return self._slots.get(vehicle_ref)
 
     def fix(self, row: int) -> tuple[str, LineType, datetime]:
         """(line_name, line_type, time) of one row."""
@@ -93,16 +101,18 @@ class PositionIndex:
     def _window(self, t0: datetime, t1: datetime) -> tuple[np.ndarray, np.ndarray]:
         """Rows with t0 <= time <= t1 grouped by vehicle, and the index of
         each vehicle's first row among them."""
-        lo = np.searchsorted(self._times_by_time, as_seconds(t0), side="left")
-        hi = np.searchsorted(self._times_by_time, as_seconds(t1), side="right")
+        lo = self._fixes_before(as_seconds(t0), "left")
+        hi = self._fixes_before(as_seconds(t1), "right")
         rows = np.sort(self._by_time[lo:hi])
-        starts = np.flatnonzero(np.diff(self._vehicle[rows], prepend=-1))
+        starts = np.flatnonzero(np.diff(self._key[rows] // self._stride,
+                                        prepend=-1))
         return rows, starts
 
     def vehicles_in_range(self, t0: datetime, t1: datetime) -> list[str]:
         """Vehicles with a fix in the closed window [t0, t1], in ref order."""
         rows, starts = self._window(t0, t1)
-        return [self.vehicle_refs[v] for v in self._vehicle[rows[starts]].tolist()]
+        slots = self._key[rows[starts]] // self._stride
+        return [self.vehicle_refs[v] for v in slots.tolist()]
 
     def boxes_in_range(self, t0: datetime, t1: datetime) -> np.ndarray:
         """(min_lat, min_lng, max_lat, max_lng) of each vehicle's fixes in
@@ -115,6 +125,18 @@ class PositionIndex:
                                 np.minimum.reduceat(lngs, starts),
                                 np.maximum.reduceat(lats, starts),
                                 np.maximum.reduceat(lngs, starts)])
+
+    def windows(self, slots: np.ndarray, t0_s: np.ndarray, t1_s: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows lo[i, j]:hi[i, j] are vehicle slots[i]'s fixes with
+        t0_s[j] <= time <= t1_s[j], time-sorted. The comparisons are exact:
+        a fix is at or after t0 iff no fewer fixes are earlier than it than
+        are earlier than t0, and at or before t1 iff fewer fixes are earlier
+        than it than are at or before t1."""
+        base = slots.astype(np.int64)[:, None] * self._stride
+        lo = np.searchsorted(self._key, base + self._fixes_before(t0_s, "left"))
+        hi = np.searchsorted(self._key, base + self._fixes_before(t1_s, "right"))
+        return lo, hi
 
 
 def select_user_samples(trace: Sequence[TracePoint], max_samples: int,
@@ -143,6 +165,55 @@ class VehicleScore:
         return sum(matched) / len(matched) if matched else math.inf
 
 
+class _Windows(NamedTuple):
+    """Every (vehicle, sample) window of one kernel pass, vehicle-major:
+    window k pairs vehicle k // n with sample k % n."""
+
+    counts: np.ndarray    # fixes in each window
+    windowed: np.ndarray  # the windows holding a fix
+    starts: np.ndarray    # first pair of each windowed window
+    d: np.ndarray         # geometry distance of each windowed window
+    window: np.ndarray    # window of each (window, fix) pair, in time order
+    row: np.ndarray       # index row of each pair
+    d_point: np.ndarray   # sample-to-fix distance of each pair
+
+
+def _score_windows(samples: Sequence[TracePoint], slots: np.ndarray,
+                   cfg: LiveMatchConfig, index: PositionIndex,
+                   use_linestring: bool) -> _Windows:
+    """Distances from each sample to the geometry each vehicle of slots
+    traces in the closed window around the sample, for every (vehicle,
+    sample) pair in one array pass."""
+    n = len(samples)
+    s_time = np.array([as_seconds(p.time) for p in samples])
+    s_lat = np.array([p.lat for p in samples])
+    s_lng = np.array([p.lng for p in samples])
+    lo, hi = index.windows(slots, s_time - cfg.window_s, s_time + cfg.window_s)
+    lo = lo.ravel()
+    counts = hi.ravel() - lo
+    first = np.cumsum(counts) - counts
+    window = np.repeat(np.arange(len(counts)), counts)
+    row = lo[window] + np.arange(len(window)) - first[window]
+    sample = window % n
+    p_lat, p_lng = s_lat[sample], s_lng[sample]
+    lats, lngs = index.lats[row], index.lngs[row]
+    d_point = distances_m(p_lat, p_lng, lats, lngs)
+    if use_linestring:
+        # the window's segments start at every pair but a window's last;
+        # a one-fix window is its fix
+        d_pair = np.where(counts[window] > 1, np.inf, d_point)
+        seg = np.flatnonzero(window[:-1] == window[1:])
+        d_pair[seg] = points_to_segments_m(
+            p_lat[seg], p_lng[seg], lats[seg], lngs[seg], lats[seg + 1],
+            lngs[seg + 1], d_point[seg], d_point[seg + 1])
+    else:
+        d_pair = d_point
+    windowed = np.flatnonzero(counts)
+    starts = first[windowed]
+    d = np.minimum.reduceat(d_pair, starts) if len(starts) else np.empty(0)
+    return _Windows(counts, windowed, starts, d, window, row, d_point)
+
+
 def score_vehicle(samples: Sequence[TracePoint], vehicle_ref: str,
                   cfg: LiveMatchConfig, index: PositionIndex,
                   use_linestring: bool = True) -> Optional[VehicleScore]:
@@ -152,54 +223,28 @@ def score_vehicle(samples: Sequence[TracePoint], vehicle_ref: str,
     within the distance limit; samples with empty windows stay in the quorum
     denominator. Returns None below quorum or at zero score.
 
-    Every (sample, window fix) pair is evaluated in one array pass with the
-    geodesy formulas; scores are summed in sample order and each matched
-    sample votes for its first nearest fix, as a per-sample loop would.
+    Scores are summed in sample order and each matched sample votes for its
+    first nearest fix, as a per-sample loop would.
     """
-    rows = index.rows(vehicle_ref)
-    if rows is None or not samples:
+    slot = index.slot(vehicle_ref)
+    if slot is None or not samples:
         return None
-    s_time = np.array([as_seconds(p.time) for p in samples])
-    s_lat = np.array([p.lat for p in samples])
-    s_lng = np.array([p.lng for p in samples])
-    times = index.times_s[rows]
-    lo = np.searchsorted(times, s_time - cfg.window_s, side="left")
-    hi = np.searchsorted(times, s_time + cfg.window_s, side="right")
-    counts = hi - lo
-    first = np.cumsum(counts) - counts
-    # one entry per (sample, window fix) pair, grouped by sample
-    sample = np.repeat(np.arange(len(samples)), counts)
-    row = rows.start + lo[sample] + np.arange(len(sample)) - first[sample]
-    p_lat, p_lng = s_lat[sample], s_lng[sample]
-    d_point = distances_m(p_lat, p_lng, index.lats[row], index.lngs[row])
-    if use_linestring:
-        # the window's segments start at every pair but a sample's last;
-        # a one-fix window is its fix
-        d_pair = np.where(counts[sample] > 1, np.inf, d_point)
-        seg = np.flatnonzero(sample[:-1] == sample[1:])
-        d_pair[seg] = points_to_segments_m(
-            p_lat[seg], p_lng[seg], index.lats[row[seg]], index.lngs[row[seg]],
-            index.lats[row[seg + 1]], index.lngs[row[seg + 1]],
-            d_point[seg], d_point[seg + 1])
-    else:
-        d_pair = d_point
-    windowed = np.flatnonzero(counts)
-    if len(windowed) == 0:
+    w = _score_windows(samples, np.array([slot]), cfg, index, use_linestring)
+    if len(w.windowed) == 0:
         return None
-    starts = first[windowed]
-    d = np.minimum.reduceat(d_pair, starts)
-    nearest_d = np.repeat(np.minimum.reduceat(d_point, starts), counts[windowed])
-    hits = np.flatnonzero(d_point == nearest_d)
-    nearest = row[hits[np.diff(sample[hits], prepend=-1) != 0]]
+    nearest_d = np.repeat(np.minimum.reduceat(w.d_point, w.starts),
+                          w.counts[w.windowed])
+    hits = np.flatnonzero(w.d_point == nearest_d)
+    nearest = w.row[hits[np.diff(w.window[hits], prepend=-1) != 0]]
 
-    matched = d <= cfg.distance_limit_m
+    matched = w.d <= cfg.distance_limit_m
     fraction = int(np.count_nonzero(matched)) / len(samples)
-    gains = cfg.distance_limit_m - d[matched]
+    gains = cfg.distance_limit_m - w.d[matched]
     score = float(np.cumsum(gains)[-1]) if len(gains) else 0.0
     if fraction < cfg.quorum_fraction or score <= 0.0:
         return None
     distances: list[Optional[float]] = [None] * len(samples)
-    for i, value in zip(windowed.tolist(), d.tolist()):
+    for i, value in zip(w.windowed.tolist(), w.d.tolist()):
         distances[i] = value
     votes = [index.fix(r) for r in nearest[matched].tolist()]
     return VehicleScore(vehicle_ref, score, fraction, distances, votes)
@@ -260,8 +305,18 @@ def _match(segment: ActivitySegment, cfg: LiveMatchConfig, index: PositionIndex,
     boxes = index.boxes_in_range(t0, t1)
     overlap = ~((seg_box[2] < boxes[:, 0]) | (boxes[:, 2] < seg_box[0])
                 | (seg_box[3] < boxes[:, 1]) | (boxes[:, 3] < seg_box[1]))
+    candidates = list(compress(refs, overlap))
+    if not candidates:
+        return None
+    # one pass over every candidate drops those score_vehicle would reject
+    # for want of quorum, by the same count and the same float test
+    slots = np.array([index.slot(ref) for ref in candidates])
+    w = _score_windows(samples, slots, cfg, index, use_linestring)
+    matched = np.bincount(w.windowed[w.d <= cfg.distance_limit_m] // len(samples),
+                          minlength=len(candidates))
+    quorate = ~(matched / len(samples) < cfg.quorum_fraction)
     best: Optional[VehicleScore] = None
-    for ref in compress(refs, overlap):
+    for ref in compress(candidates, quorate):
         scored = score_vehicle(samples, ref, cfg, index,
                                use_linestring=use_linestring)
         if scored is None:

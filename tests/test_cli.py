@@ -2,6 +2,7 @@ import hashlib
 import shutil
 from pathlib import Path
 
+import pytest
 import yaml
 
 from tripmatch.cli import main
@@ -203,3 +204,20 @@ def test_bad_config_exits_1(tmp_path, capsys):
     bad.write_text("methods: [warp]\n", encoding="utf-8")
     assert run_cli("ingest", "--config", bad) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", [1, 2.5, 2])
+def test_run_checks_old_live_sample_count(synth, tmp_path, capsys, count):
+    cfg_raw = yaml.safe_load(Path(synth.config_path).read_text())
+    cfg_raw["output_dir"] = str(tmp_path / "out")
+    cfg_raw["live"] = {"old_live_samples": count}
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(cfg_raw), encoding="utf-8")
+    if count == 2:
+        assert run_cli("run", "--config", cfg) == 0
+        assert (tmp_path / "out" / "matches_old_live.csv").exists()
+    else:
+        assert run_cli("run", "--config", cfg) == 1
+        assert capsys.readouterr().err == (
+            f"error: live: old_live_samples must be an integer >= 2, "
+            f"got {count!r}\n")

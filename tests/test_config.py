@@ -122,3 +122,37 @@ def test_published_config_shows_the_defaults():
     assert cfg.live == default.live
     assert cfg.constants == default.constants
     assert cfg.planner_search_window_s == default.planner_search_window_s
+
+
+@pytest.mark.parametrize("key", ["max_user_samples", "old_live_samples"])
+@pytest.mark.parametrize("value", [1, 2.5])
+def test_live_sample_count_below_two_or_fractional_rejected(key, value):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"live": {key: value}})
+    assert str(exc.value) == \
+        f"live: {key} must be an integer >= 2, got {value!r}"
+
+
+@pytest.mark.parametrize("key", ["max_user_samples", "old_live_samples"])
+def test_live_sample_count_of_two_accepted(key):
+    assert getattr(config_from_dict({"live": {key: 2}}).live, key) == 2
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"methods": "static"},
+     "methods: expected a list of method names, got 'static'"),
+    ({"jobs": "abc"}, "jobs: expected an integer, got 'abc'"),
+    ({"jobs": 1.5}, "jobs: expected an integer, got 1.5"),
+    ({"segmentation": {"max_gap_s": "x"}},
+     "segmentation: max_gap_s: expected a number, got 'x'"),
+    ({"planner": {"search_window_s": "x"}},
+     "planner: search_window_s: expected a number, got 'x'"),
+    ({"permissive": "no"}, "permissive: expected true or false, got 'no'"),
+    ({"date": "friday"}, "date: expected YYYY-MM-DD, got 'friday'"),
+    ({"segmentation": 300}, "segmentation: expected a mapping, got 300"),
+    ({"gates": 5}, "gates: expected a list of gates, got 5"),
+])
+def test_bad_value_names_its_key(raw, message):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    assert str(exc.value) == message

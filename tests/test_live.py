@@ -1,14 +1,19 @@
 import math
+from dataclasses import replace
 from datetime import timedelta
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripmatch import live
 from tripmatch.geodesy import distance_m, offset_point, point_to_linestring_m
 from tripmatch.live import (
     LiveMatchConfig,
     PositionIndex,
+    _score_order,
     match_live,
     match_live_old,
     score_vehicle,
@@ -21,6 +26,8 @@ from tripmatch.types import (
     LineType,
     TracePoint,
     VehiclePosition,
+    as_seconds,
+    from_seconds,
 )
 
 from conftest import at, fp, segment_of
@@ -104,6 +111,12 @@ def test_index_window_queries_agree_with_brute_force(fixes, start, span):
                  max(r.lng for r in inside if r.vehicle_ref == ref))
                 for ref in refs]
     assert [tuple(b) for b in index.boxes_in_range(t0, t1).tolist()] == expected
+    lo, hi = index.windows(np.arange(len(index)), np.array([as_seconds(t0)]),
+                           np.array([as_seconds(t1)]))
+    assert [sorted(r.time for r in inside if r.vehicle_ref == ref)
+            for ref in index.vehicle_refs] == \
+        [[from_seconds(t) for t in index.times_s[a:b]]
+         for a, b in zip(lo[:, 0].tolist(), hi[:, 0].tolist())]
 
 
 # --- score_vehicle ---
@@ -350,6 +363,119 @@ def test_tie_breaks_are_deterministic():
     results = {match_live(segment, CFG, index_of(rows)).vehicle_ref
                for _ in range(3)}
     assert results == {"vA"}
+
+
+def _recording_scorer(calls):
+    def recording(samples, vehicle_ref, *args, **kwargs):
+        calls.append(vehicle_ref)
+        return score_vehicle(samples, vehicle_ref, *args, **kwargs)
+    return recording
+
+
+def test_score_vehicle_scores_only_vehicles_at_quorum(monkeypatch):
+    # v2 runs 150 m east of the ride: inside the 200 m bbox margin, so it is
+    # a candidate, but no sample comes within 100 m of it
+    v = 20.0 / 3.6
+    parallel = [vp(30.0 * k, offset_point(BASE, 150.0, v * 30.0 * k), ref="v2")
+                for k in range(21)]
+    segment, index = _riding_setup(20.0, extra_rows=parallel)
+    calls = []
+    monkeypatch.setattr(live, "score_vehicle", _recording_scorer(calls))
+    assert match_live(segment, CFG, index).vehicle_ref == "v1"
+    assert "v1" in calls
+    assert "v2" not in calls
+
+
+def _brute_force_match(segment, cfg, index, n_samples, use_linestring):
+    """score_vehicle on every vehicle in the time range, with no bbox prune
+    and no quorum pre-pass; the best by _score_order."""
+    samples = select_user_samples(segment.trace, n_samples)
+    t0 = segment.start_time - timedelta(seconds=cfg.window_s)
+    t1 = segment.end_time + timedelta(seconds=cfg.window_s)
+    scored = [score_vehicle(samples, ref, cfg, index, use_linestring)
+              for ref in index.vehicles_in_range(t0, t1)]
+    return min((s for s in scored if s is not None), key=_score_order,
+               default=None)
+
+
+SAMPLE_SPACING_S = 150.0  # more than two windows, so windows never share a fix
+_NEAR_E = [0.0, 40.0, 90.0]      # east offsets within the limit of a linestring
+_FAR_E = [150.0, 400.0]          # beyond it; 150 m stays inside the bbox margin
+_fix_kind = st.one_of(
+    st.tuples(st.just("one"), st.sampled_from([-60.0, -20.0, 0.0, 45.0, 60.0])),
+    st.tuples(st.just("two"), st.sampled_from([20.0, 30.0, 60.0])),
+    st.tuples(st.just("none"), st.sampled_from([-61.0, 75.0])),
+)
+
+
+def _fixes_near_sample(i, kind, east_m, ref):
+    """Fixes of one vehicle around sample i: one fix, two fixes bracketing
+    the sample 50 m either side of it, or one fix just outside its window."""
+    t = SAMPLE_SPACING_S * i
+    north = 200.0 * i
+    what, dt = kind
+    if what == "two":
+        return [vp(t - dt, offset_point(BASE, east_m, north - 50.0), ref=ref),
+                vp(t + dt, offset_point(BASE, east_m, north + 50.0), ref=ref)]
+    return [vp(t + dt, offset_point(BASE, east_m, north), ref=ref)]
+
+
+@st.composite
+def _fleet_scenarios(draw):
+    k = draw(st.integers(2, 10))
+    quorum = draw(st.sampled_from([0.5, 0.75, 1.0]))
+    need = math.ceil(quorum * k)
+    rows = []
+    for v in range(draw(st.integers(1, 4))):
+        ref = f"v{v}"
+        # just below, at or above the quorum of the full sample set
+        n_near = min(k, max(0, need + draw(st.sampled_from([-1, 0, 1]))))
+        near = set(draw(st.permutations(range(k)))[:n_near])
+        for i in range(k):
+            kind = draw(_fix_kind)
+            if i in near and kind[0] != "none":
+                east = draw(st.sampled_from(_NEAR_E))
+            else:
+                east = draw(st.sampled_from(_FAR_E))
+            rows.extend(_fixes_near_sample(i, kind, east, ref))
+    if draw(st.booleans()):
+        # an exact copy of v0 ties with it on every score; the ref decides
+        copy = draw(st.sampled_from(["a-copy", "z-copy"]))
+        rows.extend(replace(r, vehicle_ref=copy) for r in rows
+                    if r.vehicle_ref == "v0")
+    specs = [(SAMPLE_SPACING_S * i, offset_point(BASE, 0.0, 200.0 * i))
+             for i in range(k)]
+    return ride_segment(specs), rows, LiveMatchConfig(quorum_fraction=quorum)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fleet_scenarios())
+def test_matchers_agree_with_brute_force(scenario):
+    segment, rows, cfg = scenario
+    index = index_of(rows)
+    for matcher, n_samples, use_linestring in (
+            (match_live, cfg.max_user_samples, True),
+            (match_live_old, cfg.old_live_samples, False)):
+        calls = []
+        with mock.patch.object(live, "score_vehicle", _recording_scorer(calls)):
+            got = matcher(segment, cfg, index)
+        want = _brute_force_match(segment, cfg, index, n_samples, use_linestring)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None
+            assert (got.vehicle_ref, got.score, got.matched_fraction,
+                    got.sample_distances) == \
+                (want.vehicle_ref, want.score, want.matched_fraction,
+                 tuple(want.sample_distances))
+        # the pre-pass hands on only vehicles at quorum; no scenario puts a
+        # matched sample exactly at the limit, so a zero score means none
+        samples = select_user_samples(segment.trace, n_samples)
+        probe_cfg = replace(cfg, quorum_fraction=1e-9)
+        for ref in calls:
+            probe = score_vehicle(samples, ref, probe_cfg, index, use_linestring)
+            assert probe is not None
+            assert not probe.matched_fraction < cfg.quorum_fraction
 
 
 # --- old live vs new live ---
