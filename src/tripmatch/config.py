@@ -130,6 +130,22 @@ def _number(value: Any, kind: type, context: str):
     raise ConfigError(f"{context}: expected {noun}, got {value!r}")
 
 
+def _non_negative(value: Any, context: str) -> float:
+    number = _number(value, float, context)
+    if number < 0:
+        raise ConfigError(f"{context}: must be >= 0, got {value!r}")
+    return number
+
+
+def _gate(data: dict[str, Any], context: str) -> Gate:
+    gate = _sub_config(Gate, data, context)
+    for bound in ("min", "max"):
+        value = getattr(gate, bound)
+        if value is not None:
+            setattr(gate, bound, _number(value, float, f"{context}: {bound}"))
+    return gate
+
+
 def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunConfig:
     raw = dict(raw or {})
     cfg = RunConfig()
@@ -182,8 +198,8 @@ def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunCo
     if "segmentation" in raw:
         seg = raw.pop("segmentation") or {}
         _check_keys(seg, {"max_gap_s"}, "segmentation")
-        cfg.max_gap_s = _number(seg.get("max_gap_s", cfg.max_gap_s), float,
-                                "segmentation: max_gap_s")
+        cfg.max_gap_s = _non_negative(seg.get("max_gap_s", cfg.max_gap_s),
+                                      "segmentation: max_gap_s")
     if "live" in raw:
         cfg.live = _sub_config(LiveMatchConfig, raw.pop("live") or {}, "live")
     if "static" in raw:
@@ -191,14 +207,14 @@ def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunCo
     if "planner" in raw:
         planner = raw.pop("planner") or {}
         _check_keys(planner, {"search_window_s"}, "planner")
-        cfg.planner_search_window_s = _number(
-            planner.get("search_window_s", cfg.planner_search_window_s), float,
+        cfg.planner_search_window_s = _non_negative(
+            planner.get("search_window_s", cfg.planner_search_window_s),
             "planner: search_window_s")
     if "gates" in raw:
         gates = raw.pop("gates") or []
         if not isinstance(gates, list):
             raise ConfigError(f"gates: expected a list of gates, got {gates!r}")
-        cfg.gates = [_sub_config(Gate, g, "gates") for g in gates]
+        cfg.gates = [_gate(g, f"gates[{i}]") for i, g in enumerate(gates)]
     if raw:
         raise ConfigError(f"unknown top-level config key(s) {sorted(raw)}")
     cfg.validate()

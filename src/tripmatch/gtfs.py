@@ -9,25 +9,23 @@ built per row.
 """
 from __future__ import annotations
 
-import csv
-import io
+import functools
 import zipfile
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
-from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ingest import _codes, _encode, _strip_codes
+from .ingest import Column, Floats, IngestError, Table, read_table
 from .types import GeoPoint, LineType
 
-T = TypeVar("T")
 
+class GtfsError(IngestError):
+    """A GTFS feed could not be read or failed validation."""
 
-class GtfsError(Exception):
-    pass
+    MISSING_COLUMNS = "missing column {missing[0]!r}"
 
 
 #: GTFS route_type -> line type, covering both the classic codes and the
@@ -289,19 +287,8 @@ def _int32(text: str) -> int:
     return value
 
 
-def _field(cells: dict[str, str], column: str, convert: Callable[[str], T]) -> T:
-    """Convert a cell, folding the column name into any error."""
-    try:
-        return convert(cells[column])
-    except (ValueError, GtfsError) as exc:
-        raise ValueError(f"column {column!r}: {exc}") from None
-
-
 class _FeedSource:
-    """Uniform access to feed files in a directory or a zip archive. Every
-    file is read through csv.reader, which handles quoting and CRLF; the
-    utf-8-sig codec drops a BOM. Header names and cells are stripped, a
-    short row reads as blank cells and blank lines are skipped."""
+    """Uniform access to feed files in a directory or a zip archive."""
 
     def __init__(self, path):
         self.path = Path(path)
@@ -316,83 +303,16 @@ class _FeedSource:
             return name in self._names
         return (self.path / name).exists()
 
-    def _open(self, name: str):
-        if self.zip is not None:
-            return io.TextIOWrapper(self.zip.open(self._names[name]),
-                                    encoding="utf-8-sig", newline="")
-        return open(self.path / name, newline="", encoding="utf-8-sig")
-
-    def rows(self, name: str, required: Sequence[str],
-             parse: Callable[[dict[str, str]], T]) -> list[T]:
-        """parse of every data row's cells, keyed by column name; a
-        ValueError it raises becomes a GtfsError located at the row's line."""
-        out: list[T] = []
-        with self._open(name) as fh:
-            reader = csv.reader(fh)
-            index = _header(reader, name, required)
-            for row in reader:
-                if not row:
-                    continue
-                cells = {c: row[i].strip() if i < len(row) else ""
-                         for c, i in index.items()}
-                try:
-                    out.append(parse(cells))
-                except ValueError as exc:
-                    raise GtfsError(f"{name}: line {reader.line_num}: {exc}") from None
-        return out
-
-    def chunks(self, name: str, required: Sequence[str],
-               optional: Sequence[str]) -> Iterator[list[Sequence[str]]]:
-        """The raw cells of required + optional columns (an absent optional
-        column reads as blank cells), one column per list entry, for up to
-        _CHUNK_ROWS data rows at a time."""
-        with self._open(name) as fh:
-            reader = csv.reader(fh)
-            index = _header(reader, name, required)
-            width = max(index.values(), default=-1) + 1
-            while chunk := list(islice(reader, _CHUNK_ROWS)):
-                rows = chunk if all(chunk) else [r for r in chunk if r]
-                if not rows:
-                    continue
-                if set(map(len, rows)) != {width}:
-                    pad = [""] * width
-                    rows = [(r + pad)[:width] for r in rows]
-                columns = list(zip(*rows))
-                blank = ("",) * len(rows)
-                yield [columns[index[c]] if c in index else blank
-                       for c in (*required, *optional)]
-
-    def line_of(self, name: str, row: int) -> int:
-        """The line on which data row number row (from 0) ends, as
-        csv.reader counts lines."""
-        with self._open(name) as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            for _ in filter(None, reader):
-                if row == 0:
-                    return reader.line_num
-                row -= 1
-        raise IndexError(row)
-
-
-def _header(reader, name: str, required: Sequence[str]) -> dict[str, int]:
-    """Column index by stripped header name; a missing required column is
-    an error."""
-    index = {h.strip(): i for i, h in enumerate(next(reader, []))}
-    for column in required:
-        if column not in index:
-            raise GtfsError(f"{name}: missing column {column!r}")
-    return index
+    def table(self, name: str, columns: Sequence[Column]) -> Table:
+        """The columns of feed file name, read strictly; errors name the
+        file. GTFS has no missing-value rule: a blank cell goes to parse."""
+        with (self.zip.open(self._names[name]) if self.zip is not None
+              else open(self.path / name, "rb")) as fh:
+            return read_table(fh, name, [c._replace(required=False)
+                                         for c in columns], error=GtfsError)
 
 
 REQUIRED_FILES = ["stops.txt", "routes.txt", "trips.txt", "stop_times.txt"]
-
-#: data rows of stop_times.txt parsed per chunk. It bounds the cell strings
-#: alive at once whatever the file size, and it is below the cyclic GC's
-#: default threshold of 700 net container allocations, so a chunk's row
-#: lists are freed before they can trigger a collection (at 1 << 15 rows,
-#: collections took about a third of the load)
-_CHUNK_ROWS = 512
 
 
 def load_gtfs(path) -> GtfsBundle:
@@ -404,59 +324,72 @@ def load_gtfs(path) -> GtfsBundle:
     if not (src.has("calendar.txt") or src.has("calendar_dates.txt")):
         raise GtfsError(f"{path}: need calendar.txt and/or calendar_dates.txt")
 
-    stops = {stop.stop_id: stop for stop in src.rows(
-        "stops.txt", ["stop_id", "stop_lat", "stop_lon"],
-        lambda cells: GtfsStop(cells["stop_id"], cells.get("stop_name", ""),
-                               _field(cells, "stop_lat", float),
-                               _field(cells, "stop_lon", float)))}
+    stops = {stop.stop_id: stop for stop in src.table("stops.txt", [
+        Column("stop_id"), Column("stop_name", header=False),
+        Column("stop_lat", Floats()), Column("stop_lon", Floats()),
+    ]).build(GtfsStop)}
 
-    routes = {route.route_id: route for route in src.rows(
-        "routes.txt", ["route_id", "route_type"],
-        lambda cells: GtfsRoute(cells["route_id"],
-                                cells.get("route_short_name")
-                                or cells.get("route_long_name", ""),
-                                _field(cells, "route_type", _route_type)))}
+    routes = {route.route_id: route for route in src.table("routes.txt", [
+        Column("route_id"), Column("route_short_name", header=False),
+        Column("route_long_name", header=False),
+        Column("route_type", _route_type),
+    ]).build(lambda route_id, short, long, route_type:
+             GtfsRoute(route_id, short or long, route_type))}
 
-    trips = {trip.trip_id: trip for trip in src.rows(
-        "trips.txt", ["trip_id", "route_id", "service_id"],
-        lambda cells: GtfsTrip(cells["trip_id"], cells["route_id"],
-                               cells["service_id"],
-                               cells.get("shape_id") or None))}
+    trips = {trip.trip_id: trip for trip in src.table("trips.txt", [
+        Column("trip_id"), Column("route_id"), Column("service_id"),
+        Column("shape_id", header=False),
+    ]).build(lambda trip_id, route_id, service_id, shape_id:
+             GtfsTrip(trip_id, route_id, service_id, shape_id or None))}
 
-    stop_times = _read_stop_times(src)
+    @functools.cache  # arrivals and departures share most distinct times
+    def time(text: str) -> int:
+        return UNTIMED if text == "" else parse_gtfs_time(text)
+
+    table = src.table("stop_times.txt", [
+        Column("trip_id"), Column("stop_id"),
+        Column("arrival_time", time, header=False),
+        Column("departure_time", time, header=False),
+        Column("stop_sequence", _int32)])
+    table.report()
+    stop_times = StopTimeColumns.from_arrays(
+        trip=table.data["trip_id"], stop=table.data["stop_id"],
+        arrival_s=table.array("arrival_time", np.int32),
+        departure_s=table.array("departure_time", np.int32),
+        sequence=table.array("stop_sequence", np.int32),
+        trip_ids=table.levels["trip_id"], stop_ids=table.levels["stop_id"])
+    del table  # its columns are copied, sorted, into stop_times
 
     services: dict[str, GtfsService] = {}
     if src.has("calendar.txt"):
         day_cols = ["monday", "tuesday", "wednesday", "thursday", "friday",
                     "saturday", "sunday"]
-        for svc in src.rows(
-                "calendar.txt", ["service_id", *day_cols, "start_date", "end_date"],
-                lambda cells: GtfsService(
-                    cells["service_id"], tuple(cells[c] == "1" for c in day_cols),
-                    _field(cells, "start_date", _parse_gtfs_date),
-                    _field(cells, "end_date", _parse_gtfs_date))):
+        for svc in src.table("calendar.txt", [
+                Column("service_id"),
+                *(Column(c, lambda v: v == "1") for c in day_cols),
+                Column("start_date", _parse_gtfs_date),
+                Column("end_date", _parse_gtfs_date),
+        ]).build(lambda service_id, *days_and_dates: GtfsService(
+                service_id, days_and_dates[:7], *days_and_dates[7:])):
             services[svc.service_id] = svc
 
     exceptions: dict[date, dict[str, int]] = {}
     if src.has("calendar_dates.txt"):
-        for day, service_id, exception_type in src.rows(
-                "calendar_dates.txt", ["service_id", "date", "exception_type"],
-                lambda cells: (_field(cells, "date", _parse_gtfs_date),
-                               cells["service_id"],
-                               _field(cells, "exception_type", int))):
+        for service_id, day, exception_type in src.table("calendar_dates.txt", [
+                Column("service_id"), Column("date", _parse_gtfs_date),
+                Column("exception_type", int),
+        ]).build(lambda *row: row):
             exceptions.setdefault(day, {})[service_id] = exception_type
 
     shapes: dict[str, list[GeoPoint]] = {}
     if src.has("shapes.txt"):
         raw: dict[str, list[tuple[int, GeoPoint]]] = {}
-        for shape_id, seq, point in src.rows(
-                "shapes.txt",
-                ["shape_id", "shape_pt_lat", "shape_pt_lon", "shape_pt_sequence"],
-                lambda cells: (cells["shape_id"],
-                               _field(cells, "shape_pt_sequence", int),
-                               GeoPoint(_field(cells, "shape_pt_lat", float),
-                                        _field(cells, "shape_pt_lon", float)))):
-            raw.setdefault(shape_id, []).append((seq, point))
+        for shape_id, lat, lng, seq in src.table("shapes.txt", [
+                Column("shape_id"), Column("shape_pt_lat", Floats()),
+                Column("shape_pt_lon", Floats()),
+                Column("shape_pt_sequence", int),
+        ]).build(lambda *row: row):
+            raw.setdefault(shape_id, []).append((seq, GeoPoint(lat, lng)))
         for shape_id, pts in raw.items():
             pts.sort(key=lambda item: item[0])
             shapes[shape_id] = [p for _, p in pts]
@@ -466,59 +399,3 @@ def load_gtfs(path) -> GtfsBundle:
                         service_exceptions=exceptions, shapes=shapes)
     bundle.validate()
     return bundle
-
-
-_STOP_TIME_CELLS = ("arrival_time", "departure_time", "stop_sequence")
-
-
-def _read_stop_times(src: _FeedSource) -> StopTimeColumns:
-    """stop_times.txt in one streamed pass: each chunk's cells are
-    dictionary-encoded, and each distinct trip or stop id is stripped and
-    each distinct time or sequence parsed once, at the end. A bad cell is
-    reported at the first row holding it, as a row-by-row parse would."""
-    name = "stop_times.txt"
-    trips, stops, times, seqs = _codes(), _codes(), _codes(), _codes()
-    parts: list[tuple[np.ndarray, ...]] = []
-    for trip, stop, seq, arrival, departure in src.chunks(
-            name, ["trip_id", "stop_id", "stop_sequence"],
-            ["arrival_time", "departure_time"]):
-        parts.append((_encode(trip, trips), _encode(stop, stops),
-                      _encode(arrival, times), _encode(departure, times),
-                      _encode(seq, seqs)))
-    if parts:
-        trip, stop, arrival, departure, seq = (np.concatenate(c) for c in zip(*parts))
-    else:
-        trip = stop = arrival = departure = seq = np.empty(0, np.int32)
-
-    time_of, bad_time = _parse_distinct(
-        times, lambda v: UNTIMED if v.strip() == "" else parse_gtfs_time(v.strip()))
-    seq_of, bad_seq = _parse_distinct(seqs, lambda v: _int32(v.strip()))
-    if bad_time or bad_seq:
-        cells = [(arrival, bad_time), (departure, bad_time), (seq, bad_seq)]
-        row, k = min((rows[0], k) for k, (c, bad) in enumerate(cells)
-                     if len(rows := np.flatnonzero(np.isin(c, list(bad)))))
-        column_codes, bad = cells[k]
-        raise GtfsError(f"{name}: line {src.line_of(name, int(row))}: "
-                        f"column {_STOP_TIME_CELLS[k]!r}: "
-                        f"{bad[int(column_codes[row])]}")
-
-    trip_map, trip_ids = _strip_codes(trips)
-    stop_map, stop_ids = _strip_codes(stops)
-    return StopTimeColumns.from_arrays(
-        trip=trip_map[trip], stop=stop_map[stop], arrival_s=time_of[arrival],
-        departure_s=time_of[departure], sequence=seq_of[seq],
-        trip_ids=trip_ids, stop_ids=stop_ids)
-
-
-def _parse_distinct(codes: dict[str, int], parse: Callable[[str], int],
-                    ) -> tuple[np.ndarray, dict[int, str]]:
-    """parse of each coded value as an int32 lookup table, and the error
-    message of each value it rejects, by code."""
-    table = np.zeros(len(codes), dtype=np.int32)
-    errors: dict[int, str] = {}
-    for value, code in codes.items():
-        try:
-            table[code] = parse(value)
-        except (ValueError, GtfsError) as exc:
-            errors[code] = str(exc)
-    return table, errors

@@ -1,20 +1,27 @@
 """Loaders for the dataset CSV tables and the train-history JSON.
 
-Every loader is strict by default: a malformed row raises IngestError naming
-the file, line and column. With permissive=True row errors are downgraded to
-diagnostics and the row is skipped; file-level problems (missing file, bad
-header) always raise. No row is ever silently dropped.
+Every CSV table (the GTFS files and the stage outputs read back included)
+goes through one chunked columnar reader, read_table: a loader declares its
+columns and gets them back as arrays. Every loader is strict by default: a
+malformed row raises IngestError naming the file, line and column. With
+permissive=True row errors are downgraded to diagnostics and the row is
+skipped; file-level problems (missing file, bad header) always raise. No row
+is ever silently dropped.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
+import math
 from collections import defaultdict
+from dataclasses import dataclass, field
 from datetime import date, datetime
-from itertools import count
+from itertools import chain, count, islice
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, TypeVar)
 
 import numpy as np
 
@@ -30,7 +37,8 @@ from .types import (
     LOG_LINE_TYPES,
     ManualTrip,
     TIME_REF,
-    VehiclePosition,
+    as_seconds,
+    from_seconds,
 )
 
 log = logging.getLogger(__name__)
@@ -42,6 +50,9 @@ T = TypeVar("T")
 
 class IngestError(Exception):
     """A dataset file could not be parsed or failed validation."""
+
+    #: the message of a header that lacks the required columns missing
+    MISSING_COLUMNS = "missing required column(s) {missing}; found {found}"
 
     def __init__(self, message: str, *, path=None, line: int | None = None,
                  column: str | None = None):
@@ -87,57 +98,161 @@ def format_timestamp(t: datetime) -> str:
     return t.strftime(TIMESTAMP_FORMAT)
 
 
-class _Rows:
-    """CSV reader that validates the header and reports located errors."""
+# --- the table reader ---
 
-    def __init__(self, path, required: Sequence[str], *, permissive: bool,
-                 diagnostics: list[str] | None):
-        self.path = Path(path)
-        self.required = list(required)
-        self.permissive = permissive
-        self.diagnostics = diagnostics if diagnostics is not None else []
-        if not self.path.exists():
-            raise IngestError("file not found", path=path)
 
-    def __iter__(self):
-        with open(self.path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise IngestError("empty file, header expected", path=self.path)
-            names = [h.strip().lower() for h in header]
-            index = {name: i for i, name in enumerate(names)}
-            missing = [c for c in self.required if c not in index]
-            if missing:
-                raise IngestError(
-                    f"missing required column(s) {missing}; found {names}",
-                    path=self.path)
-            for row in reader:
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                cells = {}
-                for name, i in index.items():
-                    cells[name] = row[i].strip() if i < len(row) else ""
-                yield reader.line_num, cells
+class Column(NamedTuple):
+    """A column a loader reads. parse turns a stripped cell into its value,
+    raising ValueError (or an IngestError) with the message of a bad cell;
+    a blank cell of a required column is a 'missing value' instead. Unless
+    header is False the header must name the column; if absent, its cells
+    read as blank."""
 
-    def parse(self, parse_row: Callable[[dict[str, str]], T]) -> list[T]:
-        """parse_row of every data row, in file order. A KeyError (a missing
-        required value) or ValueError it raises is a row error located at
-        the row's line: raised, or in permissive mode recorded in
-        diagnostics with the row skipped."""
+    name: str
+    parse: Callable[[str], Any] = str
+    required: bool = True
+    header: bool = True
+
+
+_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_STAMP_SEPARATORS = {4: "-", 7: "-", 10: " ", 13: ":", 16: ":"}
+_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE_MONTH = np.cumsum(_DAYS_IN_MONTH) - _DAYS_IN_MONTH
+
+
+def _stamp_seconds(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Seconds after TIME_REF of 'YYYY-MM-DD HH:MM:SS' cells, by the
+    proleptic-Gregorian ordinal that datetime uses, and which cells are
+    valid times of that form (none when the cells differ in length)."""
+    text = np.array(cells)
+    if text.dtype != np.dtype("U19"):
+        return np.zeros(len(cells)), np.zeros(len(cells), dtype=bool)
+    # UCS-4 code points; a shorter cell is padded with 0, which is no digit
+    chars = text.view(np.uint32).reshape(len(cells), 19).astype(np.int64)
+    digits = chars[:, _STAMP_DIGITS] - ord("0")
+    year, month, day, hour, minute, second = (
+        digits[:, :4] @ [1000, 100, 10, 1], *(
+            digits[:, i:i + 2] @ [10, 1] for i in range(4, 14, 2)))
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    m = np.clip(month, 1, 12) - 1
+    ok = (((digits >= 0) & (digits <= 9)).all(axis=1)
+          & (chars[:, list(_STAMP_SEPARATORS)]
+             == [ord(c) for c in _STAMP_SEPARATORS.values()]).all(axis=1)
+          & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+          & (day <= _DAYS_IN_MONTH[m] + (leap & (m == 1)))
+          & (hour <= 23) & (minute <= 59) & (second <= 59))
+    y = year - 1
+    ordinal = (y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[m]
+               + (leap & (m > 1)) + day)
+    return ((ordinal - TIME_REF.toordinal()) * 86400
+            + hour * 3600 + minute * 60 + second).astype(np.float64), ok
+
+
+@dataclass(frozen=True)
+class Floats:
+    """parse of a float column, which parses whole chunks at once: float()
+    of the cell, then valid, a range rule over float64 values that fails
+    with message.format(value)."""
+
+    valid: Callable[[Any], Any] | None = None
+    message: str = ""
+
+    def __call__(self, text: str) -> float:
+        value = float(text)
+        if self.valid is not None and not self.valid(np.float64(value)):
+            raise ValueError(self.message.format(value))
+        return value
+
+    def vector(self, cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The values of raw cells, and which are valid (others go to __call__)."""
+        try:
+            values = np.fromiter(map(float, cells), np.float64, len(cells))
+        except ValueError:
+            return np.zeros(len(cells)), np.zeros(len(cells), dtype=bool)
+        return values, (np.ones(len(cells), dtype=bool) if self.valid is None
+                        else self.valid(values))
+
+    decode = staticmethod(np.ndarray.tolist)
+
+
+@dataclass(frozen=True)
+class Stamps:
+    """parse of a timestamp column into float seconds after TIME_REF, NaN
+    for a blank cell: 'YYYY-MM-DD HH:MM:SS' cells are parsed a chunk at a
+    time, any other through parse_timestamp."""
+
+    default_date: date | None = None
+
+    def __call__(self, text: str) -> float:
+        if text == "":
+            return math.nan
+        return as_seconds(parse_timestamp(text, default_date=self.default_date))
+
+    vector = staticmethod(_stamp_seconds)
+
+    @staticmethod
+    def decode(seconds: np.ndarray) -> list[Optional[datetime]]:
+        return [None if s != s else from_seconds(s) for s in seconds.tolist()]
+
+
+@dataclass
+class Table:
+    """The columns of a table read by read_table, over the rows without a
+    bad cell: data[name] is a float64 array for a Floats or Stamps column,
+    else an int32 array of codes into levels[name], the distinct parsed
+    values in order of first appearance. report or build reports the bad
+    rows, in file order with those that build rejects."""
+
+    label: Any
+    error: type[IngestError]
+    kinds: dict[str, Callable[[str], Any]]  # parse by column name
+    permissive: bool
+    diagnostics: list[str]
+    data: dict[str, np.ndarray] = field(default_factory=dict)
+    levels: dict[str, tuple] = field(default_factory=dict)
+    lines: np.ndarray = field(default_factory=lambda: np.empty(0, np.int32))
+    # row -> (message, column) of its first bad cell, or None for a row of
+    # blank cells, which is skipped without a diagnostic
+    bad: dict[int, Optional[tuple[str, str]]] = field(default_factory=dict)
+
+    def array(self, name: str, dtype) -> np.ndarray:
+        """The parsed values of a coded column as an array."""
+        return np.array(self.levels[name], dtype=dtype)[self.data[name]]
+
+    def values(self, name: str) -> list:
+        """The parsed values of a column as Python objects."""
+        if name in self.levels:
+            return list(map(self.levels[name].__getitem__, self.data[name].tolist()))
+        return self.kinds[name].decode(self.data[name])
+
+    def report(self) -> None:
+        """Report every row with a bad cell."""
+        for row, fault in sorted(self.bad.items()):
+            if fault is not None:
+                self.reject(row, *fault)
+
+    def build(self, make: Callable[..., T]) -> list[T]:
+        """make of the values of each row, in column order, in file order.
+        A row with a bad cell, or for which make raises ValueError, is
+        reported instead."""
+        good = zip(*map(self.values, self.kinds))
         out: list[T] = []
-        for line, cells in self:
+        for row in range(len(self.lines)):
+            if row in self.bad:
+                if self.bad[row] is not None:
+                    self.reject(row, *self.bad[row])
+                continue
             try:
-                out.append(parse_row(cells))
-            except KeyError as exc:
-                self._error("missing value", line, column=exc.args[0])
+                out.append(make(*next(good)))
             except ValueError as exc:
-                self._error(str(exc), line)
+                self.reject(row, str(exc))
         return out
 
-    def _error(self, message: str, line: int, column: str | None = None) -> None:
-        err = IngestError(message, path=self.path, line=line, column=column)
+    def reject(self, row: int, message: str, column: str | None = None) -> None:
+        """An error located at row: raised, or in permissive mode recorded
+        in diagnostics with the row skipped."""
+        err = self.error(message, path=self.label, line=int(self.lines[row]),
+                         column=column)
         if not self.permissive:
             raise err
         self.diagnostics.append(f"skipped row: {err}")
@@ -145,39 +260,197 @@ class _Rows:
 
     def warn(self, message: str) -> None:
         self.diagnostics.append(message)
-        log.warning("%s: %s", self.path, message)
+        log.warning("%s: %s", self.label, message)
 
 
-def _require(cells: dict[str, str], column: str) -> str:
-    value = cells.get(column, "")
-    if value == "":
-        raise KeyError(column)
-    return value
+#: bytes of a table split per chunk; bounds the transient per-cell strings
+#: whatever the file size
+_CHUNK_BYTES = 1 << 17
+
+#: rows per chunk once a file is read through csv.reader. It is below the
+#: cyclic GC's default threshold of 700 net container allocations, so a
+#: chunk's row lists are freed before they can trigger a collection (at
+#: 1 << 15 rows, collections took about a third of a GTFS load)
+_CHUNK_ROWS = 512
 
 
-def _field(cells: dict[str, str], column: str, convert):
-    """Convert a required cell, folding the column name into any error."""
-    value = _require(cells, column)
+def load_table(path, columns: Sequence[Column], *, permissive: bool = False,
+               diagnostics: list[str] | None = None) -> Table:
+    """read_table of the file at path."""
+    path = Path(path)
+    if not path.exists():
+        raise IngestError("file not found", path=path)
+    with open(path, "rb") as fh:
+        return read_table(fh, path, columns, permissive=permissive,
+                          diagnostics=diagnostics)
+
+
+def read_table(fh, label, columns: Sequence[Column], *,
+               error: type[IngestError] = IngestError, permissive: bool = False,
+               diagnostics: list[str] | None = None) -> Table:
+    """The columns of the CSV text in the binary file fh; errors are of
+    type error and name the file by label.
+
+    Header names may follow a BOM and are stripped and lowercased. A short
+    row reads as blank cells; a row's error is its first bad cell in column
+    order. Empty lines are skipped, and so is a row of blank cells with a
+    bad cell, as such a row has in every table with a required or typed
+    column (GTFS trips.txt has none). Plain chunks are split on bytes; from
+    the first chunk with a quote, a NUL, a CR outside a CRLF or a row of
+    another width, the rest of the file goes through csv.reader.
+    """
+    chunks = _chunks(fh, label, error)
+    names = [h.strip().lower() for h in next(chunks)]
+    index = {name: i for i, name in enumerate(names)}
+    missing = [c.name for c in columns if c.header and c.name not in index]
+    if missing:
+        raise error(error.MISSING_COLUMNS.format(missing=missing, found=names),
+                    path=label)
+    table = Table(label, error, {c.name: c.parse for c in columns}, permissive,
+                  diagnostics if diagnostics is not None else [])
+    readers = [_ColumnReader(c, index.get(c.name)) for c in columns]
+    lines = []
+    for cells, chunk_lines in chunks:
+        first, n = sum(map(len, lines)), len(chunk_lines)
+        faults: dict[int, tuple[str, str]] = {}
+        for reader in readers:
+            for row, message in reader.add(cells, len(names), n):
+                faults.setdefault(row, (message, reader.column.name))
+        for row in sorted(faults):
+            blank = "".join(cells[row * len(names):(row + 1) * len(names)])
+            table.bad[first + row] = faults[row] if blank.strip() else None
+        lines.append(chunk_lines)
+    table.lines = np.concatenate([table.lines, *lines])
+    keep = np.ones(len(table.lines), dtype=bool)
+    keep[list(table.bad)] = False
+    for reader in readers:
+        reader.finish(table, keep)
+    return table
+
+
+class _ColumnReader:
+    """One column's cells, chunk by chunk: a column whose parse has a vector
+    form is parsed a chunk at a time, any other is dictionary-encoded with
+    each distinct cell parsed once."""
+
+    def __init__(self, column: Column, at: int | None):
+        self.column = column
+        self.at = at
+        self.vector = getattr(column.parse, "vector", None)
+        self.parts = [np.empty(0, np.float64 if self.vector else np.int32)]
+        # code by raw cell, each unseen cell taking the next code
+        self.codes: defaultdict[str, int] = defaultdict(count().__next__)
+        self.parsed: list = []            # value by code; None for a bad cell
+        self.faults: dict[int, str] = {}  # message by code of a bad cell
+
+    def parse(self, cell: str) -> tuple[Any, str | None]:
+        text = cell.strip()
+        if text == "" and self.column.required:
+            return None, "missing value"
+        try:
+            return self.column.parse(text), None
+        except (ValueError, IngestError) as exc:
+            return None, str(exc)
+
+    def add(self, cells: list[str], width: int, n: int) -> list[tuple[int, str]]:
+        """Take a chunk of n rows of width cells; the (row, message) of each
+        bad cell of this column."""
+        raw = cells[self.at::width] if self.at is not None else [""] * n
+        bad = []
+        if self.vector is not None:
+            values, ok = self.vector(raw)
+            for row in np.flatnonzero(~ok).tolist():
+                value, message = self.parse(raw[row])
+                if message is None:
+                    values[row] = value
+                else:
+                    bad.append((row, message))
+            self.parts.append(values)
+            return bad
+        codes = np.fromiter(map(self.codes.__getitem__, raw), np.int32, n)
+        new = len(self.codes) - len(self.parsed)  # cells first seen here
+        for cell in reversed(list(islice(reversed(self.codes), new))):
+            value, message = self.parse(cell)
+            if message is not None:
+                self.faults[len(self.parsed)] = message
+            self.parsed.append(value)
+        if self.faults:
+            for row in np.flatnonzero(np.isin(codes, list(self.faults))).tolist():
+                bad.append((row, self.faults[int(codes[row])]))
+        self.parts.append(codes)
+        return bad
+
+    def finish(self, table: Table, keep: np.ndarray) -> None:
+        """Put the column, over the rows keep selects, into table."""
+        name = self.column.name
+        values = np.concatenate(self.parts)
+        self.parts.clear()
+        table.data[name] = values = values[keep] if table.bad else values
+        if self.vector is not None:
+            return
+        # codes follow first appearance, unless a dropped row held the first
+        # appearance of some cell
+        order = range(len(self.parsed))
+        if table.bad:
+            present, first = np.unique(values, return_index=True)
+            order = present[np.argsort(first)].tolist()
+        levels: dict[Any, int] = {}
+        remap = np.zeros(len(self.parsed), dtype=np.int32)
+        for code in order:
+            remap[code] = levels.setdefault(self.parsed[code], len(levels))
+        table.data[name] = remap[values]
+        table.levels[name] = tuple(levels)
+
+
+def _chunks(fh, label, error: type[IngestError]) -> Iterator:
+    """The header cells of the CSV text in the binary file fh, then its data
+    rows in chunks of (cells, lines): the cells of the chunk's rows in row
+    order, each row padded or cut to the header's width, and the line that
+    ends each row, as csv.reader counts lines."""
+    head = fh.readline()
+    if not head:
+        raise error("empty file, header expected", path=label)
+    line, reader = 0, csv.reader([head.decode("utf-8-sig")])
     try:
-        return convert(value)
-    except ValueError as exc:
-        raise ValueError(f"column {column!r}: {exc}") from exc
+        header = next(reader, [])
+        yield header
+        width, line = len(header), 1
+        while lines := fh.readlines(_CHUNK_BYTES):
+            raw = b"".join(lines)
+            chunk = raw.replace(b"\r\n", b"\n")
+            if not chunk.endswith(b"\n"):
+                chunk += b"\n"
+            if b'"' in chunk or b"\0" in chunk or b"\r" in chunk:
+                break
+            # a line of width cells has width - 1 commas and then a newline
+            buf = np.frombuffer(chunk, np.uint8)
+            newline = buf[(buf == ord(",")) | (buf == ord("\n"))] == ord("\n")
+            n = len(newline) // width
+            if len(newline) % width or not (
+                    newline.reshape(n, width) == (np.arange(width) == width - 1)).all():
+                break
+            yield (chunk[:-1].decode("utf-8").replace("\n", ",").split(","),
+                   np.arange(line + 1, line + n + 1, dtype=np.int32))
+            line += n
+        else:
+            return
+        reader = csv.reader(chain(io.StringIO(raw.decode("utf-8"), newline=""),
+                                  io.TextIOWrapper(fh, encoding="utf-8", newline="")))
+        rows: list[list[str]] = []
+        ends: list[int] = []
+        for row in chain(reader, [None]):  # None flushes the last chunk
+            if row:
+                rows.append(row if len(row) == width
+                            else (row + [""] * width)[:width])
+                ends.append(line + reader.line_num)
+            if rows and (row is None or len(rows) == _CHUNK_ROWS):
+                yield list(chain.from_iterable(rows)), np.array(ends, np.int32)
+                rows, ends = [], []
+    except csv.Error as exc:
+        raise error(str(exc), path=label, line=line + reader.line_num) from None
 
 
-def _time(cells: dict[str, str], column: str, default_date: date | None,
-          ) -> datetime:
-    return _field(cells, column,
-                  lambda v: parse_timestamp(v, default_date=default_date))
-
-
-def _parse_coordinate(cells: dict[str, str]) -> tuple[float, float]:
-    lat = _field(cells, "lat", float)
-    lng = _field(cells, "lng", float)
-    if not -90.0 <= lat <= 90.0:
-        raise ValueError(f"column 'lat': latitude {lat} out of range [-90, 90]")
-    if not -180.0 <= lng <= 180.0:
-        raise ValueError(f"column 'lng': longitude {lng} out of range [-180, 180]")
-    return lat, lng
+# --- the dataset tables ---
 
 
 def _parse_activity(value: str) -> Activity:
@@ -197,6 +470,13 @@ def _parse_line_type(value: str, allowed) -> LineType:
     return lt
 
 
+_COORDINATES = [
+    Column("lat", Floats(lambda v: (v >= -90.0) & (v <= 90.0),
+                         "latitude {} out of range [-90, 90]")),
+    Column("lng", Floats(lambda v: (v >= -180.0) & (v <= 180.0),
+                         "longitude {} out of range [-180, 180]"))]
+
+
 DEVICE_DATA_COLUMNS = [
     "time", "device_id", "lat", "lng", "accuracy",
     "activity_1", "activity_1_conf", "activity_2", "activity_2_conf",
@@ -208,37 +488,36 @@ def load_device_data(path, *, permissive: bool = False,
                      diagnostics: list[str] | None = None,
                      default_date: date | None = None) -> list[DevicePoint]:
     """Load raw device samples, sorted by (time, device_id)."""
-    def parse(cells: dict[str, str]) -> DevicePoint:
-        time = _time(cells, "time", default_date)
-        device_id = _field(cells, "device_id", int)
-        lat, lng = _parse_coordinate(cells)
-        accuracy = _field(cells, "accuracy", float)
-        if accuracy < 0:
-            raise ValueError(f"column 'accuracy': {accuracy} must be >= 0")
+    def make(time, device_id, lat, lng, accuracy, *ranked) -> DevicePoint:
         activities = []
-        for rank in (1, 2, 3):
-            kind_text = cells.get(f"activity_{rank}", "")
-            conf_text = cells.get(f"activity_{rank}_conf", "")
-            if kind_text == "" and conf_text == "":
-                continue
-            if kind_text == "" or conf_text == "":
+        for rank, kind, conf_text in zip((1, 2, 3), ranked[::2], ranked[1::2]):
+            if (kind == "") != (conf_text == ""):
                 raise ValueError(
                     f"activity_{rank} and activity_{rank}_conf must be "
                     "both present or both empty")
-            conf = _field(cells, f"activity_{rank}_conf", int)
-            if not 0 <= conf <= 100:
-                raise ValueError(
-                    f"column 'activity_{rank}_conf': {conf} out of "
-                    "range [0, 100]")
-            activities.append((_parse_activity(kind_text), conf))
+            if kind:
+                column = f"column 'activity_{rank}_conf'"
+                try:
+                    conf = int(conf_text)
+                except ValueError as exc:
+                    raise ValueError(f"{column}: {exc}") from exc
+                if not 0 <= conf <= 100:
+                    raise ValueError(f"{column}: {conf} out of range [0, 100]")
+                activities.append((_parse_activity(kind), conf))
         confs = [c for _, c in activities]
         if any(later > earlier for earlier, later in zip(confs, confs[1:])):
             raise ValueError(f"confidences {confs} increase with rank")
         return DevicePoint(time, device_id, lat, lng, accuracy,
                            tuple(activities))
 
-    out = _Rows(path, DEVICE_DATA_COLUMNS[:5], permissive=permissive,
-                diagnostics=diagnostics).parse(parse)
+    table = load_table(path, [
+        Column("time", Stamps(default_date)), Column("device_id", int),
+        *_COORDINATES,
+        Column("accuracy", Floats(lambda v: ~(v < 0), "{} must be >= 0")),
+        *(Column(c, required=False, header=False)
+          for c in DEVICE_DATA_COLUMNS[5:])],
+        permissive=permissive, diagnostics=diagnostics)
+    out = table.build(make)
     out.sort(key=lambda p: (p.time, p.device_id))
     log.info("%s: %d device points", path, len(out))
     return out
@@ -251,28 +530,20 @@ def load_filtered_data(path, *, permissive: bool = False,
                        diagnostics: list[str] | None = None,
                        default_date: date | None = None) -> list[FilteredPoint]:
     """Load the filtered device table, sorted by (time, device_id)."""
-    def parse(cells: dict[str, str]) -> FilteredPoint:
-        return FilteredPoint(_time(cells, "time", default_date),
-                             _field(cells, "device_id", int),
-                             *_parse_coordinate(cells),
-                             _field(cells, "activity", _parse_activity))
-
-    rows = _Rows(path, FILTERED_COLUMNS, permissive=permissive,
-                 diagnostics=diagnostics)
-    out = rows.parse(parse)
+    table = load_table(path, [
+        Column("time", Stamps(default_date)), Column("device_id", int),
+        *_COORDINATES, Column("activity", _parse_activity)],
+        permissive=permissive, diagnostics=diagnostics)
+    out = table.build(FilteredPoint)
     out.sort(key=lambda p: (p.time, p.device_id))
     n_dupes = len(out) - len({(p.time, p.device_id) for p in out})
     if n_dupes:
-        rows.warn(f"{n_dupes} row(s) share a (time, device_id) key")
+        table.warn(f"{n_dupes} row(s) share a (time, device_id) key")
     log.info("%s: %d filtered points", path, len(out))
     return out
 
 
 TRANSIT_LIVE_COLUMNS = ["time", "lat", "lng", "line_type", "line_name", "vehicle_ref"]
-
-#: bytes of transit_live.csv parsed per columnar chunk; bounds the transient
-#: per-cell strings whatever the file size
-_CHUNK_BYTES = 1 << 20
 
 
 def load_transit_live(path, *, permissive: bool = False,
@@ -283,31 +554,32 @@ def load_transit_live(path, *, permissive: bool = False,
     """Load live fleet positions as columns in file order (input order is not
     trusted elsewhere; the position index sorts per vehicle).
 
-    Files whose timestamps are all 'YYYY-MM-DD HH:MM:SS' are parsed straight
-    into columns; any other file, including every file with a bad row, goes
-    through the located row path, so errors and skipped rows do not depend
-    on which path ran.
-
     Duplicate identical rows are retained and flagged in diagnostics.
     bounding_box, when given as (min_lat, min_lng, max_lat, max_lng), flags
     out-of-area rows in diagnostics without rejecting them.
     """
-    rows = _Rows(path, TRANSIT_LIVE_COLUMNS, permissive=permissive,
-                 diagnostics=diagnostics)
-    fleet = _read_fleet_columns(rows.path)
-    if fleet is None:
-        fleet = FleetColumns.from_positions(rows.parse(
-            lambda cells: _vehicle_position(cells, default_date)))
+    table = load_table(path, [
+        Column("time", Stamps(default_date)), *_COORDINATES,
+        Column("line_type", lambda v: LINE_TYPES.index(
+            _parse_line_type(v, LIVE_LINE_TYPES))),
+        Column("line_name", required=False), Column("vehicle_ref")],
+        permissive=permissive, diagnostics=diagnostics)
+    table.report()
+    fleet = FleetColumns(
+        times_s=table.data["time"], lats=table.data["lat"], lngs=table.data["lng"],
+        line_type=table.array("line_type", np.int8),
+        line_name=table.data["line_name"], vehicle_ref=table.data["vehicle_ref"],
+        names=table.levels["line_name"], refs=table.levels["vehicle_ref"])
     n_dupes = _count_duplicates(fleet)
     if n_dupes:
-        rows.warn(f"{n_dupes} duplicate identical row(s) retained")
+        table.warn(f"{n_dupes} duplicate identical row(s) retained")
     if bounding_box is not None:
         min_lat, min_lng, max_lat, max_lng = bounding_box
         inside = ((fleet.lats >= min_lat) & (fleet.lats <= max_lat)
                   & (fleet.lngs >= min_lng) & (fleet.lngs <= max_lng))
         n_outside = int(np.count_nonzero(~inside))
         if n_outside:
-            rows.warn(f"{n_outside} row(s) outside the configured bounding box")
+            table.warn(f"{n_outside} row(s) outside the configured bounding box")
     log.info("%s: %d vehicle positions", path, len(fleet))
     return fleet
 
@@ -326,147 +598,6 @@ def _count_duplicates(fleet: FleetColumns) -> int:
     return len(rows) - len(np.unique(keys, axis=0))
 
 
-def _vehicle_position(cells: dict[str, str], default_date: date | None,
-                      ) -> VehiclePosition:
-    time = _time(cells, "time", default_date)
-    lat, lng = _parse_coordinate(cells)
-    line_type = _field(cells, "line_type",
-                       lambda v: _parse_line_type(v, LIVE_LINE_TYPES))
-    return VehiclePosition(time, lat, lng, line_type, cells.get("line_name", ""),
-                           _require(cells, "vehicle_ref"))
-
-
-def _read_fleet_columns(path: Path) -> FleetColumns | None:
-    """The columnar parse of transit_live.csv, or None when the file holds
-    anything the row path must judge: quoting, CR or NUL bytes, a row whose
-    cell count differs from the header's, a timestamp in another form, or a
-    cell that fails validation."""
-    with open(path, "rb") as fh:
-        head = fh.readline()
-        if any(c in head.rstrip(b"\r\n") for c in (b'"', b"\r", b"\0")):
-            return None
-        try:
-            header = head.decode("utf-8-sig").rstrip("\r\n").split(",")
-        except UnicodeDecodeError:
-            return None
-        index = {h.strip().lower(): i for i, h in enumerate(header)}  # as _Rows
-        if any(c not in index for c in TRANSIT_LIVE_COLUMNS):
-            return None
-        width = len(header)
-        at = [index[c] for c in TRANSIT_LIVE_COLUMNS]
-        names, refs, types = _codes(), _codes(), _codes()
-        parts = []
-        while lines := fh.readlines(_CHUNK_BYTES):
-            chunk = b"".join(lines).replace(b"\r\n", b"\n")
-            if not chunk.endswith(b"\n"):
-                chunk += b"\n"
-            if b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
-                return None
-            # every line must hold exactly width cells: its separators are
-            # width - 1 commas and then a newline
-            buf = np.frombuffer(chunk, np.uint8)
-            newline = buf[np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))] == ord("\n")
-            n = len(newline) // width
-            if len(newline) % width or not (
-                    newline.reshape(n, width) == (np.arange(width) == width - 1)).all():
-                return None
-            try:
-                cells = chunk.decode("utf-8").replace("\n", ",").split(",")
-            except UnicodeDecodeError:
-                return None
-            time, lat, lng, line_type, line_name, vehicle_ref = (
-                cells[i:n * width:width] for i in at)
-            times_s = _stamp_seconds(time)
-            try:
-                lats = np.fromiter(map(float, lat), np.float64, n)
-                lngs = np.fromiter(map(float, lng), np.float64, n)
-            except ValueError:
-                return None
-            if times_s is None or not (
-                    ((lats >= -90.0) & (lats <= 90.0)).all()
-                    and ((lngs >= -180.0) & (lngs <= 180.0)).all()):
-                return None
-            parts.append((times_s, lats, lngs, _encode(line_type, types),
-                          _encode(line_name, names), _encode(vehicle_ref, refs)))
-    try:
-        type_map = [LINE_TYPES.index(_parse_line_type(v.strip(), LIVE_LINE_TYPES))
-                    for v in types]
-    except ValueError:
-        return None
-    name_map, names_out = _strip_codes(names)
-    ref_map, refs_out = _strip_codes(refs)
-    if "" in refs_out:
-        return None
-    if parts:
-        times_s, lats, lngs, type_raw, name_raw, ref_raw = (
-            np.concatenate(c) for c in zip(*parts))
-    else:
-        times_s = lats = lngs = np.empty(0)
-        type_raw = name_raw = ref_raw = np.empty(0, np.int32)
-    return FleetColumns(
-        times_s=times_s, lats=lats, lngs=lngs,
-        line_type=np.array(type_map, dtype=np.int8)[type_raw],
-        line_name=name_map[name_raw], vehicle_ref=ref_map[ref_raw],
-        names=names_out, refs=refs_out)
-
-
-def _codes() -> defaultdict[str, int]:
-    """A value -> code map for _encode that gives each unseen value the
-    next code, so codes follow first appearance."""
-    return defaultdict(count().__next__)
-
-
-def _encode(cells: Sequence[str], codes: defaultdict[str, int]) -> np.ndarray:
-    """Dictionary-encode cells, extending codes with unseen values."""
-    return np.fromiter(map(codes.__getitem__, cells), np.int32, len(cells))
-
-
-def _strip_codes(codes: dict[str, int]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Map raw-cell codes onto codes of the stripped cell values, as the row
-    path strips every cell."""
-    stripped: dict[str, int] = {}
-    remap = [stripped.setdefault(v.strip(), len(stripped)) for v in codes]
-    return np.array(remap, dtype=np.int32), tuple(stripped)
-
-
-_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
-_STAMP_SEPARATORS = {4: "-", 7: "-", 10: " ", 13: ":", 16: ":"}
-_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_DAYS_BEFORE_MONTH = np.cumsum(_DAYS_IN_MONTH) - _DAYS_IN_MONTH
-
-
-def _stamp_seconds(cells: list[str]) -> np.ndarray | None:
-    """Seconds after TIME_REF of 'YYYY-MM-DD HH:MM:SS' cells, computed with
-    the proleptic-Gregorian ordinal that datetime uses; None when any cell
-    has another form or is not a valid time."""
-    text = np.array(cells)
-    if text.dtype != np.dtype("U19"):
-        return None  # some cell is longer, or all are shorter
-    # UCS-4 code points; a shorter cell is padded with 0, which is no digit
-    chars = text.view(np.uint32).reshape(len(cells), 19).astype(np.int64)
-    digits = chars[:, _STAMP_DIGITS] - ord("0")
-    if (((digits < 0) | (digits > 9)).any()
-            or (chars[:, list(_STAMP_SEPARATORS)]
-                != [ord(c) for c in _STAMP_SEPARATORS.values()]).any()):
-        return None
-    year, month, day, hour, minute, second = (
-        digits[:, :4] @ [1000, 100, 10, 1], *(
-            digits[:, i:i + 2] @ [10, 1] for i in range(4, 14, 2)))
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    m = np.clip(month, 1, 12) - 1
-    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-            & (day <= _DAYS_IN_MONTH[m] + (leap & (m == 1)))
-            & (hour <= 23) & (minute <= 59) & (second <= 59)).all():
-        return None
-    y = year - 1
-    ordinal = (y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[m]
-               + (leap & (m > 1)) + day)
-    return ((ordinal - TIME_REF.toordinal()) * 86400
-            + hour * 3600 + minute * 60 + second).astype(np.float64)
-
-
-MANUAL_LOG_COLUMNS = ["device_id", "line_type", "line_name",
-                      "vehicle_dep_time", "vehicle_arr_time"]
 MANUAL_LOG_ALL_COLUMNS = [
     "device_id", "st_entrance", "st_entry_time", "line_type", "line_name",
     "vehicle_dep_time", "vehicle_dep_stop", "vehicle_arr_time",
@@ -478,38 +609,28 @@ def load_manual_log(path, *, permissive: bool = False,
                     diagnostics: list[str] | None = None,
                     default_date: date | None = None) -> list[ManualTrip]:
     """Load the manual travel diary in file order."""
-    def opt_time(cells, column):
-        if cells.get(column, "") == "":
-            return None
-        return _time(cells, column, default_date)
+    stamps = Stamps(default_date)
 
-    def parse(cells: dict[str, str]) -> ManualTrip:
-        device_id = _field(cells, "device_id", int)
-        line_type = _field(cells, "line_type",
-                           lambda v: _parse_line_type(v, LOG_LINE_TYPES))
-        dep = opt_time(cells, "vehicle_dep_time")
-        arr = opt_time(cells, "vehicle_arr_time")
+    def optional(name: str, parse=str) -> Column:
+        return Column(name, parse, required=False, header=False)
+
+    def make(device_id, line_type, line_name, dep, arr, *rest) -> ManualTrip:
         if dep is not None and arr is not None and dep > arr:
             raise ValueError(
                 f"vehicle_dep_time {format_timestamp(dep)} after "
                 f"vehicle_arr_time {format_timestamp(arr)}")
-        return ManualTrip(
-            device_id=device_id,
-            line_type=line_type,
-            line_name=cells.get("line_name", ""),
-            vehicle_dep_time=dep,
-            vehicle_arr_time=arr,
-            st_entrance=cells.get("st_entrance", ""),
-            st_entry_time=opt_time(cells, "st_entry_time"),
-            vehicle_dep_stop=cells.get("vehicle_dep_stop", ""),
-            vehicle_arr_stop=cells.get("vehicle_arr_stop", ""),
-            st_exit_location=cells.get("st_exit_location", ""),
-            st_exit_time=opt_time(cells, "st_exit_time"),
-            comments=cells.get("comments", ""),
-        )
+        return ManualTrip(device_id, line_type, line_name, dep, arr, *rest)
 
-    out = _Rows(path, MANUAL_LOG_COLUMNS[:3], permissive=permissive,
-                diagnostics=diagnostics).parse(parse)
+    table = load_table(path, [
+        Column("device_id", int),
+        Column("line_type", lambda v: _parse_line_type(v, LOG_LINE_TYPES)),
+        Column("line_name", required=False),
+        optional("vehicle_dep_time", stamps), optional("vehicle_arr_time", stamps),
+        optional("st_entrance"), optional("st_entry_time", stamps),
+        optional("vehicle_dep_stop"), optional("vehicle_arr_stop"),
+        optional("st_exit_location"), optional("st_exit_time", stamps),
+        optional("comments")], permissive=permissive, diagnostics=diagnostics)
+    out = table.build(make)
     log.info("%s: %d manual trips", path, len(out))
     return out
 
@@ -518,15 +639,15 @@ def load_device_models(path, *, permissive: bool = False,
                        diagnostics: list[str] | None = None) -> list[DeviceModelEntry]:
     seen: set[int] = set()
 
-    def parse(cells: dict[str, str]) -> DeviceModelEntry:
-        device_id = _field(cells, "device_id", int)
+    def make(device_id: int, model: str) -> DeviceModelEntry:
         if device_id in seen:
             raise ValueError(f"duplicate device_id {device_id}")
         seen.add(device_id)
-        return DeviceModelEntry(device_id, cells.get("model", ""))
+        return DeviceModelEntry(device_id, model)
 
-    return _Rows(path, ["device_id", "model"], permissive=permissive,
-                 diagnostics=diagnostics).parse(parse)
+    return load_table(path, [Column("device_id", int),
+                             Column("model", required=False)],
+                      permissive=permissive, diagnostics=diagnostics).build(make)
 
 
 class TrainStops:

@@ -185,11 +185,11 @@ def write_match_csv(results: dict[int, object],
 
 
 def load_match_csv(path) -> dict[int, Recognition]:
-    out: dict[int, Recognition] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out[int(row["segment_id"])] = Recognition(
-                LineType(row["recd_type"]), row["recd_name"])
+    table = ingest.load_table(path, [
+        ingest.Column("segment_id", int), ingest.Column("recd_type", LineType),
+        ingest.Column("recd_name", required=False)])
+    out = dict(table.build(lambda segment_id, line_type, line_name:
+                           (segment_id, Recognition(line_type, line_name))))
     return dict(sorted(out.items()))
 
 

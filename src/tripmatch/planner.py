@@ -3,9 +3,8 @@
 Produces walk - one transit ride - walk itineraries for an origin,
 destination and earliest start. Walking is straight-line at a fixed speed;
 the walk to the boarding stop is scheduled to arrive exactly at departure, so
-itinerary durations carry no artificial origin wait. An external journey
-planner can stand in through the same query/response contract
-(ExternalPlannerAdapter).
+itinerary durations carry no artificial origin wait. Another planner can
+stand in by implementing the JourneyPlanner protocol.
 """
 from __future__ import annotations
 
@@ -369,58 +368,3 @@ def _dedupe(points: Sequence[GeoPoint]) -> list[GeoPoint]:
         if not out or p != out[-1]:
             out.append(p)
     return out
-
-
-class ExternalPlannerAdapter:
-    """Contract for delegating planning to an external journey planner.
-
-    Subclasses implement ``request`` and own the wire format. The request
-    payload carries origin/destination coordinates, the earliest start as an
-    ISO timestamp, the walk budget and the plan count; each response entry
-    must provide the fields needed to populate an Itinerary (times as ISO
-    strings, geometry as [lat, lng] pairs).
-    """
-
-    def request(self, payload: dict) -> list[dict]:
-        raise NotImplementedError
-
-    def plan(self, query: PlanQuery) -> PlanResult:
-        payload = {
-            "origin": {"lat": query.origin.lat, "lng": query.origin.lng},
-            "destination": {"lat": query.destination.lat,
-                            "lng": query.destination.lng},
-            "earliest_start": query.earliest_start.isoformat(sep=" "),
-            "max_walk_m": query.max_walk_m,
-            "n_plans": query.n_plans,
-        }
-        itineraries = [self._parse_itinerary(entry)
-                       for entry in self.request(payload)]
-        return PlanResult(itineraries) if itineraries else \
-            PlanResult([], reason="external planner returned no plans")
-
-    @staticmethod
-    def _parse_itinerary(entry: dict) -> Itinerary:
-        def ts(key_source: dict, name: str) -> datetime:
-            return datetime.fromisoformat(key_source[name])
-
-        transit = entry["transit"]
-        leg = TransitLeg(
-            line_type=LineType(transit["line_type"]),
-            line_name=transit.get("line_name", ""),
-            trip_id=transit.get("trip_id", ""),
-            board_stop=transit.get("board_stop", ""),
-            board_time=ts(transit, "board_time"),
-            alight_stop=transit.get("alight_stop", ""),
-            alight_time=ts(transit, "alight_time"),
-            geometry=tuple(GeoPoint(lat, lng)
-                           for lat, lng in transit["geometry"]),
-        )
-        start, end = ts(entry, "start_time"), ts(entry, "end_time")
-        return Itinerary(
-            start_time=start,
-            end_time=end,
-            walk_before_s=float(entry.get("walk_before_s", 0.0)),
-            transit=leg,
-            walk_after_s=float(entry.get("walk_after_s", 0.0)),
-            total_duration_s=(end - start).total_seconds(),
-        )

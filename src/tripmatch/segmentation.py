@@ -7,9 +7,10 @@ cross-reference only and never feed back into matching.
 from __future__ import annotations
 
 import csv
+from datetime import datetime
 from typing import Iterable, Sequence
 
-from .ingest import format_timestamp, parse_timestamp
+from .ingest import Column, Stamps, format_timestamp, load_table
 from .types import Activity, ActivitySegment, FilteredPoint, ManualTrip, seconds_between
 
 DEFAULT_MAX_GAP_S = 300.0
@@ -89,20 +90,17 @@ def load_segments_csv(path, filtered_points: Sequence[FilteredPoint],
     for stream in by_device.values():
         stream.sort(key=lambda p: p.time)
 
-    segments: list[ActivitySegment] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            device_id = int(row["device_id"])
-            start = parse_timestamp(row["start"])
-            end = parse_timestamp(row["end"])
-            activity = Activity(row["activity"])
-            pts = tuple(p for p in by_device.get(device_id, ())
-                        if start <= p.time <= end and p.activity is activity)
-            expected = int(row["n_points"])
-            if len(pts) != expected:
-                raise ValueError(
-                    f"segment {row['id']}: reconstructed {len(pts)} points, "
-                    f"expected {expected}; filtered table does not match")
-            segments.append(ActivitySegment(int(row["id"]), device_id,
-                                            activity, pts))
-    return segments
+    def make(segment_id: int, device_id: int, activity: Activity,
+             start: datetime, end: datetime, expected: int) -> ActivitySegment:
+        pts = tuple(p for p in by_device.get(device_id, ())
+                    if start <= p.time <= end and p.activity is activity)
+        if len(pts) != expected:
+            raise ValueError(
+                f"segment {segment_id}: reconstructed {len(pts)} points, "
+                f"expected {expected}; filtered table does not match")
+        return ActivitySegment(segment_id, device_id, activity, pts)
+
+    return load_table(path, [
+        Column("id", int), Column("device_id", int), Column("activity", Activity),
+        Column("start", Stamps()), Column("end", Stamps()),
+        Column("n_points", int)]).build(make)

@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -248,9 +249,10 @@ class ActivitySegment:
     def duration_s(self) -> float:
         return seconds_between(self.start_time, self.end_time)
 
-    @property
-    def trace(self) -> list[TracePoint]:
-        return [p.trace_point for p in self.points]
+    @cached_property
+    def trace(self) -> tuple[TracePoint, ...]:
+        """The points as trace points, built on first use."""
+        return tuple(p.trace_point for p in self.points)
 
     @property
     def midpoint_time(self) -> datetime:

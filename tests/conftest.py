@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import os
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -24,6 +25,7 @@ from tripmatch.types import (
 )
 from tripmatch import synthetic
 from tripmatch.config import DATA_DIR_ENV
+from tripmatch.ingest import IngestError
 
 DAY = date(2016, 8, 26)
 T0 = datetime(2016, 8, 26, 9, 0, 0)
@@ -124,3 +126,66 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# --- a row-by-row reference for the columnar table reader ---
+
+
+class RowError(Exception):
+    """A bad row: its message, and the column that it names, if any."""
+
+    def __init__(self, message: str, column: str | None = None):
+        super().__init__(message)
+        self.message = message
+        self.column = column
+
+
+def cell(cells: dict[str, str], column: str, parse=str, required: bool = True):
+    """parse of a stripped cell; a blank cell of a required column is a
+    missing value, and an absent column reads as a blank cell."""
+    value = cells.get(column, "")
+    if value == "" and required:
+        raise RowError("missing value", column)
+    try:
+        return parse(value)
+    except (ValueError, IngestError) as exc:
+        raise RowError(str(exc), column) from None
+
+
+def reference_table(path, parse_row, *, label=None, permissive=False):
+    """The rows of a CSV file parsed one at a time through csv.DictReader,
+    as the per-row loaders did: header names stripped and lowercased, cells
+    stripped, and a RowError from parse_row located at the row's line. A
+    row of blank cells that fails is skipped. Returns (rows, diagnostics),
+    or ("error", line, column, message) for the first bad row in strict
+    mode."""
+    label = path if label is None else label
+    out, diagnostics = [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        reader.fieldnames = [h.strip().lower() for h in reader.fieldnames or []]
+        for row in reader:
+            cells = {k: (v or "").strip() for k, v in row.items() if k is not None}
+            try:
+                out.append(parse_row(cells))
+            except RowError as exc:
+                if not "".join([*cells.values(), *row.get(None, [])]).strip():
+                    continue
+                where = f"{label}: line {reader.line_num}: "
+                if exc.column is not None:
+                    where += f"column {exc.column!r}: "
+                if not permissive:
+                    return "error", reader.line_num, exc.column, where + exc.message
+                diagnostics.append(f"skipped row: {where}{exc.message}")
+    return out, diagnostics
+
+
+def loader_outcome(load):
+    """load(diagnostics)'s rows and diagnostics, or its IngestError as
+    ("error", line, column, message), to compare with reference_table."""
+    diagnostics: list[str] = []
+    try:
+        rows = load(diagnostics)
+    except IngestError as err:
+        return "error", err.line, err.column, str(err)
+    return list(rows), diagnostics

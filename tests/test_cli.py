@@ -145,6 +145,26 @@ def test_evaluate_reads_segments_of_the_matching_run(synth, tmp_path, capsys):
     assert "missing stage output" in err and "segments.csv" in err
 
 
+def test_evaluate_with_bad_match_table_exits_1(synth, tmp_path, capsys):
+    out = tmp_path / "staged"
+    assert run_cli("run", "--config", synth.config_path, "--out", out) == 0
+    matches = out / "matches_static.csv"
+    header, first, *rest = matches.read_text().splitlines()
+    matches.write_text("\n".join([header.replace("recd_type", "kind"), first,
+                                  *rest]) + "\n")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", synth.config_path, "--out", out) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {matches}: missing required column(s) ['recd_type']")
+    cells = first.split(",")
+    cells[header.split(",").index("recd_type")] = "ZEPPELIN"
+    matches.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    assert run_cli("evaluate", "--config", synth.config_path, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"error: {matches}: line 2: column 'recd_type': 'ZEPPELIN' is not a "
+        "valid LineType\n")
+
+
 def test_methods_flag_limits_columns(synth, tmp_path, capsys):
     out = tmp_path / "newonly"
     assert run_cli("run", "--config", synth.config_path, "--out", out,

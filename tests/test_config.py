@@ -151,6 +151,15 @@ def test_live_sample_count_of_two_accepted(key):
     ({"date": "friday"}, "date: expected YYYY-MM-DD, got 'friday'"),
     ({"segmentation": 300}, "segmentation: expected a mapping, got 300"),
     ({"gates": 5}, "gates: expected a list of gates, got 5"),
+    ({"gates": [{"method": "combined", "metric": "public_transport", "min": "a"}]},
+     "gates[0]: min: expected a number, got 'a'"),
+    ({"gates": [{"method": "static", "metric": "car_recognized", "max": 0},
+                {"method": "static", "metric": "car_recognized", "max": [1]}]},
+     "gates[1]: max: expected a number, got [1]"),
+    ({"segmentation": {"max_gap_s": -5}},
+     "segmentation: max_gap_s: must be >= 0, got -5"),
+    ({"planner": {"search_window_s": -1.0}},
+     "planner: search_window_s: must be >= 0, got -1.0"),
 ])
 def test_bad_value_names_its_key(raw, message):
     with pytest.raises(ConfigError) as exc:

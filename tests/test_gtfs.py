@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripmatch import gtfs
+from conftest import cell, loader_outcome, reference_table
+from tripmatch import ingest
 from tripmatch.gtfs import (
     GtfsError,
+    GtfsStop,
+    GtfsTrip,
     gtfs_time_to_datetime,
     line_type_for_route_type,
     load_gtfs,
@@ -332,8 +335,112 @@ def test_columnar_stop_times_equal_row_parse(tmp_path_factory, feed):
         with zipfile.ZipFile(feed_path, "w") as zf:
             for f in (tmp_path / "feed").iterdir():
                 zf.write(f, f.name)
-    with mock.patch.object(gtfs, "_CHUNK_ROWS", chunk):
+    with mock.patch.multiple(ingest, _CHUNK_BYTES=chunk, _CHUNK_ROWS=chunk):
         bundle = load_gtfs(feed_path)
     got = [(r.trip_id, r.stop_id, r.arrival_s, r.departure_s, r.sequence)
            for r in bundle.stop_times]
     assert got == reference_stop_times(text.lstrip("\ufeff"))
+
+
+# --- stops, trips and stop_times with bad cells vs a row-by-row reference ---
+
+_gtfs_layouts = st.tuples(st.sampled_from(["", " "]),
+                          st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+                          st.sampled_from(["\n", "\r\n"]), st.booleans())
+
+
+def _feed_with(tmp_path, name, header, rows, layout):
+    """MINIMAL with rows appended to table name, laid out as drawn, and the
+    path of that table."""
+    pad, quoting, eol, bom = layout
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, quoting=quoting, lineterminator=eol)
+    writer.writerow(header)
+    writer.writerows(csv.reader(MINIMAL[name][1:]))
+    writer.writerows([pad + c + pad for c in row] for row in rows)
+    feed = write_feed(tmp_path, {k: v for k, v in MINIMAL.items() if k != name})
+    (feed / name).write_bytes((("\ufeff" if bom else "") + buf.getvalue())
+                              .encode("utf-8"))
+    return feed, feed / name
+
+
+def _mixed(good, bad):
+    return st.one_of(good, good, good, st.sampled_from(bad))
+
+
+_coordinate = st.decimals(min_value="-90", max_value="90", places=4).map(str)
+
+
+def _ref_stop_row(cells):
+    return GtfsStop(cells["stop_id"], cell(cells, "stop_name", required=False),
+                    cell(cells, "stop_lat", float, required=False),
+                    cell(cells, "stop_lon", float, required=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["A", "B", "C", "D"]),
+    st.sampled_from(["", "Main St", "a, b", 'say "hi"']),
+    _mixed(_coordinate, ["", "north", "1e"]),
+    _mixed(_coordinate, ["", "-", "0x10"])), max_size=8), _gtfs_layouts)
+def test_stops_agree_with_reference(tmp_path_factory, rows, layout):
+    feed, path = _feed_with(tmp_path_factory.mktemp("feed"), "stops.txt",
+                            ["stop_id", "stop_name", "stop_lat", "stop_lon"],
+                            rows, layout)
+    loaded = loader_outcome(lambda _: [load_gtfs(feed).stops])
+    expected = reference_table(path, _ref_stop_row, label="stops.txt")
+    if expected[0] != "error":
+        expected = [{s.stop_id: s for s in expected[0]}], []
+    assert loaded == expected
+
+
+def _ref_trip_row(cells):
+    return GtfsTrip(cells["trip_id"], cells["route_id"], cells["service_id"],
+                    cells.get("shape_id") or None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["t2", "t3", "x y", "t,4"]), st.just("r1"),
+    st.just("wd")), max_size=8), _gtfs_layouts)
+def test_trips_agree_with_reference(tmp_path_factory, rows, layout):
+    feed, path = _feed_with(tmp_path_factory.mktemp("feed"), "trips.txt",
+                            ["trip_id", "route_id", "service_id"], rows, layout)
+    expected, _ = reference_table(path, _ref_trip_row, label="trips.txt")
+    assert load_gtfs(feed).trips == {t.trip_id: t for t in expected}
+
+
+def _ref_stop_time_row(cells):
+    def clock(value):
+        return parse_gtfs_time(value) if value else None
+
+    def int32(value):
+        number = int(value)
+        if not -2**31 <= number < 2**31:
+            raise ValueError(f"{number} out of range")
+        return number
+
+    return (cells["trip_id"], cells["stop_id"],
+            cell(cells, "arrival_time", clock, required=False),
+            cell(cells, "departure_time", clock, required=False),
+            cell(cells, "stop_sequence", int32, required=False))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(
+    st.just("t1"), st.sampled_from("AB"),
+    _mixed(st.sampled_from(["", "10:20:00", "25:01:02"]), ["10:75:00", "x"]),
+    _mixed(st.sampled_from(["", "10:20:00", "9:05:00"]), ["1:2", "-1:00:00"]),
+    _mixed(st.integers(3, 99).map(str), ["", "1.5", "9999999999"])),
+    max_size=8, unique_by=lambda row: row[4]), _gtfs_layouts)
+def test_stop_times_with_bad_cells_agree_with_reference(tmp_path_factory, rows,
+                                                        layout):
+    feed, path = _feed_with(tmp_path_factory.mktemp("feed"), "stop_times.txt",
+                            STOP_TIMES_HEADER.split(","), rows, layout)
+    loaded = loader_outcome(lambda _: [
+        (r.trip_id, r.stop_id, r.arrival_s, r.departure_s, r.sequence)
+        for r in load_gtfs(feed).stop_times])
+    expected = reference_table(path, _ref_stop_time_row, label="stop_times.txt")
+    if expected[0] != "error":
+        expected = sorted(expected[0], key=lambda r: (r[0], r[4])), []
+    assert loaded == expected

@@ -1,3 +1,5 @@
+import csv
+import io
 from datetime import date, datetime
 from unittest import mock
 
@@ -5,9 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import RowError, cell, loader_outcome, reference_table
 from tripmatch import ingest
-from tripmatch.ingest import TRANSIT_LIVE_COLUMNS, IngestError
-from tripmatch.types import Activity, DevicePoint, FilteredPoint, LineType
+from tripmatch.ingest import (
+    FILTERED_COLUMNS,
+    MANUAL_LOG_ALL_COLUMNS,
+    TRANSIT_LIVE_COLUMNS,
+    IngestError,
+    format_timestamp,
+    parse_timestamp,
+)
+from tripmatch.types import (
+    LIVE_LINE_TYPES,
+    LOG_LINE_TYPES,
+    Activity,
+    DevicePoint,
+    FilteredPoint,
+    LineType,
+)
 
 DEVICE_HEADER = ("time,device_id,lat,lng,accuracy,activity_1,activity_1_conf,"
                  "activity_2,activity_2_conf,activity_3,activity_3_conf")
@@ -116,6 +133,16 @@ def test_filtered_unknown_activity_names_value(tmp_path):
                  "2016-08-26 09:00:00,1,60.17,24.94,FLYING")
     with pytest.raises(IngestError, match="'FLYING'"):
         ingest.load_filtered_data(path)
+
+
+def test_filtered_csv_error_is_located(tmp_path):
+    path = write(tmp_path, "f.csv", FILTERED_HEADER,
+                 "2016-08-26 09:00:00,1,60.17,24.94,STILL",
+                 f'2016-08-26 09:00:10,1,60.17,24.94,"{"x" * 200_000}"')
+    with pytest.raises(IngestError) as err:
+        ingest.load_filtered_data(path)
+    assert str(err.value) == (f"{path}: line 3: field larger than field limit "
+                              f"({csv.field_size_limit()})")
 
 
 def test_filtered_output_time_ordered(tmp_path):
@@ -345,11 +372,79 @@ def test_manual_log_round_trip(tmp_path_factory, trips):
     assert ingest.load_manual_log(path) == trips
 
 
-# --- columnar transit_live path agrees with the row path ---
+# --- every loader agrees with a row-by-row csv.DictReader reference ---
 
 _BOX = (59.5, 24.5, 60.5, 25.5)
 _DAY = date(2016, 8, 26)
 _LIVE_TYPES = ["SUBWAY", "BUS", "TRAM", "TRAIN", "FERRY"]
+
+
+def _ref_time(value):
+    return parse_timestamp(value, default_date=_DAY)
+
+
+def _ref_coordinate(noun, bound):
+    def parse(value):
+        number = float(value)
+        if not -bound <= number <= bound:
+            raise ValueError(f"{noun} {number} out of range [-{bound}, {bound}]")
+        return number
+    return parse
+
+
+_ref_lat = _ref_coordinate("latitude", 90)
+_ref_lng = _ref_coordinate("longitude", 180)
+
+
+def _ref_line_type(allowed):
+    def parse(value):
+        try:
+            line_type = LineType(value)
+        except ValueError:
+            raise ValueError(f"unknown line_type {value!r}") from None
+        if line_type not in allowed:
+            raise ValueError(f"line_type {value!r} not allowed here")
+        return line_type
+    return parse
+
+
+def _ref_activity(value):
+    try:
+        return Activity(value)
+    except ValueError:
+        raise ValueError(f"unknown activity kind {value!r}") from None
+
+
+def _ref_live_row(cells):
+    return VehiclePosition(
+        cell(cells, "time", _ref_time), cell(cells, "lat", _ref_lat),
+        cell(cells, "lng", _ref_lng),
+        cell(cells, "line_type", _ref_line_type(LIVE_LINE_TYPES)),
+        cell(cells, "line_name", required=False), cell(cells, "vehicle_ref"))
+
+
+def _reference_live(path, permissive):
+    """reference_table of transit_live.csv with the loader's diagnostics on
+    the rows it keeps."""
+    outcome = reference_table(path, _ref_live_row, permissive=permissive)
+    if outcome[0] == "error":
+        return outcome
+    rows, diagnostics = outcome
+    dupes = len(rows) - len(set(rows))
+    if dupes:
+        diagnostics.append(f"{dupes} duplicate identical row(s) retained")
+    lo_lat, lo_lng, hi_lat, hi_lng = _BOX
+    outside = sum(not (lo_lat <= r.lat <= hi_lat and lo_lng <= r.lng <= hi_lng)
+                  for r in rows)
+    if outside:
+        diagnostics.append(f"{outside} row(s) outside the configured bounding box")
+    return rows, diagnostics
+
+
+def _load_live(path, permissive=False):
+    return loader_outcome(lambda diagnostics: ingest.load_transit_live(
+        path, diagnostics=diagnostics, default_date=_DAY, bounding_box=_BOX,
+        permissive=permissive))
 
 
 def _stamp(t: datetime, form: str) -> str:
@@ -378,24 +473,6 @@ def _live_lines(draw_rows, pads):
     return lines
 
 
-def _load_both(path, **kw):
-    """(outcome of the columnar loader, outcome of the row path): rows and
-    diagnostics, or the raised IngestError's location and message."""
-    def run():
-        diagnostics = []
-        try:
-            rows = list(ingest.load_transit_live(
-                path, diagnostics=diagnostics, default_date=_DAY,
-                bounding_box=_BOX, **kw))
-        except IngestError as err:
-            return ("error", err.line, err.column, str(err))
-        return rows, diagnostics
-
-    columnar = run()
-    with mock.patch.object(ingest, "_read_fleet_columns", return_value=None):
-        return columnar, run()
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.lists(_live_cells, max_size=15), st.booleans())
 def test_columnar_loader_agrees_with_row_path(tmp_path_factory, data, rows,
@@ -408,14 +485,12 @@ def test_columnar_loader_agrees_with_row_path(tmp_path_factory, data, rows,
     path = tmp_path_factory.mktemp("cols") / "t.csv"
     path.write_text(eol.join([LIVE_HEADER] + _live_lines(rows, pads)) + eol,
                     encoding="utf-8")
-    columnar, row_path = _load_both(path)
-    assert columnar == row_path
-    positions, diagnostics = columnar
+    loaded = _load_live(path)
+    assert loaded == _reference_live(path, permissive=False)
+    positions, diagnostics = loaded
     dupes = len(positions) - len(set(positions))
     assert (f"{dupes} duplicate identical row(s) retained" in diagnostics) \
         == bool(dupes)
-    plain = all(r[1] == "plain" for r in rows) and 0 not in pads
-    assert (ingest._read_fleet_columns(path) is not None) == plain
 
 
 _BAD_CELLS = {
@@ -444,7 +519,118 @@ def test_corrupt_cell_fails_alike_on_both_paths(tmp_path_factory, column, bad,
     lines[k] = ",".join(cells)
     path = tmp_path_factory.mktemp("bad") / "t.csv"
     path.write_text("\n".join([LIVE_HEADER] + lines) + "\n", encoding="utf-8")
-    columnar, row_path = _load_both(path, permissive=permissive)
-    assert columnar == row_path
+    loaded = _load_live(path, permissive)
+    assert loaded == _reference_live(path, permissive)
     if column != "line_name" and not permissive:
-        assert columnar[0] == "error" and columnar[1] == k + 2
+        assert loaded[0] == "error" and loaded[1] == k + 2
+
+
+def _write_table(path, header, rows, layout):
+    """rows under header as CSV text laid out as drawn: padded cells, any
+    quoting, CRLF line ends, a BOM and blank lines between rows."""
+    pad, quoting, eol, bom, blank_every, _ = layout
+    lines = io.StringIO(newline="")
+    writer = csv.writer(lines, quoting=quoting, lineterminator=eol)
+    writer.writerow(header)
+    for k, row in enumerate(rows):
+        writer.writerow([pad + c + pad if c else c for c in row])
+        if blank_every and k % blank_every == 0:
+            lines.write(eol)
+    path.write_bytes((("\ufeff" if bom else "") + lines.getvalue()).encode("utf-8"))
+
+
+_layouts = st.tuples(st.sampled_from(["", " "]),
+                     st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+                     st.sampled_from(["\n", "\r\n"]), st.booleans(),
+                     st.sampled_from([0, 2, 5]),
+                     st.sampled_from([1, 100, 1 << 20]))  # bytes per chunk
+
+
+def _load(load, layout):
+    """loader_outcome of load, reading chunks of the drawn size."""
+    with mock.patch.object(ingest, "_CHUNK_BYTES", layout[-1]):
+        return loader_outcome(load)
+
+
+def _mixed(good, bad):
+    """Mostly good cells, sometimes a bad one."""
+    return st.one_of(good, good, good, st.sampled_from(bad))
+
+
+_stamps = _times.map(format_timestamp)
+_filtered_rows = st.lists(st.one_of(st.tuples(
+    _mixed(_stamps, ["", "2016-08-26 25:00:00", "09:00:00", "noon"]),
+    _mixed(st.integers(1, 9).map(str), ["", "x", "1.5"]),
+    _mixed(_lat.map(repr), ["", "north", "91"]),
+    _mixed(_lng.map(repr), ["", "-181", "1e"]),
+    _mixed(_activity.map(lambda a: a.value), ["", "FLYING", "walking"]),
+), st.sampled_from([("",) * 5, (" ",) * 5])), max_size=12)  # or a blank row
+
+
+def _ref_filtered_row(cells):
+    return FilteredPoint(cell(cells, "time", _ref_time),
+                         cell(cells, "device_id", int),
+                         cell(cells, "lat", _ref_lat), cell(cells, "lng", _ref_lng),
+                         cell(cells, "activity", _ref_activity))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_filtered_rows, _layouts, st.booleans())
+def test_filtered_loader_agrees_with_reference(tmp_path_factory, rows, layout,
+                                              permissive):
+    path = tmp_path_factory.mktemp("ref") / "f.csv"
+    _write_table(path, FILTERED_COLUMNS, rows, layout)
+    loaded = _load(lambda diagnostics: ingest.load_filtered_data(
+        path, permissive=permissive, diagnostics=diagnostics, default_date=_DAY),
+        layout)
+    expected = reference_table(path, _ref_filtered_row, permissive=permissive)
+    if expected[0] != "error":
+        points, diagnostics = expected
+        points.sort(key=lambda p: (p.time, p.device_id))
+        dupes = len(points) - len({(p.time, p.device_id) for p in points})
+        if dupes:
+            diagnostics.append(f"{dupes} row(s) share a (time, device_id) key")
+    assert loaded == expected
+
+
+_clock_or_blank = st.one_of(st.just(""), _stamps, _stamps.map(lambda s: s[11:]))
+_manual_rows = st.lists(st.tuples(
+    _mixed(st.integers(1, 9).map(str), ["", "one"]),
+    st.sampled_from(["", "A", "gate 2"]), _mixed(_clock_or_blank, ["later"]),
+    _mixed(st.sampled_from(["BUS", "TRAM", "SUBWAY", "TRAIN", "CAR"]),
+           ["", "FERRY", "ZEPPELIN"]),
+    st.sampled_from(["", "16", "M1"]), _mixed(_clock_or_blank, ["yesterday"]),
+    st.sampled_from(["", "plat 1"]), _mixed(_clock_or_blank, ["25:00:00"]),
+    st.sampled_from(["", "plat 2"]), st.sampled_from(["", "B"]),
+    _mixed(_clock_or_blank, ["x"]), st.sampled_from(["", "ok", "a, b"]),
+), max_size=10)
+
+
+def _ref_manual_row(cells):
+    def opt_time(column):
+        return cell(cells, column, lambda v: _ref_time(v) if v else None,
+                    required=False)
+
+    device_id = cell(cells, "device_id", int)
+    line_type = cell(cells, "line_type", _ref_line_type(LOG_LINE_TYPES))
+    dep, arr = opt_time("vehicle_dep_time"), opt_time("vehicle_arr_time")
+    entry, exit_ = opt_time("st_entry_time"), opt_time("st_exit_time")
+    if dep is not None and arr is not None and dep > arr:
+        raise RowError(f"vehicle_dep_time {format_timestamp(dep)} after "
+                       f"vehicle_arr_time {format_timestamp(arr)}")
+    return ManualTrip(device_id, line_type, cells["line_name"], dep, arr,
+                      cells["st_entrance"], entry, cells["vehicle_dep_stop"],
+                      cells["vehicle_arr_stop"], cells["st_exit_location"],
+                      exit_, cells["comments"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_manual_rows, _layouts, st.booleans())
+def test_manual_log_loader_agrees_with_reference(tmp_path_factory, rows,
+                                                layout, permissive):
+    path = tmp_path_factory.mktemp("ref") / "m.csv"
+    _write_table(path, MANUAL_LOG_ALL_COLUMNS, rows, layout)
+    loaded = _load(lambda diagnostics: ingest.load_manual_log(
+        path, permissive=permissive, diagnostics=diagnostics, default_date=_DAY),
+        layout)
+    assert loaded == reference_table(path, _ref_manual_row, permissive=permissive)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tripmatch.geodesy import distance_m, offset_point
 from tripmatch.gtfs import GtfsService, GtfsTrip
 from tripmatch.planner import (
-    ExternalPlannerAdapter,
     Itinerary,
     PlanError,
     PlanQuery,
@@ -346,47 +345,6 @@ def test_two_runs_of_one_trip_are_planned_apart():
         ("late", MIDNIGHT + timedelta(minutes=10)),
         ("t1000", MIDNIGHT + timedelta(hours=10)),
         ("late", MIDNIGHT + timedelta(days=1, minutes=10))]
-
-
-# --- external planner adapter contract ---
-
-class ScriptedPlanner(ExternalPlannerAdapter):
-    def __init__(self):
-        self.requests = []
-
-    def request(self, payload):
-        self.requests.append(payload)
-        return [{
-            "start_time": "2016-08-26 09:58:00",
-            "end_time": "2016-08-26 10:12:00",
-            "walk_before_s": 60.0,
-            "walk_after_s": 90.0,
-            "transit": {
-                "line_type": "TRAM",
-                "line_name": "7",
-                "trip_id": "ext-1",
-                "board_stop": "X",
-                "board_time": "2016-08-26 09:59:00",
-                "alight_stop": "Y",
-                "alight_time": "2016-08-26 10:10:30",
-                "geometry": [[60.17, 24.94], [60.18, 24.95]],
-            },
-        }]
-
-
-def test_external_adapter_round_trip():
-    adapter = ScriptedPlanner()
-    query = PlanQuery(GeoPoint(60.17, 24.94), GeoPoint(60.18, 24.95),
-                      datetime(2016, 8, 26, 9, 55), max_walk_m=1000, n_plans=3)
-    result = adapter.plan(query)
-    [it] = result.itineraries
-    assert it.transit.line_type is LineType.TRAM
-    assert it.transit.trip_id == "ext-1"
-    assert it.total_duration_s == 840.0
-    payload = adapter.requests[0]
-    assert payload["origin"] == {"lat": 60.17, "lng": 24.94}
-    assert payload["earliest_start"] == "2016-08-26 09:55:00"
-    assert payload["n_plans"] == 3
 
 
 def test_itinerary_invariants_enforced():
