@@ -14,7 +14,6 @@ from datetime import timedelta
 from pathlib import Path
 
 from . import pipeline, segmentation
-from .client_filter import OutOfOrderError
 from .config import (
     ALL_METHODS,
     ConfigError,
@@ -22,7 +21,6 @@ from .config import (
     STATIC,
     load_config,
 )
-from .gtfs import GtfsError
 from .ingest import IngestError
 from .live import score_vehicle, select_user_samples
 from .planner import PlanError, adjusted_query
@@ -33,8 +31,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_GATE_FAILURE = 2
 
-_INPUT_ERRORS = (ConfigError, IngestError, GtfsError, PlanError,
-                 OutOfOrderError, OSError, ValueError)
+_INPUT_ERRORS = (ConfigError, IngestError, PlanError, OSError, ValueError)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,9 +5,11 @@ well under 0.5% at city scale, which is negligible against the 100 m matching
 thresholds. Segment-interior distances use an equirectangular projection about
 the query point; projection error at sub-kilometre scale is below 0.1 m.
 
-The element-wise array forms (``distances_m``, ``points_to_segments_m``)
-evaluate the same formulas in the same order as the scalar ones, which stay
-the reference.
+The matchers use the array kernels: ``distances_m``, and
+``points_to_polylines_m``, the one point-to-polyline kernel of live and
+static matching. They evaluate the same formulas in the same order as the
+scalar ``distance_m``, ``point_to_segment_m`` and ``point_to_linestring_m``,
+which stay as the references the tests compare them with.
 """
 from __future__ import annotations
 
@@ -76,24 +78,39 @@ def point_to_segment_m(p: LatLng, a: LatLng, b: LatLng) -> float:
     return min(math.hypot(cx, cy), distance_m(p, a), distance_m(p, b))
 
 
-def points_to_segments_m(p_lat: np.ndarray, p_lng: np.ndarray,
-                         a_lat: np.ndarray, a_lng: np.ndarray,
-                         b_lat: np.ndarray, b_lng: np.ndarray,
-                         da: np.ndarray, db: np.ndarray) -> np.ndarray:
-    """Element-wise point_to_segment_m, given the endpoint distances
-    da = distances_m(p, a) and db = distances_m(p, b)."""
+def points_to_polylines_m(p_lat: np.ndarray, p_lng: np.ndarray,
+                          v_lat: np.ndarray, v_lng: np.ndarray,
+                          d_vertex: np.ndarray, starts: np.ndarray,
+                          ) -> np.ndarray:
+    """Element-wise point_to_linestring_m over (point, vertex) pairs grouped
+    consecutively: group k is pairs starts[k]:starts[k + 1], one point with
+    the vertices of its polyline in order, and d_vertex = distances_m(p, v)
+    of each pair. Returns each group's minimum distance; a one-vertex group
+    is plain point distance, and each segment is measured as in
+    point_to_segment_m."""
+    if not len(starts):
+        return np.empty(0)
+    first = np.zeros(len(d_vertex) + 1, dtype=bool)
+    first[starts] = True
+    first[-1] = True
+    d_pair = np.where(first[:-1] & first[1:], d_vertex, np.inf)
+    # a polyline's segments start at each of its vertices but the last
+    a = np.flatnonzero(~first[1:-1])
+    b = a + 1
+    p_lat, p_lng, da, db = p_lat[a], p_lng[a], d_vertex[a], d_vertex[b]
     cos_p = np.cos(np.radians(p_lat))
-    ax = np.radians(a_lng - p_lng) * cos_p * EARTH_RADIUS_M
-    ay = np.radians(a_lat - p_lat) * EARTH_RADIUS_M
-    bx = np.radians(b_lng - p_lng) * cos_p * EARTH_RADIUS_M
-    by = np.radians(b_lat - p_lat) * EARTH_RADIUS_M
+    ax = np.radians(v_lng[a] - p_lng) * cos_p * EARTH_RADIUS_M
+    ay = np.radians(v_lat[a] - p_lat) * EARTH_RADIUS_M
+    bx = np.radians(v_lng[b] - p_lng) * cos_p * EARTH_RADIUS_M
+    by = np.radians(v_lat[b] - p_lat) * EARTH_RADIUS_M
     dx, dy = bx - ax, by - ay
     seg_len2 = dx * dx + dy * dy
     with np.errstate(divide="ignore", invalid="ignore"):
         t = -(ax * dx + ay * dy) / seg_len2
     interior = np.minimum(np.hypot(ax + t * dx, ay + t * dy), np.minimum(da, db))
-    return np.where((seg_len2 == 0.0) | (t <= 0.0), da,
-                    np.where(t >= 1.0, db, interior))
+    d_pair[a] = np.where((seg_len2 == 0.0) | (t <= 0.0), da,
+                         np.where(t >= 1.0, db, interior))
+    return np.minimum.reduceat(d_pair, starts)
 
 
 def point_to_linestring_m(p: LatLng, line: Sequence[LatLng]) -> float:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geodesy import EARTH_RADIUS_M, distances_m, points_to_segments_m
+from .geodesy import EARTH_RADIUS_M, distances_m, points_to_polylines_m
 from .types import (
     ActivitySegment,
     FleetColumns,
@@ -98,28 +98,24 @@ class PositionIndex:
         return (self._names[self._line_name[row]],
                 LINE_TYPES[self._line_type[row]], from_seconds(self.times_s[row]))
 
-    def _window(self, t0: datetime, t1: datetime) -> tuple[np.ndarray, np.ndarray]:
-        """Rows with t0 <= time <= t1 grouped by vehicle, and the index of
-        each vehicle's first row among them."""
-        lo = self._fixes_before(as_seconds(t0), "left")
-        hi = self._fixes_before(as_seconds(t1), "right")
-        rows = np.sort(self._by_time[lo:hi])
-        starts = np.flatnonzero(np.diff(self._key[rows] // self._stride,
-                                        prepend=-1))
-        return rows, starts
-
     def vehicles_in_range(self, t0: datetime, t1: datetime) -> list[str]:
         """Vehicles with a fix in the closed window [t0, t1], in ref order."""
-        rows, starts = self._window(t0, t1)
-        slots = self._key[rows[starts]] // self._stride
+        lo = self._fixes_before(as_seconds(t0), "left")
+        hi = self._fixes_before(as_seconds(t1), "right")
+        slots = np.unique(self._key[self._by_time[lo:hi]] // self._stride)
         return [self.vehicle_refs[v] for v in slots.tolist()]
 
-    def boxes_in_range(self, t0: datetime, t1: datetime) -> np.ndarray:
-        """(min_lat, min_lng, max_lat, max_lng) of each vehicle's fixes in
-        [t0, t1], one row per vehicle of vehicles_in_range(t0, t1)."""
-        rows, starts = self._window(t0, t1)
-        if not len(rows):
+    def boxes_in_range(self, t0: datetime, t1: datetime,
+                       slots: np.ndarray) -> np.ndarray:
+        """(min_lat, min_lng, max_lat, max_lng) of the fixes in [t0, t1] of
+        each vehicle of slots, which must all have one there."""
+        lo, hi = self.windows(slots, np.array([as_seconds(t0)]),
+                              np.array([as_seconds(t1)]))
+        counts = (hi - lo)[:, 0]
+        if not len(counts):
             return np.empty((0, 4))
+        starts = np.cumsum(counts) - counts
+        rows = np.arange(counts.sum()) + np.repeat(lo[:, 0] - starts, counts)
         lats, lngs = self.lats[rows], self.lngs[rows]
         return np.column_stack([np.minimum.reduceat(lats, starts),
                                 np.minimum.reduceat(lngs, starts),
@@ -133,7 +129,7 @@ class PositionIndex:
         a fix is at or after t0 iff no fewer fixes are earlier than it than
         are earlier than t0, and at or before t1 iff fewer fixes are earlier
         than it than are at or before t1."""
-        base = slots.astype(np.int64)[:, None] * self._stride
+        base = np.asarray(slots, dtype=np.int64)[:, None] * self._stride
         lo = np.searchsorted(self._key, base + self._fixes_before(t0_s, "left"))
         hi = np.searchsorted(self._key, base + self._fixes_before(t1_s, "right"))
         return lo, hi
@@ -198,19 +194,12 @@ def _score_windows(samples: Sequence[TracePoint], slots: np.ndarray,
     p_lat, p_lng = s_lat[sample], s_lng[sample]
     lats, lngs = index.lats[row], index.lngs[row]
     d_point = distances_m(p_lat, p_lng, lats, lngs)
-    if use_linestring:
-        # the window's segments start at every pair but a window's last;
-        # a one-fix window is its fix
-        d_pair = np.where(counts[window] > 1, np.inf, d_point)
-        seg = np.flatnonzero(window[:-1] == window[1:])
-        d_pair[seg] = points_to_segments_m(
-            p_lat[seg], p_lng[seg], lats[seg], lngs[seg], lats[seg + 1],
-            lngs[seg + 1], d_point[seg], d_point[seg + 1])
-    else:
-        d_pair = d_point
     windowed = np.flatnonzero(counts)
     starts = first[windowed]
-    d = np.minimum.reduceat(d_pair, starts) if len(starts) else np.empty(0)
+    if use_linestring:
+        d = points_to_polylines_m(p_lat, p_lng, lats, lngs, d_point, starts)
+    else:
+        d = np.minimum.reduceat(d_point, starts) if len(starts) else np.empty(0)
     return _Windows(counts, windowed, starts, d, window, row, d_point)
 
 
@@ -302,7 +291,8 @@ def _match(segment: ActivitySegment, cfg: LiveMatchConfig, index: PositionIndex,
     seg_box = _segment_bbox(samples, cfg.bbox_margin_m)
 
     refs = index.vehicles_in_range(t0, t1)
-    boxes = index.boxes_in_range(t0, t1)
+    slots = np.array([index.slot(ref) for ref in refs])
+    boxes = index.boxes_in_range(t0, t1, slots)
     overlap = ~((seg_box[2] < boxes[:, 0]) | (boxes[:, 2] < seg_box[0])
                 | (seg_box[3] < boxes[:, 1]) | (boxes[:, 3] < seg_box[1]))
     candidates = list(compress(refs, overlap))
@@ -310,7 +300,7 @@ def _match(segment: ActivitySegment, cfg: LiveMatchConfig, index: PositionIndex,
         return None
     # one pass over every candidate drops those score_vehicle would reject
     # for want of quorum, by the same count and the same float test
-    slots = np.array([index.slot(ref) for ref in candidates])
+    slots = slots[overlap]
     w = _score_windows(samples, slots, cfg, index, use_linestring)
     matched = np.bincount(w.windowed[w.d <= cfg.distance_limit_m] // len(samples),
                           minlength=len(candidates))

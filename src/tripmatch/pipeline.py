@@ -114,6 +114,7 @@ def build_position_index(cfg: RunConfig) -> PositionIndex:
 
 def build_planner(cfg: RunConfig) -> JourneyPlanner:
     return TimetablePlanner(load_gtfs(cfg.require_gtfs()), cfg.date,
+                            cfg.constants.walk_speed_mps,
                             search_window_s=cfg.planner_search_window_s)
 
 

@@ -15,11 +15,10 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .geodesy import distance_m
+from .geodesy import distances_m
 from .gtfs import UNTIMED, GtfsBundle, GtfsStop, gtfs_time_to_datetime
 from .types import ActivitySegment, GeoPoint, LineType
 
-WALK_SPEED_MPS = 1.34
 DEFAULT_WALK_BACK_S = 372.0     # earliest-start adjustment: 500 m at walk speed
 DEFAULT_MAX_WALK_M = 1000.0     # 2 x 500 m transition-point slack
 DEFAULT_N_PLANS = 3
@@ -115,37 +114,6 @@ def adjusted_query(segment: ActivitySegment,
     )
 
 
-class StopGrid:
-    """Uniform lat/lng grid over stops for radius queries."""
-
-    def __init__(self, stops: Sequence[GtfsStop], cell_deg: float = 0.01):
-        self.cell_deg = cell_deg
-        self._cells: dict[tuple[int, int], list[GtfsStop]] = {}
-        for stop in stops:
-            self._cells.setdefault(self._key(stop.lat, stop.lng), []).append(stop)
-
-    def _key(self, lat: float, lng: float) -> tuple[int, int]:
-        return (math.floor(lat / self.cell_deg), math.floor(lng / self.cell_deg))
-
-    def stops_within(self, center: GeoPoint, radius_m: float,
-                     ) -> list[tuple[GtfsStop, float]]:
-        dlat = math.degrees(radius_m / 6_371_000.0)
-        dlng = dlat / max(0.01, math.cos(math.radians(center.lat)))
-        lat_lo, lat_hi = center.lat - dlat, center.lat + dlat
-        lng_lo, lng_hi = center.lng - dlng, center.lng + dlng
-        out: list[tuple[GtfsStop, float]] = []
-        for ky in range(math.floor(lat_lo / self.cell_deg),
-                        math.floor(lat_hi / self.cell_deg) + 1):
-            for kx in range(math.floor(lng_lo / self.cell_deg),
-                            math.floor(lng_hi / self.cell_deg) + 1):
-                for stop in self._cells.get((ky, kx), ()):
-                    d = distance_m(center, stop.geo)
-                    if d <= radius_m:
-                        out.append((stop, d))
-        out.sort(key=lambda item: (item[1], item[0].stop_id))
-        return out
-
-
 class TimetablePlanner:
     """Embedded single-leg planner over a GTFS bundle bound to one date.
 
@@ -158,8 +126,7 @@ class TimetablePlanner:
     instances follow (trip_id, day) order.
     """
 
-    def __init__(self, gtfs: GtfsBundle, day: date,
-                 walk_speed_mps: float = WALK_SPEED_MPS,
+    def __init__(self, gtfs: GtfsBundle, day: date, walk_speed_mps: float,
                  search_window_s: float = 7200.0):
         self.gtfs = gtfs
         self.day = day
@@ -176,8 +143,10 @@ class TimetablePlanner:
             [t in yesterday for t in st.trip_ids], dtype=bool)
         if not today and not runs_late.any():
             raise PlanError(f"no GTFS services active on {day}")
-        self.grid = StopGrid(list(gtfs.stops.values()))
         self._stop_code = {sid: i for i, sid in enumerate(st.stop_ids)}
+        self._stops = sorted(gtfs.stops.values(), key=lambda s: s.stop_id)
+        self._stop_lat = np.array([s.lat for s in self._stops])
+        self._stop_lng = np.array([s.lng for s in self._stops])
 
         # instances in (trip, shift) order: the day before's run first
         trip = np.concatenate([np.flatnonzero(runs_late), np.flatnonzero(runs_today)])
@@ -219,12 +188,22 @@ class TimetablePlanner:
     def _service_seconds(self, t: datetime) -> float:
         return (t - self._midnight).total_seconds()
 
+    def stops_within(self, center: GeoPoint, radius_m: float,
+                     ) -> list[tuple[GtfsStop, float]]:
+        """Every stop within radius_m of center with its distance, nearest
+        first; stops at equal distance in stop_id order."""
+        d = distances_m(center.lat, center.lng, self._stop_lat, self._stop_lng)
+        near = np.flatnonzero(d <= radius_m)
+        near = near[np.argsort(d[near], kind="stable")]
+        return [(self._stops[i], dist)
+                for i, dist in zip(near.tolist(), d[near].tolist())]
+
     def plan(self, query: PlanQuery) -> PlanResult:
-        origin_stops = self.grid.stops_within(query.origin, query.max_walk_m)
+        origin_stops = self.stops_within(query.origin, query.max_walk_m)
         if not origin_stops:
             return PlanResult([], reason=(
                 f"no stops within {query.max_walk_m:.0f} m of origin"))
-        dest_stops = self.grid.stops_within(query.destination, query.max_walk_m)
+        dest_stops = self.stops_within(query.destination, query.max_walk_m)
         if not dest_stops:
             return PlanResult([], reason=(
                 f"no stops within {query.max_walk_m:.0f} m of destination"))
@@ -337,8 +316,9 @@ class TimetablePlanner:
         shape_id = self.gtfs.trips[st.trip_ids[trip]].shape_id
         shape = self.gtfs.shapes.get(shape_id) if shape_id else None
         if shape:
-            i = min(range(len(shape)), key=lambda k: distance_m(shape[k], board_geo))
-            j = min(range(len(shape)), key=lambda k: distance_m(shape[k], alight_geo))
+            lat, lng = np.array(shape).T
+            i = int(np.argmin(distances_m(lat, lng, *board_geo)))
+            j = int(np.argmin(distances_m(lat, lng, *alight_geo)))
             if i < j:
                 pts = _dedupe([board_geo, *shape[i:j + 1], alight_geo])
                 if len(pts) >= 2:

@@ -7,6 +7,7 @@ cross-reference only and never feed back into matching.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left, bisect_right
 from datetime import datetime
 from typing import Iterable, Sequence
 
@@ -92,8 +93,10 @@ def load_segments_csv(path, filtered_points: Sequence[FilteredPoint],
 
     def make(segment_id: int, device_id: int, activity: Activity,
              start: datetime, end: datetime, expected: int) -> ActivitySegment:
-        pts = tuple(p for p in by_device.get(device_id, ())
-                    if start <= p.time <= end and p.activity is activity)
+        stream = by_device.get(device_id, [])
+        lo = bisect_left(stream, start, key=lambda p: p.time)
+        hi = bisect_right(stream, end, key=lambda p: p.time)
+        pts = tuple(p for p in stream[lo:hi] if p.activity is activity)
         if len(pts) != expected:
             raise ValueError(
                 f"segment {segment_id}: reconstructed {len(pts)} points, "

@@ -12,10 +12,12 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geodesy import distance_m, point_to_linestring_m, resample_min_spacing
+import numpy as np
+
+from .geodesy import distances_m, points_to_polylines_m, resample_min_spacing
 from .ingest import format_timestamp
 from .planner import Itinerary, JourneyPlanner, PlanQuery, adjusted_query
-from .types import ActivitySegment, LineType, TracePoint
+from .types import ActivitySegment, LineType
 
 
 @dataclass(frozen=True)
@@ -92,6 +94,9 @@ class PlanAssessment:
         return self.verdict is Verdict.ACCEPT
 
 
+_MAX_PAIRS = 1 << 14    # per route-check kernel call: dense shapes are long
+
+
 def route_geometry_check(segment: ActivitySegment, itinerary: Itinerary,
                          constants: MatchConstants,
                          ) -> tuple[float, int, bool]:
@@ -101,28 +106,33 @@ def route_geometry_check(segment: ActivitySegment, itinerary: Itinerary,
     along-trace of either end are ignored (transition points are inaccurate).
     Returns (matched fraction, longest unmatched adjacent run, passed).
     """
-    samples: list[TracePoint] = resample_min_spacing(
-        segment.trace, constants.resample_spacing_m)
+    samples = resample_min_spacing(segment.trace, constants.resample_spacing_m)
+    lat, lng = np.array([(p.lat, p.lng) for p in samples]).T
     # cumulative along-trace distance of each resampled point
-    cumulative = [0.0]
-    for a, b in zip(samples, samples[1:]):
-        cumulative.append(cumulative[-1] + distance_m(a.geo, b.geo))
-    total = cumulative[-1]
-    interior = [p for p, c in zip(samples, cumulative)
-                if c >= constants.dEmax_m and total - c >= constants.dEmax_m]
-    if not interior:
-        interior = samples
+    cumulative = np.cumsum(np.concatenate(
+        [[0.0], distances_m(lat[:-1], lng[:-1], lat[1:], lng[1:])]))
+    interior = ((cumulative >= constants.dEmax_m)
+                & (cumulative[-1] - cumulative >= constants.dEmax_m))
+    if interior.any():
+        lat, lng = lat[interior], lng[interior]
 
-    line = itinerary.transit.geometry
-    flags = [point_to_linestring_m(p.geo, line) <= constants.route_limit_m
-             for p in interior]
-    matched = sum(flags)
-    fraction = matched / len(flags)
-    longest_gap = 0
-    run = 0
-    for ok in flags:
-        run = 0 if ok else run + 1
-        longest_gap = max(longest_gap, run)
+    # each interior point paired with every plan vertex, in bounded blocks
+    line_lat, line_lng = np.array(itinerary.transit.geometry).T
+    m = len(line_lat)
+    block = max(1, _MAX_PAIRS // m)
+    d = []
+    for i in range(0, len(lat), block):
+        p_lat, p_lng = np.repeat(lat[i:i + block], m), np.repeat(lng[i:i + block], m)
+        v_lat, v_lng = np.resize(line_lat, len(p_lat)), np.resize(line_lng, len(p_lat))
+        d.append(points_to_polylines_m(p_lat, p_lng, v_lat, v_lng,
+                                       distances_m(p_lat, p_lng, v_lat, v_lng),
+                                       np.arange(0, len(p_lat), m)))
+    matched = np.concatenate(d) <= constants.route_limit_m
+    fraction = int(np.count_nonzero(matched)) / len(matched)
+    # the longest run of unmatched points lies between two matched ones,
+    # with one matched point imagined before and after the trace
+    longest_gap = int(np.diff(np.flatnonzero(
+        np.concatenate([[True], matched, [True]]))).max()) - 1
     passed = (fraction >= constants.route_quorum
               and longest_gap <= constants.max_adjacent_outside)
     return fraction, longest_gap, passed

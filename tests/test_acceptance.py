@@ -37,7 +37,7 @@ from tripmatch.static import MatchConstants, filter_plan
 from tripmatch.types import Activity, GeoPoint, LineType
 
 from test_live import _exact_match_setup, _riding_setup
-from test_planner import _random_bundle, oracle_plan
+from test_planner import WALK_MPS, _random_bundle, oracle_plan
 from test_static import plan_for, straight_segment
 
 
@@ -317,7 +317,7 @@ def test_criterion_7c_planner_brute_force_equivalence():
         for seed in range(40):
             rng = random.Random(seed)
             bundle = _random_bundle(rng)
-            planner = TimetablePlanner(bundle, DAY)
+            planner = TimetablePlanner(bundle, DAY, WALK_MPS)
             query = PlanQuery(
                 offset_point(GeoPoint(60.17, 24.94), rng.uniform(-2500, 2500),
                              rng.uniform(-2500, 2500)),

@@ -165,6 +165,29 @@ def test_evaluate_with_bad_match_table_exits_1(synth, tmp_path, capsys):
         "valid LineType\n")
 
 
+def test_evaluate_with_a_point_missing_from_the_filtered_table_exits_1(
+        synth, tmp_path, capsys):
+    out = tmp_path / "staged"
+    assert run_cli("run", "--config", synth.config_path, "--out", out) == 0
+    data_dir = tmp_path / "data"
+    shutil.copytree(synth.root, data_dir,
+                    ignore=shutil.ignore_patterns("out", "gtfs", "*.yaml",
+                                                  "truth.json"))
+    filtered = data_dir / "device_data_filtered.csv"
+    header, *rows = filtered.read_text().splitlines()
+    del rows[len(rows) // 2]
+    filtered.write_text("\n".join([header, *rows]) + "\n")
+    raw = yaml.safe_load(Path(synth.config_path).read_text())
+    raw.update(data_dir=str(data_dir), gtfs=str(synth.root / "gtfs"))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", cfg, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'segments.csv'}: line ")
+    assert "reconstructed" in err and "filtered table does not match" in err
+
+
 def test_methods_flag_limits_columns(synth, tmp_path, capsys):
     out = tmp_path / "newonly"
     assert run_cli("run", "--config", synth.config_path, "--out", out,

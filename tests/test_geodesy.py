@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripmatch.geodesy import (
     distance_m,
+    distances_m,
     offset_point,
     point_to_linestring_m,
+    points_to_polylines_m,
     resample_min_spacing,
     trace_length_m,
 )
@@ -50,22 +53,51 @@ def test_triangle_inequality(a, b, c):
     assert distance_m(a, c) <= distance_m(a, b) + distance_m(b, c) + 1e-6
 
 
+def polylines_m(groups):
+    """points_to_polylines_m over (point, polyline) groups, each point
+    paired with every vertex of its polyline."""
+    p_lat, p_lng, v_lat, v_lng, starts = [], [], [], [], []
+    for p, line in groups:
+        starts.append(len(v_lat))
+        p_lat += [p[0]] * len(line)
+        p_lng += [p[1]] * len(line)
+        v_lat += [v[0] for v in line]
+        v_lng += [v[1] for v in line]
+    p_lat, p_lng, v_lat, v_lng = map(np.array, (p_lat, p_lng, v_lat, v_lng))
+    return points_to_polylines_m(p_lat, p_lng, v_lat, v_lng,
+                                 distances_m(p_lat, p_lng, v_lat, v_lng),
+                                 np.array(starts, dtype=np.intp)).tolist()
+
+
+def kernel_linestring_m(p, line):
+    """point_to_linestring_m through the array kernel, as one group."""
+    [d] = polylines_m([(p, line)])
+    return d
+
+
+# the scalar reference and the array kernel answer every property alike
+LINESTRING_FORMS = (point_to_linestring_m, kernel_linestring_m)
+
+
 def test_point_on_vertex_is_zero():
     line = [GeoPoint(60.17, 24.94), GeoPoint(60.18, 24.94)]
-    assert point_to_linestring_m(line[0], line) == 0.0
+    for to_line in LINESTRING_FORMS:
+        assert to_line(line[0], line) == 0.0
 
 
 def test_perpendicular_offset_is_100m():
     # meridian segment through (60.17, 24.94); p constructed 100 m east
     line = [GeoPoint(60.16, 24.94), GeoPoint(60.18, 24.94)]
     p = GeoPoint(60.17, EAST_100M_LNG)
-    assert point_to_linestring_m(p, line) == pytest.approx(100.0, abs=1.0)
+    for to_line in LINESTRING_FORMS:
+        assert to_line(p, line) == pytest.approx(100.0, abs=1.0)
 
 
 def test_single_point_linestring_degenerates_to_distance():
     p = GeoPoint(60.17, 24.94)
     q = GeoPoint(60.18, 24.95)
     assert point_to_linestring_m(p, [q]) == distance_m(p, q)
+    assert kernel_linestring_m(p, [q]) == distances_m(p.lat, p.lng, q.lat, q.lng)
 
 
 def test_empty_linestring_rejected():
@@ -76,8 +108,9 @@ def test_empty_linestring_rejected():
 def test_beyond_endpoint_uses_endpoint_distance():
     line = [GeoPoint(60.17, 24.94), GeoPoint(60.171, 24.94)]
     p = GeoPoint(60.169, 24.94)  # south of the southern endpoint
-    assert point_to_linestring_m(p, line) == pytest.approx(
-        distance_m(p, line[0]), abs=0.01)
+    for to_line in LINESTRING_FORMS:
+        assert to_line(p, line) == pytest.approx(distance_m(p, line[0]),
+                                                 abs=0.01)
 
 
 @settings(max_examples=200)
@@ -92,8 +125,42 @@ def test_linestring_distance_bounded_by_vertex_distances(lat, lng, offs, p_off):
     origin = GeoPoint(lat, lng)
     line = [offset_point(origin, e, n) for e, n in offs]
     p = offset_point(origin, *p_off)
-    d = point_to_linestring_m(p, line)
-    assert d <= min(distance_m(p, v) for v in line) + 1e-6
+    for to_line in LINESTRING_FORMS:
+        assert to_line(p, line) <= min(distance_m(p, v) for v in line) + 1e-6
+
+
+# vertex offsets from a small grid, so that polylines repeat vertices
+grid_offsets = st.tuples(st.sampled_from([-1500.0, -40.0, 0.0, 40.0, 1500.0]),
+                         st.sampled_from([-1500.0, -40.0, 0.0, 40.0, 1500.0]))
+any_offsets = st.tuples(st.floats(-3000, 3000), st.floats(-3000, 3000))
+
+
+@st.composite
+def point_and_polyline(draw):
+    """A polyline of one or more vertices, some repeated, and a point near
+    it, anywhere or past either end of the polyline."""
+    offs = draw(st.lists(grid_offsets | any_offsets, min_size=1, max_size=6))
+    where = draw(st.sampled_from(["anywhere", "past first", "past last"]))
+    if where == "anywhere" or len(offs) == 1 or offs[0] == offs[1] \
+            or offs[-1] == offs[-2]:
+        p_off = draw(st.tuples(st.floats(-4000, 4000), st.floats(-4000, 4000)))
+    else:
+        # on the line through the end segment, beyond its end vertex
+        (e0, n0), (e1, n1) = offs[:2] if where == "past first" else offs[:-3:-1]
+        k = draw(st.floats(0.01, 2.0))
+        p_off = (e0 + k * (e0 - e1), n0 + k * (n0 - n1))
+    return p_off, offs
+
+
+@settings(max_examples=200)
+@given(st.floats(-60, 60), st.floats(-179, 179),
+       st.lists(point_and_polyline(), min_size=1, max_size=8))
+def test_kernel_equals_scalar_reference(lat, lng, groups):
+    origin = GeoPoint(lat, lng)
+    geo = [(offset_point(origin, *p_off), [offset_point(origin, *o) for o in offs])
+           for p_off, offs in groups]
+    for d, (p, line) in zip(polylines_m(geo), geo):
+        assert d == pytest.approx(point_to_linestring_m(p, line), abs=1e-9)
 
 
 def _chain(origin: GeoPoint, step_m: float, n: int) -> list[GeoPoint]:

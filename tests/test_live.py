@@ -44,6 +44,12 @@ def index_of(rows):
     return PositionIndex(FleetColumns.from_positions(rows))
 
 
+def boxes_of(index, t0, t1):
+    """boxes_in_range of the vehicles of vehicles_in_range, as _match asks."""
+    slots = [index.slot(ref) for ref in index.vehicles_in_range(t0, t1)]
+    return index.boxes_in_range(t0, t1, np.array(slots, dtype=np.int64))
+
+
 def trace_points(specs):
     return [TracePoint(at(s), p.lat, p.lng) for s, p in specs]
 
@@ -82,14 +88,14 @@ def test_shift_handover_gap_is_not_in_range():
     index = index_of([vp(-600, BASE, ref="v1"), vp(600, BASE, ref="v1"),
                       vp(0, BASE, ref="v2")])
     assert index.vehicles_in_range(at(-300), at(300)) == ["v2"]
-    assert index.boxes_in_range(at(-300), at(300)).shape == (1, 4)
+    assert boxes_of(index, at(-300), at(300)).shape == (1, 4)
 
 
 def test_fix_at_either_window_end_is_in_range():
     index = index_of([vp(-300, BASE, ref="vb"), vp(300, BASE, ref="va")])
     assert index.vehicles_in_range(at(-300), at(300)) == ["va", "vb"]
     assert index.vehicles_in_range(at(-299), at(299)) == []
-    assert index.boxes_in_range(at(-299), at(299)).shape == (0, 4)
+    assert boxes_of(index, at(-299), at(299)).shape == (0, 4)
 
 
 @settings(max_examples=100, deadline=None)
@@ -110,7 +116,7 @@ def test_index_window_queries_agree_with_brute_force(fixes, start, span):
                  max(r.lat for r in inside if r.vehicle_ref == ref),
                  max(r.lng for r in inside if r.vehicle_ref == ref))
                 for ref in refs]
-    assert [tuple(b) for b in index.boxes_in_range(t0, t1).tolist()] == expected
+    assert [tuple(b) for b in boxes_of(index, t0, t1).tolist()] == expected
     lo, hi = index.windows(np.arange(len(index)), np.array([as_seconds(t0)]),
                            np.array([as_seconds(t1)]))
     assert [sorted(r.time for r in inside if r.vehicle_ref == ref)

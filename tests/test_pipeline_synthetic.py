@@ -2,14 +2,18 @@
 every planted ride must be found by the methods that can see it, the car must
 never be recognised, and stage outputs must reload cleanly."""
 import json
+from pathlib import Path
 
 import pytest
+import yaml
 
 from tripmatch import pipeline, segmentation
-from tripmatch.config import load_config
+from tripmatch.config import config_from_dict, load_config
+from tripmatch.geodesy import distance_m
 from tripmatch.evaluation import COMBINED
 from tripmatch.ingest import parse_timestamp
 from tripmatch.live import NEW_LIVE, OLD_LIVE
+from tripmatch.planner import adjusted_query
 from tripmatch.types import LineType
 
 
@@ -137,3 +141,25 @@ def test_jobs_parallel_run_identical(run, synth, tmp_path_factory):
     assert parallel.evaluation.report_text == outputs.evaluation.report_text
     assert ((parallel.out_dir / pipeline.MATCH_FILES[NEW_LIVE]).read_text()
             == (outputs.out_dir / pipeline.MATCH_FILES[NEW_LIVE]).read_text())
+
+
+def test_planner_walks_at_the_configured_walk_speed(synth):
+    raw = yaml.safe_load(Path(synth.config_path).read_text())
+    raw["static"] = {"walk_speed_mps": 1.25, "walk_before_max_s": 402,
+                     "walk_after_max_s": 402, "walk_delta_max_s": 804,
+                     "total_delta_max_s": 1140}
+    cfg = config_from_dict(raw, base_dir=Path(synth.config_path).parent)
+    planner = pipeline.build_planner(cfg)
+    itineraries = []
+    for seg in segmentation.vehicular_candidates(pipeline.build_segments(cfg)):
+        query = adjusted_query(seg, walk_back_s=cfg.constants.walk_before_max_s,
+                               max_walk_m=2 * cfg.constants.dEmax_m)
+        for it in planner.plan(query).itineraries:
+            itineraries.append(it)
+            d_board = distance_m(query.origin,
+                                 planner.gtfs.stops[it.transit.board_stop].geo)
+            d_alight = distance_m(query.destination,
+                                  planner.gtfs.stops[it.transit.alight_stop].geo)
+            assert it.walk_before_s == pytest.approx(d_board / 1.25, rel=1e-9)
+            assert it.walk_after_s == pytest.approx(d_alight / 1.25, rel=1e-9)
+    assert itineraries

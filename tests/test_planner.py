@@ -1,3 +1,4 @@
+import math
 import random
 from datetime import date, datetime, timedelta
 
@@ -21,15 +22,17 @@ from conftest import DAY, at, fp, make_bundle, segment_of
 
 BASE = GeoPoint(60.17, 24.94)
 S9 = 9 * 3600  # service seconds at 09:00
+WALK_MPS = 1.34
 
 
 def grid_stop(e, n):
     return offset_point(BASE, e, n)
 
 
-def simple_bundle(extra_trips=()):
+def simple_bundle(extra_trips=(), extra_stops=()):
     a, b, c = grid_stop(0, 0), grid_stop(0, 1500), grid_stop(0, 3000)
     stops = {"A": (a.lat, a.lng), "B": (b.lat, b.lng), "C": (c.lat, c.lng)}
+    stops.update(extra_stops)
     trips = [("t1000", "r1", [("A", 36000), ("B", 36300), ("C", 36600)])]
     trips += list(extra_trips)
     return make_bundle(stops, {"r1": ("16", 3)}, trips)
@@ -39,7 +42,7 @@ def test_single_trip_fixture_boards_at_departure():
     # origin 100 m from stop A, earliest start 09:55 -> board the 10:00 trip
     # after a ~75 s walk
     bundle = simple_bundle()
-    planner = TimetablePlanner(bundle, DAY)
+    planner = TimetablePlanner(bundle, DAY, WALK_MPS)
     origin = offset_point(BASE, 100.0, 0.0)
     dest = grid_stop(30.0, 3000)
     result = planner.plan(PlanQuery(origin, dest,
@@ -55,7 +58,7 @@ def test_single_trip_fixture_boards_at_departure():
 
 
 def test_origin_too_far_from_stops_is_empty_with_reason():
-    planner = TimetablePlanner(simple_bundle(), DAY)
+    planner = TimetablePlanner(simple_bundle(), DAY, WALK_MPS)
     origin = offset_point(BASE, 5000.0, 0.0)
     result = planner.plan(PlanQuery(origin, grid_stop(0, 3000),
                                     datetime(2016, 8, 26, 9, 55)))
@@ -66,7 +69,7 @@ def test_origin_too_far_from_stops_is_empty_with_reason():
 def test_two_trips_ranked_by_arrival():
     bundle = simple_bundle(extra_trips=[
         ("t1010", "r1", [("A", 36600), ("B", 36900), ("C", 37200)])])
-    planner = TimetablePlanner(bundle, DAY)
+    planner = TimetablePlanner(bundle, DAY, WALK_MPS)
     result = planner.plan(PlanQuery(grid_stop(50, 0), grid_stop(0, 3000),
                                     datetime(2016, 8, 26, 9, 55)))
     assert [it.transit.trip_id for it in result.itineraries] == [
@@ -74,7 +77,7 @@ def test_two_trips_ranked_by_arrival():
 
 
 def test_departures_before_walk_arrival_are_missed():
-    planner = TimetablePlanner(simple_bundle(), DAY)
+    planner = TimetablePlanner(simple_bundle(), DAY, WALK_MPS)
     origin = offset_point(BASE, 800.0, 0.0)  # ~597 s walk to stop A
     result = planner.plan(PlanQuery(origin, grid_stop(0, 3000),
                                     datetime(2016, 8, 26, 9, 52)))
@@ -82,7 +85,7 @@ def test_departures_before_walk_arrival_are_missed():
 
 
 def test_total_walk_budget_enforced():
-    planner = TimetablePlanner(simple_bundle(), DAY)
+    planner = TimetablePlanner(simple_bundle(), DAY, WALK_MPS)
     origin = offset_point(BASE, 600.0, 0.0)
     dest = offset_point(grid_stop(0, 3000), 600.0, 0.0)
     result = planner.plan(PlanQuery(origin, dest, datetime(2016, 8, 26, 9, 0),
@@ -93,11 +96,11 @@ def test_total_walk_budget_enforced():
 def test_unserviceable_date_raises():
     bundle = simple_bundle()
     with pytest.raises(PlanError, match="no GTFS services"):
-        TimetablePlanner(bundle, date(2017, 8, 26))
+        TimetablePlanner(bundle, date(2017, 8, 26), WALK_MPS)
 
 
 def test_itinerary_time_arithmetic_consistent():
-    planner = TimetablePlanner(simple_bundle(), DAY)
+    planner = TimetablePlanner(simple_bundle(), DAY, WALK_MPS)
     result = planner.plan(PlanQuery(grid_stop(80, 0), grid_stop(40, 3000),
                                     datetime(2016, 8, 26, 9, 30)))
     [it] = result.itineraries
@@ -106,6 +109,69 @@ def test_itinerary_time_arithmetic_consistent():
     assert total == pytest.approx(it.total_duration_s, abs=1e-6)
     assert it.end_time > it.start_time
     assert len(it.transit.geometry) >= 2
+
+
+# --- stop lookup ---
+
+GRID_M = [-600.0, 0.0, 600.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(GRID_M), st.sampled_from(GRID_M))
+                | st.tuples(st.floats(-3000, 3000), st.floats(-3000, 3000)),
+                min_size=3, max_size=25),
+       st.tuples(st.floats(-3000, 3000), st.floats(-3000, 3000)),
+       st.sampled_from([300.0, 1000.0, 2500.0]))
+def test_stop_lookup_equals_brute_force_scan(offs, center_off, radius):
+    # ids count down, so the stops come in reverse stop_id order; grid
+    # offsets put several stops at one place; the trip calls at the first
+    # two stops only, so the others have no stop times
+    ids = [f"s{len(offs) - k:02d}" for k in range(len(offs))]
+    stops = {sid: tuple(offset_point(BASE, *o)) for sid, o in zip(ids, offs)}
+    bundle = make_bundle(stops, {"r1": ("16", 3)},
+                         [("t1", "r1", [(ids[0], S9), (ids[1], S9 + 300)])])
+    center = offset_point(BASE, *center_off)
+    expected = sorted(
+        ((stop, distance_m(center, stop.geo)) for stop in bundle.stops.values()
+         if distance_m(center, stop.geo) <= radius),
+        key=lambda item: (item[1], item[0].stop_id))
+    got = TimetablePlanner(bundle, DAY, WALK_MPS).stops_within(center, radius)
+    assert [stop.stop_id for stop, _ in got] == \
+        [stop.stop_id for stop, _ in expected]
+    for (_, d), (_, d_ref) in zip(got, expected):
+        assert d == pytest.approx(d_ref, abs=1e-9)
+
+
+def test_stop_lookup_orders_colocated_stops_by_id():
+    a = grid_stop(0, 0)
+    stops = {"B2": (a.lat, a.lng), "A": (a.lat, a.lng), "B1": (a.lat, a.lng),
+             "C": tuple(grid_stop(0, 3000))}
+    bundle = make_bundle(stops, {"r1": ("16", 3)},
+                         [("t1", "r1", [("B2", S9), ("C", S9 + 300)])])
+    planner = TimetablePlanner(bundle, DAY, WALK_MPS)
+    center = offset_point(BASE, 100.0, 0.0)
+    got = planner.stops_within(center, 1000.0)
+    assert [stop.stop_id for stop, _ in got] == ["A", "B1", "B2"]
+    [d] = {d for _, d in got}
+    # the radius is closed
+    assert len(planner.stops_within(center, d)) == 3
+    assert planner.stops_within(center, math.nextafter(d, 0.0)) == []
+
+
+def test_stop_without_stop_times_is_found_but_never_boarded():
+    idle = grid_stop(5000, 0)  # no trip calls here
+    planner = TimetablePlanner(simple_bundle(extra_stops={"Z": tuple(idle)}),
+                               DAY, WALK_MPS)
+    near_idle = offset_point(idle, 100.0, 0.0)
+    assert [s.stop_id for s, _ in planner.stops_within(near_idle, 1000.0)] == ["Z"]
+    start = datetime(2016, 8, 26, 9, 55)
+    assert planner.plan(PlanQuery(near_idle, grid_stop(0, 3000), start)
+                        ).reason == "no reachable trip serves the query"
+    nowhere = grid_stop(20_000, 0)
+    assert planner.plan(PlanQuery(nowhere, grid_stop(0, 3000), start)
+                        ).reason == "no stops within 1000 m of origin"
+    assert planner.plan(PlanQuery(grid_stop(0, 0), nowhere, start)
+                        ).reason == "no stops within 1000 m of destination"
 
 
 # --- adjusted_query ---
@@ -152,7 +218,8 @@ def _trip_instances(bundle, day):
     return instances
 
 
-def oracle_plan(bundle, day, query, walk_speed=1.34, horizon_s=7200.0):
+def oracle_plan(bundle, day, query, walk_speed=WALK_MPS,
+                horizon_s=7200.0):
     """Independent exhaustive scan over all (board, alight, trip instance)
     triples."""
     midnight = datetime.combine(day, datetime.min.time())
@@ -197,7 +264,8 @@ def _itinerary_signature(it: Itinerary, day) -> tuple:
     return (it.transit.board_stop, it.transit.alight_stop,
             (it.transit.board_time - midnight).total_seconds(),
             (it.transit.alight_time - midnight).total_seconds(),
-            round(it.walk_before_s * 1.34, 6), round(it.walk_after_s * 1.34, 6))
+            round(it.walk_before_s * WALK_MPS, 6),
+            round(it.walk_after_s * WALK_MPS, 6))
 
 
 def _random_bundle(rng: random.Random, first_departure_s: int = S9):
@@ -213,8 +281,6 @@ def _random_bundle(rng: random.Random, first_departure_s: int = S9):
         ids = []
         for k in range(n_stops):
             sid = f"s{r}_{k}"
-            import math
-
             p = offset_point(BASE, sx + step * k * math.cos(heading),
                              sy + step * k * math.sin(heading))
             stops[sid] = (p.lat, p.lng)
@@ -232,7 +298,7 @@ def _random_bundle(rng: random.Random, first_departure_s: int = S9):
 def test_planner_matches_brute_force_oracle(seed):
     rng = random.Random(seed)
     bundle = _random_bundle(rng)
-    planner = TimetablePlanner(bundle, DAY)
+    planner = TimetablePlanner(bundle, DAY, WALK_MPS)
     origin = offset_point(BASE, rng.uniform(-2500, 2500),
                           rng.uniform(-2500, 2500))
     dest = offset_point(BASE, rng.uniform(-2500, 2500),
@@ -263,7 +329,7 @@ def test_planner_matches_oracle_across_midnight(seed):
     rng = random.Random(seed)
     bundle = _random_bundle(rng, first_departure_s=LATE)
     window = rng.choice([7200.0, 26 * 3600.0])
-    planner = TimetablePlanner(bundle, DAY, search_window_s=window)
+    planner = TimetablePlanner(bundle, DAY, WALK_MPS, search_window_s=window)
     # origin and destination near two calls of one trip, so that most
     # queries find a ride
     calls = {}
@@ -293,7 +359,7 @@ def test_planner_matches_oracle_across_midnight(seed):
 @given(st.integers(0, 10_000), st.sampled_from([S9, LATE]))
 def test_departures_per_stop_equal_sorted_brute_force(seed, first_departure_s):
     bundle = _random_bundle(random.Random(seed), first_departure_s)
-    planner = TimetablePlanner(bundle, DAY)
+    planner = TimetablePlanner(bundle, DAY, WALK_MPS)
     expected = {}
     for (trip_id, shift), sts in _trip_instances(bundle, DAY).items():
         for stop_time in sts:
@@ -327,17 +393,20 @@ def test_previous_day_trip_past_midnight_is_planned():
     # Thursday's 24:10 departure leaves at 00:10 on Friday
     query = PlanQuery(grid_stop(50, 0), grid_stop(0, 3000),
                       MIDNIGHT + timedelta(minutes=5))
-    [it] = TimetablePlanner(late_bundle(runs_on=3), DAY).plan(query).itineraries
+    [it] = TimetablePlanner(late_bundle(runs_on=3), DAY,
+                            WALK_MPS).plan(query).itineraries
     assert it.transit.trip_id == "late"
     assert it.transit.board_time == MIDNIGHT + timedelta(minutes=10)
     assert it.transit.alight_time == MIDNIGHT + timedelta(minutes=20)
     # a Friday-only run leaves at 00:10 on Saturday, out of the window
-    friday = TimetablePlanner(late_bundle(runs_on=4), DAY).plan(query)
+    friday = TimetablePlanner(late_bundle(runs_on=4), DAY,
+                              WALK_MPS).plan(query)
     assert friday.itineraries == []
 
 
 def test_two_runs_of_one_trip_are_planned_apart():
-    planner = TimetablePlanner(late_bundle(), DAY, search_window_s=2 * 86400.0)
+    planner = TimetablePlanner(late_bundle(), DAY, WALK_MPS,
+                               search_window_s=2 * 86400.0)
     result = planner.plan(PlanQuery(grid_stop(50, 0), grid_stop(0, 3000),
                                     MIDNIGHT))
     assert [(it.transit.trip_id, it.transit.board_time)

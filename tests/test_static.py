@@ -1,9 +1,21 @@
+import math
 import random
 from datetime import timedelta
+from itertools import groupby
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tripmatch.geodesy import offset_point
+from tripmatch.geodesy import (
+    distance_m,
+    offset_point,
+    point_to_linestring_m,
+    points_to_polylines_m,
+    resample_min_spacing,
+)
+from tripmatch import static
 from tripmatch.planner import Itinerary, PlanResult, TransitLeg
 from tripmatch.static import (
     MatchConstants,
@@ -157,6 +169,92 @@ def test_gap_run_of_four_passes():
                                                n_samples=20)
     assert run == 4
     assert ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, n - 1)))))
+def test_fraction_and_gap_run_count_the_misses(pattern):
+    # runs of misses at either end of the interior count like inner ones
+    n_samples, miss_idx = pattern
+    fraction, run, _ = _run_with_miss_pattern(miss_idx, n_samples)
+    missed = [i in miss_idx for i in range(n_samples)]
+    assert fraction == (n_samples - len(miss_idx)) / n_samples
+    assert run == max((len(list(g)) for miss, g in groupby(missed) if miss),
+                      default=0)
+
+
+def reference_route_check(segment, geometry, constants=CONSTANTS):
+    """The route check as a scalar loop: the along-trace distance summed
+    point by point and point_to_linestring_m for each interior point.
+    Returns the check's result, the sums and the distances."""
+    samples = resample_min_spacing(segment.trace, constants.resample_spacing_m)
+    cumulative = [0.0]
+    for a, b in zip(samples, samples[1:]):
+        cumulative.append(cumulative[-1] + distance_m(a.geo, b.geo))
+    total = cumulative[-1]
+    interior = [p for p, c in zip(samples, cumulative)
+                if c >= constants.dEmax_m and total - c >= constants.dEmax_m]
+    distances = [point_to_linestring_m(p.geo, geometry)
+                 for p in interior or samples]
+    flags = [d <= constants.route_limit_m for d in distances]
+    longest = run = 0
+    for ok in flags:
+        run = 0 if ok else run + 1
+        longest = max(longest, run)
+    fraction = sum(flags) / len(flags)
+    passed = (fraction >= constants.route_quorum
+              and longest <= constants.max_adjacent_outside)
+    sums = cumulative + [total - c for c in cumulative]
+    return (fraction, longest, passed), sums, distances
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(-300, 300), st.floats(-300, 300)),
+                min_size=1, max_size=40),
+       st.integers(1, 6),
+       st.lists(st.tuples(st.floats(-150, 150), st.floats(-150, 150)),
+                min_size=2, max_size=40))
+def test_route_check_equals_scalar_reference(steps, every, shifts):
+    # a random-walk trace, and a plan geometry through every few of its
+    # points, each shifted by up to ~200 m
+    offs = [(0.0, 0.0)]
+    for de, dn in steps:
+        offs.append((offs[-1][0] + de, offs[-1][1] + dn))
+    pts = [offset_point(BASE, e, n) for e, n in offs]
+    segment = segment_of([fp(10.0 * i, Activity.IN_VEHICLE, lat=p.lat, lng=p.lng)
+                          for i, p in enumerate(pts)])
+    geometry = [offset_point(p, *shift)
+                for p, shift in zip(pts[::every], shifts)]
+    assume(len(geometry) >= 2)
+    expected, sums, distances = reference_route_check(segment, geometry)
+    # array and scalar distances may differ in the last bits, which can
+    # only matter next to a threshold
+    assume(all(abs(c - CONSTANTS.dEmax_m) > 1e-6 for c in sums))
+    assume(all(abs(d - CONSTANTS.route_limit_m) > 1e-6 for d in distances))
+    assert route_geometry_check(segment, plan_for(segment, geometry=geometry),
+                                CONSTANTS) == expected
+
+
+def test_dense_geometry_is_checked_in_bounded_blocks():
+    # a 1500-vertex shape winding up to 130 m either side of the trace: the
+    # pairs of all interior points exceed the bound, so the check runs in
+    # blocks, and still equals the scalar reference
+    segment = straight_segment(length_m=12000.0, duration_s=1200.0, n=61)
+    geometry = [offset_point(BASE, 130.0 * math.sin(k / 35.0), 8.0 * k)
+                for k in range(1500)]
+    expected, _, distances = reference_route_check(segment, geometry)
+    assert len(distances) * len(geometry) > static._MAX_PAIRS
+    assert min(abs(d - CONSTANTS.route_limit_m) for d in distances) > 1e-6
+    assert 0.0 < expected[0] < 1.0
+    with mock.patch.object(static, "points_to_polylines_m",
+                           wraps=points_to_polylines_m) as kernel:
+        got = route_geometry_check(segment, plan_for(segment, geometry=geometry),
+                                   CONSTANTS)
+    assert got == expected
+    assert kernel.call_count > 1
+    assert all(len(call.args[0]) <= static._MAX_PAIRS
+               for call in kernel.call_args_list)
 
 
 def _run_with_miss_pattern(miss_idx, n_samples):
