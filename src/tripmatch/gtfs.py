@@ -5,11 +5,13 @@ Stop times are kept as integer seconds since midnight of the service date;
 values past 24:00:00 stay above 86400 per the GTFS convention, so late
 services sort and compare correctly. stop_times.txt, by far the largest
 file, is read in chunks into int32 columns (StopTimeColumns); no object is
-built per row.
+built per row. Its arrival and departure clocks are decoded a chunk at a
+time, 'HH:MM:SS' and 'H:MM:SS' cells in one array pass and any other cell
+through the strict parse_gtfs_time, so a bad clock is still reported by
+file, line and column.
 """
 from __future__ import annotations
 
-import functools
 import zipfile
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -255,15 +257,75 @@ class GtfsBundle:
 
 
 def parse_gtfs_time(text: str) -> int:
-    """'HH:MM:SS' to seconds since service-date midnight; hours may exceed 23."""
-    try:
-        h, m, s = (int(p) for p in text.strip().split(":"))
-    except ValueError:  # not three parts, or a part that is no integer
-        raise GtfsError(f"bad GTFS time {text!r}") from None
+    """'HH:MM:SS' to seconds since service-date midnight; hours may exceed 23.
+    Each part is ASCII digits only (int() would also take a sign, '_', spaces
+    and other scripts' digits)."""
+    parts = text.strip().split(":")
+    if len(parts) != 3 or not all(p.isascii() and p.isdigit() for p in parts):
+        raise GtfsError(f"bad GTFS time {text!r}")
+    h, m, s = map(int, parts)
     seconds = h * 3600 + m * 60 + s
-    if not (0 <= m < 60 and 0 <= s < 60 and h >= 0 and seconds <= _INT32_MAX):
+    if not (m < 60 and s < 60 and seconds <= _INT32_MAX):
         raise GtfsError(f"bad GTFS time {text!r}")
     return seconds
+
+
+def _word(text: bytes) -> np.uint64:
+    return np.uint64(int.from_bytes(text, "little"))
+
+
+#: the high bit of every byte of a word
+_HIGH_BITS = _word(b"\x80" * 8)
+#: each byte of a clock's word lies between that of _CLOCK_ZERO and that of
+#: _CLOCK_ZERO + _CLOCK_SPAN; less _CLOCK_ZERO, the bytes are its digits and
+#: a 0 for each ':'
+_CLOCK_ZERO = _word(b"00:00:00")
+_CLOCK_SPAN = _word(bytes([9, 9, 0, 5, 9, 0, 5, 9]))
+_CLOCK_WEIGHTS = np.array([36000, 3600, 0, 600, 60, 0, 10, 1], np.float64)
+
+
+def _clock_seconds(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """int32 seconds of 'HH:MM:SS' and 'H:MM:SS' cells, UNTIMED for a blank
+    cell, and which cells are of these forms (none when a cell holds a
+    newline). Each cell is read as the little-endian word of the 8 bytes
+    before its end, with a '0' put before every cell, so that 'H:MM:SS'
+    reads as '0H:MM:SS'."""
+    n = len(cells)
+    # the 7 spaces keep the first cell's word inside data
+    data = ("       0" + "\n0".join(cells) + "\n").encode()
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    if len(ends) != n:
+        return np.zeros(n, np.int32), np.zeros(n, dtype=bool)
+    # bytes of each cell: newlines apart, less '\n0'; 6 stands for the
+    # newline before the first cell
+    width = np.diff(ends, prepend=6) - 2
+    # every 8-byte window of data as a word, taken at each cell's end
+    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))[ends - 8]
+    # Per byte, digit = byte - zero. A byte below its zero wraps around and
+    # sets the digit's high bit; any other digit is below 0x80, and then
+    # (span | 0x80) - digit keeps its high bit exactly where digit <= span.
+    digits = words - _CLOCK_ZERO
+    blank = width == 0
+    ok = (((digits & _HIGH_BITS) == 0)
+          & ((((_CLOCK_SPAN | _HIGH_BITS) - digits) & _HIGH_BITS) == _HIGH_BITS)
+          & (width <= 8)) | blank
+    # the digits' bytes in text order, whatever the host's byte order
+    seconds = (digits.astype("<u8", copy=False).view(np.uint8).reshape(n, 8)
+               @ _CLOCK_WEIGHTS).astype(np.int32)
+    seconds[blank] = UNTIMED
+    return seconds, ok
+
+
+class Clocks:
+    """parse of a stop_times.txt clock column into int32 seconds, UNTIMED
+    for a blank cell: 'HH:MM:SS' and 'H:MM:SS' cells are decoded a chunk at
+    a time, any other through parse_gtfs_time."""
+
+    def __call__(self, text: str) -> int:
+        return UNTIMED if text == "" else parse_gtfs_time(text)
+
+    vector = staticmethod(_clock_seconds)
+    decode = staticmethod(np.ndarray.tolist)
 
 
 def gtfs_time_to_datetime(day: date, seconds: int) -> datetime:
@@ -342,20 +404,16 @@ def load_gtfs(path) -> GtfsBundle:
     ]).build(lambda trip_id, route_id, service_id, shape_id:
              GtfsTrip(trip_id, route_id, service_id, shape_id or None))}
 
-    @functools.cache  # arrivals and departures share most distinct times
-    def time(text: str) -> int:
-        return UNTIMED if text == "" else parse_gtfs_time(text)
-
     table = src.table("stop_times.txt", [
         Column("trip_id"), Column("stop_id"),
-        Column("arrival_time", time, header=False),
-        Column("departure_time", time, header=False),
+        Column("arrival_time", Clocks(), header=False),
+        Column("departure_time", Clocks(), header=False),
         Column("stop_sequence", _int32)])
     table.report()
     stop_times = StopTimeColumns.from_arrays(
         trip=table.data["trip_id"], stop=table.data["stop_id"],
-        arrival_s=table.array("arrival_time", np.int32),
-        departure_s=table.array("departure_time", np.int32),
+        arrival_s=table.data["arrival_time"],
+        departure_s=table.data["departure_time"],
         sequence=table.array("stop_sequence", np.int32),
         trip_ids=table.levels["trip_id"], stop_ids=table.levels["stop_id"])
     del table  # its columns are copied, sorted, into stop_times

@@ -198,7 +198,8 @@ class Stamps:
 @dataclass
 class Table:
     """The columns of a table read by read_table, over the rows without a
-    bad cell: data[name] is a float64 array for a Floats or Stamps column,
+    bad cell: data[name] is, for a column whose parse has a vector form,
+    an array of the dtype that form returns (float64 for Floats and Stamps),
     else an int32 array of codes into levels[name], the distinct parsed
     values in order of first appearance. report or build reports the bad
     rows, in file order with those that build rejects."""
@@ -330,14 +331,15 @@ def read_table(fh, label, columns: Sequence[Column], *,
 
 class _ColumnReader:
     """One column's cells, chunk by chunk: a column whose parse has a vector
-    form is parsed a chunk at a time, any other is dictionary-encoded with
-    each distinct cell parsed once."""
+    form is parsed a chunk at a time into arrays of the dtype that form
+    returns, any other is dictionary-encoded with each distinct cell parsed
+    once."""
 
     def __init__(self, column: Column, at: int | None):
         self.column = column
         self.at = at
         self.vector = getattr(column.parse, "vector", None)
-        self.parts = [np.empty(0, np.float64 if self.vector else np.int32)]
+        self.parts = [self.vector([])[0] if self.vector else np.empty(0, np.int32)]
         # code by raw cell, each unseen cell taking the next code
         self.codes: defaultdict[str, int] = defaultdict(count().__next__)
         self.parsed: list = []            # value by code; None for a bad cell

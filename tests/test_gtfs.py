@@ -1,16 +1,21 @@
 import csv
 import io
+import re
 import zipfile
 from datetime import date
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cell, loader_outcome, reference_table
 from tripmatch import ingest
+from tripmatch.ingest import Column
 from tripmatch.gtfs import (
+    UNTIMED,
+    Clocks,
     GtfsError,
     GtfsStop,
     GtfsTrip,
@@ -164,9 +169,11 @@ def test_bad_time_rejected():
 
 
 @pytest.mark.parametrize("text", ["10:xx:00", "10:00", "-1:00:00", "",
-                                  "596524:00:00"])
+                                  "596524:00:00", "+1:00:00", "1_0:00:00",
+                                  " 5: 00:00", "\u0665:00:00", "-0:00:00"])
 def test_malformed_time_is_gtfs_error(text):
-    # not a bare ValueError, and no value past the int32 stop-time columns
+    # not a bare ValueError, and no value past the int32 stop-time columns;
+    # each part is ASCII digits, not whatever int() takes
     with pytest.raises(GtfsError, match="bad GTFS time"):
         parse_gtfs_time(text)
 
@@ -211,12 +218,67 @@ STOP_TIMES_HEADER = "trip_id,stop_id,arrival_time,departure_time,stop_sequence"
       "start_date,end_date", "wd,1,1,1,1,1,0,0,2016-08-01,20160930"],
      "calendar.txt: line 2: column 'start_date': time data '2016-08-01' does not "
      "match format '%Y%m%d'"),
+    ("stop_times.txt",
+     [STOP_TIMES_HEADER, "t1,A,10:00:00,10:00:00,1", "t1,B,10:10:00,+10:10:00,2"],
+     "stop_times.txt: line 3: column 'departure_time': bad GTFS time '+10:10:00'"),
 ])
 def test_bad_feed_errors_are_located(tmp_path, name, lines, message):
     tables = dict(MINIMAL, **{name: lines})
     with pytest.raises(GtfsError) as err:
         load_gtfs(write_feed(tmp_path, tables))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("lines, chunk, arrivals", [
+    ([STOP_TIMES_HEADER], 1 << 17, []),
+    ([STOP_TIMES_HEADER, "t1,A,,,1", "t1,B,10:10:00,10:10:00,2"], 1,
+     [UNTIMED, 36600]),  # one row per chunk: the first chunk's clocks are blank
+])
+def test_stop_time_clocks_are_int32(tmp_path, lines, chunk, arrivals):
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+        st_cols = load_gtfs(write_feed(tmp_path, dict(MINIMAL, **{
+            "stop_times.txt": lines}))).stop_times
+    assert st_cols.arrival_s.dtype == st_cols.departure_s.dtype == np.int32
+    assert st_cols.arrival_s.tolist() == st_cols.departure_s.tolist() == arrivals
+
+
+#: digits, the separator, what int() also takes, and blank cells
+_CLOCK_CHARACTERS = "0123456789: +-_\u0665"
+
+
+def _clock_cells():
+    """Cells of widths 0-10: well-formed clocks, such clocks with one
+    character replaced, and any text over _CLOCK_CHARACTERS."""
+    parts = (st.integers(0, 120), st.integers(0, 99), st.integers(0, 99))
+    clocks = st.one_of(st.builds("{}:{:02d}:{:02d}".format, *parts),
+                       st.builds("{:02d}:{:02d}:{:02d}".format, *parts))
+    edited = st.builds(lambda text, at, char: text[:at] + char + text[at + 1:],
+                       clocks, st.integers(0, 8), st.sampled_from(_CLOCK_CHARACTERS))
+    return st.one_of(clocks, edited, st.text(_CLOCK_CHARACTERS, max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_clock_cells(), min_size=1, max_size=60))
+@example(["10:00:00", "9:05:00", "", " ", "100:00:00", "010:00:00", "1:00:00 ",
+          "10:60:00", "\u0665:00:00", "0:0:0", "99:59:59"])
+def test_clock_columns_agree_with_parse_gtfs_time(cells):
+    text = "row,clock\n" + "".join(f"{k},{c}\n" for k, c in enumerate(cells))
+    table = ingest.read_table(io.BytesIO(text.encode()), "stop_times.txt", [
+        Column("row"), Column("clock", Clocks(), required=False)], error=GtfsError)
+    kept = iter(table.data["clock"].tolist())
+    for row, cell_text in enumerate(cells):
+        try:
+            expected = Clocks()(cell_text.strip())
+        except GtfsError as exc:
+            assert table.bad[row] == (str(exc), "clock")
+        else:
+            assert row not in table.bad and next(kept) == expected
+    assert table.data["clock"].dtype == np.int32
+    # the array pass itself takes every blank, 'H:MM:SS' and 'HH:MM:SS' cell
+    _, vector_ok = Clocks.vector(cells)
+    assert vector_ok.tolist() == [
+        re.fullmatch(r"([0-9]?[0-9]:[0-5][0-9]:[0-5][0-9])?", c) is not None
+        for c in cells]
 
 
 def test_route_type_mapping():
@@ -264,9 +326,14 @@ EXTRA_CELLS = ["", "x", "a, b", 'say "hi"', "two\nlines"]
 @st.composite
 def stop_time_feeds(draw):
     """stop_times.txt rows of 1-4 trips over stops A-E (sequence gaps, blank
-    intermediate times, times past 24:00) in shuffled order, with extra and
-    reordered columns, padded cells, any quoting and blank lines, read in
-    chunks of any size."""
+    intermediate times, dwell times, times past 24:00) in shuffled order,
+    with extra and reordered columns, padded cells, any quoting and blank
+    lines, read in chunks of any size."""
+    def clock(t):
+        h, m, s = t // 3600, t % 3600 // 60, t % 60
+        return draw(st.sampled_from([f"{h:02d}:{m:02d}:{s:02d}",
+                                     f"{h}:{m:02d}:{s:02d}"]))
+
     rows = []
     for trip in range(draw(st.integers(1, 4))):
         n = draw(st.integers(2, 6))
@@ -274,13 +341,13 @@ def stop_time_feeds(draw):
         t = draw(st.integers(0, 30 * 3600))
         for k, seq in enumerate(seqs):
             t += draw(st.integers(0, 900))
-            h, m, s = t // 3600, t % 3600 // 60, t % 60
-            clock = draw(st.sampled_from([f"{h:02d}:{m:02d}:{s:02d}",
-                                          f"{h}:{m:02d}:{s:02d}"]))
+            arrival = clock(t)
+            t += draw(st.integers(0, 120))  # dwell
+            departure = clock(t)
             if 0 < k < n - 1 and draw(st.booleans()):
-                clock = ""
+                arrival = departure = ""
             rows.append({"trip_id": f"t{trip}", "stop_id": draw(st.sampled_from("ABCDE")),
-                         "arrival_time": clock, "departure_time": clock,
+                         "arrival_time": arrival, "departure_time": departure,
                          "stop_sequence": str(seq),
                          "pickup_type": draw(st.sampled_from(["", "0", "1"])),
                          "note": draw(st.sampled_from(EXTRA_CELLS))})

@@ -3,6 +3,7 @@ import io
 from datetime import date, datetime
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,6 +163,11 @@ def test_transit_live_parses_ferry(tmp_path):
     rows = list(ingest.load_transit_live(path))
     assert rows[0].line_type is LineType.FERRY
     assert rows[0].vehicle_ref == "veh1"
+
+
+def test_transit_live_header_only_has_float_times(tmp_path):
+    fleet = ingest.load_transit_live(write(tmp_path, "t.csv", LIVE_HEADER))
+    assert len(fleet) == 0 and fleet.times_s.dtype == np.float64
 
 
 def test_transit_live_unknown_line_type(tmp_path):
