@@ -26,6 +26,7 @@ from tripmatch.types import (
     FleetColumns,
     GeoPoint,
     LineType,
+    TraceColumns,
     VehiclePosition,
 )
 
@@ -43,8 +44,9 @@ def scenario(speed_kmh: float, duration_s: float = 600.0):
                          *offset_point(BASE, 0.0, v * t),
                          Activity.IN_VEHICLE)
            for t in range(15, int(duration_s) - 14, 30)]
-    return ActivitySegment(1, 1, Activity.IN_VEHICLE, tuple(pts)), \
-        PositionIndex(FleetColumns.from_positions(rows))
+    return (ActivitySegment(1, 1, Activity.IN_VEHICLE,
+                            TraceColumns.from_points(pts)),
+            PositionIndex(FleetColumns.from_positions(rows)))
 
 
 def main() -> None:

@@ -25,7 +25,6 @@ from .ingest import IngestError
 from .live import score_vehicle, select_user_samples
 from .planner import PlanError, adjusted_query
 from .static import filter_plan
-from .types import Activity
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -80,7 +79,7 @@ def _configure(args: argparse.Namespace) -> RunConfig:
         cfg.permissive = True
     if getattr(args, "methods", None):
         cfg.methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if getattr(args, "jobs", None):
+    if getattr(args, "jobs", None) is not None:
         cfg.jobs = args.jobs
     cfg.validate()
     return cfg
@@ -151,8 +150,8 @@ def cmd_inspect_segment(cfg: RunConfig, segment_id: int) -> int:
     segment = by_id[segment_id]
     print(f"segment {segment.segment_id}: device {segment.device_id} "
           f"{segment.activity.value} {segment.start_time} .. {segment.end_time} "
-          f"({len(segment.points)} points)")
-    if segment.activity is not Activity.IN_VEHICLE or len(segment.points) < 2:
+          f"({len(segment.trace)} points)")
+    if not segmentation.vehicular_candidates([segment]):
         print("not a vehicular candidate; nothing to match")
         return EXIT_OK
 

@@ -130,30 +130,21 @@ def point_to_linestring_m(p: LatLng, line: Sequence[LatLng]) -> float:
     return best
 
 
-def resample_min_spacing(points: Sequence, spacing_m: float) -> list:
+def resample_min_spacing(lats: np.ndarray, lngs: np.ndarray,
+                         spacing_m: float) -> tuple[np.ndarray, np.ndarray]:
     """Thin a trace so consecutive kept points are at least spacing_m apart.
 
-    Keeps the first point, then each point whose distance to the last kept
-    point is >= spacing_m. Works on anything with lat/lng as items [0]/[1]
-    or attributes, preserving the original objects.
+    Keeps the first point, then each point whose distance_m to the last kept
+    point is >= spacing_m. Returns the kept points' lats and lngs.
     """
     if spacing_m <= 0:
         raise ValueError("spacing must be positive")
-    kept: list = []
-    last: GeoPoint | None = None
-    for p in points:
-        geo = _as_latlng(p)
-        if last is None or distance_m(last, geo) >= spacing_m:
-            kept.append(p)
-            last = geo
-    return kept
-
-
-def _as_latlng(p) -> LatLng:
-    lat = getattr(p, "lat", None)
-    if lat is not None:
-        return (lat, p.lng)
-    return (p[0], p[1])
+    kept, last = [], None
+    for i, point in enumerate(zip(lats.tolist(), lngs.tolist())):
+        if last is None or distance_m(last, point) >= spacing_m:
+            kept.append(i)
+            last = point
+    return lats[kept], lngs[kept]
 
 
 def trace_length_m(points: Sequence[LatLng]) -> float:

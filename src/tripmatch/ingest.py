@@ -26,6 +26,7 @@ from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
 import numpy as np
 
 from .types import (
+    ACTIVITIES,
     Activity,
     DeviceModelEntry,
     DevicePoint,
@@ -37,6 +38,7 @@ from .types import (
     LOG_LINE_TYPES,
     ManualTrip,
     TIME_REF,
+    TraceColumns,
     as_seconds,
     from_seconds,
 )
@@ -462,6 +464,12 @@ def _parse_activity(value: str) -> Activity:
         raise ValueError(f"unknown activity kind {value!r}")
 
 
+def _parse_int64(value: str) -> int:
+    if not -2 ** 63 <= (number := int(value)) < 2 ** 63:
+        raise ValueError(f"{number} out of the int64 range")
+    return number
+
+
 def _parse_line_type(value: str, allowed) -> LineType:
     try:
         lt = LineType(value)
@@ -530,19 +538,24 @@ FILTERED_COLUMNS = ["time", "device_id", "lat", "lng", "activity"]
 
 def load_filtered_data(path, *, permissive: bool = False,
                        diagnostics: list[str] | None = None,
-                       default_date: date | None = None) -> list[FilteredPoint]:
-    """Load the filtered device table, sorted by (time, device_id)."""
+                       default_date: date | None = None) -> TraceColumns:
+    """Load the filtered device table as columns sorted by (device_id, time),
+    rows of an equal key in file order."""
     table = load_table(path, [
-        Column("time", Stamps(default_date)), Column("device_id", int),
-        *_COORDINATES, Column("activity", _parse_activity)],
+        Column("time", Stamps(default_date)), Column("device_id", _parse_int64),
+        *_COORDINATES,
+        Column("activity", lambda v: ACTIVITIES.index(_parse_activity(v)))],
         permissive=permissive, diagnostics=diagnostics)
-    out = table.build(FilteredPoint)
-    out.sort(key=lambda p: (p.time, p.device_id))
-    n_dupes = len(out) - len({(p.time, p.device_id) for p in out})
-    if n_dupes:
-        table.warn(f"{n_dupes} row(s) share a (time, device_id) key")
-    log.info("%s: %d filtered points", path, len(out))
-    return out
+    table.report()
+    trace = TraceColumns(
+        table.data["time"], table.array("device_id", np.int64),
+        table.data["lat"], table.data["lng"], table.array("activity", np.int8),
+    ).by_device()
+    shared = (np.diff(trace.device_id) == 0) & (np.diff(trace.times_s) == 0)
+    if shared.any():
+        table.warn(f"{np.count_nonzero(shared)} row(s) share a (time, device_id) key")
+    log.info("%s: %d filtered points", path, len(trace))
+    return trace
 
 
 TRANSIT_LIVE_COLUMNS = ["time", "lat", "lng", "line_type", "line_name", "vehicle_ref"]
@@ -709,7 +722,7 @@ def write_device_data(points: Sequence[DevicePoint], path) -> None:
     _write_csv(path, DEVICE_DATA_COLUMNS, (row(p) for p in points))
 
 
-def write_filtered_data(points: Sequence[FilteredPoint], path) -> None:
+def write_filtered_data(points: Iterable[FilteredPoint], path) -> None:
     _write_csv(path, FILTERED_COLUMNS,
                ([format_timestamp(p.time), str(p.device_id), repr(p.lat),
                  repr(p.lng), p.activity.value] for p in points))

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import compress
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .types import (
     FleetColumns,
     LINE_TYPES,
     LineType,
-    TracePoint,
+    TraceColumns,
     as_seconds,
     from_seconds,
 )
@@ -135,15 +135,14 @@ class PositionIndex:
         return lo, hi
 
 
-def select_user_samples(trace: Sequence[TracePoint], max_samples: int,
-                        ) -> list[TracePoint]:
+def select_user_samples(trace: TraceColumns, max_samples: int) -> TraceColumns:
     """At most max_samples points spread evenly by index, always keeping the
-    first and last point."""
+    first and last point: rows round(i * last / (max_samples - 1))."""
     n = len(trace)
     if n <= max_samples:
-        return list(trace)
-    last = n - 1
-    return [trace[round(i * last / (max_samples - 1))] for i in range(max_samples)]
+        return trace
+    rows = np.arange(max_samples) * (n - 1) / (max_samples - 1)
+    return trace[np.rint(rows).astype(np.int64)]
 
 
 @dataclass
@@ -174,24 +173,22 @@ class _Windows(NamedTuple):
     d_point: np.ndarray   # sample-to-fix distance of each pair
 
 
-def _score_windows(samples: Sequence[TracePoint], slots: np.ndarray,
+def _score_windows(samples: TraceColumns, slots: np.ndarray,
                    cfg: LiveMatchConfig, index: PositionIndex,
                    use_linestring: bool) -> _Windows:
     """Distances from each sample to the geometry each vehicle of slots
     traces in the closed window around the sample, for every (vehicle,
     sample) pair in one array pass."""
     n = len(samples)
-    s_time = np.array([as_seconds(p.time) for p in samples])
-    s_lat = np.array([p.lat for p in samples])
-    s_lng = np.array([p.lng for p in samples])
-    lo, hi = index.windows(slots, s_time - cfg.window_s, s_time + cfg.window_s)
+    lo, hi = index.windows(slots, samples.times_s - cfg.window_s,
+                           samples.times_s + cfg.window_s)
     lo = lo.ravel()
     counts = hi.ravel() - lo
     first = np.cumsum(counts) - counts
     window = np.repeat(np.arange(len(counts)), counts)
     row = lo[window] + np.arange(len(window)) - first[window]
     sample = window % n
-    p_lat, p_lng = s_lat[sample], s_lng[sample]
+    p_lat, p_lng = samples.lats[sample], samples.lngs[sample]
     lats, lngs = index.lats[row], index.lngs[row]
     d_point = distances_m(p_lat, p_lng, lats, lngs)
     windowed = np.flatnonzero(counts)
@@ -203,7 +200,7 @@ def _score_windows(samples: Sequence[TracePoint], slots: np.ndarray,
     return _Windows(counts, windowed, starts, d, window, row, d_point)
 
 
-def score_vehicle(samples: Sequence[TracePoint], vehicle_ref: str,
+def score_vehicle(samples: TraceColumns, vehicle_ref: str,
                   cfg: LiveMatchConfig, index: PositionIndex,
                   use_linestring: bool = True) -> Optional[VehicleScore]:
     """Score one vehicle against the user samples.
@@ -251,14 +248,13 @@ class LiveMatchResult:
     sample_distances: tuple[Optional[float], ...]
 
 
-def _segment_bbox(samples: Sequence[TracePoint], margin_m: float):
-    lats = [p.lat for p in samples]
-    lngs = [p.lng for p in samples]
-    mid_lat = (min(lats) + max(lats)) / 2
+def _segment_bbox(samples: TraceColumns, margin_m: float):
+    lats, lngs = samples.lats, samples.lngs
+    mid_lat = (lats.min() + lats.max()) / 2
     dlat = math.degrees(margin_m / EARTH_RADIUS_M)
     dlng = math.degrees(margin_m / (EARTH_RADIUS_M *
                                     max(0.01, math.cos(math.radians(mid_lat)))))
-    return (min(lats) - dlat, min(lngs) - dlng, max(lats) + dlat, max(lngs) + dlng)
+    return (lats.min() - dlat, lngs.min() - dlng, lats.max() + dlat, lngs.max() + dlng)
 
 
 def _pick_identity(votes: list[tuple[str, LineType, datetime]],

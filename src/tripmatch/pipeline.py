@@ -28,7 +28,7 @@ from .live import (
 )
 from .planner import JourneyPlanner, TimetablePlanner
 from .static import StaticMatchResult, match_static, write_assessments_csv
-from .types import ActivitySegment, FilteredPoint, LineType, ManualTrip
+from .types import ActivitySegment, LineType, ManualTrip, TraceColumns
 
 log = logging.getLogger(__name__)
 
@@ -86,7 +86,7 @@ def run_ingest(cfg: RunConfig) -> IngestSummary:
     return summary
 
 
-def load_filtered(cfg: RunConfig) -> list[FilteredPoint]:
+def load_filtered(cfg: RunConfig) -> TraceColumns:
     return ingest.load_filtered_data(cfg.require_path("filtered_data"),
                                      permissive=cfg.permissive,
                                      default_date=cfg.date)
@@ -98,11 +98,8 @@ def load_trips(cfg: RunConfig) -> list[ManualTrip]:
                                   default_date=cfg.date)
 
 
-def build_segments(cfg: RunConfig,
-                   filtered: Sequence[FilteredPoint] | None = None,
-                   ) -> list[ActivitySegment]:
-    filtered = filtered if filtered is not None else load_filtered(cfg)
-    return segmentation.build_segments(filtered, max_gap_s=cfg.max_gap_s)
+def build_segments(cfg: RunConfig) -> list[ActivitySegment]:
+    return segmentation.build_segments(load_filtered(cfg), max_gap_s=cfg.max_gap_s)
 
 
 def build_position_index(cfg: RunConfig) -> PositionIndex:
@@ -265,11 +262,9 @@ def live_methods(cfg: RunConfig) -> list[str]:
     return [m for m in cfg.methods if m in (NEW_LIVE, OLD_LIVE)]
 
 
-def stage_segment(cfg: RunConfig,
-                  filtered: Sequence[FilteredPoint] | None = None,
-                  ) -> list[ActivitySegment]:
+def stage_segment(cfg: RunConfig) -> list[ActivitySegment]:
     """Segment the filtered table and write segments.csv."""
-    segments = build_segments(cfg, filtered)
+    segments = build_segments(cfg)
     segmentation.write_segments_csv(segments, _out_dir(cfg) / SEGMENTS_FILE)
     log.info("%d segments (%d vehicular candidates)", len(segments),
              len(segmentation.vehicular_candidates(segments)))
@@ -345,9 +340,8 @@ class RunOutputs:
 def run_all(cfg: RunConfig) -> RunOutputs:
     """Full pipeline: segment, match with the configured methods, evaluate,
     and write every intermediate plus the final report."""
-    filtered = load_filtered(cfg)
+    segments = stage_segment(cfg)
     trips = load_trips(cfg)
-    segments = stage_segment(cfg, filtered)
     methods = live_methods(cfg)
     matched: dict[str, dict] = (stage_match_live(cfg, segments, methods)
                                 if methods else {})

@@ -106,8 +106,8 @@ def adjusted_query(segment: ActivitySegment,
     walk from a misdetected transition point to the boarding stop."""
     trace = segment.trace
     return PlanQuery(
-        origin=trace[0].geo,
-        destination=trace[-1].geo,
+        origin=GeoPoint(float(trace.lats[0]), float(trace.lngs[0])),
+        destination=GeoPoint(float(trace.lats[-1]), float(trace.lngs[-1])),
         earliest_start=segment.start_time - timedelta(seconds=walk_back_s),
         max_walk_m=max_walk_m,
         n_plans=n_plans,

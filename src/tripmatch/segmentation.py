@@ -1,57 +1,46 @@
-"""Cut filtered point streams into maximal same-activity segments.
+"""Cut the filtered device table into maximal same-activity segments.
 
-Segment ids are 1-based and assigned per device in chronological order, with
-devices concatenated in ascending device_id order; ids exist for human
-cross-reference only and never feed back into matching.
+The table is read as columns sorted by (device_id, time, file order), and a
+segment is a slice of them. Segment ids are 1-based in that order: per device
+in chronological order, devices in ascending device_id order; ids exist for
+human cross-reference only and never feed back into matching.
 """
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left, bisect_right
-from datetime import datetime
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .ingest import Column, Stamps, format_timestamp, load_table
-from .types import Activity, ActivitySegment, FilteredPoint, ManualTrip, seconds_between
+import numpy as np
+
+from .ingest import Column, IngestError, Stamps, format_timestamp, load_table
+from .types import (ACTIVITIES, Activity, ActivitySegment, ManualTrip,
+                    TraceColumns, as_seconds, from_seconds, seconds_between)
 
 DEFAULT_MAX_GAP_S = 300.0
 
 SEGMENT_CSV_COLUMNS = ["id", "device_id", "activity", "start", "end", "n_points"]
 
 
-def build_segments(points: Iterable[FilteredPoint],
+def build_segments(trace: TraceColumns,
                    max_gap_s: float = DEFAULT_MAX_GAP_S) -> list[ActivitySegment]:
-    """Group points into segments, splitting on activity change or when the
-    gap between consecutive points of a device exceeds max_gap_s."""
-    by_device: dict[int, list[FilteredPoint]] = {}
-    for p in points:
-        by_device.setdefault(p.device_id, []).append(p)
-
-    segments: list[ActivitySegment] = []
-    next_id = 1
-    for device_id in sorted(by_device):
-        stream = sorted(by_device[device_id], key=lambda p: p.time)
-        run: list[FilteredPoint] = []
-        for p in stream:
-            if run and (p.activity != run[-1].activity or
-                        seconds_between(run[-1].time, p.time) > max_gap_s):
-                segments.append(ActivitySegment(next_id, device_id,
-                                                run[0].activity, tuple(run)))
-                next_id += 1
-                run = []
-            run.append(p)
-        if run:
-            segments.append(ActivitySegment(next_id, device_id,
-                                            run[0].activity, tuple(run)))
-            next_id += 1
-    return segments
+    """Cut the trace on a device change, an activity change or a gap between
+    consecutive points of more than max_gap_s."""
+    if not len(trace):
+        return []
+    cuts = np.flatnonzero((np.diff(trace.device_id) != 0)
+                          | (np.diff(trace.activity) != 0)
+                          | (np.diff(trace.times_s) > max_gap_s)) + 1
+    bounds = [0, *cuts.tolist(), len(trace)]
+    return [ActivitySegment(segment_id, int(trace.device_id[lo]),
+                            ACTIVITIES[trace.activity[lo]], trace[lo:hi])
+            for segment_id, (lo, hi) in enumerate(zip(bounds, bounds[1:]), 1)]
 
 
 def vehicular_candidates(segments: Sequence[ActivitySegment]) -> list[ActivitySegment]:
     """IN_VEHICLE segments with at least two points (a 1-point trace cannot
     be matched against anything)."""
     return [s for s in segments
-            if s.activity is Activity.IN_VEHICLE and len(s.points) >= 2]
+            if s.activity is Activity.IN_VEHICLE and len(s.trace) >= 2]
 
 
 def overlap(segment: ActivitySegment, trip: ManualTrip) -> tuple[bool, float]:
@@ -77,33 +66,41 @@ def write_segments_csv(segments: Sequence[ActivitySegment], path) -> None:
         for s in segments:
             writer.writerow([s.segment_id, s.device_id, s.activity.value,
                              format_timestamp(s.start_time),
-                             format_timestamp(s.end_time), len(s.points)])
+                             format_timestamp(s.end_time), len(s.trace)])
 
 
-def load_segments_csv(path, filtered_points: Sequence[FilteredPoint],
-                      ) -> list[ActivitySegment]:
-    """Rebuild segments exported by write_segments_csv, re-attaching traces
-    from the filtered table (segments partition a device's stream by time, so
-    the closed time range recovers exactly the original points)."""
-    by_device: dict[int, list[FilteredPoint]] = {}
-    for p in filtered_points:
-        by_device.setdefault(p.device_id, []).append(p)
-    for stream in by_device.values():
-        stream.sort(key=lambda p: p.time)
-
-    def make(segment_id: int, device_id: int, activity: Activity,
-             start: datetime, end: datetime, expected: int) -> ActivitySegment:
-        stream = by_device.get(device_id, [])
-        lo = bisect_left(stream, start, key=lambda p: p.time)
-        hi = bisect_right(stream, end, key=lambda p: p.time)
-        pts = tuple(p for p in stream[lo:hi] if p.activity is activity)
-        if len(pts) != expected:
-            raise ValueError(
-                f"segment {segment_id}: reconstructed {len(pts)} points, "
-                f"expected {expected}; filtered table does not match")
-        return ActivitySegment(segment_id, device_id, activity, pts)
-
-    return load_table(path, [
+def load_segments_csv(path, trace: TraceColumns) -> list[ActivitySegment]:
+    """Rebuild segments exported by write_segments_csv from the filtered
+    table they were cut from: in id order, each segment is the next n_points
+    rows of the trace, whose device, activity and first and last time must
+    be the segment's, and the segments must use up every row."""
+    table = load_table(path, [
         Column("id", int), Column("device_id", int), Column("activity", Activity),
         Column("start", Stamps()), Column("end", Stamps()),
-        Column("n_points", int)]).build(make)
+        Column("n_points", int)])
+    table.report()
+    lines = np.delete(table.lines, list(table.bad)).tolist()
+    segments, lo = [], 0
+    for segment_id, device_id, activity, start, end, n, line in sorted(
+            zip(*map(table.values, table.kinds), lines)):
+        part = trace[lo:lo + max(n, 0)]
+        lo += len(part)
+        t, span = part.times_s, (as_seconds(start), as_seconds(end))
+        found = int(np.count_nonzero(
+            (part.device_id == device_id) & (t >= span[0]) & (t <= span[1])
+            & (part.activity == ACTIVITIES.index(activity))))
+        if n < 1 or found != n:
+            problem = f"reconstructed {found} points, expected {n}"
+        elif (t[0], t[-1]) != span:
+            problem = (f"reconstructed points from {from_seconds(t[0])} to "
+                       f"{from_seconds(t[-1])}, expected {start} to {end}")
+        else:
+            segments.append(ActivitySegment(segment_id, device_id, activity, part))
+            continue
+        raise IngestError(f"segment {segment_id}: {problem}; filtered table "
+                          "does not match", path=path, line=line)
+    if lo != len(trace):
+        raise IngestError(f"{len(trace) - lo} point(s) of the filtered table "
+                          "lie in no segment; filtered table does not match",
+                          path=path)
+    return segments

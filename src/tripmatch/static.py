@@ -106,8 +106,8 @@ def route_geometry_check(segment: ActivitySegment, itinerary: Itinerary,
     along-trace of either end are ignored (transition points are inaccurate).
     Returns (matched fraction, longest unmatched adjacent run, passed).
     """
-    samples = resample_min_spacing(segment.trace, constants.resample_spacing_m)
-    lat, lng = np.array([(p.lat, p.lng) for p in samples]).T
+    lat, lng = resample_min_spacing(segment.trace.lats, segment.trace.lngs,
+                                    constants.resample_spacing_m)
     # cumulative along-trace distance of each resampled point
     cumulative = np.cumsum(np.concatenate(
         [[0.0], distances_m(lat[:-1], lng[:-1], lat[1:], lng[1:])]))

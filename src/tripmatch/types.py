@@ -2,13 +2,16 @@
 
 Times are naive local timestamps (the dataset is single-day, single-zone);
 no timezone conversion happens anywhere in the pipeline.
+
+The filtered device table is a TraceColumns, sorted by (device_id, time,
+file order), and each ActivitySegment holds a slice of it; FilteredPoint is
+only its row type, as VehiclePosition is that of FleetColumns.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -54,16 +57,6 @@ PT_LINE_TYPES = (LineType.BUS, LineType.TRAM, LineType.TRAIN, LineType.SUBWAY)
 class GeoPoint(NamedTuple):
     lat: float
     lng: float
-
-
-class TracePoint(NamedTuple):
-    time: datetime
-    lat: float
-    lng: float
-
-    @property
-    def geo(self) -> GeoPoint:
-        return GeoPoint(self.lat, self.lng)
 
 
 def seconds_between(earlier: datetime, later: datetime) -> float:
@@ -113,13 +106,47 @@ class FilteredPoint:
     lng: float
     activity: Activity
 
-    @property
-    def geo(self) -> GeoPoint:
-        return GeoPoint(self.lat, self.lng)
 
-    @property
-    def trace_point(self) -> TracePoint:
-        return TracePoint(self.time, self.lat, self.lng)
+#: activity codes of TraceColumns index this tuple
+ACTIVITIES = tuple(Activity)
+_TRACE_DTYPES = (np.float64, np.int64, np.float64, np.float64, np.int8)
+
+
+@dataclass(frozen=True, eq=False)
+class TraceColumns:
+    """The filtered device table as parallel columns. The loader and
+    from_points sort the rows by (device_id, time), rows of an equal key in
+    input order; an activity segment is a slice of those rows."""
+
+    times_s: np.ndarray    # float64, seconds after TIME_REF
+    device_id: np.ndarray  # int64
+    lats: np.ndarray       # float64
+    lngs: np.ndarray       # float64
+    activity: np.ndarray   # int8 index into ACTIVITIES
+
+    @classmethod
+    def from_points(cls, points: Iterable[FilteredPoint]) -> "TraceColumns":
+        rows = [(as_seconds(p.time), p.device_id, p.lat, p.lng,
+                 ACTIVITIES.index(p.activity)) for p in points]
+        columns = zip(*rows) if rows else [()] * len(_TRACE_DTYPES)
+        return cls(*map(np.array, columns, _TRACE_DTYPES)).by_device()
+
+    def by_device(self) -> "TraceColumns":
+        """The rows stably sorted by (device_id, time)."""
+        return self[np.lexsort((self.times_s, self.device_id))]
+
+    def __len__(self) -> int:
+        return len(self.times_s)
+
+    def __getitem__(self, rows) -> "TraceColumns":
+        """The rows selected by a slice or an index array."""
+        return TraceColumns(*(column[rows] for column in vars(self).values()))
+
+    def __iter__(self) -> Iterator[FilteredPoint]:
+        """The rows as FilteredPoint objects (not for the hot path)."""
+        for t, device_id, lat, lng, a in zip(*(column.tolist()
+                                               for column in vars(self).values())):
+            yield FilteredPoint(from_seconds(t), device_id, lat, lng, ACTIVITIES[a])
 
 
 @dataclass(frozen=True)
@@ -132,10 +159,6 @@ class VehiclePosition:
     line_type: LineType
     line_name: str
     vehicle_ref: str
-
-    @property
-    def geo(self) -> GeoPoint:
-        return GeoPoint(self.lat, self.lng)
 
 
 #: line_type codes of FleetColumns index this tuple
@@ -224,35 +247,31 @@ class DeviceModelEntry:
     model: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActivitySegment:
-    """A maximal same-activity run of one device; the unit of recognition."""
+    """A maximal same-activity run of one device; the unit of recognition.
+    trace is its rows of the filtered table, a slice of its columns."""
 
     segment_id: int
     device_id: int
     activity: Activity
-    points: tuple[FilteredPoint, ...]
+    trace: TraceColumns
 
     def __post_init__(self) -> None:
-        if not self.points:
+        if not len(self.trace):
             raise ValueError("segment must contain at least one point")
 
     @property
     def start_time(self) -> datetime:
-        return self.points[0].time
+        return from_seconds(self.trace.times_s[0])
 
     @property
     def end_time(self) -> datetime:
-        return self.points[-1].time
+        return from_seconds(self.trace.times_s[-1])
 
     @property
     def duration_s(self) -> float:
         return seconds_between(self.start_time, self.end_time)
-
-    @cached_property
-    def trace(self) -> tuple[TracePoint, ...]:
-        """The points as trace points, built on first use."""
-        return tuple(p.trace_point for p in self.points)
 
     @property
     def midpoint_time(self) -> datetime:

@@ -22,6 +22,7 @@ from tripmatch.types import (
     DevicePoint,
     FilteredPoint,
     GeoPoint,
+    TraceColumns,
 )
 from tripmatch import synthetic
 from tripmatch.config import DATA_DIR_ENV
@@ -57,7 +58,13 @@ def fp(seconds: float, activity: Activity, *, device_id: int = 1,
 def segment_of(points: list[FilteredPoint], segment_id: int = 1,
                ) -> ActivitySegment:
     return ActivitySegment(segment_id, points[0].device_id,
-                           points[0].activity, tuple(points))
+                           points[0].activity, TraceColumns.from_points(points))
+
+
+def segment_rows(segments) -> list[tuple]:
+    """Each segment's fields and rows, to compare segments by value."""
+    return [(s.segment_id, s.device_id, s.activity, list(s.trace))
+            for s in segments]
 
 
 def make_bundle(stops: dict[str, tuple[float, float]],

@@ -188,6 +188,48 @@ def test_evaluate_with_a_point_missing_from_the_filtered_table_exits_1(
     assert "reconstructed" in err and "filtered table does not match" in err
 
 
+def test_evaluate_reloads_segments_that_share_a_timestamp(synth, tmp_path,
+                                                          capsys):
+    # one device repeats a timestamp with alternating activity, so each
+    # segment's closed time range also holds points of its neighbours
+    data_dir = tmp_path / "data"
+    shutil.copytree(synth.root, data_dir,
+                    ignore=shutil.ignore_patterns("out", "gtfs", "*.yaml",
+                                                  "truth.json"))
+    (data_dir / "device_data_filtered.csv").write_text("\n".join([
+        "time,device_id,lat,lng,activity",
+        "2016-08-26 09:00:00,1,60.17,24.94,WALKING",
+        "2016-08-26 09:00:10,1,60.1701,24.94,WALKING",
+        "2016-08-26 09:00:10,1,60.1702,24.94,IN_VEHICLE",
+        "2016-08-26 09:00:10,1,60.1703,24.94,WALKING",
+        "2016-08-26 09:00:30,1,60.1704,24.94,WALKING"]) + "\n")
+    raw = yaml.safe_load(Path(synth.config_path).read_text())
+    raw.update(data_dir=str(data_dir), gtfs=str(synth.root / "gtfs"),
+               output_dir=str(tmp_path / "out"))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert run_cli("segment", "--config", cfg) == 0
+    assert (tmp_path / "out" / "segments.csv").read_text().splitlines()[1:] == [
+        "1,1,WALKING,2016-08-26 09:00:00,2016-08-26 09:00:10,2",
+        "2,1,IN_VEHICLE,2016-08-26 09:00:10,2016-08-26 09:00:10,1",
+        "3,1,WALKING,2016-08-26 09:00:10,2016-08-26 09:00:30,2"]
+    assert run_cli("run", "--config", cfg) == 0
+    report = (tmp_path / "out" / "report.txt").read_bytes()
+    capsys.readouterr()
+    assert run_cli("evaluate", "--config", cfg) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "out" / "report.txt").read_bytes() == report
+
+
+@pytest.mark.parametrize("command", ["run", "match-live", "match-static"])
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_exits_1(synth, tmp_path, capsys, command, jobs):
+    assert run_cli(command, "--config", synth.config_path,
+                   "--out", tmp_path / "out", "--jobs", jobs) == 1
+    assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_methods_flag_limits_columns(synth, tmp_path, capsys):
     out = tmp_path / "newonly"
     assert run_cli("run", "--config", synth.config_path, "--out", out,

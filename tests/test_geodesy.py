@@ -169,27 +169,39 @@ def _chain(origin: GeoPoint, step_m: float, n: int) -> list[GeoPoint]:
     return [offset_point(origin, 0.0, i * step_m) for i in range(n)]
 
 
+def resample(points, spacing_m):
+    """resample_min_spacing of a list of points, as a list of points."""
+    lats, lngs = np.array(points, dtype=np.float64).reshape(-1, 2).T
+    kept = resample_min_spacing(lats, lngs, spacing_m)
+    return [GeoPoint(lat, lng) for lat, lng in zip(*(c.tolist() for c in kept))]
+
+
 def test_resample_every_other_at_half_spacing():
     # 50.001 m steps: each second point sits just past the 100 m threshold,
     # keeping the boundary test off the float knife edge
     pts = _chain(GeoPoint(60.17, 24.94), 50.001, 9)
-    kept = resample_min_spacing(pts, 100.0)
+    kept = resample(pts, 100.0)
     assert kept == pts[::2]
 
 
 def test_resample_keeps_all_at_wider_spacing():
     pts = _chain(GeoPoint(60.17, 24.94), 150.0, 6)
-    assert resample_min_spacing(pts, 100.0) == pts
+    assert resample(pts, 100.0) == pts
+
+
+def test_resample_keeps_a_point_exactly_at_the_spacing():
+    a, b = GeoPoint(60.17, 24.94), GeoPoint(60.171, 24.9413)
+    assert resample([a, b], distance_m(a, b)) == [a, b]
 
 
 def test_resample_single_point():
     pts = [GeoPoint(60.17, 24.94)]
-    assert resample_min_spacing(pts, 100.0) == pts
+    assert resample(pts, 100.0) == pts
 
 
 def test_resample_rejects_nonpositive_spacing():
     with pytest.raises(ValueError):
-        resample_min_spacing([GeoPoint(60.17, 24.94)], 0.0)
+        resample([GeoPoint(60.17, 24.94)], 0.0)
 
 
 @settings(max_examples=200)
@@ -199,11 +211,17 @@ def test_resample_rejects_nonpositive_spacing():
 def test_resample_subsequence_and_min_spacing(offs, spacing):
     origin = GeoPoint(60.17, 24.94)
     pts = [offset_point(origin, e, n) for e, n in offs]
-    kept = resample_min_spacing(pts, spacing)
+    kept = resample(pts, spacing)
     it = iter(pts)
     assert all(p in it for p in kept)  # subsequence of the input
     for a, b in zip(kept, kept[1:]):
         assert distance_m(a, b) >= spacing - 1e-9
+    # the greedy rule: a point is kept iff it is far enough from the last kept
+    greedy = [pts[0]]
+    for p in pts[1:]:
+        if distance_m(greedy[-1], p) >= spacing:
+            greedy.append(p)
+    assert kept == greedy
 
 
 def test_trace_length_sums_segments():

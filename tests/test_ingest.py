@@ -18,7 +18,9 @@ from tripmatch.ingest import (
     format_timestamp,
     parse_timestamp,
 )
+from tripmatch.segmentation import build_segments
 from tripmatch.types import (
+    ACTIVITIES,
     LIVE_LINE_TYPES,
     LOG_LINE_TYPES,
     Activity,
@@ -121,12 +123,59 @@ def test_filtered_parses(tmp_path):
     path = write(tmp_path, "f.csv", FILTERED_HEADER,
                  "2016-08-26 09:00:00,1,60.17,24.94,IN_VEHICLE")
     points = ingest.load_filtered_data(path)
-    assert points == [FilteredPoint(datetime(2016, 8, 26, 9, 0, 0), 1,
-                                    60.17, 24.94, Activity.IN_VEHICLE)]
+    assert list(points) == [FilteredPoint(datetime(2016, 8, 26, 9, 0, 0), 1,
+                                          60.17, 24.94, Activity.IN_VEHICLE)]
 
 
 def test_filtered_header_only(tmp_path):
-    assert ingest.load_filtered_data(write(tmp_path, "f.csv", FILTERED_HEADER)) == []
+    trace = ingest.load_filtered_data(write(tmp_path, "f.csv", FILTERED_HEADER))
+    assert len(trace) == 0
+    assert [(c.dtype, c.shape) for c in (trace.times_s, trace.device_id,
+                                         trace.lats, trace.lngs, trace.activity)] \
+        == [(np.dtype(t), (0,)) for t in ("f8", "i8", "f8", "f8", "i1")]
+    assert build_segments(trace) == []
+
+
+def test_filtered_columns_have_their_dtypes(tmp_path):
+    trace = ingest.load_filtered_data(write(
+        tmp_path, "f.csv", FILTERED_HEADER,
+        "2016-08-26 09:00:10,7,60.17,24.94,WALKING",
+        "2016-08-26 09:00:00,7,60.18,24.95,IN_VEHICLE"))
+    assert [c.dtype for c in (trace.times_s, trace.device_id, trace.lats,
+                              trace.lngs, trace.activity)] == \
+        [np.float64, np.int64, np.float64, np.float64, np.int8]
+    assert trace.activity.tolist() == [ACTIVITIES.index(Activity.IN_VEHICLE),
+                                       ACTIVITIES.index(Activity.WALKING)]
+
+
+def test_filtered_device_id_beyond_int64_is_located(tmp_path):
+    path = write(tmp_path, "f.csv", FILTERED_HEADER,
+                 "2016-08-26 09:00:00,1,60.17,24.94,STILL",
+                 f"2016-08-26 09:00:10,{2 ** 63},60.17,24.94,STILL")
+    with pytest.raises(IngestError) as err:
+        ingest.load_filtered_data(path)
+    assert str(err.value) == (f"{path}: line 3: column 'device_id': "
+                              f"{2 ** 63} out of the int64 range")
+
+
+def test_filtered_permissive_skips_a_bad_row_and_counts_shared_keys(tmp_path):
+    path = write(tmp_path, "f.csv", FILTERED_HEADER,
+                 "2016-08-26 09:00:00,1,60.17,24.94,STILL",
+                 "2016-08-26 09:00:00,1,60.17,24.94,WALKING",
+                 "2016-08-26 09:00:00,1,95,24.94,WALKING",
+                 "2016-08-26 09:00:00,2,60.17,24.94,WALKING",
+                 "2016-08-26 09:00:01,1,60.17,24.94,WALKING",
+                 "2016-08-26 09:00:00,1,60.17,24.94,STILL")
+    diagnostics = []
+    trace = ingest.load_filtered_data(path, permissive=True,
+                                      diagnostics=diagnostics)
+    assert [(p.device_id, p.time.second, p.activity) for p in trace] == [
+        (1, 0, Activity.STILL), (1, 0, Activity.WALKING), (1, 0, Activity.STILL),
+        (1, 1, Activity.WALKING), (2, 0, Activity.WALKING)]
+    assert diagnostics == [
+        f"skipped row: {path}: line 4: column 'lat': latitude 95.0 out of "
+        "range [-90, 90]",
+        "2 row(s) share a (time, device_id) key"]
 
 
 def test_filtered_unknown_activity_names_value(tmp_path):
@@ -147,11 +196,12 @@ def test_filtered_csv_error_is_located(tmp_path):
 
 
 def test_filtered_output_time_ordered(tmp_path):
+    # each device's rows in time order, devices in ascending device_id
     rows = [f"2016-08-26 09:00:{s:02d},{d},60.17,24.94,WALKING"
             for s, d in [(30, 1), (10, 2), (10, 1), (0, 3)]]
     points = ingest.load_filtered_data(write(tmp_path, "f.csv",
                                              FILTERED_HEADER, *rows))
-    keys = [(p.time, p.device_id) for p in points]
+    keys = [(p.device_id, p.time) for p in points]
     assert keys == sorted(keys)
 
 
@@ -327,8 +377,8 @@ _filtered_points = st.builds(FilteredPoint, _times, st.integers(1, 9),
 def test_filtered_round_trip(tmp_path_factory, points):
     path = tmp_path_factory.mktemp("rt") / "f.csv"
     ingest.write_filtered_data(points, path)
-    assert ingest.load_filtered_data(path) == sorted(
-        points, key=lambda p: (p.time, p.device_id))
+    assert list(ingest.load_filtered_data(path)) == sorted(
+        points, key=lambda p: (p.device_id, p.time))
 
 
 from tripmatch.types import ManualTrip, VehiclePosition  # noqa: E402
@@ -592,7 +642,7 @@ def test_filtered_loader_agrees_with_reference(tmp_path_factory, rows, layout,
     expected = reference_table(path, _ref_filtered_row, permissive=permissive)
     if expected[0] != "error":
         points, diagnostics = expected
-        points.sort(key=lambda p: (p.time, p.device_id))
+        points.sort(key=lambda p: (p.device_id, p.time))
         dupes = len(points) - len({(p.time, p.device_id) for p in points})
         if dupes:
             diagnostics.append(f"{dupes} row(s) share a (time, device_id) key")

@@ -24,7 +24,7 @@ from tripmatch.types import (
     FleetColumns,
     GeoPoint,
     LineType,
-    TracePoint,
+    TraceColumns,
     VehiclePosition,
     as_seconds,
     from_seconds,
@@ -51,7 +51,8 @@ def boxes_of(index, t0, t1):
 
 
 def trace_points(specs):
-    return [TracePoint(at(s), p.lat, p.lng) for s, p in specs]
+    return TraceColumns.from_points(
+        fp(s, Activity.IN_VEHICLE, lat=p.lat, lng=p.lng) for s, p in specs)
 
 
 def ride_segment(specs, device_id=1, segment_id=1):
@@ -64,21 +65,35 @@ def ride_segment(specs, device_id=1, segment_id=1):
 
 def test_short_trace_kept_whole():
     trace = trace_points([(10 * i, BASE) for i in range(10)])
-    assert select_user_samples(trace, 40) == trace
+    assert list(select_user_samples(trace, 40)) == list(trace)
 
 
 def test_exactly_forty_kept_whole():
     trace = trace_points([(10 * i, BASE) for i in range(40)])
-    assert select_user_samples(trace, 40) == trace
+    assert list(select_user_samples(trace, 40)) == list(trace)
 
 
 def test_seventy_nine_points_spread_evenly():
     # oracle: round(i * 78 / 39) = 2i, so every other index incl. 0 and 78
     trace = trace_points([(10 * i, BASE) for i in range(79)])
-    picked = select_user_samples(trace, 40)
+    picked = list(select_user_samples(trace, 40))
     assert len(picked) == 40
-    assert picked == trace[::2]
-    assert picked[0] == trace[0] and picked[-1] == trace[78]
+    assert picked == list(trace)[::2]
+    assert picked[0] == list(trace)[0] and picked[-1] == list(trace)[78]
+
+
+def test_sample_rows_follow_rounded_even_spread():
+    # the rows of round(i * last / (max_samples - 1)), half to even
+    for n in range(1, 201):
+        trace = TraceColumns(
+            np.arange(n, dtype=np.float64), np.ones(n, dtype=np.int64),
+            np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int8))
+        for max_samples in range(2, 61):
+            rows = select_user_samples(trace, max_samples).times_s.tolist()
+            want = (list(range(n)) if n <= max_samples else
+                    [round(i * (n - 1) / (max_samples - 1))
+                     for i in range(max_samples)])
+            assert rows == want, (n, max_samples)
 
 
 # --- PositionIndex ---
@@ -166,12 +181,12 @@ def _exact_match_setup(n_samples, n_matched, offset_m=0.0):
     for i in range(n_samples):
         t = 100.0 * i
         pos = offset_point(BASE, 0.0, 400.0 * i)
-        samples.append(TracePoint(at(t), pos.lat, pos.lng))
+        samples.append((t, pos))
         if i < n_matched:
             line_base = offset_point(pos, offset_m, 0.0)
             rows.append(vp(t - 10, offset_point(line_base, 0.0, -40.0)))
             rows.append(vp(t + 10, offset_point(line_base, 0.0, 40.0)))
-    return samples, index_of(rows)
+    return trace_points(samples), index_of(rows)
 
 
 def test_perfect_match_scores_full():
@@ -241,8 +256,8 @@ def _reference_score(samples, rows, ref, cfg, use_linestring):
             distances.append(None)
             continue
         p = (sample.lat, sample.lng)
-        point_dists = [distance_m(p, f.geo) for f in fixes]
-        d = (point_to_linestring_m(p, [f.geo for f in fixes])
+        point_dists = [distance_m(p, (f.lat, f.lng)) for f in fixes]
+        d = (point_to_linestring_m(p, [(f.lat, f.lng) for f in fixes])
              if use_linestring else min(point_dists))
         distances.append(d)
         if d <= cfg.distance_limit_m:
@@ -269,8 +284,7 @@ def test_score_vehicle_agrees_with_scalar_reference(fixes, picks, quorum,
     cfg = LiveMatchConfig(quorum_fraction=quorum)
     rows = [vp(10 * t, offset_point(BASE, *off), name=name, ref=ref)
             for t, off, ref, name in fixes]
-    samples = sorted((TracePoint(at(10 * t), *offset_point(BASE, *off))
-                      for t, off in picks), key=lambda p: p.time)
+    samples = trace_points((10 * t, offset_point(BASE, *off)) for t, off in picks)
     index = index_of(rows)
     for ref in ("a", "b"):
         got = score_vehicle(samples, ref, cfg, index, use_linestring)

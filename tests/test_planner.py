@@ -184,8 +184,8 @@ def test_adjusted_query_pulls_start_back_372s():
     assert q.earliest_start == seg.start_time - timedelta(seconds=372)
     assert q.max_walk_m == 1000.0
     assert q.n_plans == 3
-    assert q.origin == seg.trace[0].geo
-    assert q.destination == seg.trace[-1].geo
+    assert q.origin == (BASE.lat, BASE.lng)
+    assert q.destination == (60.18, 24.95)
 
 
 def test_adjusted_query_clock_example():

@@ -5,16 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripmatch import segmentation
+from tripmatch.ingest import IngestError
 from tripmatch.segmentation import (
-    build_segments,
     load_segments_csv,
     overlap,
     vehicular_candidates,
     write_segments_csv,
 )
-from tripmatch.types import Activity, ActivitySegment, FilteredPoint, LineType, ManualTrip
+from tripmatch.types import (
+    Activity,
+    ActivitySegment,
+    FilteredPoint,
+    LineType,
+    ManualTrip,
+    TraceColumns,
+    seconds_between,
+)
 
-from conftest import at, fp, segment_of
+from conftest import at, fp, segment_of, segment_rows
+
+
+def build_segments(points, max_gap_s=segmentation.DEFAULT_MAX_GAP_S):
+    return segmentation.build_segments(TraceColumns.from_points(points),
+                                       max_gap_s)
 
 
 def trip(dep_s, arr_s, device_id=1, line_type=LineType.SUBWAY, name=""):
@@ -63,7 +77,7 @@ def test_candidates_require_in_vehicle_and_two_points():
     ])
     candidates = vehicular_candidates(segments)
     assert len(candidates) == 1
-    assert len(candidates[0].points) == 2
+    assert len(candidates[0].trace) == 2
 
 
 def test_all_walking_has_no_candidates():
@@ -121,7 +135,7 @@ def test_segments_partition_each_device_stream(raw, max_gap_s):
         stream = sorted((p for p in points if p.device_id == device_id),
                         key=lambda p: (p.time, p.lat, p.lng))
         rebuilt = [p for s in segments if s.device_id == device_id
-                   for p in s.points]
+                   for p in s.trace]
         assert sorted(rebuilt, key=lambda p: (p.time, p.lat, p.lng)) == stream
     # no two segments of one device overlap in time
     by_device = {}
@@ -138,15 +152,103 @@ def test_csv_round_trip(tmp_path):
     points = [fp(20 * i + rng.randint(0, 5), rng.choice([
         Activity.WALKING, Activity.IN_VEHICLE]), device_id=rng.choice([1, 2]))
         for i in range(80)]
-    segments = build_segments(points)
+    trace = TraceColumns.from_points(points)
+    segments = segmentation.build_segments(trace)
     path = tmp_path / "segments.csv"
     write_segments_csv(segments, path)
-    reloaded = load_segments_csv(path, points)
-    assert reloaded == segments
+    reloaded = load_segments_csv(path, trace)
+    assert segment_rows(reloaded) == segment_rows(segments)
 
 
 def test_single_point_segment_allowed_but_empty_rejected():
     seg = segment_of([fp(0, Activity.IN_VEHICLE)])
     assert seg.duration_s == 0.0
     with pytest.raises(ValueError):
-        ActivitySegment(1, 1, Activity.IN_VEHICLE, ())
+        ActivitySegment(1, 1, Activity.IN_VEHICLE, TraceColumns.from_points([]))
+
+
+def reference_segments(points, max_gap_s):
+    """The per-point loop that built segments before they were column
+    slices: each device's points in ascending device_id order, stably sorted
+    by time, cut on an activity change or a gap over max_gap_s."""
+    by_device = {}
+    for p in points:
+        by_device.setdefault(p.device_id, []).append(p)
+    runs = []
+    for device_id in sorted(by_device):
+        run = []
+        for p in sorted(by_device[device_id], key=lambda p: p.time):
+            if run and (p.activity != run[-1].activity or
+                        seconds_between(run[-1].time, p.time) > max_gap_s):
+                runs.append(run)
+                run = []
+            run.append(p)
+        if run:
+            runs.append(run)
+    return [(i, run[0].device_id, run[0].activity, run)
+            for i, run in enumerate(runs, 1)]
+
+
+@st.composite
+def _device_tables(draw):
+    """Rows of devices 1-3 in shuffled file order, each device's clock
+    advancing by 0 s (a shared timestamp), 1 s, max_gap_s or max_gap_s + 1;
+    a distinct latitude per row makes each row identifiable."""
+    max_gap_s = draw(st.integers(30, 600))
+    steps = st.sampled_from([0, 1, max_gap_s, max_gap_s + 1])
+    drawn = draw(st.lists(st.tuples(st.integers(1, 3), steps, _activities),
+                          max_size=40))
+    clock = {}
+    points = []
+    for i, (device_id, step, activity) in enumerate(drawn):
+        clock[device_id] = clock.get(device_id, 0) + step
+        points.append(fp(clock[device_id], activity, device_id=device_id,
+                         lat=60.0 + i * 1e-4))
+    order = draw(st.permutations(range(len(points))))
+    return [points[i] for i in order], max_gap_s
+
+
+@settings(max_examples=300, deadline=None)
+@given(_device_tables())
+def test_column_cut_agrees_with_per_point_loop(table):
+    points, max_gap_s = table
+    assert segment_rows(build_segments(points, max_gap_s)) == \
+        reference_segments(points, max_gap_s)
+
+
+def test_empty_table_has_no_segments():
+    assert segmentation.build_segments(TraceColumns.from_points([])) == []
+
+
+def test_reload_rebuilds_segments_that_share_a_timestamp(tmp_path):
+    # one device repeats a timestamp with alternating activity: the closed
+    # time range of each segment holds points of its neighbours
+    points = [fp(0, Activity.WALKING), fp(10, Activity.WALKING),
+              fp(10, Activity.IN_VEHICLE), fp(10, Activity.WALKING),
+              fp(30, Activity.WALKING)]
+    trace = TraceColumns.from_points(points)
+    segments = segmentation.build_segments(trace)
+    assert [len(s.trace) for s in segments] == [2, 1, 2]
+    path = tmp_path / "segments.csv"
+    write_segments_csv(segments, path)
+    assert segment_rows(load_segments_csv(path, trace)) == segment_rows(segments)
+
+
+@pytest.mark.parametrize("rows, message", [
+    (lambda pts: pts[:-1], "segment 2: reconstructed 1 points, expected 2"),
+    (lambda pts: pts[:1] + pts[2:], "segment 1: reconstructed 1 points, expected 2"),
+    (lambda pts: pts + [fp(500, Activity.STILL)],
+     "1 point(s) of the filtered table lie in no segment"),
+    (lambda pts: pts[:1] + [fp(5, Activity.WALKING)] + pts[1:],
+     "segment 1: reconstructed points from 2016-08-26 09:00:00 to "
+     "2016-08-26 09:00:05, expected 2016-08-26 09:00:00 to 2016-08-26 09:00:10"),
+])
+def test_reload_refuses_a_filtered_table_that_differs(tmp_path, rows, message):
+    points = [fp(0, Activity.WALKING), fp(10, Activity.WALKING),
+              fp(20, Activity.IN_VEHICLE), fp(30, Activity.IN_VEHICLE)]
+    path = tmp_path / "segments.csv"
+    write_segments_csv(build_segments(points), path)
+    with pytest.raises(IngestError) as err:
+        load_segments_csv(path, TraceColumns.from_points(rows(points)))
+    assert message in str(err.value)
+    assert str(err.value).endswith("filtered table does not match")

@@ -32,6 +32,10 @@ CONSTANTS = MatchConstants()
 BASE = GeoPoint(60.17, 24.94)
 
 
+def geo_points(segment):
+    return [GeoPoint(p.lat, p.lng) for p in segment.trace]
+
+
 def straight_segment(length_m=3000.0, duration_s=600.0, n=31, east_m=0.0,
                      start_s=0.0):
     """IN_VEHICLE segment going due north from BASE."""
@@ -58,7 +62,7 @@ def plan_for(segment, *, board_offset_s=0.0, total_s=None, transit_s=None,
     board = segment.start_time + timedelta(seconds=board_offset_s)
     alight = board + timedelta(seconds=transit_s)
     if geometry is None:
-        geometry = (segment.trace[0].geo, segment.trace[-1].geo)
+        geometry = (geo_points(segment)[0], geo_points(segment)[-1])
     leg = TransitLeg(line[0], line[1], trip_id, "S1", board, "S2", alight,
                      tuple(geometry))
     return Itinerary(start_time=board - timedelta(seconds=walk_before),
@@ -188,14 +192,16 @@ def reference_route_check(segment, geometry, constants=CONSTANTS):
     """The route check as a scalar loop: the along-trace distance summed
     point by point and point_to_linestring_m for each interior point.
     Returns the check's result, the sums and the distances."""
-    samples = resample_min_spacing(segment.trace, constants.resample_spacing_m)
+    lats, lngs = resample_min_spacing(segment.trace.lats, segment.trace.lngs,
+                                      constants.resample_spacing_m)
+    samples = list(zip(lats.tolist(), lngs.tolist()))
     cumulative = [0.0]
     for a, b in zip(samples, samples[1:]):
-        cumulative.append(cumulative[-1] + distance_m(a.geo, b.geo))
+        cumulative.append(cumulative[-1] + distance_m(a, b))
     total = cumulative[-1]
     interior = [p for p, c in zip(samples, cumulative)
                 if c >= constants.dEmax_m and total - c >= constants.dEmax_m]
-    distances = [point_to_linestring_m(p.geo, geometry)
+    distances = [point_to_linestring_m(p, geometry)
                  for p in interior or samples]
     flags = [d <= constants.route_limit_m for d in distances]
     longest = run = 0
@@ -282,7 +288,7 @@ def _run_with_miss_pattern(miss_idx, n_samples):
 
 def test_geometry_check_invariant_under_reversal():
     segment = straight_segment(length_m=2500.0, n=26)
-    geometry = [offset_point(p.geo, 30.0, 0.0) for p in segment.trace[::3]]
+    geometry = [offset_point(p, 30.0, 0.0) for p in geo_points(segment)[::3]]
     fwd = route_geometry_check(segment, plan_for(segment, geometry=geometry),
                                CONSTANTS)
     rev = route_geometry_check(segment,
