@@ -23,8 +23,8 @@ from .config import (
 )
 from .ingest import IngestError
 from .live import score_vehicle, select_user_samples
-from .planner import PlanError, adjusted_query
-from .static import filter_plan
+from .planner import PlanError
+from .static import adjusted_query, filter_plan
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -77,7 +77,7 @@ def _configure(args: argparse.Namespace) -> RunConfig:
         cfg.output_dir = Path(args.out)
     if getattr(args, "permissive", False):
         cfg.permissive = True
-    if getattr(args, "methods", None):
+    if getattr(args, "methods", None) is not None:
         cfg.methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if getattr(args, "jobs", None) is not None:
         cfg.jobs = args.jobs
@@ -181,10 +181,7 @@ def cmd_inspect_segment(cfg: RunConfig, segment_id: int) -> int:
 
     if cfg.gtfs is not None and cfg.gtfs.exists() and STATIC in cfg.methods:
         planner = pipeline.build_planner(cfg)
-        query = adjusted_query(segment,
-                               walk_back_s=cfg.constants.walk_before_max_s,
-                               max_walk_m=2 * cfg.constants.dEmax_m)
-        result = planner.plan(query)
+        result = planner.plan(adjusted_query(segment, cfg.constants))
         print(f"\nplanner itineraries: {len(result.itineraries)}"
               + (f" (reason: {result.reason})" if result.reason else ""))
         for itinerary in result.itineraries:

@@ -90,6 +90,8 @@ class RunConfig:
         return self.gtfs
 
     def validate(self) -> None:
+        if not self.methods:
+            raise ConfigError(f"no method chosen; choose from {list(ALL_METHODS)}")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigError(f"unknown method(s) {unknown}; "

@@ -68,6 +68,15 @@ class TripVerdict:
     def has_vehicular_segment(self) -> bool:
         return any(s.activity is Activity.IN_VEHICLE for s in self.segments)
 
+    @property
+    def listed_segments(self) -> list[ActivitySegment]:
+        """The segments a trip inventory lists: all of them when none is
+        vehicular, else the IN_VEHICLE and ON_BICYCLE ones."""
+        if not self.has_vehicular_segment:
+            return self.segments
+        return [s for s in self.segments
+                if s.activity in (Activity.IN_VEHICLE, Activity.ON_BICYCLE)]
+
     def inventory(self, method: str) -> str:
         if not self.has_vehicular_segment:
             return INV_NO_SEGMENT
@@ -284,7 +293,7 @@ def _render_text(stats: Mapping[str, MethodStats],
                         and v.inventory(method) == inventory]
             out.write(f"[{title}] {len(selected)} trip(s)\n")
             for v in selected:
-                for line in _inventory_rows(v, method, inventory):
+                for line in _inventory_rows(v, method):
                     out.write("  " + line + "\n")
     return out.getvalue()
 
@@ -293,16 +302,11 @@ def _clock(t) -> str:
     return t.strftime("%H:%M:%S") if t is not None else ""
 
 
-def _inventory_rows(verdict: TripVerdict, method: str, inventory: str,
-                    ) -> list[str]:
+def _inventory_rows(verdict: TripVerdict, method: str) -> list[str]:
     trip = verdict.trip
     prefix = (f"dev {trip.device_id}  {_clock(trip.start)}-{_clock(trip.end)}  "
               f"{trip.line_type.value} {trip.line_name or '-'}")
-    if inventory == INV_NO_SEGMENT:
-        shown = verdict.segments
-    else:
-        shown = [s for s in verdict.segments
-                 if s.activity in (Activity.IN_VEHICLE, Activity.ON_BICYCLE)]
+    shown = verdict.listed_segments
     if not shown:
         return [prefix + "  (no overlapping segments)"]
     lines = []
@@ -351,14 +355,9 @@ def write_inventory_csv(verdicts: Sequence[TripVerdict],
             for v in verdicts:
                 if v.trip.line_type is LineType.CAR:
                     continue
-                inventory = v.inventory(method)
-                if inventory == INV_NO_SEGMENT:
-                    shown = v.segments
-                else:
-                    shown = [s for s in v.segments if s.activity in
-                             (Activity.IN_VEHICLE, Activity.ON_BICYCLE)]
+                shown = v.listed_segments
                 trip = v.trip
-                base = [method, inventory, trip.device_id,
+                base = [method, v.inventory(method), trip.device_id,
                         format_timestamp(trip.start) if trip.start else "",
                         format_timestamp(trip.end) if trip.end else "",
                         trip.line_type.value, trip.line_name]

@@ -39,7 +39,6 @@ class LiveMatchConfig:
     window_s: float = 60.0
     quorum_fraction: float = 0.75
     old_live_samples: int = 4
-    bbox_margin_m: float = 200.0
 
     def __post_init__(self) -> None:
         # a match needs two samples, and select_user_samples spreads them
@@ -48,7 +47,7 @@ class LiveMatchConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 2:
                 raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
-        if min(self.distance_limit_m, self.window_s, self.bbox_margin_m) <= 0:
+        if min(self.distance_limit_m, self.window_s) <= 0:
             raise ValueError("live matcher parameters must be positive")
         if not 0.0 < self.quorum_fraction <= 1.0:
             raise ValueError("quorum_fraction must be in (0, 1]")
@@ -284,7 +283,9 @@ def _match(segment: ActivitySegment, cfg: LiveMatchConfig, index: PositionIndex,
         return None
     t0 = segment.start_time - timedelta(seconds=cfg.window_s)
     t1 = segment.end_time + timedelta(seconds=cfg.window_s)
-    seg_box = _segment_bbox(samples, cfg.bbox_margin_m)
+    # a vehicle within the distance limit of a sample has a fix box within
+    # it too; twice the limit covers the degree approximation of the box
+    seg_box = _segment_bbox(samples, 2 * cfg.distance_limit_m)
 
     refs = index.vehicles_in_range(t0, t1)
     slots = np.array([index.slot(ref) for ref in refs])

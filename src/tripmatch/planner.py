@@ -17,10 +17,9 @@ import numpy as np
 
 from .geodesy import distances_m
 from .gtfs import UNTIMED, GtfsBundle, GtfsStop, gtfs_time_to_datetime
-from .types import ActivitySegment, GeoPoint, LineType
+from .types import GeoPoint, LineType
 
-DEFAULT_WALK_BACK_S = 372.0     # earliest-start adjustment: 500 m at walk speed
-DEFAULT_MAX_WALK_M = 1000.0     # 2 x 500 m transition-point slack
+DEFAULT_MAX_WALK_M = 1000.0
 DEFAULT_N_PLANS = 3
 _DAY_S = 86400
 
@@ -95,23 +94,6 @@ class PlanResult:
 
 class JourneyPlanner(Protocol):
     def plan(self, query: PlanQuery) -> PlanResult: ...
-
-
-def adjusted_query(segment: ActivitySegment,
-                   walk_back_s: float = DEFAULT_WALK_BACK_S,
-                   max_walk_m: float = DEFAULT_MAX_WALK_M,
-                   n_plans: int = DEFAULT_N_PLANS) -> PlanQuery:
-    """Planner query for a vehicular segment: endpoints become origin and
-    destination, and the earliest start is pulled back to let the traveller
-    walk from a misdetected transition point to the boarding stop."""
-    trace = segment.trace
-    return PlanQuery(
-        origin=GeoPoint(float(trace.lats[0]), float(trace.lngs[0])),
-        destination=GeoPoint(float(trace.lats[-1]), float(trace.lngs[-1])),
-        earliest_start=segment.start_time - timedelta(seconds=walk_back_s),
-        max_walk_m=max_walk_m,
-        n_plans=n_plans,
-    )
 
 
 class TimetablePlanner:

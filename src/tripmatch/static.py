@@ -1,71 +1,115 @@
 """Validate planner itineraries against a vehicular segment.
 
-A plan survives four duration criteria (not too short, not too long, transit
-leg duration close to the segment, boarding time close to the segment start)
-and a route-geometry quorum; among survivors the one boarding closest to the
-segment start wins.
+The planner is asked for walk - ride - walk plans between the segment's end
+points, starting tWb earlier than the segment and walking at most 2 dEmax.
+A plan of duration t with transit leg tPT survives four duration criteria
+against the segment duration tV, each limit derived from the transition
+slack dEmax, the walk speed vW, the minimum transit speed vPT and the
+schedule deviation tEPT (see MatchConstants):
+
+1. not too short: t - tV >= -tEPT;
+2. not too long: t - tV <= tPTb + tPTe + tWb + tWe (18 min);
+3. transit leg close to the segment: |tPT - tV| <= tPTb + tPTe (5.6 min);
+4. boarding close to the segment start: |board - start| <= tPTb + tEPT
+   (5.8 min);
+
+where tWb = tWe = dEmax / vW (6.2 min) and tPTb = tPTe = dEmax / vPT
+(2.8 min), rounded to a tenth of a minute. A route-geometry quorum follows;
+among survivors the one boarding closest to the segment start wins.
 """
 from __future__ import annotations
 
 import csv
 import enum
 from dataclasses import dataclass
+from datetime import timedelta
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .geodesy import distances_m, points_to_polylines_m, resample_min_spacing
 from .ingest import format_timestamp
-from .planner import Itinerary, JourneyPlanner, PlanQuery, adjusted_query
-from .types import ActivitySegment, LineType
+from .planner import Itinerary, JourneyPlanner, PlanQuery
+from .types import ActivitySegment, GeoPoint, LineType
+
+
+def _minute_rounded(seconds: float) -> float:
+    """seconds rounded to a tenth of a minute, as the paper states limits."""
+    return round(seconds / 60.0, 1) * 60.0
 
 
 @dataclass(frozen=True)
 class MatchConstants:
     """Thresholds for plan validation.
 
-    The minute-denominated limits are stored in seconds (6.2 min -> 372 s and
-    so on); the derived sums then close exactly: 336 + 744 = 1080 s = 18 min.
+    Only the independent quantities are fields. The time limits follow from
+    them, minute-rounded and stored in seconds:
+
+    * tWb = tWe = dEmax / vW (6.2 min = 372 s), the walk from a misplaced
+      transition point; the query pulls its start back by tWb;
+    * tPTb = tPTe = dEmax / vPT (2.8 min = 168 s), the ride to or from it;
+    * |tPT - tV| <= tPTb + tPTe (5.6 min = 336 s), transit_delta_max_s;
+    * t - tV <= tPTb + tPTe + tWb + tWe (18 min = 1080 s), total_delta_max_s;
+    * |board - segment start| <= tPTb + tEPT (5.8 min = 348 s),
+      start_diff_max_s.
     """
 
-    dEmax_m: float = 500.0
+    dEmax_m: float = 500.0                # transition-point slack
     walk_speed_mps: float = 1.34          # vW
     transit_speed_mps: float = 3.0        # vPT, minimum assumed
     schedule_deviation_s: float = 180.0   # tEPT
-    walk_before_max_s: float = 372.0      # tWb = dEmax / vW, minute-rounded
-    walk_after_max_s: float = 372.0       # tWe
-    transit_extra_begin_max_s: float = 168.0  # tPTb = dEmax / vPT, minute-rounded
-    transit_extra_end_max_s: float = 168.0    # tPTe
-    transit_delta_max_s: float = 336.0    # |tPT - tV| <= tPTb + tPTe
-    walk_delta_max_s: float = 744.0       # tWb + tWe
-    total_delta_max_s: float = 1080.0     # 18 min ceiling
-    start_diff_max_s: float = 348.0       # tPTb + tEPT
     route_quorum: float = 0.70
     route_limit_m: float = 100.0
     max_adjacent_outside: int = 4
     resample_spacing_m: float = 100.0
 
     def __post_init__(self) -> None:
-        def rounded_minutes(seconds: float) -> float:
-            return round(seconds / 60.0, 1) * 60.0
-
-        checks = [
-            self.walk_before_max_s == rounded_minutes(self.dEmax_m / self.walk_speed_mps),
-            self.walk_after_max_s == self.walk_before_max_s,
-            self.transit_extra_begin_max_s
-            == rounded_minutes(self.dEmax_m / self.transit_speed_mps),
-            self.transit_extra_end_max_s == self.transit_extra_begin_max_s,
-            self.transit_delta_max_s
-            == self.transit_extra_begin_max_s + self.transit_extra_end_max_s,
-            self.walk_delta_max_s == self.walk_before_max_s + self.walk_after_max_s,
-            self.total_delta_max_s == self.transit_delta_max_s + self.walk_delta_max_s,
-            self.start_diff_max_s
-            == self.transit_extra_begin_max_s + self.schedule_deviation_s,
-        ]
-        if not all(checks):
-            raise ValueError(f"inconsistent match constants: {checks}")
+        for name in ("dEmax_m", "walk_speed_mps", "transit_speed_mps",
+                     "schedule_deviation_s", "route_quorum", "route_limit_m",
+                     "resample_spacing_m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name in ("dEmax_m", "walk_speed_mps", "transit_speed_mps",
+                     "route_limit_m", "resample_spacing_m"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if not self.schedule_deviation_s >= 0:
+            raise ValueError(f"schedule_deviation_s must be >= 0, "
+                             f"got {self.schedule_deviation_s!r}")
+        value = self.max_adjacent_outside
+        if type(value) is not int or value < 0:
+            raise ValueError(f"max_adjacent_outside must be an integer >= 0, "
+                             f"got {value!r}")
         if not 0.0 < self.route_quorum <= 1.0:
             raise ValueError("route_quorum must be in (0, 1]")
+
+    @property
+    def walk_before_max_s(self) -> float:
+        """tWb = dEmax / vW, minute-rounded."""
+        return _minute_rounded(self.dEmax_m / self.walk_speed_mps)
+
+    @property
+    def _transit_extra_max_s(self) -> float:
+        """tPTb = tPTe = dEmax / vPT, minute-rounded."""
+        return _minute_rounded(self.dEmax_m / self.transit_speed_mps)
+
+    @property
+    def transit_delta_max_s(self) -> float:
+        """tPTb + tPTe."""
+        return self._transit_extra_max_s + self._transit_extra_max_s
+
+    @property
+    def total_delta_max_s(self) -> float:
+        """tPTb + tPTe + tWb + tWe."""
+        return self.transit_delta_max_s + (self.walk_before_max_s
+                                           + self.walk_before_max_s)
+
+    @property
+    def start_diff_max_s(self) -> float:
+        """tPTb + tEPT."""
+        return self._transit_extra_max_s + self.schedule_deviation_s
 
 
 class Verdict(str, enum.Enum):
@@ -189,6 +233,22 @@ class StaticMatchResult:
     assessment: PlanAssessment
 
 
+def adjusted_query(segment: ActivitySegment,
+                   constants: MatchConstants) -> PlanQuery:
+    """Planner query for a vehicular segment: endpoints become origin and
+    destination, the earliest start is pulled back by tWb to let the
+    traveller walk from a misdetected transition point to the boarding stop,
+    and each walk may reach 2 dEmax."""
+    trace = segment.trace
+    return PlanQuery(
+        origin=GeoPoint(float(trace.lats[0]), float(trace.lngs[0])),
+        destination=GeoPoint(float(trace.lats[-1]), float(trace.lngs[-1])),
+        earliest_start=segment.start_time - timedelta(
+            seconds=constants.walk_before_max_s),
+        max_walk_m=2 * constants.dEmax_m,
+    )
+
+
 def match_static(segment: ActivitySegment, planner: JourneyPlanner,
                  constants: MatchConstants | None = None,
                  assessments_sink: list | None = None,
@@ -198,12 +258,7 @@ def match_static(segment: ActivitySegment, planner: JourneyPlanner,
     trip_id). assessments_sink, when given, collects every PlanAssessment for
     the diagnostics log."""
     constants = constants or MatchConstants()
-    query: PlanQuery = adjusted_query(
-        segment,
-        walk_back_s=constants.walk_before_max_s,
-        max_walk_m=2 * constants.dEmax_m,
-    )
-    result = planner.plan(query)
+    result = planner.plan(adjusted_query(segment, constants))
     assessed = [filter_plan(it, segment, constants) for it in result.itineraries]
     if assessments_sink is not None:
         assessments_sink.extend((segment.segment_id, a) for a in assessed)

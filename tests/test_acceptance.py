@@ -292,7 +292,7 @@ def test_criterion_7a_static_threshold_closure():
         assert ok and run_len == 4
         _, run_len, ok = _run_with_miss_pattern({3, 4, 5, 6, 7}, 20)
         assert not ok and run_len == 5
-        MatchConstants()  # derived-constant equalities hold on construction
+        assert constants.total_delta_max_s == 1080.0  # the derived limits close
 
     _timed(run)
     report(7, "static threshold closure", True, "6 criteria at +/-1 s")

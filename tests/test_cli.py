@@ -230,6 +230,15 @@ def test_jobs_below_one_exits_1(synth, tmp_path, capsys, command, jobs):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("methods", [",", ""])
+def test_empty_methods_flag_exits_1(synth, tmp_path, capsys, methods):
+    assert run_cli("run", "--config", synth.config_path,
+                   "--out", tmp_path / "out", "--methods", methods) == 1
+    assert capsys.readouterr().err == \
+        "error: no method chosen; choose from ['new-live', 'old-live', 'static']\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_methods_flag_limits_columns(synth, tmp_path, capsys):
     out = tmp_path / "newonly"
     assert run_cli("run", "--config", synth.config_path, "--out", out,

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from tripmatch.config import (
     config_from_dict,
     load_config,
 )
+from tripmatch.live import LiveMatchConfig
+from tripmatch.static import MatchConstants
 
 
 def test_defaults():
@@ -66,6 +69,13 @@ def test_unknown_method_rejected():
         config_from_dict({"methods": ["telepathy"]})
 
 
+def test_empty_method_list_rejected():
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"methods": []})
+    assert str(exc.value) == \
+        "no method chosen; choose from ['new-live', 'old-live', 'static']"
+
+
 def test_gates_parse_and_check():
     cfg = config_from_dict({"gates": [
         {"method": "combined", "metric": "public_transport", "min": 42},
@@ -111,17 +121,38 @@ def test_section_keys_apply():
     assert cfg.planner_search_window_s == 60.0
 
 
+PUBLISHED = Path(__file__).parent.parent / "configs" / "published.yaml"
+#: keys of limits that are derived from other keys, and so not settable
+DERIVED_KEYS = [("static", key) for key in (
+    "walk_before_max_s", "walk_after_max_s", "transit_extra_begin_max_s",
+    "transit_extra_end_max_s", "transit_delta_max_s", "walk_delta_max_s",
+    "total_delta_max_s", "start_diff_max_s")] + [("live", "bbox_margin_m")]
+
+
 def test_published_config_shows_the_defaults():
-    cfg = load_config(Path(__file__).parent.parent / "configs" / "published.yaml")
+    cfg = load_config(PUBLISHED)
     default = RunConfig()
-    assert cfg.files == default.files
-    assert cfg.date == default.date
-    assert cfg.methods == default.methods
-    assert cfg.jobs == default.jobs
-    assert cfg.max_gap_s == default.max_gap_s
-    assert cfg.live == default.live
-    assert cfg.constants == default.constants
-    assert cfg.planner_search_window_s == default.planner_search_window_s
+    # paths resolve against the file's folder, and the file sets gates
+    for f in fields(RunConfig):
+        if f.name not in ("data_dir", "gtfs", "output_dir", "gates"):
+            assert getattr(cfg, f.name) == getattr(default, f.name), f.name
+    raw = yaml.safe_load(PUBLISHED.read_text(encoding="utf-8"))
+    assert set(raw["live"]) == {f.name for f in fields(LiveMatchConfig)}
+    assert set(raw["static"]) == {f.name for f in fields(MatchConstants)}
+
+
+@pytest.mark.parametrize("section, key", DERIVED_KEYS)
+def test_derived_key_is_unknown(section, key):
+    raw = yaml.safe_load(PUBLISHED.read_text(encoding="utf-8"))
+    raw[section][key] = 1
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw, base_dir=PUBLISHED.parent)
+    assert str(exc.value) == f"{section}: unknown key(s) ['{key}']"
+
+
+def test_matcher_sections_hold_only_independent_values():
+    assert len(fields(MatchConstants)) == 8
+    assert len(fields(LiveMatchConfig)) == 5
 
 
 @pytest.mark.parametrize("key", ["max_user_samples", "old_live_samples"])
@@ -160,6 +191,26 @@ def test_live_sample_count_of_two_accepted(key):
      "segmentation: max_gap_s: must be >= 0, got -5"),
     ({"planner": {"search_window_s": -1.0}},
      "planner: search_window_s: must be >= 0, got -1.0"),
+    ({"static": {"walk_speed_mps": 0}},
+     "static: walk_speed_mps must be positive, got 0"),
+    ({"static": {"transit_speed_mps": 0}},
+     "static: transit_speed_mps must be positive, got 0"),
+    ({"static": {"resample_spacing_m": 0}},
+     "static: resample_spacing_m must be positive, got 0"),
+    ({"static": {"route_limit_m": -5}},
+     "static: route_limit_m must be positive, got -5"),
+    ({"static": {"dEmax_m": -500.0}},
+     "static: dEmax_m must be positive, got -500.0"),
+    ({"static": {"schedule_deviation_s": -1}},
+     "static: schedule_deviation_s must be >= 0, got -1"),
+    ({"static": {"max_adjacent_outside": 2.5}},
+     "static: max_adjacent_outside must be an integer >= 0, got 2.5"),
+    ({"static": {"max_adjacent_outside": -1}},
+     "static: max_adjacent_outside must be an integer >= 0, got -1"),
+    ({"static": {"walk_speed_mps": True}},
+     "static: walk_speed_mps must be a number, got True"),
+    ({"static": {"route_quorum": "high"}},
+     "static: route_quorum must be a number, got 'high'"),
 ])
 def test_bad_value_names_its_key(raw, message):
     with pytest.raises(ConfigError) as exc:

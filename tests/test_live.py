@@ -418,9 +418,31 @@ def _brute_force_match(segment, cfg, index, n_samples, use_linestring):
                default=None)
 
 
+def test_prune_keeps_a_vehicle_beside_the_ride_within_a_wide_limit():
+    # v2 runs 250 m east of every sample: beyond a 200 m prune margin, but
+    # within a 300 m distance limit, so it must be scored and found
+    cfg = LiveMatchConfig(distance_limit_m=300.0)
+    v = 20.0 / 3.6
+    rows = [vp(30.0 * k, offset_point(BASE, 250.0, v * 30.0 * k), ref="v2")
+            for k in range(21)]
+    segment = ride_segment([(10.0 * k, offset_point(BASE, 0.0, v * 10.0 * k))
+                            for k in range(61)])
+    index = index_of(rows)
+    for matcher, n_samples, use_linestring in (
+            (match_live, cfg.max_user_samples, True),
+            (match_live_old, cfg.old_live_samples, False)):
+        want = _brute_force_match(segment, cfg, index, n_samples, use_linestring)
+        assert want.vehicle_ref == "v2" and want.matched_fraction == 1.0
+        got = matcher(segment, cfg, index)
+        assert got is not None
+        assert (got.vehicle_ref, got.score, got.matched_fraction) == \
+            (want.vehicle_ref, want.score, want.matched_fraction)
+
+
 SAMPLE_SPACING_S = 150.0  # more than two windows, so windows never share a fix
-_NEAR_E = [0.0, 40.0, 90.0]      # east offsets within the limit of a linestring
-_FAR_E = [150.0, 400.0]          # beyond it; 150 m stays inside the bbox margin
+_LIMITS = [100.0, 300.0]  # distance limits; the offsets below scale with them
+_NEAR_E = [0.0, 40.0, 90.0]  # east offsets at a limit of 100 m: within it
+_FAR_E = [150.0, 400.0]      # beyond it; 150 m stays inside the prune margin
 _fix_kind = st.one_of(
     st.tuples(st.just("one"), st.sampled_from([-60.0, -20.0, 0.0, 45.0, 60.0])),
     st.tuples(st.just("two"), st.sampled_from([20.0, 30.0, 60.0])),
@@ -444,6 +466,7 @@ def _fixes_near_sample(i, kind, east_m, ref):
 def _fleet_scenarios(draw):
     k = draw(st.integers(2, 10))
     quorum = draw(st.sampled_from([0.5, 0.75, 1.0]))
+    limit = draw(st.sampled_from(_LIMITS))
     need = math.ceil(quorum * k)
     rows = []
     for v in range(draw(st.integers(1, 4))):
@@ -453,10 +476,8 @@ def _fleet_scenarios(draw):
         near = set(draw(st.permutations(range(k)))[:n_near])
         for i in range(k):
             kind = draw(_fix_kind)
-            if i in near and kind[0] != "none":
-                east = draw(st.sampled_from(_NEAR_E))
-            else:
-                east = draw(st.sampled_from(_FAR_E))
+            offsets = _NEAR_E if i in near and kind[0] != "none" else _FAR_E
+            east = draw(st.sampled_from(offsets)) * limit / 100.0
             rows.extend(_fixes_near_sample(i, kind, east, ref))
     if draw(st.booleans()):
         # an exact copy of v0 ties with it on every score; the ref decides
@@ -465,7 +486,8 @@ def _fleet_scenarios(draw):
                     if r.vehicle_ref == "v0")
     specs = [(SAMPLE_SPACING_S * i, offset_point(BASE, 0.0, 200.0 * i))
              for i in range(k)]
-    return ride_segment(specs), rows, LiveMatchConfig(quorum_fraction=quorum)
+    return ride_segment(specs), rows, LiveMatchConfig(
+        quorum_fraction=quorum, distance_limit_m=limit)
 
 
 @settings(max_examples=300, deadline=None)

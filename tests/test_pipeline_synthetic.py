@@ -13,7 +13,7 @@ from tripmatch.geodesy import distance_m
 from tripmatch.evaluation import COMBINED
 from tripmatch.ingest import parse_timestamp
 from tripmatch.live import NEW_LIVE, OLD_LIVE
-from tripmatch.planner import adjusted_query
+from tripmatch.static import adjusted_query
 from tripmatch.types import LineType
 
 from conftest import segment_rows
@@ -147,15 +147,12 @@ def test_jobs_parallel_run_identical(run, synth, tmp_path_factory):
 
 def test_planner_walks_at_the_configured_walk_speed(synth):
     raw = yaml.safe_load(Path(synth.config_path).read_text())
-    raw["static"] = {"walk_speed_mps": 1.25, "walk_before_max_s": 402,
-                     "walk_after_max_s": 402, "walk_delta_max_s": 804,
-                     "total_delta_max_s": 1140}
+    raw["static"] = {"walk_speed_mps": 1.25}
     cfg = config_from_dict(raw, base_dir=Path(synth.config_path).parent)
     planner = pipeline.build_planner(cfg)
     itineraries = []
     for seg in segmentation.vehicular_candidates(pipeline.build_segments(cfg)):
-        query = adjusted_query(seg, walk_back_s=cfg.constants.walk_before_max_s,
-                               max_walk_m=2 * cfg.constants.dEmax_m)
+        query = adjusted_query(seg, cfg.constants)
         for it in planner.plan(query).itineraries:
             itineraries.append(it)
             d_board = distance_m(query.origin,

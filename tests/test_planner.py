@@ -14,8 +14,8 @@ from tripmatch.planner import (
     PlanQuery,
     TimetablePlanner,
     TransitLeg,
-    adjusted_query,
 )
+from tripmatch.static import MatchConstants, adjusted_query
 from tripmatch.types import Activity, GeoPoint, LineType
 
 from conftest import DAY, at, fp, make_bundle, segment_of
@@ -180,7 +180,7 @@ def test_adjusted_query_pulls_start_back_372s():
     seg = segment_of([fp(0, Activity.IN_VEHICLE,
                          lat=BASE.lat, lng=BASE.lng),
                       fp(600, Activity.IN_VEHICLE, lat=60.18, lng=24.95)])
-    q = adjusted_query(seg)
+    q = adjusted_query(seg, MatchConstants())
     assert q.earliest_start == seg.start_time - timedelta(seconds=372)
     assert q.max_walk_m == 1000.0
     assert q.n_plans == 3
@@ -196,7 +196,8 @@ def test_adjusted_query_clock_example():
         FilteredPoint(start, 1, 60.17, 24.94, Activity.IN_VEHICLE),
         FilteredPoint(start + timedelta(seconds=600), 1, 60.18, 24.95,
                       Activity.IN_VEHICLE)])
-    assert adjusted_query(seg).earliest_start == datetime(2016, 8, 26, 10, 46, 18)
+    assert adjusted_query(seg, MatchConstants()).earliest_start == \
+        datetime(2016, 8, 26, 10, 46, 18)
 
 
 # --- brute-force equivalence oracle ---

@@ -16,6 +16,7 @@ from tripmatch.geodesy import (
     resample_min_spacing,
 )
 from tripmatch import static
+from tripmatch.config import ConfigError, config_from_dict
 from tripmatch.planner import Itinerary, PlanResult, TransitLeg
 from tripmatch.static import (
     MatchConstants,
@@ -75,17 +76,26 @@ def plan_for(segment, *, board_offset_s=0.0, total_s=None, transit_s=None,
 
 def test_constants_defaults_are_consistent():
     c = MatchConstants()
-    assert c.walk_before_max_s == 372.0          # 6.2 min
-    assert c.transit_extra_begin_max_s == 168.0  # 2.8 min
-    assert c.transit_delta_max_s == 336.0        # 5.6 min
-    assert c.walk_delta_max_s == 744.0           # 12.4 min
+    assert c.walk_before_max_s == 372.0          # tWb, 6.2 min
+    assert c.transit_delta_max_s == 336.0        # tPTb + tPTe, 5.6 min
     assert c.total_delta_max_s == 1080.0         # 18 min exactly closes
-    assert c.start_diff_max_s == 348.0           # 5.8 min
-    assert c.transit_delta_max_s + c.walk_delta_max_s == c.total_delta_max_s
+    assert c.start_diff_max_s == 348.0           # tPTb + tEPT, 5.8 min
+    assert c.transit_delta_max_s + 2 * c.walk_before_max_s == c.total_delta_max_s
+
+
+def test_derived_limits_follow_the_walk_speed():
+    c = MatchConstants(walk_speed_mps=1.25)      # 400 s, 6.7 min
+    assert c.walk_before_max_s == 402.0
+    assert c.total_delta_max_s == 1140.0
+    assert (c.transit_delta_max_s, c.start_diff_max_s) == (336.0, 348.0)
 
 
 def test_inconsistent_constants_rejected():
-    with pytest.raises(ValueError, match="inconsistent"):
+    # a derived limit is not a key: it cannot be set out of line
+    with pytest.raises(ConfigError,
+                       match=r"static: unknown key\(s\) \['start_diff_max_s'\]"):
+        config_from_dict({"static": {"start_diff_max_s": 350.0}})
+    with pytest.raises(TypeError):
         MatchConstants(start_diff_max_s=350.0)
 
 
