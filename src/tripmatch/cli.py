@@ -42,8 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, methods: bool = False,
-               jobs: bool = False) -> None:
+    def common(p: argparse.ArgumentParser, *, methods: bool = False) -> None:
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--permissive", action="store_true",
@@ -51,22 +50,19 @@ def build_parser() -> argparse.ArgumentParser:
         if methods:
             p.add_argument("--methods",
                            help=f"comma list from {','.join(ALL_METHODS)}")
-        if jobs:
-            p.add_argument("--jobs", type=int, help="worker pool width")
 
     common(sub.add_parser("ingest", help="load and validate all inputs"))
     common(sub.add_parser("segment", help="build activity segments"))
     common(sub.add_parser("match-live", help="run live-position matching"),
-           methods=True, jobs=True)
-    common(sub.add_parser("match-static", help="run timetable matching"),
-           jobs=True)
+           methods=True)
+    common(sub.add_parser("match-static", help="run timetable matching"))
     common(sub.add_parser("evaluate",
                           help="join stage outputs to the manual log"),
            methods=True)
-    common(sub.add_parser("run", help="full pipeline"), methods=True, jobs=True)
+    common(sub.add_parser("run", help="full pipeline"), methods=True)
     inspect = sub.add_parser("inspect-segment",
                              help="diagnostic dump for one segment")
-    common(inspect, jobs=False)
+    common(inspect)
     inspect.add_argument("segment_id", type=int)
     return parser
 
@@ -79,8 +75,6 @@ def _configure(args: argparse.Namespace) -> RunConfig:
         cfg.permissive = True
     if getattr(args, "methods", None) is not None:
         cfg.methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if getattr(args, "jobs", None) is not None:
-        cfg.jobs = args.jobs
     cfg.validate()
     return cfg
 

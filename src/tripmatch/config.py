@@ -58,7 +58,6 @@ class RunConfig:
     date: date = date(2016, 8, 26)
     output_dir: Path = Path("out")
     methods: list[str] = field(default_factory=lambda: list(ALL_METHODS))
-    jobs: int = 1
     permissive: bool = False
     max_gap_s: float = DEFAULT_MAX_GAP_S
     live: LiveMatchConfig = field(default_factory=LiveMatchConfig)
@@ -96,8 +95,6 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown method(s) {unknown}; "
                               f"choose from {list(ALL_METHODS)}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
 
 
 def _expand(text: str) -> str:
@@ -191,7 +188,12 @@ def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunCo
                               f"got {methods!r}")
         cfg.methods = [str(m) for m in methods]
     if "jobs" in raw:
-        cfg.jobs = _number(raw.pop("jobs"), int, "jobs")
+        # Matching runs serially. The key is still accepted at its one
+        # value because the benchmark's generated configs set it.
+        jobs = _number(raw.pop("jobs"), int, "jobs")
+        if jobs != 1:
+            raise ConfigError(f"jobs: matching runs serially; only 1 is "
+                              f"accepted, got {jobs}")
     if "permissive" in raw:
         cfg.permissive = raw.pop("permissive")
         if not isinstance(cfg.permissive, bool):

@@ -563,15 +563,11 @@ TRANSIT_LIVE_COLUMNS = ["time", "lat", "lng", "line_type", "line_name", "vehicle
 
 def load_transit_live(path, *, permissive: bool = False,
                       diagnostics: list[str] | None = None,
-                      default_date: date | None = None,
-                      bounding_box: tuple[float, float, float, float] | None = None,
-                      ) -> FleetColumns:
+                      default_date: date | None = None) -> FleetColumns:
     """Load live fleet positions as columns in file order (input order is not
     trusted elsewhere; the position index sorts per vehicle).
 
     Duplicate identical rows are retained and flagged in diagnostics.
-    bounding_box, when given as (min_lat, min_lng, max_lat, max_lng), flags
-    out-of-area rows in diagnostics without rejecting them.
     """
     table = load_table(path, [
         Column("time", Stamps(default_date)), *_COORDINATES,
@@ -588,13 +584,6 @@ def load_transit_live(path, *, permissive: bool = False,
     n_dupes = _count_duplicates(fleet)
     if n_dupes:
         table.warn(f"{n_dupes} duplicate identical row(s) retained")
-    if bounding_box is not None:
-        min_lat, min_lng, max_lat, max_lng = bounding_box
-        inside = ((fleet.lats >= min_lat) & (fleet.lats <= max_lat)
-                  & (fleet.lngs >= min_lng) & (fleet.lngs <= max_lng))
-        n_outside = int(np.count_nonzero(~inside))
-        if n_outside:
-            table.warn(f"{n_outside} row(s) outside the configured bounding box")
     log.info("%s: %d vehicle positions", path, len(fleet))
     return fleet
 

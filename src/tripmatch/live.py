@@ -47,10 +47,17 @@ class LiveMatchConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 2:
                 raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
-        if min(self.distance_limit_m, self.window_s) <= 0:
-            raise ValueError("live matcher parameters must be positive")
+        for name in ("distance_limit_m", "window_s", "quorum_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name in ("distance_limit_m", "window_s"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if not 0.0 < self.quorum_fraction <= 1.0:
-            raise ValueError("quorum_fraction must be in (0, 1]")
+            raise ValueError(f"quorum_fraction must be in (0, 1], "
+                             f"got {self.quorum_fraction!r}")
 
 
 class PositionIndex:

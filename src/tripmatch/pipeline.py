@@ -1,17 +1,15 @@
 """Stage orchestration: each stage loads what it needs, writes an
 intermediate CSV the next stage can load back, and is deterministic given the
 config. ``run_all`` and the stage subcommands share the ``stage_*``
-functions; the ``run_*_stage`` matchers beneath them only compute. A worker
-pool (jobs > 1) may reorder completion; results are always collected in
-segment-id order."""
+functions; the ``run_*_stage`` matchers beneath them only compute, one
+segment at a time in segment-id order."""
 from __future__ import annotations
 
 import csv
 import logging
-from concurrent import futures
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import evaluation, ingest, segmentation
 from .config import RunConfig, STATIC
@@ -115,50 +113,32 @@ def build_planner(cfg: RunConfig) -> JourneyPlanner:
                             search_window_s=cfg.planner_search_window_s)
 
 
-def _map_segments(candidates: Sequence[ActivitySegment], jobs: int,
-                  fn: Callable[[ActivitySegment], Optional[object]],
-                  ) -> dict[int, object]:
-    """Apply fn over segments, in parallel when jobs > 1, collecting non-None
-    results keyed and ordered by segment id."""
-    if jobs > 1:
-        with futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(fn, candidates))
-    else:
-        results = [fn(s) for s in candidates]
-    paired = [(s.segment_id, r) for s, r in zip(candidates, results)
-              if r is not None]
-    return dict(sorted(paired))
-
-
 def run_live_stage(cfg: RunConfig, segments: Sequence[ActivitySegment],
                    index: PositionIndex, method: str,
                    ) -> dict[int, LiveMatchResult]:
-    candidates = segmentation.vehicular_candidates(segments)
     matcher = match_live if method == NEW_LIVE else match_live_old
-    return _map_segments(candidates, cfg.jobs,
-                         lambda s: matcher(s, cfg.live, index))
+    results = {}
+    for s in segmentation.vehicular_candidates(segments):
+        result = matcher(s, cfg.live, index)
+        if result is not None:
+            results[s.segment_id] = result
+    return results
 
 
 def run_static_stage(cfg: RunConfig, segments: Sequence[ActivitySegment],
                      planner: JourneyPlanner,
                      ) -> tuple[dict[int, StaticMatchResult], list]:
-    candidates = segmentation.vehicular_candidates(segments)
-
-    def run_one(s: ActivitySegment):
-        sink: list = []
+    results = {}
+    assessments: list = []
+    for s in segmentation.vehicular_candidates(segments):
         try:
             result = match_static(s, planner, cfg.constants,
-                                  assessments_sink=sink)
+                                  assessments_sink=assessments)
         except Exception as exc:
             raise RuntimeError(f"static matching failed for segment "
                                f"{s.segment_id}") from exc
-        return result, sink
-
-    outcomes = _map_segments(candidates, cfg.jobs, run_one)
-    results = {segment_id: result
-               for segment_id, (result, _) in outcomes.items()
-               if result is not None}
-    assessments = [entry for _, sink in outcomes.values() for entry in sink]
+        if result is not None:
+            results[s.segment_id] = result
     return results, assessments
 
 

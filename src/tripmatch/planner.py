@@ -19,7 +19,6 @@ from .geodesy import distances_m
 from .gtfs import UNTIMED, GtfsBundle, GtfsStop, gtfs_time_to_datetime
 from .types import GeoPoint, LineType
 
-DEFAULT_MAX_WALK_M = 1000.0
 DEFAULT_N_PLANS = 3
 _DAY_S = 86400
 
@@ -33,7 +32,7 @@ class PlanQuery:
     origin: GeoPoint
     destination: GeoPoint
     earliest_start: datetime
-    max_walk_m: float = DEFAULT_MAX_WALK_M
+    max_walk_m: float
     n_plans: int = DEFAULT_N_PLANS
 
     def __post_init__(self) -> None:

@@ -83,7 +83,8 @@ class MatchConstants:
             raise ValueError(f"max_adjacent_outside must be an integer >= 0, "
                              f"got {value!r}")
         if not 0.0 < self.route_quorum <= 1.0:
-            raise ValueError("route_quorum must be in (0, 1]")
+            raise ValueError(f"route_quorum must be in (0, 1], "
+                             f"got {self.route_quorum!r}")
 
     @property
     def walk_before_max_s(self) -> float:

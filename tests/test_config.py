@@ -76,6 +76,11 @@ def test_empty_method_list_rejected():
         "no method chosen; choose from ['new-live', 'old-live', 'static']"
 
 
+def test_legacy_jobs_key_accepted_at_one():
+    assert config_from_dict({"jobs": 1}) == config_from_dict({})
+    assert "jobs" not in {f.name for f in fields(RunConfig)}
+
+
 def test_gates_parse_and_check():
     cfg = config_from_dict({"gates": [
         {"method": "combined", "metric": "public_transport", "min": 42},
@@ -211,6 +216,25 @@ def test_live_sample_count_of_two_accepted(key):
      "static: walk_speed_mps must be a number, got True"),
     ({"static": {"route_quorum": "high"}},
      "static: route_quorum must be a number, got 'high'"),
+    ({"static": {"route_quorum": 1.5}},
+     "static: route_quorum must be in (0, 1], got 1.5"),
+    ({"live": {"distance_limit_m": -1}},
+     "live: distance_limit_m must be positive, got -1"),
+    ({"live": {"window_s": 0}}, "live: window_s must be positive, got 0"),
+    ({"live": {"window_s": "x"}}, "live: window_s must be a number, got 'x'"),
+    ({"live": {"distance_limit_m": True}},
+     "live: distance_limit_m must be a number, got True"),
+    ({"live": {"quorum_fraction": "most"}},
+     "live: quorum_fraction must be a number, got 'most'"),
+    ({"live": {"quorum_fraction": False}},
+     "live: quorum_fraction must be a number, got False"),
+    ({"live": {"quorum_fraction": 0}},
+     "live: quorum_fraction must be in (0, 1], got 0"),
+    ({"live": {"distance_limit_m": float("nan")}},
+     "live: distance_limit_m must be positive, got nan"),
+    ({"jobs": True}, "jobs: expected an integer, got True"),
+    ({"jobs": 2}, "jobs: matching runs serially; only 1 is accepted, got 2"),
+    ({"jobs": 0}, "jobs: matching runs serially; only 1 is accepted, got 0"),
 ])
 def test_bad_value_names_its_key(raw, message):
     with pytest.raises(ConfigError) as exc:

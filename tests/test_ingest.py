@@ -243,16 +243,6 @@ def test_transit_live_empty_vehicle_ref_rejected(tmp_path):
         ingest.load_transit_live(path)
 
 
-def test_transit_live_bounding_box_flagged_not_rejected(tmp_path):
-    path = write(tmp_path, "t.csv", LIVE_HEADER,
-                 "2016-08-26 09:00:00,61.5,24.96,BUS,16,veh1")
-    diagnostics = []
-    rows = ingest.load_transit_live(path, diagnostics=diagnostics,
-                                    bounding_box=(60.0, 24.0, 60.5, 25.5))
-    assert len(rows) == 1
-    assert any("bounding box" in d for d in diagnostics)
-
-
 # --- manual log ---
 
 def test_manual_log_parses_and_counts_car(tmp_path):
@@ -430,7 +420,6 @@ def test_manual_log_round_trip(tmp_path_factory, trips):
 
 # --- every loader agrees with a row-by-row csv.DictReader reference ---
 
-_BOX = (59.5, 24.5, 60.5, 25.5)
 _DAY = date(2016, 8, 26)
 _LIVE_TYPES = ["SUBWAY", "BUS", "TRAM", "TRAIN", "FERRY"]
 
@@ -489,17 +478,12 @@ def _reference_live(path, permissive):
     dupes = len(rows) - len(set(rows))
     if dupes:
         diagnostics.append(f"{dupes} duplicate identical row(s) retained")
-    lo_lat, lo_lng, hi_lat, hi_lng = _BOX
-    outside = sum(not (lo_lat <= r.lat <= hi_lat and lo_lng <= r.lng <= hi_lng)
-                  for r in rows)
-    if outside:
-        diagnostics.append(f"{outside} row(s) outside the configured bounding box")
     return rows, diagnostics
 
 
 def _load_live(path, permissive=False):
     return loader_outcome(lambda diagnostics: ingest.load_transit_live(
-        path, diagnostics=diagnostics, default_date=_DAY, bounding_box=_BOX,
+        path, diagnostics=diagnostics, default_date=_DAY,
         permissive=permissive))
 
 

@@ -13,7 +13,7 @@ from tripmatch.geodesy import distance_m
 from tripmatch.evaluation import COMBINED
 from tripmatch.ingest import parse_timestamp
 from tripmatch.live import NEW_LIVE, OLD_LIVE
-from tripmatch.static import adjusted_query
+from tripmatch.static import adjusted_query, match_static
 from tripmatch.types import LineType
 
 from conftest import segment_rows
@@ -134,15 +134,25 @@ def test_assessment_log_written_with_verdict_rows(run):
     assert any("ACCEPT" in line for line in lines[1:])
 
 
-def test_jobs_parallel_run_identical(run, synth, tmp_path_factory):
+def test_static_stage_collects_assessments_in_segment_order(run):
     cfg, outputs, _ = run
-    parallel_cfg = load_config(synth.config_path)
-    parallel_cfg.output_dir = tmp_path_factory.mktemp("par-out")
-    parallel_cfg.jobs = 4
-    parallel = pipeline.run_all(parallel_cfg)
-    assert parallel.evaluation.report_text == outputs.evaluation.report_text
-    assert ((parallel.out_dir / pipeline.MATCH_FILES[NEW_LIVE]).read_text()
-            == (outputs.out_dir / pipeline.MATCH_FILES[NEW_LIVE]).read_text())
+    planner = pipeline.build_planner(cfg)
+    results, assessments = pipeline.run_static_stage(cfg, outputs.segments,
+                                                     planner)
+    candidates = segmentation.vehicular_candidates(outputs.segments)
+    assert [s.segment_id for s in candidates] == \
+        sorted(s.segment_id for s in candidates)
+    expected_results, expected_assessments = {}, []
+    for s in candidates:
+        sink: list = []
+        result = match_static(s, planner, cfg.constants, assessments_sink=sink)
+        if result is not None:
+            expected_results[s.segment_id] = result
+        expected_assessments += sink
+    assert results == expected_results
+    assert list(results) == sorted(results)
+    assert assessments == expected_assessments
+    assert len({segment_id for segment_id, _ in assessments}) > 1
 
 
 def test_planner_walks_at_the_configured_walk_speed(synth):

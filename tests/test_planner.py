@@ -23,6 +23,7 @@ from conftest import DAY, at, fp, make_bundle, segment_of
 BASE = GeoPoint(60.17, 24.94)
 S9 = 9 * 3600  # service seconds at 09:00
 WALK_MPS = 1.34
+MAX_WALK_M = 1000.0  # 2 dEmax, the radius the static matcher asks for
 
 
 def grid_stop(e, n):
@@ -46,7 +47,7 @@ def test_single_trip_fixture_boards_at_departure():
     origin = offset_point(BASE, 100.0, 0.0)
     dest = grid_stop(30.0, 3000)
     result = planner.plan(PlanQuery(origin, dest,
-                                    datetime(2016, 8, 26, 9, 55)))
+                                    datetime(2016, 8, 26, 9, 55), MAX_WALK_M))
     assert result.reason is None
     [it] = result.itineraries
     assert it.transit.trip_id == "t1000"
@@ -61,7 +62,7 @@ def test_origin_too_far_from_stops_is_empty_with_reason():
     planner = TimetablePlanner(simple_bundle(), DAY, WALK_MPS)
     origin = offset_point(BASE, 5000.0, 0.0)
     result = planner.plan(PlanQuery(origin, grid_stop(0, 3000),
-                                    datetime(2016, 8, 26, 9, 55)))
+                                    datetime(2016, 8, 26, 9, 55), MAX_WALK_M))
     assert result.itineraries == []
     assert "origin" in result.reason
 
@@ -71,7 +72,7 @@ def test_two_trips_ranked_by_arrival():
         ("t1010", "r1", [("A", 36600), ("B", 36900), ("C", 37200)])])
     planner = TimetablePlanner(bundle, DAY, WALK_MPS)
     result = planner.plan(PlanQuery(grid_stop(50, 0), grid_stop(0, 3000),
-                                    datetime(2016, 8, 26, 9, 55)))
+                                    datetime(2016, 8, 26, 9, 55), MAX_WALK_M))
     assert [it.transit.trip_id for it in result.itineraries] == [
         "t1000", "t1010"]
 
@@ -80,7 +81,7 @@ def test_departures_before_walk_arrival_are_missed():
     planner = TimetablePlanner(simple_bundle(), DAY, WALK_MPS)
     origin = offset_point(BASE, 800.0, 0.0)  # ~597 s walk to stop A
     result = planner.plan(PlanQuery(origin, grid_stop(0, 3000),
-                                    datetime(2016, 8, 26, 9, 52)))
+                                    datetime(2016, 8, 26, 9, 52), MAX_WALK_M))
     assert result.itineraries == []  # 09:52 + 597 s > 10:00 departure
 
 
@@ -89,7 +90,7 @@ def test_total_walk_budget_enforced():
     origin = offset_point(BASE, 600.0, 0.0)
     dest = offset_point(grid_stop(0, 3000), 600.0, 0.0)
     result = planner.plan(PlanQuery(origin, dest, datetime(2016, 8, 26, 9, 0),
-                                    max_walk_m=1000.0))
+                                    MAX_WALK_M))
     assert result.itineraries == []  # 600 + 600 > 1000 even though each fits
 
 
@@ -102,7 +103,7 @@ def test_unserviceable_date_raises():
 def test_itinerary_time_arithmetic_consistent():
     planner = TimetablePlanner(simple_bundle(), DAY, WALK_MPS)
     result = planner.plan(PlanQuery(grid_stop(80, 0), grid_stop(40, 3000),
-                                    datetime(2016, 8, 26, 9, 30)))
+                                    datetime(2016, 8, 26, 9, 30), MAX_WALK_M))
     [it] = result.itineraries
     total = (it.walk_before_s + it.transit.duration_s + it.walk_after_s
              + it.wait_s)
@@ -165,13 +166,13 @@ def test_stop_without_stop_times_is_found_but_never_boarded():
     near_idle = offset_point(idle, 100.0, 0.0)
     assert [s.stop_id for s, _ in planner.stops_within(near_idle, 1000.0)] == ["Z"]
     start = datetime(2016, 8, 26, 9, 55)
-    assert planner.plan(PlanQuery(near_idle, grid_stop(0, 3000), start)
-                        ).reason == "no reachable trip serves the query"
+    assert planner.plan(PlanQuery(near_idle, grid_stop(0, 3000), start,
+                                  MAX_WALK_M)).reason == "no reachable trip serves the query"
     nowhere = grid_stop(20_000, 0)
-    assert planner.plan(PlanQuery(nowhere, grid_stop(0, 3000), start)
-                        ).reason == "no stops within 1000 m of origin"
-    assert planner.plan(PlanQuery(grid_stop(0, 0), nowhere, start)
-                        ).reason == "no stops within 1000 m of destination"
+    assert planner.plan(PlanQuery(nowhere, grid_stop(0, 3000), start,
+                                  MAX_WALK_M)).reason == "no stops within 1000 m of origin"
+    assert planner.plan(PlanQuery(grid_stop(0, 0), nowhere, start,
+                                  MAX_WALK_M)).reason == "no stops within 1000 m of destination"
 
 
 # --- adjusted_query ---
@@ -393,7 +394,7 @@ MIDNIGHT = datetime.combine(DAY, datetime.min.time())  # Friday
 def test_previous_day_trip_past_midnight_is_planned():
     # Thursday's 24:10 departure leaves at 00:10 on Friday
     query = PlanQuery(grid_stop(50, 0), grid_stop(0, 3000),
-                      MIDNIGHT + timedelta(minutes=5))
+                      MIDNIGHT + timedelta(minutes=5), MAX_WALK_M)
     [it] = TimetablePlanner(late_bundle(runs_on=3), DAY,
                             WALK_MPS).plan(query).itineraries
     assert it.transit.trip_id == "late"
@@ -409,7 +410,7 @@ def test_two_runs_of_one_trip_are_planned_apart():
     planner = TimetablePlanner(late_bundle(), DAY, WALK_MPS,
                                search_window_s=2 * 86400.0)
     result = planner.plan(PlanQuery(grid_stop(50, 0), grid_stop(0, 3000),
-                                    MIDNIGHT))
+                                    MIDNIGHT, MAX_WALK_M))
     assert [(it.transit.trip_id, it.transit.board_time)
             for it in result.itineraries] == [
         ("late", MIDNIGHT + timedelta(minutes=10)),
