@@ -24,7 +24,7 @@ from .config import (
 from .ingest import IngestError
 from .live import score_vehicle, select_user_samples
 from .planner import PlanError
-from .static import adjusted_query, filter_plan
+from .static import adjusted_query, assess_plans
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -178,9 +178,8 @@ def cmd_inspect_segment(cfg: RunConfig, segment_id: int) -> int:
         result = planner.plan(adjusted_query(segment, cfg.constants))
         print(f"\nplanner itineraries: {len(result.itineraries)}"
               + (f" (reason: {result.reason})" if result.reason else ""))
-        for itinerary in result.itineraries:
-            a = filter_plan(itinerary, segment, cfg.constants)
-            leg = itinerary.transit
+        for a in assess_plans(result.itineraries, segment, cfg.constants):
+            leg = a.itinerary.transit
             print(f"  {leg.line_type.value} {leg.line_name} trip {leg.trip_id} "
                   f"board {leg.board_time.time()} alight {leg.alight_time.time()}"
                   f" -> {a.verdict.value}")

@@ -5,6 +5,15 @@ collected in a closed +/-60 s window around each sample; the prior baseline
 ("old live") used four user samples and raw point-to-point distances, which
 starts missing once vehicles move fast enough to put 30 s fixes further than
 two distance limits apart (~24 km/h).
+
+A segment's samples are split into runs of consecutive samples, each one
+sample longer than the misses the quorum allows, so a vehicle that misses
+every sample of one run is below quorum. A vehicle in the segment's time
+range whose fix box over a run's windows lies beyond twice the distance
+limit of that run's samples misses all of them, and one array pass drops
+every vehicle with too many such misses. The survivors are measured
+against every sample in one batched quorum pass, and only those reaching
+the quorum are scored in full.
 """
 from __future__ import annotations
 
@@ -108,25 +117,32 @@ class PositionIndex:
         """Vehicles with a fix in the closed window [t0, t1], in ref order."""
         lo = self._fixes_before(as_seconds(t0), "left")
         hi = self._fixes_before(as_seconds(t1), "right")
-        slots = np.unique(self._key[self._by_time[lo:hi]] // self._stride)
-        return [self.vehicle_refs[v] for v in slots.tolist()]
+        present = np.zeros(len(self), dtype=bool)
+        present[self._key[self._by_time[lo:hi]] // self._stride] = True
+        return [self.vehicle_refs[v] for v in np.flatnonzero(present).tolist()]
 
-    def boxes_in_range(self, t0: datetime, t1: datetime,
-                       slots: np.ndarray) -> np.ndarray:
-        """(min_lat, min_lng, max_lat, max_lng) of the fixes in [t0, t1] of
-        each vehicle of slots, which must all have one there."""
-        lo, hi = self.windows(slots, np.array([as_seconds(t0)]),
-                              np.array([as_seconds(t1)]))
-        counts = (hi - lo)[:, 0]
-        if not len(counts):
-            return np.empty((0, 4))
-        starts = np.cumsum(counts) - counts
-        rows = np.arange(counts.sum()) + np.repeat(lo[:, 0] - starts, counts)
-        lats, lngs = self.lats[rows], self.lngs[rows]
-        return np.column_stack([np.minimum.reduceat(lats, starts),
-                                np.minimum.reduceat(lngs, starts),
-                                np.maximum.reduceat(lats, starts),
-                                np.maximum.reduceat(lngs, starts)])
+    def boxes_in_range(self, slots: np.ndarray, t0_s: np.ndarray,
+                       t1_s: np.ndarray) -> np.ndarray:
+        """(min_lat, min_lng, max_lat, max_lng) of vehicle slots[i]'s fixes
+        with t0_s[j] <= time <= t1_s[j], shape (len(slots), len(t0_s), 4).
+        A window without a fix has the empty box (inf, inf, -inf, -inf),
+        which overlaps no box. Every window's polyline lies inside its box."""
+        lo, hi = self.windows(slots, t0_s, t1_s)
+        counts = (hi - lo).ravel()
+        boxes = np.empty((len(counts), 4))
+        boxes[:, :2], boxes[:, 2:] = np.inf, -np.inf
+        full = np.flatnonzero(counts)
+        if len(full):
+            counts = counts[full]
+            starts = np.cumsum(counts) - counts
+            rows = np.arange(counts.sum()) + np.repeat(lo.ravel()[full] - starts,
+                                                       counts)
+            lats, lngs = self.lats[rows], self.lngs[rows]
+            boxes[full] = np.column_stack([np.minimum.reduceat(lats, starts),
+                                           np.minimum.reduceat(lngs, starts),
+                                           np.maximum.reduceat(lats, starts),
+                                           np.maximum.reduceat(lngs, starts)])
+        return boxes.reshape(*lo.shape, 4)
 
     def windows(self, slots: np.ndarray, t0_s: np.ndarray, t1_s: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +208,7 @@ def _score_windows(samples: TraceColumns, slots: np.ndarray,
     counts = hi.ravel() - lo
     first = np.cumsum(counts) - counts
     window = np.repeat(np.arange(len(counts)), counts)
-    row = lo[window] + np.arange(len(window)) - first[window]
+    row = np.arange(len(window)) + np.repeat(lo - first, counts)
     sample = window % n
     p_lat, p_lng = samples.lats[sample], samples.lngs[sample]
     lats, lngs = index.lats[row], index.lngs[row]
@@ -227,7 +243,10 @@ def score_vehicle(samples: TraceColumns, vehicle_ref: str,
     nearest_d = np.repeat(np.minimum.reduceat(w.d_point, w.starts),
                           w.counts[w.windowed])
     hits = np.flatnonzero(w.d_point == nearest_d)
-    nearest = w.row[hits[np.diff(w.window[hits], prepend=-1) != 0]]
+    hit_window = w.window[hits]
+    first_hit = np.ones(len(hits), dtype=bool)
+    first_hit[1:] = hit_window[1:] != hit_window[:-1]
+    nearest = w.row[hits[first_hit]]
 
     matched = w.d <= cfg.distance_limit_m
     fraction = int(np.count_nonzero(matched)) / len(samples)
@@ -254,13 +273,22 @@ class LiveMatchResult:
     sample_distances: tuple[Optional[float], ...]
 
 
-def _segment_bbox(samples: TraceColumns, margin_m: float):
-    lats, lngs = samples.lats, samples.lngs
-    mid_lat = (lats.min() + lats.max()) / 2
+def _run_boxes(samples: TraceColumns, size: int, margin_m: float,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The box of each run of size consecutive samples, widened by margin_m:
+    its (min_lat, min_lng) and (max_lat, max_lng) corners, each of shape
+    (runs, 2). A run has few samples, so plain floats are quicker here."""
+    lats, lngs = samples.lats.tolist(), samples.lngs.tolist()
     dlat = math.degrees(margin_m / EARTH_RADIUS_M)
-    dlng = math.degrees(margin_m / (EARTH_RADIUS_M *
-                                    max(0.01, math.cos(math.radians(mid_lat)))))
-    return (lats.min() - dlat, lngs.min() - dlng, lats.max() + dlat, lngs.max() + dlng)
+    lows, highs = [], []
+    for a in range(0, len(lats), size):
+        lo_lat, hi_lat = min(lats[a:a + size]), max(lats[a:a + size])
+        mid_lat = (lo_lat + hi_lat) / 2
+        dlng = math.degrees(margin_m / (
+            EARTH_RADIUS_M * max(0.01, math.cos(math.radians(mid_lat)))))
+        lows.append((lo_lat - dlat, min(lngs[a:a + size]) - dlng))
+        highs.append((hi_lat + dlat, max(lngs[a:a + size]) + dlng))
+    return np.array(lows), np.array(highs)
 
 
 def _pick_identity(votes: list[tuple[str, LineType, datetime]],
@@ -286,29 +314,42 @@ def _match(segment: ActivitySegment, cfg: LiveMatchConfig, index: PositionIndex,
            n_samples: int, use_linestring: bool, method: str,
            ) -> Optional[LiveMatchResult]:
     samples = select_user_samples(segment.trace, n_samples)
-    if len(samples) < 2:
+    n = len(samples)
+    if n < 2:
         return None
     t0 = segment.start_time - timedelta(seconds=cfg.window_s)
     t1 = segment.end_time + timedelta(seconds=cfg.window_s)
-    # a vehicle within the distance limit of a sample has a fix box within
-    # it too; twice the limit covers the degree approximation of the box
-    seg_box = _segment_bbox(samples, 2 * cfg.distance_limit_m)
-
     refs = index.vehicles_in_range(t0, t1)
+    if not refs:
+        return None
     slots = np.array([index.slot(ref) for ref in refs])
-    boxes = index.boxes_in_range(t0, t1, slots)
-    overlap = ~((seg_box[2] < boxes[:, 0]) | (boxes[:, 2] < seg_box[0])
-                | (seg_box[3] < boxes[:, 1]) | (boxes[:, 3] < seg_box[1]))
-    candidates = list(compress(refs, overlap))
+    # the fewest matched samples that pass score_vehicle's float test,
+    # matched / n >= quorum; the test is monotone in the count, so every
+    # count below need fails it and every count from need on passes
+    need = next(c for c in range(n + 1) if not c / n < cfg.quorum_fraction)
+    # runs of n - need + 1 consecutive samples: one run missed in full
+    # leaves at most need - 1 samples to match
+    size = n - need + 1
+    times = samples.times_s.tolist()
+    starts = range(0, n, size)
+    boxes = index.boxes_in_range(
+        slots, [times[a] - cfg.window_s for a in starts],
+        [times[min(a + size, n) - 1] + cfg.window_s for a in starts])
+    # a sample within the distance limit of its window's polyline has the
+    # vehicle's fix box of its run within it too; twice the limit covers
+    # the degree approximation of the run's sample box
+    lows, highs = _run_boxes(samples, size, 2 * cfg.distance_limit_m)
+    apart = ((boxes[..., :2] > highs) | (boxes[..., 2:] < lows)).any(axis=2)
+    alive = n - apart @ [min(size, n - a) for a in starts] >= need
+    candidates = list(compress(refs, alive))
     if not candidates:
         return None
-    # one pass over every candidate drops those score_vehicle would reject
-    # for want of quorum, by the same count and the same float test
-    slots = slots[overlap]
-    w = _score_windows(samples, slots, cfg, index, use_linestring)
-    matched = np.bincount(w.windowed[w.d <= cfg.distance_limit_m] // len(samples),
+    # one pass over the survivors drops those score_vehicle would reject
+    # for want of quorum, by the same count
+    w = _score_windows(samples, slots[alive], cfg, index, use_linestring)
+    matched = np.bincount(w.windowed[w.d <= cfg.distance_limit_m] // n,
                           minlength=len(candidates))
-    quorate = ~(matched / len(samples) < cfg.quorum_fraction)
+    quorate = matched >= need
     best: Optional[VehicleScore] = None
     for ref in compress(candidates, quorate):
         scored = score_vehicle(samples, ref, cfg, index,

@@ -125,6 +125,11 @@ class TimetablePlanner:
         if not today and not runs_late.any():
             raise PlanError(f"no GTFS services active on {day}")
         self._stop_code = {sid: i for i, sid in enumerate(st.stop_ids)}
+        # stop codes follow first appearance; a pair's key compares stop ids
+        self._stop_rank = np.empty(len(st.stop_ids), dtype=np.int64)
+        self._stop_rank[sorted(range(len(st.stop_ids)),
+                               key=st.stop_ids.__getitem__)] = np.arange(
+            len(st.stop_ids))
         self._stops = sorted(gtfs.stops.values(), key=lambda s: s.stop_id)
         self._stop_lat = np.array([s.lat for s in self._stops])
         self._stop_lng = np.array([s.lng for s in self._stops])
@@ -134,7 +139,7 @@ class TimetablePlanner:
         shift = np.repeat([-_DAY_S, 0], [runs_late.sum(), runs_today.sum()])
         order = np.lexsort((shift, trip))
         trip, shift = trip[order], shift[order]
-        self._inst_trip, self._inst_shift = trip.tolist(), shift.tolist()
+        self._inst_trip, self._inst_shift = trip.tolist(), shift
 
         # the stop-time rows of every instance, and their timed departures
         first = st.trip_rows[trip]
@@ -199,58 +204,58 @@ class TimetablePlanner:
 
         # the departures in the window at each origin stop, found in one
         # search of the (stop, departure) keys
-        boards, codes, lows = [], [], []
-        for board_stop, d_board in origin_stops:
+        board_ids, codes, lows, walk_m = [], [], [], []
+        for board_stop, d in origin_stops:
             code = self._stop_code.get(board_stop.stop_id)
             if code is not None:
-                walk_before = d_board / self.walk_speed_mps
-                boards.append((board_stop.stop_id, d_board, walk_before))
+                board_ids.append(board_stop.stop_id)
                 codes.append(code)
-                lows.append(_key_of(code, math.ceil(earliest_s + walk_before)))
+                lows.append(_key_of(code, math.ceil(
+                    earliest_s + d / self.walk_speed_mps)))
+                walk_m.append(d)
         high = math.floor(horizon_s) + 1
-        bounds = np.searchsorted(
-            self._dep_key, lows + [_key_of(c, high) for c in codes]).tolist()
-        spans = [(b, i, j) for b, (i, j) in enumerate(
-            zip(bounds[:len(codes)], bounds[len(codes):])) if i < j]
-        if not spans:
+        lo, hi = np.searchsorted(
+            self._dep_key, lows + [_key_of(c, high) for c in codes]
+        ).reshape(2, len(codes))
+        counts = np.maximum(hi - lo, 0)
+        departure = _ranges(lo, counts)
+        if not len(departure):
             return PlanResult([], reason="no reachable trip serves the query")
-        departure = np.array([i for _, lo, hi in spans for i in range(lo, hi)])
-        board = np.array([b for b, lo, hi in spans for _ in range(lo, hi)])
+        board = np.repeat(np.arange(len(codes)), counts)
         inst, row = self._dep_inst[departure], self._dep_row[departure]
         # every later call of the trip, kept where a timed arrival lies
         # within the walk budget of the destination
         tail = self._inst_end[inst] - row - 1
         alight = _ranges(row + 1, tail)
         pair = np.repeat(np.arange(len(departure)), tail)
-        board_m = np.array([d for _, d, _ in boards])[board[pair]]
-        keep = ((board_m + dest_dist[st.stop[alight]] <= query.max_walk_m)
+        walk_m = np.array(walk_m)
+        keep = ((walk_m[board[pair]] + dest_dist[st.stop[alight]] <= query.max_walk_m)
                 & (st.arrival_s[alight] != UNTIMED))
         pair, alight = pair[keep], alight[keep]
 
-        # per instance, the best boarding/alighting combination; the sort key
-        # is (end, duration, total walk, board stop, alight stop, departure,
-        # row), where row order is sequence order within a trip
-        best: dict[int, tuple[tuple, tuple]] = {}
-        for b, dep_s, inst, row, alight_row, stop, arrival_s in zip(
-                board[pair].tolist(), self._dep_s[departure[pair]].tolist(),
-                inst[pair].tolist(), row[pair].tolist(), alight.tolist(),
-                st.stop[alight].tolist(), st.arrival_s[alight].tolist()):
-            board_stop_id, d_board, walk_before = boards[b]
-            d_alight = float(dest_dist[stop])
-            arrival_s += self._inst_shift[inst]
-            walk_after = d_alight / self.walk_speed_mps
-            end_s = arrival_s + walk_after
-            duration = walk_before + (arrival_s - dep_s) + walk_after
-            key = (end_s, duration, d_board + d_alight, board_stop_id,
-                   st.stop_ids[stop], dep_s, row)
-            incumbent = best.get(inst)
-            if incumbent is None or key < incumbent[0]:
-                best[inst] = (key, (board_stop_id, row, alight_row, dep_s,
-                                    arrival_s, d_board, d_alight))
-        ranked = sorted(best.items(), key=lambda kv: (
-            kv[1][0][0], kv[1][0][1], st.trip_ids[self._inst_trip[kv[0]]], kv[0]))
-        itineraries = [self._build_itinerary(self._inst_trip[inst], payload)
-                       for inst, (_, payload) in ranked[:query.n_plans]]
+        # per instance, the best boarding/alighting combination by the key
+        # (end, duration, total walk, board stop id, alight stop id,
+        # departure, row), where row order is sequence order within a trip
+        board, inst, row = board[pair], inst[pair], row[pair]
+        dep_s = self._dep_s[departure[pair]]
+        stop = st.stop[alight]
+        d_board, d_alight = walk_m[board], dest_dist[stop]
+        arrival_s = st.arrival_s[alight] + self._inst_shift[inst]
+        walk_after = d_alight / self.walk_speed_mps
+        end_s = arrival_s + walk_after
+        duration = d_board / self.walk_speed_mps + (arrival_s - dep_s) + walk_after
+        order = np.lexsort((row, dep_s, self._stop_rank[stop],
+                            self._stop_rank[np.array(codes)[board]],
+                            d_board + d_alight, duration, end_s, inst))
+        best = order[np.diff(inst[order], prepend=-1) != 0]
+        ranked = sorted(zip(end_s[best].tolist(), duration[best].tolist(),
+                            inst[best].tolist(), best.tolist()),
+                        key=lambda r: (r[0], r[1],
+                                       st.trip_ids[self._inst_trip[r[2]]], r[2]))
+        itineraries = [self._build_itinerary(self._inst_trip[i], (
+            board_ids[board[k]], int(row[k]), int(alight[k]), int(dep_s[k]),
+            int(arrival_s[k]), float(d_board[k]), float(d_alight[k])))
+            for _, _, i, k in ranked[:query.n_plans]]
         if not itineraries:
             return PlanResult([], reason="no reachable trip serves the query")
         return PlanResult(itineraries)
@@ -288,11 +293,9 @@ class TimetablePlanner:
     def _leg_geometry(self, trip: int, board_row: int,
                       alight_row: int) -> tuple[GeoPoint, ...]:
         st = self._st
-        first, end = st.trip_rows[trip:trip + 2].tolist()
         stop_seq = [self.gtfs.stops[st.stop_ids[s]].geo
-                    for s in st.stop[first:end].tolist()]
-        board_idx, alight_idx = board_row - first, alight_row - first
-        board_geo, alight_geo = stop_seq[board_idx], stop_seq[alight_idx]
+                    for s in st.stop[board_row:alight_row + 1].tolist()]
+        board_geo, alight_geo = stop_seq[0], stop_seq[-1]
 
         shape_id = self.gtfs.trips[st.trip_ids[trip]].shape_id
         shape = self.gtfs.shapes.get(shape_id) if shape_id else None
@@ -304,7 +307,7 @@ class TimetablePlanner:
                 pts = _dedupe([board_geo, *shape[i:j + 1], alight_geo])
                 if len(pts) >= 2:
                     return tuple(pts)
-        pts = _dedupe(stop_seq[board_idx:alight_idx + 1])
+        pts = _dedupe(stop_seq)
         if len(pts) < 2:
             pts = [board_geo, alight_geo]  # co-located stops still form a leg
         return tuple(pts)

@@ -23,6 +23,7 @@ import csv
 import enum
 from dataclasses import dataclass
 from datetime import timedelta
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ import numpy as np
 from .geodesy import distances_m, points_to_polylines_m, resample_min_spacing
 from .ingest import format_timestamp
 from .planner import Itinerary, JourneyPlanner, PlanQuery
-from .types import ActivitySegment, GeoPoint, LineType
+from .types import ActivitySegment, GeoPoint, LineType, seconds_between
 
 
 def _minute_rounded(seconds: float) -> float:
@@ -43,7 +44,7 @@ class MatchConstants:
     """Thresholds for plan validation.
 
     Only the independent quantities are fields. The time limits follow from
-    them, minute-rounded and stored in seconds:
+    them, minute-rounded, in seconds and computed once per instance:
 
     * tWb = tWe = dEmax / vW (6.2 min = 372 s), the walk from a misplaced
       transition point; the query pulls its start back by tWb;
@@ -86,28 +87,28 @@ class MatchConstants:
             raise ValueError(f"route_quorum must be in (0, 1], "
                              f"got {self.route_quorum!r}")
 
-    @property
+    @cached_property
     def walk_before_max_s(self) -> float:
         """tWb = dEmax / vW, minute-rounded."""
         return _minute_rounded(self.dEmax_m / self.walk_speed_mps)
 
-    @property
+    @cached_property
     def _transit_extra_max_s(self) -> float:
         """tPTb = tPTe = dEmax / vPT, minute-rounded."""
         return _minute_rounded(self.dEmax_m / self.transit_speed_mps)
 
-    @property
+    @cached_property
     def transit_delta_max_s(self) -> float:
         """tPTb + tPTe."""
         return self._transit_extra_max_s + self._transit_extra_max_s
 
-    @property
+    @cached_property
     def total_delta_max_s(self) -> float:
         """tPTb + tPTe + tWb + tWe."""
         return self.transit_delta_max_s + (self.walk_before_max_s
                                            + self.walk_before_max_s)
 
-    @property
+    @cached_property
     def start_diff_max_s(self) -> float:
         """tPTb + tEPT."""
         return self._transit_extra_max_s + self.schedule_deviation_s
@@ -141,16 +142,24 @@ class PlanAssessment:
 
 _MAX_PAIRS = 1 << 14    # per route-check kernel call: dense shapes are long
 
+RouteCheck = tuple[float, int, bool]
 
-def route_geometry_check(segment: ActivitySegment, itinerary: Itinerary,
-                         constants: MatchConstants,
-                         ) -> tuple[float, int, bool]:
-    """Compare the segment trace against the plan geometry.
 
-    The trace is thinned to >= 100 m spacing; resampled points within dEmax
-    along-trace of either end are ignored (transition points are inaccurate).
-    Returns (matched fraction, longest unmatched adjacent run, passed).
+def route_geometry_check(segment: ActivitySegment,
+                         itineraries: Sequence[Itinerary],
+                         constants: MatchConstants) -> list[RouteCheck]:
+    """Compare the segment trace against the geometry of each itinerary.
+
+    The trace is thinned to >= 100 m spacing and measured once for all
+    plans; resampled points within dEmax along-trace of either end are
+    ignored (transition points are inaccurate). Each (plan, point) pair is
+    one polyline of the kernel, and the polylines of all plans go through
+    it in calls of at most _MAX_PAIRS (point, vertex) pairs, a polyline
+    longer than that alone. Returns (matched fraction, longest unmatched
+    adjacent run, passed) per itinerary.
     """
+    if not itineraries:
+        return []
     lat, lng = resample_min_spacing(segment.trace.lats, segment.trace.lngs,
                                     constants.resample_spacing_m)
     # cumulative along-trace distance of each resampled point
@@ -160,43 +169,54 @@ def route_geometry_check(segment: ActivitySegment, itinerary: Itinerary,
                 & (cumulative[-1] - cumulative >= constants.dEmax_m))
     if interior.any():
         lat, lng = lat[interior], lng[interior]
+    n = len(lat)
 
-    # each interior point paired with every plan vertex, in bounded blocks
-    line_lat, line_lng = np.array(itinerary.transit.geometry).T
-    m = len(line_lat)
-    block = max(1, _MAX_PAIRS // m)
+    # polyline g pairs point g % n with the vertices of plan g // n
+    geometry = [it.transit.geometry for it in itineraries]
+    m = np.array([len(g) for g in geometry])
+    vertices = np.array([v for g in geometry for v in g])
+    sizes = np.repeat(m, n)
+    points = np.tile(np.arange(n), len(m))
+    first_vertex = np.repeat(np.cumsum(m) - m, n)
+    ends = np.cumsum(sizes)
     d = []
-    for i in range(0, len(lat), block):
-        p_lat, p_lng = np.repeat(lat[i:i + block], m), np.repeat(lng[i:i + block], m)
-        v_lat, v_lng = np.resize(line_lat, len(p_lat)), np.resize(line_lng, len(p_lat))
+    lo = 0
+    while lo < len(sizes):
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, ends[lo] - sizes[lo] + _MAX_PAIRS, "right")))
+        size = sizes[lo:hi]
+        starts = np.cumsum(size) - size
+        vertex = np.arange(size.sum()) + np.repeat(first_vertex[lo:hi] - starts, size)
+        point = np.repeat(points[lo:hi], size)
+        p_lat, p_lng = lat[point], lng[point]
+        v_lat, v_lng = vertices[vertex, 0], vertices[vertex, 1]
         d.append(points_to_polylines_m(p_lat, p_lng, v_lat, v_lng,
                                        distances_m(p_lat, p_lng, v_lat, v_lng),
-                                       np.arange(0, len(p_lat), m)))
-    matched = np.concatenate(d) <= constants.route_limit_m
-    fraction = int(np.count_nonzero(matched)) / len(matched)
+                                       starts))
+        lo = hi
+    matched = (np.concatenate(d) <= constants.route_limit_m).reshape(-1, n)
+    fractions = (np.count_nonzero(matched, axis=1) / n).tolist()
     # the longest run of unmatched points lies between two matched ones,
     # with one matched point imagined before and after the trace
-    longest_gap = int(np.diff(np.flatnonzero(
-        np.concatenate([[True], matched, [True]]))).max()) - 1
-    passed = (fraction >= constants.route_quorum
-              and longest_gap <= constants.max_adjacent_outside)
-    return fraction, longest_gap, passed
+    bounded = np.ones((len(m), n + 2), dtype=bool)
+    bounded[:, 1:-1] = matched
+    gaps = [int(np.diff(np.flatnonzero(row)).max()) - 1 for row in bounded]
+    return [(fraction, gap, fraction >= constants.route_quorum
+             and gap <= constants.max_adjacent_outside)
+            for fraction, gap in zip(fractions, gaps)]
 
 
-def filter_plan(itinerary: Itinerary, segment: ActivitySegment,
-                constants: MatchConstants) -> PlanAssessment:
-    """Assess one itinerary: the four duration criteria in order, then the
-    route-geometry quorum."""
-    tV = segment.duration_s
-    t = itinerary.total_duration_s
-    tPT = itinerary.transit.duration_s
-    delta_total = t - tV
-    delta_transit = abs(tPT - tV)
-    start_diff = abs((itinerary.transit.board_time
-                      - segment.start_time).total_seconds())
-
-    fraction: Optional[float] = None
-    longest_gap: Optional[int] = None
+def _timing(itinerary: Itinerary, segment: ActivitySegment,
+            constants: MatchConstants,
+            ) -> tuple[float, float, float, float, Optional[Verdict]]:
+    """(tV, t - tV, |tPT - tV|, |board - start|) and the first of the four
+    duration criteria the plan fails, None when it passes them all."""
+    start = segment.start_time
+    tV = seconds_between(start, segment.end_time)
+    delta_total = itinerary.total_duration_s - tV
+    delta_transit = abs(itinerary.transit.duration_s - tV)
+    start_diff = abs((itinerary.transit.board_time - start).total_seconds())
+    verdict = None
     if delta_total < -constants.schedule_deviation_s:
         verdict = Verdict.TOTAL_TOO_SHORT
     elif delta_total > constants.total_delta_max_s:
@@ -205,9 +225,22 @@ def filter_plan(itinerary: Itinerary, segment: ActivitySegment,
         verdict = Verdict.TRANSIT_DURATION_MISMATCH
     elif start_diff > constants.start_diff_max_s:
         verdict = Verdict.START_TIME_MISMATCH
-    else:
-        fraction, longest_gap, geometry_ok = route_geometry_check(
-            segment, itinerary, constants)
+    return tV, delta_total, delta_transit, start_diff, verdict
+
+
+def filter_plan(itinerary: Itinerary, segment: ActivitySegment,
+                constants: MatchConstants,
+                route: Optional[RouteCheck] = None) -> PlanAssessment:
+    """Assess one itinerary: the four duration criteria in order, then the
+    route-geometry quorum. route is the plan's route_geometry_check result
+    when assess_plans has already checked it."""
+    tV, delta_total, delta_transit, start_diff, verdict = _timing(
+        itinerary, segment, constants)
+    fraction: Optional[float] = None
+    longest_gap: Optional[int] = None
+    if verdict is None:
+        fraction, longest_gap, geometry_ok = route or route_geometry_check(
+            segment, [itinerary], constants)[0]
         if not geometry_ok:
             verdict = (Verdict.ROUTE_QUORUM if fraction < constants.route_quorum
                        else Verdict.ROUTE_GAP_RUN)
@@ -223,6 +256,23 @@ def filter_plan(itinerary: Itinerary, segment: ActivitySegment,
         max_adjacent_run_outside=longest_gap,
         verdict=verdict,
     )
+
+
+def assess_plans(itineraries: Sequence[Itinerary], segment: ActivitySegment,
+                 constants: MatchConstants) -> list[PlanAssessment]:
+    """filter_plan of each itinerary, with the plans that pass the duration
+    criteria route-checked together: the trace is thinned once, and only
+    when some plan reaches the check."""
+    timely = [k for k, it in enumerate(itineraries)
+              if _timing(it, segment, constants)[-1] is None]
+    routes: list[Optional[RouteCheck]] = [None] * len(itineraries)
+    if timely:
+        checks = route_geometry_check(
+            segment, [itineraries[k] for k in timely], constants)
+        for k, route in zip(timely, checks):
+            routes[k] = route
+    return [filter_plan(it, segment, constants, route)
+            for it, route in zip(itineraries, routes)]
 
 
 @dataclass(frozen=True)
@@ -260,7 +310,7 @@ def match_static(segment: ActivitySegment, planner: JourneyPlanner,
     the diagnostics log."""
     constants = constants or MatchConstants()
     result = planner.plan(adjusted_query(segment, constants))
-    assessed = [filter_plan(it, segment, constants) for it in result.itineraries]
+    assessed = assess_plans(result.itineraries, segment, constants)
     if assessments_sink is not None:
         assessments_sink.extend((segment.segment_id, a) for a in assessed)
     accepted = [a for a in assessed if a.accepted]

@@ -174,68 +174,75 @@ def test_live_sample_count_of_two_accepted(key):
     assert getattr(config_from_dict({"live": {key: 2}}).live, key) == 2
 
 
-@pytest.mark.parametrize("raw, message", [
-    ({"methods": "static"},
+# Each case carries its own id label, so inserting a case renames no
+# other; a new case takes the next unused label.
+_BAD_VALUES = [
+    ("raw0", {"methods": "static"},
      "methods: expected a list of method names, got 'static'"),
-    ({"jobs": "abc"}, "jobs: expected an integer, got 'abc'"),
-    ({"jobs": 1.5}, "jobs: expected an integer, got 1.5"),
-    ({"segmentation": {"max_gap_s": "x"}},
+    ("raw1", {"jobs": "abc"}, "jobs: expected an integer, got 'abc'"),
+    ("raw2", {"jobs": 1.5}, "jobs: expected an integer, got 1.5"),
+    ("raw3", {"segmentation": {"max_gap_s": "x"}},
      "segmentation: max_gap_s: expected a number, got 'x'"),
-    ({"planner": {"search_window_s": "x"}},
+    ("raw4", {"planner": {"search_window_s": "x"}},
      "planner: search_window_s: expected a number, got 'x'"),
-    ({"permissive": "no"}, "permissive: expected true or false, got 'no'"),
-    ({"date": "friday"}, "date: expected YYYY-MM-DD, got 'friday'"),
-    ({"segmentation": 300}, "segmentation: expected a mapping, got 300"),
-    ({"gates": 5}, "gates: expected a list of gates, got 5"),
-    ({"gates": [{"method": "combined", "metric": "public_transport", "min": "a"}]},
+    ("raw5", {"permissive": "no"}, "permissive: expected true or false, got 'no'"),
+    ("raw6", {"date": "friday"}, "date: expected YYYY-MM-DD, got 'friday'"),
+    ("raw7", {"segmentation": 300}, "segmentation: expected a mapping, got 300"),
+    ("raw8", {"gates": 5}, "gates: expected a list of gates, got 5"),
+    ("raw9", {"gates": [{"method": "combined", "metric": "public_transport", "min": "a"}]},
      "gates[0]: min: expected a number, got 'a'"),
-    ({"gates": [{"method": "static", "metric": "car_recognized", "max": 0},
-                {"method": "static", "metric": "car_recognized", "max": [1]}]},
+    ("raw10", {"gates": [{"method": "static", "metric": "car_recognized", "max": 0},
+                         {"method": "static", "metric": "car_recognized", "max": [1]}]},
      "gates[1]: max: expected a number, got [1]"),
-    ({"segmentation": {"max_gap_s": -5}},
+    ("raw11", {"segmentation": {"max_gap_s": -5}},
      "segmentation: max_gap_s: must be >= 0, got -5"),
-    ({"planner": {"search_window_s": -1.0}},
+    ("raw12", {"planner": {"search_window_s": -1.0}},
      "planner: search_window_s: must be >= 0, got -1.0"),
-    ({"static": {"walk_speed_mps": 0}},
+    ("raw13", {"static": {"walk_speed_mps": 0}},
      "static: walk_speed_mps must be positive, got 0"),
-    ({"static": {"transit_speed_mps": 0}},
+    ("raw14", {"static": {"transit_speed_mps": 0}},
      "static: transit_speed_mps must be positive, got 0"),
-    ({"static": {"resample_spacing_m": 0}},
+    ("raw15", {"static": {"resample_spacing_m": 0}},
      "static: resample_spacing_m must be positive, got 0"),
-    ({"static": {"route_limit_m": -5}},
+    ("raw16", {"static": {"route_limit_m": -5}},
      "static: route_limit_m must be positive, got -5"),
-    ({"static": {"dEmax_m": -500.0}},
+    ("raw17", {"static": {"dEmax_m": -500.0}},
      "static: dEmax_m must be positive, got -500.0"),
-    ({"static": {"schedule_deviation_s": -1}},
+    ("raw18", {"static": {"schedule_deviation_s": -1}},
      "static: schedule_deviation_s must be >= 0, got -1"),
-    ({"static": {"max_adjacent_outside": 2.5}},
+    ("raw19", {"static": {"max_adjacent_outside": 2.5}},
      "static: max_adjacent_outside must be an integer >= 0, got 2.5"),
-    ({"static": {"max_adjacent_outside": -1}},
+    ("raw20", {"static": {"max_adjacent_outside": -1}},
      "static: max_adjacent_outside must be an integer >= 0, got -1"),
-    ({"static": {"walk_speed_mps": True}},
+    ("raw21", {"static": {"walk_speed_mps": True}},
      "static: walk_speed_mps must be a number, got True"),
-    ({"static": {"route_quorum": "high"}},
+    ("raw22", {"static": {"route_quorum": "high"}},
      "static: route_quorum must be a number, got 'high'"),
-    ({"static": {"route_quorum": 1.5}},
+    ("raw23", {"static": {"route_quorum": 1.5}},
      "static: route_quorum must be in (0, 1], got 1.5"),
-    ({"live": {"distance_limit_m": -1}},
+    ("raw24", {"live": {"distance_limit_m": -1}},
      "live: distance_limit_m must be positive, got -1"),
-    ({"live": {"window_s": 0}}, "live: window_s must be positive, got 0"),
-    ({"live": {"window_s": "x"}}, "live: window_s must be a number, got 'x'"),
-    ({"live": {"distance_limit_m": True}},
+    ("raw25", {"live": {"window_s": 0}}, "live: window_s must be positive, got 0"),
+    ("raw26", {"live": {"window_s": "x"}}, "live: window_s must be a number, got 'x'"),
+    ("raw27", {"live": {"distance_limit_m": True}},
      "live: distance_limit_m must be a number, got True"),
-    ({"live": {"quorum_fraction": "most"}},
+    ("raw28", {"live": {"quorum_fraction": "most"}},
      "live: quorum_fraction must be a number, got 'most'"),
-    ({"live": {"quorum_fraction": False}},
+    ("raw29", {"live": {"quorum_fraction": False}},
      "live: quorum_fraction must be a number, got False"),
-    ({"live": {"quorum_fraction": 0}},
+    ("raw30", {"live": {"quorum_fraction": 0}},
      "live: quorum_fraction must be in (0, 1], got 0"),
-    ({"live": {"distance_limit_m": float("nan")}},
+    ("raw31", {"live": {"distance_limit_m": float("nan")}},
      "live: distance_limit_m must be positive, got nan"),
-    ({"jobs": True}, "jobs: expected an integer, got True"),
-    ({"jobs": 2}, "jobs: matching runs serially; only 1 is accepted, got 2"),
-    ({"jobs": 0}, "jobs: matching runs serially; only 1 is accepted, got 0"),
-])
+    ("raw32", {"jobs": True}, "jobs: expected an integer, got True"),
+    ("raw33", {"jobs": 2}, "jobs: matching runs serially; only 1 is accepted, got 2"),
+    ("raw34", {"jobs": 0}, "jobs: matching runs serially; only 1 is accepted, got 0"),
+]
+
+
+@pytest.mark.parametrize("raw, message", [case[1:] for case in _BAD_VALUES],
+                         ids=[f"{label}-{message}"
+                              for label, _, message in _BAD_VALUES])
 def test_bad_value_names_its_key(raw, message):
     with pytest.raises(ConfigError) as exc:
         config_from_dict(raw)

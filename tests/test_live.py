@@ -45,9 +45,12 @@ def index_of(rows):
 
 
 def boxes_of(index, t0, t1):
-    """boxes_in_range of the vehicles of vehicles_in_range, as _match asks."""
+    """boxes_in_range of the vehicles of vehicles_in_range over the one
+    window [t0, t1]."""
     slots = [index.slot(ref) for ref in index.vehicles_in_range(t0, t1)]
-    return index.boxes_in_range(t0, t1, np.array(slots, dtype=np.int64))
+    return index.boxes_in_range(np.array(slots, dtype=np.int64),
+                                np.array([as_seconds(t0)]),
+                                np.array([as_seconds(t1)]))[:, 0]
 
 
 def trace_points(specs):
@@ -493,7 +496,12 @@ def _fleet_scenarios(draw):
 @settings(max_examples=300, deadline=None)
 @given(_fleet_scenarios())
 def test_matchers_agree_with_brute_force(scenario):
-    segment, rows, cfg = scenario
+    _assert_matchers_agree_with_brute_force(*scenario)
+
+
+def _assert_matchers_agree_with_brute_force(segment, rows, cfg):
+    """Both matchers equal _brute_force_match, and score_vehicle sees only
+    vehicles at quorum."""
     index = index_of(rows)
     for matcher, n_samples, use_linestring in (
             (match_live, cfg.max_user_samples, True),
@@ -510,14 +518,63 @@ def test_matchers_agree_with_brute_force(scenario):
                     got.sample_distances) == \
                 (want.vehicle_ref, want.score, want.matched_fraction,
                  tuple(want.sample_distances))
-        # the pre-pass hands on only vehicles at quorum; no scenario puts a
-        # matched sample exactly at the limit, so a zero score means none
+        # a matched sample exactly at the limit would score 0; no scenario
+        # places one there, so a zero score means no matched sample
         samples = select_user_samples(segment.trace, n_samples)
         probe_cfg = replace(cfg, quorum_fraction=1e-9)
         for ref in calls:
             probe = score_vehicle(samples, ref, probe_cfg, index, use_linestring)
             assert probe is not None
             assert not probe.matched_fraction < cfg.quorum_fraction
+
+
+RIDE_MPS = 12.0  # the ride and every vehicle run north at this speed
+
+
+@st.composite
+def _dense_scenarios(draw):
+    """A ride sampled every 10-45 s, so neighbouring windows share fixes and
+    up to 60 points thin to 40 samples in several runs. Each vehicle either
+    has one fix, or runs along the ride every 15-100 s, near it only from
+    one point to another and with a stretch without fixes; at 100 s its
+    fixes are 1200 m apart, so a sample between two of them is far from
+    both but on the path they span."""
+    quorum = draw(st.sampled_from([0.5, 0.75, 1.0]))
+    limit = draw(st.sampled_from(_LIMITS))
+    spacing = draw(st.sampled_from([10, 20, 45]))
+    k = draw(st.integers(2, 60))
+    end = spacing * (k - 1)
+
+    def on_ride(t, east_m):
+        return offset_point(BASE, east_m, RIDE_MPS * t)
+
+    rows = []
+    for v in range(draw(st.integers(1, 4))):
+        ref = f"v{v}"
+        times = st.integers(-90, end + 90)
+        if draw(st.booleans()):
+            t = draw(times)
+            east = draw(st.sampled_from(_NEAR_E + _FAR_E)) * limit / 100.0
+            rows.append(vp(t, on_ride(t, east), ref=ref))
+            continue
+        period = draw(st.sampled_from([15, 30, 100]))
+        near_from, near_to = sorted((draw(times), draw(times)))
+        gap_from, gap_to = sorted((draw(times), draw(times)))
+        near_east = draw(st.sampled_from(_NEAR_E)) * limit / 100.0
+        far_east = draw(st.sampled_from(_FAR_E)) * limit / 100.0
+        for t in range(draw(st.integers(-150, -60)), end + 150, period):
+            if not gap_from <= t <= gap_to:
+                east = near_east if near_from <= t <= near_to else far_east
+                rows.append(vp(t, on_ride(t, east), ref=ref))
+    specs = [(spacing * i, on_ride(spacing * i, 0.0)) for i in range(k)]
+    return ride_segment(specs), rows, LiveMatchConfig(
+        quorum_fraction=quorum, distance_limit_m=limit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dense_scenarios())
+def test_run_prune_agrees_with_brute_force_on_dense_rides(scenario):
+    _assert_matchers_agree_with_brute_force(*scenario)
 
 
 # --- old live vs new live ---

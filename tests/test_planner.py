@@ -319,6 +319,32 @@ def test_planner_matches_brute_force_oracle(seed):
         assert sig[5] == pytest.approx(v[5], abs=1e-4)
 
 
+def test_tied_pairs_break_on_stop_ids_not_stop_codes():
+    # stop codes follow first appearance in stop_times.txt (s9 before s10,
+    # s19 before s100), the reverse of stop_id order; boarding at the
+    # co-located s9 or s10 and alighting at the co-located s19 or s100 tie
+    # on (end, duration, walk), so the stop ids decide
+    a, b = grid_stop(0, 0), grid_stop(0, 3000)
+    stops = {sid: (p.lat, p.lng) for sid, p in
+             (("s9", a), ("s10", a), ("s19", b), ("s100", b))}
+    calls = [("s9", 36000), ("s10", 36000), ("s19", 36600), ("s100", 36600)]
+    bundle = make_bundle(stops, {"r1": ("16", 3)},
+                         [("t1", "r1", calls), ("t2", "r1", calls)])
+    assert bundle.stop_times.stop_ids == ("s9", "s10", "s19", "s100")
+    query = PlanQuery(grid_stop(60, 0), grid_stop(-40, 3000),
+                      datetime(2016, 8, 26, 9, 50), MAX_WALK_M)
+    got = [(it.transit.trip_id, _itinerary_signature(it, DAY))
+           for it in TimetablePlanner(bundle, DAY, WALK_MPS).plan(
+               query).itineraries]
+    expected = oracle_plan(bundle, DAY, query)
+    assert [t for t, _ in got] == [t for t, _ in expected] == ["t1", "t2"]
+    for (_, sig), (_, v) in zip(got, expected):
+        assert sig[:2] == v[:2] == ("s10", "s100")
+        assert sig[2:4] == (float(v[2]), float(v[3]))
+        assert sig[4] == pytest.approx(v[4], abs=1e-4)
+        assert sig[5] == pytest.approx(v[5], abs=1e-4)
+
+
 LATE = 23 * 3600 + 1800  # trips from 23:30 run past midnight
 
 

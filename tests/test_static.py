@@ -155,8 +155,8 @@ def test_short_plan_example():
 
 def test_identical_geometry_passes_fully():
     segment = straight_segment()
-    fraction, run, ok = route_geometry_check(
-        segment, plan_for(segment), CONSTANTS)
+    [(fraction, run, ok)] = route_geometry_check(
+        segment, [plan_for(segment)], CONSTANTS)
     assert fraction == 1.0
     assert run == 0
     assert ok
@@ -248,8 +248,8 @@ def test_route_check_equals_scalar_reference(steps, every, shifts):
     # only matter next to a threshold
     assume(all(abs(c - CONSTANTS.dEmax_m) > 1e-6 for c in sums))
     assume(all(abs(d - CONSTANTS.route_limit_m) > 1e-6 for d in distances))
-    assert route_geometry_check(segment, plan_for(segment, geometry=geometry),
-                                CONSTANTS) == expected
+    assert route_geometry_check(segment, [plan_for(segment, geometry=geometry)],
+                                CONSTANTS) == [expected]
 
 
 def test_dense_geometry_is_checked_in_bounded_blocks():
@@ -265,9 +265,9 @@ def test_dense_geometry_is_checked_in_bounded_blocks():
     assert 0.0 < expected[0] < 1.0
     with mock.patch.object(static, "points_to_polylines_m",
                            wraps=points_to_polylines_m) as kernel:
-        got = route_geometry_check(segment, plan_for(segment, geometry=geometry),
+        got = route_geometry_check(segment, [plan_for(segment, geometry=geometry)],
                                    CONSTANTS)
-    assert got == expected
+    assert got == [expected]
     assert kernel.call_count > 1
     assert all(len(call.args[0]) <= static._MAX_PAIRS
                for call in kernel.call_args_list)
@@ -292,25 +292,26 @@ def _run_with_miss_pattern(miss_idx, n_samples):
     segment = segment_of(pts)
     geometry = [offset_point(BASE, 0.0, -700.0),
                 offset_point(BASE, 0.0, span + 700.0)]
-    return route_geometry_check(segment, plan_for(segment, geometry=geometry),
-                                CONSTANTS)
+    [got] = route_geometry_check(segment, [plan_for(segment, geometry=geometry)],
+                                 CONSTANTS)
+    return got
 
 
 def test_geometry_check_invariant_under_reversal():
     segment = straight_segment(length_m=2500.0, n=26)
     geometry = [offset_point(p, 30.0, 0.0) for p in geo_points(segment)[::3]]
-    fwd = route_geometry_check(segment, plan_for(segment, geometry=geometry),
+    fwd = route_geometry_check(segment, [plan_for(segment, geometry=geometry)],
                                CONSTANTS)
     rev = route_geometry_check(segment,
-                               plan_for(segment, geometry=geometry[::-1]),
+                               [plan_for(segment, geometry=geometry[::-1])],
                                CONSTANTS)
     assert fwd == rev
 
 
 def test_short_trace_falls_back_to_all_samples():
     segment = straight_segment(length_m=600.0, duration_s=200.0, n=7)
-    fraction, run, ok = route_geometry_check(
-        segment, plan_for(segment), CONSTANTS)
+    [(fraction, run, ok)] = route_geometry_check(
+        segment, [plan_for(segment)], CONSTANTS)
     assert ok
     assert fraction == 1.0
 
