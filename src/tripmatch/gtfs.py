@@ -6,9 +6,9 @@ values past 24:00:00 stay above 86400 per the GTFS convention, so late
 services sort and compare correctly. stop_times.txt, by far the largest
 file, is read in chunks into int32 columns (StopTimeColumns); no object is
 built per row. Its arrival and departure clocks are decoded a chunk at a
-time, 'HH:MM:SS' and 'H:MM:SS' cells in one array pass and any other cell
-through the strict parse_gtfs_time, so a bad clock is still reported by
-file, line and column.
+time from the chunk's bytes, 'HH:MM:SS' and 'H:MM:SS' cells in one array
+pass and any other cell on its own through the strict parse_gtfs_time, so a
+bad clock is still reported by file, line and column.
 """
 from __future__ import annotations
 
@@ -20,7 +20,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ingest import Column, Floats, IngestError, Table, read_table
+from .ingest import (Column, Floats, IngestError, Table, read_table, word,
+                     word_digits, words_at)
 from .types import GeoPoint, LineType
 
 
@@ -270,61 +271,41 @@ def parse_gtfs_time(text: str) -> int:
     return seconds
 
 
-def _word(text: bytes) -> np.uint64:
-    return np.uint64(int.from_bytes(text, "little"))
-
-
-#: the high bit of every byte of a word
-_HIGH_BITS = _word(b"\x80" * 8)
 #: each byte of a clock's word lies between that of _CLOCK_ZERO and that of
 #: _CLOCK_ZERO + _CLOCK_SPAN; less _CLOCK_ZERO, the bytes are its digits and
 #: a 0 for each ':'
-_CLOCK_ZERO = _word(b"00:00:00")
-_CLOCK_SPAN = _word(bytes([9, 9, 0, 5, 9, 0, 5, 9]))
+_CLOCK_ZERO = word(b"00:00:00")
+_CLOCK_SPAN = word(bytes([9, 9, 0, 5, 9, 0, 5, 9]))
 _CLOCK_WEIGHTS = np.array([36000, 3600, 0, 600, 60, 0, 10, 1], np.float64)
 
 
-def _clock_seconds(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """int32 seconds of 'HH:MM:SS' and 'H:MM:SS' cells, UNTIMED for a blank
-    cell, and which cells are of these forms (none when a cell holds a
-    newline). Each cell is read as the little-endian word of the 8 bytes
-    before its end, with a '0' put before every cell, so that 'H:MM:SS'
-    reads as '0H:MM:SS'."""
-    n = len(cells)
-    # the 7 spaces keep the first cell's word inside data
-    data = ("       0" + "\n0".join(cells) + "\n").encode()
-    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
-    if len(ends) != n:
-        return np.zeros(n, np.int32), np.zeros(n, dtype=bool)
-    # bytes of each cell: newlines apart, less '\n0'; 6 stands for the
-    # newline before the first cell
-    width = np.diff(ends, prepend=6) - 2
-    # every 8-byte window of data as a word, taken at each cell's end
-    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))[ends - 8]
-    # Per byte, digit = byte - zero. A byte below its zero wraps around and
-    # sets the digit's high bit; any other digit is below 0x80, and then
-    # (span | 0x80) - digit keeps its high bit exactly where digit <= span.
-    digits = words - _CLOCK_ZERO
+def _clock_seconds(chunk: bytes, starts: np.ndarray,
+                   ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int32 seconds of the 'HH:MM:SS' and 'H:MM:SS' cells
+    chunk[starts:ends], UNTIMED for a blank cell, and which cells are of
+    these forms. Each cell is read as the word of the 8 bytes from its start;
+    for an 'H:MM:SS' cell the byte after it is shifted out and a '0' in, so
+    that it reads as '0H:MM:SS'."""
+    width = ends - starts
+    words = words_at(chunk, starts)
+    short = width == 7
+    words[short] = (words[short] << np.uint64(8)) | np.uint64(ord("0"))
+    digits, ok = word_digits(words, _CLOCK_ZERO, _CLOCK_SPAN)
     blank = width == 0
-    ok = (((digits & _HIGH_BITS) == 0)
-          & ((((_CLOCK_SPAN | _HIGH_BITS) - digits) & _HIGH_BITS) == _HIGH_BITS)
-          & (width <= 8)) | blank
-    # the digits' bytes in text order, whatever the host's byte order
-    seconds = (digits.astype("<u8", copy=False).view(np.uint8).reshape(n, 8)
-               @ _CLOCK_WEIGHTS).astype(np.int32)
+    seconds = (digits @ _CLOCK_WEIGHTS).astype(np.int32)
     seconds[blank] = UNTIMED
-    return seconds, ok
+    return seconds, ok & (short | (width == 8)) | blank
 
 
 class Clocks:
     """parse of a stop_times.txt clock column into int32 seconds, UNTIMED
     for a blank cell: 'HH:MM:SS' and 'H:MM:SS' cells are decoded a chunk at
-    a time, any other through parse_gtfs_time."""
+    a time from their bytes (scan), any other cell through parse_gtfs_time."""
 
     def __call__(self, text: str) -> int:
         return UNTIMED if text == "" else parse_gtfs_time(text)
 
-    vector = staticmethod(_clock_seconds)
+    scan = staticmethod(_clock_seconds)
     decode = staticmethod(np.ndarray.tolist)
 
 

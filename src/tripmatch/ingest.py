@@ -116,33 +116,70 @@ class Column(NamedTuple):
     header: bool = True
 
 
-_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
-_STAMP_SEPARATORS = {4: "-", 7: "-", 10: " ", 13: ":", 16: ":"}
+def word(text: bytes) -> np.uint64:
+    """The little-endian uint64 word of 8 bytes."""
+    return np.uint64(int.from_bytes(text, "little"))
+
+
+#: the high bit of every byte of a word
+_HIGH_BITS = word(b"\x80" * 8)
+
+
+def words_at(chunk: bytes, offsets: np.ndarray) -> np.ndarray:
+    """The little-endian uint64 word of the 8 bytes of chunk from each
+    offset, read in place. An offset past the chunk's last full word reads
+    that word instead, which only a cell too short for the word asks for."""
+    chunk = chunk.ljust(8, b"\0")
+    windows = np.ndarray((len(chunk) - 7,), "<u8", chunk, strides=(1,))
+    return windows[np.minimum(offsets, len(chunk) - 8)]
+
+
+def word_digits(words: np.ndarray, zero, span) -> tuple[np.ndarray, np.ndarray]:
+    """words less zero bytewise, as the 8 uint8 digits of each word in text
+    order (whatever the host's byte order) along a new last axis, and which
+    words have every byte between that of zero and that of zero + span
+    (span bytes < 0x80).
+
+    Per byte, digit = byte - zero. A byte below its zero wraps around and
+    sets the digit's high bit (a borrow it passes on only spoils a word that
+    already fails); any other digit is below 0x80, and then (span | 0x80) -
+    digit keeps its high bit exactly where digit <= span."""
+    digits = words - zero
+    ok = (((digits & _HIGH_BITS) == 0)
+          & ((((span | _HIGH_BITS) - digits) & _HIGH_BITS) == _HIGH_BITS))
+    return digits.astype("<u8", copy=False)[..., None].view(np.uint8), ok
+
+
+#: the words of a 'YYYY-MM-DD HH:MM:SS' cell, by offset from its start:
+#: 'YYYY-MM-', 'DD HH:MM' and 'HH:MM:SS', which cover its 19 bytes
+_STAMP_OFFSETS = np.array([0, 8, 11])
+_STAMP_ZERO = np.array([word(b"0000-00-"), word(b"00 00:00"), word(b"00:00:00")])
+_STAMP_SPAN = np.array([word(bytes(s)) for s in (
+    [9, 9, 9, 9, 0, 1, 9, 0], [3, 9, 0, 2, 9, 0, 5, 9], [2, 9, 0, 5, 9, 0, 5, 9])])
+#: the (first digit, digits) of year, month, day, hour, minute and second
+#: among the 24 digits of the three words, and their place values
+_STAMP_FIELDS = [(0, 4), (5, 2), (8, 2), (16, 2), (19, 2), (22, 2)]
+_STAMP_WEIGHTS = np.array([[10.0 ** (at + k - 1 - i) if at <= i < at + k else 0.0
+                            for at, k in _STAMP_FIELDS] for i in range(24)])
 _DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _DAYS_BEFORE_MONTH = np.cumsum(_DAYS_IN_MONTH) - _DAYS_IN_MONTH
 
 
-def _stamp_seconds(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Seconds after TIME_REF of 'YYYY-MM-DD HH:MM:SS' cells, by the
-    proleptic-Gregorian ordinal that datetime uses, and which cells are
-    valid times of that form (none when the cells differ in length)."""
-    text = np.array(cells)
-    if text.dtype != np.dtype("U19"):
-        return np.zeros(len(cells)), np.zeros(len(cells), dtype=bool)
-    # UCS-4 code points; a shorter cell is padded with 0, which is no digit
-    chars = text.view(np.uint32).reshape(len(cells), 19).astype(np.int64)
-    digits = chars[:, _STAMP_DIGITS] - ord("0")
+def _stamp_seconds(chunk: bytes, starts: np.ndarray,
+                   ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Seconds after TIME_REF of the 'YYYY-MM-DD HH:MM:SS' cells
+    chunk[starts:ends], by the proleptic-Gregorian ordinal that datetime
+    uses, and which cells are valid times of that form."""
+    digits, ok = word_digits(words_at(chunk, starts[:, None] + _STAMP_OFFSETS),
+                             _STAMP_ZERO, _STAMP_SPAN)
     year, month, day, hour, minute, second = (
-        digits[:, :4] @ [1000, 100, 10, 1], *(
-            digits[:, i:i + 2] @ [10, 1] for i in range(4, 14, 2)))
+        digits.reshape(len(starts), 24) @ _STAMP_WEIGHTS).astype(np.int64).T
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     m = np.clip(month, 1, 12) - 1
-    ok = (((digits >= 0) & (digits <= 9)).all(axis=1)
-          & (chars[:, list(_STAMP_SEPARATORS)]
-             == [ord(c) for c in _STAMP_SEPARATORS.values()]).all(axis=1)
+    # the spans already keep minute and second below 60
+    ok = (ok.all(axis=1) & (ends - starts == 19)
           & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-          & (day <= _DAYS_IN_MONTH[m] + (leap & (m == 1)))
-          & (hour <= 23) & (minute <= 59) & (second <= 59))
+          & (day <= _DAYS_IN_MONTH[m] + (leap & (m == 1))) & (hour <= 23))
     y = year - 1
     ordinal = (y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[m]
                + (leap & (m > 1)) + day)
@@ -180,8 +217,8 @@ class Floats:
 @dataclass(frozen=True)
 class Stamps:
     """parse of a timestamp column into float seconds after TIME_REF, NaN
-    for a blank cell: 'YYYY-MM-DD HH:MM:SS' cells are parsed a chunk at a
-    time, any other through parse_timestamp."""
+    for a blank cell: 'YYYY-MM-DD HH:MM:SS' cells are decoded a chunk at a
+    time from their bytes (scan), any other cell through parse_timestamp."""
 
     default_date: date | None = None
 
@@ -190,7 +227,7 @@ class Stamps:
             return math.nan
         return as_seconds(parse_timestamp(text, default_date=self.default_date))
 
-    vector = staticmethod(_stamp_seconds)
+    scan = staticmethod(_stamp_seconds)
 
     @staticmethod
     def decode(seconds: np.ndarray) -> list[Optional[datetime]]:
@@ -200,11 +237,11 @@ class Stamps:
 @dataclass
 class Table:
     """The columns of a table read by read_table, over the rows without a
-    bad cell: data[name] is, for a column whose parse has a vector form,
-    an array of the dtype that form returns (float64 for Floats and Stamps),
-    else an int32 array of codes into levels[name], the distinct parsed
-    values in order of first appearance. report or build reports the bad
-    rows, in file order with those that build rejects."""
+    bad cell: data[name] is, for a column whose parse has a vector or scan
+    form, an array of the dtype that form returns (float64 for Floats and
+    Stamps), else an int32 array of codes into levels[name], the distinct
+    parsed values in order of first appearance. report or build reports the
+    bad rows, in file order with those that build rejects."""
 
     label: Any
     error: type[IngestError]
@@ -266,8 +303,8 @@ class Table:
         log.warning("%s: %s", self.label, message)
 
 
-#: bytes of a table split per chunk; bounds the transient per-cell strings
-#: whatever the file size
+#: bytes of a table read per block, and so split per chunk; bounds the
+#: transient per-cell strings whatever the file size
 _CHUNK_BYTES = 1 << 17
 
 #: rows per chunk once a file is read through csv.reader. It is below the
@@ -291,16 +328,20 @@ def load_table(path, columns: Sequence[Column], *, permissive: bool = False,
 def read_table(fh, label, columns: Sequence[Column], *,
                error: type[IngestError] = IngestError, permissive: bool = False,
                diagnostics: list[str] | None = None) -> Table:
-    """The columns of the CSV text in the binary file fh; errors are of
-    type error and name the file by label.
+    """The columns of the UTF-8 CSV text in the binary file fh; errors are
+    of type error and name the file by label.
 
     Header names may follow a BOM and are stripped and lowercased. A short
     row reads as blank cells; a row's error is its first bad cell in column
     order. Empty lines are skipped, and so is a row of blank cells with a
     bad cell, as such a row has in every table with a required or typed
-    column (GTFS trips.txt has none). Plain chunks are split on bytes; from
-    the first chunk with a quote, a NUL, a CR outside a CRLF or a row of
-    another width, the rest of the file goes through csv.reader.
+    column (GTFS trips.txt has none). A byte that is not UTF-8 is an error
+    at its line. The file is read in blocks of whole lines (_chunks): a
+    plain block is split on bytes, and a column whose parse has a scan form
+    is decoded from the block's bytes in place, each cell that form rejects
+    going through parse on its own; from the first block with a quote, a
+    NUL, a CR outside a CRLF or a row of another width, the rest of the file
+    goes through csv.reader.
     """
     chunks = _chunks(fh, label, error)
     names = [h.strip().lower() for h in next(chunks)]
@@ -313,11 +354,11 @@ def read_table(fh, label, columns: Sequence[Column], *,
                   diagnostics if diagnostics is not None else [])
     readers = [_ColumnReader(c, index.get(c.name)) for c in columns]
     lines = []
-    for cells, chunk_lines in chunks:
+    for cells, chunk_lines, data, ends in chunks:
         first, n = sum(map(len, lines)), len(chunk_lines)
         faults: dict[int, tuple[str, str]] = {}
         for reader in readers:
-            for row, message in reader.add(cells, len(names), n):
+            for row, message in reader.add(cells, len(names), n, data, ends):
                 faults.setdefault(row, (message, reader.column.name))
         for row in sorted(faults):
             blank = "".join(cells[row * len(names):(row + 1) * len(names)])
@@ -331,17 +372,24 @@ def read_table(fh, label, columns: Sequence[Column], *,
     return table
 
 
+_NO_CELLS = np.empty(0, np.int64)
+
+
 class _ColumnReader:
-    """One column's cells, chunk by chunk: a column whose parse has a vector
-    form is parsed a chunk at a time into arrays of the dtype that form
-    returns, any other is dictionary-encoded with each distinct cell parsed
-    once."""
+    """One column's cells, chunk by chunk: a column whose parse has a scan
+    form (chunk bytes, cell starts, cell ends -> values, ok) or a vector
+    form (cells -> values, ok) is parsed a chunk at a time into arrays of
+    the dtype that form returns, each cell it rejects going through parse;
+    any other is dictionary-encoded with each distinct cell parsed once."""
 
     def __init__(self, column: Column, at: int | None):
         self.column = column
         self.at = at
+        self.scan = getattr(column.parse, "scan", None)
         self.vector = getattr(column.parse, "vector", None)
-        self.parts = [self.vector([])[0] if self.vector else np.empty(0, np.int32)]
+        self.parts = [self.scan(b"", _NO_CELLS, _NO_CELLS)[0] if self.scan
+                      else self.vector([])[0] if self.vector
+                      else np.empty(0, np.int32)]
         # code by raw cell, each unseen cell taking the next code
         self.codes: defaultdict[str, int] = defaultdict(count().__next__)
         self.parsed: list = []            # value by code; None for a bad cell
@@ -356,13 +404,33 @@ class _ColumnReader:
         except (ValueError, IngestError) as exc:
             return None, str(exc)
 
-    def add(self, cells: list[str], width: int, n: int) -> list[tuple[int, str]]:
-        """Take a chunk of n rows of width cells; the (row, message) of each
-        bad cell of this column."""
+    def spans(self, raw: list[str], width: int, data: bytes | None,
+              ends: np.ndarray | None) -> tuple[bytes, np.ndarray, np.ndarray]:
+        """Bytes holding this column's cells raw, and each cell's start and
+        end offset in them: a plain chunk's own data, whose cells end at
+        ends, else the cells encoded once and joined, each followed by a
+        comma."""
+        if data is not None and self.at is not None:
+            if self.at:
+                starts = ends[self.at - 1::width] + 1
+            else:  # the first cell of a row starts after the row before
+                starts = np.concatenate(([0], ends[width - 1:-1:width] + 1))
+            return data, starts, ends[self.at::width]
+        encoded = [cell.encode() for cell in raw]
+        size = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        cell_ends = np.cumsum(size + 1) - 1
+        return b",".join(encoded) + b",", cell_ends - size, cell_ends
+
+    def add(self, cells: list[str], width: int, n: int, data: bytes | None,
+            ends: np.ndarray | None) -> list[tuple[int, str]]:
+        """Take a chunk of n rows of width cells, with the chunk's bytes and
+        cell ends when it was split on bytes; the (row, message) of each bad
+        cell of this column."""
         raw = cells[self.at::width] if self.at is not None else [""] * n
         bad = []
-        if self.vector is not None:
-            values, ok = self.vector(raw)
+        if self.scan is not None or self.vector is not None:
+            values, ok = (self.scan(*self.spans(raw, width, data, ends))
+                          if self.scan is not None else self.vector(raw))
             for row in np.flatnonzero(~ok).tolist():
                 value, message = self.parse(raw[row])
                 if message is None:
@@ -390,7 +458,7 @@ class _ColumnReader:
         values = np.concatenate(self.parts)
         self.parts.clear()
         table.data[name] = values = values[keep] if table.bad else values
-        if self.vector is not None:
+        if self.scan is not None or self.vector is not None:
             return
         # codes follow first appearance, unless a dropped row held the first
         # appearance of some cell
@@ -406,52 +474,111 @@ class _ColumnReader:
         table.levels[name] = tuple(levels)
 
 
+#: LF to comma, to split a plain chunk's cells at every delimiter at once
+_LF_TO_COMMA = bytes.maketrans(b"\n", b",")
+
+
 def _chunks(fh, label, error: type[IngestError]) -> Iterator:
     """The header cells of the CSV text in the binary file fh, then its data
-    rows in chunks of (cells, lines): the cells of the chunk's rows in row
-    order, each row padded or cut to the header's width, and the line that
-    ends each row, as csv.reader counts lines."""
+    rows in chunks of (cells, lines, data, ends): the cells of the chunk's
+    rows in row order, each row padded or cut to the header's width, and
+    the line that ends each row, as csv.reader counts lines; for a chunk
+    split on bytes also its bytes data, CR-free and LF-terminated, and the
+    offset in data of the comma or LF after each cell, else None, None.
+
+    The file is read in blocks of about _CHUNK_BYTES cut after their last
+    LF (_blocks). A block's CRs are deleted; if each came right before an
+    LF, the block holds no quote and no NUL, and its delimiters make rows of
+    the header's width, it is split on bytes. From the first block that is
+    not, the rest of the file goes through csv.reader."""
     head = fh.readline()
     if not head:
         raise error("empty file, header expected", path=label)
-    line, reader = 0, csv.reader([head.decode("utf-8-sig")])
+    line, reader = 0, csv.reader([_decode(head, label, error, 0, "utf-8-sig")])
     try:
         header = next(reader, [])
         yield header
         width, line = len(header), 1
-        while lines := fh.readlines(_CHUNK_BYTES):
-            raw = b"".join(lines)
-            chunk = raw.replace(b"\r\n", b"\n")
-            if not chunk.endswith(b"\n"):
-                chunk += b"\n"
-            if b'"' in chunk or b"\0" in chunk or b"\r" in chunk:
+        blocks = _blocks(fh)
+        for raw in blocks:
+            data = raw.translate(None, b"\r") if b"\r" in raw else raw
+            if len(data) != len(raw) and raw.count(b"\r\n") != len(raw) - len(data):
+                break  # a CR that is not part of a CRLF
+            if b'"' in data or b"\0" in data:
                 break
-            # a line of width cells has width - 1 commas and then a newline
-            buf = np.frombuffer(chunk, np.uint8)
-            newline = buf[(buf == ord(",")) | (buf == ord("\n"))] == ord("\n")
-            n = len(newline) // width
-            if len(newline) % width or not (
-                    newline.reshape(n, width) == (np.arange(width) == width - 1)).all():
+            if not data.endswith(b"\n"):
+                data += b"\n"
+            # a line of width cells has width - 1 commas and then an LF
+            buf = np.frombuffer(data, np.uint8)
+            ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+            n = len(ends) // width
+            if len(ends) % width or not ((buf[ends] == ord("\n")).reshape(n, width)
+                                         == (np.arange(width) == width - 1)).all():
                 break
-            yield (chunk[:-1].decode("utf-8").replace("\n", ",").split(","),
-                   np.arange(line + 1, line + n + 1, dtype=np.int32))
+            try:
+                cells = data.translate(_LF_TO_COMMA).decode("utf-8").split(",")
+            except UnicodeDecodeError:
+                break  # csv.reader's path locates the byte
+            cells.pop()  # after the last LF
+            yield cells, np.arange(line + 1, line + n + 1, dtype=np.int32), data, ends
             line += n
         else:
             return
-        reader = csv.reader(chain(io.StringIO(raw.decode("utf-8"), newline=""),
-                                  io.TextIOWrapper(fh, encoding="utf-8", newline="")))
+        reader = csv.reader(_lines(chain([raw], blocks), label, error, line))
         rows: list[list[str]] = []
-        ends: list[int] = []
+        row_ends: list[int] = []
         for row in chain(reader, [None]):  # None flushes the last chunk
             if row:
                 rows.append(row if len(row) == width
                             else (row + [""] * width)[:width])
-                ends.append(line + reader.line_num)
+                row_ends.append(line + reader.line_num)
             if rows and (row is None or len(rows) == _CHUNK_ROWS):
-                yield list(chain.from_iterable(rows)), np.array(ends, np.int32)
-                rows, ends = [], []
+                yield (list(chain.from_iterable(rows)), np.array(row_ends, np.int32),
+                       None, None)
+                rows, row_ends = [], []
     except csv.Error as exc:
         raise error(str(exc), path=label, line=line + reader.line_num) from None
+
+
+def _blocks(fh) -> Iterator[bytes]:
+    """The rest of the binary file fh in blocks of whole lines: each read of
+    _CHUNK_BYTES bytes up to its last LF, after what the reads before it
+    left over. The last block may lack its LF."""
+    rest: list[bytes] = []  # the reads since the last LF
+    while block := fh.read(_CHUNK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*rest, block[:cut]])
+            rest = [block[cut:]]
+        else:
+            rest.append(block)
+    if tail := b"".join(rest):
+        yield tail
+
+
+def _lines(blocks: Iterable[bytes], label, error: type[IngestError],
+           line: int) -> Iterator[str]:
+    """The text lines of blocks of whole lines, split as a file opened with
+    newline='' splits them; line is the line before the first."""
+    for block in blocks:
+        lines = io.StringIO(_decode(block, label, error, line), newline="").readlines()
+        line += len(lines)
+        yield from lines
+
+
+def _decode(data: bytes, label, error: type[IngestError], line: int,
+            encoding: str = "utf-8") -> str:
+    """data as text; a byte that is not UTF-8 is an error at its line, line
+    being the line before data's first."""
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        # exc.object is data less any BOM that the encoding strips
+        before = exc.object[:exc.start]
+        at = line + 1 + (before.count(b"\n") + before.count(b"\r")
+                         - before.count(b"\r\n"))
+        raise error(f"byte {exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})",
+                    path=label, line=at) from None
 
 
 # --- the dataset tables ---

@@ -5,6 +5,7 @@ import os
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tripmatch.gtfs import (
@@ -196,3 +197,16 @@ def loader_outcome(load):
     except IngestError as err:
         return "error", err.line, err.column, str(err)
     return list(rows), diagnostics
+
+
+def scan_input(cells: list[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """cells as a scan form of the table reader takes them: their UTF-8
+    bytes, each followed by a comma and the first at byte 0, and each
+    cell's start and end offset."""
+    data, starts, ends = b"", [], []
+    for text in cells:
+        starts.append(len(data))
+        data += text.encode()
+        ends.append(len(data))
+        data += b","
+    return data, np.array(starts, np.int64), np.array(ends, np.int64)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cell, loader_outcome, reference_table
+from conftest import cell, loader_outcome, reference_table, scan_input
 from tripmatch import ingest
 from tripmatch.ingest import Column
 from tripmatch.gtfs import (
@@ -242,6 +242,47 @@ def test_stop_time_clocks_are_int32(tmp_path, lines, chunk, arrivals):
     assert st_cols.arrival_s.tolist() == st_cols.departure_s.tolist() == arrivals
 
 
+@pytest.mark.parametrize("row", [b"t1,B,10:10:00,10:10:00,2",
+                                 b't1,"B",10:10:00,10:10:00,2'])
+def test_bytes_not_utf8_are_gtfs_errors(tmp_path, row):
+    feed = write_feed(tmp_path)
+    (feed / "stop_times.txt").write_bytes(b"\n".join([
+        STOP_TIMES_HEADER.encode(), b"t1,A,10:00:00,10:00:00,1",
+        row.replace(b"B", b"B\xe4")]) + b"\n")
+    with pytest.raises(GtfsError) as err:
+        load_gtfs(feed)
+    assert str(err.value) == (
+        "stop_times.txt: line 3: byte 0xe4 is not UTF-8 (invalid continuation byte)")
+
+
+def test_blocks_split_anywhere_load_alike(tmp_path):
+    """A CRLF feed with multi-byte stop names loads alike whatever the
+    block size, though some block ends inside a CRLF or a character."""
+    tables = dict(MINIMAL)
+    tables["stops.txt"] = ["stop_id,stop_name,stop_lat,stop_lon",
+                           "A,Töölö,60.170,24.940", "B,Käpylä,60.180,24.940",
+                           "C,Öljysatama,60.190,24.950"]
+    tables["stop_times.txt"] = [STOP_TIMES_HEADER, "t1,A,9:58:00,10:00:00,1",
+                                "t1,C,,,2", "t1,B,10:10:00,10:10:30,3"]
+    feed = write_feed(tmp_path, tables)
+    for name, lines in tables.items():
+        (feed / name).write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    text = (feed / "stops.txt").read_bytes()
+    assert text.count(b"\xc3") == 6 and b"\r\n" in text
+
+    def loaded():
+        bundle = load_gtfs(feed)
+        return bundle.stops, list(bundle.stop_times)
+
+    expected = loaded()
+    assert [s.name for s in expected[0].values()] == ["Töölö", "Käpylä", "Öljysatama"]
+    assert [(st.arrival_s, st.departure_s) for st in expected[1]] == [
+        (35880, 36000), (None, None), (36600, 36630)]
+    for size in range(1, 65):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", size):
+            assert loaded() == expected, size
+
+
 #: digits, the separator, what int() also takes, and blank cells
 _CLOCK_CHARACTERS = "0123456789: +-_\u0665"
 
@@ -274,9 +315,9 @@ def test_clock_columns_agree_with_parse_gtfs_time(cells):
         else:
             assert row not in table.bad and next(kept) == expected
     assert table.data["clock"].dtype == np.int32
-    # the array pass itself takes every blank, 'H:MM:SS' and 'HH:MM:SS' cell
-    _, vector_ok = Clocks.vector(cells)
-    assert vector_ok.tolist() == [
+    # the byte scan itself takes every blank, 'H:MM:SS' and 'HH:MM:SS' cell
+    _, scan_ok = Clocks.scan(*scan_input(cells))
+    assert scan_ok.tolist() == [
         re.fullmatch(r"([0-9]?[0-9]:[0-5][0-9]:[0-5][0-9])?", c) is not None
         for c in cells]
 

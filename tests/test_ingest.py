@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 from datetime import date, datetime
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RowError, cell, loader_outcome, reference_table
+from conftest import RowError, cell, loader_outcome, reference_table, scan_input
 from tripmatch import ingest
 from tripmatch.ingest import (
     FILTERED_COLUMNS,
@@ -18,6 +19,7 @@ from tripmatch.ingest import (
     format_timestamp,
     parse_timestamp,
 )
+from tripmatch.gtfs import Clocks
 from tripmatch.segmentation import build_segments
 from tripmatch.types import (
     ACTIVITIES,
@@ -674,3 +676,170 @@ def test_manual_log_loader_agrees_with_reference(tmp_path_factory, rows,
         path, permissive=permissive, diagnostics=diagnostics, default_date=_DAY),
         layout)
     assert loaded == reference_table(path, _ref_manual_row, permissive=permissive)
+
+
+# --- the byte decoders agree with the scalar parses ---
+
+
+def _one_replaced(forms, chars: str, last: int):
+    """forms with the character at one of positions 0..last replaced by
+    one of chars."""
+    return st.builds(lambda text, at, char: text[:at] + char + text[at + 1:],
+                     forms, st.integers(0, last), st.sampled_from(chars))
+
+
+_stamp_forms = st.datetimes().map(lambda t: t.replace(microsecond=0).isoformat(" "))
+#: digits, separators swapped in, non-ASCII and fullwidth digits
+_STAMP_CHARACTERS = "0123456789-: T/.٥２é"
+_stamp_cells = st.one_of(
+    _stamp_forms, _one_replaced(_stamp_forms, _STAMP_CHARACTERS, 18),
+    st.builds(lambda text, resize: resize(text), _stamp_forms, st.sampled_from([
+        lambda t: "", lambda t: t[12:], lambda t: t[11:],          # widths 0, 7, 8
+        lambda t: t[:18], lambda t: t[1:], lambda t: t + "0",       # 18, 18, 20
+        lambda t: " " + t, lambda t: t.replace(" ", "T"),           # 20, ISO
+        lambda t: t.replace("-", ":"), lambda t: t[:10] + ":" + t[11:]])),
+    st.sampled_from(["2016-02-29 23:59:59", "2015-02-29 00:00:00",
+                     "1900-02-29 00:00:00", "2000-02-29 00:00:00",
+                     "2016-04-31 00:00:00", "2016-13-01 00:00:00",
+                     "2016-00-10 00:00:00", "2016-08-00 00:00:00",
+                     "0000-01-01 00:00:00", "2016-08-26 24:00:00",
+                     "2016-08-26 23:60:00", "2016-08-26 23:59:60"]),
+    st.text(_STAMP_CHARACTERS, max_size=20))
+
+_clock_forms = st.builds("{}:{:02d}:{:02d}".format, st.integers(0, 120),
+                         st.integers(0, 99), st.integers(0, 99))
+_CLOCK_CHARACTERS = "0123456789: +-_٥２é"
+_clock_cells = st.one_of(
+    _clock_forms, _one_replaced(_clock_forms, _CLOCK_CHARACTERS, 8),
+    st.builds(lambda text, resize: resize(text), _clock_forms, st.sampled_from([
+        lambda c: "", lambda c: " " + c, lambda c: c + "0", lambda c: "0" + c,
+        lambda c: "2016-08-26 " + c, lambda c: c.replace(":", "-")])),
+    st.text(_CLOCK_CHARACTERS, max_size=20))
+
+
+#: each byte decoder's parse, its cells, and the form its scan takes
+_DECODERS = {
+    "stamp": (ingest.Stamps(_DAY), _stamp_cells,
+              r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}"),
+    "clock": (Clocks(), _clock_cells, r"([0-9]?[0-9]:[0-5][0-9]:[0-5][0-9])?"),
+}
+
+
+def _scalar(parse, text):
+    """parse of a stripped cell, or the message of its error."""
+    try:
+        return parse(text.strip()), None
+    except (ValueError, IngestError) as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("kind", ["stamp", "clock"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), eol=st.sampled_from(["\n", "\r\n"]), quoted=st.booleans(),
+       chunk=st.sampled_from([1, 100, 1 << 20]))
+def test_byte_decoders_agree_with_scalar_parses(kind, data, eol, quoted, chunk):
+    """Every cell of a column read through read_table, in chunks of any size,
+    plain or quoted and after an LF or a CRLF, parses as its scalar parse
+    does; and the scan itself accepts exactly the cells of its fixed form,
+    the first of them at byte 0, with the scalar parse's value."""
+    parse, cells_of, form = _DECODERS[kind]
+    cells = data.draw(st.lists(cells_of, min_size=1, max_size=30))
+    text = io.StringIO(newline="")
+    writer = csv.writer(text, lineterminator=eol,
+                        quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL)
+    writer.writerow(["cell", "row"])
+    writer.writerows([c, str(k)] for k, c in enumerate(cells))
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+        table = ingest.read_table(io.BytesIO(text.getvalue().encode()), "t.csv", [
+            ingest.Column("cell", parse, required=False), ingest.Column("row")])
+    expected = [_scalar(parse, c) for c in cells]
+    assert {row: message for row, (message, _) in table.bad.items()} == {
+        row: message for row, (_, message) in enumerate(expected)
+        if message is not None}
+    assert np.array_equal(table.data["cell"], [value for value, message in expected
+                                               if message is None], equal_nan=True)
+
+    values, ok = parse.scan(*scan_input(cells))
+    assert ok.tolist() == [re.fullmatch(form, c) is not None
+                           and expected[k][1] is None for k, c in enumerate(cells)]
+    assert np.array_equal(values[ok], [expected[k][0] for k in np.flatnonzero(ok)],
+                          equal_nan=True)
+
+
+def test_one_padded_stamp_is_parsed_alone(tmp_path):
+    """A padded stamp goes through parse_timestamp on its own, its chunk's
+    other stamps staying in the byte scan."""
+    rows = [f"2016-08-26 10:{k // 60:02d}:{k % 60:02d},60.1,24.9,BUS,16,v1"
+            for k in range(200)]
+    rows[57] = " " + rows[57]
+    path = write(tmp_path, "t.csv", LIVE_HEADER, *rows)
+    with mock.patch.object(ingest, "parse_timestamp",
+                           wraps=ingest.parse_timestamp) as scalar:
+        fleet = ingest.load_transit_live(path)
+    assert scalar.call_count == 1
+    assert scalar.call_args.args == ("2016-08-26 10:00:57",)
+    assert np.diff(fleet.times_s).tolist() == [1.0] * 199
+
+
+#: a byte that is not UTF-8 on line 3 of a table, on each of the reader's
+#: paths: plain rows split on bytes, quoted rows read by csv.reader, and
+#: the header (line 1)
+_NOT_UTF8 = {
+    "plain": ([LIVE_HEADER.encode(), b"2016-08-26 10:00:00,60.1,24.9,BUS,16,v1",
+               b"2016-08-26 10:00:30,60.1,24.9,BUS,1\xff6,v1"], 3),
+    "quoted": ([LIVE_HEADER.encode(), b'2016-08-26 10:00:00,60.1,24.9,BUS,"16",v1',
+                b'2016-08-26 10:00:30,60.1,24.9,BUS,"1\xff6",v1'], 3),
+    "header": ([LIVE_HEADER.encode() + b"\xff",
+                b"2016-08-26 10:00:00,60.1,24.9,BUS,16,v1"], 1),
+    "header after a BOM": ([b"\xef\xbb\xbf" + LIVE_HEADER.encode() + b"\xff",
+                            b"2016-08-26 10:00:00,60.1,24.9,BUS,16,v1"], 1),
+}
+
+
+@pytest.mark.parametrize("permissive", [False, True])
+@pytest.mark.parametrize("where", list(_NOT_UTF8))
+@pytest.mark.parametrize("chunk", [1, 1 << 17])
+def test_bytes_not_utf8_are_located(tmp_path, where, permissive, chunk):
+    lines, line = _NOT_UTF8[where]
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
+            pytest.raises(IngestError) as err:
+        ingest.load_transit_live(path, permissive=permissive)
+    assert str(err.value) == (
+        f"{path}: line {line}: byte 0xff is not UTF-8 (invalid start byte)")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["", "a", " b ", "é", "1\r2", "1\r"]),
+                          st.sampled_from(["", "c", "ö d"]),
+                          st.sampled_from(["\n", "\r\n", "\r", "\r\r\n"])),
+                max_size=8),
+       st.sampled_from(["\n", "\r\n"]), st.booleans(),
+       st.sampled_from([1, 5, 100, 1 << 20]))
+def test_line_ends_read_as_csv_reader_reads_them(rows, head_eol, final_eol, chunk):
+    """Text cells and row lines under any mix of LF, CRLF and stray CRs, the
+    last line with or without its end, are those of csv.reader, or both
+    fail on the same line."""
+    text = "a,b" + head_eol + "".join(f"{a},{b}{eol}" for a, b, eol in rows)
+    if rows and not final_eol:
+        text = text[:-len(rows[-1][2])]
+    expected = []
+    try:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        next(reader)
+        for row in reader:
+            if row:
+                row = (row + ["", ""])[:2]
+                expected.append((reader.line_num, *(c.strip() for c in row)))
+    except csv.Error:
+        expected.append(("error", reader.line_num))
+    try:
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+            table = ingest.read_table(io.BytesIO(text.encode()), "t.csv", [
+                ingest.Column("a", required=False), ingest.Column("b", required=False)])
+    except IngestError as err:
+        assert expected[-1] == ("error", err.line)
+    else:
+        assert list(zip(table.lines.tolist(), table.values("a"),
+                        table.values("b"))) == expected
