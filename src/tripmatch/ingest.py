@@ -491,15 +491,19 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
     LF, the block holds no quote and no NUL, and its delimiters make rows of
     the header's width, it is split on bytes. From the first block that is
     not, the rest of the file goes through csv.reader."""
-    head = fh.readline()
+    # the lines up to the first LF, split as csv.reader splits a file opened
+    # with newline='': also at a bare CR
+    head = fh.readline().splitlines(keepends=True)
     if not head:
         raise error("empty file, header expected", path=label)
-    line, reader = 0, csv.reader([_decode(head, label, error, 0, "utf-8-sig")])
+    line, reader = 0, csv.reader(
+        _decode(raw, label, error, i, "utf-8" if i else "utf-8-sig")
+        for i, raw in enumerate(head))
     try:
         header = next(reader, [])
         yield header
-        width, line = len(header), 1
-        blocks = _blocks(fh)
+        width, line = len(header), reader.line_num
+        blocks = _blocks(fh, b"".join(head[line:]))
         for raw in blocks:
             data = raw.translate(None, b"\r") if b"\r" in raw else raw
             if len(data) != len(raw) and raw.count(b"\r\n") != len(raw) - len(data):
@@ -540,11 +544,12 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
         raise error(str(exc), path=label, line=line + reader.line_num) from None
 
 
-def _blocks(fh) -> Iterator[bytes]:
-    """The rest of the binary file fh in blocks of whole lines: each read of
-    _CHUNK_BYTES bytes up to its last LF, after what the reads before it
-    left over. The last block may lack its LF."""
-    rest: list[bytes] = []  # the reads since the last LF
+def _blocks(fh, head: bytes) -> Iterator[bytes]:
+    """head, bytes already read from the binary file fh, and the rest of fh
+    in blocks of whole lines: each read of _CHUNK_BYTES bytes up to its last
+    LF, after what head and the reads before it left over. The last block
+    may lack its LF."""
+    rest = [head]  # the bytes since the last LF
     while block := fh.read(_CHUNK_BYTES):
         cut = block.rfind(b"\n") + 1
         if cut:

@@ -11,9 +11,9 @@ sample longer than the misses the quorum allows, so a vehicle that misses
 every sample of one run is below quorum. A vehicle in the segment's time
 range whose fix box over a run's windows lies beyond twice the distance
 limit of that run's samples misses all of them, and one array pass drops
-every vehicle with too many such misses. The survivors are measured
-against every sample in one batched quorum pass, and only those reaching
-the quorum are scored in full.
+every vehicle with too many such misses. Each survivor is then scored once,
+in ref order, by score_vehicle, which rejects it below the quorum; the best
+score names the vehicle.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import compress
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -182,53 +182,16 @@ class VehicleScore:
         return sum(matched) / len(matched) if matched else math.inf
 
 
-class _Windows(NamedTuple):
-    """Every (vehicle, sample) window of one kernel pass, vehicle-major:
-    window k pairs vehicle k // n with sample k % n."""
-
-    counts: np.ndarray    # fixes in each window
-    windowed: np.ndarray  # the windows holding a fix
-    starts: np.ndarray    # first pair of each windowed window
-    d: np.ndarray         # geometry distance of each windowed window
-    window: np.ndarray    # window of each (window, fix) pair, in time order
-    row: np.ndarray       # index row of each pair
-    d_point: np.ndarray   # sample-to-fix distance of each pair
-
-
-def _score_windows(samples: TraceColumns, slots: np.ndarray,
-                   cfg: LiveMatchConfig, index: PositionIndex,
-                   use_linestring: bool) -> _Windows:
-    """Distances from each sample to the geometry each vehicle of slots
-    traces in the closed window around the sample, for every (vehicle,
-    sample) pair in one array pass."""
-    n = len(samples)
-    lo, hi = index.windows(slots, samples.times_s - cfg.window_s,
-                           samples.times_s + cfg.window_s)
-    lo = lo.ravel()
-    counts = hi.ravel() - lo
-    first = np.cumsum(counts) - counts
-    window = np.repeat(np.arange(len(counts)), counts)
-    row = np.arange(len(window)) + np.repeat(lo - first, counts)
-    sample = window % n
-    p_lat, p_lng = samples.lats[sample], samples.lngs[sample]
-    lats, lngs = index.lats[row], index.lngs[row]
-    d_point = distances_m(p_lat, p_lng, lats, lngs)
-    windowed = np.flatnonzero(counts)
-    starts = first[windowed]
-    if use_linestring:
-        d = points_to_polylines_m(p_lat, p_lng, lats, lngs, d_point, starts)
-    else:
-        d = np.minimum.reduceat(d_point, starts) if len(starts) else np.empty(0)
-    return _Windows(counts, windowed, starts, d, window, row, d_point)
-
-
 def score_vehicle(samples: TraceColumns, vehicle_ref: str,
                   cfg: LiveMatchConfig, index: PositionIndex,
                   use_linestring: bool = True) -> Optional[VehicleScore]:
     """Score one vehicle against the user samples.
 
-    A sample matches when the vehicle's window geometry is non-empty and
-    within the distance limit; samples with empty windows stay in the quorum
+    Sample k's window holds the vehicle's fixes in the closed window of
+    cfg.window_s around it; every (window, fix) pair is measured in one
+    array pass. A sample matches when its window is non-empty and the
+    window's polyline (use_linestring) or nearest fix lies within the
+    distance limit; samples with empty windows stay in the quorum
     denominator. Returns None below quorum or at zero score.
 
     Scores are summed in sample order and each matched sample votes for its
@@ -237,25 +200,39 @@ def score_vehicle(samples: TraceColumns, vehicle_ref: str,
     slot = index.slot(vehicle_ref)
     if slot is None or not samples:
         return None
-    w = _score_windows(samples, np.array([slot]), cfg, index, use_linestring)
-    if len(w.windowed) == 0:
-        return None
-    nearest_d = np.repeat(np.minimum.reduceat(w.d_point, w.starts),
-                          w.counts[w.windowed])
-    hits = np.flatnonzero(w.d_point == nearest_d)
-    hit_window = w.window[hits]
-    first_hit = np.ones(len(hits), dtype=bool)
-    first_hit[1:] = hit_window[1:] != hit_window[:-1]
-    nearest = w.row[hits[first_hit]]
+    lo, hi = index.windows(np.array([slot]), samples.times_s - cfg.window_s,
+                           samples.times_s + cfg.window_s)
+    lo = lo[0]
+    counts = hi[0] - lo
+    windowed = np.flatnonzero(counts)
+    if len(windowed) / len(samples) < cfg.quorum_fraction:
+        return None  # a sample with an empty window cannot match
+    first = np.cumsum(counts) - counts
+    window = np.repeat(np.arange(len(counts)), counts)
+    row = np.arange(len(window)) + np.repeat(lo - first, counts)
+    p_lat, p_lng = samples.lats[window], samples.lngs[window]
+    lats, lngs = index.lats[row], index.lngs[row]
+    d_point = distances_m(p_lat, p_lng, lats, lngs)
+    starts = first[windowed]
+    if use_linestring:
+        d = points_to_polylines_m(p_lat, p_lng, lats, lngs, d_point, starts)
+    else:
+        d = np.minimum.reduceat(d_point, starts)
 
-    matched = w.d <= cfg.distance_limit_m
+    matched = d <= cfg.distance_limit_m
     fraction = int(np.count_nonzero(matched)) / len(samples)
-    gains = cfg.distance_limit_m - w.d[matched]
+    gains = cfg.distance_limit_m - d[matched]
     score = float(np.cumsum(gains)[-1]) if len(gains) else 0.0
     if fraction < cfg.quorum_fraction or score <= 0.0:
         return None
+    nearest_d = np.repeat(np.minimum.reduceat(d_point, starts), counts[windowed])
+    hits = np.flatnonzero(d_point == nearest_d)
+    hit_window = window[hits]
+    first_hit = np.ones(len(hits), dtype=bool)
+    first_hit[1:] = hit_window[1:] != hit_window[:-1]
+    nearest = row[hits[first_hit]]
     distances: list[Optional[float]] = [None] * len(samples)
-    for i, value in zip(w.windowed.tolist(), w.d.tolist()):
+    for i, value in zip(windowed.tolist(), d.tolist()):
         distances[i] = value
     votes = [index.fix(r) for r in nearest[matched].tolist()]
     return VehicleScore(vehicle_ref, score, fraction, distances, votes)
@@ -341,17 +318,8 @@ def _match(segment: ActivitySegment, cfg: LiveMatchConfig, index: PositionIndex,
     lows, highs = _run_boxes(samples, size, 2 * cfg.distance_limit_m)
     apart = ((boxes[..., :2] > highs) | (boxes[..., 2:] < lows)).any(axis=2)
     alive = n - apart @ [min(size, n - a) for a in starts] >= need
-    candidates = list(compress(refs, alive))
-    if not candidates:
-        return None
-    # one pass over the survivors drops those score_vehicle would reject
-    # for want of quorum, by the same count
-    w = _score_windows(samples, slots[alive], cfg, index, use_linestring)
-    matched = np.bincount(w.windowed[w.d <= cfg.distance_limit_m] // n,
-                          minlength=len(candidates))
-    quorate = matched >= need
     best: Optional[VehicleScore] = None
-    for ref in compress(candidates, quorate):
+    for ref in compress(refs, alive):
         scored = score_vehicle(samples, ref, cfg, index,
                                use_linestring=use_linestring)
         if scored is None:

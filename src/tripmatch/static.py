@@ -230,17 +230,17 @@ def _timing(itinerary: Itinerary, segment: ActivitySegment,
 
 def filter_plan(itinerary: Itinerary, segment: ActivitySegment,
                 constants: MatchConstants,
-                route: Optional[RouteCheck] = None) -> PlanAssessment:
+                route: Optional[RouteCheck]) -> PlanAssessment:
     """Assess one itinerary: the four duration criteria in order, then the
-    route-geometry quorum. route is the plan's route_geometry_check result
-    when assess_plans has already checked it."""
+    route-geometry quorum. route is the plan's route_geometry_check result,
+    as assess_plans computes it; None only for a plan that fails a duration
+    criterion."""
     tV, delta_total, delta_transit, start_diff, verdict = _timing(
         itinerary, segment, constants)
     fraction: Optional[float] = None
     longest_gap: Optional[int] = None
     if verdict is None:
-        fraction, longest_gap, geometry_ok = route or route_geometry_check(
-            segment, [itinerary], constants)[0]
+        fraction, longest_gap, geometry_ok = route
         if not geometry_ok:
             verdict = (Verdict.ROUTE_QUORUM if fraction < constants.route_quorum
                        else Verdict.ROUTE_GAP_RUN)

@@ -33,7 +33,7 @@ from tripmatch.evaluation import (
 from tripmatch.geodesy import distance_m, offset_point
 from tripmatch.live import NEW_LIVE, OLD_LIVE, LiveMatchConfig, score_vehicle
 from tripmatch.planner import PlanQuery, TimetablePlanner
-from tripmatch.static import MatchConstants, filter_plan
+from tripmatch.static import MatchConstants, assess_plans
 from tripmatch.types import Activity, GeoPoint, LineType
 
 from test_live import _exact_match_setup, _riding_setup
@@ -281,7 +281,7 @@ def test_criterion_7a_static_threshold_closure():
             (dict(board_offset_s=349.0), False),
         ]
         for kwargs, accepted in cases:
-            a = filter_plan(plan_for(segment, **kwargs), segment, constants)
+            a = assess_plans([plan_for(segment, **kwargs)], segment, constants)[0]
             assert a.accepted is accepted, (kwargs, a.verdict)
         # geometry closure: quorum boundary and adjacent-run boundary
         from test_static import _run_with_miss_pattern

@@ -815,7 +815,7 @@ def test_bytes_not_utf8_are_located(tmp_path, where, permissive, chunk):
                           st.sampled_from(["", "c", "ö d"]),
                           st.sampled_from(["\n", "\r\n", "\r", "\r\r\n"])),
                 max_size=8),
-       st.sampled_from(["\n", "\r\n"]), st.booleans(),
+       st.sampled_from(["\n", "\r\n", "\r", "\r\r\n"]), st.booleans(),
        st.sampled_from([1, 5, 100, 1 << 20]))
 def test_line_ends_read_as_csv_reader_reads_them(rows, head_eol, final_eol, chunk):
     """Text cells and row lines under any mix of LF, CRLF and stray CRs, the

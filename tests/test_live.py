@@ -395,23 +395,25 @@ def _recording_scorer(calls):
     return recording
 
 
-def test_score_vehicle_scores_only_vehicles_at_quorum(monkeypatch):
+def test_score_vehicle_scores_each_vehicle_inside_the_prune_margin(monkeypatch):
     # v2 runs 150 m east of the ride: inside the 200 m bbox margin, so it is
-    # a candidate, but no sample comes within 100 m of it
+    # scored, but no sample comes within 100 m of it; v3 runs 400 m east,
+    # beyond the margin, so it is pruned unscored
     v = 20.0 / 3.6
-    parallel = [vp(30.0 * k, offset_point(BASE, 150.0, v * 30.0 * k), ref="v2")
-                for k in range(21)]
-    segment, index = _riding_setup(20.0, extra_rows=parallel)
+    aside = [vp(30.0 * k, offset_point(BASE, east, v * 30.0 * k), ref=ref)
+             for ref, east in (("v2", 150.0), ("v3", 400.0)) for k in range(21)]
+    segment, index = _riding_setup(20.0, extra_rows=aside)
     calls = []
     monkeypatch.setattr(live, "score_vehicle", _recording_scorer(calls))
     assert match_live(segment, CFG, index).vehicle_ref == "v1"
-    assert "v1" in calls
-    assert "v2" not in calls
+    assert calls == ["v1", "v2"]
+    samples = select_user_samples(segment.trace, CFG.max_user_samples)
+    assert score_vehicle(samples, "v2", CFG, index) is None
 
 
 def _brute_force_match(segment, cfg, index, n_samples, use_linestring):
-    """score_vehicle on every vehicle in the time range, with no bbox prune
-    and no quorum pre-pass; the best by _score_order."""
+    """score_vehicle on every vehicle in the time range, with no bbox prune;
+    the best by _score_order."""
     samples = select_user_samples(segment.trace, n_samples)
     t0 = segment.start_time - timedelta(seconds=cfg.window_s)
     t1 = segment.end_time + timedelta(seconds=cfg.window_s)
@@ -500,8 +502,8 @@ def test_matchers_agree_with_brute_force(scenario):
 
 
 def _assert_matchers_agree_with_brute_force(segment, rows, cfg):
-    """Both matchers equal _brute_force_match, and score_vehicle sees only
-    vehicles at quorum."""
+    """Both matchers equal _brute_force_match, and every vehicle in range
+    that score_vehicle does not see is one it would reject."""
     index = index_of(rows)
     for matcher, n_samples, use_linestring in (
             (match_live, cfg.max_user_samples, True),
@@ -518,14 +520,15 @@ def _assert_matchers_agree_with_brute_force(segment, rows, cfg):
                     got.sample_distances) == \
                 (want.vehicle_ref, want.score, want.matched_fraction,
                  tuple(want.sample_distances))
-        # a matched sample exactly at the limit would score 0; no scenario
-        # places one there, so a zero score means no matched sample
+        # the prune is sound: every vehicle it drops is one score_vehicle
+        # rejects
         samples = select_user_samples(segment.trace, n_samples)
-        probe_cfg = replace(cfg, quorum_fraction=1e-9)
-        for ref in calls:
-            probe = score_vehicle(samples, ref, probe_cfg, index, use_linestring)
-            assert probe is not None
-            assert not probe.matched_fraction < cfg.quorum_fraction
+        t0 = segment.start_time - timedelta(seconds=cfg.window_s)
+        t1 = segment.end_time + timedelta(seconds=cfg.window_s)
+        for ref in index.vehicles_in_range(t0, t1):
+            if ref not in calls:
+                assert score_vehicle(samples, ref, cfg, index,
+                                     use_linestring) is None
 
 
 RIDE_MPS = 12.0  # the ride and every vehicle run north at this speed

@@ -21,7 +21,7 @@ from tripmatch.planner import Itinerary, PlanResult, TransitLeg
 from tripmatch.static import (
     MatchConstants,
     Verdict,
-    filter_plan,
+    assess_plans,
     match_static,
     route_geometry_check,
 )
@@ -101,7 +101,7 @@ def test_inconsistent_constants_rejected():
 
 def test_clean_plan_accepted():
     segment = straight_segment()
-    assessment = filter_plan(plan_for(segment), segment, CONSTANTS)
+    assessment = assess_plans([plan_for(segment)], segment, CONSTANTS)[0]
     assert assessment.verdict is Verdict.ACCEPT
     assert assessment.accepted
 
@@ -131,7 +131,7 @@ def test_clean_plan_accepted():
 ])
 def test_duration_threshold_closure(kwargs, verdict):
     segment = straight_segment(duration_s=600.0)
-    assessment = filter_plan(plan_for(segment, **kwargs), segment, CONSTANTS)
+    assessment = assess_plans([plan_for(segment, **kwargs)], segment, CONSTANTS)[0]
     assert assessment.verdict is verdict
 
 
@@ -139,7 +139,7 @@ def test_transit_duration_example_from_formula():
     # tV = 600, tPT = 950 -> |950-600| = 350 > 336 -> reject
     segment = straight_segment(duration_s=600.0)
     it = plan_for(segment, transit_s=950.0, total_s=950.0)
-    assessment = filter_plan(it, segment, CONSTANTS)
+    assessment = assess_plans([it], segment, CONSTANTS)[0]
     assert assessment.verdict is Verdict.TRANSIT_DURATION_MISMATCH
     assert assessment.delta_transit_s == pytest.approx(350.0)
 
@@ -148,7 +148,8 @@ def test_short_plan_example():
     # tV = 600, t = 400 -> 400 < 600 - 180 -> reject (a)
     segment = straight_segment(duration_s=600.0)
     it = plan_for(segment, transit_s=400.0, total_s=400.0)
-    assert filter_plan(it, segment, CONSTANTS).verdict is Verdict.TOTAL_TOO_SHORT
+    assessment = assess_plans([it], segment, CONSTANTS)[0]
+    assert assessment.verdict is Verdict.TOTAL_TOO_SHORT
 
 
 # --- route geometry ---
