@@ -4,19 +4,27 @@ with referential-integrity validation and service-date resolution.
 Stop times are kept as integer seconds since midnight of the service date;
 values past 24:00:00 stay above 86400 per the GTFS convention, so late
 services sort and compare correctly. stop_times.txt, by far the largest
-file, is read in chunks into int32 columns (StopTimeColumns); no object is
-built per row. Its arrival and departure clocks are decoded a chunk at a
-time from the chunk's bytes, 'HH:MM:SS' and 'H:MM:SS' cells in one array
-pass and any other cell on its own through the strict parse_gtfs_time, so a
-bad clock is still reported by file, line and column.
+file, is read in chunks into int32 columns (StopTimeColumns) sorted by one
+stable argsort of a single int64 (trip, sequence) key; no object is built
+per row. Its arrival and departure clocks are decoded a chunk at a time
+from the chunk's bytes, 'HH:MM:SS' and 'H:MM:SS' cells in one array pass
+and any other cell on its own through the strict parse_gtfs_time, so a bad
+clock is still reported by file, line and column. trips.txt is kept as
+columns too (TripColumns): int32 codes of each trip's route, service and
+shape, which validation and the planner read as masks over the codes; a
+GtfsTrip is built only when one trip is looked up.
 """
 from __future__ import annotations
 
 import zipfile
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -86,6 +94,82 @@ class GtfsTrip:
     shape_id: Optional[str] = None
 
 
+@dataclass(frozen=True, eq=False)
+class TripColumns(Mapping[str, GtfsTrip]):
+    """trips.txt as int32 columns, read as a mapping of trip_id to GtfsTrip
+    that builds one GtfsTrip per lookup. Trip t is trip_ids[t], in trip_id
+    order; its route, service and shape are codes into route_ids,
+    service_ids and shape_ids, shape -1 for a trip without one. A trip_id on
+    several rows takes its last row's values; the mapping iterates in order
+    of each trip's first row, which order lists."""
+
+    route: np.ndarray    # int32 index into route_ids
+    service: np.ndarray  # int32 index into service_ids
+    shape: np.ndarray    # int32 index into shape_ids, -1 for no shape
+    order: np.ndarray    # int64: the trips in order of their first row
+    trip_ids: tuple[str, ...]
+    route_ids: tuple[str, ...]
+    service_ids: tuple[str, ...]
+    shape_ids: tuple[str, ...]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[GtfsTrip]) -> "TripColumns":
+        rows = list(rows)
+        ids: dict[str, dict] = {"trip_id": {}, "route_id": {}, "service_id": {},
+                                "shape_id": {}}
+
+        def column(name: str) -> np.ndarray:
+            codes = ids[name]
+            return np.fromiter((codes.setdefault(getattr(r, name), len(codes))
+                                for r in rows), np.int32, len(rows))
+
+        return cls.from_arrays(
+            trip=column("trip_id"), route=column("route_id"),
+            service=column("service_id"), shape=column("shape_id"),
+            trip_ids=tuple(ids["trip_id"]), route_ids=tuple(ids["route_id"]),
+            service_ids=tuple(ids["service_id"]),
+            shape_ids=tuple(ids["shape_id"]))
+
+    @classmethod
+    def from_arrays(cls, trip: np.ndarray, route: np.ndarray,
+                    service: np.ndarray, shape: np.ndarray,
+                    trip_ids: Sequence[str], route_ids: Sequence[str],
+                    service_ids: Sequence[str],
+                    shape_ids: Sequence[Optional[str]]) -> "TripColumns":
+        """The columns of rows given in file order, each a column of codes
+        into its ids; trip codes follow first appearance, and a blank or
+        None shape id is no shape."""
+        # the last row of each trip is its first in reverse file order
+        last = len(trip) - 1 - np.unique(trip[::-1], return_index=True)[1]
+        by_id = sorted(range(len(trip_ids)), key=trip_ids.__getitem__)
+        rows = last[by_id]
+        order = np.empty(len(trip_ids), dtype=np.int64)
+        order[by_id] = np.arange(len(trip_ids))
+        named = [k for k, shape_id in enumerate(shape_ids) if shape_id]
+        recode = np.full(len(shape_ids), -1, dtype=np.int32)
+        recode[named] = np.arange(len(named))
+        return cls(route=route[rows], service=service[rows],
+                   shape=recode[shape[rows]], order=order,
+                   trip_ids=tuple(trip_ids[i] for i in by_id),
+                   route_ids=tuple(route_ids), service_ids=tuple(service_ids),
+                   shape_ids=tuple(shape_ids[k] for k in named))
+
+    def __getitem__(self, trip_id: str) -> GtfsTrip:
+        t = bisect_left(self.trip_ids, trip_id) if isinstance(trip_id, str) else 0
+        if self.trip_ids[t:t + 1] != (trip_id,):
+            raise KeyError(trip_id)
+        shape = int(self.shape[t])
+        return GtfsTrip(trip_id, self.route_ids[self.route[t]],
+                        self.service_ids[self.service[t]],
+                        self.shape_ids[shape] if shape >= 0 else None)
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.trip_ids.__getitem__, self.order.tolist())
+
+    def __len__(self) -> int:
+        return len(self.trip_ids)
+
+
 @dataclass(frozen=True)
 class GtfsStopTime:
     """One stop_times.txt row, as StopTimeColumns yields it for inspection."""
@@ -149,7 +233,15 @@ class StopTimeColumns:
         recode = np.empty(len(trip_ids), dtype=np.int32)
         recode[by_id] = np.arange(len(trip_ids), dtype=np.int32)
         trip = recode[trip]
-        order = np.lexsort((sequence, trip))
+        # one stable sort of the int64 key (trip, sequence), as lexsort
+        # would order by the two columns; the key is built in place and
+        # freed before the columns are gathered
+        key = trip.astype(np.int64)
+        key <<= 32
+        key += sequence
+        key += 2**31
+        order = np.argsort(key, kind="stable")
+        del key
         trip_rows = np.zeros(len(trip_ids) + 1, dtype=np.int64)
         np.cumsum(np.bincount(trip, minlength=len(trip_ids)), out=trip_rows[1:])
         return cls(trip=trip[order], stop=stop[order],
@@ -184,7 +276,7 @@ class GtfsService:
 class GtfsBundle:
     stops: dict[str, GtfsStop]
     routes: dict[str, GtfsRoute]
-    trips: dict[str, GtfsTrip]
+    trips: TripColumns
     stop_times: StopTimeColumns
     services: dict[str, GtfsService]
     service_exceptions: dict[date, dict[str, int]]  # date -> service_id -> 1|2
@@ -212,49 +304,70 @@ class GtfsBundle:
                 active.discard(service_id)
         return active
 
-    def trips_on(self, day: date) -> set[str]:
+    def runs_on(self, day: date) -> np.ndarray:
+        """Whether each trip of trips runs on day, by trip row."""
         active = self.active_service_ids(day)
-        return {t.trip_id for t in self.trips.values() if t.service_id in active}
+        return _members(self.trips.service_ids, active)[self.trips.service]
+
+    def trips_on(self, day: date) -> set[str]:
+        return set(map(self.trips.trip_ids.__getitem__,
+                       np.flatnonzero(self.runs_on(day)).tolist()))
+
+    @cached_property
+    def stop_time_trips(self) -> np.ndarray:
+        """The trips row of each trip code of stop_times, -1 for a trip
+        missing from trips.txt; computed on first use."""
+        row = dict(zip(self.trips.trip_ids, range(len(self.trips))))
+        trip_ids = self.stop_times.trip_ids
+        return np.fromiter(map(row.get, trip_ids, repeat(-1)), np.int64,
+                           len(trip_ids))
 
     def validate(self) -> None:
-        """Referential integrity; raises GtfsError listing the first 10 offenders.
-        Stop-time rows are checked in (trip_id, sequence) order."""
-        problems: list[str] = []
-
-        def check(condition: bool, message: str) -> None:
-            if not condition and len(problems) < 10:
-                problems.append(message)
-
+        """Referential integrity; raises GtfsError listing the first 10
+        offenders: the trips in mapping order, each checked for its route,
+        service and shape, then the stop-time rows in (trip_id, sequence)
+        order, then the trips with a repeated stop sequence."""
+        trips, st = self.trips, self.stop_times
         known_services = set(self.services)
         for day_exceptions in self.service_exceptions.values():
             known_services.update(day_exceptions)
-        for trip in self.trips.values():
-            check(trip.route_id in self.routes,
-                  f"trip {trip.trip_id} references missing route {trip.route_id}")
-            check(trip.service_id in known_services,
-                  f"trip {trip.trip_id} references missing service {trip.service_id}")
-            if trip.shape_id is not None and self.shapes:
-                check(trip.shape_id in self.shapes,
-                      f"trip {trip.trip_id} references missing shape {trip.shape_id}")
-        st = self.stop_times
-        known_trip = np.array([t in self.trips for t in st.trip_ids], dtype=bool)
-        known_stop = np.array([s in self.stops for s in st.stop_ids], dtype=bool)
-        bad_trip = ~known_trip[st.trip]
-        bad_stop = ~known_stop[st.stop]
+        # a shape is checked only when the feed has shapes; code -1, no
+        # shape, reads the appended True
+        known_shape = np.append(_members(trips.shape_ids, self.shapes)
+                                | (not self.shapes), True)
+        missing = np.stack([~_members(trips.route_ids, self.routes)[trips.route],
+                            ~_members(trips.service_ids, known_services)[trips.service],
+                            ~known_shape[trips.shape]], axis=1)[trips.order]
+        problems: list[str] = []
+        at, kind = np.nonzero(missing)
+        for t, k in zip(trips.order[at[:10]].tolist(), kind[:10].tolist()):
+            trip, name = trips[trips.trip_ids[t]], ("route", "service", "shape")[k]
+            problems.append(f"trip {trip.trip_id} references missing {name} "
+                            f"{getattr(trip, name + '_id')}")
+        bad_trip = (self.stop_time_trips < 0)[st.trip]
+        bad_stop = ~_members(st.stop_ids, self.stops)[st.stop]
         for row in np.flatnonzero(bad_trip | bad_stop)[:10].tolist():
-            check(not bad_trip[row], "stop_time references missing trip "
-                  f"{st.trip_ids[st.trip[row]]}")
-            check(not bad_stop[row], "stop_time references missing stop "
-                  f"{st.stop_ids[st.stop[row]]}")
+            if bad_trip[row]:
+                problems.append("stop_time references missing trip "
+                                f"{st.trip_ids[st.trip[row]]}")
+            if bad_stop[row]:
+                problems.append("stop_time references missing stop "
+                                f"{st.stop_ids[st.stop[row]]}")
         # rows are sorted by sequence within a trip, so a non-increasing
         # sequence shows as a repeated one
         repeated = (st.trip[1:] == st.trip[:-1]) & (st.sequence[1:] == st.sequence[:-1])
         for trip in np.unique(st.trip[1:][repeated])[:10].tolist():
             seqs = st.sequence[st.trip_rows[trip]:st.trip_rows[trip + 1]].tolist()
-            check(False, f"trip {st.trip_ids[trip]} has non-increasing stop "
-                  f"sequences {seqs[:6]}")
+            problems.append(f"trip {st.trip_ids[trip]} has non-increasing stop "
+                            f"sequences {seqs[:6]}")
         if problems:
-            raise GtfsError("integrity violations (first 10): " + "; ".join(problems))
+            raise GtfsError("integrity violations (first 10): "
+                            + "; ".join(problems[:10]))
+
+
+def _members(values: Sequence, known: Collection) -> np.ndarray:
+    """Whether each of values is in known."""
+    return np.fromiter((v in known for v in values), bool, len(values))
 
 
 def parse_gtfs_time(text: str) -> int:
@@ -379,11 +492,16 @@ def load_gtfs(path) -> GtfsBundle:
     ]).build(lambda route_id, short, long, route_type:
              GtfsRoute(route_id, short or long, route_type))}
 
-    trips = {trip.trip_id: trip for trip in src.table("trips.txt", [
+    table = src.table("trips.txt", [
         Column("trip_id"), Column("route_id"), Column("service_id"),
-        Column("shape_id", header=False),
-    ]).build(lambda trip_id, route_id, service_id, shape_id:
-             GtfsTrip(trip_id, route_id, service_id, shape_id or None))}
+        Column("shape_id", header=False)])
+    table.report()
+    trips = TripColumns.from_arrays(
+        trip=table.data["trip_id"], route=table.data["route_id"],
+        service=table.data["service_id"], shape=table.data["shape_id"],
+        trip_ids=table.levels["trip_id"], route_ids=table.levels["route_id"],
+        service_ids=table.levels["service_id"],
+        shape_ids=table.levels["shape_id"])
 
     table = src.table("stop_times.txt", [
         Column("trip_id"), Column("stop_id"),

@@ -15,6 +15,7 @@ import io
 import json
 import logging
 import math
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -477,6 +478,10 @@ class _ColumnReader:
 #: LF to comma, to split a plain chunk's cells at every delimiter at once
 _LF_TO_COMMA = bytes.maketrans(b"\n", b",")
 
+#: a line as a file opened with newline='' splits it, as csv.reader takes
+#: it: up to an LF, a CRLF or a bare CR, or the rest of the data
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
 
 def _chunks(fh, label, error: type[IngestError]) -> Iterator:
     """The header cells of the CSV text in the binary file fh, then its data
@@ -487,23 +492,38 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
     offset in data of the comma or LF after each cell, else None, None.
 
     The file is read in blocks of about _CHUNK_BYTES cut after their last
-    LF (_blocks). A block's CRs are deleted; if each came right before an
-    LF, the block holds no quote and no NUL, and its delimiters make rows of
-    the header's width, it is split on bytes. From the first block that is
-    not, the rest of the file goes through csv.reader."""
-    # the lines up to the first LF, split as csv.reader splits a file opened
-    # with newline='': also at a bare CR
-    head = fh.readline().splitlines(keepends=True)
-    if not head:
-        raise error("empty file, header expected", path=label)
-    line, reader = 0, csv.reader(
-        _decode(raw, label, error, i, "utf-8" if i else "utf-8-sig")
-        for i, raw in enumerate(head))
+    line end (_blocks), the header coming from the first. A block's CRs are
+    deleted; if each came right before an LF, the block holds no quote and
+    no NUL, and its delimiters make rows of the header's width, it is split
+    on bytes. From the first block that is not, the rest of the file goes
+    through csv.reader."""
+    blocks = _blocks(fh)
+    taken = [b"", 0]  # the block of the last line taken, and the offset after it
+
+    def head() -> Iterator[str]:
+        """The lines of the blocks, one at a time, as far as the header
+        takes them."""
+        lines = (match for block in blocks for match in _LINE.finditer(block))
+        for i, match in enumerate(lines):
+            taken[:] = match.string, match.end()
+            yield _decode(match[0], label, error, i, "utf-8" if i else "utf-8-sig")
+
+    lines = head()
+    line, reader = 0, csv.reader(lines)
     try:
-        header = next(reader, [])
+        header = next(reader, None)
+        if header is None:
+            raise error("empty file, header expected", path=label)
         yield header
         width, line = len(header), reader.line_num
-        blocks = _blocks(fh, b"".join(head[line:]))
+        # the header's block is let go, its rest copied, so that no block
+        # stays referenced through the read (one that did raised the
+        # published-day benchmark's peak RSS by about 1 MB)
+        lines.close()
+        rest = taken[0][taken[1]:]
+        taken.clear()
+        if rest:
+            blocks = chain([rest], blocks)
         for raw in blocks:
             data = raw.translate(None, b"\r") if b"\r" in raw else raw
             if len(data) != len(raw) and raw.count(b"\r\n") != len(raw) - len(data):
@@ -544,17 +564,21 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
         raise error(str(exc), path=label, line=line + reader.line_num) from None
 
 
-def _blocks(fh, head: bytes) -> Iterator[bytes]:
-    """head, bytes already read from the binary file fh, and the rest of fh
-    in blocks of whole lines: each read of _CHUNK_BYTES bytes up to its last
-    LF, after what head and the reads before it left over. The last block
-    may lack its LF."""
-    rest = [head]  # the bytes since the last LF
+def _blocks(fh) -> Iterator[bytes]:
+    """The binary file fh in blocks of whole lines: each read of
+    _CHUNK_BYTES bytes up to its last line end, after what the reads before
+    it left over. A line ends at an LF or at a CR that no LF follows; a CR
+    that ends a read is known to end a line only from the next read. The
+    last block may lack its line end."""
+    rest = [b""]  # the bytes since the last line end
     while block := fh.read(_CHUNK_BYTES):
-        cut = block.rfind(b"\n") + 1
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
         if cut:
             yield b"".join([*rest, block[:cut]])
             rest = [block[cut:]]
+        elif rest[-1].endswith(b"\r") and block[:1] != b"\n":
+            yield b"".join(rest)
+            rest = [block]
         else:
             rest.append(block)
     if tail := b"".join(rest):

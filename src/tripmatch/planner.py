@@ -114,15 +114,17 @@ class TimetablePlanner:
         self.walk_speed_mps = walk_speed_mps
         self.search_window_s = search_window_s
         st = self._st = gtfs.stop_times
-        today = gtfs.trips_on(day)
-        yesterday = gtfs.trips_on(day - timedelta(days=1))
-        runs_today = np.array([t in today for t in st.trip_ids], dtype=bool)
+        today = gtfs.runs_on(day)
+        yesterday = gtfs.runs_on(day - timedelta(days=1))
+        # the trips row of each stop-time trip code; a trip missing from
+        # trips.txt, row -1, reads the appended False
+        self._trip_row = gtfs.stop_time_trips
+        runs_today = np.append(today, False)[self._trip_row]
         past_midnight = np.zeros(len(st.trip_ids), dtype=bool)
         past_midnight[st.trip[np.maximum(st.arrival_s, st.departure_s)
                               >= _DAY_S]] = True
-        runs_late = past_midnight & np.array(
-            [t in yesterday for t in st.trip_ids], dtype=bool)
-        if not today and not runs_late.any():
+        runs_late = past_midnight & np.append(yesterday, False)[self._trip_row]
+        if not today.any() and not runs_late.any():
             raise PlanError(f"no GTFS services active on {day}")
         self._stop_code = {sid: i for i, sid in enumerate(st.stop_ids)}
         # stop codes follow first appearance; a pair's key compares stop ids
@@ -150,12 +152,18 @@ class TimetablePlanner:
         timed = departure != UNTIMED  # untimed stops are not boardable
         inst, rows = inst[timed], rows[timed]
         departure = departure[timed] + shift[inst]
-        stop = st.stop[rows]
-        by_stop = np.lexsort((st.sequence[rows], inst, departure, stop))
+        # rows enter in (instance, sequence) order, so one stable sort of
+        # the (stop, departure) keys orders by (stop, departure, instance,
+        # sequence)
+        key = st.stop[rows].astype(np.int64)
+        key <<= 32
+        key += departure
+        key += 2**31
+        by_stop = np.argsort(key, kind="stable")
         self._dep_s = departure[by_stop]
         self._dep_inst = inst[by_stop]
         self._dep_row = rows[by_stop]
-        self._dep_key = (stop[by_stop].astype(np.int64) << 32) + (self._dep_s + 2**31)
+        self._dep_key = key[by_stop]
         self._inst_end = st.trip_rows[trip + 1]
         self._midnight = datetime.combine(day, datetime.min.time())
 
@@ -263,8 +271,8 @@ class TimetablePlanner:
     def _build_itinerary(self, trip: int, payload: tuple) -> Itinerary:
         (board_stop_id, board_row, alight_row, dep_s, arrival_s, d_board,
          d_alight) = payload
-        trip_id = self._st.trip_ids[trip]
-        route = self.gtfs.routes[self.gtfs.trips[trip_id].route_id]
+        trip_id, trips = self._st.trip_ids[trip], self.gtfs.trips
+        route = self.gtfs.routes[trips.route_ids[trips.route[self._trip_row[trip]]]]
         walk_before = d_board / self.walk_speed_mps
         walk_after = d_alight / self.walk_speed_mps
         board_dt = gtfs_time_to_datetime(self.day, dep_s)
@@ -297,8 +305,9 @@ class TimetablePlanner:
                     for s in st.stop[board_row:alight_row + 1].tolist()]
         board_geo, alight_geo = stop_seq[0], stop_seq[-1]
 
-        shape_id = self.gtfs.trips[st.trip_ids[trip]].shape_id
-        shape = self.gtfs.shapes.get(shape_id) if shape_id else None
+        trips = self.gtfs.trips
+        code = trips.shape[self._trip_row[trip]]
+        shape = self.gtfs.shapes.get(trips.shape_ids[code]) if code >= 0 else None
         if shape:
             lat, lng = np.array(shape).T
             i = int(np.argmin(distances_m(lat, lng, *board_geo)))

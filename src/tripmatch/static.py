@@ -143,6 +143,8 @@ class PlanAssessment:
 _MAX_PAIRS = 1 << 14    # per route-check kernel call: dense shapes are long
 
 RouteCheck = tuple[float, int, bool]
+#: (tV, t - tV, |tPT - tV|, |board - start|, first failed duration criterion)
+Timing = tuple[float, float, float, float, Optional[Verdict]]
 
 
 def route_geometry_check(segment: ActivitySegment,
@@ -207,8 +209,7 @@ def route_geometry_check(segment: ActivitySegment,
 
 
 def _timing(itinerary: Itinerary, segment: ActivitySegment,
-            constants: MatchConstants,
-            ) -> tuple[float, float, float, float, Optional[Verdict]]:
+            constants: MatchConstants) -> Timing:
     """(tV, t - tV, |tPT - tV|, |board - start|) and the first of the four
     duration criteria the plan fails, None when it passes them all."""
     start = segment.start_time
@@ -229,14 +230,13 @@ def _timing(itinerary: Itinerary, segment: ActivitySegment,
 
 
 def filter_plan(itinerary: Itinerary, segment: ActivitySegment,
-                constants: MatchConstants,
+                constants: MatchConstants, timing: Timing,
                 route: Optional[RouteCheck]) -> PlanAssessment:
     """Assess one itinerary: the four duration criteria in order, then the
-    route-geometry quorum. route is the plan's route_geometry_check result,
-    as assess_plans computes it; None only for a plan that fails a duration
-    criterion."""
-    tV, delta_total, delta_transit, start_diff, verdict = _timing(
-        itinerary, segment, constants)
+    route-geometry quorum. timing is the plan's _timing and route its
+    route_geometry_check result, as assess_plans computes them; route is
+    None only for a plan that fails a duration criterion."""
+    tV, delta_total, delta_transit, start_diff, verdict = timing
     fraction: Optional[float] = None
     longest_gap: Optional[int] = None
     if verdict is None:
@@ -263,16 +263,16 @@ def assess_plans(itineraries: Sequence[Itinerary], segment: ActivitySegment,
     """filter_plan of each itinerary, with the plans that pass the duration
     criteria route-checked together: the trace is thinned once, and only
     when some plan reaches the check."""
-    timely = [k for k, it in enumerate(itineraries)
-              if _timing(it, segment, constants)[-1] is None]
+    timings = [_timing(it, segment, constants) for it in itineraries]
+    timely = [k for k, timing in enumerate(timings) if timing[-1] is None]
     routes: list[Optional[RouteCheck]] = [None] * len(itineraries)
     if timely:
         checks = route_geometry_check(
             segment, [itineraries[k] for k in timely], constants)
         for k, route in zip(timely, checks):
             routes[k] = route
-    return [filter_plan(it, segment, constants, route)
-            for it, route in zip(itineraries, routes)]
+    return [filter_plan(it, segment, constants, timing, route)
+            for it, timing, route in zip(itineraries, timings, routes)]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from tripmatch.gtfs import (
     GtfsStopTime,
     GtfsTrip,
     StopTimeColumns,
+    TripColumns,
 )
 from tripmatch.types import (
     Activity,
@@ -72,27 +73,31 @@ def make_bundle(stops: dict[str, tuple[float, float]],
                 routes: dict[str, tuple[str, int]],
                 trips: list[tuple[str, str, list[tuple[str, int]]]],
                 shapes: dict[str, list[tuple[float, float]]] | None = None,
+                services: dict[str, GtfsService] | None = None,
                 ) -> GtfsBundle:
     """In-memory GTFS fixture: trips are (trip_id, route_id,
-    [(stop_id, time_s), ...]) with one universal all-days service."""
+    [(stop_id, time_s), ...]) on one universal all-days service "all", or
+    (trip_id, route_id, calls, service_id) on one of services."""
     stop_objs = {sid: GtfsStop(sid, sid, lat, lng)
                  for sid, (lat, lng) in stops.items()}
     route_objs = {rid: GtfsRoute(rid, short, rtype)
                   for rid, (short, rtype) in routes.items()}
-    trip_objs = {}
+    trip_objs = []
     stop_times = []
-    for trip_id, route_id, calls in trips:
+    for trip_id, route_id, calls, *service in trips:
         shape_id = trip_id if shapes and trip_id in shapes else None
-        trip_objs[trip_id] = GtfsTrip(trip_id, route_id, "all", shape_id)
+        trip_objs.append(GtfsTrip(trip_id, route_id, *service or ["all"],
+                                  shape_id))
         for seq, (stop_id, t_s) in enumerate(calls, start=1):
             stop_times.append(GtfsStopTime(trip_id, stop_id, t_s, t_s, seq))
     bundle = GtfsBundle(
         stops=stop_objs,
         routes=route_objs,
-        trips=trip_objs,
+        trips=TripColumns.from_rows(trip_objs),
         stop_times=StopTimeColumns.from_rows(stop_times),
         services={"all": GtfsService("all", (True,) * 7,
-                                     date(2016, 1, 1), date(2016, 12, 31))},
+                                     date(2016, 1, 1), date(2016, 12, 31)),
+                  **(services or {})},
         service_exceptions={},
         shapes={sid: [GeoPoint(lat, lng) for lat, lng in pts]
                 for sid, pts in (shapes or {}).items()},

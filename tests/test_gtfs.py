@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import re
 import zipfile
@@ -16,9 +17,11 @@ from tripmatch.ingest import Column
 from tripmatch.gtfs import (
     UNTIMED,
     Clocks,
+    GtfsBundle,
     GtfsError,
     GtfsStop,
     GtfsTrip,
+    StopTimeColumns,
     gtfs_time_to_datetime,
     line_type_for_route_type,
     load_gtfs,
@@ -79,6 +82,27 @@ def test_zip_and_directory_load_identically(tmp_path):
     from_zip = load_gtfs(write_feed(tmp_path, as_zip=True))
     assert from_dir.counts() == from_zip.counts()
     assert from_dir.stops == from_zip.stops
+
+
+def test_zipped_miniature_feed_loads_as_its_directory(synth, tmp_path):
+    feed = synth.root / "gtfs"
+    archive = tmp_path / "gtfs.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for f in sorted(feed.iterdir()):
+            zf.write(f, f.name)
+    from_dir, from_zip = load_gtfs(feed), load_gtfs(archive)
+    assert from_zip.stops == from_dir.stops
+    assert from_zip.routes == from_dir.routes
+    assert from_zip.trips == from_dir.trips
+    assert list(from_zip.trips) == list(from_dir.trips)
+    for column in dataclasses.fields(StopTimeColumns):
+        a, b = (getattr(bundle.stop_times, column.name)
+                for bundle in (from_zip, from_dir))
+        assert type(a) is type(b) and np.array_equal(a, b), column.name
+    assert from_zip.services == from_dir.services
+    assert from_zip.service_exceptions == from_dir.service_exceptions
+    assert from_zip.shapes == from_dir.shapes and from_dir.shapes
+    assert len(from_dir.stop_times) > 100
 
 
 def test_missing_required_file(tmp_path):
@@ -256,31 +280,42 @@ def test_bytes_not_utf8_are_gtfs_errors(tmp_path, row):
 
 
 def test_blocks_split_anywhere_load_alike(tmp_path):
-    """A CRLF feed with multi-byte stop names loads alike whatever the
-    block size, though some block ends inside a CRLF or a character."""
+    """A CRLF or bare-CR feed with multi-byte stop names loads alike
+    whatever the block size, though some block ends inside a CRLF or a
+    character; bare-CR lines, which csv.reader reads, are decoded in blocks
+    at most a read longer than the longest line."""
     tables = dict(MINIMAL)
     tables["stops.txt"] = ["stop_id,stop_name,stop_lat,stop_lon",
                            "A,Töölö,60.170,24.940", "B,Käpylä,60.180,24.940",
-                           "C,Öljysatama,60.190,24.950"]
+                           "C,Öljysatama,60.190,24.950"] + [
+        f"S{k:02d},Stop {k},60.2{k:02d},24.960" for k in range(20)]
     tables["stop_times.txt"] = [STOP_TIMES_HEADER, "t1,A,9:58:00,10:00:00,1",
                                 "t1,C,,,2", "t1,B,10:10:00,10:10:30,3"]
     feed = write_feed(tmp_path, tables)
-    for name, lines in tables.items():
-        (feed / name).write_bytes(("\r\n".join(lines) + "\r\n").encode())
-    text = (feed / "stops.txt").read_bytes()
-    assert text.count(b"\xc3") == 6 and b"\r\n" in text
 
     def loaded():
         bundle = load_gtfs(feed)
         return bundle.stops, list(bundle.stop_times)
 
-    expected = loaded()
-    assert [s.name for s in expected[0].values()] == ["Töölö", "Käpylä", "Öljysatama"]
-    assert [(st.arrival_s, st.departure_s) for st in expected[1]] == [
-        (35880, 36000), (None, None), (36600, 36630)]
-    for size in range(1, 65):
-        with mock.patch.object(ingest, "_CHUNK_BYTES", size):
-            assert loaded() == expected, size
+    for eol in ["\r\n", "\r"]:
+        for name, lines in tables.items():
+            (feed / name).write_bytes((eol.join(lines) + eol).encode())
+        text = (feed / "stops.txt").read_bytes()
+        assert text.count(b"\xc3") == 6 and eol.encode() in text
+        expected = loaded()
+        assert [s.name for s in expected[0].values()] == [
+            "Töölö", "Käpylä", "Öljysatama"] + [f"Stop {k}" for k in range(20)]
+        assert [(st.arrival_s, st.departure_s) for st in expected[1]] == [
+            (35880, 36000), (None, None), (36600, 36630)]
+        longest = max(len((line + eol).encode())
+                      for lines in tables.values() for line in lines)
+        for size in range(1, 65):
+            with mock.patch.object(ingest, "_CHUNK_BYTES", size), \
+                    mock.patch.object(ingest, "_decode",
+                                      wraps=ingest._decode) as decode:
+                assert loaded() == expected, (eol, size)
+            assert max([len(call.args[0]) for call in decode.call_args_list],
+                       default=0) <= longest + size, (eol, size)
 
 
 #: digits, the separator, what int() also takes, and blank cells
@@ -507,15 +542,97 @@ def _ref_trip_row(cells):
                     cells.get("shape_id") or None)
 
 
+def _ref_trips_on(bundle, trips, day):
+    """trips_on over a dict of GtfsTrip, as the per-trip loop computed it."""
+    active = bundle.active_service_ids(day)
+    return {t.trip_id for t in trips.values() if t.service_id in active}
+
+
+def _ref_validate(bundle, trips):
+    """The GtfsError text of validate over a dict of GtfsTrip, as the
+    per-trip loop produced it, or None."""
+    problems: list[str] = []
+
+    def check(condition: bool, message: str) -> None:
+        if not condition and len(problems) < 10:
+            problems.append(message)
+
+    known_services = set(bundle.services)
+    for day_exceptions in bundle.service_exceptions.values():
+        known_services.update(day_exceptions)
+    for trip in trips.values():
+        check(trip.route_id in bundle.routes,
+              f"trip {trip.trip_id} references missing route {trip.route_id}")
+        check(trip.service_id in known_services,
+              f"trip {trip.trip_id} references missing service {trip.service_id}")
+        if trip.shape_id is not None and bundle.shapes:
+            check(trip.shape_id in bundle.shapes,
+                  f"trip {trip.trip_id} references missing shape {trip.shape_id}")
+    rows = list(bundle.stop_times)
+    for row in [r for r in rows
+                if r.trip_id not in trips or r.stop_id not in bundle.stops][:10]:
+        check(row.trip_id in trips, f"stop_time references missing trip {row.trip_id}")
+        check(row.stop_id in bundle.stops,
+              f"stop_time references missing stop {row.stop_id}")
+    by_trip: dict[str, list[int]] = {}
+    for row in rows:
+        by_trip.setdefault(row.trip_id, []).append(row.sequence)
+    for trip_id, seqs in list((t, s) for t, s in by_trip.items()
+                              if len(set(s)) < len(s))[:10]:
+        check(False, f"trip {trip_id} has non-increasing stop sequences {seqs[:6]}")
+    if problems:
+        return "integrity violations (first 10): " + "; ".join(problems)
+    return None
+
+
+_TRIPS_DAYS = [date(2016, 8, 26), date(2016, 8, 27), date(2016, 8, 29)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(
-    st.sampled_from(["t2", "t3", "x y", "t,4"]), st.just("r1"),
-    st.just("wd")), max_size=8), _gtfs_layouts)
-def test_trips_agree_with_reference(tmp_path_factory, rows, layout):
+    st.sampled_from(["t1", "t2", "t3", "x y", "t,4", ""]),
+    st.sampled_from(["r1", "r1", "r9"]),
+    st.sampled_from(["wd", "wd", "ex", "zz"]),
+    st.sampled_from(["", "", "s1", "s9"])), max_size=12),
+    st.lists(st.tuples(st.sampled_from(["t1", "t2", "t3", "ghost", "x y"]),
+                       st.sampled_from("ABZ"), st.integers(3, 6)), max_size=8),
+    st.booleans(), _gtfs_layouts)
+def test_trips_agree_with_reference(tmp_path_factory, rows, stop_rows, shapes,
+                                    layout):
+    """trips.txt with repeated trip ids and dangling route, service and
+    shape references, with stop times of trips absent from it: the trips
+    mapping, trips_on and validate's error text equal those of a dict of
+    GtfsTrip and per-trip loops."""
     feed, path = _feed_with(tmp_path_factory.mktemp("feed"), "trips.txt",
-                            ["trip_id", "route_id", "service_id"], rows, layout)
-    expected, _ = reference_table(path, _ref_trip_row, label="trips.txt")
-    assert load_gtfs(feed).trips == {t.trip_id: t for t in expected}
+                            ["trip_id", "route_id", "service_id", "shape_id"],
+                            rows, layout)
+    (feed / "stop_times.txt").write_text("\n".join(
+        MINIMAL["stop_times.txt"]
+        + [f'"{t}",{s},11:00:00,11:00:00,{seq}' for t, s, seq in stop_rows]) + "\n")
+    (feed / "calendar_dates.txt").write_text(
+        "service_id,date,exception_type\nex,20160827,1\nwd,20160829,2\n")
+    if shapes:
+        (feed / "shapes.txt").write_text(
+            "shape_id,shape_pt_lat,shape_pt_lon,shape_pt_sequence\n"
+            "s1,60.17,24.94,1\n")
+    trips, _ = reference_table(path, _ref_trip_row, label="trips.txt")
+    expected = {t.trip_id: t for t in trips}
+    with mock.patch.object(GtfsBundle, "validate"):
+        bundle = load_gtfs(feed)
+    assert bundle.trips == expected and expected == bundle.trips
+    assert list(bundle.trips) == list(expected)
+    assert len(bundle.trips) == len(expected)
+    assert [t in bundle.trips for t in ["t1", "t2", "ghost", "", 1]] == [
+        t in expected for t in ["t1", "t2", "ghost", "", 1]]
+    for day in _TRIPS_DAYS:
+        assert bundle.trips_on(day) == _ref_trips_on(bundle, expected, day)
+    message = _ref_validate(bundle, expected)
+    if message is None:
+        bundle.validate()
+    else:
+        with pytest.raises(GtfsError) as err:
+            bundle.validate()
+        assert str(err.value) == message
 
 
 def _ref_stop_time_row(cells):

@@ -816,12 +816,15 @@ def test_bytes_not_utf8_are_located(tmp_path, where, permissive, chunk):
                           st.sampled_from(["\n", "\r\n", "\r", "\r\r\n"])),
                 max_size=8),
        st.sampled_from(["\n", "\r\n", "\r", "\r\r\n"]), st.booleans(),
-       st.sampled_from([1, 5, 100, 1 << 20]))
-def test_line_ends_read_as_csv_reader_reads_them(rows, head_eol, final_eol, chunk):
+       st.sampled_from([1, 5, 100, 1 << 20]),
+       st.sampled_from(["a,b", 'a,"b\n"', '"a\r\n",b', 'a,"b\r"']))
+def test_line_ends_read_as_csv_reader_reads_them(rows, head_eol, final_eol, chunk,
+                                                 header):
     """Text cells and row lines under any mix of LF, CRLF and stray CRs, the
-    last line with or without its end, are those of csv.reader, or both
-    fail on the same line."""
-    text = "a,b" + head_eol + "".join(f"{a},{b}{eol}" for a, b, eol in rows)
+    last line with or without its end, after a header on one line or, with
+    a quoted line end, on two, are those of csv.reader, or both fail on the
+    same line."""
+    text = header + head_eol + "".join(f"{a},{b}{eol}" for a, b, eol in rows)
     if rows and not final_eol:
         text = text[:-len(rows[-1][2])]
     expected = []

@@ -2,12 +2,13 @@ import math
 import random
 from datetime import date, datetime, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripmatch.geodesy import distance_m, offset_point
-from tripmatch.gtfs import GtfsService, GtfsTrip
+from tripmatch.gtfs import GtfsService
 from tripmatch.planner import (
     Itinerary,
     PlanError,
@@ -30,13 +31,13 @@ def grid_stop(e, n):
     return offset_point(BASE, e, n)
 
 
-def simple_bundle(extra_trips=(), extra_stops=()):
+def simple_bundle(extra_trips=(), extra_stops=(), services=None):
     a, b, c = grid_stop(0, 0), grid_stop(0, 1500), grid_stop(0, 3000)
     stops = {"A": (a.lat, a.lng), "B": (b.lat, b.lng), "C": (c.lat, c.lng)}
     stops.update(extra_stops)
     trips = [("t1000", "r1", [("A", 36000), ("B", 36300), ("C", 36600)])]
     trips += list(extra_trips)
-    return make_bundle(stops, {"r1": ("16", 3)}, trips)
+    return make_bundle(stops, {"r1": ("16", 3)}, trips, services=services)
 
 
 def test_single_trip_fixture_boards_at_departure():
@@ -403,18 +404,37 @@ def test_departures_per_stop_equal_sorted_brute_force(seed, first_departure_s):
 
 def late_bundle(runs_on=None):
     """simple_bundle plus trip "late" at 24:10 (A), 24:15 (B), 24:20 (C),
-    every day, or only on weekday runs_on (Monday = 0)."""
-    bundle = simple_bundle(extra_trips=[
-        ("late", "r1", [("A", 87000), ("B", 87300), ("C", 87600)])])
-    if runs_on is not None:
-        bundle.services["only"] = GtfsService(
-            "only", tuple(d == runs_on for d in range(7)),
-            date(2016, 1, 1), date(2016, 12, 31))
-        bundle.trips["late"] = GtfsTrip("late", "r1", "only")
-    return bundle
+    every day, or only on weekday runs_on (Monday = 0), as service "only"."""
+    late = ("late", "r1", [("A", 87000), ("B", 87300), ("C", 87600)])
+    if runs_on is None:
+        return simple_bundle(extra_trips=[late])
+    return simple_bundle(extra_trips=[(*late, "only")], services={
+        "only": GtfsService("only", tuple(d == runs_on for d in range(7)),
+                            date(2016, 1, 1), date(2016, 12, 31))})
 
 
 MIDNIGHT = datetime.combine(DAY, datetime.min.time())  # Friday
+
+
+def test_departures_are_in_stop_departure_instance_sequence_order():
+    """The departure index is ordered as np.lexsort((sequence, instance,
+    departure, stop)) orders it, over every timed call of every instance,
+    the day before's run of "late" included."""
+    planner = TimetablePlanner(late_bundle(), DAY, WALK_MPS)
+    times = planner._st
+    # "late" on Thursday and on Friday, then "t1000"
+    assert [(times.trip_ids[t], shift) for t, shift in zip(
+        planner._inst_trip, planner._inst_shift.tolist())] == [
+        ("late", -86400), ("late", 0), ("t1000", 0)]
+    rows = [np.arange(times.trip_rows[t], times.trip_rows[t + 1])
+            for t in planner._inst_trip]
+    inst = np.repeat(np.arange(len(rows)), list(map(len, rows)))
+    rows = np.concatenate(rows)
+    departure = times.departure_s[rows] + planner._inst_shift[inst]
+    order = np.lexsort((times.sequence[rows], inst, departure, times.stop[rows]))
+    assert planner._dep_inst.tolist() == inst[order].tolist()
+    assert planner._dep_row.tolist() == rows[order].tolist()
+    assert planner._dep_s.tolist() == departure[order].tolist()
 
 
 def test_previous_day_trip_past_midnight_is_planned():

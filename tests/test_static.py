@@ -382,3 +382,13 @@ def test_assessments_sink_collects_every_plan():
                  assessments_sink=sink)
     assert [(sid, a.itinerary.transit.trip_id) for sid, a in sink] == [
         (1, "a"), (1, "b")]
+
+
+def test_each_plan_is_timed_once():
+    segment = straight_segment(duration_s=600.0)
+    plans = [plan_for(segment, trip_id="a"),
+             plan_for(segment, total_s=600.0 + 2000.0, trip_id="b")]
+    with mock.patch.object(static, "_timing", wraps=static._timing) as timing:
+        verdicts = [a.verdict for a in assess_plans(plans, segment, CONSTANTS)]
+    assert verdicts == [Verdict.ACCEPT, Verdict.TOTAL_TOO_LONG]
+    assert timing.call_count == len(plans)
