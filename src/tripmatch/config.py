@@ -131,7 +131,7 @@ def _number(value: Any, kind: type, context: str):
 
 def _non_negative(value: Any, context: str) -> float:
     number = _number(value, float, context)
-    if number < 0:
+    if not number >= 0:  # NaN included
         raise ConfigError(f"{context}: must be >= 0, got {value!r}")
     return number
 

@@ -13,6 +13,11 @@ clock is still reported by file, line and column. trips.txt is kept as
 columns too (TripColumns): int32 codes of each trip's route, service and
 shape, which validation and the planner read as masks over the codes; a
 GtfsTrip is built only when one trip is looked up.
+
+The load joins the tables once: a stop-time trip code is the trip's row
+in trips.txt's columns, and a stop code is the stop's rank in stop_id
+order, so no later reader translates an id. The ids that only
+stop_times.txt names are coded after those, and validation reports them.
 """
 from __future__ import annotations
 
@@ -21,8 +26,6 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
-from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
@@ -189,9 +192,12 @@ _INT32_MAX = 2**31 - 1
 @dataclass(frozen=True, eq=False)
 class StopTimeColumns:
     """Stop times as int32 columns sorted by (trip, sequence). The rows of
-    trip trip_ids[t] are trip_rows[t]:trip_rows[t + 1]; trip codes follow
-    trip_id order and stop codes index stop_ids. UNTIMED marks a stop
-    without an arrival or departure time."""
+    trip trip_ids[t] are trip_rows[t]:trip_rows[t + 1]. A trip code is the
+    trip's row in the feed's trips, trip_ids starting with trips.trip_ids;
+    a stop code is the stop's rank in stop_id order, stop_ids starting with
+    the sorted stop ids of stops.txt. Ids that only stop_times.txt names
+    follow those, in id order; only an invalid feed has them. UNTIMED marks
+    a stop without an arrival or departure time."""
 
     trip: np.ndarray         # int32 index into trip_ids
     stop: np.ndarray         # int32 index into stop_ids
@@ -203,36 +209,34 @@ class StopTimeColumns:
     stop_ids: tuple[str, ...]
 
     @classmethod
-    def from_rows(cls, rows: Iterable[GtfsStopTime]) -> "StopTimeColumns":
+    def from_rows(cls, rows: Iterable[GtfsStopTime], trip_ids: Sequence[str],
+                  stop_ids: Sequence[str]) -> "StopTimeColumns":
+        """The rows, their trips coded over trip_ids and their stops over
+        stop_ids, as load_gtfs codes them over trips.trip_ids and the sorted
+        stop ids."""
         rows = list(rows)
-        trips: dict[str, int] = {}
-        stops: dict[str, int] = {}
 
         def column(values) -> np.ndarray:
             return np.fromiter(values, np.int32, len(rows))
 
+        trip, trip_ids = _join([r.trip_id for r in rows], trip_ids)
+        stop, stop_ids = _join([r.stop_id for r in rows], stop_ids)
         return cls.from_arrays(
-            trip=column(trips.setdefault(r.trip_id, len(trips)) for r in rows),
-            stop=column(stops.setdefault(r.stop_id, len(stops)) for r in rows),
+            trip=trip, stop=stop,
             arrival_s=column(UNTIMED if r.arrival_s is None else r.arrival_s
                              for r in rows),
             departure_s=column(UNTIMED if r.departure_s is None
                                else r.departure_s for r in rows),
             sequence=column(r.sequence for r in rows),
-            trip_ids=tuple(trips), stop_ids=tuple(stops))
+            trip_ids=trip_ids, stop_ids=stop_ids)
 
     @classmethod
     def from_arrays(cls, trip: np.ndarray, stop: np.ndarray,
                     arrival_s: np.ndarray, departure_s: np.ndarray,
-                    sequence: np.ndarray, trip_ids: Sequence[str],
+                    sequence: np.ndarray, trip_ids: tuple[str, ...],
                     stop_ids: tuple[str, ...]) -> "StopTimeColumns":
-        """The columns of rows given in file order, with trip codes into any
-        order of trip_ids: trips are recoded in trip_id order and the rows
-        sorted stably by (trip, sequence)."""
-        by_id = sorted(range(len(trip_ids)), key=trip_ids.__getitem__)
-        recode = np.empty(len(trip_ids), dtype=np.int32)
-        recode[by_id] = np.arange(len(trip_ids), dtype=np.int32)
-        trip = recode[trip]
+        """The columns of rows given in file order, coded as the class
+        codes them, with the rows sorted stably by (trip, sequence)."""
         # one stable sort of the int64 key (trip, sequence), as lexsort
         # would order by the two columns; the key is built in place and
         # freed before the columns are gathered
@@ -247,8 +251,7 @@ class StopTimeColumns:
         return cls(trip=trip[order], stop=stop[order],
                    arrival_s=arrival_s[order], departure_s=departure_s[order],
                    sequence=sequence[order], trip_rows=trip_rows,
-                   trip_ids=tuple(trip_ids[i] for i in by_id),
-                   stop_ids=tuple(stop_ids))
+                   trip_ids=trip_ids, stop_ids=stop_ids)
 
     def __len__(self) -> int:
         return len(self.trip)
@@ -313,20 +316,12 @@ class GtfsBundle:
         return set(map(self.trips.trip_ids.__getitem__,
                        np.flatnonzero(self.runs_on(day)).tolist()))
 
-    @cached_property
-    def stop_time_trips(self) -> np.ndarray:
-        """The trips row of each trip code of stop_times, -1 for a trip
-        missing from trips.txt; computed on first use."""
-        row = dict(zip(self.trips.trip_ids, range(len(self.trips))))
-        trip_ids = self.stop_times.trip_ids
-        return np.fromiter(map(row.get, trip_ids, repeat(-1)), np.int64,
-                           len(trip_ids))
-
     def validate(self) -> None:
         """Referential integrity; raises GtfsError listing the first 10
         offenders: the trips in mapping order, each checked for its route,
-        service and shape, then the stop-time rows in (trip_id, sequence)
-        order, then the trips with a repeated stop sequence."""
+        service and shape, then the stop-time rows in (trip, sequence)
+        order, those of trips missing from trips.txt after the others, then
+        the trips with a repeated stop sequence."""
         trips, st = self.trips, self.stop_times
         known_services = set(self.services)
         for day_exceptions in self.service_exceptions.values():
@@ -344,8 +339,9 @@ class GtfsBundle:
             trip, name = trips[trips.trip_ids[t]], ("route", "service", "shape")[k]
             problems.append(f"trip {trip.trip_id} references missing {name} "
                             f"{getattr(trip, name + '_id')}")
-        bad_trip = (self.stop_time_trips < 0)[st.trip]
-        bad_stop = ~_members(st.stop_ids, self.stops)[st.stop]
+        # codes past those of trips.txt and stops.txt name missing ones
+        bad_trip = st.trip >= len(trips)
+        bad_stop = st.stop >= len(self.stops)
         for row in np.flatnonzero(bad_trip | bad_stop)[:10].tolist():
             if bad_trip[row]:
                 problems.append("stop_time references missing trip "
@@ -363,6 +359,17 @@ class GtfsBundle:
         if problems:
             raise GtfsError("integrity violations (first 10): "
                             + "; ".join(problems[:10]))
+
+
+def _join(names: Sequence[str], ids: Sequence[str],
+          ) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The int32 code of each of names as its index in ids, extended by the
+    names that ids lacks in id order, and the extended ids."""
+    code = dict(zip(ids, range(len(ids))))
+    extra = sorted(set(names).difference(code))
+    code.update(zip(extra, range(len(ids), len(ids) + len(extra))))
+    return (np.fromiter(map(code.__getitem__, names), np.int32, len(names)),
+            (*ids, *extra))
 
 
 def _members(values: Sequence, known: Collection) -> np.ndarray:
@@ -509,12 +516,17 @@ def load_gtfs(path) -> GtfsBundle:
         Column("departure_time", Clocks(), header=False),
         Column("stop_sequence", _int32)])
     table.report()
+    # each distinct id of the file is looked up once, its code recoding the
+    # rows
+    trip_code, trip_ids = _join(table.levels["trip_id"], trips.trip_ids)
+    stop_code, stop_ids = _join(table.levels["stop_id"], sorted(stops))
     stop_times = StopTimeColumns.from_arrays(
-        trip=table.data["trip_id"], stop=table.data["stop_id"],
+        trip=trip_code[table.data["trip_id"]],
+        stop=stop_code[table.data["stop_id"]],
         arrival_s=table.data["arrival_time"],
         departure_s=table.data["departure_time"],
         sequence=table.array("stop_sequence", np.int32),
-        trip_ids=table.levels["trip_id"], stop_ids=table.levels["stop_id"])
+        trip_ids=trip_ids, stop_ids=stop_ids)
     del table  # its columns are copied, sorted, into stop_times
 
     services: dict[str, GtfsService] = {}

@@ -341,8 +341,8 @@ def read_table(fh, label, columns: Sequence[Column], *,
     plain block is split on bytes, and a column whose parse has a scan form
     is decoded from the block's bytes in place, each cell that form rejects
     going through parse on its own; from the first block with a quote, a
-    NUL, a CR outside a CRLF or a row of another width, the rest of the file
-    goes through csv.reader.
+    NUL or a row of another width, the rest of the file goes through
+    csv.reader.
     """
     chunks = _chunks(fh, label, error)
     names = [h.strip().lower() for h in next(chunks)]
@@ -492,8 +492,8 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
     offset in data of the comma or LF after each cell, else None, None.
 
     The file is read in blocks of about _CHUNK_BYTES cut after their last
-    line end (_blocks), the header coming from the first. A block's CRs are
-    deleted; if each came right before an LF, the block holds no quote and
+    line end (_blocks), the header coming from the first. A block's CRLFs
+    and then its bare CRs become LFs; if the block then holds no quote and
     no NUL, and its delimiters make rows of the header's width, it is split
     on bytes. From the first block that is not, the rest of the file goes
     through csv.reader."""
@@ -525,9 +525,8 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
         if rest:
             blocks = chain([rest], blocks)
         for raw in blocks:
-            data = raw.translate(None, b"\r") if b"\r" in raw else raw
-            if len(data) != len(raw) and raw.count(b"\r\n") != len(raw) - len(data):
-                break  # a CR that is not part of a CRLF
+            data = (raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                    if b"\r" in raw else raw)
             if b'"' in data or b"\0" in data:
                 break
             if not data.endswith(b"\n"):

@@ -9,6 +9,7 @@ stand in by implementing the JourneyPlanner protocol.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from typing import Optional, Protocol, Sequence
@@ -103,8 +104,10 @@ class TimetablePlanner:
     24:00:00, which reaches the small hours of the day. The two runs of one
     trip are separate instances. The departures are arrays sorted by (stop,
     departure, instance, sequence), so the departures of one stop in a time
-    window are one run, found by binary search on (stop, departure) keys;
-    instances follow (trip_id, day) order.
+    window are one run, found by binary search on (stop, departure) keys.
+    It reads the bundle's codes as they are: a trip code is the trip's row
+    in trips, so instances follow (trip_id, day) order, and a stop code is
+    the stop's rank in stop_id order, so codes compare as stop ids do.
     """
 
     def __init__(self, gtfs: GtfsBundle, day: date, walk_speed_mps: float,
@@ -116,29 +119,21 @@ class TimetablePlanner:
         st = self._st = gtfs.stop_times
         today = gtfs.runs_on(day)
         yesterday = gtfs.runs_on(day - timedelta(days=1))
-        # the trips row of each stop-time trip code; a trip missing from
-        # trips.txt, row -1, reads the appended False
-        self._trip_row = gtfs.stop_time_trips
-        runs_today = np.append(today, False)[self._trip_row]
         past_midnight = np.zeros(len(st.trip_ids), dtype=bool)
         past_midnight[st.trip[np.maximum(st.arrival_s, st.departure_s)
                               >= _DAY_S]] = True
-        runs_late = past_midnight & np.append(yesterday, False)[self._trip_row]
+        runs_late = past_midnight[:len(yesterday)] & yesterday
         if not today.any() and not runs_late.any():
             raise PlanError(f"no GTFS services active on {day}")
-        self._stop_code = {sid: i for i, sid in enumerate(st.stop_ids)}
-        # stop codes follow first appearance; a pair's key compares stop ids
-        self._stop_rank = np.empty(len(st.stop_ids), dtype=np.int64)
-        self._stop_rank[sorted(range(len(st.stop_ids)),
-                               key=st.stop_ids.__getitem__)] = np.arange(
-            len(st.stop_ids))
-        self._stops = sorted(gtfs.stops.values(), key=lambda s: s.stop_id)
+        # the stops of stops.txt by code
+        self._stops = list(map(gtfs.stops.__getitem__,
+                               st.stop_ids[:len(gtfs.stops)]))
         self._stop_lat = np.array([s.lat for s in self._stops])
         self._stop_lng = np.array([s.lng for s in self._stops])
 
         # instances in (trip, shift) order: the day before's run first
-        trip = np.concatenate([np.flatnonzero(runs_late), np.flatnonzero(runs_today)])
-        shift = np.repeat([-_DAY_S, 0], [runs_late.sum(), runs_today.sum()])
+        trip = np.concatenate([np.flatnonzero(runs_late), np.flatnonzero(today)])
+        shift = np.repeat([-_DAY_S, 0], [runs_late.sum(), today.sum()])
         order = np.lexsort((shift, trip))
         trip, shift = trip[order], shift[order]
         self._inst_trip, self._inst_shift = trip.tolist(), shift
@@ -170,8 +165,8 @@ class TimetablePlanner:
     def departures(self, stop_id: str) -> list[tuple[int, str, int]]:
         """(departure_s, trip_id, sequence) of every boardable call at the stop,
         in index order, with the day before's runs shifted back one day."""
-        code = self._stop_code.get(stop_id)
-        if code is None:
+        code = bisect_left(self._st.stop_ids, stop_id, 0, len(self._stops))
+        if self._st.stop_ids[code:code + 1] != (stop_id,):
             return []
         lo, hi = np.searchsorted(self._dep_key, [code << 32, (code + 1) << 32])
         return [(dep, self._st.trip_ids[self._inst_trip[inst]], seq)
@@ -182,49 +177,43 @@ class TimetablePlanner:
     def _service_seconds(self, t: datetime) -> float:
         return (t - self._midnight).total_seconds()
 
+    def _near(self, center: GeoPoint, radius_m: float,
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """The codes of the stops within radius_m of center and their
+        distances, nearest first; stops at equal distance in stop_id order."""
+        d = distances_m(center.lat, center.lng, self._stop_lat, self._stop_lng)
+        near = np.flatnonzero(d <= radius_m)
+        near = near[np.argsort(d[near], kind="stable")]
+        return near, d[near]
+
     def stops_within(self, center: GeoPoint, radius_m: float,
                      ) -> list[tuple[GtfsStop, float]]:
         """Every stop within radius_m of center with its distance, nearest
         first; stops at equal distance in stop_id order."""
-        d = distances_m(center.lat, center.lng, self._stop_lat, self._stop_lng)
-        near = np.flatnonzero(d <= radius_m)
-        near = near[np.argsort(d[near], kind="stable")]
-        return [(self._stops[i], dist)
-                for i, dist in zip(near.tolist(), d[near].tolist())]
+        near, d = self._near(center, radius_m)
+        return list(zip(map(self._stops.__getitem__, near.tolist()), d.tolist()))
 
     def plan(self, query: PlanQuery) -> PlanResult:
-        origin_stops = self.stops_within(query.origin, query.max_walk_m)
-        if not origin_stops:
+        codes, walk_m = self._near(query.origin, query.max_walk_m)
+        if not len(codes):
             return PlanResult([], reason=(
                 f"no stops within {query.max_walk_m:.0f} m of origin"))
-        dest_stops = self.stops_within(query.destination, query.max_walk_m)
-        if not dest_stops:
+        dest, dest_m = self._near(query.destination, query.max_walk_m)
+        if not len(dest):
             return PlanResult([], reason=(
                 f"no stops within {query.max_walk_m:.0f} m of destination"))
-        dest_dist = np.full(len(self._st.stop_ids), np.inf)
-        for stop, d in dest_stops:
-            if stop.stop_id in self._stop_code:
-                dest_dist[self._stop_code[stop.stop_id]] = d
+        st = self._st
+        dest_dist = np.full(len(st.stop_ids), np.inf)
+        dest_dist[dest] = dest_m
 
         earliest_s = self._service_seconds(query.earliest_start)
         horizon_s = earliest_s + self.search_window_s
-        st = self._st
 
-        # the departures in the window at each origin stop, found in one
+        # the departures in the window at each origin stop, found by binary
         # search of the (stop, departure) keys
-        board_ids, codes, lows, walk_m = [], [], [], []
-        for board_stop, d in origin_stops:
-            code = self._stop_code.get(board_stop.stop_id)
-            if code is not None:
-                board_ids.append(board_stop.stop_id)
-                codes.append(code)
-                lows.append(_key_of(code, math.ceil(
-                    earliest_s + d / self.walk_speed_mps)))
-                walk_m.append(d)
-        high = math.floor(horizon_s) + 1
-        lo, hi = np.searchsorted(
-            self._dep_key, lows + [_key_of(c, high) for c in codes]
-        ).reshape(2, len(codes))
+        lo = np.searchsorted(self._dep_key, _keys(
+            codes, np.ceil(earliest_s + walk_m / self.walk_speed_mps)))
+        hi = np.searchsorted(self._dep_key, _keys(codes, math.floor(horizon_s) + 1))
         counts = np.maximum(hi - lo, 0)
         departure = _ranges(lo, counts)
         if not len(departure):
@@ -236,7 +225,6 @@ class TimetablePlanner:
         tail = self._inst_end[inst] - row - 1
         alight = _ranges(row + 1, tail)
         pair = np.repeat(np.arange(len(departure)), tail)
-        walk_m = np.array(walk_m)
         keep = ((walk_m[board[pair]] + dest_dist[st.stop[alight]] <= query.max_walk_m)
                 & (st.arrival_s[alight] != UNTIMED))
         pair, alight = pair[keep], alight[keep]
@@ -252,27 +240,23 @@ class TimetablePlanner:
         walk_after = d_alight / self.walk_speed_mps
         end_s = arrival_s + walk_after
         duration = d_board / self.walk_speed_mps + (arrival_s - dep_s) + walk_after
-        order = np.lexsort((row, dep_s, self._stop_rank[stop],
-                            self._stop_rank[np.array(codes)[board]],
+        order = np.lexsort((row, dep_s, stop, codes[board],
                             d_board + d_alight, duration, end_s, inst))
         best = order[np.diff(inst[order], prepend=-1) != 0]
-        ranked = sorted(zip(end_s[best].tolist(), duration[best].tolist(),
-                            inst[best].tolist(), best.tolist()),
-                        key=lambda r: (r[0], r[1],
-                                       st.trip_ids[self._inst_trip[r[2]]], r[2]))
-        itineraries = [self._build_itinerary(self._inst_trip[i], (
-            board_ids[board[k]], int(row[k]), int(alight[k]), int(dep_s[k]),
-            int(arrival_s[k]), float(d_board[k]), float(d_alight[k])))
-            for _, _, i, k in ranked[:query.n_plans]]
+        # then the instances by (end, duration, trip_id, day)
+        best = best[np.lexsort((inst[best], duration[best], end_s[best]))]
+        itineraries = [self._build_itinerary(self._inst_trip[inst[k]], (
+            int(row[k]), int(alight[k]), int(dep_s[k]), int(arrival_s[k]),
+            float(d_board[k]), float(d_alight[k])))
+            for k in best[:query.n_plans].tolist()]
         if not itineraries:
             return PlanResult([], reason="no reachable trip serves the query")
         return PlanResult(itineraries)
 
     def _build_itinerary(self, trip: int, payload: tuple) -> Itinerary:
-        (board_stop_id, board_row, alight_row, dep_s, arrival_s, d_board,
-         d_alight) = payload
+        board_row, alight_row, dep_s, arrival_s, d_board, d_alight = payload
         trip_id, trips = self._st.trip_ids[trip], self.gtfs.trips
-        route = self.gtfs.routes[trips.route_ids[trips.route[self._trip_row[trip]]]]
+        route = self.gtfs.routes[trips.route_ids[trips.route[trip]]]
         walk_before = d_board / self.walk_speed_mps
         walk_after = d_alight / self.walk_speed_mps
         board_dt = gtfs_time_to_datetime(self.day, dep_s)
@@ -281,7 +265,7 @@ class TimetablePlanner:
             line_type=route.line_type,
             line_name=route.short_name,
             trip_id=trip_id,
-            board_stop=board_stop_id,
+            board_stop=self._st.stop_ids[self._st.stop[board_row]],
             board_time=board_dt,
             alight_stop=self._st.stop_ids[self._st.stop[alight_row]],
             alight_time=alight_dt,
@@ -301,12 +285,12 @@ class TimetablePlanner:
     def _leg_geometry(self, trip: int, board_row: int,
                       alight_row: int) -> tuple[GeoPoint, ...]:
         st = self._st
-        stop_seq = [self.gtfs.stops[st.stop_ids[s]].geo
+        stop_seq = [self._stops[s].geo
                     for s in st.stop[board_row:alight_row + 1].tolist()]
         board_geo, alight_geo = stop_seq[0], stop_seq[-1]
 
         trips = self.gtfs.trips
-        code = trips.shape[self._trip_row[trip]]
+        code = trips.shape[trip]
         shape = self.gtfs.shapes.get(trips.shape_ids[code]) if code >= 0 else None
         if shape:
             lat, lng = np.array(shape).T
@@ -322,11 +306,13 @@ class TimetablePlanner:
         return tuple(pts)
 
 
-def _key_of(stop: int, departure_s: int) -> int:
-    """The key of a departure in the (stop, departure) order of the index;
-    a time outside the int32 range of stop times is clamped to just before
-    or just after every key of the stop."""
-    return (stop << 32) + min(max(departure_s + 2**31, -1), 2**32)
+def _keys(stops: np.ndarray, departure_s) -> np.ndarray:
+    """The keys of departures in the (stop, departure) order of the index,
+    departure_s holding whole seconds; a time outside the int32 range of
+    stop times is clamped to just before or just after every key of the
+    stop."""
+    return ((stops.astype(np.int64) << 32)
+            + np.clip(departure_s + 2.0**31, -1, 2**32).astype(np.int64))
 
 
 def _ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -90,11 +90,13 @@ def make_bundle(stops: dict[str, tuple[float, float]],
                                   shape_id))
         for seq, (stop_id, t_s) in enumerate(calls, start=1):
             stop_times.append(GtfsStopTime(trip_id, stop_id, t_s, t_s, seq))
+    trip_columns = TripColumns.from_rows(trip_objs)
     bundle = GtfsBundle(
         stops=stop_objs,
         routes=route_objs,
-        trips=TripColumns.from_rows(trip_objs),
-        stop_times=StopTimeColumns.from_rows(stop_times),
+        trips=trip_columns,
+        stop_times=StopTimeColumns.from_rows(
+            stop_times, trip_columns.trip_ids, sorted(stop_objs)),
         services={"all": GtfsService("all", (True,) * 7,
                                      date(2016, 1, 1), date(2016, 12, 31)),
                   **(services or {})},

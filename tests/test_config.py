@@ -237,6 +237,10 @@ _BAD_VALUES = [
     ("raw32", {"jobs": True}, "jobs: expected an integer, got True"),
     ("raw33", {"jobs": 2}, "jobs: matching runs serially; only 1 is accepted, got 2"),
     ("raw34", {"jobs": 0}, "jobs: matching runs serially; only 1 is accepted, got 0"),
+    ("raw35", {"segmentation": {"max_gap_s": float("nan")}},
+     "segmentation: max_gap_s: must be >= 0, got nan"),
+    ("raw36", {"planner": {"search_window_s": float("nan")}},
+     "planner: search_window_s: must be >= 0, got nan"),
 ]
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripmatch.geodesy import distance_m, offset_point
-from tripmatch.gtfs import GtfsService
+from tripmatch.gtfs import GtfsService, load_gtfs
 from tripmatch.planner import (
     Itinerary,
     PlanError,
@@ -321,17 +321,18 @@ def test_planner_matches_brute_force_oracle(seed):
 
 
 def test_tied_pairs_break_on_stop_ids_not_stop_codes():
-    # stop codes follow first appearance in stop_times.txt (s9 before s10,
-    # s19 before s100), the reverse of stop_id order; boarding at the
-    # co-located s9 or s10 and alighting at the co-located s19 or s100 tie
-    # on (end, duration, walk), so the stop ids decide
+    # the trips call s9 before s10 and s19 before s100, the reverse of
+    # stop_id order, which stop codes follow; boarding at the co-located s9
+    # or s10 and alighting at the co-located s19 or s100 tie on (end,
+    # duration, walk), so the stop ids decide
     a, b = grid_stop(0, 0), grid_stop(0, 3000)
     stops = {sid: (p.lat, p.lng) for sid, p in
              (("s9", a), ("s10", a), ("s19", b), ("s100", b))}
     calls = [("s9", 36000), ("s10", 36000), ("s19", 36600), ("s100", 36600)]
     bundle = make_bundle(stops, {"r1": ("16", 3)},
                          [("t1", "r1", calls), ("t2", "r1", calls)])
-    assert bundle.stop_times.stop_ids == ("s9", "s10", "s19", "s100")
+    assert bundle.stop_times.stop_ids == tuple(sorted(stops)) == (
+        "s10", "s100", "s19", "s9")
     query = PlanQuery(grid_stop(60, 0), grid_stop(-40, 3000),
                       datetime(2016, 8, 26, 9, 50), MAX_WALK_M)
     got = [(it.transit.trip_id, _itinerary_signature(it, DAY))
@@ -344,6 +345,57 @@ def test_tied_pairs_break_on_stop_ids_not_stop_codes():
         assert sig[2:4] == (float(v[2]), float(v[3]))
         assert sig[4] == pytest.approx(v[4], abs=1e-4)
         assert sig[5] == pytest.approx(v[5], abs=1e-4)
+
+
+def test_loaded_feed_codes_trips_by_row_and_stops_by_id(tmp_path):
+    # stops.txt lists the stops out of id order, with Z called by no trip;
+    # trips.txt lists t0, which has no stop times; stop_times.txt names the
+    # stops in a third order (D, B, C, A)
+    points = {sid: grid_stop(0, 1500 * k) for k, sid in enumerate("ABCD")}
+    points["Z"] = grid_stop(200, 3000)
+    calls = {"t1": 36000, "t2": 36120}
+    rows = [("t2", "D", 4), ("t1", "B", 2), ("t1", "C", 3), ("t2", "A", 1),
+            ("t1", "A", 1), ("t2", "B", 2), ("t1", "D", 4), ("t2", "C", 3)]
+    clock = "{:02d}:{:02d}:00".format
+    tables = {
+        "stops.txt": ["stop_id,stop_name,stop_lat,stop_lon"] + [
+            f"{sid},{sid},{points[sid].lat!r},{points[sid].lng!r}"
+            for sid in "CADZB"],
+        "routes.txt": ["route_id,route_short_name,route_type", "r1,16,3"],
+        "trips.txt": ["trip_id,route_id,service_id", "t2,r1,all",
+                      "t0,r1,all", "t1,r1,all"],
+        "stop_times.txt": [
+            "trip_id,stop_id,arrival_time,departure_time,stop_sequence"] + [
+            f"{trip},{sid},{clock(*divmod(t // 60, 60))},"
+            f"{clock(*divmod(t // 60, 60))},{seq}"
+            for trip, sid, seq in rows
+            for t in [calls[trip] + 300 * (seq - 1)]],
+        "calendar.txt": [
+            "service_id,monday,tuesday,wednesday,thursday,friday,saturday,"
+            "sunday,start_date,end_date",
+            "all,1,1,1,1,1,1,1,20160101,20161231"],
+    }
+    for name, lines in tables.items():
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    bundle = load_gtfs(tmp_path)
+    assert bundle.stop_times.trip_ids == bundle.trips.trip_ids == (
+        "t0", "t1", "t2")
+    assert bundle.stop_times.stop_ids == tuple(sorted(bundle.stops)) == (
+        "A", "B", "C", "D", "Z")
+    planner = TimetablePlanner(bundle, DAY, WALK_MPS)
+    for origin, dest in (("A", "C"), ("B", "Z"), ("Z", "D")):
+        query = PlanQuery(offset_point(points[origin], 50, 0), points[dest],
+                          datetime(2016, 8, 26, 9, 50), MAX_WALK_M)
+        got = [(it.transit.trip_id, _itinerary_signature(it, DAY))
+               for it in planner.plan(query).itineraries]
+        expected = oracle_plan(bundle, DAY, query)
+        assert [t for t, _ in got] == [t for t, _ in expected] == ["t1", "t2"]
+        for (_, sig), (_, v) in zip(got, expected):
+            assert sig[:4] == (v[0], v[1], float(v[2]), float(v[3]))
+            assert sig[4] == pytest.approx(v[4], abs=1e-4)
+            assert sig[5] == pytest.approx(v[5], abs=1e-4)
+    assert planner.departures("Z") == []
+    assert [trip for _, trip, _ in planner.departures("B")] == ["t1", "t2"]
 
 
 LATE = 23 * 3600 + 1800  # trips from 23:30 run past midnight
