@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import re
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime
@@ -188,11 +189,100 @@ def _stamp_seconds(chunk: bytes, starts: np.ndarray,
             + hour * 3600 + minute * 60 + second).astype(np.float64), ok
 
 
+def _word_table(rows) -> np.ndarray:
+    """uint64 words of byte strings, 8 bytes a word, a column per string."""
+    return np.array([np.frombuffer(row, "<u8") for row in rows], np.uint64).T
+
+
+#: by cell size k = 0 .. 24, the masks of the 24 bytes that end at a cell
+#: in 3 + 3 words: one that keeps its bytes, then '0's in the bytes before it
+_CELL_MASKS = _word_table(bytes(24 - k) + b"\xff" * k + b"0" * (24 - k) + bytes(k)
+                          for k in range(25))
+_ZEROS, _NINES = word(b"0" * 8), word(b"\x09" * 8)
+#: multipliers that leave in a word's top byte the sum of its bytes (below
+#: 256), and, for the k-th word of a cell's 24 bytes holding a single byte 1
+#: at byte i of the 24, the 23 - i bytes after that one (a product's top
+#: byte is the sum of byte b of the word times byte 7 - b of the multiplier)
+_BYTE_SUM = word(b"\x01" * 8)
+_PLACES_AFTER = _word_table([bytes(16 - 8 * k + b for k in range(3)
+                                   for b in range(8))])
+_POW10 = np.array([10 ** k for k in range(19)], np.uint64)
+#: the bits that the significand a decimal mantissa is divided in has
+#: below a float64's, and the powers of ten it is divided by, in that
+#: type. An x87 (63) or IEEE quad (112) long double, stored in 16 bytes
+#: and read little-endian, holds every mantissa below 10**19 exactly;
+#: elsewhere the division is float64's, exact for mantissas below 2**53
+#: (Clinger's case)
+_NMANT = np.finfo(np.longdouble).nmant
+_EXTRA_BITS = (_NMANT - 52 if sys.byteorder == "little" and _NMANT in (63, 112)
+               and np.dtype(np.longdouble).itemsize == 16 else 0)
+_WIDE_POW10 = _POW10.astype(np.longdouble if _EXTRA_BITS else np.float64)
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """The numbers of uint64 words of 8 digits (0-9 per byte, the first
+    digit in the low byte): digit pairs, then quads, then all eight folded
+    by one multiply each (Lemire 2021)."""
+    words = words * np.uint64(10) + (words >> np.uint64(8))
+    pairs = np.uint64(0x000000FF000000FF)
+    return ((words & pairs) * np.uint64(100 + (1000000 << 32))
+            + ((words >> np.uint64(16)) & pairs) * np.uint64(1 + (10000 << 32))
+            ) >> np.uint64(32)
+
+
+def _float_values(chunk: bytes, starts: np.ndarray,
+                  ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float64 values of the cells chunk[starts:ends], and which of them
+    are '[-]digits[.digits]' cells (either digit run may be empty, not both)
+    of at most 19 bytes after the sign, decoded to float()'s value.
+
+    Each cell is read as the three words of the 24 bytes that end at it,
+    the bytes before its digits set to '0' and its dot read as a '0'; the
+    digits give the uint64 mantissa eight at a time, and the dot's 0 is
+    taken out by one division by a power of ten. The mantissa is divided by
+    the exact power of ten of its fraction digits in _WIDE_POW10's type and
+    rounded once more to float64. That is float()'s value (Clinger 1990)
+    unless the first rounding landed on a float64 midpoint: such a cell is
+    not taken, nor, without a wider type, one of a mantissa from 2**53."""
+    if len(ends) == 0 or ends.min() < 24:  # bytes before the chunk read as NULs
+        chunk, starts, ends = bytes(24) + chunk, starts + 24, ends + 24
+    n = len(ends)
+    negative = np.frombuffer(chunk, np.uint8)[starts] == ord("-")
+    size = np.minimum(ends - starts - negative, 24)
+    # words[k] is the k-th word of each cell's 24 bytes
+    tails = np.ndarray((len(chunk) - 23,), "V24", chunk, strides=(1,))
+    words = tails[ends - 24].view("<u8").reshape(n, 3).T.copy()
+    masks = _CELL_MASKS.take(size, axis=1)
+    words = words & masks[:3] | masks[3:]
+    dots = (words.astype("<u8", copy=False).view(np.uint8) == ord(".")).view("<u8")
+    digits, ok = word_digits(words + dots * np.uint64(2), _ZEROS, _NINES)
+    parts = _eight_digits(digits.reshape(3, -1).view("<u8"))
+    mantissa = parts[0] * _POW10[16] + parts[1] * _POW10[8] + parts[2]
+    count = dots.sum(axis=0) * _BYTE_SUM >> np.uint64(56)
+    point = np.minimum((dots * _PLACES_AFTER >> np.uint64(56)).sum(axis=0), 18)
+    # m = 10 q + r with the dot's 0 as q's last digit: (m + 9 r) / 10 = q + r
+    mantissa = np.where(count > 0,
+                        (mantissa + (mantissa % _POW10[point]) * np.uint64(9))
+                        // np.uint64(10), mantissa)
+    ok = ok.all(axis=0) & (count <= 1) & (size > count) & (size <= 19)
+    quotient = mantissa / _WIDE_POW10[point]
+    values = quotient.astype(np.float64)
+    if _EXTRA_BITS:
+        low = quotient.view(np.uint64)[::2] & np.uint64((1 << _EXTRA_BITS) - 1)
+        ok &= low != np.uint64(1 << _EXTRA_BITS - 1)
+    else:
+        ok &= mantissa < np.uint64(1 << 53)
+    np.negative(values, out=values, where=negative)
+    return values, ok
+
+
 @dataclass(frozen=True)
 class Floats:
-    """parse of a float column, which parses whole chunks at once: float()
-    of the cell, then valid, a range rule over float64 values that fails
-    with message.format(value)."""
+    """parse of a float column: float() of the cell, then valid, a range
+    rule over float64 values that fails with message.format(value).
+    '[-]digits[.digits]' cells are decoded a chunk at a time from their
+    bytes (scan, exactly as float() reads them), any other cell through
+    parse."""
 
     valid: Callable[[Any], Any] | None = None
     message: str = ""
@@ -203,14 +293,14 @@ class Floats:
             raise ValueError(self.message.format(value))
         return value
 
-    def vector(self, cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """The values of raw cells, and which are valid (others go to __call__)."""
-        try:
-            values = np.fromiter(map(float, cells), np.float64, len(cells))
-        except ValueError:
-            return np.zeros(len(cells)), np.zeros(len(cells), dtype=bool)
-        return values, (np.ones(len(cells), dtype=bool) if self.valid is None
-                        else self.valid(values))
+    def scan(self, chunk: bytes, starts: np.ndarray,
+             ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_float_values of the cells, with the cells valid rejects
+        rejected too."""
+        values, ok = _float_values(chunk, starts, ends)
+        if self.valid is not None:
+            ok &= self.valid(values)
+        return values, ok
 
     decode = staticmethod(np.ndarray.tolist)
 
@@ -238,11 +328,12 @@ class Stamps:
 @dataclass
 class Table:
     """The columns of a table read by read_table, over the rows without a
-    bad cell: data[name] is, for a column whose parse has a vector or scan
-    form, an array of the dtype that form returns (float64 for Floats and
-    Stamps), else an int32 array of codes into levels[name], the distinct
-    parsed values in order of first appearance. report or build reports the
-    bad rows, in file order with those that build rejects."""
+    bad cell: data[name] is, for a column whose parse has a scan form, an
+    array of the dtype that form returns (float64 for Floats and Stamps,
+    int32 for gtfs.Clocks), else an int32 array of codes into levels[name],
+    the distinct parsed values in order of first appearance. report or
+    build reports the bad rows, in file order with those that build
+    rejects."""
 
     label: Any
     error: type[IngestError]
@@ -378,18 +469,16 @@ _NO_CELLS = np.empty(0, np.int64)
 
 class _ColumnReader:
     """One column's cells, chunk by chunk: a column whose parse has a scan
-    form (chunk bytes, cell starts, cell ends -> values, ok) or a vector
-    form (cells -> values, ok) is parsed a chunk at a time into arrays of
-    the dtype that form returns, each cell it rejects going through parse;
-    any other is dictionary-encoded with each distinct cell parsed once."""
+    form (chunk bytes, cell starts, cell ends -> values, ok) is decoded a
+    chunk at a time into arrays of the dtype that form returns, each cell
+    it rejects going through parse; any other is dictionary-encoded with
+    each distinct cell parsed once."""
 
     def __init__(self, column: Column, at: int | None):
         self.column = column
         self.at = at
         self.scan = getattr(column.parse, "scan", None)
-        self.vector = getattr(column.parse, "vector", None)
         self.parts = [self.scan(b"", _NO_CELLS, _NO_CELLS)[0] if self.scan
-                      else self.vector([])[0] if self.vector
                       else np.empty(0, np.int32)]
         # code by raw cell, each unseen cell taking the next code
         self.codes: defaultdict[str, int] = defaultdict(count().__next__)
@@ -429,9 +518,8 @@ class _ColumnReader:
         cell of this column."""
         raw = cells[self.at::width] if self.at is not None else [""] * n
         bad = []
-        if self.scan is not None or self.vector is not None:
-            values, ok = (self.scan(*self.spans(raw, width, data, ends))
-                          if self.scan is not None else self.vector(raw))
+        if self.scan is not None:
+            values, ok = self.scan(*self.spans(raw, width, data, ends))
             for row in np.flatnonzero(~ok).tolist():
                 value, message = self.parse(raw[row])
                 if message is None:
@@ -459,7 +547,7 @@ class _ColumnReader:
         values = np.concatenate(self.parts)
         self.parts.clear()
         table.data[name] = values = values[keep] if table.bad else values
-        if self.scan is not None or self.vector is not None:
+        if self.scan is not None:
             return
         # codes follow first appearance, unless a dropped row held the first
         # appearance of some cell
@@ -492,11 +580,11 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
     offset in data of the comma or LF after each cell, else None, None.
 
     The file is read in blocks of about _CHUNK_BYTES cut after their last
-    line end (_blocks), the header coming from the first. A block's CRLFs
-    and then its bare CRs become LFs; if the block then holds no quote and
-    no NUL, and its delimiters make rows of the header's width, it is split
-    on bytes. From the first block that is not, the rest of the file goes
-    through csv.reader."""
+    line end (_blocks), the header coming from the first. A block with a
+    CR ends each line in one LF (_line_feeds); if the block then holds no
+    quote and no NUL, and its delimiters make rows of the header's width,
+    it is split on bytes. From the first block that is not, the rest of
+    the file goes through csv.reader."""
     blocks = _blocks(fh)
     taken = [b"", 0]  # the block of the last line taken, and the offset after it
 
@@ -525,8 +613,7 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
         if rest:
             blocks = chain([rest], blocks)
         for raw in blocks:
-            data = (raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-                    if b"\r" in raw else raw)
+            data = _line_feeds(raw) if b"\r" in raw else raw
             if b'"' in data or b"\0" in data:
                 break
             if not data.endswith(b"\n"):
@@ -561,6 +648,19 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
                 rows, row_ends = [], []
     except csv.Error as exc:
         raise error(str(exc), path=label, line=line + reader.line_num) from None
+
+
+def _line_feeds(raw: bytes) -> bytes:
+    """raw with each line end one LF: each bare CR (one that no LF follows,
+    a last byte included) made an LF, then every CR deleted."""
+    buf = np.frombuffer(raw, np.uint8)
+    cr = np.flatnonzero(buf == ord("\r"))
+    bare = cr[buf[np.minimum(cr + 1, len(buf) - 1)] != ord("\n")]
+    if len(bare):
+        buf = buf.copy()
+        buf[bare] = ord("\n")
+        raw = buf.tobytes()
+    return raw.translate(None, b"\r")
 
 
 def _blocks(fh) -> Iterator[bytes]:

@@ -91,10 +91,24 @@ class PositionIndex:
         self._names = fleet.names
         self._by_time = np.argsort(self.times_s, kind="stable")
         # (vehicle, time) as one exact, ascending integer key: a time is
-        # replaced by the number of fixes earlier than it
+        # replaced by the number of fixes earlier than it, the position of
+        # its first fix in time order
         self._stride = len(order) + 1
-        self._key = self._fixes_before(self.times_s, "left")
+        self._key = self._time_ranks()
         self._key += np.multiply(vehicle[order], self._stride, dtype=np.int64)
+
+    def _time_ranks(self) -> np.ndarray:
+        """Number of fixes earlier than each fix: each time looked up among
+        the distinct times, mapped to where that time first comes."""
+        sorted_s = self.times_s[self._by_time]
+        starts = np.empty(len(sorted_s), dtype=bool)  # a time's first fix
+        starts[:1] = True
+        np.not_equal(sorted_s[1:], sorted_s[:-1], out=starts[1:])
+        first = np.flatnonzero(starts)
+        distinct = sorted_s[first]
+        del sorted_s, starts
+        ranks = np.searchsorted(distinct, self.times_s)
+        return first.take(ranks, out=ranks, mode="clip")
 
     def _fixes_before(self, t_s, side: str) -> np.ndarray:
         """Number of fixes earlier than t_s (side "left") or at most t_s

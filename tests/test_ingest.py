@@ -717,11 +717,32 @@ _clock_cells = st.one_of(
     st.text(_CLOCK_CHARACTERS, max_size=20))
 
 
-#: each byte decoder's parse, its cells, and the form its scan takes
+_decimals = st.builds(
+    lambda sign, zeros, digits, dot: sign + zeros + (
+        digits if dot is None else digits[:dot] + "." + digits[dot:]),
+    st.sampled_from(["", "-"]), st.sampled_from(["", "0", "000"]),
+    st.text("0123456789", min_size=1, max_size=25), st.none() | st.integers(0, 25))
+#: cells that float() reads and the byte scan must leave to it: exponents,
+#: signs, spaces, separators, words, two dots, no digit, a mantissa on a
+#: float64 midpoint (2**53 + 1, 2**54 + 2) and ones of 20 digits
+_FLOAT_FALLBACKS = ["1e5", "-2.5E-3", "+1", " 1", "1 ", "1_0", "nan", "-inf",
+                    "1.2.3", "..1", "-", ".", "", "--1", "9007199254740993",
+                    "18014398509481986", "12345678901234567890",
+                    "-0.1234567890123456789", "٥", "１.5"]
+_float_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), _decimals,
+    _one_replaced(_decimals, "0123456789.-+e ", 5), st.sampled_from(_FLOAT_FALLBACKS))
+
+#: each byte decoder's parse, its cells, the form its scan takes, and
+#: whether it takes every cell of that form (the float scan leaves a few
+#: to float(): those whose extended quotient lies on a float64 midpoint)
 _DECODERS = {
     "stamp": (ingest.Stamps(_DAY), _stamp_cells,
-              r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}"),
-    "clock": (Clocks(), _clock_cells, r"([0-9]?[0-9]:[0-5][0-9]:[0-5][0-9])?"),
+              r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}", True),
+    "clock": (Clocks(), _clock_cells, r"([0-9]?[0-9]:[0-5][0-9]:[0-5][0-9])?",
+              True),
+    "float": (ingest.Floats(), _float_cells,
+              r"-?(?=[0-9.]{1,19}\Z)([0-9]+\.?[0-9]*|\.[0-9]+)", False),
 }
 
 
@@ -733,16 +754,22 @@ def _scalar(parse, text):
         return None, str(exc)
 
 
-@pytest.mark.parametrize("kind", ["stamp", "clock"])
+def _same_bits(values: np.ndarray, expected: list) -> bool:
+    """Whether values hold expected bit for bit (-0.0 is not 0.0)."""
+    return values.tobytes() == np.array(expected, values.dtype).tobytes()
+
+
+@pytest.mark.parametrize("kind", list(_DECODERS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), eol=st.sampled_from(["\n", "\r\n"]), quoted=st.booleans(),
        chunk=st.sampled_from([1, 100, 1 << 20]))
 def test_byte_decoders_agree_with_scalar_parses(kind, data, eol, quoted, chunk):
     """Every cell of a column read through read_table, in chunks of any size,
     plain or quoted and after an LF or a CRLF, parses as its scalar parse
-    does; and the scan itself accepts exactly the cells of its fixed form,
-    the first of them at byte 0, with the scalar parse's value."""
-    parse, cells_of, form = _DECODERS[kind]
+    does, bit for bit; and the scan itself accepts only cells of its fixed
+    form (every one, but for the float scan), the first of them at byte 0,
+    with the scalar parse's value."""
+    parse, cells_of, form, every = _DECODERS[kind]
     cells = data.draw(st.lists(cells_of, min_size=1, max_size=30))
     text = io.StringIO(newline="")
     writer = csv.writer(text, lineterminator=eol,
@@ -756,14 +783,44 @@ def test_byte_decoders_agree_with_scalar_parses(kind, data, eol, quoted, chunk):
     assert {row: message for row, (message, _) in table.bad.items()} == {
         row: message for row, (_, message) in enumerate(expected)
         if message is not None}
-    assert np.array_equal(table.data["cell"], [value for value, message in expected
-                                               if message is None], equal_nan=True)
+    assert _same_bits(table.data["cell"], [value for value, message in expected
+                                           if message is None])
 
     values, ok = parse.scan(*scan_input(cells))
-    assert ok.tolist() == [re.fullmatch(form, c) is not None
-                           and expected[k][1] is None for k, c in enumerate(cells)]
-    assert np.array_equal(values[ok], [expected[k][0] for k in np.flatnonzero(ok)],
-                          equal_nan=True)
+    of_form = np.array([re.fullmatch(form, c) is not None and expected[k][1] is None
+                        for k, c in enumerate(cells)], dtype=bool)
+    assert ok.tolist() == of_form.tolist() if every else not (ok & ~of_form).any()
+    assert _same_bits(values[ok], [expected[k][0] for k in np.flatnonzero(ok)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_float_cells, min_size=1, max_size=30))
+def test_float_scan_without_a_wider_type_takes_clinger_cells_only(cells):
+    """Where long double is no wider than float64, the float scan divides
+    in float64 and takes only mantissas below 2**53, each with float()'s
+    value."""
+    with mock.patch.multiple(ingest, _EXTRA_BITS=0,
+                             _WIDE_POW10=ingest._POW10.astype(np.float64)):
+        values, ok = ingest.Floats().scan(*scan_input(cells))
+    for cell, value, taken in zip(cells, values.tolist(), ok.tolist()):
+        if taken:
+            assert _same_bits(np.array([value]), [float(cell)])
+            assert int(cell.replace("-", "").replace(".", "")) < 2 ** 53
+
+
+@pytest.mark.parametrize("cell, taken", [
+    ("9007199254740992", True), ("9007199254740993", False),
+    ("9007199254740993.5", True), ("-0", True), ("-.5", True), ("5.", True),
+    ("1.2.3", False), (".", False), ("-", False), ("1234567890123456789", True),
+    ("12345678901234567890", False), (".000000000000000001", True),
+    ("0.000000000000000001", False)])
+def test_float_scan_takes_fixed_form_cells_off_midpoints(cell, taken):
+    """An exact float64 midpoint goes to float(), which rounds it to even;
+    a cell just past one is decoded in the scan."""
+    values, ok = ingest.Floats().scan(*scan_input([cell]))
+    assert ok.tolist() == [taken]
+    if taken:
+        assert _same_bits(values, [float(cell)])
 
 
 def test_one_padded_stamp_is_parsed_alone(tmp_path):
@@ -846,3 +903,40 @@ def test_line_ends_read_as_csv_reader_reads_them(rows, head_eol, final_eol, chun
     else:
         assert list(zip(table.lines.tolist(), table.values("a"),
                         table.values("b"))) == expected
+
+
+def test_line_feeds_end_each_line_in_one_lf():
+    """A CRLF's CR is deleted; a CR that no LF follows, a last byte
+    included, becomes an LF."""
+    assert ingest._line_feeds(b"1\r\n2\r3\r\r\n4\n5\r") == b"1\n2\n3\n\n4\n5\n"
+
+
+#: the line ends of files whose lines end in CRLFs only, bare CRs only,
+#: CR CRLF pairs (a bare CR, then a CRLF), or any mix of these and LFs
+_CR_FILES = {
+    "CRLF": ["\r\n"], "bare CR": ["\r"], "CR CRLF": ["\r\r\n"],
+    "mixed": ["\r", "\n", "\r\n", "\r\r\n", "\r"],
+}
+
+
+@pytest.mark.parametrize("eols", list(_CR_FILES))
+def test_cr_line_ends_split_on_bytes_as_csv_reader_reads_them(eols):
+    """A file of plain rows under each mix of line ends, read in blocks of
+    every size from 1 to 64 bytes (so that blocks end at every byte, a bare
+    CR included), gives csv.reader's cells and line numbers, its CRs
+    deleted in the byte pass."""
+    ends = _CR_FILES[eols]
+    text = "a,b" + ends[0] + "".join(
+        f"{k},{'x' * (k % 5)}{ends[(k + 1) % len(ends)]}" for k in range(12))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    expected = [(reader.line_num, *row) for row in reader if row]
+    for chunk in range(1, 65):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
+                mock.patch.object(ingest, "_line_feeds",
+                                  wraps=ingest._line_feeds) as crs:
+            table = ingest.read_table(io.BytesIO(text.encode()), "t.csv", [
+                ingest.Column("a"), ingest.Column("b", required=False)])
+        assert crs.called
+        assert list(zip(table.lines.tolist(), table.values("a"),
+                        table.values("b"))) == expected, chunk

@@ -143,6 +143,40 @@ def test_index_window_queries_agree_with_brute_force(fixes, start, span):
          for a, b in zip(lo[:, 0].tolist(), hi[:, 0].tolist())]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.sampled_from("abcde")),
+                max_size=40),
+       st.lists(st.integers(0, 39), max_size=6),
+       st.lists(st.tuples(st.integers(-1, 13), st.integers(0, 6)),
+                min_size=1, max_size=4))
+def test_index_time_ranks_and_queries_agree_with_brute_force(fixes, repeats,
+                                                             spans):
+    """Over fleets with tied times, duplicate rows, one-fix vehicles or no
+    rows: each fix's key is its vehicle's slot and the number of fixes
+    earlier than it, as a search of every time through the by-time order
+    counts them; vehicles_in_range and windows select what a filter of the
+    rows selects."""
+    fixes = fixes + [fixes[i] for i in repeats if i < len(fixes)]
+    index = index_of([vp(10 * t, BASE, ref=ref) for t, ref in fixes])
+    times = index.times_s.tolist()
+    ranks = np.searchsorted(index.times_s, index.times_s, sorter=index._by_time)
+    assert (index._key % index._stride).tolist() == ranks.tolist() == [
+        sum(u < t for u in times) for t in times]
+    assert (index._key // index._stride).tolist() == [
+        slot for slot, ref in enumerate(index.vehicle_refs)
+        for _ in range(sum(r == ref for _, r in fixes))]
+    t0_s = np.array([as_seconds(at(10 * start)) for start, _ in spans])
+    t1_s = np.array([as_seconds(at(10 * (start + span))) for start, span in spans])
+    lo, hi = index.windows(np.arange(len(index)), t0_s, t1_s)
+    for j, (t0, t1) in enumerate(zip(t0_s.tolist(), t1_s.tolist())):
+        inside = [(ref, as_seconds(at(10 * t))) for t, ref in fixes
+                  if t0 <= as_seconds(at(10 * t)) <= t1]
+        assert index.vehicles_in_range(from_seconds(t0), from_seconds(t1)) == \
+            sorted({ref for ref, _ in inside})
+        assert [index.times_s[a:b].tolist() for a, b in zip(lo[:, j], hi[:, j])] == \
+            [sorted(t for r, t in inside if r == ref) for ref in index.vehicle_refs]
+
+
 # --- score_vehicle ---
 
 def test_window_collects_surrounding_fixes():
