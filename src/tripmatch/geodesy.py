@@ -60,7 +60,8 @@ def point_to_segment_m(p: LatLng, a: LatLng, b: LatLng) -> float:
     The nearest interior point is found in a local planar frame about p;
     endpoint distances use the spherical formula. Near an endpoint the two
     frames disagree by up to ~1e-6 m, so the planar result is capped by the
-    endpoint distances.
+    endpoint distances, and where p projects beyond an end the nearer end
+    by the spherical formula is taken, whichever end the plane names.
     """
     ax, ay = _local_xy(p, a)
     bx, by = _local_xy(p, b)
@@ -70,12 +71,10 @@ def point_to_segment_m(p: LatLng, a: LatLng, b: LatLng) -> float:
         return distance_m(p, a)
     # p is the local origin, so the projection parameter is -a.(b-a)/|b-a|^2
     t = -(ax * dx + ay * dy) / seg_len2
-    if t <= 0.0:
-        return distance_m(p, a)
-    if t >= 1.0:
-        return distance_m(p, b)
-    cx, cy = ax + t * dx, ay + t * dy
-    return min(math.hypot(cx, cy), distance_m(p, a), distance_m(p, b))
+    ends = min(distance_m(p, a), distance_m(p, b))
+    if not 0.0 < t < 1.0:
+        return ends
+    return min(math.hypot(ax + t * dx, ay + t * dy), ends)
 
 
 def points_to_polylines_m(p_lat: np.ndarray, p_lng: np.ndarray,
@@ -107,10 +106,20 @@ def points_to_polylines_m(p_lat: np.ndarray, p_lng: np.ndarray,
     seg_len2 = dx * dx + dy * dy
     with np.errstate(divide="ignore", invalid="ignore"):
         t = -(ax * dx + ay * dy) / seg_len2
-    interior = np.minimum(np.hypot(ax + t * dx, ay + t * dy), np.minimum(da, db))
-    d_pair[a] = np.where((seg_len2 == 0.0) | (t <= 0.0), da,
-                         np.where(t >= 1.0, db, interior))
+    ends = np.minimum(da, db)
+    # t is not finite for a zero-length segment, whose ends coincide
+    d_pair[a] = np.where((t > 0.0) & (t < 1.0),
+                         np.minimum(np.hypot(ax + t * dx, ay + t * dy), ends), ends)
     return np.minimum.reduceat(d_pair, starts)
+
+
+def ranges(first: np.ndarray,
+           lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The concatenated index ranges first[k]:first[k] + lengths[k], such
+    as the rows of the consecutive groups that points_to_polylines_m takes,
+    and the offset of each range's start among them."""
+    starts = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum()) + np.repeat(first - starts, lengths), starts
 
 
 def point_to_linestring_m(p: LatLng, line: Sequence[LatLng]) -> float:

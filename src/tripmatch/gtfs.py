@@ -7,12 +7,13 @@ services sort and compare correctly. stop_times.txt, by far the largest
 file, is read in chunks into int32 columns (StopTimeColumns) sorted by one
 stable argsort of a single int64 (trip, sequence) key; no object is built
 per row. Its arrival and departure clocks are decoded a chunk at a time
-from the chunk's bytes, 'HH:MM:SS' and 'H:MM:SS' cells in one array pass
-and any other cell on its own through the strict parse_gtfs_time, so a bad
-clock is still reported by file, line and column. trips.txt is kept as
-columns too (TripColumns): int32 codes of each trip's route, service and
-shape, which validation and the planner read as masks over the codes; a
-GtfsTrip is built only when one trip is looked up.
+from the chunk's bytes by ingest.clock_seconds, which also reads the clock
+of a timestamp: 'HH:MM:SS' and 'H:MM:SS' cells in one array pass, a blank
+one as UNTIMED, any other on its own through the strict parse_gtfs_time,
+so a bad clock is still reported by file, line and column. trips.txt is
+kept as columns too (TripColumns): int32 codes of each trip's route,
+service and shape, which validation and the planner read as masks over the
+codes; a GtfsTrip is built only when one trip is looked up.
 
 The load joins the tables once: a stop-time trip code is the trip's row
 in trips.txt's columns, and a stop code is the stop's rank in stop_id
@@ -31,8 +32,8 @@ from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ingest import (Column, Floats, IngestError, Table, read_table, word,
-                     word_digits, words_at)
+from .ingest import (Column, Floats, IngestError, Table, clock_seconds,
+                     read_table)
 from .types import GeoPoint, LineType
 
 
@@ -391,41 +392,24 @@ def parse_gtfs_time(text: str) -> int:
     return seconds
 
 
-#: each byte of a clock's word lies between that of _CLOCK_ZERO and that of
-#: _CLOCK_ZERO + _CLOCK_SPAN; less _CLOCK_ZERO, the bytes are its digits and
-#: a 0 for each ':'
-_CLOCK_ZERO = word(b"00:00:00")
-_CLOCK_SPAN = word(bytes([9, 9, 0, 5, 9, 0, 5, 9]))
-_CLOCK_WEIGHTS = np.array([36000, 3600, 0, 600, 60, 0, 10, 1], np.float64)
-
-
-def _clock_seconds(chunk: bytes, starts: np.ndarray,
-                   ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int32 seconds of the 'HH:MM:SS' and 'H:MM:SS' cells
-    chunk[starts:ends], UNTIMED for a blank cell, and which cells are of
-    these forms. Each cell is read as the word of the 8 bytes from its start;
-    for an 'H:MM:SS' cell the byte after it is shifted out and a '0' in, so
-    that it reads as '0H:MM:SS'."""
-    width = ends - starts
-    words = words_at(chunk, starts)
-    short = width == 7
-    words[short] = (words[short] << np.uint64(8)) | np.uint64(ord("0"))
-    digits, ok = word_digits(words, _CLOCK_ZERO, _CLOCK_SPAN)
-    blank = width == 0
-    seconds = (digits @ _CLOCK_WEIGHTS).astype(np.int32)
-    seconds[blank] = UNTIMED
-    return seconds, ok & (short | (width == 8)) | blank
-
-
 class Clocks:
     """parse of a stop_times.txt clock column into int32 seconds, UNTIMED
     for a blank cell: 'HH:MM:SS' and 'H:MM:SS' cells are decoded a chunk at
-    a time from their bytes (scan), any other cell through parse_gtfs_time."""
+    a time from their bytes (scan, by ingest.clock_seconds), any other cell
+    through parse_gtfs_time."""
 
     def __call__(self, text: str) -> int:
         return UNTIMED if text == "" else parse_gtfs_time(text)
 
-    scan = staticmethod(_clock_seconds)
+    @staticmethod
+    def scan(chunk: bytes, starts: np.ndarray,
+             ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """clock_seconds of the cells, a blank cell taken as UNTIMED."""
+        seconds, ok = clock_seconds(chunk, starts, ends)
+        blank = starts == ends
+        seconds[blank] = UNTIMED
+        return seconds, ok | blank
+
     decode = staticmethod(np.ndarray.tolist)
 
 

@@ -152,41 +152,45 @@ def word_digits(words: np.ndarray, zero, span) -> tuple[np.ndarray, np.ndarray]:
     return digits.astype("<u8", copy=False)[..., None].view(np.uint8), ok
 
 
-#: the words of a 'YYYY-MM-DD HH:MM:SS' cell, by offset from its start:
-#: 'YYYY-MM-', 'DD HH:MM' and 'HH:MM:SS', which cover its 19 bytes
-_STAMP_OFFSETS = np.array([0, 8, 11])
-_STAMP_ZERO = np.array([word(b"0000-00-"), word(b"00 00:00"), word(b"00:00:00")])
-_STAMP_SPAN = np.array([word(bytes(s)) for s in (
-    [9, 9, 9, 9, 0, 1, 9, 0], [3, 9, 0, 2, 9, 0, 5, 9], [2, 9, 0, 5, 9, 0, 5, 9])])
-#: the (first digit, digits) of year, month, day, hour, minute and second
-#: among the 24 digits of the three words, and their place values
-_STAMP_FIELDS = [(0, 4), (5, 2), (8, 2), (16, 2), (19, 2), (22, 2)]
-_STAMP_WEIGHTS = np.array([[10.0 ** (at + k - 1 - i) if at <= i < at + k else 0.0
-                            for at, k in _STAMP_FIELDS] for i in range(24)])
-_DAYS_IN_MONTH = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-_DAYS_BEFORE_MONTH = np.cumsum(_DAYS_IN_MONTH) - _DAYS_IN_MONTH
+#: each byte of a clock's word lies between that of _CLOCK_ZERO and that of
+#: _CLOCK_ZERO + _CLOCK_SPAN; less _CLOCK_ZERO, the bytes are its digits and
+#: a 0 for each ':'
+_CLOCK_ZERO = word(b"00:00:00")
+_CLOCK_SPAN = word(bytes([9, 9, 0, 5, 9, 0, 5, 9]))
+_CLOCK_WEIGHTS = np.array([36000, 3600, 0, 600, 60, 0, 10, 1], np.float64)
 
 
-def _stamp_seconds(chunk: bytes, starts: np.ndarray,
-                   ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Seconds after TIME_REF of the 'YYYY-MM-DD HH:MM:SS' cells
-    chunk[starts:ends], by the proleptic-Gregorian ordinal that datetime
-    uses, and which cells are valid times of that form."""
-    digits, ok = word_digits(words_at(chunk, starts[:, None] + _STAMP_OFFSETS),
-                             _STAMP_ZERO, _STAMP_SPAN)
-    year, month, day, hour, minute, second = (
-        digits.reshape(len(starts), 24) @ _STAMP_WEIGHTS).astype(np.int64).T
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    m = np.clip(month, 1, 12) - 1
-    # the spans already keep minute and second below 60
-    ok = (ok.all(axis=1) & (ends - starts == 19)
-          & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-          & (day <= _DAYS_IN_MONTH[m] + (leap & (m == 1))) & (hour <= 23))
-    y = year - 1
-    ordinal = (y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[m]
-               + (leap & (m > 1)) + day)
-    return ((ordinal - TIME_REF.toordinal()) * 86400
-            + hour * 3600 + minute * 60 + second).astype(np.float64), ok
+def clock_seconds(chunk: bytes, starts: np.ndarray,
+                  ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int32 seconds of the 'HH:MM:SS' and 'H:MM:SS' cells
+    chunk[starts:ends] (hours up to 99), and which cells are of these
+    forms. Each cell is read as the word of the 8 bytes from its start; for
+    an 'H:MM:SS' cell the byte after it is shifted out and a '0' in, so
+    that it reads as '0H:MM:SS'."""
+    width = ends - starts
+    words = words_at(chunk, starts)
+    short = width == 7
+    words[short] = (words[short] << np.uint64(8)) | np.uint64(ord("0"))
+    digits, ok = word_digits(words, _CLOCK_ZERO, _CLOCK_SPAN)
+    return (digits @ _CLOCK_WEIGHTS).astype(np.int32), ok & (short | (width == 8))
+
+
+#: the words 'YYYY-MM-' and 'Y-MM-DD ' of a timestamp's date, by offset
+#: from its start, and the place values of their 16 digits in its yyyymmdd
+_DATE_OFFSETS = np.array([0, 3])
+_DATE_ZERO = np.array([word(b"0000-00-"), word(b"0-00-00 ")])
+_DATE_SPAN = np.array([word(bytes(s)) for s in (
+    [9, 9, 9, 9, 0, 1, 9, 0], [9, 0, 1, 9, 0, 3, 9, 0])])
+_DATE_WEIGHTS = np.array([1e7, 1e6, 1e5, 1e4, 0, 1e3, 100, 0, 0, 0, 0, 0, 0, 10, 1, 0])
+
+
+def _day_seconds(yyyymmdd: int) -> float:
+    """Seconds after TIME_REF at the start of a date, NaN for no such date."""
+    try:
+        day = date(yyyymmdd // 10000, yyyymmdd // 100 % 100, yyyymmdd % 100)
+    except ValueError:
+        return math.nan
+    return float((day.toordinal() - TIME_REF.toordinal()) * 86400)
 
 
 def _word_table(rows) -> np.ndarray:
@@ -309,7 +313,8 @@ class Floats:
 class Stamps:
     """parse of a timestamp column into float seconds after TIME_REF, NaN
     for a blank cell: 'YYYY-MM-DD HH:MM:SS' cells are decoded a chunk at a
-    time from their bytes (scan), any other cell through parse_timestamp."""
+    time from their bytes (scan) as a date and a clock, any other cell
+    through parse_timestamp."""
 
     default_date: date | None = None
 
@@ -318,7 +323,24 @@ class Stamps:
             return math.nan
         return as_seconds(parse_timestamp(text, default_date=self.default_date))
 
-    scan = staticmethod(_stamp_seconds)
+    @staticmethod
+    def scan(chunk: bytes, starts: np.ndarray,
+             ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Seconds after TIME_REF of the 'YYYY-MM-DD HH:MM:SS' cells
+        chunk[starts:ends], and which are valid times of that form: the
+        clock_seconds of bytes 11-18, below 24:00:00, plus the _day_seconds
+        of the yyyymmdd of bytes 0-10, taken once per distinct date of the
+        chunk."""
+        clock, ok = clock_seconds(chunk, starts + 11, starts + 19)
+        ok &= (ends - starts == 19) & (clock < 86400)
+        digits, valid = word_digits(words_at(chunk, starts[ok, None] + _DATE_OFFSETS),
+                                    _DATE_ZERO, _DATE_SPAN)
+        keys = np.where(valid[:, 0] & valid[:, 1],
+                        digits.reshape(-1, 16) @ _DATE_WEIGHTS, 0)
+        dates, which = np.unique(keys, return_inverse=True)  # 0: no date
+        days = np.full(len(starts), math.nan)
+        days[ok] = np.array([_day_seconds(int(d)) for d in dates.tolist()])[which]
+        return days + clock, ok & ~np.isnan(days)
 
     @staticmethod
     def decode(seconds: np.ndarray) -> list[Optional[datetime]]:
@@ -329,11 +351,12 @@ class Stamps:
 class Table:
     """The columns of a table read by read_table, over the rows without a
     bad cell: data[name] is, for a column whose parse has a scan form, an
-    array of the dtype that form returns (float64 for Floats and Stamps,
-    int32 for gtfs.Clocks), else an int32 array of codes into levels[name],
-    the distinct parsed values in order of first appearance. report or
-    build reports the bad rows, in file order with those that build
-    rejects."""
+    array of the dtype that form returns (float64 for Floats, and for
+    Stamps, a date's seconds plus a clock's; int32 for gtfs.Clocks, read by
+    the same clock_seconds), else an int32 array of codes into
+    levels[name], the distinct parsed values in order of first appearance.
+    report or build reports the bad rows, in file order with those that
+    build rejects."""
 
     label: Any
     error: type[IngestError]
@@ -432,8 +455,8 @@ def read_table(fh, label, columns: Sequence[Column], *,
     plain block is split on bytes, and a column whose parse has a scan form
     is decoded from the block's bytes in place, each cell that form rejects
     going through parse on its own; from the first block with a quote, a
-    NUL or a row of another width, the rest of the file goes through
-    csv.reader.
+    NUL or a non-empty row of another width, the rest of the file goes
+    through csv.reader.
     """
     chunks = _chunks(fh, label, error)
     names = [h.strip().lower() for h in next(chunks)]
@@ -582,9 +605,10 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
     The file is read in blocks of about _CHUNK_BYTES cut after their last
     line end (_blocks), the header coming from the first. A block with a
     CR ends each line in one LF (_line_feeds); if the block then holds no
-    quote and no NUL, and its delimiters make rows of the header's width,
-    it is split on bytes. From the first block that is not, the rest of
-    the file goes through csv.reader."""
+    quote and no NUL, and its delimiters make rows of the header's width
+    (_row_ends) as it is or less its empty lines (which csv.reader skips
+    but counts), it is split on bytes. From the first block that is not,
+    the rest of the file goes through csv.reader."""
     blocks = _blocks(fh)
     taken = [b"", 0]  # the block of the last line taken, and the offset after it
 
@@ -618,20 +642,24 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
                 break
             if not data.endswith(b"\n"):
                 data += b"\n"
-            # a line of width cells has width - 1 commas and then an LF
-            buf = np.frombuffer(data, np.uint8)
-            ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-            n = len(ends) // width
-            if len(ends) % width or not ((buf[ends] == ord("\n")).reshape(n, width)
-                                         == (np.arange(width) == width - 1)).all():
-                break
+            ends, empty = _row_ends(data, width), None
+            if ends is None:  # drop empty lines, which csv.reader skips but counts
+                buf = np.frombuffer(data, np.uint8)
+                feeds = np.flatnonzero(buf == ord("\n"))
+                empty = np.diff(feeds, prepend=-1) == 1
+                data = np.delete(buf, feeds[empty]).tobytes()
+                if (ends := _row_ends(data, width)) is None:
+                    break
             try:
                 cells = data.translate(_LF_TO_COMMA).decode("utf-8").split(",")
             except UnicodeDecodeError:
                 break  # csv.reader's path locates the byte
             cells.pop()  # after the last LF
-            yield cells, np.arange(line + 1, line + n + 1, dtype=np.int32), data, ends
-            line += n
+            n = len(ends) // width
+            if n:  # the lines of the rows, the empty ones counted
+                at = np.arange(n) if empty is None else np.flatnonzero(~empty)
+                yield cells, (at + line + 1).astype(np.int32), data, ends
+            line += n if empty is None else len(empty)
         else:
             return
         reader = csv.reader(_lines(chain([raw], blocks), label, error, line))
@@ -648,6 +676,20 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
                 rows, row_ends = [], []
     except csv.Error as exc:
         raise error(str(exc), path=label, line=line + reader.line_num) from None
+
+
+def _row_ends(data: bytes, width: int) -> Optional[np.ndarray]:
+    """The offset of each comma and LF of LF-terminated data, if they make
+    lines of width cells: width - 1 commas and then an LF each, and so
+    none empty (one LF after another) unless width is 1."""
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    n = len(ends) // width
+    if (len(ends) % width or not ((buf[ends] == ord("\n")).reshape(n, width)
+                                  == (np.arange(width) == width - 1)).all()
+            or width == 1 and (np.diff(ends, prepend=-1) == 1).any()):
+        return None
+    return ends
 
 
 def _line_feeds(raw: bytes) -> bytes:

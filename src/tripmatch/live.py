@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geodesy import EARTH_RADIUS_M, distances_m, points_to_polylines_m
+from .geodesy import EARTH_RADIUS_M, distances_m, points_to_polylines_m, ranges
 from .types import (
     ActivitySegment,
     FleetColumns,
@@ -148,9 +148,7 @@ class PositionIndex:
         full = np.flatnonzero(counts)
         if len(full):
             counts = counts[full]
-            starts = np.cumsum(counts) - counts
-            rows = np.arange(counts.sum()) + np.repeat(lo.ravel()[full] - starts,
-                                                       counts)
+            rows, starts = ranges(lo.ravel()[full], counts)
             lats, lngs = self.lats[rows], self.lngs[rows]
             boxes[full] = np.column_stack([np.minimum.reduceat(lats, starts),
                                            np.minimum.reduceat(lngs, starts),
@@ -221,9 +219,8 @@ def score_vehicle(samples: TraceColumns, vehicle_ref: str,
     windowed = np.flatnonzero(counts)
     if len(windowed) / len(samples) < cfg.quorum_fraction:
         return None  # a sample with an empty window cannot match
-    first = np.cumsum(counts) - counts
+    row, first = ranges(lo, counts)
     window = np.repeat(np.arange(len(counts)), counts)
-    row = np.arange(len(window)) + np.repeat(lo - first, counts)
     p_lat, p_lng = samples.lats[window], samples.lngs[window]
     lats, lngs = index.lats[row], index.lngs[row]
     d_point = distances_m(p_lat, p_lng, lats, lngs)

@@ -16,7 +16,7 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .geodesy import distances_m
+from .geodesy import distances_m, ranges
 from .gtfs import UNTIMED, GtfsBundle, GtfsStop, gtfs_time_to_datetime
 from .types import GeoPoint, LineType
 
@@ -142,7 +142,7 @@ class TimetablePlanner:
         first = st.trip_rows[trip]
         lengths = st.trip_rows[trip + 1] - first
         inst = np.repeat(np.arange(len(trip)), lengths)
-        rows = _ranges(first, lengths)
+        rows = ranges(first, lengths)[0]
         departure = st.departure_s[rows]
         timed = departure != UNTIMED  # untimed stops are not boardable
         inst, rows = inst[timed], rows[timed]
@@ -215,7 +215,7 @@ class TimetablePlanner:
             codes, np.ceil(earliest_s + walk_m / self.walk_speed_mps)))
         hi = np.searchsorted(self._dep_key, _keys(codes, math.floor(horizon_s) + 1))
         counts = np.maximum(hi - lo, 0)
-        departure = _ranges(lo, counts)
+        departure = ranges(lo, counts)[0]
         if not len(departure):
             return PlanResult([], reason="no reachable trip serves the query")
         board = np.repeat(np.arange(len(codes)), counts)
@@ -223,7 +223,7 @@ class TimetablePlanner:
         # every later call of the trip, kept where a timed arrival lies
         # within the walk budget of the destination
         tail = self._inst_end[inst] - row - 1
-        alight = _ranges(row + 1, tail)
+        alight = ranges(row + 1, tail)[0]
         pair = np.repeat(np.arange(len(departure)), tail)
         keep = ((walk_m[board[pair]] + dest_dist[st.stop[alight]] <= query.max_walk_m)
                 & (st.arrival_s[alight] != UNTIMED))
@@ -313,12 +313,6 @@ def _keys(stops: np.ndarray, departure_s) -> np.ndarray:
     stop."""
     return ((stops.astype(np.int64) << 32)
             + np.clip(departure_s + 2.0**31, -1, 2**32).astype(np.int64))
-
-
-def _ranges(first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The concatenated index ranges first[k]:first[k] + lengths[k]."""
-    return np.arange(lengths.sum()) + np.repeat(first - np.cumsum(lengths) + lengths,
-                                                lengths)
 
 
 def _dedupe(points: Sequence[GeoPoint]) -> list[GeoPoint]:

@@ -28,7 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geodesy import distances_m, points_to_polylines_m, resample_min_spacing
+from .geodesy import (distances_m, points_to_polylines_m, ranges,
+                      resample_min_spacing)
 from .ingest import format_timestamp
 from .planner import Itinerary, JourneyPlanner, PlanQuery
 from .types import ActivitySegment, GeoPoint, LineType, seconds_between
@@ -187,8 +188,7 @@ def route_geometry_check(segment: ActivitySegment,
         hi = max(lo + 1, int(np.searchsorted(
             ends, ends[lo] - sizes[lo] + _MAX_PAIRS, "right")))
         size = sizes[lo:hi]
-        starts = np.cumsum(size) - size
-        vertex = np.arange(size.sum()) + np.repeat(first_vertex[lo:hi] - starts, size)
+        vertex, starts = ranges(first_vertex[lo:hi], size)
         point = np.repeat(points[lo:hi], size)
         p_lat, p_lng = lat[point], lng[point]
         v_lat, v_lng = vertices[vertex, 0], vertices[vertex, 1]

@@ -11,6 +11,7 @@ from tripmatch.geodesy import (
     offset_point,
     point_to_linestring_m,
     points_to_polylines_m,
+    ranges,
     resample_min_spacing,
     trace_length_m,
 )
@@ -121,6 +122,9 @@ def test_beyond_endpoint_uses_endpoint_distance():
 # interior foot of the perpendicular 1 m from a vertex: the planar distance
 # exceeds the spherical vertex distance by ~1e-6 m unless capped
 @example(lat=60, lng=25, offs=[(0, 0), (0, 2)], p_off=(1851, 1))
+# p beyond a 0.25 m segment's end, the plane and the sphere disagreeing by
+# ~1e-6 m on which end is nearer
+@example(lat=60, lng=25, offs=[(0, 0), (0, 0.25)], p_off=(974, 0))
 def test_linestring_distance_bounded_by_vertex_distances(lat, lng, offs, p_off):
     origin = GeoPoint(lat, lng)
     line = [offset_point(origin, e, n) for e, n in offs]
@@ -227,3 +231,15 @@ def test_resample_subsequence_and_min_spacing(offs, spacing):
 def test_trace_length_sums_segments():
     pts = _chain(GeoPoint(60.17, 24.94), 100.0, 4)
     assert trace_length_m(pts) == pytest.approx(300.0, rel=1e-3)
+
+
+@given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 5)), max_size=8))
+def test_ranges_concatenate_each_range_and_start_it_at_its_offset(spans):
+    """ranges(first, lengths) is first[k]:first[k] + lengths[k] for every
+    k in turn, empty ranges included, and starts[k] is where range k
+    begins in it."""
+    first = np.array([f for f, _ in spans], dtype=np.int64)
+    lengths = np.array([n for _, n in spans], dtype=np.int64)
+    rows, starts = ranges(first, lengths)
+    assert rows.tolist() == [i for f, n in spans for i in range(f, f + n)]
+    assert starts.tolist() == [sum(n for _, n in spans[:k]) for k in range(len(spans))]

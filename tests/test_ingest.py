@@ -19,7 +19,7 @@ from tripmatch.ingest import (
     format_timestamp,
     parse_timestamp,
 )
-from tripmatch.gtfs import Clocks
+from tripmatch.gtfs import UNTIMED, Clocks
 from tripmatch.segmentation import build_segments
 from tripmatch.types import (
     ACTIVITIES,
@@ -29,6 +29,7 @@ from tripmatch.types import (
     DevicePoint,
     FilteredPoint,
     LineType,
+    as_seconds,
 )
 
 DEVICE_HEADER = ("time,device_id,lat,lng,accuracy,activity_1,activity_1_conf,"
@@ -823,6 +824,45 @@ def test_float_scan_takes_fixed_form_cells_off_midpoints(cell, taken):
         assert _same_bits(values, [float(cell)])
 
 
+def test_stamps_of_interleaved_dates_scan_as_parse_timestamp_reads_them():
+    """One chunk of stamps on interleaved dates, two of them a century
+    apart, leap days among them and an invalid 2015-02-29 between valid
+    cells: the scan checks each distinct date once and takes every valid
+    cell, the first at the chunk's first byte, at parse_timestamp's value;
+    read_table reports the invalid cell at its line. A blank cell is never
+    a stamp, and a blank clock reads UNTIMED."""
+    days = ["2016-08-26", "1916-08-26", "2016-02-29", "2016-08-26", "2000-02-29"]
+    cells = [f"{day} {k:02d}:{k + 7:02d}:{k + 30:02d}"
+             for k, day in enumerate(days * 4)]
+    cells.insert(6, "2015-02-29 12:00:00")
+    valid = [c for c in cells if not c.startswith("2015")]
+    expected = [as_seconds(parse_timestamp(c)) for c in valid]
+    with mock.patch.object(ingest, "_day_seconds",
+                           wraps=ingest._day_seconds) as day_seconds:
+        values, ok = ingest.Stamps.scan(*scan_input(cells))
+    assert sorted(call.args[0] for call in day_seconds.call_args_list) == sorted(
+        {int(c[:10].replace("-", "")) for c in cells})
+    assert ok.tolist() == [c in valid for c in cells]
+    assert _same_bits(values[ok], expected)
+
+    text = "time,row\n" + "".join(f"{c},{k}\n" for k, c in enumerate(cells))
+    table = ingest.read_table(io.BytesIO(text.encode()), "t.csv", [
+        ingest.Column("time", ingest.Stamps()), ingest.Column("row")])
+    assert _same_bits(table.data["time"], expected)
+    with pytest.raises(IngestError) as err:
+        table.report()
+    assert (err.value.line, err.value.column) == (8, "time")
+
+    with mock.patch.object(ingest, "_day_seconds",
+                           wraps=ingest._day_seconds) as day_seconds:
+        ok = ingest.Stamps.scan(*scan_input(["", valid[0], "", valid[0][:-1]]))[1]
+    assert ok.tolist() == [False, True, False, False]
+    assert day_seconds.call_count == 1  # blank and short cells read no date
+    assert Clocks()("") == UNTIMED
+    seconds, ok = Clocks.scan(*scan_input(["", "8:00:00", ""]))
+    assert (seconds.tolist(), ok.tolist()) == ([UNTIMED, 28800, UNTIMED], [True] * 3)
+
+
 def test_one_padded_stamp_is_parsed_alone(tmp_path):
     """A padded stamp goes through parse_timestamp on its own, its chunk's
     other stamps staying in the byte scan."""
@@ -911,20 +951,41 @@ def test_line_feeds_end_each_line_in_one_lf():
     assert ingest._line_feeds(b"1\r\n2\r3\r\r\n4\n5\r") == b"1\n2\n3\n\n4\n5\n"
 
 
+def test_one_column_empty_lines_are_skipped_on_bytes_as_csv_reader_skips_them():
+    """In a one-column table, where an empty line has the width of a row,
+    the byte path still skips it and counts its line."""
+    text = "a\n1\n\n2\n\n\n3\n\n"
+    for chunk in range(1, 17):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
+                mock.patch.object(ingest, "_lines", wraps=ingest._lines) as slow:
+            table = ingest.read_table(io.BytesIO(text.encode()), "t.csv", [
+                ingest.Column("a", required=False)])
+        assert not slow.called, chunk
+        assert list(zip(table.lines.tolist(), table.values("a"))) == [
+            (2, "1"), (4, "2"), (7, "3")], chunk
+
+
 #: the line ends of files whose lines end in CRLFs only, bare CRs only,
-#: CR CRLF pairs (a bare CR, then a CRLF), or any mix of these and LFs
+#: CR CRLF pairs (a bare CR, then a CRLF, so an empty line), or any mix of
+#: these and LFs; and of files with empty lines after the header, between
+#: rows or at the end. The header ends in the first, row k in the
+#: (k + 1)-th, cyclically
 _CR_FILES = {
     "CRLF": ["\r\n"], "bare CR": ["\r"], "CR CRLF": ["\r\r\n"],
     "mixed": ["\r", "\n", "\r\n", "\r\r\n", "\r"],
+    "blank after header": ["\n\n"] + ["\n"] * 12,
+    "blank mid-file": ["\n"] + ["\n", "\n\n", "\r\n\r\n\r\n", "\r\n"] * 3,
+    "blank at end": ["\r\n"] * 12 + ["\r\n\r\n\n"],
 }
 
 
 @pytest.mark.parametrize("eols", list(_CR_FILES))
 def test_cr_line_ends_split_on_bytes_as_csv_reader_reads_them(eols):
-    """A file of plain rows under each mix of line ends, read in blocks of
-    every size from 1 to 64 bytes (so that blocks end at every byte, a bare
-    CR included), gives csv.reader's cells and line numbers, its CRs
-    deleted in the byte pass."""
+    """A file of plain rows under each mix of line ends and empty lines,
+    read in blocks of every size from 1 to 64 bytes (so that blocks end at
+    every byte, a bare CR included), gives csv.reader's cells and line
+    numbers, all on the byte path: its CRs are deleted in the byte pass and
+    its empty lines dropped, and no block goes through csv.reader."""
     ends = _CR_FILES[eols]
     text = "a,b" + ends[0] + "".join(
         f"{k},{'x' * (k % 5)}{ends[(k + 1) % len(ends)]}" for k in range(12))
@@ -934,9 +995,11 @@ def test_cr_line_ends_split_on_bytes_as_csv_reader_reads_them(eols):
     for chunk in range(1, 65):
         with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
                 mock.patch.object(ingest, "_line_feeds",
-                                  wraps=ingest._line_feeds) as crs:
+                                  wraps=ingest._line_feeds) as crs, \
+                mock.patch.object(ingest, "_lines", wraps=ingest._lines) as slow:
             table = ingest.read_table(io.BytesIO(text.encode()), "t.csv", [
                 ingest.Column("a"), ingest.Column("b", required=False)])
-        assert crs.called
+        assert crs.called == ("\r" in text)
+        assert not slow.called, chunk
         assert list(zip(table.lines.tolist(), table.values("a"),
                         table.values("b"))) == expected, chunk
