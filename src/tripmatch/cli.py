@@ -25,6 +25,7 @@ from .ingest import IngestError
 from .live import score_vehicle, select_user_samples
 from .planner import PlanError
 from .static import adjusted_query, assess_plans
+from .types import ActivitySegment
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -60,8 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="join stage outputs to the manual log"),
            methods=True)
     common(sub.add_parser("run", help="full pipeline"), methods=True)
-    inspect = sub.add_parser("inspect-segment",
-                             help="diagnostic dump for one segment")
+    inspect = sub.add_parser(
+        "inspect-segment", help="diagnostic dump for one segment",
+        description="Dump one segment's matching for the configured methods; "
+                    "the live candidate list is scored at a 1% quorum, "
+                    "without the box prune, so that near misses show.")
     common(inspect)
     inspect.add_argument("segment_id", type=int)
     return parser
@@ -134,21 +138,9 @@ def _gate_exit(evaluated: pipeline.EvaluationOutput) -> int:
     return EXIT_GATE_FAILURE if evaluated.gate_failures else EXIT_OK
 
 
-def cmd_inspect_segment(cfg: RunConfig, segment_id: int) -> int:
-    segments = pipeline.build_segments(cfg)
-    by_id = {s.segment_id: s for s in segments}
-    if segment_id not in by_id:
-        print(f"unknown segment id {segment_id}; valid ids are "
-              f"1..{len(segments)}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    segment = by_id[segment_id]
-    print(f"segment {segment.segment_id}: device {segment.device_id} "
-          f"{segment.activity.value} {segment.start_time} .. {segment.end_time} "
-          f"({len(segment.trace)} points)")
-    if not segmentation.vehicular_candidates([segment]):
-        print("not a vehicular candidate; nothing to match")
-        return EXIT_OK
-
+def _inspect_live(cfg: RunConfig, segment: ActivitySegment) -> None:
+    """The fleet's candidates for segment, scored at a 1% quorum and without
+    the box prune, so that near misses show."""
     samples = select_user_samples(segment.trace, cfg.live.max_user_samples)
     print(f"{len(samples)} user samples for matching")
 
@@ -173,6 +165,24 @@ def cmd_inspect_segment(cfg: RunConfig, segment_id: int) -> int:
                               for d in s.sample_distances)
         print(f"    per-sample distances (m): {dist_text}")
 
+
+def cmd_inspect_segment(cfg: RunConfig, segment_id: int) -> int:
+    segments = pipeline.build_segments(cfg)
+    by_id = {s.segment_id: s for s in segments}
+    if segment_id not in by_id:
+        print(f"unknown segment id {segment_id}; valid ids are "
+              f"1..{len(segments)}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    segment = by_id[segment_id]
+    print(f"segment {segment.segment_id}: device {segment.device_id} "
+          f"{segment.activity.value} {segment.start_time} .. {segment.end_time} "
+          f"({len(segment.trace)} points)")
+    if not segmentation.vehicular_candidates([segment]):
+        print("not a vehicular candidate; nothing to match")
+        return EXIT_OK
+
+    if pipeline.live_methods(cfg):
+        _inspect_live(cfg, segment)
     if cfg.gtfs is not None and cfg.gtfs.exists() and STATIC in cfg.methods:
         planner = pipeline.build_planner(cfg)
         result = planner.plan(adjusted_query(segment, cfg.constants))

@@ -2,6 +2,7 @@
 matching constant surfaced with its default."""
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime
@@ -129,10 +130,12 @@ def _number(value: Any, kind: type, context: str):
     raise ConfigError(f"{context}: expected {noun}, got {value!r}")
 
 
-def _non_negative(value: Any, context: str) -> float:
+def _non_negative(value: Any, context: str, *, finite: bool) -> float:
     number = _number(value, float, context)
     if not number >= 0:  # NaN included
         raise ConfigError(f"{context}: must be >= 0, got {value!r}")
+    if finite and math.isinf(number):
+        raise ConfigError(f"{context}: must be finite, got {value!r}")
     return number
 
 
@@ -141,7 +144,10 @@ def _gate(data: dict[str, Any], context: str) -> Gate:
     for bound in ("min", "max"):
         value = getattr(gate, bound)
         if value is not None:
-            setattr(gate, bound, _number(value, float, f"{context}: {bound}"))
+            number = _number(value, float, f"{context}: {bound}")
+            if math.isnan(number):
+                raise ConfigError(f"{context}: {bound}: must not be NaN")
+            setattr(gate, bound, number)
     return gate
 
 
@@ -202,8 +208,9 @@ def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunCo
     if "segmentation" in raw:
         seg = raw.pop("segmentation") or {}
         _check_keys(seg, {"max_gap_s"}, "segmentation")
+        # an infinite gap is allowed: it never cuts a segment
         cfg.max_gap_s = _non_negative(seg.get("max_gap_s", cfg.max_gap_s),
-                                      "segmentation: max_gap_s")
+                                      "segmentation: max_gap_s", finite=False)
     if "live" in raw:
         cfg.live = _sub_config(LiveMatchConfig, raw.pop("live") or {}, "live")
     if "static" in raw:
@@ -213,7 +220,7 @@ def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunCo
         _check_keys(planner, {"search_window_s"}, "planner")
         cfg.planner_search_window_s = _non_negative(
             planner.get("search_window_s", cfg.planner_search_window_s),
-            "planner: search_window_s")
+            "planner: search_window_s", finite=True)
     if "gates" in raw:
         gates = raw.pop("gates") or []
         if not isinstance(gates, list):

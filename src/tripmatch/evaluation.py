@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .ingest import format_timestamp
@@ -52,9 +52,7 @@ class Recognition:
 class MethodOutcome:
     recognized_any: bool = False
     recognized_type: bool = False
-    recognized_name: bool = False
     recognized_identity: bool = False  # type plus name, name waived for subway
-    contributing_segments: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -144,11 +142,8 @@ def join_trips(trips: Sequence[ManualTrip],
                 if rec.line_type == trip.line_type:
                     outcome.recognized_any = True
                     outcome.recognized_type = True
-                    outcome.contributing_segments.append(s.segment_id)
-                    if trip.line_type is LineType.SUBWAY:
-                        outcome.recognized_identity = True
-                    elif names_match(trip, rec):
-                        outcome.recognized_name = True
+                    if (trip.line_type is LineType.SUBWAY
+                            or names_match(trip, rec)):
                         outcome.recognized_identity = True
                 else:
                     peers = trips_by_segment[s.segment_id]
@@ -182,9 +177,7 @@ def _combined_outcome(verdict: TripVerdict, methods: Sequence[str],
         o = verdict.outcomes[m]
         merged.recognized_any |= o.recognized_any
         merged.recognized_type |= o.recognized_type
-        merged.recognized_name |= o.recognized_name
         merged.recognized_identity |= o.recognized_identity
-        merged.contributing_segments.extend(o.contributing_segments)
     return merged
 
 
@@ -212,7 +205,7 @@ def compute_stats(verdicts: Sequence[TripVerdict],
             if outcome.recognized_type:
                 stats.public_transport_line_type += 1
                 ts.recognized += 1
-            if outcome.recognized_name and trip.line_type is not LineType.SUBWAY:
+            if outcome.recognized_identity and trip.line_type is not LineType.SUBWAY:
                 ts.name_correct = (ts.name_correct or 0) + 1
         stats.per_type[LineType.SUBWAY].name_correct = None
         out[method] = stats

@@ -19,6 +19,8 @@ The load joins the tables once: a stop-time trip code is the trip's row
 in trips.txt's columns, and a stop code is the stop's rank in stop_id
 order, so no later reader translates an id. The ids that only
 stop_times.txt names are coded after those, and validation reports them.
+Only load_gtfs builds a timetable, so every feed, the test fixtures'
+included, goes through read_table's columns, _join and from_arrays.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import Collection, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -105,7 +107,8 @@ class TripColumns(Mapping[str, GtfsTrip]):
     order; its route, service and shape are codes into route_ids,
     service_ids and shape_ids, shape -1 for a trip without one. A trip_id on
     several rows takes its last row's values; the mapping iterates in order
-    of each trip's first row, which order lists."""
+    of each trip's first row, which order lists. load_gtfs
+    builds it by from_arrays."""
 
     route: np.ndarray    # int32 index into route_ids
     service: np.ndarray  # int32 index into service_ids
@@ -117,32 +120,14 @@ class TripColumns(Mapping[str, GtfsTrip]):
     shape_ids: tuple[str, ...]
 
     @classmethod
-    def from_rows(cls, rows: Iterable[GtfsTrip]) -> "TripColumns":
-        rows = list(rows)
-        ids: dict[str, dict] = {"trip_id": {}, "route_id": {}, "service_id": {},
-                                "shape_id": {}}
-
-        def column(name: str) -> np.ndarray:
-            codes = ids[name]
-            return np.fromiter((codes.setdefault(getattr(r, name), len(codes))
-                                for r in rows), np.int32, len(rows))
-
-        return cls.from_arrays(
-            trip=column("trip_id"), route=column("route_id"),
-            service=column("service_id"), shape=column("shape_id"),
-            trip_ids=tuple(ids["trip_id"]), route_ids=tuple(ids["route_id"]),
-            service_ids=tuple(ids["service_id"]),
-            shape_ids=tuple(ids["shape_id"]))
-
-    @classmethod
     def from_arrays(cls, trip: np.ndarray, route: np.ndarray,
                     service: np.ndarray, shape: np.ndarray,
                     trip_ids: Sequence[str], route_ids: Sequence[str],
                     service_ids: Sequence[str],
-                    shape_ids: Sequence[Optional[str]]) -> "TripColumns":
+                    shape_ids: Sequence[str]) -> "TripColumns":
         """The columns of rows given in file order, each a column of codes
-        into its ids; trip codes follow first appearance, and a blank or
-        None shape id is no shape."""
+        into its ids; trip codes follow first appearance, and a blank shape
+        id is no shape."""
         # the last row of each trip is its first in reverse file order
         last = len(trip) - 1 - np.unique(trip[::-1], return_index=True)[1]
         by_id = sorted(range(len(trip_ids)), key=trip_ids.__getitem__)
@@ -198,7 +183,8 @@ class StopTimeColumns:
     a stop code is the stop's rank in stop_id order, stop_ids starting with
     the sorted stop ids of stops.txt. Ids that only stop_times.txt names
     follow those, in id order; only an invalid feed has them. UNTIMED marks
-    a stop without an arrival or departure time."""
+    a stop without an arrival or departure time. load_gtfs builds it by
+    from_arrays."""
 
     trip: np.ndarray         # int32 index into trip_ids
     stop: np.ndarray         # int32 index into stop_ids
@@ -208,28 +194,6 @@ class StopTimeColumns:
     trip_rows: np.ndarray    # int64 CSR offsets, len(trip_ids) + 1 entries
     trip_ids: tuple[str, ...]
     stop_ids: tuple[str, ...]
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[GtfsStopTime], trip_ids: Sequence[str],
-                  stop_ids: Sequence[str]) -> "StopTimeColumns":
-        """The rows, their trips coded over trip_ids and their stops over
-        stop_ids, as load_gtfs codes them over trips.trip_ids and the sorted
-        stop ids."""
-        rows = list(rows)
-
-        def column(values) -> np.ndarray:
-            return np.fromiter(values, np.int32, len(rows))
-
-        trip, trip_ids = _join([r.trip_id for r in rows], trip_ids)
-        stop, stop_ids = _join([r.stop_id for r in rows], stop_ids)
-        return cls.from_arrays(
-            trip=trip, stop=stop,
-            arrival_s=column(UNTIMED if r.arrival_s is None else r.arrival_s
-                             for r in rows),
-            departure_s=column(UNTIMED if r.departure_s is None
-                               else r.departure_s for r in rows),
-            sequence=column(r.sequence for r in rows),
-            trip_ids=trip_ids, stop_ids=stop_ids)
 
     @classmethod
     def from_arrays(cls, trip: np.ndarray, stop: np.ndarray,

@@ -32,6 +32,7 @@ from .types import (
     FleetColumns,
     LINE_TYPES,
     LineType,
+    MAX_SLACK_S,
     TraceColumns,
     as_seconds,
     from_seconds,
@@ -64,6 +65,11 @@ class LiveMatchConfig:
             value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.window_s > MAX_SLACK_S:
+            raise ValueError(f"window_s must be at most {MAX_SLACK_S:.0f} s, "
+                             f"got {self.window_s!r}")
         if not 0.0 < self.quorum_fraction <= 1.0:
             raise ValueError(f"quorum_fraction must be in (0, 1], "
                              f"got {self.quorum_fraction!r}")

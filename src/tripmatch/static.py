@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 from datetime import timedelta
 from functools import cached_property
@@ -32,7 +33,8 @@ from .geodesy import (distances_m, points_to_polylines_m, ranges,
                       resample_min_spacing)
 from .ingest import format_timestamp
 from .planner import Itinerary, JourneyPlanner, PlanQuery
-from .types import ActivitySegment, GeoPoint, LineType, seconds_between
+from .types import (ActivitySegment, GeoPoint, LineType, MAX_SLACK_S,
+                    seconds_between)
 
 
 def _minute_rounded(seconds: float) -> float:
@@ -66,9 +68,10 @@ class MatchConstants:
     resample_spacing_m: float = 100.0
 
     def __post_init__(self) -> None:
-        for name in ("dEmax_m", "walk_speed_mps", "transit_speed_mps",
-                     "schedule_deviation_s", "route_quorum", "route_limit_m",
-                     "resample_spacing_m"):
+        numbers = ("dEmax_m", "walk_speed_mps", "transit_speed_mps",
+                   "schedule_deviation_s", "route_quorum", "route_limit_m",
+                   "resample_spacing_m")
+        for name in numbers:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
@@ -87,6 +90,15 @@ class MatchConstants:
         if not 0.0 < self.route_quorum <= 1.0:
             raise ValueError(f"route_quorum must be in (0, 1], "
                              f"got {self.route_quorum!r}")
+        for name in numbers:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        # the query pulls its start back by tWb
+        if not self.walk_before_max_s <= MAX_SLACK_S:
+            raise ValueError(f"tWb = dEmax_m / walk_speed_mps must be at most "
+                             f"{MAX_SLACK_S:.0f} s, got "
+                             f"{self.walk_before_max_s!r}")
 
     @cached_property
     def walk_before_max_s(self) -> float:

@@ -67,6 +67,11 @@ def seconds_between(earlier: datetime, later: datetime) -> float:
 #: origin of the float-seconds time axis of columnar tables
 TIME_REF = datetime(2000, 1, 1)
 
+#: the longest slack a matcher adds to a segment's times (the live window,
+#: tWb): one day covers a one-day batch, and keeps the shifted times in
+#: datetime's range
+MAX_SLACK_S = 86400.0
+
 
 def as_seconds(t: datetime) -> float:
     return (t - TIME_REF).total_seconds()

@@ -2,28 +2,19 @@ from __future__ import annotations
 
 import csv
 import os
+import tempfile
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tripmatch.gtfs import (
-    GtfsBundle,
-    GtfsRoute,
-    GtfsService,
-    GtfsStop,
-    GtfsStopTime,
-    GtfsTrip,
-    StopTimeColumns,
-    TripColumns,
-)
+from tripmatch.gtfs import GtfsBundle, GtfsService, load_gtfs
 from tripmatch.types import (
     Activity,
     ActivitySegment,
     DevicePoint,
     FilteredPoint,
-    GeoPoint,
     TraceColumns,
 )
 from tripmatch import synthetic
@@ -69,43 +60,58 @@ def segment_rows(segments) -> list[tuple]:
             for s in segments]
 
 
+def _clock(seconds: int) -> str:
+    """A GTFS H:MM:SS clock; hours past 24 stay as they are."""
+    return f"{seconds // 3600}:{seconds // 60 % 60:02}:{seconds % 60:02}"
+
+
 def make_bundle(stops: dict[str, tuple[float, float]],
                 routes: dict[str, tuple[str, int]],
                 trips: list[tuple[str, str, list[tuple[str, int]]]],
                 shapes: dict[str, list[tuple[float, float]]] | None = None,
                 services: dict[str, GtfsService] | None = None,
                 ) -> GtfsBundle:
-    """In-memory GTFS fixture: trips are (trip_id, route_id,
-    [(stop_id, time_s), ...]) on one universal all-days service "all", or
-    (trip_id, route_id, calls, service_id) on one of services."""
-    stop_objs = {sid: GtfsStop(sid, sid, lat, lng)
-                 for sid, (lat, lng) in stops.items()}
-    route_objs = {rid: GtfsRoute(rid, short, rtype)
-                  for rid, (short, rtype) in routes.items()}
-    trip_objs = []
-    stop_times = []
-    for trip_id, route_id, calls, *service in trips:
-        shape_id = trip_id if shapes and trip_id in shapes else None
-        trip_objs.append(GtfsTrip(trip_id, route_id, *service or ["all"],
-                                  shape_id))
-        for seq, (stop_id, t_s) in enumerate(calls, start=1):
-            stop_times.append(GtfsStopTime(trip_id, stop_id, t_s, t_s, seq))
-    trip_columns = TripColumns.from_rows(trip_objs)
-    bundle = GtfsBundle(
-        stops=stop_objs,
-        routes=route_objs,
-        trips=trip_columns,
-        stop_times=StopTimeColumns.from_rows(
-            stop_times, trip_columns.trip_ids, sorted(stop_objs)),
-        services={"all": GtfsService("all", (True,) * 7,
-                                     date(2016, 1, 1), date(2016, 12, 31)),
-                  **(services or {})},
-        service_exceptions={},
-        shapes={sid: [GeoPoint(lat, lng) for lat, lng in pts]
-                for sid, pts in (shapes or {}).items()},
-    )
-    bundle.validate()
-    return bundle
+    """A GTFS fixture, written as feed text and read by load_gtfs: trips
+    are (trip_id, route_id, [(stop_id, time_s), ...]) on one universal
+    all-days service "all", or (trip_id, route_id, calls, service_id) on one
+    of services; a trip with an entry in shapes follows that shape."""
+    shapes = shapes or {}
+    services = {"all": GtfsService("all", (True,) * 7, date(2016, 1, 1),
+                                   date(2016, 12, 31)), **(services or {})}
+    files = {
+        "stops.txt": [("stop_id", "stop_name", "stop_lat", "stop_lon"),
+                      *((sid, sid, repr(lat), repr(lng))
+                        for sid, (lat, lng) in stops.items())],
+        "routes.txt": [("route_id", "route_short_name", "route_type"),
+                       *((rid, short, rtype)
+                         for rid, (short, rtype) in routes.items())],
+        "trips.txt": [("trip_id", "route_id", "service_id", "shape_id"),
+                      *((trip_id, route_id, *(service or ["all"]),
+                         trip_id if trip_id in shapes else "")
+                        for trip_id, route_id, _, *service in trips)],
+        "stop_times.txt": [
+            ("trip_id", "stop_id", "arrival_time", "departure_time",
+             "stop_sequence"),
+            *((trip_id, stop_id, _clock(t_s), _clock(t_s), seq)
+              for trip_id, _, calls, *_ in trips
+              for seq, (stop_id, t_s) in enumerate(calls, start=1))],
+        "calendar.txt": [
+            ("service_id", "monday", "tuesday", "wednesday", "thursday",
+             "friday", "saturday", "sunday", "start_date", "end_date"),
+            *((svc.service_id, *map(int, svc.weekdays),
+               f"{svc.start:%Y%m%d}", f"{svc.end:%Y%m%d}")
+              for svc in services.values())],
+    }
+    if shapes:
+        files["shapes.txt"] = [
+            ("shape_id", "shape_pt_lat", "shape_pt_lon", "shape_pt_sequence"),
+            *((sid, repr(lat), repr(lng), seq) for sid, pts in shapes.items()
+              for seq, (lat, lng) in enumerate(pts, start=1))]
+    with tempfile.TemporaryDirectory() as feed:
+        for name, rows in files.items():
+            with open(Path(feed) / name, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
+        return load_gtfs(feed)
 
 
 @pytest.fixture(scope="session")

@@ -294,6 +294,39 @@ def test_inspect_unknown_id_lists_range(synth, capsys):
     assert "valid ids are 1.." in err
 
 
+def test_inspect_segment_inspects_only_the_configured_methods(
+        synth, tmp_path, capsys):
+    # without a live method the fleet feed is neither needed nor read
+    cfg_raw = yaml.safe_load(Path(synth.config_path).read_text())
+    cfg_raw.update(output_dir=str(tmp_path / "out"), methods=["static"])
+    cfg_raw.setdefault("files", {})["transit_live"] = "missing.csv"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(cfg_raw), encoding="utf-8")
+    assert run_cli("run", "--config", cfg) == 0
+    capsys.readouterr()
+    assert run_cli("inspect-segment", "--config", cfg, 1) == 0
+    out = capsys.readouterr().out
+    assert "candidate vehicles" not in out
+    assert "planner itineraries" in out
+
+
+@pytest.mark.parametrize("section, values, message", [
+    ("live", {"window_s": float("inf")}, "window_s must be finite, got inf"),
+    ("planner", {"search_window_s": float("inf")},
+     "search_window_s: must be finite, got inf"),
+    ("static", {"walk_speed_mps": 1e-300},
+     "tWb = dEmax_m / walk_speed_mps must be at most 86400 s, got 5e+302"),
+])
+def test_run_refuses_a_threshold_it_cannot_run(synth, tmp_path, capsys,
+                                               section, values, message):
+    cfg_raw = yaml.safe_load(Path(synth.config_path).read_text())
+    cfg_raw.update(output_dir=str(tmp_path / "out"), **{section: values})
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(cfg_raw), encoding="utf-8")
+    assert run_cli("run", "--config", cfg) == 1
+    assert capsys.readouterr().err == f"error: {section}: {message}\n"
+
+
 def test_bad_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("methods: [warp]\n", encoding="utf-8")

@@ -119,6 +119,18 @@ def test_unknown_section_key_rejected(section, key):
         config_from_dict({section: {key: 10}})
 
 
+def test_infinite_gap_is_accepted():
+    # an infinite gap never cuts a segment; the pipeline runs with it
+    assert config_from_dict({"segmentation": {"max_gap_s": float("inf")}}
+                            ).max_gap_s == float("inf")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("live", "window_s", 86400), ("static", "dEmax_m", 115_000.0)])
+def test_slack_of_one_day_accepted(section, key, value):
+    config_from_dict({section: {key: value}})
+
+
 def test_section_keys_apply():
     cfg = config_from_dict({"segmentation": {"max_gap_s": 10},
                             "planner": {"search_window_s": 60}})
@@ -241,6 +253,30 @@ _BAD_VALUES = [
      "segmentation: max_gap_s: must be >= 0, got nan"),
     ("raw36", {"planner": {"search_window_s": float("nan")}},
      "planner: search_window_s: must be >= 0, got nan"),
+    ("raw37", {"planner": {"search_window_s": float("inf")}},
+     "planner: search_window_s: must be finite, got inf"),
+    ("raw38", {"live": {"window_s": float("inf")}},
+     "live: window_s must be finite, got inf"),
+    ("raw39", {"live": {"window_s": 1.0e300}},
+     "live: window_s must be at most 86400 s, got 1e+300"),
+    ("raw40", {"static": {"dEmax_m": float("inf")}},
+     "static: dEmax_m must be finite, got inf"),
+    ("raw41", {"static": {"dEmax_m": 1.0e300}},
+     "static: tWb = dEmax_m / walk_speed_mps must be at most 86400 s, "
+     "got 7.462686567164179e+299"),
+    ("raw42", {"static": {"walk_speed_mps": 1.0e-300}},
+     "static: tWb = dEmax_m / walk_speed_mps must be at most 86400 s, "
+     "got 5e+302"),
+    ("raw43", {"gates": [{"method": "new-live", "metric": "public_transport",
+                          "min": float("nan")}]},
+     "gates[0]: min: must not be NaN"),
+    ("raw44", {"gates": [{"method": "new-live", "metric": "public_transport",
+                          "max": float("nan")}]},
+     "gates[0]: max: must not be NaN"),
+    ("raw45", {"live": {"distance_limit_m": float("inf")}},
+     "live: distance_limit_m must be finite, got inf"),
+    ("raw46", {"static": {"schedule_deviation_s": float("inf")}},
+     "static: schedule_deviation_s must be finite, got inf"),
 ]
 
 

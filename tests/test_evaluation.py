@@ -41,7 +41,6 @@ def test_multi_segment_trip_recognized_once():
         1: rec(LineType.TRAM, "7"), 3: rec(LineType.TRAM, "7")}})
     [v] = verdicts
     assert v.outcomes["m"].recognized_identity
-    assert v.outcomes["m"].contributing_segments == [1, 3]
     stats = compute_stats(verdicts, ["m"])
     assert stats["m"].per_type[LineType.TRAM].recognized == 1
     assert stats["m"].public_transport == 1
@@ -81,7 +80,6 @@ def test_subway_recognized_by_type_alone():
                           {"m": {1: rec(LineType.SUBWAY, "V")}})
     [v] = verdicts
     assert v.outcomes["m"].recognized_identity
-    assert not v.outcomes["m"].recognized_name
     stats = compute_stats(verdicts, ["m"])
     assert stats["m"].per_type[LineType.SUBWAY].recognized == 1
     assert stats["m"].per_type[LineType.SUBWAY].name_correct is None
