@@ -22,7 +22,7 @@ from .config import (
     load_config,
 )
 from .ingest import IngestError
-from .live import score_vehicle, select_user_samples
+from .live import sampling, score_vehicle, select_user_samples
 from .planner import PlanError
 from .static import adjusted_query, assess_plans
 from .types import ActivitySegment
@@ -64,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     inspect = sub.add_parser(
         "inspect-segment", help="diagnostic dump for one segment",
         description="Dump one segment's matching for the configured methods; "
-                    "the live candidate list is scored at a 1% quorum, "
-                    "without the box prune, so that near misses show.")
+                    "each live method's candidate list is scored with its "
+                    "sample count and distance at a 1% quorum, without the "
+                    "box prune, so that near misses show.")
     common(inspect)
     inspect.add_argument("segment_id", type=int)
     return parser
@@ -138,32 +139,38 @@ def _gate_exit(evaluated: pipeline.EvaluationOutput) -> int:
     return EXIT_GATE_FAILURE if evaluated.gate_failures else EXIT_OK
 
 
-def _inspect_live(cfg: RunConfig, segment: ActivitySegment) -> None:
-    """The fleet's candidates for segment, scored at a 1% quorum and without
-    the box prune, so that near misses show."""
-    samples = select_user_samples(segment.trace, cfg.live.max_user_samples)
-    print(f"{len(samples)} user samples for matching")
-
+def _inspect_live(cfg: RunConfig, segment: ActivitySegment,
+                  methods: list[str]) -> None:
+    """The fleet's candidates for segment as each of the live methods
+    scores them, with its sample count and distance, at a 1% quorum and
+    without the box prune, so that near misses show."""
     index = pipeline.build_position_index(cfg)
     probe_cfg = replace(cfg.live, quorum_fraction=0.01)
     t0 = segment.start_time - timedelta(seconds=cfg.live.window_s)
     t1 = segment.end_time + timedelta(seconds=cfg.live.window_s)
-    scored = []
-    for ref in index.vehicles_in_range(t0, t1):
-        s = score_vehicle(samples, ref, probe_cfg, index)
-        if s is not None:
-            scored.append(s)
-    scored.sort(key=lambda s: (-s.score, s.vehicle_ref))
-    print(f"\ncandidate vehicles within the time range: {len(scored)} scored")
-    for s in scored[:10]:
-        eligible = "eligible" if s.matched_fraction >= cfg.live.quorum_fraction \
-            else "below quorum"
-        names = ", ".join(sorted({n for n, _, _ in s.votes})) or "-"
-        print(f"  {s.vehicle_ref}: score {s.score:.0f}, matched "
-              f"{s.matched_fraction:.0%} ({eligible}), lines [{names}]")
-        dist_text = ", ".join("-" if d is None else f"{d:.0f}"
-                              for d in s.sample_distances)
-        print(f"    per-sample distances (m): {dist_text}")
+    refs = index.vehicles_in_range(t0, t1)
+    for method in methods:
+        n_samples, use_linestring = sampling(method, cfg.live)
+        samples = select_user_samples(segment.trace, n_samples)
+        print(f"\n{method}: {len(samples)} user samples for matching, "
+              f"{'linestring' if use_linestring else 'point'} distances")
+        scored = []
+        for ref in refs:
+            s = score_vehicle(samples, ref, probe_cfg, index,
+                              use_linestring=use_linestring)
+            if s is not None:
+                scored.append(s)
+        scored.sort(key=lambda s: (-s.score, s.vehicle_ref))
+        print(f"candidate vehicles within the time range: {len(scored)} scored")
+        for s in scored[:10]:
+            eligible = "eligible" if s.matched_fraction >= cfg.live.quorum_fraction \
+                else "below quorum"
+            names = ", ".join(sorted({n for n, _, _ in s.votes})) or "-"
+            print(f"  {s.vehicle_ref}: score {s.score:.0f}, matched "
+                  f"{s.matched_fraction:.0%} ({eligible}), lines [{names}]")
+            dist_text = ", ".join("-" if d is None else f"{d:.0f}"
+                                  for d in s.sample_distances)
+            print(f"    per-sample distances (m): {dist_text}")
 
 
 def cmd_inspect_segment(cfg: RunConfig, segment_id: int) -> int:
@@ -181,8 +188,8 @@ def cmd_inspect_segment(cfg: RunConfig, segment_id: int) -> int:
         print("not a vehicular candidate; nothing to match")
         return EXIT_OK
 
-    if pipeline.live_methods(cfg):
-        _inspect_live(cfg, segment)
+    if methods := pipeline.live_methods(cfg):
+        _inspect_live(cfg, segment, methods)
     if cfg.gtfs is not None and cfg.gtfs.exists() and STATIC in cfg.methods:
         planner = pipeline.build_planner(cfg)
         result = planner.plan(adjusted_query(segment, cfg.constants))

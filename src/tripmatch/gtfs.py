@@ -15,12 +15,15 @@ kept as columns too (TripColumns): int32 codes of each trip's route,
 service and shape, which validation and the planner read as masks over the
 codes; a GtfsTrip is built only when one trip is looked up.
 
-The load joins the tables once: a stop-time trip code is the trip's row
-in trips.txt's columns, and a stop code is the stop's rank in stop_id
-order, so no later reader translates an id. The ids that only
-stop_times.txt names are coded after those, and validation reports them.
-Only load_gtfs builds a timetable, so every feed, the test fixtures'
-included, goes through read_table's columns, _join and from_arrays.
+The tables are joined as stop_times.txt is read: its trip_id and stop_id
+columns are Known columns seeded with trips.txt's trip ids and the sorted
+stop ids of stops.txt, so a cell that names a trip is coded as the trip's
+row in trips.txt's columns, and one that names a stop as the stop's rank
+in stop_id order, without being parsed, and no later reader translates an
+id. The ids that only stop_times.txt names are coded after those, in id
+order, and validation reports them. Only load_gtfs builds a timetable, so every feed,
+the test fixtures' included, goes through read_table's columns and
+from_arrays.
 """
 from __future__ import annotations
 
@@ -34,8 +37,8 @@ from typing import Collection, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ingest import (Column, Floats, IngestError, Table, clock_seconds,
-                     read_table)
+from .ingest import (Column, Floats, IngestError, Known, Table,
+                     clock_seconds, read_table)
 from .types import GeoPoint, LineType
 
 
@@ -181,9 +184,10 @@ class StopTimeColumns:
     trip trip_ids[t] are trip_rows[t]:trip_rows[t + 1]. A trip code is the
     trip's row in the feed's trips, trip_ids starting with trips.trip_ids;
     a stop code is the stop's rank in stop_id order, stop_ids starting with
-    the sorted stop ids of stops.txt. Ids that only stop_times.txt names
-    follow those, in id order; only an invalid feed has them. UNTIMED marks
-    a stop without an arrival or departure time. load_gtfs builds it by
+    the sorted stop ids of stops.txt, as read_table codes the Known
+    columns of stop_times.txt. Ids that only stop_times.txt names follow
+    those, in id order; only an invalid feed has them. UNTIMED marks a stop
+    without an arrival or departure time. load_gtfs builds it by
     from_arrays."""
 
     trip: np.ndarray         # int32 index into trip_ids
@@ -326,15 +330,17 @@ class GtfsBundle:
                             + "; ".join(problems[:10]))
 
 
-def _join(names: Sequence[str], ids: Sequence[str],
-          ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The int32 code of each of names as its index in ids, extended by the
-    names that ids lacks in id order, and the extended ids."""
-    code = dict(zip(ids, range(len(ids))))
-    extra = sorted(set(names).difference(code))
-    code.update(zip(extra, range(len(ids), len(ids) + len(extra))))
-    return (np.fromiter(map(code.__getitem__, names), np.int32, len(names)),
-            (*ids, *extra))
+def _unknown_in_id_order(table: Table, name: str,
+                         known: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The codes and levels of Known column name, the levels after the
+    first known ones, which follow first appearance, recoded in id order."""
+    codes, ids = table.data[name], table.levels[name]
+    if len(ids) == known:
+        return codes, ids
+    extra = sorted(range(known, len(ids)), key=ids.__getitem__)
+    recode = np.arange(len(ids), dtype=np.int32)
+    recode[extra] = np.arange(known, len(ids))
+    return recode[codes], (*ids[:known], *map(ids.__getitem__, extra))
 
 
 def _members(values: Sequence, known: Collection) -> np.ndarray:
@@ -459,19 +465,16 @@ def load_gtfs(path) -> GtfsBundle:
         shape_ids=table.levels["shape_id"])
 
     table = src.table("stop_times.txt", [
-        Column("trip_id"), Column("stop_id"),
+        Column("trip_id", Known(trips.trip_ids)),
+        Column("stop_id", Known(tuple(sorted(stops)))),
         Column("arrival_time", Clocks(), header=False),
         Column("departure_time", Clocks(), header=False),
         Column("stop_sequence", _int32)])
     table.report()
-    # each distinct id of the file is looked up once, its code recoding the
-    # rows
-    trip_code, trip_ids = _join(table.levels["trip_id"], trips.trip_ids)
-    stop_code, stop_ids = _join(table.levels["stop_id"], sorted(stops))
+    trip, trip_ids = _unknown_in_id_order(table, "trip_id", len(trips))
+    stop, stop_ids = _unknown_in_id_order(table, "stop_id", len(stops))
     stop_times = StopTimeColumns.from_arrays(
-        trip=trip_code[table.data["trip_id"]],
-        stop=stop_code[table.data["stop_id"]],
-        arrival_s=table.data["arrival_time"],
+        trip=trip, stop=stop, arrival_s=table.data["arrival_time"],
         departure_s=table.data["departure_time"],
         sequence=table.array("stop_sequence", np.int32),
         trip_ids=trip_ids, stop_ids=stop_ids)

@@ -347,6 +347,18 @@ class Stamps:
         return [None if s != s else from_seconds(s) for s in seconds.tolist()]
 
 
+@dataclass(frozen=True, eq=False)
+class Known:
+    """parse of a text column whose values are mostly known beforehand: a
+    cell reads as its stripped text, and a cell equal to levels[k] (levels
+    being distinct) takes code k in the column without being parsed."""
+
+    levels: tuple[str, ...]
+
+    def __call__(self, text: str) -> str:
+        return text
+
+
 @dataclass
 class Table:
     """The columns of a table read by read_table, over the rows without a
@@ -354,9 +366,10 @@ class Table:
     array of the dtype that form returns (float64 for Floats, and for
     Stamps, a date's seconds plus a clock's; int32 for gtfs.Clocks, read by
     the same clock_seconds), else an int32 array of codes into
-    levels[name], the distinct parsed values in order of first appearance.
-    report or build reports the bad rows, in file order with those that
-    build rejects."""
+    levels[name], the distinct parsed values: for a Known column its known
+    values first, each at its index, then the others in order of first
+    appearance. report or build reports the bad rows, in file order with
+    those that build rejects."""
 
     label: Any
     error: type[IngestError]
@@ -495,7 +508,8 @@ class _ColumnReader:
     form (chunk bytes, cell starts, cell ends -> values, ok) is decoded a
     chunk at a time into arrays of the dtype that form returns, each cell
     it rejects going through parse; any other is dictionary-encoded with
-    each distinct cell parsed once."""
+    each distinct cell parsed once, a parse with levels (Known) seeding the
+    codes with its known values."""
 
     def __init__(self, column: Column, at: int | None):
         self.column = column
@@ -503,9 +517,12 @@ class _ColumnReader:
         self.scan = getattr(column.parse, "scan", None)
         self.parts = [self.scan(b"", _NO_CELLS, _NO_CELLS)[0] if self.scan
                       else np.empty(0, np.int32)]
+        levels = getattr(column.parse, "levels", ())
+        self.known = len(levels)
         # code by raw cell, each unseen cell taking the next code
-        self.codes: defaultdict[str, int] = defaultdict(count().__next__)
-        self.parsed: list = []            # value by code; None for a bad cell
+        self.codes: defaultdict[str, int] = defaultdict(
+            count(self.known).__next__, zip(levels, count()))
+        self.parsed: list = list(levels)  # value by code; None for a bad cell
         self.faults: dict[int, str] = {}  # message by code of a bad cell
 
     def parse(self, cell: str) -> tuple[Any, str | None]:
@@ -552,12 +569,21 @@ class _ColumnReader:
             self.parts.append(values)
             return bad
         codes = np.fromiter(map(self.codes.__getitem__, raw), np.int32, n)
-        new = len(self.codes) - len(self.parsed)  # cells first seen here
-        for cell in reversed(list(islice(reversed(self.codes), new))):
-            value, message = self.parse(cell)
-            if message is not None:
-                self.faults[len(self.parsed)] = message
-            self.parsed.append(value)
+        new = list(islice(reversed(self.codes), len(self.codes) - len(self.parsed)))
+        new.reverse()  # the cells first seen here, in code order
+        if self.column.parse is str:  # plain text: every new cell stripped at once
+            values = [cell.strip() for cell in new]
+            if self.column.required and "" in values:
+                for k in [k for k, value in enumerate(values) if value == ""]:
+                    self.faults[len(self.parsed) + k] = "missing value"
+                    values[k] = None
+            self.parsed += values
+        else:
+            for cell in new:
+                value, message = self.parse(cell)
+                if message is not None:
+                    self.faults[len(self.parsed)] = message
+                self.parsed.append(value)
         if self.faults:
             for row in np.flatnonzero(np.isin(codes, list(self.faults))).tolist():
                 bad.append((row, self.faults[int(codes[row])]))
@@ -572,12 +598,19 @@ class _ColumnReader:
         table.data[name] = values = values[keep] if table.bad else values
         if self.scan is not None:
             return
-        # codes follow first appearance, unless a dropped row held the first
-        # appearance of some cell
+        if not table.bad and len(set(self.parsed)) == len(self.parsed):
+            # each code is its value's first: the codes are already the levels
+            table.levels[name] = tuple(self.parsed)
+            return
+        # the known values keep their codes; the others follow in order of
+        # first appearance, unless a dropped row held the first appearance
+        # of some cell
         order = range(len(self.parsed))
         if table.bad:
             present, first = np.unique(values, return_index=True)
-            order = present[np.argsort(first)].tolist()
+            k = np.searchsorted(present, self.known)
+            order = [*range(self.known),
+                     *present[k:][np.argsort(first[k:])].tolist()]
         levels: dict[Any, int] = {}
         remap = np.zeros(len(self.parsed), dtype=np.int32)
         for code in order:

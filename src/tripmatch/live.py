@@ -304,9 +304,17 @@ def _pick_identity(votes: list[tuple[str, LineType, datetime]],
     return winner, candidates[0][3]
 
 
+def sampling(method: str, cfg: LiveMatchConfig) -> tuple[int, bool]:
+    """The user-sample count live method matches with, and whether it
+    measures a sample to a window's polyline (else to its nearest fix)."""
+    if method == NEW_LIVE:
+        return cfg.max_user_samples, True
+    return cfg.old_live_samples, False
+
+
 def _match(segment: ActivitySegment, cfg: LiveMatchConfig, index: PositionIndex,
-           n_samples: int, use_linestring: bool, method: str,
-           ) -> Optional[LiveMatchResult]:
+           method: str) -> Optional[LiveMatchResult]:
+    n_samples, use_linestring = sampling(method, cfg)
     samples = select_user_samples(segment.trace, n_samples)
     n = len(samples)
     if n < 2:
@@ -365,12 +373,10 @@ def _score_order(s: VehicleScore) -> tuple:
 def match_live(segment: ActivitySegment, cfg: LiveMatchConfig,
                index: PositionIndex) -> Optional[LiveMatchResult]:
     """Linestring-based matching with up to cfg.max_user_samples samples."""
-    return _match(segment, cfg, index, cfg.max_user_samples,
-                  use_linestring=True, method=NEW_LIVE)
+    return _match(segment, cfg, index, NEW_LIVE)
 
 
 def match_live_old(segment: ActivitySegment, cfg: LiveMatchConfig,
                    index: PositionIndex) -> Optional[LiveMatchResult]:
     """The four-sample point-to-point baseline."""
-    return _match(segment, cfg, index, cfg.old_live_samples,
-                  use_linestring=False, method=OLD_LIVE)
+    return _match(segment, cfg, index, OLD_LIVE)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -255,7 +256,8 @@ class DeviceModelEntry:
 @dataclass(frozen=True, eq=False)
 class ActivitySegment:
     """A maximal same-activity run of one device; the unit of recognition.
-    trace is its rows of the filtered table, a slice of its columns."""
+    trace is its rows of the filtered table, a slice of its columns; the
+    start and end times are computed once, on first use."""
 
     segment_id: int
     device_id: int
@@ -266,11 +268,11 @@ class ActivitySegment:
         if not len(self.trace):
             raise ValueError("segment must contain at least one point")
 
-    @property
+    @cached_property
     def start_time(self) -> datetime:
         return from_seconds(self.trace.times_s[0])
 
-    @property
+    @cached_property
     def end_time(self) -> datetime:
         return from_seconds(self.trace.times_s[-1])
 

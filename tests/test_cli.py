@@ -310,6 +310,41 @@ def test_inspect_segment_inspects_only_the_configured_methods(
     assert "planner itineraries" in out
 
 
+
+def _per_method_blocks(out: str) -> list[tuple[str, int, list[int]]]:
+    """Each live block's (method, sample count, length of each candidate's
+    per-sample distance list)."""
+    blocks = []
+    for line in out.splitlines():
+        if "user samples for matching" in line:
+            method, rest = line.split(": ", 1)
+            blocks.append((method, int(rest.split()[0]), []))
+        elif "per-sample distances" in line:
+            blocks[-1][2].append(len(line.split(": ", 1)[1].split(", ")))
+    return blocks
+
+
+@pytest.mark.parametrize("methods", [["old-live"], ["old-live", "new-live"],
+                                     ["new-live", "static"]])
+def test_inspect_segment_shows_each_live_method_as_it_matches(
+        synth, tmp_path, capsys, methods):
+    cfg_raw = yaml.safe_load(Path(synth.config_path).read_text())
+    cfg_raw.update(output_dir=str(tmp_path / "out"), methods=methods)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(cfg_raw), encoding="utf-8")
+    assert run_cli("inspect-segment", "--config", cfg, 1) == 0
+    out = capsys.readouterr().out
+    samples = {"new-live": 40, "old-live": 4}
+    blocks = _per_method_blocks(out)
+    assert [(m, n) for m, n, _ in blocks] == [
+        (m, samples[m]) for m in methods if m in samples]
+    for method, n, lists in blocks:
+        assert lists and set(lists) == {n}
+    assert ("old-live: 4 user samples for matching, point distances"
+            in out) == ("old-live" in methods)
+    assert ("new-live: 40 user samples for matching, linestring distances"
+            in out) == ("new-live" in methods)
+
 @pytest.mark.parametrize("section, values, message", [
     ("live", {"window_s": float("inf")}, "window_s must be finite, got inf"),
     ("planner", {"search_window_s": float("inf")},

@@ -20,6 +20,7 @@ from tripmatch.gtfs import (
     GtfsBundle,
     GtfsError,
     GtfsStop,
+    GtfsStopTime,
     GtfsTrip,
     StopTimeColumns,
     gtfs_time_to_datetime,
@@ -548,9 +549,23 @@ def _ref_trips_on(bundle, trips, day):
     return {t.trip_id for t in trips.values() if t.service_id in active}
 
 
-def _ref_validate(bundle, trips):
-    """The GtfsError text of validate over a dict of GtfsTrip, as the
-    per-trip loop produced it, or None."""
+def _ref_stop_times(path, trips, stops):
+    """The valid rows of stop_times.txt as GtfsStopTime in (trip, sequence)
+    order, file order within a tie, and the trip and stop ids they are
+    coded by: those of trips.txt and stops.txt sorted, then those that only
+    stop_times.txt names, sorted."""
+    rows, _ = reference_table(path, _ref_stop_time_row, label="stop_times.txt")
+    trip_ids = (*sorted(trips), *sorted({r[0] for r in rows} - set(trips)))
+    stop_ids = (*sorted(stops), *sorted({r[1] for r in rows} - set(stops)))
+    rank = {trip_id: k for k, trip_id in enumerate(trip_ids)}
+    rows.sort(key=lambda r: (rank[r[0]], r[4]))
+    return [GtfsStopTime(*r) for r in rows], trip_ids, stop_ids
+
+
+def _ref_validate(bundle, trips, rows):
+    """The GtfsError text of validate over a dict of GtfsTrip and the
+    stop-time rows in (trip, sequence) order, as the per-trip loop produced
+    it, or None."""
     problems: list[str] = []
 
     def check(condition: bool, message: str) -> None:
@@ -568,7 +583,6 @@ def _ref_validate(bundle, trips):
         if trip.shape_id is not None and bundle.shapes:
             check(trip.shape_id in bundle.shapes,
                   f"trip {trip.trip_id} references missing shape {trip.shape_id}")
-    rows = list(bundle.stop_times)
     for row in [r for r in rows
                 if r.trip_id not in trips or r.stop_id not in bundle.stops][:10]:
         check(row.trip_id in trips, f"stop_time references missing trip {row.trip_id}")
@@ -586,6 +600,8 @@ def _ref_validate(bundle, trips):
 
 
 _TRIPS_DAYS = [date(2016, 8, 26), date(2016, 8, 27), date(2016, 8, 29)]
+#: the spaces drawn before and after a stop_times.txt id
+_ID_PADS = st.sampled_from([("", ""), ("", ""), (" ", ""), ("", "  "), (" ", " ")])
 
 
 @settings(max_examples=60, deadline=None)
@@ -594,21 +610,44 @@ _TRIPS_DAYS = [date(2016, 8, 26), date(2016, 8, 27), date(2016, 8, 29)]
     st.sampled_from(["r1", "r1", "r9"]),
     st.sampled_from(["wd", "wd", "ex", "zz"]),
     st.sampled_from(["", "", "s1", "s9"])), max_size=12),
-    st.lists(st.tuples(st.sampled_from(["t1", "t2", "t3", "ghost", "x y"]),
-                       st.sampled_from("ABZ"), st.integers(3, 6)), max_size=8),
-    st.booleans(), _gtfs_layouts)
+    st.lists(st.one_of(st.tuples(
+        st.sampled_from(["t1", "t2", "t3", "ghost", "x y", "alpha", "Zed", ""]),
+        st.sampled_from(["A", "B", "Z", "Q", ""]), st.integers(3, 6),
+        _ID_PADS, _ID_PADS), st.none()), max_size=10),
+    st.booleans(), st.booleans(), _gtfs_layouts)
+@example(rows=[("t2", "r1", "wd", ""), ("t3", "r1", "wd", "")],
+         stop_rows=[("ghost", "Z", 3, ("", ""), ("", "")), None,
+                    ("t2", "B", 4, (" ", ""), ("", " ")),
+                    ("alpha", "Q", 5, ("", ""), (" ", "")),
+                    ("Zed", "A", 3, ("", " "), ("", "")), None],
+         shapes=False, quoted=False, layout=("", csv.QUOTE_MINIMAL, "\n", False))
+@example(rows=[("t1", "r1", "wd", ""), ("t2", "r1", "wd", "")],
+         stop_rows=[("t2", "A", 3, (" ", " "), ("", "")),
+                    ("t1", "B", 4, ("", ""), (" ", ""))],
+         shapes=False, quoted=False, layout=("", csv.QUOTE_MINIMAL, "\n", False))
 def test_trips_agree_with_reference(tmp_path_factory, rows, stop_rows, shapes,
-                                    layout):
+                                    quoted, layout):
     """trips.txt with repeated trip ids and dangling route, service and
-    shape references, with stop times of trips absent from it: the trips
-    mapping, trips_on and validate's error text equal those of a dict of
-    GtfsTrip and per-trip loops."""
+    shape references, with trips without stop times, and stop_times.txt
+    with blank rows and trip and stop ids padded with spaces or missing
+    from trips.txt and stops.txt, in any order: the trips mapping,
+    trips_on, the stop times with their codes, and validate's error text
+    equal those of a dict of GtfsTrip and per-trip loops."""
     feed, path = _feed_with(tmp_path_factory.mktemp("feed"), "trips.txt",
                             ["trip_id", "route_id", "service_id", "shape_id"],
                             rows, layout)
+
+    def stop_time(row) -> str:
+        if row is None:
+            return ",,,,"
+        trip, stop, seq, (a, b), (c, d) = row
+        trip = a + trip + b
+        if quoted:  # a quote sends the rest of the file through csv.reader
+            trip = f'"{trip}"'
+        return f"{trip},{c}{stop}{d},11:00:00,11:00:00,{seq}"
+
     (feed / "stop_times.txt").write_text("\n".join(
-        MINIMAL["stop_times.txt"]
-        + [f'"{t}",{s},11:00:00,11:00:00,{seq}' for t, s, seq in stop_rows]) + "\n")
+        MINIMAL["stop_times.txt"] + list(map(stop_time, stop_rows))) + "\n")
     (feed / "calendar_dates.txt").write_text(
         "service_id,date,exception_type\nex,20160827,1\nwd,20160829,2\n")
     if shapes:
@@ -626,7 +665,12 @@ def test_trips_agree_with_reference(tmp_path_factory, rows, stop_rows, shapes,
         t in expected for t in ["t1", "t2", "ghost", "", 1]]
     for day in _TRIPS_DAYS:
         assert bundle.trips_on(day) == _ref_trips_on(bundle, expected, day)
-    message = _ref_validate(bundle, expected)
+    stop_times, trip_ids, stop_ids = _ref_stop_times(
+        feed / "stop_times.txt", expected, ["A", "B"])
+    assert bundle.stop_times.trip_ids == trip_ids
+    assert bundle.stop_times.stop_ids == stop_ids
+    assert list(bundle.stop_times) == stop_times
+    message = _ref_validate(bundle, expected, stop_times)
     if message is None:
         bundle.validate()
     else:

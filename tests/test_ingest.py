@@ -1003,3 +1003,45 @@ def test_cr_line_ends_split_on_bytes_as_csv_reader_reads_them(eols):
         assert not slow.called, chunk
         assert list(zip(table.lines.tolist(), table.values("a"),
                         table.values("b"))) == expected, chunk
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 17])
+def test_known_values_keep_their_codes_and_the_others_follow_them(quoted, chunk):
+    """A Known column's values keep their codes, also one whose every row is
+    dropped and one no row names; a cell that parses to a known value takes
+    its code; the other values follow in order of first appearance in the
+    rows kept, on the byte path and through csv.reader, in blocks of any
+    size."""
+    rows = [("z", "bad"), ("x", "1"), (" b ", "2"), ("a", "bad"), ("z", "3"),
+            ("b", "4"), ("x ", "5"), (",", "bad")]
+    text = "id,n\n" + "".join(
+        (f'"{i}",{n}\n' if quoted or "," in i else f"{i},{n}\n") for i, n in rows)
+    known = ingest.Known(("a", "b", "c"))
+    for drop in (True, False):
+        lines = text if drop else "".join(
+            line for line in text.splitlines(True) if "bad" not in line)
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+            table = ingest.read_table(io.BytesIO(lines.encode()), "t.csv", [
+                ingest.Column("id", known), ingest.Column("n", int)],
+                permissive=True)
+        # with rows dropped or not, " b " and "x " parse as values seen
+        # before, and "z" follows "x" although a dropped row names it first
+        assert table.levels["id"] == ("a", "b", "c", "x", "z"), drop
+        assert table.data["id"].tolist() == [3, 1, 4, 1, 3], drop
+        assert table.data["id"].dtype == np.int32
+
+
+def test_plain_text_cells_strip_alike_and_a_blank_required_one_is_missing():
+    """New plain-text cells of a block are stripped together: cells that
+    strip alike share one code, and a blank cell of a required column is a
+    missing value, located at its line."""
+    text = "s,t\n a,1\nb ,\na,\n b,2\n"
+    table = ingest.read_table(io.BytesIO(text.encode()), "t.csv", [
+        ingest.Column("s"), ingest.Column("t", required=False)])
+    assert table.levels["s"] == ("a", "b")
+    assert table.data["s"].tolist() == [0, 1, 0, 1]
+    assert table.values("t") == ["1", "", "", "2"]
+    with pytest.raises(IngestError, match="line 3: column 't': missing value"):
+        ingest.read_table(io.BytesIO(text.encode()), "t.csv", [
+            ingest.Column("s"), ingest.Column("t")]).report()

@@ -20,6 +20,7 @@ from tripmatch.types import (
     LineType,
     ManualTrip,
     TraceColumns,
+    from_seconds,
     seconds_between,
 )
 
@@ -166,6 +167,17 @@ def test_single_point_segment_allowed_but_empty_rejected():
     with pytest.raises(ValueError):
         ActivitySegment(1, 1, Activity.IN_VEHICLE, TraceColumns.from_points([]))
 
+
+
+def test_segment_times_are_its_first_and_last_trace_times():
+    seg = segment_of([fp(5, Activity.IN_VEHICLE), fp(65, Activity.IN_VEHICLE),
+                      fp(130, Activity.IN_VEHICLE)])
+    assert seg.start_time == from_seconds(seg.trace.times_s[0]) == at(5)
+    assert seg.end_time == from_seconds(seg.trace.times_s[-1]) == at(130)
+    # computed once: a second access returns the same object
+    assert seg.start_time is seg.start_time and seg.end_time is seg.end_time
+    assert seg.duration_s == 125.0
+    assert seg.midpoint_time == at(67.5)
 
 def reference_segments(points, max_gap_s):
     """The per-point loop that built segments before they were column
