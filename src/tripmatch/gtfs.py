@@ -10,7 +10,11 @@ per row. Its arrival and departure clocks are decoded a chunk at a time
 from the chunk's bytes by ingest.clock_seconds, which also reads the clock
 of a timestamp: 'HH:MM:SS' and 'H:MM:SS' cells in one array pass, a blank
 one as UNTIMED, any other on its own through the strict parse_gtfs_time,
-so a bad clock is still reported by file, line and column. trips.txt is
+so a bad clock is still reported by file, line and column. Its
+stop_sequence is decoded from the bytes too (Int32s, by
+ingest.digit_values): cells of 1-8 ASCII digits in one array pass, any
+other on its own through int() and an int32 range check. Of its cells only
+those of the trip_id and stop_id columns become strs. trips.txt is
 kept as columns too (TripColumns): int32 codes of each trip's route,
 service and shape, which validation and the planner read as masks over the
 codes; a GtfsTrip is built only when one trip is looked up.
@@ -38,7 +42,7 @@ from typing import Collection, Iterator, Optional, Sequence
 import numpy as np
 
 from .ingest import (Column, Floats, IngestError, Known, Table,
-                     clock_seconds, read_table)
+                     clock_seconds, digit_values, read_table)
 from .types import GeoPoint, LineType
 
 
@@ -404,6 +408,24 @@ def _int32(text: str) -> int:
     return value
 
 
+class Int32s:
+    """parse of an int32 column (stop_sequence): cells of 1 to 8 ASCII
+    digits are decoded a chunk at a time from their bytes (scan, by
+    ingest.digit_values), any other cell (blank, signed, spaced, of other
+    digits or of 9 or more) through _int32."""
+
+    def __call__(self, text: str) -> int:
+        return _int32(text)
+
+    @staticmethod
+    def scan(chunk: bytes, starts: np.ndarray,
+             ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values, ok = digit_values(chunk, starts, ends)
+        return values.astype(np.int32), ok
+
+    decode = staticmethod(np.ndarray.tolist)
+
+
 class _FeedSource:
     """Uniform access to feed files in a directory or a zip archive."""
 
@@ -469,14 +491,14 @@ def load_gtfs(path) -> GtfsBundle:
         Column("stop_id", Known(tuple(sorted(stops)))),
         Column("arrival_time", Clocks(), header=False),
         Column("departure_time", Clocks(), header=False),
-        Column("stop_sequence", _int32)])
+        Column("stop_sequence", Int32s())])
     table.report()
     trip, trip_ids = _unknown_in_id_order(table, "trip_id", len(trips))
     stop, stop_ids = _unknown_in_id_order(table, "stop_id", len(stops))
     stop_times = StopTimeColumns.from_arrays(
         trip=trip, stop=stop, arrival_s=table.data["arrival_time"],
         departure_s=table.data["departure_time"],
-        sequence=table.array("stop_sequence", np.int32),
+        sequence=table.data["stop_sequence"],
         trip_ids=trip_ids, stop_ids=stop_ids)
     del table  # its columns are copied, sorted, into stop_times
 

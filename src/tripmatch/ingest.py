@@ -234,6 +234,21 @@ def _eight_digits(words: np.ndarray) -> np.ndarray:
             ) >> np.uint64(32)
 
 
+def digit_values(chunk: bytes, starts: np.ndarray,
+                 ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 values of the cells chunk[starts:ends] of 1 to 8 ASCII digits,
+    and which cells are of that form. Each cell is read as the word of the
+    8 bytes that end at it, the bytes before it set to '0'."""
+    if len(ends) == 0 or ends.min() < 8:  # bytes before the chunk read as NULs
+        chunk, starts, ends = bytes(8) + chunk, starts + 8, ends + 8
+    size = ends - starts
+    masks = _CELL_MASKS[[2, 5]].take(np.minimum(size, 8), axis=1)
+    digits, ok = word_digits(words_at(chunk, ends - 8) & masks[0] | masks[1],
+                             _ZEROS, _NINES)
+    return (_eight_digits(digits.reshape(-1).view("<u8")),
+            ok & (size >= 1) & (size <= 8))
+
+
 def _float_values(chunk: bytes, starts: np.ndarray,
                   ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """float64 values of the cells chunk[starts:ends], and which of them
@@ -365,7 +380,8 @@ class Table:
     bad cell: data[name] is, for a column whose parse has a scan form, an
     array of the dtype that form returns (float64 for Floats, and for
     Stamps, a date's seconds plus a clock's; int32 for gtfs.Clocks, read by
-    the same clock_seconds), else an int32 array of codes into
+    the same clock_seconds, and for gtfs.Int32s, read by digit_values),
+    else, for a dictionary column, an int32 array of codes into
     levels[name], the distinct parsed values: for a Known column its known
     values first, each at its index, then the others in order of first
     appearance. report or build reports the bad rows, in file order with
@@ -467,11 +483,18 @@ def read_table(fh, label, columns: Sequence[Column], *,
     at its line. The file is read in blocks of whole lines (_chunks): a
     plain block is split on bytes, and a column whose parse has a scan form
     is decoded from the block's bytes in place, each cell that form rejects
-    going through parse on its own; from the first block with a quote, a
-    NUL or a non-empty row of another width, the rest of the file goes
-    through csv.reader.
+    going through parse on its own, decoded from its bytes; only the cells
+    of the other (dictionary) columns become strs. From the first block
+    with a quote, a NUL or a non-empty row of another width, the rest of
+    the file goes through csv.reader.
     """
-    chunks = _chunks(fh, label, error)
+    def coded(header: list[str]) -> list[int]:
+        """The header positions of the columns read without a scan form."""
+        at = {h.strip().lower(): i for i, h in enumerate(header)}
+        return sorted({at[c.name] for c in columns
+                       if c.name in at and not hasattr(c.parse, "scan")})
+
+    chunks = _chunks(fh, label, error, coded)
     names = [h.strip().lower() for h in next(chunks)]
     index = {name: i for i, name in enumerate(names)}
     missing = [c.name for c in columns if c.header and c.name not in index]
@@ -481,16 +504,17 @@ def read_table(fh, label, columns: Sequence[Column], *,
     table = Table(label, error, {c.name: c.parse for c in columns}, permissive,
                   diagnostics if diagnostics is not None else [])
     readers = [_ColumnReader(c, index.get(c.name)) for c in columns]
-    lines = []
+    width, first, lines = len(names), 0, []
     for cells, chunk_lines, data, ends in chunks:
-        first, n = sum(map(len, lines)), len(chunk_lines)
+        n = len(chunk_lines)
         faults: dict[int, tuple[str, str]] = {}
         for reader in readers:
-            for row, message in reader.add(cells, len(names), n, data, ends):
+            for row, message in reader.add(cells, width, n, data, ends):
                 faults.setdefault(row, (message, reader.column.name))
         for row in sorted(faults):
-            blank = "".join(cells[row * len(names):(row + 1) * len(names)])
-            table.bad[first + row] = faults[row] if blank.strip() else None
+            blank = not _row_text(cells, width, row, data, ends).strip()
+            table.bad[first + row] = None if blank else faults[row]
+        first += n
         lines.append(chunk_lines)
     table.lines = np.concatenate([table.lines, *lines])
     keep = np.ones(len(table.lines), dtype=bool)
@@ -500,6 +524,17 @@ def read_table(fh, label, columns: Sequence[Column], *,
     return table
 
 
+def _row_text(cells: dict[int, Sequence[str]], width: int, row: int,
+              data: bytes | None, ends: np.ndarray | None) -> str:
+    """The cells of a chunk's row joined: read from the chunk's bytes, less
+    its commas, when it was split on bytes (so that no cell is quoted),
+    else from its cells."""
+    if data is None:
+        return "".join(column[row] for column in cells.values())
+    start = ends[row * width - 1] + 1 if row else 0
+    return data[start:ends[row * width + width - 1]].decode().replace(",", "")
+
+
 _NO_CELLS = np.empty(0, np.int64)
 
 
@@ -507,7 +542,8 @@ class _ColumnReader:
     """One column's cells, chunk by chunk: a column whose parse has a scan
     form (chunk bytes, cell starts, cell ends -> values, ok) is decoded a
     chunk at a time into arrays of the dtype that form returns, each cell
-    it rejects going through parse; any other is dictionary-encoded with
+    it rejects decoded from its bytes and going through parse; any other
+    (a dictionary column) is dictionary-encoded from its raw cells with
     each distinct cell parsed once, a parse with levels (Known) seeding the
     codes with its known values."""
 
@@ -534,11 +570,12 @@ class _ColumnReader:
         except (ValueError, IngestError) as exc:
             return None, str(exc)
 
-    def spans(self, raw: list[str], width: int, data: bytes | None,
+    def spans(self, cells: dict[int, Sequence[str]], width: int, n: int,
+              data: bytes | None,
               ends: np.ndarray | None) -> tuple[bytes, np.ndarray, np.ndarray]:
-        """Bytes holding this column's cells raw, and each cell's start and
-        end offset in them: a plain chunk's own data, whose cells end at
-        ends, else the cells encoded once and joined, each followed by a
+        """Bytes holding this column's n cells raw, and each cell's start
+        and end offset in them: a plain chunk's own data, whose cells end
+        at ends, else the cells encoded once and joined, each followed by a
         comma."""
         if data is not None and self.at is not None:
             if self.at:
@@ -546,28 +583,29 @@ class _ColumnReader:
             else:  # the first cell of a row starts after the row before
                 starts = np.concatenate(([0], ends[width - 1:-1:width] + 1))
             return data, starts, ends[self.at::width]
+        raw = cells[self.at] if self.at is not None else [""] * n
         encoded = [cell.encode() for cell in raw]
         size = np.fromiter(map(len, encoded), np.int64, len(encoded))
         cell_ends = np.cumsum(size + 1) - 1
         return b",".join(encoded) + b",", cell_ends - size, cell_ends
 
-    def add(self, cells: list[str], width: int, n: int, data: bytes | None,
-            ends: np.ndarray | None) -> list[tuple[int, str]]:
-        """Take a chunk of n rows of width cells, with the chunk's bytes and
-        cell ends when it was split on bytes; the (row, message) of each bad
-        cell of this column."""
-        raw = cells[self.at::width] if self.at is not None else [""] * n
+    def add(self, cells: dict[int, Sequence[str]], width: int, n: int,
+            data: bytes | None, ends: np.ndarray | None) -> list[tuple[int, str]]:
+        """Take a chunk of n rows of width cells, as _chunks yields it; the
+        (row, message) of each bad cell of this column."""
         bad = []
         if self.scan is not None:
-            values, ok = self.scan(*self.spans(raw, width, data, ends))
+            chunk, starts, stops = self.spans(cells, width, n, data, ends)
+            values, ok = self.scan(chunk, starts, stops)
             for row in np.flatnonzero(~ok).tolist():
-                value, message = self.parse(raw[row])
+                value, message = self.parse(chunk[starts[row]:stops[row]].decode())
                 if message is None:
                     values[row] = value
                 else:
                     bad.append((row, message))
             self.parts.append(values)
             return bad
+        raw = cells[self.at] if self.at is not None else [""] * n
         codes = np.fromiter(map(self.codes.__getitem__, raw), np.int32, n)
         new = list(islice(reversed(self.codes), len(self.codes) - len(self.parsed)))
         new.reverse()  # the cells first seen here, in code order
@@ -619,29 +657,34 @@ class _ColumnReader:
         table.levels[name] = tuple(levels)
 
 
-#: LF to comma, to split a plain chunk's cells at every delimiter at once
-_LF_TO_COMMA = bytes.maketrans(b"\n", b",")
-
 #: a line as a file opened with newline='' splits it, as csv.reader takes
 #: it: up to an LF, a CRLF or a bare CR, or the rest of the data
 _LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
-def _chunks(fh, label, error: type[IngestError]) -> Iterator:
+def _chunks(fh, label, error: type[IngestError],
+            coded: Callable[[list[str]], list[int]]) -> Iterator:
     """The header cells of the CSV text in the binary file fh, then its data
-    rows in chunks of (cells, lines, data, ends): the cells of the chunk's
-    rows in row order, each row padded or cut to the header's width, and
-    the line that ends each row, as csv.reader counts lines; for a chunk
-    split on bytes also its bytes data, CR-free and LF-terminated, and the
-    offset in data of the comma or LF after each cell, else None, None.
+    rows, each padded or cut to the header's width, in chunks of (cells,
+    lines, data, ends): cells maps a header position to the raw cells of
+    its column as str, in row order; lines holds the line that ends each
+    row, as csv.reader counts lines; data and ends are, for a chunk split
+    on bytes, its bytes, CR-free and LF-terminated, and the offset in data
+    of the comma or LF after each cell, else None, None. A chunk split on
+    bytes has cells only at the positions that coded(header) lists; one
+    read by csv.reader has them at every position.
 
     The file is read in blocks of about _CHUNK_BYTES cut after their last
     line end (_blocks), the header coming from the first. A block with a
     CR ends each line in one LF (_line_feeds); if the block then holds no
     quote and no NUL, and its delimiters make rows of the header's width
     (_row_ends) as it is or less its empty lines (which csv.reader skips
-    but counts), it is split on bytes. From the first block that is not,
-    the rest of the file goes through csv.reader."""
+    but counts), it is split on bytes: a copy of it has a NUL written over
+    the delimiter before and the delimiter after each cell of the coded
+    positions, and is decoded once and split at the NULs, so that each
+    coded column's cells are every m-th piece, m being the NULs of a row.
+    From the first block that is not, or that is not UTF-8, the rest of the
+    file goes through csv.reader."""
     blocks = _blocks(fh)
     taken = [b"", 0]  # the block of the last line taken, and the offset after it
 
@@ -661,6 +704,13 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
             raise error("empty file, header expected", path=label)
         yield header
         width, line = len(header), reader.line_num
+        at = coded(header)
+        # the row's delimiters before and after each coded cell, in row
+        # order (the one before a first cell is the last of the row
+        # before), and which piece of a row's m is each coded cell
+        nuls = sorted({*at, *((k - 1) % width for k in at)})
+        piece = {k: nuls.index(k) for k in at}
+        m = len(nuls)
         # the header's block is let go, its rest copied, so that no block
         # stays referenced through the read (one that did raised the
         # published-day benchmark's peak RSS by about 1 MB)
@@ -683,15 +733,17 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
                 data = np.delete(buf, feeds[empty]).tobytes()
                 if (ends := _row_ends(data, width)) is None:
                     break
+            n = len(ends) // width
+            split = bytearray(data)
+            np.frombuffer(split, np.uint8)[ends.reshape(n, width)[:, nuls]] = 0
             try:
-                cells = data.translate(_LF_TO_COMMA).decode("utf-8").split(",")
+                pieces = split.decode("utf-8").split("\0")
             except UnicodeDecodeError:
                 break  # csv.reader's path locates the byte
-            cells.pop()  # after the last LF
-            n = len(ends) // width
             if n:  # the lines of the rows, the empty ones counted
-                at = np.arange(n) if empty is None else np.flatnonzero(~empty)
-                yield cells, (at + line + 1).astype(np.int32), data, ends
+                kept = np.arange(n) if empty is None else np.flatnonzero(~empty)
+                cells = {k: pieces[piece[k]:n * m:m] for k in at}
+                yield cells, (kept + line + 1).astype(np.int32), data, ends
             line += n if empty is None else len(empty)
         else:
             return
@@ -704,7 +756,7 @@ def _chunks(fh, label, error: type[IngestError]) -> Iterator:
                             else (row + [""] * width)[:width])
                 row_ends.append(line + reader.line_num)
             if rows and (row is None or len(rows) == _CHUNK_ROWS):
-                yield (list(chain.from_iterable(rows)), np.array(row_ends, np.int32),
+                yield (dict(enumerate(zip(*rows))), np.array(row_ends, np.int32),
                        None, None)
                 rows, row_ends = [], []
     except csv.Error as exc:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from tripmatch.gtfs import GtfsBundle, GtfsService, load_gtfs
 from tripmatch.types import (
@@ -223,3 +224,27 @@ def scan_input(cells: list[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
         ends.append(len(data))
         data += b","
     return data, np.array(starts, np.int64), np.array(ends, np.int64)
+
+
+#: the text of an unread column's cells: spaces, non-ASCII, blank
+_UNREAD_TEXT = st.text(" aZ9\t\u00e9\u0663", max_size=5)
+
+#: how a test lays out a table's columns: an order, as a permutation read
+#: as sort keys of the columns, and 0-2 unread columns, each as the cells
+#: that the rows take in turn
+arrangements = st.tuples(st.permutations(range(16)), st.lists(
+    st.lists(_UNREAD_TEXT, min_size=1, max_size=3), max_size=2))
+
+#: the columns as they are
+AS_IS = (tuple(range(16)), [])
+
+
+def arranged(header, rows, arrangement) -> tuple[list[str], list[list[str]]]:
+    """header and rows with the unread columns of arrangement added
+    (named unread_0, unread_1) and every column in its order."""
+    order, unread = arrangement
+    header = [*header, *(f"unread_{k}" for k in range(len(unread)))]
+    rows = [[*row, *(cells[k % len(cells)] for cells in unread)]
+            for k, row in enumerate(rows)]
+    at = sorted(range(len(header)), key=order.__getitem__)
+    return [header[i] for i in at], [[row[i] for i in at] for row in rows]

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cell, loader_outcome, reference_table, scan_input
+from conftest import (AS_IS, arranged, arrangements, cell, loader_outcome,
+                      reference_table, scan_input)
 from tripmatch import ingest
 from tripmatch.ingest import Column
 from tripmatch.gtfs import (
@@ -490,18 +491,22 @@ def test_columnar_stop_times_equal_row_parse(tmp_path_factory, feed):
 
 _gtfs_layouts = st.tuples(st.sampled_from(["", " "]),
                           st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
-                          st.sampled_from(["\n", "\r\n"]), st.booleans())
+                          st.sampled_from(["\n", "\r\n"]), st.booleans(),
+                          arrangements)
 
 
 def _feed_with(tmp_path, name, header, rows, layout):
-    """MINIMAL with rows appended to table name, laid out as drawn, and the
-    path of that table."""
-    pad, quoting, eol, bom = layout
+    """MINIMAL with rows appended to table name, laid out as drawn (its
+    columns in any order, unread ones among them), and the path of that
+    table."""
+    pad, quoting, eol, bom, arrangement = layout
+    header, rows = arranged(header, [*csv.reader(MINIMAL[name][1:]),
+                                     *([pad + c + pad for c in row] for row in rows)],
+                            arrangement)
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, quoting=quoting, lineterminator=eol)
     writer.writerow(header)
-    writer.writerows(csv.reader(MINIMAL[name][1:]))
-    writer.writerows([pad + c + pad for c in row] for row in rows)
+    writer.writerows(rows)
     feed = write_feed(tmp_path, {k: v for k, v in MINIMAL.items() if k != name})
     (feed / name).write_bytes((("\ufeff" if bom else "") + buf.getvalue())
                               .encode("utf-8"))
@@ -620,11 +625,11 @@ _ID_PADS = st.sampled_from([("", ""), ("", ""), (" ", ""), ("", "  "), (" ", " "
                     ("t2", "B", 4, (" ", ""), ("", " ")),
                     ("alpha", "Q", 5, ("", ""), (" ", "")),
                     ("Zed", "A", 3, ("", " "), ("", "")), None],
-         shapes=False, quoted=False, layout=("", csv.QUOTE_MINIMAL, "\n", False))
+         shapes=False, quoted=False, layout=("", csv.QUOTE_MINIMAL, "\n", False, AS_IS))
 @example(rows=[("t1", "r1", "wd", ""), ("t2", "r1", "wd", "")],
          stop_rows=[("t2", "A", 3, (" ", " "), ("", "")),
                     ("t1", "B", 4, ("", ""), (" ", ""))],
-         shapes=False, quoted=False, layout=("", csv.QUOTE_MINIMAL, "\n", False))
+         shapes=False, quoted=False, layout=("", csv.QUOTE_MINIMAL, "\n", False, AS_IS))
 def test_trips_agree_with_reference(tmp_path_factory, rows, stop_rows, shapes,
                                     quoted, layout):
     """trips.txt with repeated trip ids and dangling route, service and

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RowError, cell, loader_outcome, reference_table, scan_input
+from conftest import (RowError, arranged, arrangements, cell, loader_outcome,
+                      reference_table, scan_input)
 from tripmatch import ingest
 from tripmatch.ingest import (
     FILTERED_COLUMNS,
@@ -19,7 +20,7 @@ from tripmatch.ingest import (
     format_timestamp,
     parse_timestamp,
 )
-from tripmatch.gtfs import UNTIMED, Clocks
+from tripmatch.gtfs import UNTIMED, Clocks, Int32s
 from tripmatch.segmentation import build_segments
 from tripmatch.types import (
     ACTIVITIES,
@@ -517,16 +518,18 @@ def _live_lines(draw_rows, pads):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.data(), st.lists(_live_cells, max_size=15), st.booleans())
+@given(st.data(), st.lists(_live_cells, max_size=15), st.booleans(), arrangements)
 def test_columnar_loader_agrees_with_row_path(tmp_path_factory, data, rows,
-                                               crlf):
+                                               crlf, arrangement):
     rows = rows + data.draw(st.lists(st.sampled_from(rows), max_size=3)
                             if rows else st.just([]))
     pads = data.draw(st.lists(st.integers(-1, 5), min_size=len(rows),
                               max_size=len(rows)))
     eol = "\r\n" if crlf else "\n"
     path = tmp_path_factory.mktemp("cols") / "t.csv"
-    path.write_text(eol.join([LIVE_HEADER] + _live_lines(rows, pads)) + eol,
+    header, cells = arranged(TRANSIT_LIVE_COLUMNS, [
+        line.split(",") for line in _live_lines(rows, pads)], arrangement)
+    path.write_text(eol.join(map(",".join, [header, *cells])) + eol,
                     encoding="utf-8")
     loaded = _load_live(path)
     assert loaded == _reference_live(path, permissive=False)
@@ -570,8 +573,10 @@ def test_corrupt_cell_fails_alike_on_both_paths(tmp_path_factory, column, bad,
 
 def _write_table(path, header, rows, layout):
     """rows under header as CSV text laid out as drawn: padded cells, any
-    quoting, CRLF line ends, a BOM and blank lines between rows."""
-    pad, quoting, eol, bom, blank_every, _ = layout
+    quoting, CRLF line ends, a BOM, blank lines between rows, and the
+    columns in any order with unread ones among them."""
+    pad, quoting, eol, bom, blank_every, arrangement, _ = layout
+    header, rows = arranged(header, rows, arrangement)
     lines = io.StringIO(newline="")
     writer = csv.writer(lines, quoting=quoting, lineterminator=eol)
     writer.writerow(header)
@@ -585,7 +590,7 @@ def _write_table(path, header, rows, layout):
 _layouts = st.tuples(st.sampled_from(["", " "]),
                      st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
                      st.sampled_from(["\n", "\r\n"]), st.booleans(),
-                     st.sampled_from([0, 2, 5]),
+                     st.sampled_from([0, 2, 5]), arrangements,
                      st.sampled_from([1, 100, 1 << 20]))  # bytes per chunk
 
 
@@ -734,6 +739,18 @@ _float_cells = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr), _decimals,
     _one_replaced(_decimals, "0123456789.-+e ", 5), st.sampled_from(_FLOAT_FALLBACKS))
 
+_digits = st.text("0123456789", min_size=1, max_size=10)
+#: digit runs of 1-10 (leading zeros among them), signed, with one
+#: character replaced by a sign, '_', a space or a non-ASCII digit, padded
+#: inside or out, and blank
+_int_cells = st.one_of(
+    _digits, st.builds(str.__add__, st.sampled_from(["+", "-"]), _digits),
+    _one_replaced(_digits, "0123456789+-_ \u0663", 9),
+    st.builds(lambda text, at, pad: text[:at] + pad + text[at:], _digits,
+              st.integers(0, 10), st.sampled_from([" ", "  "])),
+    st.sampled_from(["", " ", "\u0663", "00000000", "99999999", "2147483647",
+                     "2147483648", "-2147483648", "-2147483649", "1_0"]))
+
 #: each byte decoder's parse, its cells, the form its scan takes, and
 #: whether it takes every cell of that form (the float scan leaves a few
 #: to float(): those whose extended quotient lies on a float64 midpoint)
@@ -744,6 +761,7 @@ _DECODERS = {
               True),
     "float": (ingest.Floats(), _float_cells,
               r"-?(?=[0-9.]{1,19}\Z)([0-9]+\.?[0-9]*|\.[0-9]+)", False),
+    "int32": (Int32s(), _int_cells, r"[0-9]{1,8}", True),
 }
 
 
@@ -879,11 +897,16 @@ def test_one_padded_stamp_is_parsed_alone(tmp_path):
 
 
 #: a byte that is not UTF-8 on line 3 of a table, on each of the reader's
-#: paths: plain rows split on bytes, quoted rows read by csv.reader, and
-#: the header (line 1)
+#: paths: plain rows split on bytes (in a text, a scanned and an unread
+#: column), quoted rows read by csv.reader, and the header (line 1)
 _NOT_UTF8 = {
     "plain": ([LIVE_HEADER.encode(), b"2016-08-26 10:00:00,60.1,24.9,BUS,16,v1",
                b"2016-08-26 10:00:30,60.1,24.9,BUS,1\xff6,v1"], 3),
+    "plain scanned": ([LIVE_HEADER.encode(), b"2016-08-26 10:00:00,60.1,24.9,BUS,16,v1",
+                       b"2016-08-26 10:00:30,60.1\xff,24.9,BUS,16,v1"], 3),
+    "plain unread": ([LIVE_HEADER.encode() + b",note",
+                      b"2016-08-26 10:00:00,60.1,24.9,BUS,16,v1,",
+                      b"2016-08-26 10:00:30,60.1,24.9,BUS,16,v1,\xff"], 3),
     "quoted": ([LIVE_HEADER.encode(), b'2016-08-26 10:00:00,60.1,24.9,BUS,"16",v1',
                 b'2016-08-26 10:00:30,60.1,24.9,BUS,"1\xff6",v1'], 3),
     "header": ([LIVE_HEADER.encode() + b"\xff",
