@@ -9,8 +9,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
-from datetime import timedelta
 from pathlib import Path
 
 from . import pipeline, segmentation
@@ -22,10 +20,9 @@ from .config import (
     load_config,
 )
 from .ingest import IngestError
-from .live import sampling, score_vehicle, select_user_samples
+from .live import LiveDecision, decide_live
 from .planner import PlanError
-from .static import adjusted_query, assess_plans
-from .types import ActivitySegment
+from .static import StaticDecision, match_static
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -63,10 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("run", help="full pipeline"), methods=True)
     inspect = sub.add_parser(
         "inspect-segment", help="diagnostic dump for one segment",
-        description="Dump one segment's matching for the configured methods; "
-                    "each live method's candidate list is scored with its "
-                    "sample count and distance at a 1% quorum, without the "
-                    "box prune, so that near misses show.")
+        description="Dump one segment's matching for the configured methods, "
+                    "as each matcher decided it: for a live method the "
+                    "vehicles in range, each one scored past the box prune "
+                    "(eligible or below quorum) and the match; for static "
+                    "every plan's verdict and the match.")
     common(inspect)
     inspect.add_argument("segment_id", type=int)
     return parser
@@ -139,38 +137,45 @@ def _gate_exit(evaluated: pipeline.EvaluationOutput) -> int:
     return EXIT_GATE_FAILURE if evaluated.gate_failures else EXIT_OK
 
 
-def _inspect_live(cfg: RunConfig, segment: ActivitySegment,
-                  methods: list[str]) -> None:
-    """The fleet's candidates for segment as each of the live methods
-    scores them, with its sample count and distance, at a 1% quorum and
-    without the box prune, so that near misses show."""
-    index = pipeline.build_position_index(cfg)
-    probe_cfg = replace(cfg.live, quorum_fraction=0.01)
-    t0 = segment.start_time - timedelta(seconds=cfg.live.window_s)
-    t1 = segment.end_time + timedelta(seconds=cfg.live.window_s)
-    refs = index.vehicles_in_range(t0, t1)
-    for method in methods:
-        n_samples, use_linestring = sampling(method, cfg.live)
-        samples = select_user_samples(segment.trace, n_samples)
-        print(f"\n{method}: {len(samples)} user samples for matching, "
-              f"{'linestring' if use_linestring else 'point'} distances")
-        scored = []
-        for ref in refs:
-            s = score_vehicle(samples, ref, probe_cfg, index,
-                              use_linestring=use_linestring)
-            if s is not None:
-                scored.append(s)
-        scored.sort(key=lambda s: (-s.score, s.vehicle_ref))
-        print(f"candidate vehicles within the time range: {len(scored)} scored")
-        for s in scored[:10]:
-            eligible = "eligible" if s.matched_fraction >= cfg.live.quorum_fraction \
-                else "below quorum"
-            names = ", ".join(sorted({n for n, _, _ in s.votes})) or "-"
-            print(f"  {s.vehicle_ref}: score {s.score:.0f}, matched "
-                  f"{s.matched_fraction:.0%} ({eligible}), lines [{names}]")
-            dist_text = ", ".join("-" if d is None else f"{d:.0f}"
-                                  for d in s.sample_distances)
-            print(f"    per-sample distances (m): {dist_text}")
+def _print_live(method: str, decision: LiveDecision) -> None:
+    print(f"\n{method}: {len(decision.samples)} user samples for matching, "
+          f"{'linestring' if decision.use_linestring else 'point'} distances")
+    scored = sorted((s for s in decision.scored.values() if s is not None),
+                    key=lambda s: (-s.score, s.vehicle_ref))
+    print(f"candidate vehicles within the time range: {len(decision.in_range)}"
+          f", {len(decision.scored)} past the box prune, {len(scored)} with "
+          f"a matched sample")
+    for s in scored[:10]:
+        names = ", ".join(sorted({n for n, _, _ in s.votes}))
+        print(f"  {s.vehicle_ref}: score {s.score:.0f}, matched "
+              f"{s.matched_fraction:.0%} "
+              f"({'eligible' if s.eligible else 'below quorum'}), "
+              f"lines [{names}]")
+        dist_text = ", ".join("-" if d is None else f"{d:.0f}"
+                              for d in s.sample_distances)
+        print(f"    per-sample distances (m): {dist_text}")
+    r = decision.result
+    print("match: none" if r is None else
+          f"match: {r.vehicle_ref} {r.line_type.value} {r.line_name}")
+
+
+def _print_static(decision: StaticDecision) -> None:
+    print(f"\nplanner itineraries: {len(decision.assessments)}"
+          + (f" (reason: {decision.reason})" if decision.reason else ""))
+    for a in decision.assessments:
+        leg = a.itinerary.transit
+        print(f"  {leg.line_type.value} {leg.line_name} trip {leg.trip_id} "
+              f"board {leg.board_time.time()} alight {leg.alight_time.time()}"
+              f" -> {a.verdict.value}")
+        print(f"    dt_total {a.delta_total_s:+.0f}s, dt_transit "
+              f"{a.delta_transit_s:.0f}s, start_diff {a.start_diff_s:.0f}s, "
+              f"route match "
+              + ("n/a" if a.route_match_fraction is None
+                 else f"{a.route_match_fraction:.0%} "
+                      f"(longest gap {a.max_adjacent_run_outside})"))
+    r = decision.result
+    print("match: none" if r is None else
+          f"match: trip {r.trip_id} {r.line_type.value} {r.line_name}")
 
 
 def cmd_inspect_segment(cfg: RunConfig, segment_id: int) -> int:
@@ -189,23 +194,12 @@ def cmd_inspect_segment(cfg: RunConfig, segment_id: int) -> int:
         return EXIT_OK
 
     if methods := pipeline.live_methods(cfg):
-        _inspect_live(cfg, segment, methods)
-    if cfg.gtfs is not None and cfg.gtfs.exists() and STATIC in cfg.methods:
-        planner = pipeline.build_planner(cfg)
-        result = planner.plan(adjusted_query(segment, cfg.constants))
-        print(f"\nplanner itineraries: {len(result.itineraries)}"
-              + (f" (reason: {result.reason})" if result.reason else ""))
-        for a in assess_plans(result.itineraries, segment, cfg.constants):
-            leg = a.itinerary.transit
-            print(f"  {leg.line_type.value} {leg.line_name} trip {leg.trip_id} "
-                  f"board {leg.board_time.time()} alight {leg.alight_time.time()}"
-                  f" -> {a.verdict.value}")
-            print(f"    dt_total {a.delta_total_s:+.0f}s, dt_transit "
-                  f"{a.delta_transit_s:.0f}s, start_diff {a.start_diff_s:.0f}s, "
-                  f"route match "
-                  + ("n/a" if a.route_match_fraction is None
-                     else f"{a.route_match_fraction:.0%} "
-                          f"(longest gap {a.max_adjacent_run_outside})"))
+        index = pipeline.build_position_index(cfg)
+        for method in methods:
+            _print_live(method, decide_live(segment, cfg.live, index, method))
+    if STATIC in cfg.methods:
+        _print_static(match_static(segment, pipeline.build_planner(cfg),
+                                   cfg.constants))
     return EXIT_OK
 
 

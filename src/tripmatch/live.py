@@ -12,8 +12,9 @@ every sample of one run is below quorum. A vehicle in the segment's time
 range whose fix box over a run's windows lies beyond twice the distance
 limit of that run's samples misses all of them, and one array pass drops
 every vehicle with too many such misses. Each survivor is then scored once,
-in ref order, by score_vehicle, which rejects it below the quorum; the best
-score names the vehicle.
+in ref order, by score_vehicle, which marks it eligible at the quorum; the
+best eligible score names the vehicle. decide_live returns all of this, so
+that a diagnostic shows what the matcher saw and decided.
 """
 from __future__ import annotations
 
@@ -192,6 +193,7 @@ class VehicleScore:
     matched_fraction: float
     sample_distances: list[Optional[float]]
     votes: list[tuple[str, LineType, datetime]]  # (line_name, line_type, fix time)
+    eligible: bool  # at the quorum with a positive score: it may be matched
 
     @property
     def mean_matched_distance(self) -> float:
@@ -210,7 +212,9 @@ def score_vehicle(samples: TraceColumns, vehicle_ref: str,
     array pass. A sample matches when its window is non-empty and the
     window's polyline (use_linestring) or nearest fix lies within the
     distance limit; samples with empty windows stay in the quorum
-    denominator. Returns None below quorum or at zero score.
+    denominator. Returns None for an unknown vehicle or when no sample
+    matches; otherwise the score, eligible when the matched fraction reaches
+    the quorum and the score is positive.
 
     Scores are summed in sample order and each matched sample votes for its
     first nearest fix, as a per-sample loop would.
@@ -223,7 +227,7 @@ def score_vehicle(samples: TraceColumns, vehicle_ref: str,
     lo = lo[0]
     counts = hi[0] - lo
     windowed = np.flatnonzero(counts)
-    if len(windowed) / len(samples) < cfg.quorum_fraction:
+    if not len(windowed):
         return None  # a sample with an empty window cannot match
     row, first = ranges(lo, counts)
     window = np.repeat(np.arange(len(counts)), counts)
@@ -237,11 +241,11 @@ def score_vehicle(samples: TraceColumns, vehicle_ref: str,
         d = np.minimum.reduceat(d_point, starts)
 
     matched = d <= cfg.distance_limit_m
-    fraction = int(np.count_nonzero(matched)) / len(samples)
-    gains = cfg.distance_limit_m - d[matched]
-    score = float(np.cumsum(gains)[-1]) if len(gains) else 0.0
-    if fraction < cfg.quorum_fraction or score <= 0.0:
+    if not matched.any():
         return None
+    fraction = int(np.count_nonzero(matched)) / len(samples)
+    score = float(np.cumsum(cfg.distance_limit_m - d[matched])[-1])
+    eligible = not (fraction < cfg.quorum_fraction or score <= 0.0)
     nearest_d = np.repeat(np.minimum.reduceat(d_point, starts), counts[windowed])
     hits = np.flatnonzero(d_point == nearest_d)
     hit_window = window[hits]
@@ -252,7 +256,7 @@ def score_vehicle(samples: TraceColumns, vehicle_ref: str,
     for i, value in zip(windowed.tolist(), d.tolist()):
         distances[i] = value
     votes = [index.fix(r) for r in nearest[matched].tolist()]
-    return VehicleScore(vehicle_ref, score, fraction, distances, votes)
+    return VehicleScore(vehicle_ref, score, fraction, distances, votes, eligible)
 
 
 @dataclass(frozen=True)
@@ -304,26 +308,33 @@ def _pick_identity(votes: list[tuple[str, LineType, datetime]],
     return winner, candidates[0][3]
 
 
-def sampling(method: str, cfg: LiveMatchConfig) -> tuple[int, bool]:
-    """The user-sample count live method matches with, and whether it
-    measures a sample to a window's polyline (else to its nearest fix)."""
-    if method == NEW_LIVE:
-        return cfg.max_user_samples, True
-    return cfg.old_live_samples, False
+@dataclass(frozen=True)
+class LiveDecision:
+    """What decide_live saw and decided for one segment."""
+    samples: TraceColumns  # the user samples matched
+    use_linestring: bool   # distances to window polylines, else nearest fixes
+    in_range: list[str]    # vehicles with a fix in the time range, ref order
+    # each box-prune survivor's score_vehicle result, in ref order
+    scored: dict[str, Optional[VehicleScore]]
+    result: Optional[LiveMatchResult]
 
 
-def _match(segment: ActivitySegment, cfg: LiveMatchConfig, index: PositionIndex,
-           method: str) -> Optional[LiveMatchResult]:
-    n_samples, use_linestring = sampling(method, cfg)
-    samples = select_user_samples(segment.trace, n_samples)
+def decide_live(segment: ActivitySegment, cfg: LiveMatchConfig,
+                index: PositionIndex, method: str) -> LiveDecision:
+    """Match segment with live method: new-live measures up to
+    cfg.max_user_samples samples to the window polylines, old-live
+    cfg.old_live_samples samples to the nearest fixes."""
+    use_linestring = method == NEW_LIVE
+    samples = select_user_samples(segment.trace, cfg.max_user_samples
+                                  if use_linestring else cfg.old_live_samples)
     n = len(samples)
-    if n < 2:
-        return None
-    t0 = segment.start_time - timedelta(seconds=cfg.window_s)
-    t1 = segment.end_time + timedelta(seconds=cfg.window_s)
-    refs = index.vehicles_in_range(t0, t1)
+    refs: list[str] = []
+    if n >= 2:
+        refs = index.vehicles_in_range(
+            segment.start_time - timedelta(seconds=cfg.window_s),
+            segment.end_time + timedelta(seconds=cfg.window_s))
     if not refs:
-        return None
+        return LiveDecision(samples, use_linestring, refs, {}, None)
     slots = np.array([index.slot(ref) for ref in refs])
     # the fewest matched samples that pass score_vehicle's float test,
     # matched / n >= quorum; the test is monotone in the count, so every
@@ -343,27 +354,18 @@ def _match(segment: ActivitySegment, cfg: LiveMatchConfig, index: PositionIndex,
     lows, highs = _run_boxes(samples, size, 2 * cfg.distance_limit_m)
     apart = ((boxes[..., :2] > highs) | (boxes[..., 2:] < lows)).any(axis=2)
     alive = n - apart @ [min(size, n - a) for a in starts] >= need
-    best: Optional[VehicleScore] = None
-    for ref in compress(refs, alive):
-        scored = score_vehicle(samples, ref, cfg, index,
-                               use_linestring=use_linestring)
-        if scored is None:
-            continue
-        if best is None or _score_order(scored) < _score_order(best):
-            best = scored
-    if best is None:
-        return None
-    name, line_type = _pick_identity(best.votes, segment.midpoint_time)
-    return LiveMatchResult(
-        segment_id=segment.segment_id,
-        method=method,
-        vehicle_ref=best.vehicle_ref,
-        line_type=line_type,
-        line_name=name,
-        score=best.score,
-        matched_fraction=best.matched_fraction,
-        sample_distances=tuple(best.sample_distances),
-    )
+    scored = {ref: score_vehicle(samples, ref, cfg, index,
+                                 use_linestring=use_linestring)
+              for ref in compress(refs, alive)}
+    best = min((s for s in scored.values() if s is not None and s.eligible),
+               key=_score_order, default=None)
+    result = None
+    if best is not None:
+        name, line_type = _pick_identity(best.votes, segment.midpoint_time)
+        result = LiveMatchResult(
+            segment.segment_id, method, best.vehicle_ref, line_type, name,
+            best.score, best.matched_fraction, tuple(best.sample_distances))
+    return LiveDecision(samples, use_linestring, refs, scored, result)
 
 
 def _score_order(s: VehicleScore) -> tuple:
@@ -373,10 +375,10 @@ def _score_order(s: VehicleScore) -> tuple:
 def match_live(segment: ActivitySegment, cfg: LiveMatchConfig,
                index: PositionIndex) -> Optional[LiveMatchResult]:
     """Linestring-based matching with up to cfg.max_user_samples samples."""
-    return _match(segment, cfg, index, NEW_LIVE)
+    return decide_live(segment, cfg, index, NEW_LIVE).result
 
 
 def match_live_old(segment: ActivitySegment, cfg: LiveMatchConfig,
                    index: PositionIndex) -> Optional[LiveMatchResult]:
     """The four-sample point-to-point baseline."""
-    return _match(segment, cfg, index, OLD_LIVE)
+    return decide_live(segment, cfg, index, OLD_LIVE).result

@@ -132,13 +132,13 @@ def run_static_stage(cfg: RunConfig, segments: Sequence[ActivitySegment],
     assessments: list = []
     for s in segmentation.vehicular_candidates(segments):
         try:
-            result = match_static(s, planner, cfg.constants,
-                                  assessments_sink=assessments)
+            decision = match_static(s, planner, cfg.constants)
         except Exception as exc:
             raise RuntimeError(f"static matching failed for segment "
                                f"{s.segment_id}") from exc
-        if result is not None:
-            results[s.segment_id] = result
+        assessments += [(s.segment_id, a) for a in decision.assessments]
+        if decision.result is not None:
+            results[s.segment_id] = decision.result
     return results, assessments
 
 

@@ -312,32 +312,31 @@ def adjusted_query(segment: ActivitySegment,
     )
 
 
+@dataclass(frozen=True)
+class StaticDecision:
+    """What match_static saw and decided for one segment."""
+    reason: Optional[str]  # the planner's, when it found no plan
+    assessments: list[PlanAssessment]  # one per plan, in planner order
+    result: Optional[StaticMatchResult]
+
+
 def match_static(segment: ActivitySegment, planner: JourneyPlanner,
-                 constants: MatchConstants | None = None,
-                 assessments_sink: list | None = None,
-                 ) -> Optional[StaticMatchResult]:
-    """Query the planner for the segment and return the winning accepted plan
-    (closest boarding time; ties to smaller total-duration delta, then
-    trip_id). assessments_sink, when given, collects every PlanAssessment for
-    the diagnostics log."""
+                 constants: MatchConstants | None = None) -> StaticDecision:
+    """Query the planner for the segment and assess every plan; the result
+    is the winning accepted plan (closest boarding time; ties to smaller
+    total-duration delta, then trip_id), None when no plan is accepted."""
     constants = constants or MatchConstants()
-    result = planner.plan(adjusted_query(segment, constants))
-    assessed = assess_plans(result.itineraries, segment, constants)
-    if assessments_sink is not None:
-        assessments_sink.extend((segment.segment_id, a) for a in assessed)
-    accepted = [a for a in assessed if a.accepted]
-    if not accepted:
-        return None
-    winner = min(accepted, key=lambda a: (a.start_diff_s, abs(a.delta_total_s),
-                                          a.itinerary.transit.trip_id))
-    leg = winner.itinerary.transit
-    return StaticMatchResult(
-        segment_id=segment.segment_id,
-        line_type=leg.line_type,
-        line_name=leg.line_name,
-        trip_id=leg.trip_id,
-        assessment=winner,
-    )
+    planned = planner.plan(adjusted_query(segment, constants))
+    assessed = assess_plans(planned.itineraries, segment, constants)
+    winner = min((a for a in assessed if a.accepted), default=None,
+                 key=lambda a: (a.start_diff_s, abs(a.delta_total_s),
+                                a.itinerary.transit.trip_id))
+    result = None
+    if winner is not None:
+        leg = winner.itinerary.transit
+        result = StaticMatchResult(segment.segment_id, leg.line_type,
+                                   leg.line_name, leg.trip_id, winner)
+    return StaticDecision(planned.reason, assessed, result)
 
 
 ASSESSMENT_CSV_COLUMNS = [

@@ -304,9 +304,10 @@ def test_criterion_7b_live_quorum_boundary():
         for n in range(2, 41):
             need = math.ceil(0.75 * n)
             samples, index = _exact_match_setup(n, need)
-            assert score_vehicle(samples, "v1", cfg, index) is not None, n
+            assert score_vehicle(samples, "v1", cfg, index).eligible, n
             samples, index = _exact_match_setup(n, need - 1)
-            assert score_vehicle(samples, "v1", cfg, index) is None, n
+            scored = score_vehicle(samples, "v1", cfg, index)
+            assert scored is not None and not scored.eligible, n
 
     _timed(run)
     report(7, "live quorum boundary n in [2,40]", True)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import shutil
 from pathlib import Path
@@ -5,7 +6,9 @@ from pathlib import Path
 import pytest
 import yaml
 
+from tripmatch import pipeline, segmentation
 from tripmatch.cli import main
+from tripmatch.config import STATIC, load_config
 
 
 def run_cli(*args):
@@ -309,6 +312,53 @@ def test_inspect_segment_inspects_only_the_configured_methods(
     assert "candidate vehicles" not in out
     assert "planner itineraries" in out
 
+
+def test_inspect_segment_refuses_a_missing_gtfs_feed_as_run_does(
+        synth, tmp_path, capsys):
+    missing = tmp_path / "missing-gtfs"
+    cfg_raw = yaml.safe_load(Path(synth.config_path).read_text())
+    cfg_raw.update(output_dir=str(tmp_path / "out"), gtfs=str(missing))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(cfg_raw), encoding="utf-8")
+    refusal = f"error: GTFS feed not found: {missing}\n"
+    assert run_cli("run", "--config", cfg) == 1
+    assert capsys.readouterr().err == refusal
+    assert run_cli("inspect-segment", "--config", cfg, 1) == 1
+    assert capsys.readouterr().err == refusal
+
+
+def test_inspect_segment_marks_the_match_of_the_run(synth, tmp_path, capsys):
+    """Every vehicular candidate's inspection names, per configured method,
+    the match that run wrote to the method's table, or none."""
+    out = tmp_path / "out"
+    assert run_cli("run", "--config", synth.config_path, "--out", out) == 0
+    cfg = load_config(synth.config_path)
+    methods = pipeline.live_methods(cfg) + [STATIC]
+    assert sorted(methods) == sorted(cfg.methods)
+    written = {}
+    for method in methods:
+        with open(out / pipeline.MATCH_FILES[method], newline="",
+                  encoding="utf-8") as fh:
+            written[method] = {int(row["segment_id"]): row
+                               for row in csv.DictReader(fh)}
+    candidates = segmentation.vehicular_candidates(pipeline.build_segments(cfg))
+    for segment in candidates:
+        want = []
+        for method in methods:
+            row = written[method].get(segment.segment_id)
+            trip = "trip " if method == STATIC else ""
+            want.append("match: none" if row is None else
+                        f"match: {trip}{row['reference']} {row['recd_type']} "
+                        f"{row['recd_name']}")
+        capsys.readouterr()
+        assert run_cli("inspect-segment", "--config", synth.config_path,
+                       segment.segment_id) == 0
+        marks = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("match: ")]
+        assert marks == want, segment.segment_id
+    assert any(written[m] for m in methods)
+    assert any(s.segment_id not in written[m] for m in methods
+               for s in candidates)
 
 
 def _per_method_blocks(out: str) -> list[tuple[str, int, list[int]]]:

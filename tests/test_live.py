@@ -1,19 +1,20 @@
 import math
 from dataclasses import replace
 from datetime import timedelta
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripmatch import live
 from tripmatch.geodesy import distance_m, offset_point, point_to_linestring_m
 from tripmatch.live import (
+    NEW_LIVE,
+    OLD_LIVE,
     LiveMatchConfig,
     PositionIndex,
     _score_order,
+    decide_live,
     match_live,
     match_live_old,
     score_vehicle,
@@ -205,7 +206,7 @@ def test_window_endpoints_inclusive():
 def test_unknown_vehicle_is_empty():
     index = index_of([vp(0, BASE)])
     samples = trace_points([(0, BASE), (10, BASE)])
-    assert score_vehicle(samples, "v1", CFG, index) is not None
+    assert score_vehicle(samples, "v1", CFG, index).eligible
     assert score_vehicle(samples, "ghost", CFG, index) is None
 
 
@@ -229,7 +230,7 @@ def _exact_match_setup(n_samples, n_matched, offset_m=0.0):
 def test_perfect_match_scores_full():
     samples, index = _exact_match_setup(40, 40, offset_m=0.0)
     scored = score_vehicle(samples, "v1", CFG, index)
-    assert scored is not None
+    assert scored is not None and scored.eligible
     assert scored.matched_fraction == 1.0
     assert scored.score == pytest.approx(4000.0, abs=1.0)
 
@@ -237,14 +238,17 @@ def test_perfect_match_scores_full():
 def test_quorum_boundary_30_of_40_at_50m():
     samples, index = _exact_match_setup(40, 30, offset_m=50.0)
     scored = score_vehicle(samples, "v1", CFG, index)
-    assert scored is not None
+    assert scored is not None and scored.eligible
     assert scored.matched_fraction == pytest.approx(0.75)
     assert scored.score == pytest.approx(30 * 50.0, abs=1.0)
 
 
 def test_29_of_40_rejected():
+    # below the quorum the score is still reported, but not eligible
     samples, index = _exact_match_setup(40, 29, offset_m=50.0)
-    assert score_vehicle(samples, "v1", CFG, index) is None
+    scored = score_vehicle(samples, "v1", CFG, index)
+    assert scored is not None and not scored.eligible
+    assert scored.matched_fraction == pytest.approx(29 / 40)
 
 
 def test_all_samples_just_outside_limit_rejected():
@@ -255,7 +259,7 @@ def test_all_samples_just_outside_limit_rejected():
 def test_empty_window_samples_stay_in_denominator():
     samples, index = _exact_match_setup(4, 3, offset_m=0.0)
     scored = score_vehicle(samples, "v1", CFG, index)
-    assert scored is not None
+    assert scored is not None and scored.eligible
     assert scored.matched_fraction == pytest.approx(0.75)
     assert scored.sample_distances[3] is None
 
@@ -264,9 +268,10 @@ def test_empty_window_samples_stay_in_denominator():
 def test_quorum_boundary_across_sample_counts(n):
     need = math.ceil(0.75 * n)
     samples, index = _exact_match_setup(n, need)
-    assert score_vehicle(samples, "v1", CFG, index) is not None
+    assert score_vehicle(samples, "v1", CFG, index).eligible
     samples, index = _exact_match_setup(n, need - 1)
-    assert score_vehicle(samples, "v1", CFG, index) is None
+    scored = score_vehicle(samples, "v1", CFG, index)
+    assert scored is not None and not scored.eligible
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,11 +282,13 @@ def test_score_monotone_in_distance(d_far, shrink):
     far = score_vehicle(samples, "v1", CFG, index)
     near = score_vehicle(closer_samples, "v1", CFG, closer_index)
     assert far is not None and near is not None
+    assert far.eligible and near.eligible
     assert near.score >= far.score - 1e-6
 
 
 def _reference_score(samples, rows, ref, cfg, use_linestring):
-    """The per-sample loop with the scalar geodesy functions."""
+    """The per-sample loop with the scalar geodesy functions; None when no
+    sample matches."""
     track = sorted((r for r in rows if r.vehicle_ref == ref),
                    key=lambda r: r.time)
     window = timedelta(seconds=cfg.window_s)
@@ -301,10 +308,11 @@ def _reference_score(samples, rows, ref, cfg, use_linestring):
             score += cfg.distance_limit_m - d
             nearest = fixes[point_dists.index(min(point_dists))]
             votes.append((nearest.line_name, nearest.line_type, nearest.time))
-    fraction = len(votes) / len(samples)
-    if fraction < cfg.quorum_fraction or score <= 0.0:
+    if not votes:
         return None
-    return score, fraction, distances, votes
+    fraction = len(votes) / len(samples)
+    eligible = not (fraction < cfg.quorum_fraction or score <= 0.0)
+    return score, fraction, distances, votes, eligible
 
 
 _offsets = st.tuples(st.floats(-150, 150), st.floats(-150, 150))
@@ -329,8 +337,9 @@ def test_score_vehicle_agrees_with_scalar_reference(fixes, picks, quorum,
         if want is None:
             assert got is None
             continue
-        score, fraction, distances, votes = want
+        score, fraction, distances, votes, eligible = want
         assert got is not None
+        assert got.eligible is eligible
         assert got.matched_fraction == fraction
         assert got.votes == votes
         assert [d is None for d in got.sample_distances] == \
@@ -422,14 +431,7 @@ def test_tie_breaks_are_deterministic():
     assert results == {"vA"}
 
 
-def _recording_scorer(calls):
-    def recording(samples, vehicle_ref, *args, **kwargs):
-        calls.append(vehicle_ref)
-        return score_vehicle(samples, vehicle_ref, *args, **kwargs)
-    return recording
-
-
-def test_score_vehicle_scores_each_vehicle_inside_the_prune_margin(monkeypatch):
+def test_score_vehicle_scores_each_vehicle_inside_the_prune_margin():
     # v2 runs 150 m east of the ride: inside the 200 m bbox margin, so it is
     # scored, but no sample comes within 100 m of it; v3 runs 400 m east,
     # beyond the margin, so it is pruned unscored
@@ -437,24 +439,25 @@ def test_score_vehicle_scores_each_vehicle_inside_the_prune_margin(monkeypatch):
     aside = [vp(30.0 * k, offset_point(BASE, east, v * 30.0 * k), ref=ref)
              for ref, east in (("v2", 150.0), ("v3", 400.0)) for k in range(21)]
     segment, index = _riding_setup(20.0, extra_rows=aside)
-    calls = []
-    monkeypatch.setattr(live, "score_vehicle", _recording_scorer(calls))
-    assert match_live(segment, CFG, index).vehicle_ref == "v1"
-    assert calls == ["v1", "v2"]
+    decision = decide_live(segment, CFG, index, NEW_LIVE)
+    assert decision.result.vehicle_ref == "v1"
+    assert decision.in_range == ["v1", "v2", "v3"]
+    assert list(decision.scored) == ["v1", "v2"]
     samples = select_user_samples(segment.trace, CFG.max_user_samples)
     assert score_vehicle(samples, "v2", CFG, index) is None
+    assert decision.scored["v2"] is None
 
 
 def _brute_force_match(segment, cfg, index, n_samples, use_linestring):
     """score_vehicle on every vehicle in the time range, with no bbox prune;
-    the best by _score_order."""
+    the best eligible score by _score_order."""
     samples = select_user_samples(segment.trace, n_samples)
     t0 = segment.start_time - timedelta(seconds=cfg.window_s)
     t1 = segment.end_time + timedelta(seconds=cfg.window_s)
     scored = [score_vehicle(samples, ref, cfg, index, use_linestring)
               for ref in index.vehicles_in_range(t0, t1)]
-    return min((s for s in scored if s is not None), key=_score_order,
-               default=None)
+    return min((s for s in scored if s is not None and s.eligible),
+               key=_score_order, default=None)
 
 
 def test_prune_keeps_a_vehicle_beside_the_ride_within_a_wide_limit():
@@ -539,12 +542,12 @@ def _assert_matchers_agree_with_brute_force(segment, rows, cfg):
     """Both matchers equal _brute_force_match, and every vehicle in range
     that score_vehicle does not see is one it would reject."""
     index = index_of(rows)
-    for matcher, n_samples, use_linestring in (
-            (match_live, cfg.max_user_samples, True),
-            (match_live_old, cfg.old_live_samples, False)):
-        calls = []
-        with mock.patch.object(live, "score_vehicle", _recording_scorer(calls)):
-            got = matcher(segment, cfg, index)
+    for matcher, method, n_samples, use_linestring in (
+            (match_live, NEW_LIVE, cfg.max_user_samples, True),
+            (match_live_old, OLD_LIVE, cfg.old_live_samples, False)):
+        decision = decide_live(segment, cfg, index, method)
+        got = matcher(segment, cfg, index)
+        assert got == decision.result
         want = _brute_force_match(segment, cfg, index, n_samples, use_linestring)
         if want is None:
             assert got is None
@@ -559,10 +562,13 @@ def _assert_matchers_agree_with_brute_force(segment, rows, cfg):
         samples = select_user_samples(segment.trace, n_samples)
         t0 = segment.start_time - timedelta(seconds=cfg.window_s)
         t1 = segment.end_time + timedelta(seconds=cfg.window_s)
-        for ref in index.vehicles_in_range(t0, t1):
-            if ref not in calls:
-                assert score_vehicle(samples, ref, cfg, index,
-                                     use_linestring) is None
+        assert decision.in_range == index.vehicles_in_range(t0, t1)
+        for ref in decision.in_range:
+            scored = score_vehicle(samples, ref, cfg, index, use_linestring)
+            if ref in decision.scored:
+                assert decision.scored[ref] == scored
+            else:
+                assert scored is None or not scored.eligible
 
 
 RIDE_MPS = 12.0  # the ride and every vehicle run north at this speed

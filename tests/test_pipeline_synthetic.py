@@ -1,19 +1,21 @@
 """End-to-end pipeline checks against the synthetic dataset's truth manifest:
 every planted ride must be found by the methods that can see it, the car must
 never be recognised, and stage outputs must reload cleanly."""
+import csv
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 import yaml
 
 from tripmatch import pipeline, segmentation
-from tripmatch.config import config_from_dict, load_config
+from tripmatch.config import STATIC, config_from_dict, load_config
 from tripmatch.geodesy import distance_m
 from tripmatch.evaluation import COMBINED
 from tripmatch.ingest import parse_timestamp
-from tripmatch.live import NEW_LIVE, OLD_LIVE
-from tripmatch.static import adjusted_query, match_static
+from tripmatch.live import NEW_LIVE, OLD_LIVE, decide_live
+from tripmatch.static import adjusted_query, match_static, write_assessments_csv
 from tripmatch.types import LineType
 
 from conftest import segment_rows
@@ -144,15 +146,54 @@ def test_static_stage_collects_assessments_in_segment_order(run):
         sorted(s.segment_id for s in candidates)
     expected_results, expected_assessments = {}, []
     for s in candidates:
-        sink: list = []
-        result = match_static(s, planner, cfg.constants, assessments_sink=sink)
-        if result is not None:
-            expected_results[s.segment_id] = result
-        expected_assessments += sink
+        decision = match_static(s, planner, cfg.constants)
+        if decision.result is not None:
+            expected_results[s.segment_id] = decision.result
+        expected_assessments += [(s.segment_id, a)
+                                 for a in decision.assessments]
     assert results == expected_results
     assert list(results) == sorted(results)
     assert assessments == expected_assessments
     assert len({segment_id for segment_id, _ in assessments}) > 1
+
+
+def _rows_by_segment(path) -> dict[str, list[list[str]]]:
+    """The rows of a CSV output below its header, by their segment_id."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        _, *rows = csv.reader(fh)
+    by_segment = defaultdict(list)
+    for row in rows:
+        by_segment[row[0]].append(row)
+    return dict(by_segment)
+
+
+def test_decisions_agree_with_the_written_outputs(run, tmp_path):
+    """For every vehicular candidate and configured method, the decision's
+    result is the segment's row of the match table, or its absence, and
+    static's assessments are the segment's rows of the assessment log."""
+    cfg, outputs, _ = run
+    index = pipeline.build_position_index(cfg)
+    planner = pipeline.build_planner(cfg)
+    candidates = segmentation.vehicular_candidates(outputs.segments)
+    assessed = _rows_by_segment(outputs.out_dir / pipeline.ASSESSMENTS_FILE)
+    assert len(assessed) > 1
+    for method in cfg.methods:
+        decided, own = {}, tmp_path / "assessed.csv"
+        for s in candidates:
+            if method == STATIC:
+                decision = match_static(s, planner, cfg.constants)
+                write_assessments_csv(
+                    [(s.segment_id, a) for a in decision.assessments], own)
+                assert _rows_by_segment(own).get(str(s.segment_id)) == \
+                    assessed.get(str(s.segment_id))
+            else:
+                decision = decide_live(s, cfg.live, index, method)
+            if decision.result is not None:
+                decided[s.segment_id] = decision.result
+        written = outputs.out_dir / pipeline.MATCH_FILES[method]
+        pipeline.write_match_csv(decided, outputs.segments, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == written.read_bytes()
+        assert 0 < len(decided) < len(candidates), method
 
 
 def test_planner_walks_at_the_configured_walk_speed(synth):

@@ -1,12 +1,13 @@
 """Respelled inputs do not change the outputs: the miniature city is copied,
-one of its tables rewritten as another text that the readers must read
-alike (columns in another order, unread columns, other spellings of the
-same ids and numbers), and a full run over the copy must write the same
-eight files, byte for byte, as a run over the city. Each respelling first
-checks that it took."""
+its tables rewritten as another text that the readers must read alike
+(columns in another order, unread columns, other spellings of the same ids,
+numbers and timestamps, other line ends, quoted cells, the feed zipped), and
+a full run over the copy must write the same eight files, byte for byte, as
+a run over the city. Each respelling first checks that it took."""
 import csv
 import re
 import shutil
+import zipfile
 
 import pytest
 
@@ -21,7 +22,9 @@ OUTPUTS = ["segments.csv", "matches_new_live.csv", "matches_old_live.csv",
 def _run(config_path, root, out) -> dict[str, bytes]:
     """The eight outputs of a run of the config over the inputs under root."""
     cfg = load_config(config_path)
-    cfg.data_dir, cfg.gtfs, cfg.output_dir = root, root / "gtfs", out
+    zipped = root / "gtfs.zip"
+    cfg.data_dir, cfg.output_dir = root, out
+    cfg.gtfs = zipped if zipped.exists() else root / "gtfs"
     pipeline.run_all(cfg)
     return {name: (out / name).read_bytes() for name in OUTPUTS}
 
@@ -120,9 +123,118 @@ def _padded_ids(root) -> None:
     assert re.search(r", [^ ,]", (root / "gtfs" / "stop_times.txt").read_text())
 
 
+def _zipped_feed(root) -> None:
+    """The GTFS feed as one zip archive of its files, its directory gone."""
+    feed = root / "gtfs"
+    names = sorted(p.name for p in feed.glob("*.txt"))
+    with zipfile.ZipFile(root / "gtfs.zip", "w") as archive:
+        for name in names:
+            archive.write(feed / name, name)
+    shutil.rmtree(feed)
+    assert not feed.exists()
+    assert "stop_times.txt" in names
+    assert sorted(zipfile.ZipFile(root / "gtfs.zip").namelist()) == names
+
+
+def _swapped_line_ends(root) -> None:
+    """The dataset tables from CRLF line ends to LF, the GTFS files from LF
+    to CRLF."""
+    for path in root.glob("*.csv"):
+        data = path.read_bytes()
+        assert data.count(b"\r\n") == data.count(b"\n") > 0
+        path.write_bytes(data.replace(b"\r\n", b"\n"))
+        assert b"\r" not in path.read_bytes()
+    for path in (root / "gtfs").glob("*.txt"):
+        data = path.read_bytes()
+        assert b"\r" not in data and b"\n" in data
+        path.write_bytes(data.replace(b"\n", b"\r\n"))
+        data = path.read_bytes()
+        assert data.count(b"\r\n") == data.count(b"\n") == data.count(b"\r")
+
+
+def _bare_cr_line_ends(root) -> None:
+    """Every line of the dataset tables ends in a bare CR."""
+    for path in root.glob("*.csv"):
+        path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n")
+                         .replace(b"\n", b"\r"))
+        data = path.read_bytes()
+        assert b"\n" not in data and data.endswith(b"\r")
+
+
+def _quoted_cells(root) -> None:
+    """Every cell of the dataset tables and the GTFS files quoted, so that
+    each file is read through csv.reader."""
+    paths = [*root.glob("*.csv"), *(root / "gtfs").glob("*.txt")]
+    for path in paths:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+    assert (root / "gtfs" / "stop_times.txt").read_bytes().startswith(b'"')
+    assert all(path.read_bytes().startswith(b'"') for path in paths)
+
+
+def _number_spellings(root) -> None:
+    """Every coordinate cell respelled as another text that float() reads
+    as the same double: '%.17e' and a leading '+' go to float() one cell at
+    a time, a trailing '0' through the byte scan."""
+    tables = {"device_data_filtered.csv": ("lat", "lng"),
+              "transit_live.csv": ("lat", "lng"),
+              "gtfs/stops.txt": ("stop_lat", "stop_lon"),
+              "gtfs/shapes.txt": ("shape_pt_lat", "shape_pt_lon")}
+
+    def respell(cell, k):
+        x = float(cell)
+        text = repr(x)
+        forms = ["%.17e" % x, "+" + text if x >= 0 else text,
+                 text + "0" if "." in text and "e" not in text else text]
+        assert float(forms[k % 3]).hex() == x.hex(), cell
+        return forms[k % 3]
+
+    for name, columns in tables.items():
+        def edit(rows):
+            at = [rows[0].index(c) for c in columns]
+            for k, row in enumerate(rows[1:]):
+                for i in at:
+                    row[i] = respell(row[i], k + i)
+            return rows
+
+        _rewrite(root / name, edit)
+    assert "e+01," in (root / "transit_live.csv").read_text()
+    assert ",+" in (root / "gtfs" / "stops.txt").read_text()
+
+
+def _timestamp_spellings(root) -> None:
+    """Every time cell of the device and fleet tables, and every non-blank
+    time of the manual log, respelled as another text that parse_timestamp
+    reads as the same second: the ISO 'T' form and a '.000' fraction
+    (truncated) alternate, and both leave the byte scan, so each such cell
+    is parsed on its own."""
+    tables = {"device_data_filtered.csv": ("time",),
+              "transit_live.csv": ("time",),
+              "manual_log.csv": ("st_entry_time", "vehicle_dep_time",
+                                 "vehicle_arr_time", "st_exit_time")}
+    for name, columns in tables.items():
+        def edit(rows):
+            at = [rows[0].index(c) for c in columns]
+            for k, row in enumerate(rows[1:]):
+                for i in at:
+                    if row[i]:
+                        row[i] = (row[i].replace(" ", "T") if (k + i) % 2
+                                  else row[i] + ".000")
+            return rows
+
+        _rewrite(root / name, edit)
+        text = (root / name).read_text()
+        assert re.search(r"2016-08-26T[0-9:]*,", text)
+        assert re.search(r"2016-08-26 [0-9:]*\.000,", text)
+
+
 @pytest.mark.parametrize("respell", [
     _published_column_order, _unread_column_mid_row, _stop_sequence_spellings,
-    _padded_ids], ids=lambda respell: respell.__name__.strip("_"))
+    _padded_ids, _zipped_feed, _swapped_line_ends, _bare_cr_line_ends,
+    _quoted_cells, _number_spellings, _timestamp_spellings],
+    ids=lambda respell: respell.__name__.strip("_"))
 def test_respelled_inputs_give_the_same_outputs(city, tmp_path, respell):
     synth, expected = city
     root = tmp_path / "city"

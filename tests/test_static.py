@@ -320,13 +320,14 @@ def test_short_trace_falls_back_to_all_samples():
 # --- match_static ---
 
 class FixedPlanner:
-    def __init__(self, itineraries):
+    def __init__(self, itineraries, reason=None):
         self.itineraries = itineraries
+        self.reason = reason
         self.queries = []
 
     def plan(self, query):
         self.queries.append(query)
-        return PlanResult(list(self.itineraries))
+        return PlanResult(list(self.itineraries), self.reason)
 
 
 def test_match_static_picks_closest_start_among_accepts():
@@ -337,7 +338,7 @@ def test_match_static_picks_closest_start_among_accepts():
                       line=(LineType.BUS, "16"))
     rejected = plan_for(segment, total_s=600.0 + 2000.0, trip_id="late")
     result = match_static(segment, FixedPlanner([near, rejected, nearer]),
-                          CONSTANTS)
+                          CONSTANTS).result
     assert result is not None
     assert result.trip_id == "nearer"
     assert result.line_type is LineType.BUS
@@ -347,7 +348,9 @@ def test_match_static_picks_closest_start_among_accepts():
 def test_match_static_none_when_all_rejected():
     segment = straight_segment(duration_s=600.0)
     bad = plan_for(segment, total_s=600.0 + 2000.0)
-    assert match_static(segment, FixedPlanner([bad]), CONSTANTS) is None
+    decision = match_static(segment, FixedPlanner([bad]), CONSTANTS)
+    assert decision.result is None
+    assert [a.verdict for a in decision.assessments] == [Verdict.TOTAL_TOO_LONG]
 
 
 def test_match_static_winner_stable_under_permutation():
@@ -359,7 +362,7 @@ def test_match_static_winner_stable_under_permutation():
     for _ in range(6):
         rng.shuffle(plans)
         winners.add(match_static(segment, FixedPlanner(plans),
-                                 CONSTANTS).trip_id)
+                                 CONSTANTS).result.trip_id)
     assert len(winners) == 1
 
 
@@ -373,15 +376,24 @@ def test_match_static_uses_adjusted_query():
     assert query.n_plans == 3
 
 
-def test_assessments_sink_collects_every_plan():
+def test_match_static_returns_every_assessment():
     segment = straight_segment(duration_s=600.0)
     plans = [plan_for(segment, trip_id="a"),
              plan_for(segment, total_s=600.0 + 2000.0, trip_id="b")]
-    sink = []
-    match_static(segment, FixedPlanner(plans), CONSTANTS,
-                 assessments_sink=sink)
-    assert [(sid, a.itinerary.transit.trip_id) for sid, a in sink] == [
-        (1, "a"), (1, "b")]
+    decision = match_static(segment, FixedPlanner(plans), CONSTANTS)
+    assert [a.itinerary.transit.trip_id for a in decision.assessments] == [
+        "a", "b"]
+    assert decision.assessments == assess_plans(plans, segment, CONSTANTS)
+    assert decision.result.assessment is decision.assessments[0]
+    assert decision.reason is None
+
+
+def test_match_static_returns_the_planners_reason():
+    segment = straight_segment(duration_s=600.0)
+    reason = "no reachable trip serves the query"
+    decision = match_static(segment, FixedPlanner([], reason), CONSTANTS)
+    assert (decision.reason, decision.assessments, decision.result) == (
+        reason, [], None)
 
 
 def test_each_plan_is_timed_once():
