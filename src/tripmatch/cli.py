@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .config import (
     load_config,
 )
 from .ingest import IngestError
-from .live import LiveDecision, decide_live
+from .live import LiveDecision, PositionIndex, decide_live
 from .planner import PlanError
 from .static import StaticDecision, match_static
 
@@ -137,7 +138,8 @@ def _gate_exit(evaluated: pipeline.EvaluationOutput) -> int:
     return EXIT_GATE_FAILURE if evaluated.gate_failures else EXIT_OK
 
 
-def _print_live(method: str, decision: LiveDecision) -> None:
+def _print_live(method: str, decision: LiveDecision,
+                index: PositionIndex) -> None:
     print(f"\n{method}: {len(decision.samples)} user samples for matching, "
           f"{'linestring' if decision.use_linestring else 'point'} distances")
     scored = sorted((s for s in decision.scored.values() if s is not None),
@@ -146,13 +148,14 @@ def _print_live(method: str, decision: LiveDecision) -> None:
           f", {len(decision.scored)} past the box prune, {len(scored)} with "
           f"a matched sample")
     for s in scored[:10]:
-        names = ", ".join(sorted({n for n, _, _ in s.votes}))
+        names = ", ".join(sorted({index.names[c]
+                                  for c in index.line_name[s.votes].tolist()}))
         print(f"  {s.vehicle_ref}: score {s.score:.0f}, matched "
               f"{s.matched_fraction:.0%} "
               f"({'eligible' if s.eligible else 'below quorum'}), "
               f"lines [{names}]")
-        dist_text = ", ".join("-" if d is None else f"{d:.0f}"
-                              for d in s.sample_distances)
+        dist_text = ", ".join("-" if math.isnan(d) else f"{d:.0f}"
+                              for d in s.distances.tolist())
         print(f"    per-sample distances (m): {dist_text}")
     r = decision.result
     print("match: none" if r is None else
@@ -196,7 +199,8 @@ def cmd_inspect_segment(cfg: RunConfig, segment_id: int) -> int:
     if methods := pipeline.live_methods(cfg):
         index = pipeline.build_position_index(cfg)
         for method in methods:
-            _print_live(method, decide_live(segment, cfg.live, index, method))
+            _print_live(method, decide_live(segment, cfg.live, index, method),
+                        index)
     if STATIC in cfg.methods:
         _print_static(match_static(segment, pipeline.build_planner(cfg),
                                    cfg.constants))

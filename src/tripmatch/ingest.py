@@ -1053,16 +1053,17 @@ class TrainStops:
 
 
 def load_train_stops(path) -> TrainStops:
-    """Parse the train stop-time JSON; invalid JSON errors carry the offset."""
+    """Parse the train stop-time JSON, UTF-8 with or without a BOM; a byte
+    that is not UTF-8 and invalid JSON are errors at their line."""
     p = Path(path)
     if not p.exists():
         raise IngestError("file not found", path=path)
-    text = p.read_text(encoding="utf-8")
+    text = _decode(p.read_bytes(), path, IngestError, 0, "utf-8-sig")
     try:
         tree = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise IngestError(f"invalid JSON at byte offset {exc.pos}: {exc.msg}",
-                          path=path) from exc
+        raise IngestError(f"invalid JSON at column {exc.colno}: {exc.msg}",
+                          path=path, line=exc.lineno) from None
     stops = TrainStops(tree)
     log.info("%s: %d train records", path, stops.train_count)
     return stops

@@ -19,7 +19,6 @@ that a diagnostic shows what the matcher saw and decided.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import compress
@@ -36,7 +35,6 @@ from .types import (
     MAX_SLACK_S,
     TraceColumns,
     as_seconds,
-    from_seconds,
 )
 
 NEW_LIVE = "new-live"
@@ -79,8 +77,10 @@ class LiveMatchConfig:
 class PositionIndex:
     """Immutable fleet-position index: every row sorted by (vehicle, time),
     vehicles in vehicle_ref order. Rows with equal (vehicle, time) keep input
-    order. A by-time permutation answers time-range queries; an integer
-    (vehicle, time) key answers window queries of many vehicles at once."""
+    order. Row i is on line names[line_name[i]] of type
+    LINE_TYPES[line_type[i]], names being distinct. A by-time permutation
+    answers time-range queries; an integer (vehicle, time) key answers
+    window queries of many vehicles at once."""
 
     def __init__(self, fleet: FleetColumns):
         by_ref = sorted(range(len(fleet.refs)), key=fleet.refs.__getitem__)
@@ -93,9 +93,9 @@ class PositionIndex:
         self.times_s = fleet.times_s[order]
         self.lats = fleet.lats[order]
         self.lngs = fleet.lngs[order]
-        self._line_type = fleet.line_type[order]
-        self._line_name = fleet.line_name[order]
-        self._names = fleet.names
+        self.line_type = fleet.line_type[order]
+        self.line_name = fleet.line_name[order]
+        self.names = fleet.names
         self._by_time = np.argsort(self.times_s, kind="stable")
         # (vehicle, time) as one exact, ascending integer key: a time is
         # replaced by the number of fixes earlier than it, the position of
@@ -128,11 +128,6 @@ class PositionIndex:
     def slot(self, vehicle_ref: str) -> Optional[int]:
         """The vehicle's position in vehicle_refs; None for an unknown vehicle."""
         return self._slots.get(vehicle_ref)
-
-    def fix(self, row: int) -> tuple[str, LineType, datetime]:
-        """(line_name, line_type, time) of one row."""
-        return (self._names[self._line_name[row]],
-                LINE_TYPES[self._line_type[row]], from_seconds(self.times_s[row]))
 
     def vehicles_in_range(self, t0: datetime, t1: datetime) -> list[str]:
         """Vehicles with a fix in the closed window [t0, t1], in ref order."""
@@ -186,20 +181,14 @@ def select_user_samples(trace: TraceColumns, max_samples: int) -> TraceColumns:
     return trace[np.rint(rows).astype(np.int64)]
 
 
-@dataclass
+@dataclass(eq=False)
 class VehicleScore:
     vehicle_ref: str
     score: float
     matched_fraction: float
-    sample_distances: list[Optional[float]]
-    votes: list[tuple[str, LineType, datetime]]  # (line_name, line_type, fix time)
+    distances: np.ndarray  # float64 per sample, NaN for an empty window
+    votes: np.ndarray  # index row of each matched sample's nearest fix
     eligible: bool  # at the quorum with a positive score: it may be matched
-
-    @property
-    def mean_matched_distance(self) -> float:
-        matched = [d for d in self.sample_distances
-                   if d is not None and not math.isinf(d)]
-        return sum(matched) / len(matched) if matched else math.inf
 
 
 def score_vehicle(samples: TraceColumns, vehicle_ref: str,
@@ -217,7 +206,7 @@ def score_vehicle(samples: TraceColumns, vehicle_ref: str,
     the quorum and the score is positive.
 
     Scores are summed in sample order and each matched sample votes for its
-    first nearest fix, as a per-sample loop would.
+    first nearest fix, in sample order, as a per-sample loop would.
     """
     slot = index.slot(vehicle_ref)
     if slot is None or not samples:
@@ -235,10 +224,9 @@ def score_vehicle(samples: TraceColumns, vehicle_ref: str,
     lats, lngs = index.lats[row], index.lngs[row]
     d_point = distances_m(p_lat, p_lng, lats, lngs)
     starts = first[windowed]
-    if use_linestring:
-        d = points_to_polylines_m(p_lat, p_lng, lats, lngs, d_point, starts)
-    else:
-        d = np.minimum.reduceat(d_point, starts)
+    nearest = np.minimum.reduceat(d_point, starts)
+    d = (points_to_polylines_m(p_lat, p_lng, lats, lngs, d_point, starts)
+         if use_linestring else nearest)
 
     matched = d <= cfg.distance_limit_m
     if not matched.any():
@@ -246,16 +234,13 @@ def score_vehicle(samples: TraceColumns, vehicle_ref: str,
     fraction = int(np.count_nonzero(matched)) / len(samples)
     score = float(np.cumsum(cfg.distance_limit_m - d[matched])[-1])
     eligible = not (fraction < cfg.quorum_fraction or score <= 0.0)
-    nearest_d = np.repeat(np.minimum.reduceat(d_point, starts), counts[windowed])
-    hits = np.flatnonzero(d_point == nearest_d)
+    hits = np.flatnonzero(d_point == np.repeat(nearest, counts[windowed]))
     hit_window = window[hits]
     first_hit = np.ones(len(hits), dtype=bool)
     first_hit[1:] = hit_window[1:] != hit_window[:-1]
-    nearest = row[hits[first_hit]]
-    distances: list[Optional[float]] = [None] * len(samples)
-    for i, value in zip(windowed.tolist(), d.tolist()):
-        distances[i] = value
-    votes = [index.fix(r) for r in nearest[matched].tolist()]
+    distances = np.full(len(samples), np.nan)
+    distances[windowed] = d
+    votes = row[hits[first_hit]][matched]
     return VehicleScore(vehicle_ref, score, fraction, distances, votes, eligible)
 
 
@@ -268,7 +253,6 @@ class LiveMatchResult:
     line_name: str
     score: float
     matched_fraction: float
-    sample_distances: tuple[Optional[float], ...]
 
 
 def _run_boxes(samples: TraceColumns, size: int, margin_m: float,
@@ -289,23 +273,22 @@ def _run_boxes(samples: TraceColumns, size: int, margin_m: float,
     return np.array(lows), np.array(highs)
 
 
-def _pick_identity(votes: list[tuple[str, LineType, datetime]],
-                   midpoint: datetime) -> tuple[str, LineType]:
-    """Modal line name over the matched votes; ties go to the name observed
-    nearest the segment midpoint (some vehicles flicker to bogus names)."""
-    counts = Counter(name for name, _, _ in votes)
-    top = max(counts.values())
-
-    def tie_key(name: str) -> tuple[float, str]:
-        nearest = min(abs((t - midpoint).total_seconds())
-                      for n, _, t in votes if n == name)
-        return nearest, name
-
-    winner = min((name for name, c in counts.items() if c == top), key=tie_key)
-    candidates = [(abs((t - midpoint).total_seconds()), t, lt.value, lt)
-                  for n, lt, t in votes if n == winner]
-    candidates.sort(key=lambda item: (item[0], item[1], item[2]))
-    return winner, candidates[0][3]
+def _pick_identity(index: PositionIndex, votes: np.ndarray,
+                   midpoint_s: float) -> tuple[str, LineType]:
+    """Modal line name over the fixes at rows votes; ties go to the name seen
+    nearest the segment midpoint (some vehicles flicker to bogus names), then
+    to the lesser name. The type is that of the winner's fix nearest the
+    midpoint, then of the earlier fix, then the lesser type value."""
+    codes = index.line_name[votes]
+    off = np.abs(index.times_s[votes] - midpoint_s)
+    counts = np.bincount(codes)
+    winner = min(np.flatnonzero(counts == counts.max()).tolist(),
+                 key=lambda c: (off[codes == c].min(), index.names[c]))
+    mine = codes == winner
+    _, _, value = min(zip(off[mine].tolist(), index.times_s[votes[mine]].tolist(),
+                          [LINE_TYPES[t].value
+                           for t in index.line_type[votes[mine]].tolist()]))
+    return index.names[winner], LineType(value)
 
 
 @dataclass(frozen=True)
@@ -361,15 +344,19 @@ def decide_live(segment: ActivitySegment, cfg: LiveMatchConfig,
                key=_score_order, default=None)
     result = None
     if best is not None:
-        name, line_type = _pick_identity(best.votes, segment.midpoint_time)
-        result = LiveMatchResult(
-            segment.segment_id, method, best.vehicle_ref, line_type, name,
-            best.score, best.matched_fraction, tuple(best.sample_distances))
+        name, line_type = _pick_identity(index, best.votes,
+                                         as_seconds(segment.midpoint_time))
+        result = LiveMatchResult(segment.segment_id, method, best.vehicle_ref,
+                                 line_type, name, best.score, best.matched_fraction)
     return LiveDecision(samples, use_linestring, refs, scored, result)
 
 
 def _score_order(s: VehicleScore) -> tuple:
-    return (-s.score, -s.matched_fraction, s.mean_matched_distance, s.vehicle_ref)
+    """Higher score, then higher matched fraction, then lower mean of the
+    finite distances (summed in sample order), then the lesser ref."""
+    finite = s.distances[np.isfinite(s.distances)].tolist()
+    mean = sum(finite) / len(finite) if finite else math.inf
+    return (-s.score, -s.matched_fraction, mean, s.vehicle_ref)
 
 
 def match_live(segment: ActivitySegment, cfg: LiveMatchConfig,

@@ -319,10 +319,18 @@ class RunOutputs:
 
 def run_all(cfg: RunConfig) -> RunOutputs:
     """Full pipeline: segment, match with the configured methods, evaluate,
-    and write every intermediate plus the final report."""
+    and write every intermediate plus the final report. Every input that the
+    configured methods read is found before anything is written; each is
+    loaded only when its stage runs, so the index and the planner are never
+    alive together."""
+    methods = live_methods(cfg)
+    inputs = ["filtered_data", "manual_log"] + (["transit_live"] if methods else [])
+    for name in inputs:
+        cfg.require_path(name)
+    if STATIC in cfg.methods:
+        cfg.require_gtfs()
     segments = stage_segment(cfg)
     trips = load_trips(cfg)
-    methods = live_methods(cfg)
     matched: dict[str, dict] = (stage_match_live(cfg, segments, methods)
                                 if methods else {})
     if STATIC in cfg.methods:

@@ -324,9 +324,27 @@ def test_train_stops_empty_object(tmp_path):
 
 def test_train_stops_truncated_reports_offset(tmp_path):
     path = tmp_path / "trains.json"
-    path.write_text('[{"trainNumber": 1}', encoding="utf-8")
-    with pytest.raises(IngestError, match="byte offset"):
+    path.write_text('[{"trainNumber": 1},\n {"trainNumber": 2}', encoding="utf-8")
+    with pytest.raises(IngestError) as info:
         ingest.load_train_stops(path)
+    assert (info.value.path, info.value.line) == (str(path), 2)
+    assert str(info.value) == (f"{path}: line 2: invalid JSON at column 20: "
+                               "Expecting ',' delimiter")
+
+
+def test_train_stops_non_utf8_byte_is_located(tmp_path):
+    path = tmp_path / "trains.json"
+    path.write_bytes(b'[{"a": 1},\n {"b": "\xff"}]')
+    with pytest.raises(IngestError) as info:
+        ingest.load_train_stops(path)
+    assert (info.value.path, info.value.line) == (str(path), 2)
+    assert "byte 0xff is not UTF-8" in str(info.value)
+
+
+def test_train_stops_read_past_a_bom(tmp_path):
+    path = tmp_path / "trains.json"
+    path.write_bytes(b'\xef\xbb\xbf[{"trainNumber": 1}]')
+    assert ingest.load_train_stops(path).train_count == 1
 
 
 # --- round-trip property ---

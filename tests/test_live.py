@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripmatch.geodesy import distance_m, offset_point, point_to_linestring_m
@@ -13,6 +14,7 @@ from tripmatch.live import (
     OLD_LIVE,
     LiveMatchConfig,
     PositionIndex,
+    _pick_identity,
     _score_order,
     decide_live,
     match_live,
@@ -24,6 +26,7 @@ from tripmatch.types import (
     Activity,
     FleetColumns,
     GeoPoint,
+    LINE_TYPES,
     LineType,
     TraceColumns,
     VehiclePosition,
@@ -43,6 +46,22 @@ def vp(seconds, pos, *, line_type=LineType.BUS, name="16", ref="v1"):
 
 def index_of(rows):
     return PositionIndex(FleetColumns.from_positions(rows))
+
+
+def decoded(index, rows):
+    """(line_name, line_type, time) of each index row."""
+    return [(index.names[index.line_name[r]], LINE_TYPES[index.line_type[r]],
+             from_seconds(index.times_s[r])) for r in rows.tolist()]
+
+
+def same_score(a, b):
+    """Two score_vehicle results are equal, NaN distances included."""
+    if a is None or b is None:
+        return a is b
+    return ((a.vehicle_ref, a.score, a.matched_fraction, a.eligible) ==
+            (b.vehicle_ref, b.score, b.matched_fraction, b.eligible)
+            and np.array_equal(a.distances, b.distances, equal_nan=True)
+            and np.array_equal(a.votes, b.votes))
 
 
 def boxes_of(index, t0, t1):
@@ -188,8 +207,8 @@ def test_window_collects_surrounding_fixes():
                       vp(30, offset_point(BASE, 0, 40)), vp(120, BASE)])
     scored = score_vehicle(trace_points([(0, BASE)]), "v1", CFG, index,
                            use_linestring=False)
-    assert scored.sample_distances[0] == pytest.approx(20, abs=0.01)
-    assert [t for _, _, t in scored.votes] == [at(-30)]
+    assert scored.distances[0] == pytest.approx(20, abs=0.01)
+    assert [t for _, _, t in decoded(index, scored.votes)] == [at(-30)]
 
 
 def test_fix_outside_window_is_empty():
@@ -200,7 +219,7 @@ def test_fix_outside_window_is_empty():
 def test_window_endpoints_inclusive():
     index = index_of([vp(-60, BASE), vp(60, BASE)])
     scored = score_vehicle(trace_points([(0, BASE)]), "v1", CFG, index)
-    assert scored.sample_distances == [0.0]
+    assert scored.distances.tolist() == [0.0]
 
 
 def test_unknown_vehicle_is_empty():
@@ -261,7 +280,7 @@ def test_empty_window_samples_stay_in_denominator():
     scored = score_vehicle(samples, "v1", CFG, index)
     assert scored is not None and scored.eligible
     assert scored.matched_fraction == pytest.approx(0.75)
-    assert scored.sample_distances[3] is None
+    assert math.isnan(scored.distances[3])
 
 
 @pytest.mark.parametrize("n", range(2, 41))
@@ -341,13 +360,56 @@ def test_score_vehicle_agrees_with_scalar_reference(fixes, picks, quorum,
         assert got is not None
         assert got.eligible is eligible
         assert got.matched_fraction == fraction
-        assert got.votes == votes
-        assert [d is None for d in got.sample_distances] == \
-            [d is None for d in distances]
-        for d_got, d_want in zip(got.sample_distances, distances):
+        assert decoded(index, got.votes) == votes
+        assert got.distances.dtype == np.float64
+        assert np.isnan(got.distances).tolist() == [d is None for d in distances]
+        for d_got, d_want in zip(got.distances.tolist(), distances):
             if d_want is not None:
                 assert d_got == pytest.approx(d_want, abs=1e-9)
         assert got.score == pytest.approx(score, abs=1e-9 * len(samples))
+        finite = [d for d in distances if d is not None and not math.isinf(d)]
+        assert _score_order(got)[2] == pytest.approx(
+            sum(finite) / len(finite) if finite else math.inf, abs=1e-9)
+
+
+def _tuple_rule(votes, midpoint):
+    """The reference identity rule, over decoded (line_name, line_type,
+    time) votes: the modal name, ties to the name seen nearest the
+    midpoint, then the lesser name; the type of the winner's vote nearest
+    the midpoint, then the earlier, then the lesser type value."""
+    counts = Counter(name for name, _, _ in votes)
+    top = max(counts.values())
+
+    def tie_key(name):
+        nearest = min(abs((t - midpoint).total_seconds())
+                      for n, _, t in votes if n == name)
+        return nearest, name
+
+    winner = min((name for name, c in counts.items() if c == top), key=tie_key)
+    candidates = [(abs((t - midpoint).total_seconds()), t, lt.value, lt)
+                  for n, lt, t in votes if n == winner]
+    candidates.sort(key=lambda item: (item[0], item[1], item[2]))
+    return winner, candidates[0][3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from(["16", "550", "M"]),
+                          st.sampled_from(list(LineType))), min_size=1, max_size=12),
+       st.lists(st.integers(0, 11), min_size=1, max_size=15),
+       st.integers(-10, 100))
+# the winner's fixes 10 s either side of the midpoint: the earlier one's
+# type, though the later one's value is the lesser
+@example([(0, "16", LineType.TRAIN), (2, "16", LineType.BUS)], [0, 1], 20)
+def test_pick_identity_agrees_with_the_tuple_rule(fixes, picks, half_s):
+    """Over random names and types, fixes at tied times, repeated votes and
+    midpoints on half seconds, _pick_identity over index rows names the
+    line as the tuple rule names it over the decoded rows."""
+    index = index_of([vp(10 * t, BASE, name=name, line_type=line_type)
+                      for t, name, line_type in fixes])
+    votes = np.array([k % len(fixes) for k in picks])
+    midpoint = at(half_s / 2)
+    assert _pick_identity(index, votes, as_seconds(midpoint)) == \
+        _tuple_rule(decoded(index, votes), midpoint)
 
 
 # --- match_live ---
@@ -553,10 +615,9 @@ def _assert_matchers_agree_with_brute_force(segment, rows, cfg):
             assert got is None
         else:
             assert got is not None
-            assert (got.vehicle_ref, got.score, got.matched_fraction,
-                    got.sample_distances) == \
-                (want.vehicle_ref, want.score, want.matched_fraction,
-                 tuple(want.sample_distances))
+            assert (got.vehicle_ref, got.score, got.matched_fraction) == \
+                (want.vehicle_ref, want.score, want.matched_fraction)
+            assert same_score(decision.scored[got.vehicle_ref], want)
         # the prune is sound: every vehicle it drops is one score_vehicle
         # rejects
         samples = select_user_samples(segment.trace, n_samples)
@@ -566,7 +627,7 @@ def _assert_matchers_agree_with_brute_force(segment, rows, cfg):
         for ref in decision.in_range:
             scored = score_vehicle(samples, ref, cfg, index, use_linestring)
             if ref in decision.scored:
-                assert decision.scored[ref] == scored
+                assert same_score(decision.scored[ref], scored)
             else:
                 assert scored is None or not scored.eligible
 
@@ -628,7 +689,8 @@ def test_old_live_uses_four_samples_and_matches_slow_vehicle():
     old = match_live_old(segment, CFG, index)
     assert new is not None and old is not None
     assert old.method == "old-live"
-    assert len(old.sample_distances) == 4
+    decision = decide_live(segment, CFG, index, OLD_LIVE)
+    assert len(decision.samples) == len(decision.scored["v1"].distances) == 4
     assert old.vehicle_ref == new.vehicle_ref == "v1"
 
 

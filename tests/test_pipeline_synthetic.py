@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from tripmatch import pipeline, segmentation
-from tripmatch.config import STATIC, config_from_dict, load_config
+from tripmatch.config import STATIC, ConfigError, config_from_dict, load_config
 from tripmatch.geodesy import distance_m
 from tripmatch.evaluation import COMBINED
 from tripmatch.ingest import parse_timestamp
@@ -213,3 +213,20 @@ def test_planner_walks_at_the_configured_walk_speed(synth):
             assert it.walk_before_s == pytest.approx(d_board / 1.25, rel=1e-9)
             assert it.walk_after_s == pytest.approx(d_alight / 1.25, rel=1e-9)
     assert itineraries
+
+
+@pytest.mark.parametrize("missing", ["gtfs", "transit_live", "manual_log",
+                                     "filtered_data"])
+def test_a_missing_input_stops_the_run_before_it_writes(synth, tmp_path, missing):
+    """run_all finds every input that its methods read before it writes
+    anything: with one missing it raises ConfigError, and a fresh output
+    directory gets no file."""
+    cfg = load_config(synth.config_path)
+    cfg.output_dir = tmp_path / "out"
+    if missing == "gtfs":
+        cfg.gtfs = tmp_path / "gtfs"
+    else:
+        cfg.files[missing] = str(tmp_path / "missing.csv")
+    with pytest.raises(ConfigError, match="not found"):
+        pipeline.run_all(cfg)
+    assert not cfg.output_dir.exists()

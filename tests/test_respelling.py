@@ -3,7 +3,9 @@ its tables rewritten as another text that the readers must read alike
 (columns in another order, unread columns, other spellings of the same ids,
 numbers and timestamps, other line ends, quoted cells, the feed zipped), and
 a full run over the copy must write the same eight files, byte for byte, as
-a run over the city. Each respelling first checks that it took."""
+a run over the city. Each respelling first checks that it took. Only quoted
+cells may send a block to csv.reader, and every case runs again with blocks
+of 1 KiB, so that stop_times.txt and trips.txt span several."""
 import csv
 import re
 import shutil
@@ -11,7 +13,7 @@ import zipfile
 
 import pytest
 
-from tripmatch import pipeline
+from tripmatch import ingest, pipeline
 from tripmatch.config import load_config
 
 OUTPUTS = ["segments.csv", "matches_new_live.csv", "matches_old_live.csv",
@@ -230,15 +232,46 @@ def _timestamp_spellings(root) -> None:
         assert re.search(r"2016-08-26 [0-9:]*\.000,", text)
 
 
-@pytest.mark.parametrize("respell", [
+RESPELLINGS = pytest.mark.parametrize("respell", [
     _published_column_order, _unread_column_mid_row, _stop_sequence_spellings,
     _padded_ids, _zipped_feed, _swapped_line_ends, _bare_cr_line_ends,
     _quoted_cells, _number_spellings, _timestamp_spellings],
     ids=lambda respell: respell.__name__.strip("_"))
-def test_respelled_inputs_give_the_same_outputs(city, tmp_path, respell):
+
+
+def _assert_same_outputs(city, tmp_path, monkeypatch, respell) -> None:
+    """A run over the respelled copy of the city writes the city's outputs,
+    and only quoted cells send a block to csv.reader (ingest._lines)."""
     synth, expected = city
     root = tmp_path / "city"
     shutil.copytree(synth.root, root, ignore=shutil.ignore_patterns("out"))
     respell(root)
+    lines = ingest._lines
+    read = []
+
+    def counted(*args):
+        read.append(args[1])
+        return lines(*args)
+
+    monkeypatch.setattr(ingest, "_lines", counted)
     outputs = _run(synth.config_path, root, tmp_path / "out")
     assert [name for name in OUTPUTS if outputs[name] != expected[name]] == []
+    assert bool(read) is (respell is _quoted_cells), read
+
+
+@RESPELLINGS
+def test_respelled_inputs_give_the_same_outputs(city, tmp_path, monkeypatch,
+                                                respell):
+    _assert_same_outputs(city, tmp_path, monkeypatch, respell)
+
+
+@RESPELLINGS
+def test_respelled_inputs_in_small_blocks_give_the_same_outputs(
+        city, tmp_path, monkeypatch, respell):
+    """As above, every table read in 1 KiB blocks, so that stop_times.txt
+    and trips.txt span several blocks each."""
+    synth, _ = city
+    for name in ["stop_times.txt", "trips.txt"]:
+        assert (synth.root / "gtfs" / name).stat().st_size > 4 * 1024
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 1024)
+    _assert_same_outputs(city, tmp_path, monkeypatch, respell)
