@@ -17,7 +17,10 @@ other on its own through int() and an int32 range check. Of its cells only
 those of the trip_id and stop_id columns become strs. trips.txt is
 kept as columns too (TripColumns): int32 codes of each trip's route,
 service and shape, which validation and the planner read as masks over the
-codes; a GtfsTrip is built only when one trip is looked up.
+codes; a GtfsTrip is built only when one trip is looked up. shapes.txt
+is sorted once, stably, by (shape, sequence): shapes maps each shape id,
+in order of first appearance, to a (k, 2) lat/lng view of that one array.
+Latitudes and longitudes have the dataset tables' range rules.
 
 The tables are joined as stop_times.txt is read: its trip_id and stop_id
 columns are Known columns seeded with trips.txt's trip ids and the sorted
@@ -41,8 +44,8 @@ from typing import Collection, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .ingest import (Column, Floats, IngestError, Known, Table,
-                     clock_seconds, digit_values, read_table)
+from .ingest import (LATITUDES, LONGITUDES, Column, IngestError, Known,
+                     Table, clock_seconds, digit_values, read_table)
 from .types import GeoPoint, LineType
 
 
@@ -256,7 +259,7 @@ class GtfsBundle:
     stop_times: StopTimeColumns
     services: dict[str, GtfsService]
     service_exceptions: dict[date, dict[str, int]]  # date -> service_id -> 1|2
-    shapes: dict[str, list[GeoPoint]] = field(default_factory=dict)
+    shapes: dict[str, np.ndarray] = field(default_factory=dict)
 
     def counts(self) -> dict[str, int]:
         return {
@@ -409,10 +412,10 @@ def _int32(text: str) -> int:
 
 
 class Int32s:
-    """parse of an int32 column (stop_sequence): cells of 1 to 8 ASCII
-    digits are decoded a chunk at a time from their bytes (scan, by
-    ingest.digit_values), any other cell (blank, signed, spaced, of other
-    digits or of 9 or more) through _int32."""
+    """parse of an int32 column (stop_sequence, shape_pt_sequence): cells
+    of 1 to 8 ASCII digits are decoded a chunk at a time from their bytes
+    (scan, by ingest.digit_values), any other cell (blank, signed, spaced,
+    of other digits or of 9 or more) through _int32."""
 
     def __call__(self, text: str) -> int:
         return _int32(text)
@@ -465,7 +468,7 @@ def load_gtfs(path) -> GtfsBundle:
 
     stops = {stop.stop_id: stop for stop in src.table("stops.txt", [
         Column("stop_id"), Column("stop_name", header=False),
-        Column("stop_lat", Floats()), Column("stop_lon", Floats()),
+        Column("stop_lat", LATITUDES), Column("stop_lon", LONGITUDES),
     ]).build(GtfsStop)}
 
     routes = {route.route_id: route for route in src.table("routes.txt", [
@@ -523,18 +526,19 @@ def load_gtfs(path) -> GtfsBundle:
         ]).build(lambda *row: row):
             exceptions.setdefault(day, {})[service_id] = exception_type
 
-    shapes: dict[str, list[GeoPoint]] = {}
+    shapes: dict[str, np.ndarray] = {}
     if src.has("shapes.txt"):
-        raw: dict[str, list[tuple[int, GeoPoint]]] = {}
-        for shape_id, lat, lng, seq in src.table("shapes.txt", [
-                Column("shape_id"), Column("shape_pt_lat", Floats()),
-                Column("shape_pt_lon", Floats()),
-                Column("shape_pt_sequence", int),
-        ]).build(lambda *row: row):
-            raw.setdefault(shape_id, []).append((seq, GeoPoint(lat, lng)))
-        for shape_id, pts in raw.items():
-            pts.sort(key=lambda item: item[0])
-            shapes[shape_id] = [p for _, p in pts]
+        table = src.table("shapes.txt", [
+            Column("shape_id"), Column("shape_pt_lat", LATITUDES),
+            Column("shape_pt_lon", LONGITUDES),
+            Column("shape_pt_sequence", Int32s())])
+        table.report()
+        shape, ids = table.data["shape_id"], table.levels["shape_id"]
+        order = np.lexsort((table.data["shape_pt_sequence"], shape))
+        points = np.stack([table.data["shape_pt_lat"],
+                           table.data["shape_pt_lon"]], axis=1)[order]
+        ends = np.cumsum(np.bincount(shape, minlength=len(ids)))
+        shapes = dict(zip(ids, np.split(points, ends[:-1])))
 
     bundle = GtfsBundle(stops=stops, routes=routes, trips=trips,
                         stop_times=stop_times, services=services,

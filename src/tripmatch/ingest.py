@@ -862,11 +862,12 @@ def _parse_line_type(value: str, allowed) -> LineType:
     return lt
 
 
-_COORDINATES = [
-    Column("lat", Floats(lambda v: (v >= -90.0) & (v <= 90.0),
-                         "latitude {} out of range [-90, 90]")),
-    Column("lng", Floats(lambda v: (v >= -180.0) & (v <= 180.0),
-                         "longitude {} out of range [-180, 180]"))]
+#: the range rules of every latitude and longitude column, GTFS's included
+LATITUDES = Floats(lambda v: (v >= -90.0) & (v <= 90.0),
+                   "latitude {} out of range [-90, 90]")
+LONGITUDES = Floats(lambda v: (v >= -180.0) & (v <= 180.0),
+                    "longitude {} out of range [-180, 180]")
+_COORDINATES = [Column("lat", LATITUDES), Column("lng", LONGITUDES)]
 
 
 DEVICE_DATA_COLUMNS = [

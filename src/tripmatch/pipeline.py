@@ -7,7 +7,10 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+import os
+import shutil
+import tempfile
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -322,21 +325,31 @@ def run_all(cfg: RunConfig) -> RunOutputs:
     and write every intermediate plus the final report. Every input that the
     configured methods read is found before anything is written; each is
     loaded only when its stage runs, so the index and the planner are never
-    alive together."""
+    alive together. The stages write into a staging directory inside the
+    output directory, whose files replace those of the output directory
+    only after the last stage: a run that fails, on an input that does not
+    parse for one, leaves the output directory as it found it."""
     methods = live_methods(cfg)
     inputs = ["filtered_data", "manual_log"] + (["transit_live"] if methods else [])
     for name in inputs:
         cfg.require_path(name)
     if STATIC in cfg.methods:
         cfg.require_gtfs()
-    segments = stage_segment(cfg)
-    trips = load_trips(cfg)
-    matched: dict[str, dict] = (stage_match_live(cfg, segments, methods)
-                                if methods else {})
-    if STATIC in cfg.methods:
-        matched[STATIC] = stage_match_static(cfg, segments)
-    # report columns follow cfg.methods, as they do in stage_evaluate_saved
-    recognitions = {m: to_recognitions(matched[m]) for m in cfg.methods}
-    evaluated = stage_evaluate(cfg, trips, segments, recognitions)
-    return RunOutputs(out_dir=Path(cfg.output_dir), segments=segments,
-                      evaluation=evaluated)
+    out_dir = _out_dir(cfg)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    try:
+        staged = replace(cfg, output_dir=staging)
+        segments = stage_segment(staged)
+        trips = load_trips(staged)
+        matched: dict[str, dict] = (stage_match_live(staged, segments, methods)
+                                    if methods else {})
+        if STATIC in cfg.methods:
+            matched[STATIC] = stage_match_static(staged, segments)
+        # report columns follow cfg.methods, as they do in stage_evaluate_saved
+        recognitions = {m: to_recognitions(matched[m]) for m in cfg.methods}
+        evaluated = stage_evaluate(staged, trips, segments, recognitions)
+        for path in sorted(staging.iterdir()):
+            os.replace(path, out_dir / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return RunOutputs(out_dir=out_dir, segments=segments, evaluation=evaluated)

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Protocol
 
 import numpy as np
 
@@ -43,7 +43,7 @@ class PlanQuery:
             raise ValueError("n_plans must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitLeg:
     line_type: LineType
     line_name: str
@@ -52,7 +52,7 @@ class TransitLeg:
     board_time: datetime
     alight_stop: str
     alight_time: datetime
-    geometry: tuple[GeoPoint, ...]
+    geometry: np.ndarray  # (k, 2) lat/lng vertices
 
     @property
     def duration_s(self) -> float:
@@ -130,6 +130,7 @@ class TimetablePlanner:
                                st.stop_ids[:len(gtfs.stops)]))
         self._stop_lat = np.array([s.lat for s in self._stops])
         self._stop_lng = np.array([s.lng for s in self._stops])
+        self._stop_points = np.stack([self._stop_lat, self._stop_lng], axis=1)
 
         # instances in (trip, shift) order: the day before's run first
         trip = np.concatenate([np.flatnonzero(runs_late), np.flatnonzero(today)])
@@ -283,27 +284,22 @@ class TimetablePlanner:
         )
 
     def _leg_geometry(self, trip: int, board_row: int,
-                      alight_row: int) -> tuple[GeoPoint, ...]:
-        st = self._st
-        stop_seq = [self._stops[s].geo
-                    for s in st.stop[board_row:alight_row + 1].tolist()]
-        board_geo, alight_geo = stop_seq[0], stop_seq[-1]
-
+                      alight_row: int) -> np.ndarray:
+        """The leg's (k, 2) lat/lng vertices: the board stop, the trip's shape
+        from its vertex nearest that stop to a later one nearest the alight
+        stop, and the alight stop; else the leg's stops."""
+        stops = self._stop_points[self._st.stop[board_row:alight_row + 1]]
+        ends = stops[[0, -1]]
         trips = self.gtfs.trips
         code = trips.shape[trip]
         shape = self.gtfs.shapes.get(trips.shape_ids[code]) if code >= 0 else None
-        if shape:
-            lat, lng = np.array(shape).T
-            i = int(np.argmin(distances_m(lat, lng, *board_geo)))
-            j = int(np.argmin(distances_m(lat, lng, *alight_geo)))
-            if i < j:
-                pts = _dedupe([board_geo, *shape[i:j + 1], alight_geo])
-                if len(pts) >= 2:
-                    return tuple(pts)
-        pts = _dedupe(stop_seq)
-        if len(pts) < 2:
-            pts = [board_geo, alight_geo]  # co-located stops still form a leg
-        return tuple(pts)
+        if shape is not None:
+            i, j = (int(np.argmin(distances_m(shape[:, 0], shape[:, 1], lat, lng)))
+                    for lat, lng in ends)
+            if i < j:  # then shape[i] != shape[j], as argmin takes the first
+                return _dedupe(np.concatenate([ends[:1], shape[i:j + 1], ends[1:]]))
+        pts = _dedupe(stops)
+        return pts if len(pts) >= 2 else ends  # co-located stops still form a leg
 
 
 def _keys(stops: np.ndarray, departure_s) -> np.ndarray:
@@ -315,9 +311,8 @@ def _keys(stops: np.ndarray, departure_s) -> np.ndarray:
             + np.clip(departure_s + 2.0**31, -1, 2**32).astype(np.int64))
 
 
-def _dedupe(points: Sequence[GeoPoint]) -> list[GeoPoint]:
-    out: list[GeoPoint] = []
-    for p in points:
-        if not out or p != out[-1]:
-            out.append(p)
-    return out
+def _dedupe(points: np.ndarray) -> np.ndarray:
+    """The (k, 2) points without each one equal to the point before it."""
+    keep = np.ones(len(points), dtype=bool)
+    keep[1:] = (points[1:] != points[:-1]).any(axis=1)
+    return points[keep]

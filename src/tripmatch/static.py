@@ -189,7 +189,7 @@ def route_geometry_check(segment: ActivitySegment,
     # polyline g pairs point g % n with the vertices of plan g // n
     geometry = [it.transit.geometry for it in itineraries]
     m = np.array([len(g) for g in geometry])
-    vertices = np.array([v for g in geometry for v in g])
+    vertices = np.concatenate(geometry)
     sizes = np.repeat(m, n)
     points = np.tile(np.arange(n), len(m))
     first_vertex = np.repeat(np.cumsum(m) - m, n)

@@ -61,6 +61,11 @@ def segment_rows(segments) -> list[tuple]:
             for s in segments]
 
 
+def hex_points(points) -> list[tuple[str, ...]]:
+    """Coordinates as float.hex, which tells -0.0 from 0.0."""
+    return [tuple(map(float.hex, p)) for p in points]
+
+
 def _clock(seconds: int) -> str:
     """A GTFS H:MM:SS clock; hours past 24 stay as they are."""
     return f"{seconds // 3600}:{seconds // 60 % 60:02}:{seconds % 60:02}"

@@ -75,6 +75,51 @@ def test_run_with_bad_gtfs_column_exits_1(tmp_path, synth, capsys):
     assert "stops.txt: missing column 'stop_lat'" in capsys.readouterr().err
 
 
+def _respell_stops_header(data_dir):
+    stops = data_dir / "gtfs" / "stops.txt"
+    stops.write_text(stops.read_text().replace("stop_lat", "stop_latx", 1))
+    return "stops.txt: missing column 'stop_lat'"
+
+
+def _bad_fleet_cell(data_dir):
+    live = data_dir / "transit_live.csv"
+    lines = live.read_text().splitlines(keepends=True)
+    time, _, rest = lines[2].split(",", 2)
+    lines[2] = f"{time},60.1x,{rest}"
+    live.write_text("".join(lines))
+    return "line 3"
+
+
+@pytest.mark.parametrize("respell", [_respell_stops_header, _bad_fleet_cell])
+def test_a_run_stopped_by_a_bad_input_leaves_the_earlier_outputs(
+        tmp_path, synth, capsys, respell):
+    """An input that is found but does not parse stops the run after some
+    stages ran. The earlier run's outputs stay as they were (each is marked
+    first, as a rerun would write the same bytes), and no file is added,
+    to that directory or to a new one."""
+    data_dir = tmp_path / "data"
+    shutil.copytree(synth.root, data_dir, ignore=shutil.ignore_patterns("out"))
+    raw = yaml.safe_load(Path(synth.config_path).read_text())
+    raw.update(data_dir=str(data_dir), gtfs=str(data_dir / "gtfs"),
+               output_dir=str(tmp_path / "out"))
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert run_cli("run", "--config", cfg) == 0
+    outputs = sorted((tmp_path / "out").iterdir())
+    assert len(outputs) == 8
+    for path in outputs:
+        path.write_bytes(path.read_bytes() + b"earlier run")
+    before = {p.name: p.read_bytes() for p in outputs}
+    message = respell(data_dir)
+    for out in (tmp_path / "out", tmp_path / "new-out"):
+        capsys.readouterr()
+        assert run_cli("run", "--config", cfg, "--out", out) == 1
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith("error: ") and message in first
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+    assert not any((tmp_path / "new-out").iterdir())
+
+
 def test_segment_command_writes_csv(synth, capsys, tmp_path):
     out = tmp_path / "segout"
     assert run_cli("segment", "--config", synth.config_path, "--out", out) == 0

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (AS_IS, arranged, arrangements, cell, loader_outcome,
-                      reference_table, scan_input)
+from conftest import (AS_IS, arranged, arrangements, cell, hex_points,
+                      loader_outcome, reference_table, scan_input)
 from tripmatch import ingest
 from tripmatch.ingest import Column
 from tripmatch.gtfs import (
@@ -29,7 +29,7 @@ from tripmatch.gtfs import (
     load_gtfs,
     parse_gtfs_time,
 )
-from tripmatch.types import LineType
+from tripmatch.types import GeoPoint, LineType
 
 MINIMAL = {
     "stops.txt": [
@@ -103,7 +103,9 @@ def test_zipped_miniature_feed_loads_as_its_directory(synth, tmp_path):
         assert type(a) is type(b) and np.array_equal(a, b), column.name
     assert from_zip.services == from_dir.services
     assert from_zip.service_exceptions == from_dir.service_exceptions
-    assert from_zip.shapes == from_dir.shapes and from_dir.shapes
+    assert list(from_zip.shapes) == list(from_dir.shapes) and from_dir.shapes
+    for shape_id, points in from_dir.shapes.items():
+        assert np.array_equal(from_zip.shapes[shape_id], points), shape_id
     assert len(from_dir.stop_times) > 100
 
 
@@ -205,6 +207,7 @@ def test_malformed_time_is_gtfs_error(text):
 
 
 STOP_TIMES_HEADER = "trip_id,stop_id,arrival_time,departure_time,stop_sequence"
+SHAPES_HEADER = "shape_id,shape_pt_lat,shape_pt_lon,shape_pt_sequence"
 
 
 @pytest.mark.parametrize("name, lines, message", [
@@ -247,6 +250,32 @@ STOP_TIMES_HEADER = "trip_id,stop_id,arrival_time,departure_time,stop_sequence"
     ("stop_times.txt",
      [STOP_TIMES_HEADER, "t1,A,10:00:00,10:00:00,1", "t1,B,10:10:00,+10:10:00,2"],
      "stop_times.txt: line 3: column 'departure_time': bad GTFS time '+10:10:00'"),
+    ("stops.txt",
+     ["stop_id,stop_name,stop_lat,stop_lon", "A,Alpha,nan,24.940"],
+     "stops.txt: line 2: column 'stop_lat': latitude nan out of range [-90, 90]"),
+    ("stops.txt",
+     ["stop_id,stop_name,stop_lat,stop_lon", "A,Alpha,60.170,24.940",
+      "B,Beta,600.17,24.940"],
+     "stops.txt: line 3: column 'stop_lat': latitude 600.17 out of range "
+     "[-90, 90]"),
+    ("stops.txt",
+     ["stop_id,stop_name,stop_lat,stop_lon", "A,Alpha,60.170,-180.5"],
+     "stops.txt: line 2: column 'stop_lon': longitude -180.5 out of range "
+     "[-180, 180]"),
+    ("shapes.txt",
+     [SHAPES_HEADER, "s1,60.170,24.940,1", "s1,-90.01,24.940,2"],
+     "shapes.txt: line 3: column 'shape_pt_lat': latitude -90.01 out of range "
+     "[-90, 90]"),
+    ("shapes.txt",
+     [SHAPES_HEADER, "s1,60.170,inf,1"],
+     "shapes.txt: line 2: column 'shape_pt_lon': longitude inf out of range "
+     "[-180, 180]"),
+    ("shapes.txt",
+     [SHAPES_HEADER, "s1,60.170,24.940,1", "s1,60.180,24.940,2147483648"],
+     "shapes.txt: line 3: column 'shape_pt_sequence': 2147483648 out of range"),
+    ("shapes.txt",
+     [SHAPES_HEADER, "s1,60.170,24.940,-2147483649"],
+     "shapes.txt: line 2: column 'shape_pt_sequence': -2147483649 out of range"),
 ])
 def test_bad_feed_errors_are_located(tmp_path, name, lines, message):
     tables = dict(MINIMAL, **{name: lines})
@@ -381,7 +410,49 @@ def test_shapes_ordered_by_sequence(tmp_path):
         "s1,60.170,24.940,1",
     ]
     bundle = load_gtfs(write_feed(tmp_path, tables))
-    assert [p.lat for p in bundle.shapes["s1"]] == [60.170, 60.180]
+    assert bundle.shapes["s1"].tolist() == [[60.170, 24.940], [60.180, 24.940]]
+
+
+def _dict_of_lists_shapes(rows):
+    """The former assembly of shapes.txt rows (shape_id, lat, lng, sequence):
+    one list of (sequence, GeoPoint) per shape, in order of first
+    appearance, each sorted by sequence, so that a repeated sequence keeps
+    file order."""
+    raw = {}
+    for shape_id, lat, lng, seq in rows:
+        raw.setdefault(shape_id, []).append((seq, GeoPoint(lat, lng)))
+    shapes = {}
+    for shape_id, pts in raw.items():
+        pts.sort(key=lambda item: item[0])
+        shapes[shape_id] = [p for _, p in pts]
+    return shapes
+
+
+_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["a", "b", "c", "s10"]),
+                          _ZERO | st.floats(-90, 90), _ZERO | st.floats(-180, 180),
+                          st.integers(0, 4) | st.integers(-2**31, 2**31 - 1)),
+                min_size=1, max_size=30))
+@example([("a", 60.2, 24.9, 2), ("b", 1.0, 2.0, 1), ("a", 60.1, 24.9, 1),
+          ("b", 0.0, 0.0, 1), ("a", 60.3, 24.9, 2)])  # interleaved, repeated
+@example([("a", -0.0, 0.0, 1), ("a", 0.0, -0.0, 1)])
+@example([("c", 10.0, 20.0, 7)])  # one vertex
+def test_shapes_agree_with_the_dict_of_lists_assembly(tmp_path_factory, rows):
+    """Each shape is the (k, 2) float64 array of the former per-shape list,
+    in the same order, every array a view of one sorted array."""
+    tables = dict(MINIMAL, **{"shapes.txt": [SHAPES_HEADER, *(
+        f"{shape_id},{lat!r},{lng!r},{seq}" for shape_id, lat, lng, seq in rows)]})
+    shapes = load_gtfs(write_feed(tmp_path_factory.mktemp("shapes"), tables)).shapes
+    expected = _dict_of_lists_shapes(rows)
+    assert list(shapes) == list(expected)
+    for shape_id, points in shapes.items():
+        assert points.dtype == np.float64
+        assert points.shape == (len(expected[shape_id]), 2)
+        assert hex_points(points.tolist()) == hex_points(expected[shape_id])
+    assert len({id(points.base) for points in shapes.values()}) == 1
 
 
 def test_dangling_shape_reference(tmp_path):

@@ -4,10 +4,10 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tripmatch.geodesy import distance_m, offset_point
+from tripmatch.geodesy import distance_m, distances_m, offset_point
 from tripmatch.gtfs import GtfsService, load_gtfs
 from tripmatch.planner import (
     Itinerary,
@@ -15,11 +15,12 @@ from tripmatch.planner import (
     PlanQuery,
     TimetablePlanner,
     TransitLeg,
+    _dedupe,
 )
 from tripmatch.static import MatchConstants, adjusted_query
 from tripmatch.types import Activity, GeoPoint, LineType
 
-from conftest import DAY, at, fp, make_bundle, segment_of
+from conftest import DAY, at, fp, hex_points, make_bundle, segment_of
 
 BASE = GeoPoint(60.17, 24.94)
 S9 = 9 * 3600  # service seconds at 09:00
@@ -520,7 +521,7 @@ def test_itinerary_invariants_enforced():
     leg = TransitLeg(LineType.BUS, "16", "t", "A",
                      datetime(2016, 8, 26, 9, 0), "B",
                      datetime(2016, 8, 26, 9, 30),
-                     (GeoPoint(60.17, 24.94), GeoPoint(60.18, 24.95)))
+                     np.array([[60.17, 24.94], [60.18, 24.95]]))
     with pytest.raises(ValueError, match="boarding precedes"):
         Itinerary(start_time=datetime(2016, 8, 26, 9, 5),
                   end_time=datetime(2016, 8, 26, 9, 30),
@@ -529,9 +530,83 @@ def test_itinerary_invariants_enforced():
     one_point_leg = TransitLeg(LineType.BUS, "16", "t", "A",
                                datetime(2016, 8, 26, 9, 0), "B",
                                datetime(2016, 8, 26, 9, 30),
-                               (GeoPoint(60.17, 24.94),))
+                               np.array([[60.17, 24.94]]))
     with pytest.raises(ValueError, match="geometry"):
         Itinerary(start_time=datetime(2016, 8, 26, 9, 0),
                   end_time=datetime(2016, 8, 26, 9, 30),
                   walk_before_s=0.0, transit=one_point_leg,
                   walk_after_s=0.0, total_duration_s=1800.0)
+
+
+# --- leg geometry against the former rule on GeoPoint tuples ---
+
+def _tuple_dedupe(points):
+    """The former _dedupe: each point unless it equals the last one kept."""
+    out = []
+    for p in points:
+        if not out or p != out[-1]:
+            out.append(p)
+    return out
+
+
+def _tuple_leg_geometry(stops, shape):
+    """The former _leg_geometry, of the leg's stops and the trip's shape as
+    GeoPoint lists (shape None for a trip without one)."""
+    board_geo, alight_geo = stops[0], stops[-1]
+    if shape:
+        lat, lng = np.array(shape).T
+        i = int(np.argmin(distances_m(lat, lng, *board_geo)))
+        j = int(np.argmin(distances_m(lat, lng, *alight_geo)))
+        if i < j:
+            pts = _tuple_dedupe([board_geo, *shape[i:j + 1], alight_geo])
+            if len(pts) >= 2:
+                return tuple(pts)
+    pts = _tuple_dedupe(stops)
+    if len(pts) < 2:
+        pts = [board_geo, alight_geo]  # co-located stops still form a leg
+    return tuple(pts)
+
+
+# a few points that repeat, the zeros of either sign among them, or any
+# point of a small box
+POINT = st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+                         (60.17, 24.94), (60.171, 24.94), (60.172, 24.941)]
+                        ) | st.tuples(st.floats(60.16, 60.18), st.floats(24.93, 24.95))
+A, B, C = (60.17, 24.94), (60.171, 24.94), (60.172, 24.941)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(POINT, min_size=2, max_size=6),
+       st.none() | st.lists(POINT, min_size=1, max_size=8))
+@example([A, B, C], [C, B, A])  # the shape runs against the trip: i > j
+@example([A, C], [B])  # one vertex: i == j
+@example([A, A, A], None)  # co-located stops
+@example([A, A, B, B, C], [A, A, B, B, B, C, C])  # repeated consecutive points
+@example([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)],
+         [(-0.0, 0.0), (0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+def test_leg_geometry_agrees_with_the_tuple_rule(stops, shape):
+    """Every leg of a trip, its geometry as the (k, 2) float64 array of the
+    former GeoPoint tuple, -0.0 and 0.0 told apart."""
+    names = [f"S{k}" for k in range(len(stops))]
+    bundle = make_bundle(dict(zip(names, stops)), {"r1": ("16", 3)},
+                         [("t1", "r1", [(name, S9 + 60 * k)
+                                        for k, name in enumerate(names)])],
+                         shapes={"t1": shape} if shape else None)
+    planner = TimetablePlanner(bundle, DAY, WALK_MPS)
+    points = [GeoPoint(*p) for p in stops]
+    for board in range(len(stops)):
+        for alight in range(board + 1, len(stops)):
+            got = planner._leg_geometry(0, board, alight)
+            expected = _tuple_leg_geometry(
+                points[board:alight + 1],
+                [GeoPoint(*p) for p in shape] if shape else None)
+            assert got.dtype == np.float64 and got.shape == (len(expected), 2)
+            assert hex_points(got.tolist()) == hex_points(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(POINT, max_size=10))
+def test_dedupe_agrees_with_the_tuple_rule(points):
+    got = _dedupe(np.array(points, dtype=np.float64).reshape(-1, 2))
+    assert hex_points(got.tolist()) == hex_points(
+        _tuple_dedupe([GeoPoint(*p) for p in points]))

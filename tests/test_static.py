@@ -4,6 +4,7 @@ from datetime import timedelta
 from itertools import groupby
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -65,7 +66,7 @@ def plan_for(segment, *, board_offset_s=0.0, total_s=None, transit_s=None,
     if geometry is None:
         geometry = (geo_points(segment)[0], geo_points(segment)[-1])
     leg = TransitLeg(line[0], line[1], trip_id, "S1", board, "S2", alight,
-                     tuple(geometry))
+                     np.array(geometry, dtype=np.float64).reshape(-1, 2))
     return Itinerary(start_time=board - timedelta(seconds=walk_before),
                      end_time=alight + timedelta(seconds=walk_after),
                      walk_before_s=walk_before,
