@@ -20,7 +20,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime
-from itertools import chain, count, islice
+from itertools import chain, count, groupby, islice
 from pathlib import Path
 from typing import (Any, Callable, Iterable, Iterator, NamedTuple, Optional,
                     Sequence, TypeVar)
@@ -527,8 +527,8 @@ def read_table(fh, label, columns: Sequence[Column], *,
 def _row_text(cells: dict[int, Sequence[str]], width: int, row: int,
               data: bytes | None, ends: np.ndarray | None) -> str:
     """The cells of a chunk's row joined: read from the chunk's bytes, less
-    its commas, when it was split on bytes (so that no cell is quoted),
-    else from its cells."""
+    its commas (and after a CRLF, led by its LF), when it was split on bytes
+    (so that no cell is quoted), else from its cells."""
     if data is None:
         return "".join(column[row] for column in cells.values())
     start = ends[row * width - 1] + 1 if row else 0
@@ -538,6 +538,15 @@ def _row_text(cells: dict[int, Sequence[str]], width: int, row: int,
 _NO_CELLS = np.empty(0, np.int64)
 
 
+class _Joint(NamedTuple):
+    """A column's cells in a chunk split as joint pieces (see _chunks):
+    its cells of the pieces first seen in the chunk, in order of first
+    appearance, and the number of each row's piece."""
+
+    new: list[str]
+    ids: np.ndarray
+
+
 class _ColumnReader:
     """One column's cells, chunk by chunk: a column whose parse has a scan
     form (chunk bytes, cell starts, cell ends -> values, ok) is decoded a
@@ -545,7 +554,9 @@ class _ColumnReader:
     it rejects decoded from its bytes and going through parse; any other
     (a dictionary column) is dictionary-encoded from its raw cells with
     each distinct cell parsed once, a parse with levels (Known) seeding the
-    codes with its known values."""
+    codes with its known values. Given as _Joint, a column's cells are
+    coded once per joint piece, and its rows take the codes of their
+    pieces."""
 
     def __init__(self, column: Column, at: int | None):
         self.column = column
@@ -558,6 +569,7 @@ class _ColumnReader:
         # code by raw cell, each unseen cell taking the next code
         self.codes: defaultdict[str, int] = defaultdict(
             count(self.known).__next__, zip(levels, count()))
+        self.joint = np.empty(0, np.int32)  # code by joint piece number
         self.parsed: list = list(levels)  # value by code; None for a bad cell
         self.faults: dict[int, str] = {}  # message by code of a bad cell
 
@@ -580,8 +592,10 @@ class _ColumnReader:
         if data is not None and self.at is not None:
             if self.at:
                 starts = ends[self.at - 1::width] + 1
-            else:  # the first cell of a row starts after the row before
-                starts = np.concatenate(([0], ends[width - 1:-1:width] + 1))
+            else:  # the first cell of a row starts after the row before's LF
+                last = ends[width - 1:-1:width]
+                starts = np.concatenate((
+                    [0], last + 1 + (np.frombuffer(data, np.uint8)[last] == _CR)))
             return data, starts, ends[self.at::width]
         raw = cells[self.at] if self.at is not None else [""] * n
         encoded = [cell.encode() for cell in raw]
@@ -606,7 +620,12 @@ class _ColumnReader:
             self.parts.append(values)
             return bad
         raw = cells[self.at] if self.at is not None else [""] * n
-        codes = np.fromiter(map(self.codes.__getitem__, raw), np.int32, n)
+        if isinstance(raw, _Joint):
+            self.joint = np.concatenate((self.joint, np.fromiter(
+                map(self.codes.__getitem__, raw.new), np.int32, len(raw.new))))
+            codes = self.joint[raw.ids]
+        else:
+            codes = np.fromiter(map(self.codes.__getitem__, raw), np.int32, n)
         new = list(islice(reversed(self.codes), len(self.codes) - len(self.parsed)))
         new.reverse()  # the cells first seen here, in code order
         if self.column.parse is str:  # plain text: every new cell stripped at once
@@ -661,30 +680,36 @@ class _ColumnReader:
 #: it: up to an LF, a CRLF or a bare CR, or the rest of the data
 _LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
+_CR, _LF = ord("\r"), ord("\n")
+
 
 def _chunks(fh, label, error: type[IngestError],
             coded: Callable[[list[str]], list[int]]) -> Iterator:
     """The header cells of the CSV text in the binary file fh, then its data
     rows, each padded or cut to the header's width, in chunks of (cells,
     lines, data, ends): cells maps a header position to the raw cells of
-    its column as str, in row order; lines holds the line that ends each
-    row, as csv.reader counts lines; data and ends are, for a chunk split
-    on bytes, its bytes, CR-free and LF-terminated, and the offset in data
-    of the comma or LF after each cell, else None, None. A chunk split on
+    its column, as strs in row order or as _Joint; lines holds the line
+    that ends each row, as csv.reader counts lines; data and ends are, for
+    a chunk split on bytes, its bytes, LF-terminated with a CR only before
+    an LF, and the offset in data of the byte after each cell (a comma, or
+    the CR or LF that ends its line), else None, None. A chunk split on
     bytes has cells only at the positions that coded(header) lists; one
     read by csv.reader has them at every position.
 
     The file is read in blocks of about _CHUNK_BYTES cut after their last
     line end (_blocks), the header coming from the first. A block with a
-    CR ends each line in one LF (_line_feeds); if the block then holds no
-    quote and no NUL, and its delimiters make rows of the header's width
-    (_row_ends) as it is or less its empty lines (which csv.reader skips
-    but counts), it is split on bytes: a copy of it has a NUL written over
-    the delimiter before and the delimiter after each cell of the coded
-    positions, and is decoded once and split at the NULs, so that each
-    coded column's cells are every m-th piece, m being the NULs of a row.
-    From the first block that is not, or that is not UTF-8, the rest of the
-    file goes through csv.reader."""
+    CR that no LF follows ends each line in one LF (_line_feeds); in any
+    other, a CRLF's CR stays and ends its line's last cell. If the block
+    holds no quote and no NUL, and its delimiters make rows of the header's
+    width (_row_ends) as it is or less its empty lines (which csv.reader
+    skips but counts), it is split on bytes (_split) into a piece per row
+    for each span of coded positions. A span is one position, or a run of
+    adjacent ones while its pieces repeat: such a joint piece is numbered
+    and split on its commas once per distinct piece (_joint), and the run
+    goes back to a span per position for the rest of the file once it has
+    more distinct pieces than half the rows read. From the first block
+    that is not split on bytes, or that is not UTF-8, the rest of the file
+    goes through csv.reader."""
     blocks = _blocks(fh)
     taken = [b"", 0]  # the block of the last line taken, and the offset after it
 
@@ -696,6 +721,10 @@ def _chunks(fh, label, error: type[IngestError],
             taken[:] = match.string, match.end()
             yield _decode(match[0], label, error, i, "utf-8" if i else "utf-8-sig")
 
+    def spans() -> list[list[int]]:
+        return [span for run in runs
+                for span in ([run] if run[0] in joint else [[k] for k in run])]
+
     lines = head()
     line, reader = 0, csv.reader(lines)
     try:
@@ -704,13 +733,12 @@ def _chunks(fh, label, error: type[IngestError],
             raise error("empty file, header expected", path=label)
         yield header
         width, line = len(header), reader.line_num
-        at = coded(header)
-        # the row's delimiters before and after each coded cell, in row
-        # order (the one before a first cell is the last of the row
-        # before), and which piece of a row's m is each coded cell
-        nuls = sorted({*at, *((k - 1) % width for k in at)})
-        piece = {k: nuls.index(k) for k in at}
-        m = len(nuls)
+        # the runs of adjacent coded positions, and the numbers of the joint
+        # pieces of each run of two or more that is still split as one
+        runs = [[k for _, k in group] for _, group in
+                groupby(enumerate(coded(header)), lambda pair: pair[1] - pair[0])]
+        joint = {run[0]: defaultdict(count().__next__) for run in runs if len(run) > 1}
+        split_at, split_rows = spans(), 0
         # the header's block is let go, its rest copied, so that no block
         # stays referenced through the read (one that did raised the
         # published-day benchmark's peak RSS by about 1 MB)
@@ -720,30 +748,40 @@ def _chunks(fh, label, error: type[IngestError],
         if rest:
             blocks = chain([rest], blocks)
         for raw in blocks:
-            data = _line_feeds(raw) if b"\r" in raw else raw
-            if b'"' in data or b"\0" in data:
+            if b'"' in raw or b"\0" in raw:
                 break
+            data = _line_feeds(raw) if _bare_cr(raw) else raw
             if not data.endswith(b"\n"):
                 data += b"\n"
             ends, empty = _row_ends(data, width), None
             if ends is None:  # drop empty lines, which csv.reader skips but counts
                 buf = np.frombuffer(data, np.uint8)
-                feeds = np.flatnonzero(buf == ord("\n"))
-                empty = np.diff(feeds, prepend=-1) == 1
-                data = np.delete(buf, feeds[empty]).tobytes()
+                feeds = np.flatnonzero(buf == _LF)
+                empty, crlf = _empty_lines(buf, feeds)
+                data = np.delete(buf, np.concatenate((feeds[empty],
+                                                      feeds[crlf] - 1))).tobytes()
                 if (ends := _row_ends(data, width)) is None:
                     break
             n = len(ends) // width
-            split = bytearray(data)
-            np.frombuffer(split, np.uint8)[ends.reshape(n, width)[:, nuls]] = 0
-            try:
-                pieces = split.decode("utf-8").split("\0")
-            except UnicodeDecodeError:
-                break  # csv.reader's path locates the byte
-            if n:  # the lines of the rows, the empty ones counted
+            if n:
+                try:
+                    pieces = _split(data, ends, width, split_at)
+                except UnicodeDecodeError:
+                    break  # csv.reader's path locates the byte
+                cells: dict[int, Any] = {}
+                for span, cut in zip(split_at, pieces):
+                    if len(span) == 1:
+                        cells[span[0]] = cut
+                    else:
+                        cells.update(zip(span, _joint(joint[span[0]], cut, len(span))))
+                # the lines of the rows, the empty ones counted
                 kept = np.arange(n) if empty is None else np.flatnonzero(~empty)
-                cells = {k: pieces[piece[k]:n * m:m] for k in at}
                 yield cells, (kept + line + 1).astype(np.int32), data, ends
+                split_rows += n
+                for k in [k for k, numbers in joint.items()
+                          if 2 * len(numbers) > split_rows]:
+                    del joint[k]
+                    split_at = spans()
             line += n if empty is None else len(empty)
         else:
             return
@@ -763,29 +801,105 @@ def _chunks(fh, label, error: type[IngestError],
         raise error(str(exc), path=label, line=line + reader.line_num) from None
 
 
-def _row_ends(data: bytes, width: int) -> Optional[np.ndarray]:
-    """The offset of each comma and LF of LF-terminated data, if they make
-    lines of width cells: width - 1 commas and then an LF each, and so
-    none empty (one LF after another) unless width is 1."""
-    buf = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+def _split(data: bytes, ends: np.ndarray, width: int,
+           spans: list[list[int]]) -> list[list[str]]:
+    """For each span of adjacent cells of the rows of width cells in data,
+    whose cells end at ends (_row_ends), the text of that span in each row.
+    A copy of data has a NUL written over the byte before and the byte
+    after each span, the LF of the row before for a row's first cell, and
+    is decoded once and split at the NULs. Where the LF of the row before a
+    span's first cell is also the end of another's last cell (a line that
+    ends in an LF alone), the two spans share one NUL: in a block whose
+    other lines end in CRLFs, the rows then differ in their numbers of
+    pieces, and a span's pieces are taken by their rank among the NULs.
+    Without spans, data is decoded all the same, so that a byte that is
+    not UTF-8 raises UnicodeDecodeError alike."""
+    if not spans:
+        data.decode("utf-8")
+        return []
     n = len(ends) // width
-    if (len(ends) % width or not ((buf[ends] == ord("\n")).reshape(n, width)
+    cells = ends.reshape(n, width)
+    # spot c < width is the byte after cell c, and spot width the row's LF,
+    # which is the byte after its last cell unless the row ends in a CRLF
+    spots = sorted({c for span in spans
+                    for c in (span[0] - 1 if span[0] else width, span[-1])})
+    if b"\r" in data:
+        crlf = np.frombuffer(data, np.uint8)[cells[:, -1]] == _CR
+    else:
+        crlf, spots = None, sorted({min(c, width - 1) for c in spots})
+    at = cells[:, [min(c, width - 1) for c in spots]]
+    if spots[-1] == width:
+        at[:, -1] += crlf
+    split = bytearray(data)
+    np.frombuffer(split, np.uint8)[at] = 0
+    pieces = split.decode("utf-8").split("\0")
+    m = len(spots)
+    if spots[-2:] != [width - 1, width] or crlf.all():
+        return [pieces[spots.index(span[-1]):n * m:m] for span in spans]
+    rank = np.cumsum(np.diff(at.ravel(), prepend=-1) > 0).reshape(n, m) - 1
+    return [list(map(pieces.__getitem__, rank[:, spots.index(span[-1])].tolist()))
+            for span in spans]
+
+
+def _joint(numbers: defaultdict[str, int], pieces: list[str],
+           r: int) -> list[_Joint]:
+    """The cells of joint pieces of r cells as r _Joint: each piece numbered
+    by numbers, an unseen one taking the next number, and the pieces first
+    seen here split on their commas, once each."""
+    seen = len(numbers)
+    ids = np.fromiter(map(numbers.__getitem__, pieces), np.int32, len(pieces))
+    new = list(islice(reversed(numbers), len(numbers) - seen))
+    new.reverse()
+    cells = ",".join(new).split(",") if new else []
+    return [_Joint(cells[j::r], ids) for j in range(r)]
+
+
+def _row_ends(data: bytes, width: int) -> Optional[np.ndarray]:
+    """The offset of the byte after each cell of LF-terminated data, whose
+    every CR is before an LF, if its commas and LFs make lines of width
+    cells: width - 1 commas and then an LF each, and so none empty (one LF
+    after another, or after a CR that ends a line) unless width is 1. A
+    cell ends at the comma after it, a line's last cell at the CR of a
+    CRLF, else at the LF."""
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == _LF))
+    n = len(ends) // width
+    if (len(ends) % width or not ((buf[ends] == _LF).reshape(n, width)
                                   == (np.arange(width) == width - 1)).all()
-            or width == 1 and (np.diff(ends, prepend=-1) == 1).any()):
+            or width == 1 and _empty_lines(buf, ends)[0].any()):
         return None
+    if b"\r" in data:
+        last = ends[width - 1::width]
+        last -= buf[last - 1] == _CR
     return ends
+
+
+def _empty_lines(buf: np.ndarray, feeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the lines of buf that end at the LFs at feeds are empty, and
+    which of these end in a CRLF."""
+    gap = np.diff(feeds, prepend=-1)
+    crlf = (gap == 2) & (buf[feeds - 1] == _CR)
+    return (gap == 1) | crlf, crlf
+
+
+def _bare_cr(raw: bytes) -> bool:
+    """Whether raw has a CR that no LF follows (a last byte included)."""
+    if b"\r" not in raw:
+        return False
+    buf = np.frombuffer(raw, np.uint8)
+    cr = buf == _CR
+    return bool(cr[-1] or (cr[:-1] & (buf[1:] != _LF)).any())
 
 
 def _line_feeds(raw: bytes) -> bytes:
     """raw with each line end one LF: each bare CR (one that no LF follows,
     a last byte included) made an LF, then every CR deleted."""
     buf = np.frombuffer(raw, np.uint8)
-    cr = np.flatnonzero(buf == ord("\r"))
-    bare = cr[buf[np.minimum(cr + 1, len(buf) - 1)] != ord("\n")]
+    cr = np.flatnonzero(buf == _CR)
+    bare = cr[buf[np.minimum(cr + 1, len(buf) - 1)] != _LF]
     if len(bare):
         buf = buf.copy()
-        buf[bare] = ord("\n")
+        buf[bare] = _LF
         raw = buf.tobytes()
     return raw.translate(None, b"\r")
 

@@ -328,15 +328,20 @@ def run_all(cfg: RunConfig) -> RunOutputs:
     alive together. The stages write into a staging directory inside the
     output directory, whose files replace those of the output directory
     only after the last stage: a run that fails, on an input that does not
-    parse for one, leaves the output directory as it found it."""
+    parse for one, leaves the output directory as it found it, and removes
+    it if the run made it."""
     methods = live_methods(cfg)
     inputs = ["filtered_data", "manual_log"] + (["transit_live"] if methods else [])
     for name in inputs:
         cfg.require_path(name)
     if STATIC in cfg.methods:
         cfg.require_gtfs()
+    # the outermost directory that the run makes, if any
+    out = Path(cfg.output_dir)
+    made = next((p for p in reversed([out, *out.parents]) if not p.exists()), None)
     out_dir = _out_dir(cfg)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    done = False
     try:
         staged = replace(cfg, output_dir=staging)
         segments = stage_segment(staged)
@@ -350,6 +355,7 @@ def run_all(cfg: RunConfig) -> RunOutputs:
         evaluated = stage_evaluate(staged, trips, segments, recognitions)
         for path in sorted(staging.iterdir()):
             os.replace(path, out_dir / path.name)
+        done = True
     finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        shutil.rmtree(staging if done or made is None else made, ignore_errors=True)
     return RunOutputs(out_dir=out_dir, segments=segments, evaluation=evaluated)

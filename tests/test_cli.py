@@ -95,8 +95,8 @@ def test_a_run_stopped_by_a_bad_input_leaves_the_earlier_outputs(
         tmp_path, synth, capsys, respell):
     """An input that is found but does not parse stops the run after some
     stages ran. The earlier run's outputs stay as they were (each is marked
-    first, as a rerun would write the same bytes), and no file is added,
-    to that directory or to a new one."""
+    first, as a rerun would write the same bytes), no file is added to that
+    directory, and a new directory that the run made is removed."""
     data_dir = tmp_path / "data"
     shutil.copytree(synth.root, data_dir, ignore=shutil.ignore_patterns("out"))
     raw = yaml.safe_load(Path(synth.config_path).read_text())
@@ -117,7 +117,7 @@ def test_a_run_stopped_by_a_bad_input_leaves_the_earlier_outputs(
         first = capsys.readouterr().err.splitlines()[0]
         assert first.startswith("error: ") and message in first
     assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
-    assert not any((tmp_path / "new-out").iterdir())
+    assert not (tmp_path / "new-out").exists()
 
 
 def test_segment_command_writes_csv(synth, capsys, tmp_path):

@@ -899,19 +899,37 @@ def test_stamps_of_interleaved_dates_scan_as_parse_timestamp_reads_them():
     assert (seconds.tolist(), ok.tolist()) == ([UNTIMED, 28800, UNTIMED], [True] * 3)
 
 
-def test_one_padded_stamp_is_parsed_alone(tmp_path):
-    """A padded stamp goes through parse_timestamp on its own, its chunk's
-    other stamps staying in the byte scan."""
-    rows = [f"2016-08-26 10:{k // 60:02d}:{k % 60:02d},60.1,24.9,BUS,16,v1"
-            for k in range(200)]
-    rows[57] = " " + rows[57]
-    path = write(tmp_path, "t.csv", LIVE_HEADER, *rows)
+def _assert_one_padded_stamp_parsed_alone(path):
     with mock.patch.object(ingest, "parse_timestamp",
                            wraps=ingest.parse_timestamp) as scalar:
         fleet = ingest.load_transit_live(path)
     assert scalar.call_count == 1
     assert scalar.call_args.args == ("2016-08-26 10:00:57",)
     assert np.diff(fleet.times_s).tolist() == [1.0] * 199
+
+
+def _padded_stamp_rows():
+    rows = [f"2016-08-26 10:{k // 60:02d}:{k % 60:02d},60.1,24.9,BUS,16,v1"
+            for k in range(200)]
+    rows[57] = " " + rows[57]
+    return rows
+
+
+def test_one_padded_stamp_is_parsed_alone(tmp_path):
+    """A padded stamp goes through parse_timestamp on its own, its chunk's
+    other stamps staying in the byte scan."""
+    _assert_one_padded_stamp_parsed_alone(
+        write(tmp_path, "t.csv", LIVE_HEADER, *_padded_stamp_rows()))
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_one_padded_stamp_is_parsed_alone_after_crlfs_and_an_empty_line(tmp_path, eol):
+    """So it is too where each first cell of a row follows a CRLF, or an
+    empty line."""
+    rows = _padded_stamp_rows()
+    path = tmp_path / "t.csv"
+    path.write_bytes((eol.join([LIVE_HEADER, *rows[:120], "", *rows[120:]]) + eol).encode())
+    _assert_one_padded_stamp_parsed_alone(path)
 
 
 #: a byte that is not UTF-8 on line 3 of a table, on each of the reader's
@@ -992,10 +1010,7 @@ def test_line_feeds_end_each_line_in_one_lf():
     assert ingest._line_feeds(b"1\r\n2\r3\r\r\n4\n5\r") == b"1\n2\n3\n\n4\n5\n"
 
 
-def test_one_column_empty_lines_are_skipped_on_bytes_as_csv_reader_skips_them():
-    """In a one-column table, where an empty line has the width of a row,
-    the byte path still skips it and counts its line."""
-    text = "a\n1\n\n2\n\n\n3\n\n"
+def _assert_one_column_empty_lines_skipped(text):
     for chunk in range(1, 17):
         with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
                 mock.patch.object(ingest, "_lines", wraps=ingest._lines) as slow:
@@ -1004,6 +1019,17 @@ def test_one_column_empty_lines_are_skipped_on_bytes_as_csv_reader_skips_them():
         assert not slow.called, chunk
         assert list(zip(table.lines.tolist(), table.values("a"))) == [
             (2, "1"), (4, "2"), (7, "3")], chunk
+
+
+def test_one_column_empty_lines_are_skipped_on_bytes_as_csv_reader_skips_them():
+    """In a one-column table, where an empty line has the width of a row,
+    the byte path still skips it and counts its line."""
+    _assert_one_column_empty_lines_skipped("a\n1\n\n2\n\n\n3\n\n")
+
+
+def test_one_column_empty_lines_after_crlfs_are_skipped_on_bytes():
+    """So it does where the lines end in CRLFs."""
+    _assert_one_column_empty_lines_skipped("a\r\n1\r\n\r\n2\r\n\r\n\r\n3\r\n\r\n")
 
 
 #: the line ends of files whose lines end in CRLFs only, bare CRs only,
@@ -1025,14 +1051,18 @@ def test_cr_line_ends_split_on_bytes_as_csv_reader_reads_them(eols):
     """A file of plain rows under each mix of line ends and empty lines,
     read in blocks of every size from 1 to 64 bytes (so that blocks end at
     every byte, a bare CR included), gives csv.reader's cells and line
-    numbers, all on the byte path: its CRs are deleted in the byte pass and
-    its empty lines dropped, and no block goes through csv.reader."""
+    numbers, all on the byte path: a CRLF's CR ends its line's last cell in
+    place, the line ends of a file with any other CR after its header are
+    made LFs (_line_feeds), its empty lines are dropped, and no block goes
+    through csv.reader."""
     ends = _CR_FILES[eols]
     text = "a,b" + ends[0] + "".join(
         f"{k},{'x' * (k % 5)}{ends[(k + 1) % len(ends)]}" for k in range(12))
     reader = csv.reader(io.StringIO(text, newline=""))
     next(reader)
     expected = [(reader.line_num, *row) for row in reader if row]
+    rows = re.sub(r"\Aa,b(\r\n|\r|\n)", "", text)
+    other_crs = rows.count("\r") != rows.count("\r\n")
     for chunk in range(1, 65):
         with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
                 mock.patch.object(ingest, "_line_feeds",
@@ -1040,7 +1070,7 @@ def test_cr_line_ends_split_on_bytes_as_csv_reader_reads_them(eols):
                 mock.patch.object(ingest, "_lines", wraps=ingest._lines) as slow:
             table = ingest.read_table(io.BytesIO(text.encode()), "t.csv", [
                 ingest.Column("a"), ingest.Column("b", required=False)])
-        assert crs.called == ("\r" in text)
+        assert crs.called == other_crs, chunk
         assert not slow.called, chunk
         assert list(zip(table.lines.tolist(), table.values("a"),
                         table.values("b"))) == expected, chunk
@@ -1086,3 +1116,152 @@ def test_plain_text_cells_strip_alike_and_a_blank_required_one_is_missing():
     with pytest.raises(IngestError, match="line 3: column 't': missing value"):
         ingest.read_table(io.BytesIO(text.encode()), "t.csv", [
             ingest.Column("s"), ingest.Column("t")]).report()
+
+
+# --- runs of adjacent text columns, split as one piece a row ---
+
+
+def _apart(text: str) -> str:
+    """text with an unread cell after each cell of every non-empty line, so
+    that no two read columns are adjacent and each is split cell by cell."""
+    out = []
+    for k, line in enumerate(text.splitlines(keepends=True)):
+        body = line.rstrip("\r\n")
+        cells = body.split(",")
+        fill = [f"pad{j}" for j in range(len(cells))] if k == 0 else [""] * len(cells)
+        out.append(",".join(f"{c},{f}" for c, f in zip(cells, fill)) * bool(body)
+                   + line[len(body):])
+    return "".join(out)
+
+
+def _read(text: str, columns, permissive: bool, chunk: int):
+    """The columns, levels, lines and diagnostics of text read in blocks of
+    chunk bytes, or its IngestError as ("error", line, column, message)."""
+    diagnostics: list[str] = []
+    try:
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+            table = ingest.read_table(io.BytesIO(text.encode()), "t.csv", columns,
+                                      permissive=permissive, diagnostics=diagnostics)
+        table.report()
+    except IngestError as err:
+        return "error", err.line, err.column, str(err)
+    return ({c.name: (table.levels.get(c.name), table.data[c.name].tolist())
+             for c in columns}, table.lines.tolist(), diagnostics)
+
+
+_RUN_CHUNKS = [*range(1, 65), 1 << 17]
+
+
+def _joint_reads(text: str, columns, permissive: bool = False):
+    """Read text in blocks of every size in _RUN_CHUNKS, asserting that each
+    read gives what the same text read cell by cell gives; the spans that
+    each block of each read was split into."""
+    expected = _read(_apart(text), columns, permissive, 1 << 17)
+    splits = {}
+    for chunk in _RUN_CHUNKS:
+        with mock.patch.object(ingest, "_split", wraps=ingest._split) as split:
+            assert _read(text, columns, permissive, chunk) == expected, chunk
+        splits[chunk] = [call.args[3] for call in split.call_args_list]
+    return expected, splits
+
+
+def _kind(text: str) -> str:
+    if text not in ("BUS", "TRAM"):
+        raise ValueError(f"unknown kind {text!r}")
+    return text
+
+
+_RUN_COLUMNS = [ingest.Column("x", ingest.Floats()), ingest.Column("kind", _kind),
+                ingest.Column("name"), ingest.Column("ref", int)]
+_RUN_ROWS = [("BUS", "16", "1"), ("TRAM", "4", "2"), ("BUS", "16", "3")]
+#: a bad cell of each column of the run
+_RUN_FAULTS = {"kind": "ZEPPELIN", "name": " ", "ref": "x"}
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("permissive", [False, True])
+@pytest.mark.parametrize("column", list(_RUN_FAULTS))
+def test_a_bad_cell_in_a_run_is_located_as_cell_by_cell(column, permissive, eol):
+    """A bad cell at any place of a run of text columns (kind, name, ref)
+    gives the located error, or under permissive the diagnostics, of the
+    same table read cell by cell; so does a row of blank cells, which is
+    skipped without a diagnostic. The run is split as one piece a row in
+    every read of the table in one block."""
+    rows = [[f"{k}.5", *_RUN_ROWS[k % 3]] for k in range(18)]
+    rows[11][1 + list(_RUN_FAULTS).index(column)] = _RUN_FAULTS[column]
+    rows[14][2] = _RUN_FAULTS["name"]  # a second bad cell, in name
+    rows[5] = ["", "", "", ""]
+    text = eol.join(["x,kind,name,ref", *map(",".join, rows)]) + eol
+    expected, splits = _joint_reads(text, _RUN_COLUMNS, permissive)
+    if permissive:
+        assert [d.split(": ")[2:4] for d in expected[2]] == [
+            ["line 13", f"column {column!r}"], ["line 16", "column 'name'"]]
+    else:
+        assert expected[1:3] == (13, column)
+    assert splits[1 << 17] == [[[1, 2, 3]]]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_a_known_column_in_a_run_keeps_its_codes(eol):
+    """A Known column between two text columns keeps its known values'
+    codes, a padded known cell taking its value's code and the other values
+    following in order of first appearance, in a run read as one piece a
+    row."""
+    known = ingest.Known(("x", "y", "z"))
+    columns = [ingest.Column("a"), ingest.Column("k", known), ingest.Column("b")]
+    cells = ["y", "q", "x", " z ", "y", "p", "q"]
+    text = eol.join(["a,k,b", *(f"r{k % 2},{c},s" for k, c in enumerate(cells * 3))]) + eol
+    expected, splits = _joint_reads(text, columns)
+    assert expected[0]["k"] == (("x", "y", "z", "q", "p"), [1, 3, 0, 2, 1, 4, 3] * 3)
+    assert splits[1 << 17] == [[[0, 1, 2]]]
+
+
+def test_a_run_unique_per_row_goes_back_to_a_piece_per_cell():
+    """A run whose every row is a new piece (as trips.txt's, whose trip_id
+    is unique) codes as cell by cell, and from its second block on is split
+    cell by cell."""
+    text = "trip_id,route_id\n" + "".join(f"t{k},r{k % 3}\n" for k in range(40))
+    expected, splits = _joint_reads(text, [ingest.Column("trip_id"),
+                                           ingest.Column("route_id")])
+    assert expected[0]["route_id"] == (("r0", "r1", "r2"), [0, 1, 2] * 13 + [0])
+    for chunk in _RUN_CHUNKS[:-1]:
+        assert splits[chunk][0] == [[0, 1]], chunk
+        assert all(spans == [[0], [1]] for spans in splits[chunk][1:]), chunk
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_a_run_that_stops_repeating_goes_back_partway(eol):
+    """A run whose pieces repeat for the first rows and are new in every
+    row after codes as cell by cell; read in small blocks, it is split as
+    one piece a row at first (over several blocks where the first holds
+    more than a row) and cell by cell from the block after which its
+    distinct pieces outnumber half the rows read."""
+    rows = [("BUS", "16")] * 30 + [("TRAM", f"n{k}") for k in range(40)]
+    text = eol.join(["t,kind,name", *(f"{k}.0,{a},{b}" for k, (a, b) in
+                                      enumerate(rows))]) + eol
+    columns = [ingest.Column("t", ingest.Floats()), ingest.Column("kind", _kind),
+               ingest.Column("name")]
+    expected, splits = _joint_reads(text, columns)
+    assert expected[0]["name"][1] == [0] * 30 + list(range(1, 41))
+    for chunk, spans in splits.items():
+        joint = spans.count([[1, 2]])
+        assert joint >= 1 and spans[joint:] == [[[1], [2]]] * (len(spans) - joint), chunk
+    assert splits[64].count([[1, 2]]) > 1 and splits[1 << 17] == [[[1, 2]]]
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_a_table_without_text_columns_is_still_checked_for_utf8(eol):
+    """A table whose read columns all have a byte decoder is split into no
+    pieces, on the byte path; its blocks are decoded all the same, so that
+    a byte that is not UTF-8, here in an unread column, is an error at its
+    line."""
+    text = eol.join(["x,note", "1.5,a", "2.5,é"]) + eol
+    for chunk in _RUN_CHUNKS:
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
+                mock.patch.object(ingest, "_lines", wraps=ingest._lines) as slow:
+            table = ingest.read_table(io.BytesIO(text.encode()), "t.csv", [
+                ingest.Column("x", ingest.Floats())])
+            assert table.data["x"].tolist() == [1.5, 2.5] and not slow.called, chunk
+            with pytest.raises(IngestError, match="^t.csv: line 3: byte 0xff"):
+                ingest.read_table(io.BytesIO(text.encode().replace("é".encode(), b"\xff")),
+                                  "t.csv", [ingest.Column("x", ingest.Floats())])

@@ -4,8 +4,10 @@ its tables rewritten as another text that the readers must read alike
 numbers and timestamps, other line ends, quoted cells, the feed zipped), and
 a full run over the copy must write the same eight files, byte for byte, as
 a run over the city. Each respelling first checks that it took. Only quoted
-cells may send a block to csv.reader, and every case runs again with blocks
-of 1 KiB, so that stop_times.txt and trips.txt span several."""
+cells may send a block to csv.reader, only bare CRs (ones that no LF
+follows) may make a block's line ends LFs before it is split, and every case
+runs again with blocks of 1 KiB, so that stop_times.txt and trips.txt span
+several."""
 import csv
 import re
 import shutil
@@ -163,6 +165,21 @@ def _bare_cr_line_ends(root) -> None:
         assert b"\n" not in data and data.endswith(b"\r")
 
 
+def _cr_crlf_line_ends(root) -> None:
+    """Every line of the dataset tables ends in a CR and then a CRLF, which
+    csv.reader reads as the line and an empty line, and another empty line
+    follows every fifth line."""
+    for path in root.glob("*.csv"):
+        data = path.read_bytes()
+        assert data.endswith(b"\r\n") and data.count(b"\r") == data.count(b"\n")
+        lines = data.split(b"\r\n")[:-1]
+        path.write_bytes(b"".join(line + (b"\r\r\n\r\n" if k % 5 == 4 else b"\r\r\n")
+                                  for k, line in enumerate(lines)))
+        data = path.read_bytes()
+        assert data.count(b"\r\r\n") == len(lines) >= 5
+        assert data.count(b"\n\r\n") == len(lines) // 5
+
+
 def _quoted_cells(root) -> None:
     """Every cell of the dataset tables and the GTFS files quoted, so that
     each file is read through csv.reader."""
@@ -235,28 +252,36 @@ def _timestamp_spellings(root) -> None:
 RESPELLINGS = pytest.mark.parametrize("respell", [
     _published_column_order, _unread_column_mid_row, _stop_sequence_spellings,
     _padded_ids, _zipped_feed, _swapped_line_ends, _bare_cr_line_ends,
-    _quoted_cells, _number_spellings, _timestamp_spellings],
+    _cr_crlf_line_ends, _quoted_cells, _number_spellings, _timestamp_spellings],
     ids=lambda respell: respell.__name__.strip("_"))
 
 
 def _assert_same_outputs(city, tmp_path, monkeypatch, respell) -> None:
     """A run over the respelled copy of the city writes the city's outputs,
-    and only quoted cells send a block to csv.reader (ingest._lines)."""
+    only quoted cells send a block to csv.reader (ingest._lines), and only
+    CRs that no LF follows make a block's line ends LFs (ingest._line_feeds)
+    instead of being read in place."""
     synth, expected = city
     root = tmp_path / "city"
     shutil.copytree(synth.root, root, ignore=shutil.ignore_patterns("out"))
     respell(root)
-    lines = ingest._lines
-    read = []
+    lines, line_feeds = ingest._lines, ingest._line_feeds
+    read, fed = [], []
 
     def counted(*args):
         read.append(args[1])
         return lines(*args)
 
+    def counted_feeds(raw):
+        fed.append(len(raw))
+        return line_feeds(raw)
+
     monkeypatch.setattr(ingest, "_lines", counted)
+    monkeypatch.setattr(ingest, "_line_feeds", counted_feeds)
     outputs = _run(synth.config_path, root, tmp_path / "out")
     assert [name for name in OUTPUTS if outputs[name] != expected[name]] == []
     assert bool(read) is (respell is _quoted_cells), read
+    assert bool(fed) is (respell in (_bare_cr_line_ends, _cr_crlf_line_ends)), fed
 
 
 @RESPELLINGS
