@@ -480,12 +480,13 @@ def read_table(fh, label, columns: Sequence[Column], *,
     order. Empty lines are skipped, and so is a row of blank cells with a
     bad cell, as such a row has in every table with a required or typed
     column (GTFS trips.txt has none). A byte that is not UTF-8 is an error
-    at its line. The file is read in blocks of whole lines (_chunks): a
-    plain block is split on bytes, and a column whose parse has a scan form
-    is decoded from the block's bytes in place, each cell that form rejects
-    going through parse on its own, decoded from its bytes; only the cells
-    of the other (dictionary) columns become strs. From the first block
-    with a quote, a NUL or a non-empty row of another width, the rest of
+    at its line. The file is read in blocks of whole lines (_chunks). A
+    block with no quote and no NUL, whose lines all end in an LF or all in
+    a CRLF, none of them empty, in rows of the header's width, is split on
+    bytes: a column whose parse has a scan form is decoded from the block's
+    bytes in place, each cell that form rejects going through parse on its
+    own, decoded from its bytes; only the cells of the other (dictionary)
+    columns become strs. From the first block that is not so, the rest of
     the file goes through csv.reader.
     """
     def coded(header: list[str]) -> list[int]:
@@ -592,10 +593,10 @@ class _ColumnReader:
         if data is not None and self.at is not None:
             if self.at:
                 starts = ends[self.at - 1::width] + 1
-            else:  # the first cell of a row starts after the row before's LF
-                last = ends[width - 1:-1:width]
+            else:  # a row's first cell starts after the row before's LF,
+                # two bytes past that row's last cell end if it is a CRLF's CR
                 starts = np.concatenate((
-                    [0], last + 1 + (np.frombuffer(data, np.uint8)[last] == _CR)))
+                    [0], ends[width - 1:-1:width] + 1 + (b"\r" in data)))
             return data, starts, ends[self.at::width]
         raw = cells[self.at] if self.at is not None else [""] * n
         encoded = [cell.encode() for cell in raw]
@@ -690,26 +691,25 @@ def _chunks(fh, label, error: type[IngestError],
     lines, data, ends): cells maps a header position to the raw cells of
     its column, as strs in row order or as _Joint; lines holds the line
     that ends each row, as csv.reader counts lines; data and ends are, for
-    a chunk split on bytes, its bytes, LF-terminated with a CR only before
-    an LF, and the offset in data of the byte after each cell (a comma, or
-    the CR or LF that ends its line), else None, None. A chunk split on
-    bytes has cells only at the positions that coded(header) lists; one
-    read by csv.reader has them at every position.
+    a chunk split on bytes, its bytes, LF-terminated, and the offset in
+    data of the byte after each cell (a comma, or the CR or LF that ends
+    its line), else None, None. A chunk split on bytes has cells only at
+    the positions that coded(header) lists; one read by csv.reader has them
+    at every position.
 
     The file is read in blocks of about _CHUNK_BYTES cut after their last
-    line end (_blocks), the header coming from the first. A block with a
-    CR that no LF follows ends each line in one LF (_line_feeds); in any
-    other, a CRLF's CR stays and ends its line's last cell. If the block
-    holds no quote and no NUL, and its delimiters make rows of the header's
-    width (_row_ends) as it is or less its empty lines (which csv.reader
-    skips but counts), it is split on bytes (_split) into a piece per row
-    for each span of coded positions. A span is one position, or a run of
-    adjacent ones while its pieces repeat: such a joint piece is numbered
-    and split on its commas once per distinct piece (_joint), and the run
-    goes back to a span per position for the rest of the file once it has
-    more distinct pieces than half the rows read. From the first block
-    that is not split on bytes, or that is not UTF-8, the rest of the file
-    goes through csv.reader."""
+    line end (_blocks), the header coming from the first. A block is split
+    on bytes only if it holds no quote and no NUL, its lines all end in an
+    LF or all in a CRLF, none is empty, and its delimiters make rows of the
+    header's width (_row_ends); a CRLF's CR stays and ends its line's last
+    cell. The split (_split) gives a piece per row for each span of coded
+    positions. A span is one position, or a run of adjacent ones while its
+    pieces repeat: such a joint piece is numbered and split on its commas
+    once per distinct piece (_joint), and the run goes back to a span per
+    position for the rest of the file once it has more distinct pieces
+    than half the rows read. From the first block that is not split on
+    bytes, or that is not UTF-8, the rest of the file goes through
+    csv.reader."""
     blocks = _blocks(fh)
     taken = [b"", 0]  # the block of the last line taken, and the offset after it
 
@@ -750,39 +750,26 @@ def _chunks(fh, label, error: type[IngestError],
         for raw in blocks:
             if b'"' in raw or b"\0" in raw:
                 break
-            data = _line_feeds(raw) if _bare_cr(raw) else raw
-            if not data.endswith(b"\n"):
-                data += b"\n"
-            ends, empty = _row_ends(data, width), None
-            if ends is None:  # drop empty lines, which csv.reader skips but counts
-                buf = np.frombuffer(data, np.uint8)
-                feeds = np.flatnonzero(buf == _LF)
-                empty, crlf = _empty_lines(buf, feeds)
-                data = np.delete(buf, np.concatenate((feeds[empty],
-                                                      feeds[crlf] - 1))).tobytes()
-                if (ends := _row_ends(data, width)) is None:
-                    break
+            data = raw if raw.endswith(b"\n") else raw + b"\n"
+            if (ends := _row_ends(data, width)) is None:
+                break
+            try:
+                pieces = _split(data, ends, width, split_at)
+            except UnicodeDecodeError:
+                break  # csv.reader's path locates the byte
+            cells: dict[int, Any] = {}
+            for span, cut in zip(split_at, pieces):
+                if len(span) == 1:
+                    cells[span[0]] = cut
+                else:
+                    cells.update(zip(span, _joint(joint[span[0]], cut, len(span))))
             n = len(ends) // width
-            if n:
-                try:
-                    pieces = _split(data, ends, width, split_at)
-                except UnicodeDecodeError:
-                    break  # csv.reader's path locates the byte
-                cells: dict[int, Any] = {}
-                for span, cut in zip(split_at, pieces):
-                    if len(span) == 1:
-                        cells[span[0]] = cut
-                    else:
-                        cells.update(zip(span, _joint(joint[span[0]], cut, len(span))))
-                # the lines of the rows, the empty ones counted
-                kept = np.arange(n) if empty is None else np.flatnonzero(~empty)
-                yield cells, (kept + line + 1).astype(np.int32), data, ends
-                split_rows += n
-                for k in [k for k, numbers in joint.items()
-                          if 2 * len(numbers) > split_rows]:
-                    del joint[k]
-                    split_at = spans()
-            line += n if empty is None else len(empty)
+            yield cells, np.arange(line + 1, line + n + 1, dtype=np.int32), data, ends
+            line += n
+            split_rows += n
+            for k in [k for k, numbers in joint.items() if 2 * len(numbers) > split_rows]:
+                del joint[k]
+                split_at = spans()
         else:
             return
         reader = csv.reader(_lines(chain([raw], blocks), label, error, line))
@@ -804,41 +791,30 @@ def _chunks(fh, label, error: type[IngestError],
 def _split(data: bytes, ends: np.ndarray, width: int,
            spans: list[list[int]]) -> list[list[str]]:
     """For each span of adjacent cells of the rows of width cells in data,
-    whose cells end at ends (_row_ends), the text of that span in each row.
-    A copy of data has a NUL written over the byte before and the byte
-    after each span, the LF of the row before for a row's first cell, and
-    is decoded once and split at the NULs. Where the LF of the row before a
-    span's first cell is also the end of another's last cell (a line that
-    ends in an LF alone), the two spans share one NUL: in a block whose
-    other lines end in CRLFs, the rows then differ in their numbers of
-    pieces, and a span's pieces are taken by their rank among the NULs.
-    Without spans, data is decoded all the same, so that a byte that is
-    not UTF-8 raises UnicodeDecodeError alike."""
+    whose cells end at ends and whose lines all end alike (_row_ends), the
+    text of that span in each row. A copy of data has a NUL written over
+    the byte before and the byte after each span, the LF of the row before
+    for a row's first cell, and is decoded once and split at the NULs, every
+    row giving as many pieces. Without spans, data is decoded all the same,
+    so that a byte that is not UTF-8 raises UnicodeDecodeError alike."""
     if not spans:
         data.decode("utf-8")
         return []
     n = len(ends) // width
-    cells = ends.reshape(n, width)
     # spot c < width is the byte after cell c, and spot width the row's LF,
-    # which is the byte after its last cell unless the row ends in a CRLF
+    # which is the byte after its last cell unless the lines end in CRLFs
     spots = sorted({c for span in spans
                     for c in (span[0] - 1 if span[0] else width, span[-1])})
-    if b"\r" in data:
-        crlf = np.frombuffer(data, np.uint8)[cells[:, -1]] == _CR
-    else:
-        crlf, spots = None, sorted({min(c, width - 1) for c in spots})
-    at = cells[:, [min(c, width - 1) for c in spots]]
+    if b"\r" not in data:
+        spots = sorted({min(c, width - 1) for c in spots})
+    at = ends.reshape(n, width)[:, [min(c, width - 1) for c in spots]]
     if spots[-1] == width:
-        at[:, -1] += crlf
+        at[:, -1] += 1
     split = bytearray(data)
     np.frombuffer(split, np.uint8)[at] = 0
     pieces = split.decode("utf-8").split("\0")
     m = len(spots)
-    if spots[-2:] != [width - 1, width] or crlf.all():
-        return [pieces[spots.index(span[-1]):n * m:m] for span in spans]
-    rank = np.cumsum(np.diff(at.ravel(), prepend=-1) > 0).reshape(n, m) - 1
-    return [list(map(pieces.__getitem__, rank[:, spots.index(span[-1])].tolist()))
-            for span in spans]
+    return [pieces[spots.index(span[-1]):n * m:m] for span in spans]
 
 
 def _joint(numbers: defaultdict[str, int], pieces: list[str],
@@ -855,53 +831,27 @@ def _joint(numbers: defaultdict[str, int], pieces: list[str],
 
 
 def _row_ends(data: bytes, width: int) -> Optional[np.ndarray]:
-    """The offset of the byte after each cell of LF-terminated data, whose
-    every CR is before an LF, if its commas and LFs make lines of width
-    cells: width - 1 commas and then an LF each, and so none empty (one LF
-    after another, or after a CR that ends a line) unless width is 1. A
-    cell ends at the comma after it, a line's last cell at the CR of a
-    CRLF, else at the LF."""
+    """The offset of the byte after each cell of LF-terminated data, if its
+    lines all end in an LF or all in a CRLF (as many CRs as lines, one
+    before each LF), and its commas and LFs make lines of width cells:
+    width - 1 commas and then a line end each, and so none empty, which for
+    width 1 is checked apart. A cell ends at the comma after it, a line's
+    last cell at its line end."""
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero((buf == ord(",")) | (buf == _LF))
     n = len(ends) // width
-    if (len(ends) % width or not ((buf[ends] == _LF).reshape(n, width)
-                                  == (np.arange(width) == width - 1)).all()
-            or width == 1 and _empty_lines(buf, ends)[0].any()):
+    if len(ends) % width or not ((buf[ends] == _LF).reshape(n, width)
+                                 == (np.arange(width) == width - 1)).all():
         return None
-    if b"\r" in data:
-        last = ends[width - 1::width]
-        last -= buf[last - 1] == _CR
+    feeds = ends[width - 1::width]  # a view: the line ends are set in ends
+    crlf = b"\r" in data
+    if crlf and (data.count(b"\r") != n or not (buf[feeds - 1] == _CR).all()):
+        return None
+    if width == 1 and (np.diff(feeds, prepend=-1) == 1 + crlf).any():
+        return None  # an empty line
+    if crlf:
+        feeds -= 1
     return ends
-
-
-def _empty_lines(buf: np.ndarray, feeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which of the lines of buf that end at the LFs at feeds are empty, and
-    which of these end in a CRLF."""
-    gap = np.diff(feeds, prepend=-1)
-    crlf = (gap == 2) & (buf[feeds - 1] == _CR)
-    return (gap == 1) | crlf, crlf
-
-
-def _bare_cr(raw: bytes) -> bool:
-    """Whether raw has a CR that no LF follows (a last byte included)."""
-    if b"\r" not in raw:
-        return False
-    buf = np.frombuffer(raw, np.uint8)
-    cr = buf == _CR
-    return bool(cr[-1] or (cr[:-1] & (buf[1:] != _LF)).any())
-
-
-def _line_feeds(raw: bytes) -> bytes:
-    """raw with each line end one LF: each bare CR (one that no LF follows,
-    a last byte included) made an LF, then every CR deleted."""
-    buf = np.frombuffer(raw, np.uint8)
-    cr = np.flatnonzero(buf == _CR)
-    bare = cr[buf[np.minimum(cr + 1, len(buf) - 1)] != _LF]
-    if len(bare):
-        buf = buf.copy()
-        buf[bare] = _LF
-        raw = buf.tobytes()
-    return raw.translate(None, b"\r")
 
 
 def _blocks(fh) -> Iterator[bytes]:

@@ -1004,32 +1004,59 @@ def test_line_ends_read_as_csv_reader_reads_them(rows, head_eol, final_eol, chun
                         table.values("b"))) == expected
 
 
-def test_line_feeds_end_each_line_in_one_lf():
-    """A CRLF's CR is deleted; a CR that no LF follows, a last byte
-    included, becomes an LF."""
-    assert ingest._line_feeds(b"1\r\n2\r3\r\r\n4\n5\r") == b"1\n2\n3\n\n4\n5\n"
-
-
 def _assert_one_column_empty_lines_skipped(text):
     for chunk in range(1, 17):
         with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
                 mock.patch.object(ingest, "_lines", wraps=ingest._lines) as slow:
             table = ingest.read_table(io.BytesIO(text.encode()), "t.csv", [
                 ingest.Column("a", required=False)])
-        assert not slow.called, chunk
+        assert slow.called, chunk
         assert list(zip(table.lines.tolist(), table.values("a"))) == [
             (2, "1"), (4, "2"), (7, "3")], chunk
 
 
-def test_one_column_empty_lines_are_skipped_on_bytes_as_csv_reader_skips_them():
+def test_one_column_empty_lines_are_skipped_as_csv_reader_skips_them():
     """In a one-column table, where an empty line has the width of a row,
-    the byte path still skips it and counts its line."""
+    the block that holds it goes through csv.reader, which skips it and
+    counts its line."""
     _assert_one_column_empty_lines_skipped("a\n1\n\n2\n\n\n3\n\n")
 
 
-def test_one_column_empty_lines_after_crlfs_are_skipped_on_bytes():
+def test_one_column_empty_lines_after_crlfs_are_skipped_as_csv_reader_skips_them():
     """So it does where the lines end in CRLFs."""
     _assert_one_column_empty_lines_skipped("a\r\n1\r\n\r\n2\r\n\r\n\r\n3\r\n\r\n")
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_one_column_lines_without_empty_ones_split_on_bytes(eol):
+    """A one-column table with no empty line is split on bytes, in blocks
+    of any size."""
+    text = eol.join(["a", "1", "22", "3", " 4 "]) + eol
+    for chunk in range(1, 17):
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
+                mock.patch.object(ingest, "_lines", wraps=ingest._lines) as slow:
+            table = ingest.read_table(io.BytesIO(text.encode()), "t.csv", [
+                ingest.Column("a")])
+        assert not slow.called, chunk
+        assert list(zip(table.lines.tolist(), table.values("a"))) == [
+            (2, "1"), (3, "22"), (4, "3"), (5, "4")], chunk
+
+
+def test_a_bare_cr_in_a_row_of_the_header_width_reads_as_csv_reader_reads_it():
+    """A CR that no LF follows ends a line, also where the commas and LFs
+    alone would make a row of the header's width of it and the next line:
+    the block goes through csv.reader."""
+    text = "a,b\r\n1,x\ry\r\n"
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    expected = [(reader.line_num, *(row + [""])[:2]) for row in reader]
+    assert expected == [(2, "1", "x"), (3, "y", "")]
+    for chunk in [*range(1, 17), ingest._CHUNK_BYTES]:
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk):
+            table = ingest.read_table(io.BytesIO(text.encode()), "t.csv", [
+                ingest.Column("a"), ingest.Column("b", required=False)])
+        assert list(zip(table.lines.tolist(), table.values("a"),
+                        table.values("b"))) == expected, chunk
 
 
 #: the line ends of files whose lines end in CRLFs only, bare CRs only,
@@ -1050,28 +1077,26 @@ _CR_FILES = {
 def test_cr_line_ends_split_on_bytes_as_csv_reader_reads_them(eols):
     """A file of plain rows under each mix of line ends and empty lines,
     read in blocks of every size from 1 to 64 bytes (so that blocks end at
-    every byte, a bare CR included), gives csv.reader's cells and line
-    numbers, all on the byte path: a CRLF's CR ends its line's last cell in
-    place, the line ends of a file with any other CR after its header are
-    made LFs (_line_feeds), its empty lines are dropped, and no block goes
-    through csv.reader."""
+    every byte, a bare CR included) and in one block, gives csv.reader's
+    cells and line numbers. The file whose lines all end in CRLFs is split
+    on bytes, a CRLF's CR ending its line's last cell in place; every other
+    goes through csv.reader when read in one block, as a block whose lines
+    end unalike or that holds an empty line does. (A small block that holds
+    a single line ending in a bare CR reads as ending in a CRLF, as it
+    should.)"""
     ends = _CR_FILES[eols]
     text = "a,b" + ends[0] + "".join(
         f"{k},{'x' * (k % 5)}{ends[(k + 1) % len(ends)]}" for k in range(12))
     reader = csv.reader(io.StringIO(text, newline=""))
     next(reader)
     expected = [(reader.line_num, *row) for row in reader if row]
-    rows = re.sub(r"\Aa,b(\r\n|\r|\n)", "", text)
-    other_crs = rows.count("\r") != rows.count("\r\n")
-    for chunk in range(1, 65):
+    for chunk in [*range(1, 65), ingest._CHUNK_BYTES]:
         with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
-                mock.patch.object(ingest, "_line_feeds",
-                                  wraps=ingest._line_feeds) as crs, \
                 mock.patch.object(ingest, "_lines", wraps=ingest._lines) as slow:
             table = ingest.read_table(io.BytesIO(text.encode()), "t.csv", [
                 ingest.Column("a"), ingest.Column("b", required=False)])
-        assert crs.called == other_crs, chunk
-        assert not slow.called, chunk
+        if eols == "CRLF" or chunk == ingest._CHUNK_BYTES:
+            assert slow.called is (eols != "CRLF"), chunk
         assert list(zip(table.lines.tolist(), table.values("a"),
                         table.values("b"))) == expected, chunk
 

@@ -4,11 +4,12 @@ its tables rewritten as another text that the readers must read alike
 numbers and timestamps, other line ends, quoted cells, the feed zipped), and
 a full run over the copy must write the same eight files, byte for byte, as
 a run over the city. Each respelling first checks that it took. Only quoted
-cells may send a block to csv.reader, only bare CRs (ones that no LF
-follows) may make a block's line ends LFs before it is split, and every case
-runs again with blocks of 1 KiB, so that stop_times.txt and trips.txt span
-several."""
+cells, bare CRs (ones that no LF follows) and empty lines may send a block
+to csv.reader: a block whose lines all end in an LF or all in a CRLF is
+split on bytes. Every case runs again with blocks of 1 KiB, so that
+stop_times.txt and trips.txt span several."""
 import csv
+import hashlib
 import re
 import shutil
 import zipfile
@@ -38,6 +39,28 @@ def city(synth, tmp_path_factory):
     """The miniature city's inputs and the eight outputs of a run over them."""
     return synth, _run(synth.config_path, synth.root,
                        tmp_path_factory.mktemp("respelling-reference"))
+
+
+#: the sha256 of each output of the miniature city at its fixed seed. A
+#: change that means to change an output updates these and says why
+CITY_DIGESTS = {
+    "segments.csv": "5bb22dc379873ee3520ac215a89f0df7f01501a207d4cbc71433a008c14486e4",
+    "matches_new_live.csv": "e192c54cb874586702757df14207f26063d91b3af02e1cab95ca40e7556aabb9",
+    "matches_old_live.csv": "3e42682a4996b172c50a7d0546bc1e530e3d552937d6c0039b95a31f079a1da5",
+    "matches_static.csv": "d69806fae232dd256c14ced1b120cac48680f7355e01652c9ad980646c63290b",
+    "static_assessments.csv": "57b96103abbb3902b80cc9be44fc99395fcd8902b5d8b2c44827bceed7bb0d14",
+    "report.txt": "30211f8877b1f2385e82966df27ec8d5d97a9935b84e956ad4b2e4f21e92f44d",
+    "report_stats.csv": "148ab937ca86f7f88374ee37c988d9f744a064f11dfd93e19f99de3d85b75347",
+    "trip_inventory.csv": "9c1331b2398a942ccebb56e7593554e186f5d1afd6c0a72e692834918476a7d9",
+}
+
+
+def test_the_city_outputs_match_their_pinned_digests(city):
+    """The eight outputs of a run over the miniature city are the pinned
+    bytes, so that an output change that every run shares still shows."""
+    _, outputs = city
+    assert {name: hashlib.sha256(outputs[name]).hexdigest()
+            for name in OUTPUTS} == CITY_DIGESTS
 
 
 def _rewrite(path, edit) -> None:
@@ -258,30 +281,23 @@ RESPELLINGS = pytest.mark.parametrize("respell", [
 
 def _assert_same_outputs(city, tmp_path, monkeypatch, respell) -> None:
     """A run over the respelled copy of the city writes the city's outputs,
-    only quoted cells send a block to csv.reader (ingest._lines), and only
-    CRs that no LF follows make a block's line ends LFs (ingest._line_feeds)
-    instead of being read in place."""
+    and only quoted cells, bare CRs and empty lines send a block to
+    csv.reader (ingest._lines)."""
     synth, expected = city
     root = tmp_path / "city"
     shutil.copytree(synth.root, root, ignore=shutil.ignore_patterns("out"))
     respell(root)
-    lines, line_feeds = ingest._lines, ingest._line_feeds
-    read, fed = [], []
+    lines, read = ingest._lines, []
 
     def counted(*args):
         read.append(args[1])
         return lines(*args)
 
-    def counted_feeds(raw):
-        fed.append(len(raw))
-        return line_feeds(raw)
-
     monkeypatch.setattr(ingest, "_lines", counted)
-    monkeypatch.setattr(ingest, "_line_feeds", counted_feeds)
     outputs = _run(synth.config_path, root, tmp_path / "out")
     assert [name for name in OUTPUTS if outputs[name] != expected[name]] == []
-    assert bool(read) is (respell is _quoted_cells), read
-    assert bool(fed) is (respell in (_bare_cr_line_ends, _cr_crlf_line_ends)), fed
+    assert bool(read) is (respell in (_quoted_cells, _bare_cr_line_ends,
+                                      _cr_crlf_line_ends)), read
 
 
 @RESPELLINGS
