@@ -447,9 +447,13 @@ class Table:
         log.warning("%s: %s", self.label, message)
 
 
-#: bytes of a table read per block, and so split per chunk; bounds the
-#: transient per-cell strings whatever the file size
+#: bytes of a table's first read, and so of its first block and chunk; each
+#: later read takes _BULK times as many, which pays each block's fixed work
+#: less often. Blocks bound the transient per-cell strings whatever the file
+#: size. The first stays small because a joint run whose pieces never
+#: repeat is numbered through a whole block before it is given up (_chunks)
 _CHUNK_BYTES = 1 << 17
+_BULK = 4
 
 #: rows per chunk once a file is read through csv.reader. It is below the
 #: cyclic GC's default threshold of 700 net container allocations, so a
@@ -697,15 +701,16 @@ def _chunks(fh, label, error: type[IngestError],
     the positions that coded(header) lists; one read by csv.reader has them
     at every position.
 
-    The file is read in blocks of about _CHUNK_BYTES cut after their last
-    line end (_blocks), the header coming from the first. A block is split
-    on bytes only if it holds no quote and no NUL, its lines all end in an
-    LF or all in a CRLF, none is empty, and its delimiters make rows of the
-    header's width (_row_ends); a CRLF's CR stays and ends its line's last
-    cell. The split (_split) gives a piece per row for each span of coded
-    positions. A span is one position, or a run of adjacent ones while its
-    pieces repeat: such a joint piece is numbered and split on its commas
-    once per distinct piece (_joint), and the run goes back to a span per
+    The file is read in blocks cut after their last line end (_blocks): the
+    first, which gives the header, of about _CHUNK_BYTES, each later one of
+    about _BULK times as many. A block is split on bytes only if it holds
+    no quote and no NUL, its lines all end in an LF or all in a CRLF, none
+    is empty, and its delimiters make rows of the header's width
+    (_row_ends); a CRLF's CR stays and ends its line's last cell. The
+    split (_split) gives a piece per row for each span of coded positions.
+    A span is one position, or a run of adjacent ones while its pieces
+    repeat: such a joint piece is numbered and split on its commas once
+    per distinct piece (_joint), and the run goes back to a span per
     position for the rest of the file once it has more distinct pieces
     than half the rows read. From the first block that is not split on
     bytes, or that is not UTF-8, the rest of the file goes through
@@ -845,7 +850,8 @@ def _row_ends(data: bytes, width: int) -> Optional[np.ndarray]:
         return None
     feeds = ends[width - 1::width]  # a view: the line ends are set in ends
     crlf = b"\r" in data
-    if crlf and (data.count(b"\r") != n or not (buf[feeds - 1] == _CR).all()):
+    if crlf and (np.count_nonzero(buf == _CR) != n
+                 or not (buf[feeds - 1] == _CR).all()):
         return None
     if width == 1 and (np.diff(feeds, prepend=-1) == 1 + crlf).any():
         return None  # an empty line
@@ -855,13 +861,16 @@ def _row_ends(data: bytes, width: int) -> Optional[np.ndarray]:
 
 
 def _blocks(fh) -> Iterator[bytes]:
-    """The binary file fh in blocks of whole lines: each read of
-    _CHUNK_BYTES bytes up to its last line end, after what the reads before
-    it left over. A line ends at an LF or at a CR that no LF follows; a CR
-    that ends a read is known to end a line only from the next read. The
-    last block may lack its line end."""
+    """The binary file fh in blocks of whole lines: each read up to its last
+    line end, after what the reads before it left over, the first read of
+    _CHUNK_BYTES bytes and every later one of _BULK * _CHUNK_BYTES. A line
+    ends at an LF or at a CR that no LF follows; a CR that ends a read is
+    known to end a line only from the next read. The last block may lack
+    its line end."""
     rest = [b""]  # the bytes since the last line end
-    while block := fh.read(_CHUNK_BYTES):
+    size = _CHUNK_BYTES
+    while block := fh.read(size):
+        size = _BULK * _CHUNK_BYTES
         cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
         if cut:
             yield b"".join([*rest, block[:cut]])
@@ -1037,7 +1046,7 @@ def load_transit_live(path, *, permissive: bool = False,
 
 def _count_duplicates(fleet: FleetColumns) -> int:
     """Rows equal in every column to an earlier row."""
-    order = np.lexsort((fleet.times_s, fleet.vehicle_ref))
+    order = np.take(*fleet.time_sorts(fleet.vehicle_ref))
     ref, time = fleet.vehicle_ref[order], fleet.times_s[order]
     tied = np.flatnonzero((ref[1:] == ref[:-1]) & (time[1:] == time[:-1]))
     # duplicates share (vehicle_ref, time), so only rows in such ties can be

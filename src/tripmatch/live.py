@@ -78,16 +78,33 @@ class PositionIndex:
     """Immutable fleet-position index: every row sorted by (vehicle, time),
     vehicles in vehicle_ref order. Rows with equal (vehicle, time) keep input
     order. Row i is on line names[line_name[i]] of type
-    LINE_TYPES[line_type[i]], names being distinct. A by-time permutation
-    answers time-range queries; an integer (vehicle, time) key answers
-    window queries of many vehicles at once."""
+    LINE_TYPES[line_type[i]], names being distinct. A by-time permutation,
+    rows of an equal time in input order, answers time-range queries; an
+    integer (vehicle, time) key answers window queries of many vehicles at
+    once."""
 
     def __init__(self, fleet: FleetColumns):
         by_ref = sorted(range(len(fleet.refs)), key=fleet.refs.__getitem__)
         slot_of = np.empty(len(by_ref), np.int32)
         slot_of[by_ref] = np.arange(len(by_ref), dtype=np.int32)
         vehicle = slot_of[fleet.vehicle_ref]
-        order = np.lexsort((fleet.times_s, vehicle))
+        # index row i is row by_vehicle[i] of the fleet's time order. Each
+        # transient array is let go once used and the columns are gathered
+        # last, so that few arrays of a row each are alive at once
+        by_time, by_vehicle = fleet.time_sorts(vehicle)
+        n = len(by_time)
+        # (vehicle, time) as one exact, ascending integer key: a time is
+        # replaced by the number of fixes earlier than it, the position of
+        # its first fix in time order
+        self._stride = n + 1
+        self._key = _time_ranks(fleet.times_s[by_time])[by_vehicle]
+        order = by_time[by_vehicle]
+        del by_time
+        self._key += np.multiply(vehicle[order], self._stride, dtype=np.int64)
+        del vehicle
+        self._by_time = np.empty(n, np.intp)
+        self._by_time[by_vehicle] = np.arange(n)
+        del by_vehicle
         self.vehicle_refs = [fleet.refs[i] for i in by_ref]
         self._slots = {ref: i for i, ref in enumerate(self.vehicle_refs)}
         self.times_s = fleet.times_s[order]
@@ -96,26 +113,6 @@ class PositionIndex:
         self.line_type = fleet.line_type[order]
         self.line_name = fleet.line_name[order]
         self.names = fleet.names
-        self._by_time = np.argsort(self.times_s, kind="stable")
-        # (vehicle, time) as one exact, ascending integer key: a time is
-        # replaced by the number of fixes earlier than it, the position of
-        # its first fix in time order
-        self._stride = len(order) + 1
-        self._key = self._time_ranks()
-        self._key += np.multiply(vehicle[order], self._stride, dtype=np.int64)
-
-    def _time_ranks(self) -> np.ndarray:
-        """Number of fixes earlier than each fix: each time looked up among
-        the distinct times, mapped to where that time first comes."""
-        sorted_s = self.times_s[self._by_time]
-        starts = np.empty(len(sorted_s), dtype=bool)  # a time's first fix
-        starts[:1] = True
-        np.not_equal(sorted_s[1:], sorted_s[:-1], out=starts[1:])
-        first = np.flatnonzero(starts)
-        distinct = sorted_s[first]
-        del sorted_s, starts
-        ranks = np.searchsorted(distinct, self.times_s)
-        return first.take(ranks, out=ranks, mode="clip")
 
     def _fixes_before(self, t_s, side: str) -> np.ndarray:
         """Number of fixes earlier than t_s (side "left") or at most t_s
@@ -169,6 +166,14 @@ class PositionIndex:
         lo = np.searchsorted(self._key, base + self._fixes_before(t0_s, "left"))
         hi = np.searchsorted(self._key, base + self._fixes_before(t1_s, "right"))
         return lo, hi
+
+
+def _time_ranks(sorted_s: np.ndarray) -> np.ndarray:
+    """For each of the ascending times sorted_s, the position of the first
+    equal one: the running maximum of the positions that start a time."""
+    ranks = np.arange(len(sorted_s))
+    ranks[1:][sorted_s[1:] == sorted_s[:-1]] = 0
+    return np.maximum.accumulate(ranks, out=ranks)
 
 
 def select_user_samples(trace: TraceColumns, max_samples: int) -> TraceColumns:

@@ -208,6 +208,18 @@ class FleetColumns:
     def __len__(self) -> int:
         return len(self.times_s)
 
+    def time_sorts(self, vehicle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(by_time, by_vehicle): the rows stably sorted by time, and the
+        stable order of vehicle, codes in [0, len(refs)), taken in that
+        order. by_time[by_vehicle] then sorts the rows by (vehicle, time),
+        rows of an equal key in input order, as np.lexsort((times_s,
+        vehicle)) does. The time sort is near-linear on a feed in time
+        order; the codes are sorted in the narrowest unsigned type, which
+        numpy radix-sorts up to 65,536 vehicles."""
+        by_time = np.argsort(self.times_s, kind="stable")
+        codes = vehicle.astype(np.min_scalar_type(max(len(self.refs) - 1, 0)))
+        return by_time, np.argsort(codes[by_time], kind="stable")
+
     def __iter__(self) -> Iterator[VehiclePosition]:
         """The rows as VehiclePosition objects (for inspection, not the hot
         path)."""

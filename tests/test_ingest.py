@@ -1290,3 +1290,77 @@ def test_a_table_without_text_columns_is_still_checked_for_utf8(eol):
             with pytest.raises(IngestError, match="^t.csv: line 3: byte 0xff"):
                 ingest.read_table(io.BytesIO(text.encode().replace("é".encode(), b"\xff")),
                                   "t.csv", [ingest.Column("x", ingest.Floats())])
+
+
+def _fleet_text(rows: int, eol: str = "\r\n") -> str:
+    """A fleet table of rows plain rows, about 45 bytes each."""
+    return eol.join([LIVE_HEADER, *(
+        f"2016-08-26 {9 + k // 3600:02d}:{k // 60 % 60:02d}:{k % 60:02d},"
+        f"60.{k % 997:03d},24.{k % 991:03d},{('BUS', 'TRAM')[k % 2]},"
+        f"{k % 7},v{k % 13}" for k in range(rows))]) + eol
+
+
+def _csv_cells(text: str) -> list[tuple]:
+    """(line, *cells) of each data row of text as csv.reader reads it."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    return [(reader.line_num, *(row + [""] * 6)[:6]) for row in reader if row]
+
+
+def _read_fleet_cells(data: bytes):
+    """(line, *cells) of each row of data read by read_table at the default
+    block sizes, the size of each read, and the _lines mock."""
+    fh = io.BytesIO(data)
+    with mock.patch.object(fh, "read", wraps=fh.read) as read, \
+            mock.patch.object(ingest, "_lines", wraps=ingest._lines) as slow:
+        table = ingest.read_table(fh, "t.csv", [
+            ingest.Column(name, required=False) for name in TRANSIT_LIVE_COLUMNS])
+    cells = list(zip(table.lines.tolist(), *map(table.values, TRANSIT_LIVE_COLUMNS)))
+    return cells, [call.args[0] for call in read.call_args_list], slow
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1 << 17])
+def test_the_first_read_is_a_chunk_and_every_later_one_a_bulk_read(chunk):
+    """A table is read _CHUNK_BYTES bytes first and _BULK times as many in
+    every later read, to the end of the file."""
+    data = _fleet_text(40 if chunk < 100 else 12_000).encode()
+    fh = io.BytesIO(data)
+    with mock.patch.object(ingest, "_CHUNK_BYTES", chunk), \
+            mock.patch.object(fh, "read", wraps=fh.read) as read:
+        table = ingest.read_table(fh, "t.csv", [ingest.Column("vehicle_ref")])
+    sizes = [call.args[0] for call in read.call_args_list]
+    bulk = ingest._BULK * chunk
+    assert sizes == [chunk] + [bulk] * (-(-(len(data) - chunk) // bulk) + 1)
+    assert len(sizes) > 2 and len(table.lines) == data.count(b"\n") - 1
+
+
+def test_a_crlf_fleet_file_read_in_bulk_blocks_reads_as_csv_reader_reads_it():
+    """A CRLF fleet file of about 700 KiB is read at the default sizes as a
+    first block and bulk blocks, each split on bytes, and gives csv.reader's
+    cells and line numbers."""
+    text = _fleet_text(16_000)
+    assert 600 << 10 < len(text) < 800 << 10
+    cells, sizes, slow = _read_fleet_cells(text.encode())
+    assert sizes[:2] == [ingest._CHUNK_BYTES, ingest._BULK * ingest._CHUNK_BYTES]
+    assert not slow.called
+    assert cells == _csv_cells(text)
+
+
+def test_a_stray_cr_in_a_bulk_block_reads_as_csv_reader_reads_it():
+    """One CR inside a cell of a CRLF fleet file, in its first bulk block,
+    ends a line there as csv.reader ends it. The commas and LFs alone make
+    rows of the header's width of that block, so only its count of CRs
+    sends it through csv.reader: the first block is split on bytes, and
+    _lines reads the rest of the file from the bulk block on."""
+    text = _fleet_text(16_000)
+    at = text.index("\r\n", 300 << 10) - 2  # in the last cell of a row
+    text = text[:at] + "\r" + text[at:]
+    data = text.encode()
+    first = data[:ingest._CHUNK_BYTES]
+    first_lines = first[:first.rfind(b"\n") + 1].count(b"\n")
+    cells, sizes, slow = _read_fleet_cells(data)
+    expected = _csv_cells(text)
+    assert len(expected) == 16_001
+    assert cells == expected
+    assert sizes[:2] == [ingest._CHUNK_BYTES, ingest._BULK * ingest._CHUNK_BYTES]
+    assert slow.call_count == 1 and slow.call_args.args[3] == first_lines

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripmatch.geodesy import distance_m, offset_point, point_to_linestring_m
+from tripmatch.ingest import _count_duplicates
 from tripmatch.live import (
     NEW_LIVE,
     OLD_LIVE,
@@ -195,6 +196,44 @@ def test_index_time_ranks_and_queries_agree_with_brute_force(fixes, repeats,
             sorted({ref for ref, _ in inside})
         assert [index.times_s[a:b].tolist() for a, b in zip(lo[:, j], hi[:, j])] == \
             [sorted(t for r, t in inside if r == ref) for ref in index.vehicle_refs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.sampled_from("abcde"),
+                          st.integers(-2, 2)), max_size=40),
+       st.lists(st.integers(0, 39), max_size=6), st.randoms(use_true_random=False),
+       st.lists(st.tuples(st.integers(-1, 13), st.integers(0, 6)),
+                min_size=1, max_size=4))
+def test_index_of_rows_out_of_time_order_answers_as_in_time_order(
+        fixes, repeats, random, spans):
+    """The rows of a fleet with tied times across vehicles and duplicate
+    rows, permuted out of time order, give the index of the same rows in
+    time order the same times, keys and answers; the time sorts order the
+    rows as lexsort does, and the same duplicates are counted."""
+    fixes = fixes + [fixes[i] for i in repeats if i < len(fixes)]
+    rows = [vp(10 * t, offset_point(BASE, 0, 100 * n), ref=ref)
+            for t, ref, n in fixes]
+    fleets = [FleetColumns.from_positions(order) for order in
+              (sorted(rows, key=lambda r: r.time), random.sample(rows, len(rows)))]
+    for fleet in fleets:
+        by_time, by_vehicle = fleet.time_sorts(fleet.vehicle_ref)
+        assert by_time[by_vehicle].tolist() == \
+            np.lexsort((fleet.times_s, fleet.vehicle_ref)).tolist()
+    assert len({_count_duplicates(fleet) for fleet in fleets}) == 1
+    ordered, permuted = map(PositionIndex, fleets)
+    assert ordered.times_s.tolist() == permuted.times_s.tolist()
+    assert ordered._key.tolist() == permuted._key.tolist()
+    slots = np.arange(len(ordered))
+    t0_s = np.array([as_seconds(at(10 * start)) for start, _ in spans])
+    t1_s = np.array([as_seconds(at(10 * (start + span))) for start, span in spans])
+    for t0, t1 in zip(t0_s.tolist(), t1_s.tolist()):
+        assert ordered.vehicles_in_range(from_seconds(t0), from_seconds(t1)) == \
+            permuted.vehicles_in_range(from_seconds(t0), from_seconds(t1))
+    for a, b in zip(ordered.windows(slots, t0_s, t1_s),
+                    permuted.windows(slots, t0_s, t1_s)):
+        assert a.tolist() == b.tolist()
+    assert ordered.boxes_in_range(slots, t0_s, t1_s).tolist() == \
+        permuted.boxes_in_range(slots, t0_s, t1_s).tolist()
 
 
 # --- score_vehicle ---
