@@ -148,11 +148,21 @@ def resample_min_spacing(lats: np.ndarray, lngs: np.ndarray,
     """
     if spacing_m <= 0:
         raise ValueError("spacing must be positive")
-    kept, last = [], None
-    for i, point in enumerate(zip(lats.tolist(), lngs.tolist())):
-        if last is None or distance_m(last, point) >= spacing_m:
+    if not len(lats):
+        return lats, lngs
+    # distance_m's arithmetic, with each point's radians and cosine taken once
+    lat_r = list(map(math.radians, lats.tolist()))
+    lng_r = list(map(math.radians, lngs.tolist()))
+    cos_r = list(map(math.cos, lat_r))
+    kept = [0]
+    lat1, lng1, cos1 = lat_r[0], lng_r[0], cos_r[0]
+    for i in range(1, len(lat_r)):
+        lat2, lng2 = lat_r[i], lng_r[i]
+        h = (math.sin((lat2 - lat1) / 2) ** 2
+             + cos1 * cos_r[i] * math.sin((lng2 - lng1) / 2) ** 2)
+        if 2 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h))) >= spacing_m:
             kept.append(i)
-            last = point
+            lat1, lng1, cos1 = lat2, lng2, cos_r[i]
     return lats[kept], lngs[kept]
 
 

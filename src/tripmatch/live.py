@@ -10,11 +10,15 @@ A segment's samples are split into runs of consecutive samples, each one
 sample longer than the misses the quorum allows, so a vehicle that misses
 every sample of one run is below quorum. A vehicle in the segment's time
 range whose fix box over a run's windows lies beyond twice the distance
-limit of that run's samples misses all of them, and one array pass drops
-every vehicle with too many such misses. Each survivor is then scored once,
-in ref order, by score_vehicle, which marks it eligible at the quorum; the
-best eligible score names the vehicle. decide_live returns all of this, so
-that a diagnostic shows what the matcher saw and decided.
+limit of that run's samples misses all of them. prune_live drops every
+vehicle with too many such misses, for all the segments of a stage at once:
+every (segment, vehicle in range) pair is tested in array passes, first
+with the vehicle's fix box over the segment's whole sample window, which
+holds the box of each run, and then, for the few pairs that pass, with its
+fix box over each run. Each survivor is then scored once, in ref order, by
+score_vehicle, which marks it eligible at the quorum; the best eligible
+score names the vehicle. decide_live returns all of this, so that a
+diagnostic shows what the matcher saw and decided.
 """
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import compress
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +43,8 @@ from .types import (
 
 NEW_LIVE = "new-live"
 OLD_LIVE = "old-live"
+
+_MAX_ROWS = 1 << 15  # index rows gathered per box block
 
 
 @dataclass(frozen=True)
@@ -135,25 +141,38 @@ class PositionIndex:
         return [self.vehicle_refs[v] for v in np.flatnonzero(present).tolist()]
 
     def boxes_in_range(self, slots: np.ndarray, t0_s: np.ndarray,
-                       t1_s: np.ndarray) -> np.ndarray:
+                       t1_s: np.ndarray, window: np.ndarray) -> np.ndarray:
         """(min_lat, min_lng, max_lat, max_lng) of vehicle slots[i]'s fixes
-        with t0_s[j] <= time <= t1_s[j], shape (len(slots), len(t0_s), 4).
-        A window without a fix has the empty box (inf, inf, -inf, -inf),
-        which overlaps no box. Every window's polyline lies inside its box."""
-        lo, hi = self.windows(slots, t0_s, t1_s)
-        counts = (hi - lo).ravel()
-        boxes = np.empty((len(counts), 4))
+        with t0_s[w] <= time <= t1_s[w], w = window[i], shape (len(slots),
+        4). A window without a fix has the empty box (inf, inf, -inf, -inf),
+        which overlaps no box. Every window's polyline lies inside its box.
+        The rows are found as windows finds them, and gathered in blocks of
+        at most _MAX_ROWS, a longer window alone."""
+        base = np.asarray(slots, dtype=np.int64) * self._stride
+        keys = np.concatenate([base + self._fixes_before(t0_s, "left")[window],
+                               base + self._fixes_before(t1_s, "right")[window]])
+        # numpy searches ascending keys about twice as fast
+        order = np.argsort(keys)
+        bounds = np.empty(len(keys), np.intp)
+        bounds[order] = np.searchsorted(self._key, keys[order])
+        lo, hi = bounds[:len(base)], bounds[len(base):]
+        boxes = np.empty((len(lo), 4))
         boxes[:, :2], boxes[:, 2:] = np.inf, -np.inf
-        full = np.flatnonzero(counts)
-        if len(full):
-            counts = counts[full]
-            rows, starts = ranges(lo.ravel()[full], counts)
+        full = np.flatnonzero(hi > lo)
+        counts = (hi - lo)[full]
+        ends = np.cumsum(counts)
+        a = 0
+        while a < len(full):
+            b = max(a + 1, int(np.searchsorted(
+                ends, ends[a] - counts[a] + _MAX_ROWS, "right")))
+            rows, starts = ranges(lo[full[a:b]], counts[a:b])
             lats, lngs = self.lats[rows], self.lngs[rows]
-            boxes[full] = np.column_stack([np.minimum.reduceat(lats, starts),
-                                           np.minimum.reduceat(lngs, starts),
-                                           np.maximum.reduceat(lats, starts),
-                                           np.maximum.reduceat(lngs, starts)])
-        return boxes.reshape(*lo.shape, 4)
+            boxes[full[a:b]] = np.column_stack([np.minimum.reduceat(lats, starts),
+                                                np.minimum.reduceat(lngs, starts),
+                                                np.maximum.reduceat(lats, starts),
+                                                np.maximum.reduceat(lngs, starts)])
+            a = b
+        return boxes
 
     def windows(self, slots: np.ndarray, t0_s: np.ndarray, t1_s: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray]:
@@ -260,22 +279,21 @@ class LiveMatchResult:
     matched_fraction: float
 
 
-def _run_boxes(samples: TraceColumns, size: int, margin_m: float,
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """The box of each run of size consecutive samples, widened by margin_m:
-    its (min_lat, min_lng) and (max_lat, max_lng) corners, each of shape
-    (runs, 2). A run has few samples, so plain floats are quicker here."""
-    lats, lngs = samples.lats.tolist(), samples.lngs.tolist()
+def _run_boxes(lats: np.ndarray, lngs: np.ndarray, starts: np.ndarray,
+               margin_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """The box of each run of samples starts[k]:starts[k + 1], the last run
+    ending at the end, widened by margin_m: its (min_lat, min_lng) and
+    (max_lat, max_lng) corners, each of shape (runs, 2)."""
+    lo_lat = np.minimum.reduceat(lats, starts)
+    hi_lat = np.maximum.reduceat(lats, starts)
     dlat = math.degrees(margin_m / EARTH_RADIUS_M)
-    lows, highs = [], []
-    for a in range(0, len(lats), size):
-        lo_lat, hi_lat = min(lats[a:a + size]), max(lats[a:a + size])
-        mid_lat = (lo_lat + hi_lat) / 2
-        dlng = math.degrees(margin_m / (
-            EARTH_RADIUS_M * max(0.01, math.cos(math.radians(mid_lat)))))
-        lows.append((lo_lat - dlat, min(lngs[a:a + size]) - dlng))
-        highs.append((hi_lat + dlat, max(lngs[a:a + size]) + dlng))
-    return np.array(lows), np.array(highs)
+    dlng = np.array([math.degrees(margin_m / (
+        EARTH_RADIUS_M * max(0.01, math.cos(math.radians(mid_lat)))))
+        for mid_lat in ((lo_lat + hi_lat) / 2).tolist()])
+    return (np.column_stack([lo_lat - dlat,
+                             np.minimum.reduceat(lngs, starts) - dlng]),
+            np.column_stack([hi_lat + dlat,
+                             np.maximum.reduceat(lngs, starts) + dlng]))
 
 
 def _pick_identity(index: PositionIndex, votes: np.ndarray,
@@ -296,6 +314,115 @@ def _pick_identity(index: PositionIndex, votes: np.ndarray,
     return index.names[winner], LineType(value)
 
 
+@dataclass(frozen=True, eq=False)
+class LiveCandidates:
+    """What prune_live found for one segment and live method."""
+    samples: TraceColumns  # the user samples to match
+    in_range: list[str]    # vehicles with a fix in the time range, ref order
+    survivors: list[str]   # those that pass the box prune, ref order
+
+
+def prune_live(segments: Sequence[ActivitySegment], cfg: LiveMatchConfig,
+               index: PositionIndex, method: str) -> list[LiveCandidates]:
+    """The samples, the vehicles in range and the box-prune survivors of
+    each segment for the live method, in segment order.
+
+    A segment's samples are split into runs of n - need + 1 consecutive
+    samples, need being the fewest matched samples that reach the quorum,
+    so that one run missed in full leaves the vehicle below it. A run's
+    box is that of its samples widened by twice the distance limit: a
+    sample within the distance limit of its window's polyline has the
+    vehicle's fix box of its run within the box, twice the limit covering
+    the degree approximation. A pair whose fix box misses the boxes of
+    runs of too many samples to reach the quorum is dropped.
+
+    Every (segment, vehicle in range) pair is tested so in array passes,
+    twice: first with the vehicle's fix box over the segment's whole sample
+    window, which holds its fix box over each run, so that the pass drops
+    only pairs that the second drops too; then, for the pairs that pass,
+    with its fix box over each run's windows. The survivors are those of
+    the second test alone.
+    """
+    max_samples = (cfg.max_user_samples if method == NEW_LIVE
+                   else cfg.old_live_samples)
+    found = []
+    # per segment with a vehicle in range: its sample count, need and
+    # first run; per run, its first sample and its last
+    counts, needs, first_run, run_first, run_last = [], [], [], [], []
+    samples_of, slots = [], []
+    for segment in segments:
+        samples = select_user_samples(segment.trace, max_samples)
+        n = len(samples)
+        refs: list[str] = []
+        if n >= 2:
+            refs = index.vehicles_in_range(
+                segment.start_time - timedelta(seconds=cfg.window_s),
+                segment.end_time + timedelta(seconds=cfg.window_s))
+        found.append((samples, refs))
+        if not refs:
+            continue
+        # the fewest matched samples that pass score_vehicle's float test,
+        # matched / n >= quorum; the test is monotone in the count, so every
+        # count below need fails it and every count from need on passes
+        need = next(c for c in range(n + 1) if not c / n < cfg.quorum_fraction)
+        offset = run_last[-1] + 1 if run_last else 0
+        counts.append(n)
+        needs.append(need)
+        first_run.append(len(run_first))
+        run_first += range(offset, offset + n, n - need + 1)
+        run_last += [min(a + n - need, offset + n - 1)
+                     for a in run_first[first_run[-1]:]]
+        samples_of.append(samples)
+        slots += map(index._slots.__getitem__, refs)
+    if not slots:
+        return [LiveCandidates(samples, refs, []) for samples, refs in found]
+
+    times = np.concatenate([s.times_s for s in samples_of])
+    run_first, run_last = np.array(run_first), np.array(run_last)
+    run_size = run_last - run_first + 1
+    run_t0, run_t1 = times[run_first] - cfg.window_s, times[run_last] + cfg.window_s
+    lows, highs = _run_boxes(np.concatenate([s.lats for s in samples_of]),
+                             np.concatenate([s.lngs for s in samples_of]),
+                             run_first, 2 * cfg.distance_limit_m)
+    first_run = np.array(first_run)
+    runs = np.diff(first_run, append=len(run_first))
+    counts, needs = np.array(counts), np.array(needs)
+    # the segment of each pair, its pairs in ref order
+    segment = np.repeat(np.arange(len(counts)),
+                        [len(refs) for _, refs in found if refs])
+    slots = np.array(slots)
+
+    def keeps(pairs, box_of):
+        """Whether each of the pairs keeps the quorum, box_of(k, run) being
+        the fix box of pairs[k] over run: the samples of the runs whose box
+        it misses leave it need or more. Run r of every pair is taken in
+        one pass."""
+        of = segment[pairs]
+        missed = np.zeros(len(pairs), dtype=np.int64)
+        for r in range(runs[of].max(initial=0)):
+            k = np.flatnonzero(runs[of] > r)
+            run = first_run[of[k]] + r
+            box = box_of(k, run)
+            missed[k] += run_size[run] * ((box[:, :2] > highs[run])
+                                          | (box[:, 2:] < lows[run])).any(axis=1)
+        return counts[of] - missed >= needs[of]
+
+    # the fix box over the whole sample window holds the fix box of each
+    # run, so a run whose box it misses is missed in full
+    whole = index.boxes_in_range(slots, run_t0[first_run],
+                                 run_t1[first_run + runs - 1], segment)
+    near = np.flatnonzero(keeps(np.arange(len(slots)), lambda k, run: whole[k]))
+    alive = np.zeros(len(slots), dtype=bool)
+    alive[near] = keeps(near, lambda k, run: index.boxes_in_range(
+        slots[near[k]], run_t0, run_t1, run))
+    out, at = [], 0
+    for samples, refs in found:
+        out.append(LiveCandidates(samples, refs, list(compress(
+            refs, alive[at:at + len(refs)].tolist()))))
+        at += len(refs)
+    return out
+
+
 @dataclass(frozen=True)
 class LiveDecision:
     """What decide_live saw and decided for one segment."""
@@ -308,43 +435,19 @@ class LiveDecision:
 
 
 def decide_live(segment: ActivitySegment, cfg: LiveMatchConfig,
-                index: PositionIndex, method: str) -> LiveDecision:
+                index: PositionIndex, method: str,
+                candidates: Optional[LiveCandidates] = None) -> LiveDecision:
     """Match segment with live method: new-live measures up to
     cfg.max_user_samples samples to the window polylines, old-live
-    cfg.old_live_samples samples to the nearest fixes."""
+    cfg.old_live_samples samples to the nearest fixes. candidates is the
+    segment's prune_live result for the method, found here when None."""
+    if candidates is None:
+        candidates = prune_live([segment], cfg, index, method)[0]
     use_linestring = method == NEW_LIVE
-    samples = select_user_samples(segment.trace, cfg.max_user_samples
-                                  if use_linestring else cfg.old_live_samples)
-    n = len(samples)
-    refs: list[str] = []
-    if n >= 2:
-        refs = index.vehicles_in_range(
-            segment.start_time - timedelta(seconds=cfg.window_s),
-            segment.end_time + timedelta(seconds=cfg.window_s))
-    if not refs:
-        return LiveDecision(samples, use_linestring, refs, {}, None)
-    slots = np.array([index.slot(ref) for ref in refs])
-    # the fewest matched samples that pass score_vehicle's float test,
-    # matched / n >= quorum; the test is monotone in the count, so every
-    # count below need fails it and every count from need on passes
-    need = next(c for c in range(n + 1) if not c / n < cfg.quorum_fraction)
-    # runs of n - need + 1 consecutive samples: one run missed in full
-    # leaves at most need - 1 samples to match
-    size = n - need + 1
-    times = samples.times_s.tolist()
-    starts = range(0, n, size)
-    boxes = index.boxes_in_range(
-        slots, [times[a] - cfg.window_s for a in starts],
-        [times[min(a + size, n) - 1] + cfg.window_s for a in starts])
-    # a sample within the distance limit of its window's polyline has the
-    # vehicle's fix box of its run within it too; twice the limit covers
-    # the degree approximation of the run's sample box
-    lows, highs = _run_boxes(samples, size, 2 * cfg.distance_limit_m)
-    apart = ((boxes[..., :2] > highs) | (boxes[..., 2:] < lows)).any(axis=2)
-    alive = n - apart @ [min(size, n - a) for a in starts] >= need
+    samples = candidates.samples
     scored = {ref: score_vehicle(samples, ref, cfg, index,
                                  use_linestring=use_linestring)
-              for ref in compress(refs, alive)}
+              for ref in candidates.survivors}
     best = min((s for s in scored.values() if s is not None and s.eligible),
                key=_score_order, default=None)
     result = None
@@ -353,7 +456,7 @@ def decide_live(segment: ActivitySegment, cfg: LiveMatchConfig,
                                          as_seconds(segment.midpoint_time))
         result = LiveMatchResult(segment.segment_id, method, best.vehicle_ref,
                                  line_type, name, best.score, best.matched_fraction)
-    return LiveDecision(samples, use_linestring, refs, scored, result)
+    return LiveDecision(samples, use_linestring, candidates.in_range, scored, result)
 
 
 def _score_order(s: VehicleScore) -> tuple:
@@ -365,12 +468,16 @@ def _score_order(s: VehicleScore) -> tuple:
 
 
 def match_live(segment: ActivitySegment, cfg: LiveMatchConfig,
-               index: PositionIndex) -> Optional[LiveMatchResult]:
+               index: PositionIndex,
+               candidates: Optional[LiveCandidates] = None,
+               ) -> Optional[LiveMatchResult]:
     """Linestring-based matching with up to cfg.max_user_samples samples."""
-    return decide_live(segment, cfg, index, NEW_LIVE).result
+    return decide_live(segment, cfg, index, NEW_LIVE, candidates).result
 
 
 def match_live_old(segment: ActivitySegment, cfg: LiveMatchConfig,
-                   index: PositionIndex) -> Optional[LiveMatchResult]:
+                   index: PositionIndex,
+                   candidates: Optional[LiveCandidates] = None,
+                   ) -> Optional[LiveMatchResult]:
     """The four-sample point-to-point baseline."""
-    return decide_live(segment, cfg, index, OLD_LIVE).result
+    return decide_live(segment, cfg, index, OLD_LIVE, candidates).result

@@ -2,7 +2,8 @@
 intermediate CSV the next stage can load back, and is deterministic given the
 config. ``run_all`` and the stage subcommands share the ``stage_*``
 functions; the ``run_*_stage`` matchers beneath them only compute, one
-segment at a time in segment-id order."""
+segment at a time in segment-id order, the live stage after one box prune
+of all its segments."""
 from __future__ import annotations
 
 import csv
@@ -26,6 +27,7 @@ from .live import (
     PositionIndex,
     match_live,
     match_live_old,
+    prune_live,
 )
 from .planner import JourneyPlanner, TimetablePlanner
 from .static import StaticMatchResult, match_static, write_assessments_csv
@@ -119,10 +121,14 @@ def build_planner(cfg: RunConfig) -> JourneyPlanner:
 def run_live_stage(cfg: RunConfig, segments: Sequence[ActivitySegment],
                    index: PositionIndex, method: str,
                    ) -> dict[int, LiveMatchResult]:
+    """Match every vehicular candidate with the live method: one box prune
+    of them all, then each segment's survivors are scored."""
     matcher = match_live if method == NEW_LIVE else match_live_old
+    segments = segmentation.vehicular_candidates(segments)
     results = {}
-    for s in segmentation.vehicular_candidates(segments):
-        result = matcher(s, cfg.live, index)
+    for s, candidates in zip(segments, prune_live(segments, cfg.live, index,
+                                                  method)):
+        result = matcher(s, cfg.live, index, candidates)
         if result is not None:
             results[s.segment_id] = result
     return results

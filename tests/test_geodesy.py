@@ -228,6 +228,33 @@ def test_resample_subsequence_and_min_spacing(offs, spacing):
     assert kept == greedy
 
 
+@settings(max_examples=300)
+@given(st.lists(coords, min_size=1, max_size=40),
+       st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=8),
+       st.one_of(st.floats(1e-3, 2e7), st.integers(0, 39)))
+def test_resample_keeps_the_points_of_the_distance_m_loop(points, repeats,
+                                                          spacing):
+    """Anywhere on the globe, with repeated points and with a spacing that
+    is the exact distance between two of the points, the kept points are
+    those of the loop of distance_m calls to the last kept point, to the
+    bit."""
+    points = list(points)
+    for i, j in repeats:
+        if i < len(points) and j < len(points):
+            points[j] = points[i]
+    if isinstance(spacing, int):
+        spacing = distance_m(points[0], points[spacing % len(points)]) or 1.0
+    kept, last = [], None
+    for i, point in enumerate(points):
+        if last is None or distance_m(last, point) >= spacing:
+            kept.append(i)
+            last = point
+    lats, lngs = np.array(points).T
+    got = resample_min_spacing(lats, lngs, spacing)
+    assert got[0].tolist() == lats[kept].tolist()
+    assert got[1].tolist() == lngs[kept].tolist()
+
+
 def test_trace_length_sums_segments():
     pts = _chain(GeoPoint(60.17, 24.94), 100.0, 4)
     assert trace_length_m(pts) == pytest.approx(300.0, rel=1e-3)

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tripmatch.geodesy import distance_m, offset_point, point_to_linestring_m
+from tripmatch.config import RunConfig
+from tripmatch.geodesy import (
+    EARTH_RADIUS_M,
+    distance_m,
+    offset_point,
+    point_to_linestring_m,
+)
 from tripmatch.ingest import _count_duplicates
 from tripmatch.live import (
     NEW_LIVE,
@@ -20,9 +26,12 @@ from tripmatch.live import (
     decide_live,
     match_live,
     match_live_old,
+    prune_live,
     score_vehicle,
     select_user_samples,
 )
+from tripmatch.pipeline import run_live_stage
+from tripmatch.segmentation import vehicular_candidates
 from tripmatch.types import (
     Activity,
     FleetColumns,
@@ -71,7 +80,8 @@ def boxes_of(index, t0, t1):
     slots = [index.slot(ref) for ref in index.vehicles_in_range(t0, t1)]
     return index.boxes_in_range(np.array(slots, dtype=np.int64),
                                 np.array([as_seconds(t0)]),
-                                np.array([as_seconds(t1)]))[:, 0]
+                                np.array([as_seconds(t1)]),
+                                np.zeros(len(slots), dtype=np.intp))
 
 
 def trace_points(specs):
@@ -232,8 +242,10 @@ def test_index_of_rows_out_of_time_order_answers_as_in_time_order(
     for a, b in zip(ordered.windows(slots, t0_s, t1_s),
                     permuted.windows(slots, t0_s, t1_s)):
         assert a.tolist() == b.tolist()
-    assert ordered.boxes_in_range(slots, t0_s, t1_s).tolist() == \
-        permuted.boxes_in_range(slots, t0_s, t1_s).tolist()
+    pairs = (np.repeat(slots, len(spans)), t0_s, t1_s,
+             np.tile(np.arange(len(spans)), len(slots)))
+    assert ordered.boxes_in_range(*pairs).tolist() == \
+        permuted.boxes_in_range(*pairs).tolist()
 
 
 # --- score_vehicle ---
@@ -718,6 +730,138 @@ def _dense_scenarios(draw):
 @given(_dense_scenarios())
 def test_run_prune_agrees_with_brute_force_on_dense_rides(scenario):
     _assert_matchers_agree_with_brute_force(*scenario)
+
+
+def _reference_survivors(samples, in_range, rows, cfg):
+    """The vehicles of in_range that the per-run box rule keeps, by scalar
+    arithmetic over the rows: runs of n - need + 1 samples, each with its
+    sample box widened by twice the distance limit; a vehicle whose fixes
+    in a run's windows have a box apart from it, or none, misses the run,
+    and it is kept while its missed runs leave it need samples or more."""
+    n = len(samples)
+    need = min(c for c in range(n + 1) if c / n >= cfg.quorum_fraction)
+    size = n - need + 1
+    times, lats, lngs = (c.tolist() for c in (samples.times_s, samples.lats,
+                                              samples.lngs))
+    margin = 2 * cfg.distance_limit_m
+    dlat = math.degrees(margin / EARTH_RADIUS_M)
+    kept = []
+    for ref in in_range:
+        missed = 0
+        for a in range(0, n, size):
+            b = min(a + size, n)
+            lo_lat, hi_lat = min(lats[a:b]), max(lats[a:b])
+            dlng = math.degrees(margin / (EARTH_RADIUS_M * max(
+                0.01, math.cos(math.radians((lo_lat + hi_lat) / 2)))))
+            fixes = [r for r in rows if r.vehicle_ref == ref and
+                     times[a] - cfg.window_s <= as_seconds(r.time)
+                     <= times[b - 1] + cfg.window_s]
+            if not fixes or (
+                    min(r.lat for r in fixes) > hi_lat + dlat
+                    or max(r.lat for r in fixes) < lo_lat - dlat
+                    or min(r.lng for r in fixes) > max(lngs[a:b]) + dlng
+                    or max(r.lng for r in fixes) < min(lngs[a:b]) - dlng):
+                missed += b - a
+        if n - missed >= need:
+            kept.append(ref)
+    return kept
+
+
+@st.composite
+def _segment_sets(draw):
+    """Rides of several devices at overlapping or distant times on one
+    fleet, whose vehicles may be in range of more than one ride, and four
+    fixed segments late in the day: one of a single point, one with no
+    vehicle in range, one whose every vehicle in range is far from it, and
+    one of three or four samples 150 s apart, so that no window holds the
+    fix of another sample, with a vehicle near every sample and another
+    near only the samples of its last run, whose whole-window box meets
+    that run's box but which misses the other runs."""
+    quorum = draw(st.sampled_from([0.5, 0.75, 1.0]))
+    limit = draw(st.sampled_from(_LIMITS))
+    rows, segments = [], []
+    for i in range(draw(st.integers(1, 3))):
+        start = draw(st.sampled_from([0, 200, 1500]))
+        origin = offset_point(BASE, 800.0 * i, 0.0)
+        k = draw(st.integers(2, 45))
+        spacing = draw(st.sampled_from([10, 30]))
+
+        def on_ride(t, east_m):
+            return offset_point(origin, east_m, RIDE_MPS * (t - start))
+
+        for v in range(draw(st.integers(1, 3))):
+            ref = f"v{draw(st.integers(0, 4))}"
+            period = draw(st.sampled_from([15, 30]))
+            near_from, near_to = sorted(draw(st.integers(-60, spacing * k))
+                                        for _ in range(2))
+            near_east = draw(st.sampled_from(_NEAR_E)) * limit / 100.0
+            far_east = draw(st.sampled_from(_FAR_E)) * limit / 100.0
+            for t in range(-90, spacing * k + 90, period):
+                east = near_east if near_from <= t <= near_to else far_east
+                rows.append(vp(start + t, on_ride(start + t, east), ref=ref))
+        segments.append(ride_segment(
+            [(start + spacing * j, on_ride(start + spacing * j, 0.0))
+             for j in range(k)], device_id=i + 1, segment_id=i + 1))
+    late = 20000
+    rows.append(vp(late, BASE, ref="v0"))
+    segments.append(ride_segment([(late, BASE)], device_id=11, segment_id=11))
+    segments.append(ride_segment([(late + 3000, BASE), (late + 3030, BASE)],
+                                 device_id=12, segment_id=12))
+    rows += [vp(late + 6000 + t, offset_point(BASE, 5000.0, 0.0), ref=ref)
+             for t in (0, 30, 60) for ref in ("v1", "v2")]
+    segments.append(ride_segment([(late + 6000, BASE), (late + 6060, BASE)],
+                                 device_id=13, segment_id=13))
+    # both methods match every sample, and need is 2 or more: two runs or more
+    k = draw(st.integers(3, 4))
+    cfg = LiveMatchConfig(quorum_fraction=quorum, distance_limit_m=limit)
+    need = next(c for c in range(k + 1) if not c / k < quorum)
+    last_run = (k - 1) // (k - need + 1) * (k - need + 1)
+    t0 = late + 9000
+    for j in range(k):
+        here = offset_point(BASE, 0.0, 200.0 * j)
+        rows.append(vp(t0 + 150 * j, here, ref="v3"))
+        rows.append(vp(t0 + 150 * j, here if j >= last_run
+                       else offset_point(here, 5000.0, 0.0), ref="v4"))
+    segments.append(ride_segment(
+        [(t0 + 150 * j, offset_point(BASE, 0.0, 200.0 * j)) for j in range(k)],
+        device_id=14, segment_id=14))
+    return segments, rows, cfg
+
+
+@settings(max_examples=120, deadline=None)
+@given(_segment_sets())
+def test_stage_prune_equals_the_prune_of_each_segment(scenario):
+    """Pruned together, segments of several devices and times get what
+    each gets alone, which is what the per-run rule keeps; the live stage
+    matches as decide_live matches each segment; and every vehicle that
+    the prune drops is one that score_vehicle rejects."""
+    segments, rows, cfg = scenario
+    index = index_of(rows)
+    run_cfg = RunConfig(live=cfg)
+    for method, n_samples in ((NEW_LIVE, cfg.max_user_samples),
+                              (OLD_LIVE, cfg.old_live_samples)):
+        together = prune_live(segments, cfg, index, method)
+        alone = [prune_live([s], cfg, index, method)[0] for s in segments]
+        assert [(c.samples.times_s.tolist(), c.in_range, c.survivors)
+                for c in together] == \
+            [(c.samples.times_s.tolist(), c.in_range, c.survivors) for c in alone]
+        for s, c in zip(segments, together):
+            assert c.samples.times_s.tolist() == \
+                select_user_samples(s.trace, n_samples).times_s.tolist()
+            if len(c.samples) < 2:
+                assert c.in_range == c.survivors == []
+            else:
+                assert c.survivors == _reference_survivors(c.samples, c.in_range,
+                                                           rows, cfg)
+        assert [c.in_range for c in together[-4:-1]] == [[], [], ["v1", "v2"]]
+        assert together[-2].survivors == []
+        assert together[-1].in_range == ["v3", "v4"]
+        assert together[-1].survivors == ["v3"]
+        assert run_live_stage(run_cfg, segments, index, method) == {
+            s.segment_id: d.result for s in segments
+            if (d := decide_live(s, cfg, index, method)).result is not None}
+    for s in vehicular_candidates(segments):
+        _assert_matchers_agree_with_brute_force(s, rows, cfg)
 
 
 # --- old live vs new live ---

@@ -16,8 +16,9 @@ import zipfile
 
 import pytest
 
-from tripmatch import ingest, pipeline
+from tripmatch import ingest, pipeline, segmentation
 from tripmatch.config import load_config
+from tripmatch.live import NEW_LIVE, OLD_LIVE, decide_live
 
 OUTPUTS = ["segments.csv", "matches_new_live.csv", "matches_old_live.csv",
            "matches_static.csv", "static_assessments.csv", "report.txt",
@@ -55,12 +56,51 @@ CITY_DIGESTS = {
 }
 
 
+#: the sha256 of the miniature city's live decisions, as _live_decisions
+#: writes them: a change to the box prune that alters which vehicles are
+#: scored, though no output, still shows
+CITY_LIVE_DECISIONS_DIGEST = (
+    "6c89b75552b6517686e2f8ca8497d14e7b438861716c4e6669d4ad4018b60cfa")
+
+
 def test_the_city_outputs_match_their_pinned_digests(city):
     """The eight outputs of a run over the miniature city are the pinned
     bytes, so that an output change that every run shares still shows."""
     _, outputs = city
     assert {name: hashlib.sha256(outputs[name]).hexdigest()
             for name in OUTPUTS} == CITY_DIGESTS
+
+
+def _live_decisions(cfg) -> str:
+    """One line per vehicular candidate and live method: the vehicles in
+    range, each scored vehicle with its score, matched fraction and
+    eligibility, and the result, floats written exactly."""
+    index = pipeline.build_position_index(cfg)
+    lines = []
+    for s in segmentation.vehicular_candidates(pipeline.build_segments(cfg)):
+        for method in (NEW_LIVE, OLD_LIVE):
+            d = decide_live(s, cfg.live, index, method)
+            scored = " ".join(
+                f"{ref}=" + ("-" if v is None else
+                             f"{v.score!r}/{v.matched_fraction!r}/{v.eligible}")
+                for ref, v in d.scored.items())
+            r = d.result
+            result = "-" if r is None else (
+                f"{r.vehicle_ref} {r.line_type.value} {r.line_name} "
+                f"{r.score!r} {r.matched_fraction!r}")
+            lines.append(f"{s.segment_id} {method} [{' '.join(d.in_range)}] "
+                         f"[{scored}] {result}")
+    return "\n".join(lines) + "\n"
+
+
+def test_the_city_live_decisions_match_their_pinned_digest(city):
+    """Every live decision over the miniature city is the pinned one: the
+    vehicles in range, those scored past the box prune with their scores,
+    and the match."""
+    synth, _ = city
+    text = _live_decisions(load_config(synth.config_path))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        CITY_LIVE_DECISIONS_DIGEST
 
 
 def _rewrite(path, edit) -> None:
