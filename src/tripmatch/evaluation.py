@@ -21,7 +21,7 @@ import io
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .ingest import format_timestamp
+from .ingest import format_timestamp, write_csv
 from .segmentation import overlap
 from .types import (
     Activity,
@@ -223,23 +223,15 @@ _ROW_LABELS: list[tuple[str, LineType, bool]] = [
 ]
 
 
-def render_report(stats: Mapping[str, MethodStats],
-                  verdicts: Sequence[TripVerdict],
-                  format: str = "text") -> str:
-    if format == "text":
-        return _render_text(stats, verdicts)
-    if format == "csv":
-        return _render_csv(stats)
-    raise ValueError(f"unknown report format {format!r}")
-
-
 def _method_label(method: str) -> str:
     return {"new-live": "New live", "old-live": "Old live",
             "static": "Static", COMBINED: "Combined"}.get(method, method)
 
 
-def _render_text(stats: Mapping[str, MethodStats],
-                 verdicts: Sequence[TripVerdict]) -> str:
+def render_report_text(stats: Mapping[str, MethodStats],
+                       verdicts: Sequence[TripVerdict]) -> str:
+    """report.txt: the Table 7 counts per method, then each method's trip
+    inventories."""
     methods = list(stats)
     out = io.StringIO()
     headers = ["", *(_method_label(m) for m in methods), "Logged"]
@@ -312,7 +304,9 @@ def _inventory_rows(verdict: TripVerdict, method: str) -> list[str]:
     return lines
 
 
-def _render_csv(stats: Mapping[str, MethodStats]) -> str:
+def render_report_csv(stats: Mapping[str, MethodStats]) -> str:
+    """report_stats.csv: the counts of report.txt, one row per (method,
+    count)."""
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["method", "line_type", "recognized", "name_correct", "logged"])
@@ -341,27 +335,23 @@ INVENTORY_CSV_COLUMNS = [
 def write_inventory_csv(verdicts: Sequence[TripVerdict],
                         methods: Sequence[str], path) -> None:
     """Machine-readable trip inventories, one row per (method, trip, segment)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(INVENTORY_CSV_COLUMNS)
+    def rows():
         for method in methods:
             for v in verdicts:
-                if v.trip.line_type is LineType.CAR:
-                    continue
-                shown = v.listed_segments
                 trip = v.trip
+                if trip.line_type is LineType.CAR:
+                    continue
                 base = [method, v.inventory(method), trip.device_id,
                         format_timestamp(trip.start) if trip.start else "",
                         format_timestamp(trip.end) if trip.end else "",
                         trip.line_type.value, trip.line_name]
-                if not shown:
-                    writer.writerow(base + ["", "", "", "", "", ""])
-                    continue
-                for s in shown:
+                if not v.listed_segments:
+                    yield base + [""] * 6
+                for s in v.listed_segments:
                     rec = v.segment_recognitions.get(s.segment_id, {}).get(method)
-                    writer.writerow(base + [
-                        s.segment_id, format_timestamp(s.start_time),
-                        format_timestamp(s.end_time), s.activity.value,
-                        rec.line_type.value if rec else "",
-                        rec.line_name if rec else "",
-                    ])
+                    yield base + [s.segment_id, format_timestamp(s.start_time),
+                                  format_timestamp(s.end_time), s.activity.value,
+                                  rec.line_type.value if rec else "",
+                                  rec.line_name if rec else ""]
+
+    write_csv(path, INVENTORY_CSV_COLUMNS, rows())

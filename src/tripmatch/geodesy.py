@@ -14,7 +14,7 @@ which stay as the references the tests compare them with.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -120,6 +120,19 @@ def ranges(first: np.ndarray,
     and the offset of each range's start among them."""
     starts = np.cumsum(lengths) - lengths
     return np.arange(lengths.sum()) + np.repeat(first - starts, lengths), starts
+
+
+def blocks(lengths: np.ndarray, limit: int) -> Iterator[slice]:
+    """Consecutive groups of ranges, in order, whose lengths sum to at most
+    limit, a longer range alone: the blocks in which a gather of ranges
+    holds a bounded number of elements."""
+    ends = np.cumsum(lengths)
+    a = 0
+    while a < len(lengths):
+        b = max(a + 1, int(np.searchsorted(
+            ends, ends[a] - lengths[a] + limit, "right")))
+        yield slice(a, b)
+        a = b
 
 
 def point_to_linestring_m(p: LatLng, line: Sequence[LatLng]) -> float:

@@ -1146,7 +1146,9 @@ def load_train_stops(path) -> TrainStops:
 # --- serialization (round-trip partners of the loaders) ---
 
 
-def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The UTF-8 CSV table of header and rows at path, cells spelled by
+    csv.writer: every table that the program writes."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -1165,34 +1167,34 @@ def write_device_data(points: Sequence[DevicePoint], path) -> None:
                 cells += ["", ""]
         return cells
 
-    _write_csv(path, DEVICE_DATA_COLUMNS, (row(p) for p in points))
+    write_csv(path, DEVICE_DATA_COLUMNS, (row(p) for p in points))
 
 
 def write_filtered_data(points: Iterable[FilteredPoint], path) -> None:
-    _write_csv(path, FILTERED_COLUMNS,
-               ([format_timestamp(p.time), str(p.device_id), repr(p.lat),
-                 repr(p.lng), p.activity.value] for p in points))
+    write_csv(path, FILTERED_COLUMNS,
+              ([format_timestamp(p.time), str(p.device_id), repr(p.lat),
+                repr(p.lng), p.activity.value] for p in points))
 
 
 def write_transit_live(positions, path) -> None:
-    _write_csv(path, TRANSIT_LIVE_COLUMNS,
-               ([format_timestamp(v.time), repr(v.lat), repr(v.lng),
-                 v.line_type.value, v.line_name, v.vehicle_ref]
-                for v in positions))
+    write_csv(path, TRANSIT_LIVE_COLUMNS,
+              ([format_timestamp(v.time), repr(v.lat), repr(v.lng),
+                v.line_type.value, v.line_name, v.vehicle_ref]
+               for v in positions))
 
 
 def write_manual_log(trips: Sequence[ManualTrip], path) -> None:
     def fmt(t: Optional[datetime]) -> str:
         return format_timestamp(t) if t is not None else ""
 
-    _write_csv(path, MANUAL_LOG_ALL_COLUMNS,
-               ([str(t.device_id), t.st_entrance, fmt(t.st_entry_time),
-                 t.line_type.value, t.line_name, fmt(t.vehicle_dep_time),
-                 t.vehicle_dep_stop, fmt(t.vehicle_arr_time), t.vehicle_arr_stop,
-                 t.st_exit_location, fmt(t.st_exit_time), t.comments]
-                for t in trips))
+    write_csv(path, MANUAL_LOG_ALL_COLUMNS,
+              ([str(t.device_id), t.st_entrance, fmt(t.st_entry_time),
+                t.line_type.value, t.line_name, fmt(t.vehicle_dep_time),
+                t.vehicle_dep_stop, fmt(t.vehicle_arr_time), t.vehicle_arr_stop,
+                t.st_exit_location, fmt(t.st_exit_time), t.comments]
+               for t in trips))
 
 
 def write_device_models(entries: Sequence[DeviceModelEntry], path) -> None:
-    _write_csv(path, ["device_id", "model"],
-               ([str(e.device_id), e.model] for e in entries))
+    write_csv(path, ["device_id", "model"],
+              ([str(e.device_id), e.model] for e in entries))

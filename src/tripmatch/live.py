@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
 from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .geodesy import EARTH_RADIUS_M, distances_m, points_to_polylines_m, ranges
+from .geodesy import (EARTH_RADIUS_M, blocks, distances_m, points_to_polylines_m,
+                      ranges)
 from .types import (
     ActivitySegment,
     FleetColumns,
@@ -112,7 +112,9 @@ class PositionIndex:
         self._by_time[by_vehicle] = np.arange(n)
         del by_vehicle
         self.vehicle_refs = [fleet.refs[i] for i in by_ref]
-        self._slots = {ref: i for i, ref in enumerate(self.vehicle_refs)}
+        # slot(ref): the vehicle's position in vehicle_refs; None for an
+        # unknown vehicle. A dict's own get, as prune_live calls it per pair
+        self.slot = {ref: i for i, ref in enumerate(self.vehicle_refs)}.get
         self.times_s = fleet.times_s[order]
         self.lats = fleet.lats[order]
         self.lngs = fleet.lngs[order]
@@ -128,26 +130,23 @@ class PositionIndex:
     def __len__(self) -> int:
         return len(self.vehicle_refs)
 
-    def slot(self, vehicle_ref: str) -> Optional[int]:
-        """The vehicle's position in vehicle_refs; None for an unknown vehicle."""
-        return self._slots.get(vehicle_ref)
-
-    def vehicles_in_range(self, t0: datetime, t1: datetime) -> list[str]:
-        """Vehicles with a fix in the closed window [t0, t1], in ref order."""
-        lo = self._fixes_before(as_seconds(t0), "left")
-        hi = self._fixes_before(as_seconds(t1), "right")
+    def vehicles_in_range(self, t0_s: float, t1_s: float) -> list[str]:
+        """Vehicles with a fix in the closed window [t0_s, t1_s], in ref order."""
+        lo = self._fixes_before(t0_s, "left")
+        hi = self._fixes_before(t1_s, "right")
         present = np.zeros(len(self), dtype=bool)
         present[self._key[self._by_time[lo:hi]] // self._stride] = True
         return [self.vehicle_refs[v] for v in np.flatnonzero(present).tolist()]
 
-    def boxes_in_range(self, slots: np.ndarray, t0_s: np.ndarray,
-                       t1_s: np.ndarray, window: np.ndarray) -> np.ndarray:
-        """(min_lat, min_lng, max_lat, max_lng) of vehicle slots[i]'s fixes
-        with t0_s[w] <= time <= t1_s[w], w = window[i], shape (len(slots),
-        4). A window without a fix has the empty box (inf, inf, -inf, -inf),
-        which overlaps no box. Every window's polyline lies inside its box.
-        The rows are found as windows finds them, and gathered in blocks of
-        at most _MAX_ROWS, a longer window alone."""
+    def window_rows(self, slots: np.ndarray, t0_s: np.ndarray,
+                    t1_s: np.ndarray, window: np.ndarray,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows lo[i]:hi[i] are vehicle slots[i]'s fixes with t0_s[w] <=
+        time <= t1_s[w], w = window[i], time-sorted; slots may be one slot
+        for every window that window selects. The comparisons are exact: a
+        fix is at or after t0 iff no fewer fixes are earlier than it than
+        are earlier than t0, and at or before t1 iff fewer fixes are
+        earlier than it than are at or before t1."""
         base = np.asarray(slots, dtype=np.int64) * self._stride
         keys = np.concatenate([base + self._fixes_before(t0_s, "left")[window],
                                base + self._fixes_before(t1_s, "right")[window]])
@@ -155,36 +154,28 @@ class PositionIndex:
         order = np.argsort(keys)
         bounds = np.empty(len(keys), np.intp)
         bounds[order] = np.searchsorted(self._key, keys[order])
-        lo, hi = bounds[:len(base)], bounds[len(base):]
+        return bounds[:len(keys) // 2], bounds[len(keys) // 2:]
+
+    def boxes_in_range(self, slots: np.ndarray, t0_s: np.ndarray,
+                       t1_s: np.ndarray, window: np.ndarray) -> np.ndarray:
+        """(min_lat, min_lng, max_lat, max_lng) of the rows of window_rows,
+        shape (len(slots), 4). A window without a fix has the empty box
+        (inf, inf, -inf, -inf), which overlaps no box. Every window's
+        polyline lies inside its box. The rows are gathered in blocks of at
+        most _MAX_ROWS, a longer window alone."""
+        lo, hi = self.window_rows(slots, t0_s, t1_s, window)
         boxes = np.empty((len(lo), 4))
         boxes[:, :2], boxes[:, 2:] = np.inf, -np.inf
         full = np.flatnonzero(hi > lo)
         counts = (hi - lo)[full]
-        ends = np.cumsum(counts)
-        a = 0
-        while a < len(full):
-            b = max(a + 1, int(np.searchsorted(
-                ends, ends[a] - counts[a] + _MAX_ROWS, "right")))
-            rows, starts = ranges(lo[full[a:b]], counts[a:b])
+        for block in blocks(counts, _MAX_ROWS):
+            rows, starts = ranges(lo[full[block]], counts[block])
             lats, lngs = self.lats[rows], self.lngs[rows]
-            boxes[full[a:b]] = np.column_stack([np.minimum.reduceat(lats, starts),
-                                                np.minimum.reduceat(lngs, starts),
-                                                np.maximum.reduceat(lats, starts),
-                                                np.maximum.reduceat(lngs, starts)])
-            a = b
+            boxes[full[block]] = np.column_stack([np.minimum.reduceat(lats, starts),
+                                                  np.minimum.reduceat(lngs, starts),
+                                                  np.maximum.reduceat(lats, starts),
+                                                  np.maximum.reduceat(lngs, starts)])
         return boxes
-
-    def windows(self, slots: np.ndarray, t0_s: np.ndarray, t1_s: np.ndarray,
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Rows lo[i, j]:hi[i, j] are vehicle slots[i]'s fixes with
-        t0_s[j] <= time <= t1_s[j], time-sorted. The comparisons are exact:
-        a fix is at or after t0 iff no fewer fixes are earlier than it than
-        are earlier than t0, and at or before t1 iff fewer fixes are earlier
-        than it than are at or before t1."""
-        base = np.asarray(slots, dtype=np.int64)[:, None] * self._stride
-        lo = np.searchsorted(self._key, base + self._fixes_before(t0_s, "left"))
-        hi = np.searchsorted(self._key, base + self._fixes_before(t1_s, "right"))
-        return lo, hi
 
 
 def _time_ranks(sorted_s: np.ndarray) -> np.ndarray:
@@ -235,10 +226,10 @@ def score_vehicle(samples: TraceColumns, vehicle_ref: str,
     slot = index.slot(vehicle_ref)
     if slot is None or not samples:
         return None
-    lo, hi = index.windows(np.array([slot]), samples.times_s - cfg.window_s,
-                           samples.times_s + cfg.window_s)
-    lo = lo[0]
-    counts = hi[0] - lo
+    n = len(samples)
+    lo, hi = index.window_rows(slot, samples.times_s - cfg.window_s,
+                               samples.times_s + cfg.window_s, slice(None))
+    counts = hi - lo
     windowed = np.flatnonzero(counts)
     if not len(windowed):
         return None  # a sample with an empty window cannot match
@@ -255,14 +246,14 @@ def score_vehicle(samples: TraceColumns, vehicle_ref: str,
     matched = d <= cfg.distance_limit_m
     if not matched.any():
         return None
-    fraction = int(np.count_nonzero(matched)) / len(samples)
+    fraction = int(np.count_nonzero(matched)) / n
     score = float(np.cumsum(cfg.distance_limit_m - d[matched])[-1])
     eligible = not (fraction < cfg.quorum_fraction or score <= 0.0)
     hits = np.flatnonzero(d_point == np.repeat(nearest, counts[windowed]))
     hit_window = window[hits]
     first_hit = np.ones(len(hits), dtype=bool)
     first_hit[1:] = hit_window[1:] != hit_window[:-1]
-    distances = np.full(len(samples), np.nan)
+    distances = np.full(n, np.nan)
     distances[windowed] = d
     votes = row[hits[first_hit]][matched]
     return VehicleScore(vehicle_ref, score, fraction, distances, votes, eligible)
@@ -355,9 +346,8 @@ def prune_live(segments: Sequence[ActivitySegment], cfg: LiveMatchConfig,
         n = len(samples)
         refs: list[str] = []
         if n >= 2:
-            refs = index.vehicles_in_range(
-                segment.start_time - timedelta(seconds=cfg.window_s),
-                segment.end_time + timedelta(seconds=cfg.window_s))
+            refs = index.vehicles_in_range(samples.times_s[0] - cfg.window_s,
+                                           samples.times_s[-1] + cfg.window_s)
         found.append((samples, refs))
         if not refs:
             continue
@@ -373,7 +363,7 @@ def prune_live(segments: Sequence[ActivitySegment], cfg: LiveMatchConfig,
         run_last += [min(a + n - need, offset + n - 1)
                      for a in run_first[first_run[-1]:]]
         samples_of.append(samples)
-        slots += map(index._slots.__getitem__, refs)
+        slots += map(index.slot, refs)
     if not slots:
         return [LiveCandidates(samples, refs, []) for samples, refs in found]
 

@@ -6,7 +6,6 @@ segment at a time in segment-id order, the live stage after one box prune
 of all its segments."""
 from __future__ import annotations
 
-import csv
 import logging
 import os
 import shutil
@@ -19,7 +18,7 @@ from . import evaluation, ingest, segmentation
 from .config import RunConfig, STATIC
 from .evaluation import MethodStats, Recognition, TripVerdict
 from .gtfs import load_gtfs
-from .ingest import format_timestamp
+from .ingest import Column, Stamps, format_timestamp
 from .live import (
     LiveMatchResult,
     NEW_LIVE,
@@ -31,7 +30,8 @@ from .live import (
 )
 from .planner import JourneyPlanner, TimetablePlanner
 from .static import StaticMatchResult, match_static, write_assessments_csv
-from .types import ActivitySegment, LineType, ManualTrip, TraceColumns
+from .types import (Activity, ActivitySegment, LineType, ManualTrip,
+                    TraceColumns)
 
 log = logging.getLogger(__name__)
 
@@ -154,30 +154,46 @@ def run_static_stage(cfg: RunConfig, segments: Sequence[ActivitySegment],
 def write_match_csv(results: dict[int, object],
                     segments: Sequence[ActivitySegment], path) -> None:
     by_id = {s.segment_id: s for s in segments}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MATCH_CSV_COLUMNS)
-        for segment_id, r in results.items():
-            s = by_id[segment_id]
-            reference = getattr(r, "vehicle_ref", None) or getattr(r, "trip_id", "")
-            score = getattr(r, "score", "")
-            fraction = getattr(r, "matched_fraction", "")
-            writer.writerow([
-                segment_id, s.device_id, format_timestamp(s.start_time),
+
+    def row(segment_id: int, r) -> list:
+        s = by_id[segment_id]
+        reference = getattr(r, "vehicle_ref", None) or getattr(r, "trip_id", "")
+        score = getattr(r, "score", "")
+        fraction = getattr(r, "matched_fraction", "")
+        return [segment_id, s.device_id, format_timestamp(s.start_time),
                 format_timestamp(s.end_time), s.activity.value,
                 r.line_type.value, r.line_name, reference,
                 f"{score:.1f}" if score != "" else "",
-                f"{fraction:.3f}" if fraction != "" else "",
-            ])
+                f"{fraction:.3f}" if fraction != "" else ""]
+
+    ingest.write_csv(path, MATCH_CSV_COLUMNS,
+                     (row(*item) for item in results.items()))
 
 
-def load_match_csv(path) -> dict[int, Recognition]:
+def load_match_csv(path, segments: Sequence[ActivitySegment],
+                   ) -> dict[int, Recognition]:
+    """The recognitions of a match table that write_match_csv wrote for
+    segments, by segment id. A row must name a segment of segments by its
+    id, device, first and last time and activity, or it is refused."""
+    by_id = {s.segment_id: s for s in segments}
     table = ingest.load_table(path, [
-        ingest.Column("segment_id", int), ingest.Column("recd_type", LineType),
-        ingest.Column("recd_name", required=False)])
-    out = dict(table.build(lambda segment_id, line_type, line_name:
-                           (segment_id, Recognition(line_type, line_name))))
-    return dict(sorted(out.items()))
+        Column("segment_id", int), Column("device_id", int),
+        Column("activity", Activity), Column("segm_start", Stamps()),
+        Column("segm_end", Stamps()), Column("recd_type", LineType),
+        Column("recd_name", required=False)])
+
+    def recognition(segment_id, device_id, activity, start, end, line_type,
+                    line_name):
+        s = by_id.get(segment_id)
+        if s is None:
+            raise ValueError(f"segment {segment_id} is not in {SEGMENTS_FILE}")
+        if (device_id, activity, start, end) != (s.device_id, s.activity,
+                                                 s.start_time, s.end_time):
+            raise ValueError(f"segment {segment_id} is not the segment of "
+                             f"that id in {SEGMENTS_FILE}")
+        return segment_id, Recognition(line_type, line_name)
+
+    return dict(table.build(recognition))
 
 
 def to_recognitions(results: dict[int, object]) -> dict[int, Recognition]:
@@ -203,8 +219,8 @@ def run_evaluation(cfg: RunConfig, trips: Sequence[ManualTrip],
     output = EvaluationOutput(
         verdicts=verdicts,
         stats=stats,
-        report_text=evaluation.render_report(stats, verdicts, "text"),
-        report_csv=evaluation.render_report(stats, verdicts, "csv"),
+        report_text=evaluation.render_report_text(stats, verdicts),
+        report_csv=evaluation.render_report_csv(stats),
     )
     for gate in cfg.gates:
         value = _gate_value(stats, gate.method, gate.metric)
@@ -235,9 +251,7 @@ def _gate_value(stats: dict[str, MethodStats], method: str,
     type_name = metric[:-5] if name_level else metric
     for lt, ts in ms.per_type.items():
         if lt.value.lower() == type_name:
-            if name_level:
-                return ts.name_correct if ts.name_correct is not None else None
-            return ts.recognized
+            return ts.name_correct if name_level else ts.recognized
     return None
 
 
@@ -315,7 +329,8 @@ def stage_evaluate_saved(cfg: RunConfig) -> EvaluationOutput:
                 f"missing stage output {path}; run the segment and matching "
                 "stages or 'tripmatch run' first")
     segments = segmentation.load_segments_csv(paths[0], load_filtered(cfg))
-    recognitions = {m: load_match_csv(p) for m, p in zip(cfg.methods, paths[1:])}
+    recognitions = {m: load_match_csv(p, segments)
+                    for m, p in zip(cfg.methods, paths[1:])}
     return stage_evaluate(cfg, load_trips(cfg), segments, recognitions)
 
 

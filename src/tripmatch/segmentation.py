@@ -7,12 +7,12 @@ human cross-reference only and never feed back into matching.
 """
 from __future__ import annotations
 
-import csv
 from typing import Sequence
 
 import numpy as np
 
-from .ingest import Column, IngestError, Stamps, format_timestamp, load_table
+from .ingest import (Column, IngestError, Stamps, format_timestamp, load_table,
+                     write_csv)
 from .types import (ACTIVITIES, Activity, ActivitySegment, ManualTrip,
                     TraceColumns, as_seconds, from_seconds, seconds_between)
 
@@ -60,13 +60,10 @@ def overlap(segment: ActivitySegment, trip: ManualTrip) -> tuple[bool, float]:
 
 
 def write_segments_csv(segments: Sequence[ActivitySegment], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SEGMENT_CSV_COLUMNS)
-        for s in segments:
-            writer.writerow([s.segment_id, s.device_id, s.activity.value,
-                             format_timestamp(s.start_time),
-                             format_timestamp(s.end_time), len(s.trace)])
+    write_csv(path, SEGMENT_CSV_COLUMNS,
+              ([s.segment_id, s.device_id, s.activity.value,
+                format_timestamp(s.start_time), format_timestamp(s.end_time),
+                len(s.trace)] for s in segments))
 
 
 def load_segments_csv(path, trace: TraceColumns) -> list[ActivitySegment]:

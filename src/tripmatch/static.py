@@ -19,7 +19,6 @@ among survivors the one boarding closest to the segment start wins.
 """
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -29,9 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geodesy import (distances_m, points_to_polylines_m, ranges,
+from .geodesy import (blocks, distances_m, points_to_polylines_m, ranges,
                       resample_min_spacing)
-from .ingest import format_timestamp
+from .ingest import format_timestamp, write_csv
 from .planner import Itinerary, JourneyPlanner, PlanQuery
 from .types import (ActivitySegment, GeoPoint, LineType, MAX_SLACK_S,
                     seconds_between)
@@ -193,21 +192,15 @@ def route_geometry_check(segment: ActivitySegment,
     sizes = np.repeat(m, n)
     points = np.tile(np.arange(n), len(m))
     first_vertex = np.repeat(np.cumsum(m) - m, n)
-    ends = np.cumsum(sizes)
     d = []
-    lo = 0
-    while lo < len(sizes):
-        hi = max(lo + 1, int(np.searchsorted(
-            ends, ends[lo] - sizes[lo] + _MAX_PAIRS, "right")))
-        size = sizes[lo:hi]
-        vertex, starts = ranges(first_vertex[lo:hi], size)
-        point = np.repeat(points[lo:hi], size)
+    for block in blocks(sizes, _MAX_PAIRS):
+        vertex, starts = ranges(first_vertex[block], sizes[block])
+        point = np.repeat(points[block], sizes[block])
         p_lat, p_lng = lat[point], lng[point]
         v_lat, v_lng = vertices[vertex, 0], vertices[vertex, 1]
         d.append(points_to_polylines_m(p_lat, p_lng, v_lat, v_lng,
                                        distances_m(p_lat, p_lng, v_lat, v_lng),
                                        starts))
-        lo = hi
     matched = (np.concatenate(d) <= constants.route_limit_m).reshape(-1, n)
     fractions = (np.count_nonzero(matched, axis=1) / n).tolist()
     # the longest run of unmatched points lies between two matched ones,
@@ -351,21 +344,20 @@ ASSESSMENT_CSV_COLUMNS = [
 def write_assessments_csv(entries: Sequence[tuple[int, PlanAssessment]],
                           path) -> None:
     """One row per (segment, itinerary) for threshold calibration."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ASSESSMENT_CSV_COLUMNS)
-        for segment_id, a in entries:
-            leg = a.itinerary.transit
-            writer.writerow([
-                segment_id, leg.trip_id, leg.line_type.value, leg.line_name,
-                a.verdict.value, f"{a.segment_duration_s:.1f}",
-                f"{a.itinerary.total_duration_s:.1f}",
-                f"{leg.duration_s:.1f}", f"{a.delta_total_s:.1f}",
-                f"{a.delta_transit_s:.1f}", f"{a.start_diff_s:.1f}",
-                "" if a.route_match_fraction is None
-                else f"{a.route_match_fraction:.3f}",
-                "" if a.max_adjacent_run_outside is None
-                else a.max_adjacent_run_outside,
-                format_timestamp(leg.board_time),
-                format_timestamp(leg.alight_time),
-            ])
+    def row(segment_id: int, a: PlanAssessment) -> list:
+        leg = a.itinerary.transit
+        return [
+            segment_id, leg.trip_id, leg.line_type.value, leg.line_name,
+            a.verdict.value, f"{a.segment_duration_s:.1f}",
+            f"{a.itinerary.total_duration_s:.1f}",
+            f"{leg.duration_s:.1f}", f"{a.delta_total_s:.1f}",
+            f"{a.delta_transit_s:.1f}", f"{a.start_diff_s:.1f}",
+            "" if a.route_match_fraction is None
+            else f"{a.route_match_fraction:.3f}",
+            "" if a.max_adjacent_run_outside is None
+            else a.max_adjacent_run_outside,
+            format_timestamp(leg.board_time),
+            format_timestamp(leg.alight_time),
+        ]
+
+    write_csv(path, ASSESSMENT_CSV_COLUMNS, (row(*entry) for entry in entries))

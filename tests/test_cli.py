@@ -213,6 +213,34 @@ def test_evaluate_with_bad_match_table_exits_1(synth, tmp_path, capsys):
         "valid LineType\n")
 
 
+def test_evaluate_joins_a_match_row_only_to_the_segment_it_names(
+        synth, tmp_path, capsys):
+    """A match row whose id names another segment of segments.csv, or none,
+    is refused at its line: its device, times and activity are those of the
+    segment that the matching stage cut, which need not be the saved one."""
+    out = tmp_path / "staged"
+    assert run_cli("run", "--config", synth.config_path, "--out", out) == 0
+    with open(out / "segments.csv", newline="", encoding="utf-8") as fh:
+        saved = list(csv.DictReader(fh))
+    matches = out / "matches_new_live.csv"
+    with open(matches, newline="", encoding="utf-8") as fh:
+        header, first, *rest = csv.reader(fh)
+    at = header.index("segment_id")
+    other = next(row["id"] for row in saved if row["activity"] == "WALKING")
+    for segment_id, problem in (
+            (other, f"segment {other} is not the segment of that id in "
+                    "segments.csv"),
+            ("99999", "segment 99999 is not in segments.csv")):
+        cells = list(first)
+        cells[at] = segment_id
+        with open(matches, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, cells, *rest])
+        capsys.readouterr()
+        assert run_cli("evaluate", "--config", synth.config_path,
+                       "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {matches}: line 2: {problem}\n"
+
+
 def test_evaluate_with_a_point_missing_from_the_filtered_table_exits_1(
         synth, tmp_path, capsys):
     out = tmp_path / "staged"
@@ -368,6 +396,7 @@ def test_inspect_segment_refuses_a_missing_gtfs_feed_as_run_does(
     refusal = f"error: GTFS feed not found: {missing}\n"
     assert run_cli("run", "--config", cfg) == 1
     assert capsys.readouterr().err == refusal
+    assert not (tmp_path / "out" / "segments.csv").exists()
     assert run_cli("inspect-segment", "--config", cfg, 1) == 1
     assert capsys.readouterr().err == refusal
 

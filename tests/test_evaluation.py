@@ -1,5 +1,3 @@
-import pytest
-
 from tripmatch.evaluation import (
     COMBINED,
     INV_NO_SEGMENT,
@@ -9,7 +7,8 @@ from tripmatch.evaluation import (
     compute_stats,
     join_trips,
     names_match,
-    render_report,
+    render_report_csv,
+    render_report_text,
     write_inventory_csv,
 )
 from tripmatch.types import Activity, LineType, ManualTrip
@@ -174,7 +173,7 @@ def test_render_text_has_table7_row_labels():
     verdicts = join_trips(trips, [seg(1, 0, 400)],
                           {"m": {1: rec(LineType.TRAM, "7")}})
     stats = compute_stats(verdicts, ["m"])
-    text = render_report(stats, verdicts, "text")
+    text = render_report_text(stats, verdicts)
     for label in ("Bus", "Bus (line name)", "Tram", "Train", "Subway",
                   "Public transport", "Public transport (line type)",
                   "Logged"):
@@ -186,23 +185,18 @@ def test_render_csv_one_row_per_method_and_type():
     verdicts = join_trips([trip(0, 400, name="7")], [seg(1, 0, 400)],
                           {"m": {1: rec(LineType.TRAM, "7")}})
     stats = compute_stats(verdicts, ["m"])
-    csv_text = render_report(stats, verdicts, "csv")
+    csv_text = render_report_csv(stats)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "method,line_type,recognized,name_correct,logged"
     assert sum(1 for ln in lines if ln.startswith("m,")) == 7
     assert sum(1 for ln in lines if ln.startswith(f"{COMBINED},")) == 7
 
 
-def test_render_unknown_format_rejected():
-    with pytest.raises(ValueError, match="unknown report format"):
-        render_report({}, [], "xml")
-
-
 def test_empty_verdicts_render_headers_only():
     stats = compute_stats([], ["m"])
-    text = render_report(stats, [], "text")
+    text = render_report_text(stats, [])
     assert "Public transport" in text
-    csv_text = render_report(stats, [], "csv")
+    csv_text = render_report_csv(stats)
     assert csv_text.splitlines()[0].startswith("method,")
 
 

@@ -77,11 +77,20 @@ def same_score(a, b):
 def boxes_of(index, t0, t1):
     """boxes_in_range of the vehicles of vehicles_in_range over the one
     window [t0, t1]."""
-    slots = [index.slot(ref) for ref in index.vehicles_in_range(t0, t1)]
+    t0_s, t1_s = as_seconds(t0), as_seconds(t1)
+    slots = [index.slot(ref) for ref in index.vehicles_in_range(t0_s, t1_s)]
     return index.boxes_in_range(np.array(slots, dtype=np.int64),
-                                np.array([as_seconds(t0)]),
-                                np.array([as_seconds(t1)]),
+                                np.array([t0_s]), np.array([t1_s]),
                                 np.zeros(len(slots), dtype=np.intp))
+
+
+def rows_of(index, slots, t0_s, t1_s):
+    """window_rows of every (slot, window) pair: rows lo[i, j]:hi[i, j] are
+    vehicle slots[i]'s fixes in window j."""
+    shape = (len(slots), len(t0_s))
+    lo, hi = index.window_rows(np.repeat(slots, shape[1]), t0_s, t1_s,
+                               np.tile(np.arange(shape[1]), shape[0]))
+    return lo.reshape(shape), hi.reshape(shape)
 
 
 def trace_points(specs):
@@ -136,14 +145,14 @@ def test_shift_handover_gap_is_not_in_range():
     # v1 ends a shift before the window and starts the next after it
     index = index_of([vp(-600, BASE, ref="v1"), vp(600, BASE, ref="v1"),
                       vp(0, BASE, ref="v2")])
-    assert index.vehicles_in_range(at(-300), at(300)) == ["v2"]
+    assert index.vehicles_in_range(as_seconds(at(-300)), as_seconds(at(300))) == ["v2"]
     assert boxes_of(index, at(-300), at(300)).shape == (1, 4)
 
 
 def test_fix_at_either_window_end_is_in_range():
     index = index_of([vp(-300, BASE, ref="vb"), vp(300, BASE, ref="va")])
-    assert index.vehicles_in_range(at(-300), at(300)) == ["va", "vb"]
-    assert index.vehicles_in_range(at(-299), at(299)) == []
+    assert index.vehicles_in_range(as_seconds(at(-300)), as_seconds(at(300))) == ["va", "vb"]
+    assert index.vehicles_in_range(as_seconds(at(-299)), as_seconds(at(299))) == []
     assert boxes_of(index, at(-299), at(299)).shape == (0, 4)
 
 
@@ -159,15 +168,15 @@ def test_index_window_queries_agree_with_brute_force(fixes, start, span):
     t0, t1 = at(10 * start), at(10 * (start + span))
     inside = [r for r in rows if t0 <= r.time <= t1]
     refs = sorted({r.vehicle_ref for r in inside})
-    assert index.vehicles_in_range(t0, t1) == refs
+    assert index.vehicles_in_range(as_seconds(t0), as_seconds(t1)) == refs
     expected = [(min(r.lat for r in inside if r.vehicle_ref == ref),
                  min(r.lng for r in inside if r.vehicle_ref == ref),
                  max(r.lat for r in inside if r.vehicle_ref == ref),
                  max(r.lng for r in inside if r.vehicle_ref == ref))
                 for ref in refs]
     assert [tuple(b) for b in boxes_of(index, t0, t1).tolist()] == expected
-    lo, hi = index.windows(np.arange(len(index)), np.array([as_seconds(t0)]),
-                           np.array([as_seconds(t1)]))
+    lo, hi = rows_of(index, np.arange(len(index)), np.array([as_seconds(t0)]),
+                     np.array([as_seconds(t1)]))
     assert [sorted(r.time for r in inside if r.vehicle_ref == ref)
             for ref in index.vehicle_refs] == \
         [[from_seconds(t) for t in index.times_s[a:b]]
@@ -185,7 +194,7 @@ def test_index_time_ranks_and_queries_agree_with_brute_force(fixes, repeats,
     """Over fleets with tied times, duplicate rows, one-fix vehicles or no
     rows: each fix's key is its vehicle's slot and the number of fixes
     earlier than it, as a search of every time through the by-time order
-    counts them; vehicles_in_range and windows select what a filter of the
+    counts them; vehicles_in_range and window_rows select what a filter of the
     rows selects."""
     fixes = fixes + [fixes[i] for i in repeats if i < len(fixes)]
     index = index_of([vp(10 * t, BASE, ref=ref) for t, ref in fixes])
@@ -198,12 +207,11 @@ def test_index_time_ranks_and_queries_agree_with_brute_force(fixes, repeats,
         for _ in range(sum(r == ref for _, r in fixes))]
     t0_s = np.array([as_seconds(at(10 * start)) for start, _ in spans])
     t1_s = np.array([as_seconds(at(10 * (start + span))) for start, span in spans])
-    lo, hi = index.windows(np.arange(len(index)), t0_s, t1_s)
+    lo, hi = rows_of(index, np.arange(len(index)), t0_s, t1_s)
     for j, (t0, t1) in enumerate(zip(t0_s.tolist(), t1_s.tolist())):
         inside = [(ref, as_seconds(at(10 * t))) for t, ref in fixes
                   if t0 <= as_seconds(at(10 * t)) <= t1]
-        assert index.vehicles_in_range(from_seconds(t0), from_seconds(t1)) == \
-            sorted({ref for ref, _ in inside})
+        assert index.vehicles_in_range(t0, t1) == sorted({ref for ref, _ in inside})
         assert [index.times_s[a:b].tolist() for a, b in zip(lo[:, j], hi[:, j])] == \
             [sorted(t for r, t in inside if r == ref) for ref in index.vehicle_refs]
 
@@ -237,13 +245,12 @@ def test_index_of_rows_out_of_time_order_answers_as_in_time_order(
     t0_s = np.array([as_seconds(at(10 * start)) for start, _ in spans])
     t1_s = np.array([as_seconds(at(10 * (start + span))) for start, span in spans])
     for t0, t1 in zip(t0_s.tolist(), t1_s.tolist()):
-        assert ordered.vehicles_in_range(from_seconds(t0), from_seconds(t1)) == \
-            permuted.vehicles_in_range(from_seconds(t0), from_seconds(t1))
-    for a, b in zip(ordered.windows(slots, t0_s, t1_s),
-                    permuted.windows(slots, t0_s, t1_s)):
-        assert a.tolist() == b.tolist()
+        assert ordered.vehicles_in_range(t0, t1) == \
+            permuted.vehicles_in_range(t0, t1)
     pairs = (np.repeat(slots, len(spans)), t0_s, t1_s,
              np.tile(np.arange(len(spans)), len(slots)))
+    for a, b in zip(ordered.window_rows(*pairs), permuted.window_rows(*pairs)):
+        assert a.tolist() == b.tolist()
     assert ordered.boxes_in_range(*pairs).tolist() == \
         permuted.boxes_in_range(*pairs).tolist()
 
@@ -565,10 +572,10 @@ def _brute_force_match(segment, cfg, index, n_samples, use_linestring):
     """score_vehicle on every vehicle in the time range, with no bbox prune;
     the best eligible score by _score_order."""
     samples = select_user_samples(segment.trace, n_samples)
-    t0 = segment.start_time - timedelta(seconds=cfg.window_s)
-    t1 = segment.end_time + timedelta(seconds=cfg.window_s)
+    t0_s = as_seconds(segment.start_time) - cfg.window_s
+    t1_s = as_seconds(segment.end_time) + cfg.window_s
     scored = [score_vehicle(samples, ref, cfg, index, use_linestring)
-              for ref in index.vehicles_in_range(t0, t1)]
+              for ref in index.vehicles_in_range(t0_s, t1_s)]
     return min((s for s in scored if s is not None and s.eligible),
                key=_score_order, default=None)
 
@@ -672,9 +679,9 @@ def _assert_matchers_agree_with_brute_force(segment, rows, cfg):
         # the prune is sound: every vehicle it drops is one score_vehicle
         # rejects
         samples = select_user_samples(segment.trace, n_samples)
-        t0 = segment.start_time - timedelta(seconds=cfg.window_s)
-        t1 = segment.end_time + timedelta(seconds=cfg.window_s)
-        assert decision.in_range == index.vehicles_in_range(t0, t1)
+        t0_s = as_seconds(segment.start_time) - cfg.window_s
+        t1_s = as_seconds(segment.end_time) + cfg.window_s
+        assert decision.in_range == index.vehicles_in_range(t0_s, t1_s)
         for ref in decision.in_range:
             scored = score_vehicle(samples, ref, cfg, index, use_linestring)
             if ref in decision.scored:

@@ -14,13 +14,13 @@ import yaml
 from tripmatch import pipeline, segmentation
 from tripmatch.config import STATIC, ConfigError, config_from_dict, load_config
 from tripmatch.geodesy import distance_m
-from tripmatch.evaluation import COMBINED
+from tripmatch.evaluation import COMBINED, Recognition
 from tripmatch.ingest import parse_timestamp
-from tripmatch.live import NEW_LIVE, OLD_LIVE, decide_live
+from tripmatch.live import NEW_LIVE, OLD_LIVE, LiveMatchResult, decide_live
 from tripmatch.static import adjusted_query, match_static, write_assessments_csv
-from tripmatch.types import LineType
+from tripmatch.types import Activity, LineType
 
-from conftest import segment_rows
+from conftest import fp, segment_of, segment_rows
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +119,7 @@ def test_intermediates_reload_to_same_recognitions(run):
     for method, filename in pipeline.MATCH_FILES.items():
         path = outputs.out_dir / filename
         assert path.exists()
-        recs = pipeline.load_match_csv(path)
+        recs = pipeline.load_match_csv(path, reloaded_segments)
         verdict_recs = {}
         for v in outputs.evaluation.verdicts:
             for seg_id, per_method in v.segment_recognitions.items():
@@ -127,6 +127,22 @@ def test_intermediates_reload_to_same_recognitions(run):
                     verdict_recs[seg_id] = per_method[method]
         for seg_id, rec in verdict_recs.items():
             assert recs[seg_id] == rec
+
+
+def test_a_match_table_keeps_quoted_cells(tmp_path):
+    """A line name with a comma and a double quote, which csv.writer quotes,
+    reads back unchanged."""
+    segments = [segment_of([fp(0, Activity.WALKING), fp(60, Activity.WALKING)]),
+                segment_of([fp(90, Activity.IN_VEHICLE), fp(400, Activity.IN_VEHICLE)],
+                           segment_id=2)]
+    name = 'Tram "7", night'
+    results = {2: LiveMatchResult(2, NEW_LIVE, "v1", LineType.TRAM, name,
+                                  12.5, 0.75)}
+    path = tmp_path / "matches.csv"
+    pipeline.write_match_csv(results, segments, path)
+    assert f'"{name.replace(chr(34), 2 * chr(34))}"' in path.read_text()
+    assert pipeline.load_match_csv(path, segments) == \
+        {2: Recognition(LineType.TRAM, name)}
 
 
 def test_assessment_log_written_with_verdict_rows(run):
