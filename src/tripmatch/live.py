@@ -45,6 +45,7 @@ NEW_LIVE = "new-live"
 OLD_LIVE = "old-live"
 
 _MAX_ROWS = 1 << 15  # index rows gathered per box block
+_MAX_PAIRS = 1 << 10  # (segment, vehicle) pairs per whole-window prune block
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,9 @@ def prune_live(segments: Sequence[ActivitySegment], cfg: LiveMatchConfig,
     window, which holds its fix box over each run, so that the pass drops
     only pairs that the second drops too; then, for the pairs that pass,
     with its fix box over each run's windows. The survivors are those of
-    the second test alone.
+    the second test alone. The first pass takes the pairs in blocks of
+    whole segments, of at most _MAX_PAIRS pairs unless one segment has
+    more, so that its per-pair arrays stay small.
     """
     max_samples = (cfg.max_user_samples if method == NEW_LIVE
                    else cfg.old_live_samples)
@@ -398,10 +401,19 @@ def prune_live(segments: Sequence[ActivitySegment], cfg: LiveMatchConfig,
         return counts[of] - missed >= needs[of]
 
     # the fix box over the whole sample window holds the fix box of each
-    # run, so a run whose box it misses is missed in full
-    whole = index.boxes_in_range(slots, run_t0[first_run],
-                                 run_t1[first_run + runs - 1], segment)
-    near = np.flatnonzero(keeps(np.arange(len(slots)), lambda k, run: whole[k]))
+    # run, so a run whose box it misses is missed in full. The pairs are
+    # taken in blocks of whole segments, at most _MAX_PAIRS pairs each
+    t0, t1 = run_t0[first_run], run_t1[first_run + runs - 1]
+    per_segment = np.bincount(segment)
+    first_pair = np.cumsum(per_segment) - per_segment
+    near = []
+    for block in blocks(per_segment, _MAX_PAIRS):
+        pairs = np.arange(first_pair[block.start],
+                          first_pair[block.stop - 1] + per_segment[block.stop - 1])
+        whole = index.boxes_in_range(slots[pairs], t0[block], t1[block],
+                                     segment[pairs] - block.start)
+        near.append(pairs[keeps(pairs, lambda k, run: whole[k])])
+    near = np.concatenate(near)
     alive = np.zeros(len(slots), dtype=bool)
     alive[near] = keeps(near, lambda k, run: index.boxes_in_range(
         slots[near[k]], run_t0, run_t1, run))

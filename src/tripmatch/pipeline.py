@@ -29,7 +29,8 @@ from .live import (
     prune_live,
 )
 from .planner import JourneyPlanner, TimetablePlanner
-from .static import StaticMatchResult, match_static, write_assessments_csv
+from .static import (StaticMatchResult, match_static, plan_static,
+                     write_assessments_csv)
 from .types import (Activity, ActivitySegment, LineType, ManualTrip,
                     TraceColumns)
 
@@ -137,11 +138,26 @@ def run_live_stage(cfg: RunConfig, segments: Sequence[ActivitySegment],
 def run_static_stage(cfg: RunConfig, segments: Sequence[ActivitySegment],
                      planner: JourneyPlanner,
                      ) -> tuple[dict[int, StaticMatchResult], list]:
+    """Match every vehicular candidate with the static method: one planner
+    search and one route pass of them all, then each segment's plans are
+    assessed."""
+    segments = segmentation.vehicular_candidates(segments)
+    try:
+        found = plan_static(segments, planner, cfg.constants)
+    except Exception:
+        # the segment that fails alone is named; else the stage's error stands
+        for s in segments:
+            try:
+                plan_static([s], planner, cfg.constants)
+            except Exception as exc:
+                raise RuntimeError(f"static matching failed for segment "
+                                   f"{s.segment_id}") from exc
+        raise
     results = {}
     assessments: list = []
-    for s in segmentation.vehicular_candidates(segments):
+    for s, candidates in zip(segments, found):
         try:
-            decision = match_static(s, planner, cfg.constants)
+            decision = match_static(s, planner, cfg.constants, candidates)
         except Exception as exc:
             raise RuntimeError(f"static matching failed for segment "
                                f"{s.segment_id}") from exc

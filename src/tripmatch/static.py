@@ -16,6 +16,12 @@ schedule deviation tEPT (see MatchConstants):
 where tWb = tWe = dEmax / vW (6.2 min) and tPTb = tPTe = dEmax / vPT
 (2.8 min), rounded to a tenth of a minute. A route-geometry quorum follows;
 among survivors the one boarding closest to the segment start wins.
+
+plan_static prepares the segments of a stage together: one planner search
+for all their queries, and one route pass that measures every plan passing
+the duration criteria, of every segment, against that segment's thinned
+trace in blocked kernel calls. match_static then assesses one segment from
+its share, and prepares the segment alone when given none.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ import numpy as np
 from .geodesy import (blocks, distances_m, points_to_polylines_m, ranges,
                       resample_min_spacing)
 from .ingest import format_timestamp, write_csv
-from .planner import Itinerary, JourneyPlanner, PlanQuery
+from .planner import Itinerary, JourneyPlanner, PlanQuery, PlanResult
 from .types import (ActivitySegment, GeoPoint, LineType, MAX_SLACK_S,
                     seconds_between)
 
@@ -152,28 +158,18 @@ class PlanAssessment:
         return self.verdict is Verdict.ACCEPT
 
 
-_MAX_PAIRS = 1 << 14    # per route-check kernel call: dense shapes are long
+_MAX_PAIRS = 1 << 11    # per route-check kernel call: dense shapes are long
 
 RouteCheck = tuple[float, int, bool]
 #: (tV, t - tV, |tPT - tV|, |board - start|, first failed duration criterion)
 Timing = tuple[float, float, float, float, Optional[Verdict]]
 
 
-def route_geometry_check(segment: ActivitySegment,
-                         itineraries: Sequence[Itinerary],
-                         constants: MatchConstants) -> list[RouteCheck]:
-    """Compare the segment trace against the geometry of each itinerary.
-
-    The trace is thinned to >= 100 m spacing and measured once for all
-    plans; resampled points within dEmax along-trace of either end are
-    ignored (transition points are inaccurate). Each (plan, point) pair is
-    one polyline of the kernel, and the polylines of all plans go through
-    it in calls of at most _MAX_PAIRS (point, vertex) pairs, a polyline
-    longer than that alone. Returns (matched fraction, longest unmatched
-    adjacent run, passed) per itinerary.
-    """
-    if not itineraries:
-        return []
+def _route_points(segment: ActivitySegment,
+                  constants: MatchConstants) -> tuple[np.ndarray, np.ndarray]:
+    """The segment trace thinned to >= resample_spacing_m, without the
+    points within dEmax along-trace of either end (transition points are
+    inaccurate) unless that leaves none."""
     lat, lng = resample_min_spacing(segment.trace.lats, segment.trace.lngs,
                                     constants.resample_spacing_m)
     # cumulative along-trace distance of each resampled point
@@ -182,30 +178,86 @@ def route_geometry_check(segment: ActivitySegment,
     interior = ((cumulative >= constants.dEmax_m)
                 & (cumulative[-1] - cumulative >= constants.dEmax_m))
     if interior.any():
-        lat, lng = lat[interior], lng[interior]
-    n = len(lat)
+        return lat[interior], lng[interior]
+    return lat, lng
 
-    # polyline g pairs point g % n with the vertices of plan g // n
-    geometry = [it.transit.geometry for it in itineraries]
-    m = np.array([len(g) for g in geometry])
+
+def route_pass(segments: Sequence[ActivitySegment],
+               itineraries: Sequence[Sequence[Itinerary]],
+               constants: MatchConstants) -> list[Optional[np.ndarray]]:
+    """Per segment, whether each point of its thinned trace lies within
+    route_limit_m of the geometry of each of its itineraries: a (plans,
+    points) bool array, None for a segment without plans.
+
+    Each (plan, point) pair of every segment is one polyline of the kernel,
+    and the polylines of all segments go through it in one pass, in calls
+    of at most _MAX_PAIRS (point, vertex) pairs, a polyline longer than
+    that alone.
+    """
+    grids, lats, lngs, sizes, points, first_vertex, geometry = (
+        [], [], [], [], [], [], [])
+    n_points = n_vertices = 0
+    for segment, plans in zip(segments, itineraries):
+        if not plans:
+            grids.append(None)
+            continue
+        lat, lng = _route_points(segment, constants)
+        n = len(lat)
+        grids.append((len(plans), n))
+        lats.append(lat)
+        lngs.append(lng)
+        # polyline g of the segment pairs point g % n with the vertices of
+        # plan g // n
+        geometry += [it.transit.geometry for it in plans]
+        m = np.array([len(it.transit.geometry) for it in plans])
+        sizes.append(np.repeat(m, n))
+        points.append(np.tile(np.arange(n_points, n_points + n), len(m)))
+        first_vertex.append(np.repeat(np.cumsum(m) - m + n_vertices, n))
+        n_points += n
+        n_vertices += int(m.sum())
+    if not geometry:
+        return grids
+    lat, lng = np.concatenate(lats), np.concatenate(lngs)
     vertices = np.concatenate(geometry)
-    sizes = np.repeat(m, n)
-    points = np.tile(np.arange(n), len(m))
-    first_vertex = np.repeat(np.cumsum(m) - m, n)
-    d = []
+    sizes, points, first_vertex = map(np.concatenate,
+                                      (sizes, points, first_vertex))
+    matched = np.empty(len(sizes), dtype=bool)
     for block in blocks(sizes, _MAX_PAIRS):
         vertex, starts = ranges(first_vertex[block], sizes[block])
         point = np.repeat(points[block], sizes[block])
         p_lat, p_lng = lat[point], lng[point]
         v_lat, v_lng = vertices[vertex, 0], vertices[vertex, 1]
-        d.append(points_to_polylines_m(p_lat, p_lng, v_lat, v_lng,
-                                       distances_m(p_lat, p_lng, v_lat, v_lng),
-                                       starts))
-    matched = (np.concatenate(d) <= constants.route_limit_m).reshape(-1, n)
+        matched[block] = points_to_polylines_m(
+            p_lat, p_lng, v_lat, v_lng, distances_m(p_lat, p_lng, v_lat, v_lng),
+            starts) <= constants.route_limit_m
+    out, at = [], 0
+    for grid in grids:
+        out.append(None if grid is None
+                   else matched[at:at + grid[0] * grid[1]].reshape(grid))
+        at += 0 if grid is None else grid[0] * grid[1]
+    return out
+
+
+def route_geometry_check(segment: ActivitySegment,
+                         itineraries: Sequence[Itinerary],
+                         constants: MatchConstants,
+                         matched: Optional[np.ndarray] = None,
+                         ) -> list[RouteCheck]:
+    """Compare the segment trace against the geometry of each itinerary.
+
+    matched is the segment's route_pass result for the itineraries, which
+    is run here for the segment alone when not given. Returns (matched
+    fraction, longest unmatched adjacent run, passed) per itinerary.
+    """
+    if not itineraries:
+        return []
+    if matched is None:
+        [matched] = route_pass([segment], [itineraries], constants)
+    n = matched.shape[1]
     fractions = (np.count_nonzero(matched, axis=1) / n).tolist()
     # the longest run of unmatched points lies between two matched ones,
     # with one matched point imagined before and after the trace
-    bounded = np.ones((len(m), n + 2), dtype=bool)
+    bounded = np.ones((len(matched), n + 2), dtype=bool)
     bounded[:, 1:-1] = matched
     gaps = [int(np.diff(np.flatnonzero(row)).max()) - 1 for row in bounded]
     return [(fraction, gap, fraction >= constants.route_quorum
@@ -264,16 +316,21 @@ def filter_plan(itinerary: Itinerary, segment: ActivitySegment,
 
 
 def assess_plans(itineraries: Sequence[Itinerary], segment: ActivitySegment,
-                 constants: MatchConstants) -> list[PlanAssessment]:
+                 constants: MatchConstants,
+                 timings: Optional[Sequence[Timing]] = None,
+                 matched: Optional[np.ndarray] = None) -> list[PlanAssessment]:
     """filter_plan of each itinerary, with the plans that pass the duration
-    criteria route-checked together: the trace is thinned once, and only
-    when some plan reaches the check."""
-    timings = [_timing(it, segment, constants) for it in itineraries]
+    criteria route-checked together. timings holds each plan's _timing and
+    matched the route_pass result of the timely plans, as plan_static finds
+    them; each is found here when not given, the trace being thinned only
+    when some plan reaches the route check."""
+    if timings is None:
+        timings = [_timing(it, segment, constants) for it in itineraries]
     timely = [k for k, timing in enumerate(timings) if timing[-1] is None]
     routes: list[Optional[RouteCheck]] = [None] * len(itineraries)
     if timely:
         checks = route_geometry_check(
-            segment, [itineraries[k] for k in timely], constants)
+            segment, [itineraries[k] for k in timely], constants, matched)
         for k, route in zip(timely, checks):
             routes[k] = route
     return [filter_plan(it, segment, constants, timing, route)
@@ -305,6 +362,32 @@ def adjusted_query(segment: ActivitySegment,
     )
 
 
+@dataclass(frozen=True, eq=False)
+class StaticCandidates:
+    """What plan_static found for one segment."""
+    planned: PlanResult
+    timings: list[Timing]  # each plan's _timing, in planner order
+    matched: Optional[np.ndarray]  # route_pass of the timely plans
+
+
+def plan_static(segments: Sequence[ActivitySegment], planner: JourneyPlanner,
+                constants: MatchConstants) -> list[StaticCandidates]:
+    """The plans of each segment's adjusted query, their timings and the
+    route pass of those that pass the duration criteria, in segment order:
+    one search of the planner for all the queries, and one route pass for
+    all the timely plans."""
+    queries = [adjusted_query(s, constants) for s in segments]
+    planned = [planner.plan(query, picks)
+               for query, picks in zip(queries, planner.search(queries))]
+    timings = [[_timing(it, s, constants) for it in result.itineraries]
+               for s, result in zip(segments, planned)]
+    timely = [[it for it, timing in zip(result.itineraries, plan_timings)
+               if timing[-1] is None]
+              for result, plan_timings in zip(planned, timings)]
+    return list(map(StaticCandidates, planned, timings,
+                    route_pass(segments, timely, constants)))
+
+
 @dataclass(frozen=True)
 class StaticDecision:
     """What match_static saw and decided for one segment."""
@@ -314,13 +397,19 @@ class StaticDecision:
 
 
 def match_static(segment: ActivitySegment, planner: JourneyPlanner,
-                 constants: MatchConstants | None = None) -> StaticDecision:
-    """Query the planner for the segment and assess every plan; the result
-    is the winning accepted plan (closest boarding time; ties to smaller
-    total-duration delta, then trip_id), None when no plan is accepted."""
+                 constants: MatchConstants | None = None,
+                 candidates: Optional[StaticCandidates] = None,
+                 ) -> StaticDecision:
+    """Assess every plan of the segment; the result is the winning accepted
+    plan (closest boarding time; ties to smaller total-duration delta, then
+    trip_id), None when no plan is accepted. candidates is the segment's
+    plan_static result, found here when None."""
     constants = constants or MatchConstants()
-    planned = planner.plan(adjusted_query(segment, constants))
-    assessed = assess_plans(planned.itineraries, segment, constants)
+    if candidates is None:
+        candidates = plan_static([segment], planner, constants)[0]
+    planned = candidates.planned
+    assessed = assess_plans(planned.itineraries, segment, constants,
+                            candidates.timings, candidates.matched)
     winner = min((a for a in assessed if a.accepted), default=None,
                  key=lambda a: (a.start_diff_s, abs(a.delta_total_s),
                                 a.itinerary.transit.trip_id))

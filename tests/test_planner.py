@@ -1,12 +1,14 @@
 import math
 import random
 from datetime import date, datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tripmatch import planner as planner_module
 from tripmatch.geodesy import distance_m, distances_m, offset_point
 from tripmatch.gtfs import GtfsService, load_gtfs
 from tripmatch.planner import (
@@ -94,6 +96,19 @@ def test_total_walk_budget_enforced():
     result = planner.plan(PlanQuery(origin, dest, datetime(2016, 8, 26, 9, 0),
                                     MAX_WALK_M))
     assert result.itineraries == []  # 600 + 600 > 1000 even though each fits
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_walk_m", math.nan), ("max_walk_m", math.inf), ("max_walk_m", 0.0),
+    ("max_walk_m", -1.0), ("max_walk_m", True), ("max_walk_m", "1000"),
+    ("n_plans", 2.5), ("n_plans", True), ("n_plans", 0), ("n_plans", 3.0),
+])
+def test_plan_query_refuses_a_bad_walk_budget_or_plan_count(field, value):
+    fields = dict(origin=BASE, destination=grid_stop(0, 3000),
+                  earliest_start=at(0), max_walk_m=MAX_WALK_M, n_plans=3)
+    fields[field] = value
+    with pytest.raises(ValueError, match=field):
+        PlanQuery(**fields)
 
 
 def test_unserviceable_date_raises():
@@ -272,7 +287,22 @@ def _itinerary_signature(it: Itinerary, day) -> tuple:
             round(it.walk_after_s * WALK_MPS, 6))
 
 
-def _random_bundle(rng: random.Random, first_departure_s: int = S9):
+def _plan_signatures(result) -> list[tuple]:
+    return [(it.transit.trip_id, _itinerary_signature(it, DAY))
+            for it in result.itineraries]
+
+
+def _assert_oracle(got: list[tuple], expected: list[tuple]) -> None:
+    assert [t for t, _ in got] == [t for t, _ in expected]
+    for (_, sig), (_, v) in zip(got, expected):
+        assert sig[:4] == (v[0], v[1], float(v[2]), float(v[3]))
+        assert sig[4] == pytest.approx(v[4], abs=1e-4)
+        assert sig[5] == pytest.approx(v[5], abs=1e-4)
+
+
+def _random_feed(rng: random.Random, first_departure_s: int = S9):
+    """The stops, routes and trips of a random feed: 1-5 straight routes of
+    2-6 stops, each with 1-4 trips."""
     n_routes = rng.randint(1, 5)
     stops, routes, trips = {}, {}, []
     for r in range(n_routes):
@@ -294,7 +324,11 @@ def _random_bundle(rng: random.Random, first_departure_s: int = S9):
             hop = rng.randrange(60, 240, 30)
             trips.append((f"t{r}_{t}", rid,
                           [(sid, dep + k * hop) for k, sid in enumerate(ids)]))
-    return make_bundle(stops, routes, trips)
+    return stops, routes, trips
+
+
+def _random_bundle(rng: random.Random, first_departure_s: int = S9):
+    return make_bundle(*_random_feed(rng, first_departure_s))
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,15 +344,70 @@ def test_planner_matches_brute_force_oracle(seed):
     query = PlanQuery(origin, dest, at(rng.randrange(0, 3600, 30)),
                       max_walk_m=rng.choice([500.0, 1000.0, 1500.0]),
                       n_plans=rng.randint(1, 4))
-    expected = oracle_plan(bundle, DAY, query)
-    got = [(it.transit.trip_id, _itinerary_signature(it, DAY))
-           for it in planner.plan(query).itineraries]
-    assert [t for t, _ in got] == [t for t, _ in expected]
-    for (_, sig), (_, v) in zip(got, expected):
-        assert sig[0] == v[0] and sig[1] == v[1]          # stops
-        assert sig[2] == float(v[2]) and sig[3] == float(v[3])  # times
-        assert sig[4] == pytest.approx(v[4], abs=1e-4)    # walk distances
-        assert sig[5] == pytest.approx(v[5], abs=1e-4)
+    _assert_oracle(_plan_signatures(planner.plan(query)),
+                   oracle_plan(bundle, DAY, query))
+
+
+LATE_CALL = 23 * 3600 + 2400  # 23:40, a trip that runs past midnight
+
+
+def _near_point(rng, bundle, stop_id):
+    return offset_point(bundle.stops[stop_id].geo, rng.uniform(-300, 300),
+                        rng.uniform(-300, 300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000),
+       st.sampled_from(["default", 0.0, 7200.0, 26 * 3600.0]))
+def test_search_with_its_cut_equals_each_query_alone_and_the_oracle(
+        seed, first_window_s):
+    # a random feed, plus "down", whose stop times fall along its calls,
+    # "up" over the same calls with rising times, and "night" past
+    # midnight; down ends before up, but departs after the first window of
+    # the pinned query, which up fills, so that a bound that is not a lower
+    # bound of the end drops down there
+    rng = random.Random(seed)
+    stops, routes, trips = _random_feed(rng)
+    calls = rng.sample(sorted(stops), rng.randint(2, min(4, len(stops))))
+    down_s = S9 + rng.randrange(1800, 5400, 60)
+    trips += [
+        ("down", "r0", [(sid, down_s - 1200 * k) for k, sid in enumerate(calls)]),
+        ("up", "r0", [(sid, down_s - 1000 + 300 * k)
+                      for k, sid in enumerate(calls)]),
+        ("night", "r0", [(sid, LATE_CALL + 600 * k)
+                         for k, sid in enumerate(calls)])]
+    bundle = make_bundle(stops, routes, trips)
+    planner = TimetablePlanner(bundle, DAY, WALK_MPS)
+    times = {}
+    for row in bundle.stop_times:
+        times.setdefault(row.trip_id, []).append((row.stop_id, row.arrival_s))
+    queries = [PlanQuery(_near_point(rng, bundle, calls[0]),
+                         _near_point(rng, bundle, calls[-1]),
+                         at(down_s - 1400 - S9), MAX_WALK_M, n_plans=1)]
+    for _ in range(rng.randint(1, 6)):
+        trip = times[rng.choice(sorted(times))]
+        i = rng.randrange(len(trip) - 1)
+        (board, board_s), (alight, _) = trip[i], trip[rng.randrange(i + 1, len(trip))]
+        start_s = board_s - rng.randrange(0, 3600, 30) - rng.choice([0, 86400])
+        queries.append(PlanQuery(
+            _near_point(rng, bundle, board), _near_point(rng, bundle, alight),
+            at(start_s - S9), max_walk_m=rng.choice([500.0, 1000.0, 1500.0]),
+            n_plans=rng.randint(1, 4)))
+    rng.shuffle(queries)
+    window = (planner_module._FIRST_WINDOW_S if first_window_s == "default"
+              else first_window_s)
+    with mock.patch.object(planner_module, "_FIRST_WINDOW_S", window):
+        together = [planner.plan(q, picks)
+                    for q, picks in zip(queries, planner.search(queries))]
+        alone = [planner.plan(q) for q in queries]
+    for query, got, one in zip(queries, together, alone):
+        assert (got.reason, _plan_signatures(got)) == (
+            one.reason, _plan_signatures(one))
+        _assert_oracle(_plan_signatures(got), oracle_plan(bundle, DAY, query))
+
+
+def test_search_of_no_queries_is_empty():
+    assert TimetablePlanner(simple_bundle(), DAY, WALK_MPS).search([]) == []
 
 
 def test_tied_pairs_break_on_stop_ids_not_stop_codes():
@@ -427,14 +516,8 @@ def test_planner_matches_oracle_across_midnight(seed):
                       midnight + timedelta(seconds=rng.randrange(-3600, 3600, 30)),
                       max_walk_m=rng.choice([500.0, 1000.0, 1500.0]),
                       n_plans=rng.randint(1, 4))
-    expected = oracle_plan(bundle, DAY, query, horizon_s=window)
-    got = [(it.transit.trip_id, _itinerary_signature(it, DAY))
-           for it in planner.plan(query).itineraries]
-    assert [t for t, _ in got] == [t for t, _ in expected]
-    for (_, sig), (_, v) in zip(got, expected):
-        assert sig[:4] == (v[0], v[1], float(v[2]), float(v[3]))
-        assert sig[4] == pytest.approx(v[4], abs=1e-4)
-        assert sig[5] == pytest.approx(v[5], abs=1e-4)
+    _assert_oracle(_plan_signatures(planner.plan(query)),
+                   oracle_plan(bundle, DAY, query, horizon_s=window))
 
 
 @settings(max_examples=40, deadline=None)

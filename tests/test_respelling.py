@@ -19,6 +19,7 @@ import pytest
 from tripmatch import ingest, pipeline, segmentation
 from tripmatch.config import load_config
 from tripmatch.live import NEW_LIVE, OLD_LIVE, decide_live
+from tripmatch.static import match_static, plan_static
 
 OUTPUTS = ["segments.csv", "matches_new_live.csv", "matches_old_live.csv",
            "matches_static.csv", "static_assessments.csv", "report.txt",
@@ -101,6 +102,57 @@ def test_the_city_live_decisions_match_their_pinned_digest(city):
     text = _live_decisions(load_config(synth.config_path))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         CITY_LIVE_DECISIONS_DIGEST
+
+
+#: the sha256 of the miniature city's static decisions, as
+#: _static_decisions writes them: static_assessments.csv rounds fractions
+#: to 3 places, so a bit-level drift of the route kernel or of the walks
+#: shows only here
+CITY_STATIC_DECISIONS_DIGEST = (
+    "3dcb6bd01cf2c774160f04a4aef6a98a53f657cc96a7ddaa99a023fa3a112b82")
+
+
+def _static_line(segment_id, d) -> str:
+    """A static decision: the planner's reason; per plan its trip, board
+    and alight stop and time, both walks, route fraction, longest gap and
+    verdict; and the result, floats written exactly."""
+    plans = " ".join(
+        f"{leg.trip_id}/{leg.board_stop}/{leg.board_time.isoformat()}/"
+        f"{leg.alight_stop}/{leg.alight_time.isoformat()}/"
+        f"{a.itinerary.walk_before_s!r}/{a.itinerary.walk_after_s!r}/"
+        f"{a.route_match_fraction!r}/{a.max_adjacent_run_outside}/"
+        f"{a.verdict.value}"
+        for a in d.assessments for leg in [a.itinerary.transit])
+    r = d.result
+    result = "-" if r is None else (
+        f"{r.trip_id} {r.line_type.value} {r.line_name}")
+    return f"{segment_id} {d.reason} [{plans}] {result}"
+
+
+def _static_decisions(cfg) -> str:
+    """One line per vehicular candidate, from one search and route pass of
+    them all, as the static stage decides; each line is also that of the
+    segment matched alone."""
+    planner = pipeline.build_planner(cfg)
+    segments = segmentation.vehicular_candidates(pipeline.build_segments(cfg))
+    lines = []
+    for s, found in zip(segments, plan_static(segments, planner, cfg.constants)):
+        line = _static_line(s.segment_id, match_static(s, planner, cfg.constants,
+                                                       found))
+        assert line == _static_line(s.segment_id,
+                                    match_static(s, planner, cfg.constants))
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def test_the_city_static_decisions_match_their_pinned_digest(city):
+    """Every static decision over the miniature city is the pinned one: the
+    planner's reason, each plan with its route check and verdict, and the
+    match."""
+    synth, _ = city
+    text = _static_decisions(load_config(synth.config_path))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        CITY_STATIC_DECISIONS_DIGEST
 
 
 def _rewrite(path, edit) -> None:

@@ -326,7 +326,10 @@ class FixedPlanner:
         self.reason = reason
         self.queries = []
 
-    def plan(self, query):
+    def search(self, queries):
+        return [None] * len(queries)
+
+    def plan(self, query, picks=None):
         self.queries.append(query)
         return PlanResult(list(self.itineraries), self.reason)
 
