@@ -19,7 +19,7 @@ from datetime import datetime, timedelta
 from typing import Optional, Sequence
 
 from .geodesy import distance_m
-from .types import Activity, DevicePoint, GOOD_ACTIVITIES
+from .types import Activity, DevicePoint, GOOD_ACTIVITIES, check_number
 
 
 class OutOfOrderError(Exception):
@@ -50,8 +50,8 @@ class FilterConfig:
     good_activities: frozenset[Activity] = GOOD_ACTIVITIES
 
     def __post_init__(self) -> None:
-        if min(self.sleep_timer_s, self.ping_interval_s, self.max_accuracy_m) <= 0:
-            raise ValueError("filter parameters must be positive")
+        for name in ("sleep_timer_s", "ping_interval_s", "max_accuracy_m"):
+            check_number(name, getattr(self, name), positive=True)
 
 
 @dataclass(frozen=True)

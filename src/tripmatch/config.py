@@ -2,7 +2,6 @@
 matching constant surfaced with its default."""
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, fields
 from datetime import date, datetime
@@ -11,9 +10,12 @@ from typing import Any, Optional
 
 import yaml
 
+from .evaluation import COMBINED, GATE_METRICS
 from .live import LiveMatchConfig, NEW_LIVE, OLD_LIVE
-from .segmentation import DEFAULT_MAX_GAP_S
+from .planner import check_search_window
+from .segmentation import DEFAULT_MAX_GAP_S, check_max_gap
 from .static import MatchConstants
+from .types import check_number
 
 STATIC = "static"
 ALL_METHODS = (NEW_LIVE, OLD_LIVE, STATIC)
@@ -43,12 +45,15 @@ class Gate:
     min: Optional[float] = None
     max: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        for bound in ("min", "max"):
+            if (value := getattr(self, bound)) is not None:
+                setattr(self, bound,
+                        float(check_number(bound, value, finite=False)))
+
     def check(self, value: float) -> bool:
-        if self.min is not None and value < self.min:
-            return False
-        if self.max is not None and value > self.max:
-            return False
-        return True
+        return ((self.min is None or value >= self.min)
+                and (self.max is None or value <= self.max))
 
 
 @dataclass
@@ -96,6 +101,14 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown method(s) {unknown}; "
                               f"choose from {list(ALL_METHODS)}")
+        computed = [*self.methods, COMBINED]
+        for i, gate in enumerate(self.gates):
+            if gate.method not in computed:
+                raise ConfigError(f"gates[{i}]: method {gate.method!r} is not "
+                                  f"computed by this run; choose from {computed}")
+            if str(gate.metric).lower() not in GATE_METRICS:
+                raise ConfigError(f"gates[{i}]: unknown metric {gate.metric!r}; "
+                                  f"choose from {list(GATE_METRICS)}")
 
 
 def _expand(text: str) -> str:
@@ -110,45 +123,18 @@ def _check_keys(data: dict[str, Any], known, context: str) -> None:
         raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
 
 
+def _checked(context: str, check, *args, **kwargs):
+    """check(*args, **kwargs); its TypeError or ValueError is a ConfigError
+    under context, if any."""
+    try:
+        return check(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}: {exc}" if context else str(exc)) from exc
+
+
 def _sub_config(cls, data: dict[str, Any], context: str):
     _check_keys(data, {f.name for f in fields(cls)}, context)
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
-def _number(value: Any, kind: type, context: str):
-    """value as kind (int or float); booleans, and fractions for an int,
-    are refused."""
-    if not isinstance(value, bool) and not (kind is int and isinstance(value, float)):
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            pass
-    noun = "an integer" if kind is int else "a number"
-    raise ConfigError(f"{context}: expected {noun}, got {value!r}")
-
-
-def _non_negative(value: Any, context: str, *, finite: bool) -> float:
-    number = _number(value, float, context)
-    if not number >= 0:  # NaN included
-        raise ConfigError(f"{context}: must be >= 0, got {value!r}")
-    if finite and math.isinf(number):
-        raise ConfigError(f"{context}: must be finite, got {value!r}")
-    return number
-
-
-def _gate(data: dict[str, Any], context: str) -> Gate:
-    gate = _sub_config(Gate, data, context)
-    for bound in ("min", "max"):
-        value = getattr(gate, bound)
-        if value is not None:
-            number = _number(value, float, f"{context}: {bound}")
-            if math.isnan(number):
-                raise ConfigError(f"{context}: {bound}: must not be NaN")
-            setattr(gate, bound, number)
-    return gate
+    return _checked(context, cls, **data)
 
 
 def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunConfig:
@@ -196,10 +182,8 @@ def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunCo
     if "jobs" in raw:
         # Matching runs serially. The key is still accepted at its one
         # value because the benchmark's generated configs set it.
-        jobs = _number(raw.pop("jobs"), int, "jobs")
-        if jobs != 1:
-            raise ConfigError(f"jobs: matching runs serially; only 1 is "
-                              f"accepted, got {jobs}")
+        _checked("", check_number, "jobs", raw.pop("jobs"), integer=True,
+                 at_least=1, at_most=1)
     if "permissive" in raw:
         cfg.permissive = raw.pop("permissive")
         if not isinstance(cfg.permissive, bool):
@@ -208,9 +192,8 @@ def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunCo
     if "segmentation" in raw:
         seg = raw.pop("segmentation") or {}
         _check_keys(seg, {"max_gap_s"}, "segmentation")
-        # an infinite gap is allowed: it never cuts a segment
-        cfg.max_gap_s = _non_negative(seg.get("max_gap_s", cfg.max_gap_s),
-                                      "segmentation: max_gap_s", finite=False)
+        cfg.max_gap_s = float(_checked("segmentation", check_max_gap,
+                                       seg.get("max_gap_s", cfg.max_gap_s)))
     if "live" in raw:
         cfg.live = _sub_config(LiveMatchConfig, raw.pop("live") or {}, "live")
     if "static" in raw:
@@ -218,14 +201,15 @@ def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunCo
     if "planner" in raw:
         planner = raw.pop("planner") or {}
         _check_keys(planner, {"search_window_s"}, "planner")
-        cfg.planner_search_window_s = _non_negative(
-            planner.get("search_window_s", cfg.planner_search_window_s),
-            "planner: search_window_s", finite=True)
+        cfg.planner_search_window_s = float(_checked(
+            "planner", check_search_window,
+            planner.get("search_window_s", cfg.planner_search_window_s)))
     if "gates" in raw:
         gates = raw.pop("gates") or []
         if not isinstance(gates, list):
             raise ConfigError(f"gates: expected a list of gates, got {gates!r}")
-        cfg.gates = [_gate(g, f"gates[{i}]") for i, g in enumerate(gates)]
+        cfg.gates = [_sub_config(Gate, g, f"gates[{i}]")
+                     for i, g in enumerate(gates)]
     if raw:
         raise ConfigError(f"unknown top-level config key(s) {sorted(raw)}")
     cfg.validate()
@@ -236,8 +220,16 @@ def load_config(path) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    with open(p, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(p, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        raise ConfigError(f"{p}: line {mark.line + 1}, column "
+                          f"{mark.column + 1}: {exc.problem}") from None
+    except (yaml.YAMLError, ValueError) as exc:
+        # a value that YAML cannot construct, such as the date 2016-13-01
+        raise ConfigError(f"{p}: {exc}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .ingest import format_timestamp, write_csv
 from .segmentation import overlap
@@ -168,6 +168,18 @@ class MethodStats:
     logged_total: int = 0
     car_logged: int = 0
     car_recognized: int = 0              # negative control; must stay 0
+
+
+#: each metric that a gate may name, in lower case, read from a MethodStats
+GATE_METRICS: dict[str, Callable[[MethodStats], int]] = {
+    "public_transport": lambda ms: ms.public_transport,
+    "public_transport_line_type": lambda ms: ms.public_transport_line_type,
+    "car_recognized": lambda ms: ms.car_recognized,
+    **{lt.value.lower(): lambda ms, lt=lt: ms.per_type[lt].recognized
+       for lt in PT_LINE_TYPES},
+    **{f"{lt.value.lower()}_name": lambda ms, lt=lt: ms.per_type[lt].name_correct
+       for lt in PT_LINE_TYPES if lt is not LineType.SUBWAY},
+}
 
 
 def _combined_outcome(verdict: TripVerdict, methods: Sequence[str],

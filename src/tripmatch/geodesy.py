@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .types import GeoPoint
+from .types import GeoPoint, check_number
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -159,8 +159,7 @@ def resample_min_spacing(lats: np.ndarray, lngs: np.ndarray,
     Keeps the first point, then each point whose distance_m to the last kept
     point is >= spacing_m. Returns the kept points' lats and lngs.
     """
-    if spacing_m <= 0:
-        raise ValueError("spacing must be positive")
+    check_number("spacing_m", spacing_m, positive=True)
     if not len(lats):
         return lats, lngs
     # distance_m's arithmetic, with each point's radians and cosine taken once

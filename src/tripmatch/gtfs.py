@@ -398,6 +398,16 @@ def _parse_gtfs_date(text: str) -> date:
     return datetime.strptime(text.strip(), "%Y%m%d").date()
 
 
+def _flag(digits: str):
+    """The parse of a cell that may hold one of digits, to its int value."""
+    def parse(text: str) -> int:
+        if len(text) != 1 or text not in digits:
+            raise ValueError(f"expected one of {', '.join(digits)}, "
+                             f"got {text!r}")
+        return int(text)
+    return parse
+
+
 def _route_type(text: str) -> int:
     route_type = int(text)
     line_type_for_route_type(route_type)  # fail fast on unsupported route_type
@@ -511,18 +521,19 @@ def load_gtfs(path) -> GtfsBundle:
                     "saturday", "sunday"]
         for svc in src.table("calendar.txt", [
                 Column("service_id"),
-                *(Column(c, lambda v: v == "1") for c in day_cols),
+                *(Column(c, _flag("01")) for c in day_cols),
                 Column("start_date", _parse_gtfs_date),
                 Column("end_date", _parse_gtfs_date),
         ]).build(lambda service_id, *days_and_dates: GtfsService(
-                service_id, days_and_dates[:7], *days_and_dates[7:])):
+                service_id, tuple(map(bool, days_and_dates[:7])),
+                *days_and_dates[7:])):
             services[svc.service_id] = svc
 
     exceptions: dict[date, dict[str, int]] = {}
     if src.has("calendar_dates.txt"):
         for service_id, day, exception_type in src.table("calendar_dates.txt", [
                 Column("service_id"), Column("date", _parse_gtfs_date),
-                Column("exception_type", int),
+                Column("exception_type", _flag("12")),
         ]).build(lambda *row: row):
             exceptions.setdefault(day, {})[service_id] = exception_type
 

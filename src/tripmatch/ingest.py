@@ -1110,25 +1110,22 @@ def load_device_models(path, *, permissive: bool = False,
                       permissive=permissive, diagnostics=diagnostics).build(make)
 
 
+@dataclass(frozen=True)
 class TrainStops:
     """Opaque parsed train stop-time records; parsed but never matched on."""
 
-    def __init__(self, tree: object):
-        self.tree = tree
+    trains: list
 
     @property
     def train_count(self) -> int:
-        tree = self.tree
-        if isinstance(tree, dict):
-            tree = tree.get("junat", [])
-        if isinstance(tree, list):
-            return len(tree)
-        return 0
+        return len(self.trains)
 
 
 def load_train_stops(path) -> TrainStops:
-    """Parse the train stop-time JSON, UTF-8 with or without a BOM; a byte
-    that is not UTF-8 and invalid JSON are errors at their line."""
+    """Parse the train stop-time JSON, UTF-8 with or without a BOM: a list of
+    trains, an object with them as its "junat" list, or {}. A byte that is
+    not UTF-8 and invalid JSON are errors at their line, any other shape an
+    error of the file."""
     p = Path(path)
     if not p.exists():
         raise IngestError("file not found", path=path)
@@ -1138,9 +1135,13 @@ def load_train_stops(path) -> TrainStops:
     except json.JSONDecodeError as exc:
         raise IngestError(f"invalid JSON at column {exc.colno}: {exc.msg}",
                           path=path, line=exc.lineno) from None
-    stops = TrainStops(tree)
-    log.info("%s: %d train records", path, stops.train_count)
-    return stops
+    trains = (tree.get("junat", None if tree else [])
+              if isinstance(tree, dict) else tree)
+    if not isinstance(trains, list):
+        raise IngestError("expected a list of trains or an object with a "
+                          "'junat' list", path=path)
+    log.info("%s: %d train records", path, len(trains))
+    return TrainStops(trains)
 
 
 # --- serialization (round-trip partners of the loaders) ---

@@ -39,6 +39,7 @@ from .types import (
     MAX_SLACK_S,
     TraceColumns,
     as_seconds,
+    check_number,
 )
 
 NEW_LIVE = "new-live"
@@ -60,25 +61,12 @@ class LiveMatchConfig:
         # a match needs two samples, and select_user_samples spreads them
         # over max_samples - 1 gaps
         for name in ("max_user_samples", "old_live_samples"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 2:
-                raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
-        for name in ("distance_limit_m", "window_s", "quorum_fraction"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            check_number(name, getattr(self, name), integer=True, at_least=2)
         for name in ("distance_limit_m", "window_s"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.window_s > MAX_SLACK_S:
-            raise ValueError(f"window_s must be at most {MAX_SLACK_S:.0f} s, "
-                             f"got {self.window_s!r}")
-        if not 0.0 < self.quorum_fraction <= 1.0:
-            raise ValueError(f"quorum_fraction must be in (0, 1], "
-                             f"got {self.quorum_fraction!r}")
+            check_number(name, getattr(self, name), positive=True)
+        check_number("window_s", self.window_s, at_most=MAX_SLACK_S, unit=" s")
+        check_number("quorum_fraction", self.quorum_fraction, positive=True,
+                     at_most=1)
 
 
 class PositionIndex:

@@ -12,11 +12,11 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import evaluation, ingest, segmentation
 from .config import RunConfig, STATIC
-from .evaluation import MethodStats, Recognition, TripVerdict
+from .evaluation import GATE_METRICS, MethodStats, Recognition, TripVerdict
 from .gtfs import load_gtfs
 from .ingest import Column, Stamps, format_timestamp
 from .live import (
@@ -239,36 +239,12 @@ def run_evaluation(cfg: RunConfig, trips: Sequence[ManualTrip],
         report_csv=evaluation.render_report_csv(stats),
     )
     for gate in cfg.gates:
-        value = _gate_value(stats, gate.method, gate.metric)
-        if value is None:
-            output.gate_failures.append(
-                f"gate {gate.method}/{gate.metric}: unknown metric")
-        elif not gate.check(value):
+        value = GATE_METRICS[gate.metric.lower()](stats[gate.method])
+        if not gate.check(value):
             output.gate_failures.append(
                 f"gate {gate.method}/{gate.metric}: value {value} outside "
                 f"[{gate.min}, {gate.max}]")
     return output
-
-
-def _gate_value(stats: dict[str, MethodStats], method: str,
-                metric: str) -> Optional[float]:
-    ms = stats.get(method)
-    if ms is None:
-        return None
-    metric = metric.lower()
-    simple = {
-        "public_transport": ms.public_transport,
-        "public_transport_line_type": ms.public_transport_line_type,
-        "car_recognized": ms.car_recognized,
-    }
-    if metric in simple:
-        return simple[metric]
-    name_level = metric.endswith("_name")
-    type_name = metric[:-5] if name_level else metric
-    for lt, ts in ms.per_type.items():
-        if lt.value.lower() == type_name:
-            return ts.name_correct if name_level else ts.recognized
-    return None
 
 
 def _out_dir(cfg: RunConfig) -> Path:

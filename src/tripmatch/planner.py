@@ -18,7 +18,6 @@ by implementing the JourneyPlanner protocol.
 """
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -28,7 +27,7 @@ import numpy as np
 
 from .geodesy import blocks, distances_m, ranges
 from .gtfs import UNTIMED, GtfsBundle, GtfsStop, gtfs_time_to_datetime
-from .types import GeoPoint, LineType
+from .types import GeoPoint, LineType, check_number
 
 DEFAULT_N_PLANS = 3
 _DAY_S = 86400
@@ -52,14 +51,8 @@ class PlanQuery:
     n_plans: int = DEFAULT_N_PLANS
 
     def __post_init__(self) -> None:
-        value = self.max_walk_m
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0 < value < math.inf):
-            raise ValueError(f"max_walk_m must be a positive finite number, "
-                             f"got {value!r}")
-        if type(self.n_plans) is not int or self.n_plans < 1:
-            raise ValueError(f"n_plans must be an integer >= 1, "
-                             f"got {self.n_plans!r}")
+        check_number("max_walk_m", self.max_walk_m, positive=True)
+        check_number("n_plans", self.n_plans, integer=True, at_least=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +121,11 @@ class JourneyPlanner(Protocol):
              picks: Optional[Picks] = None) -> PlanResult: ...
 
 
+def check_search_window(search_window_s: float) -> float:
+    """search_window_s, if it is a finite number of seconds >= 0."""
+    return check_number("search_window_s", search_window_s, at_least=0)
+
+
 class TimetablePlanner:
     """Embedded single-leg planner over a GTFS bundle bound to one date.
 
@@ -146,8 +144,9 @@ class TimetablePlanner:
                  search_window_s: float = 7200.0):
         self.gtfs = gtfs
         self.day = day
-        self.walk_speed_mps = walk_speed_mps
-        self.search_window_s = search_window_s
+        self.walk_speed_mps = check_number("walk_speed_mps", walk_speed_mps,
+                                           positive=True)
+        self.search_window_s = check_search_window(search_window_s)
         st = self._st = gtfs.stop_times
         today = gtfs.runs_on(day)
         yesterday = gtfs.runs_on(day - timedelta(days=1))

@@ -14,17 +14,24 @@ import numpy as np
 from .ingest import (Column, IngestError, Stamps, format_timestamp, load_table,
                      write_csv)
 from .types import (ACTIVITIES, Activity, ActivitySegment, ManualTrip,
-                    TraceColumns, as_seconds, from_seconds, seconds_between)
+                    TraceColumns, as_seconds, check_number, from_seconds,
+                    seconds_between)
 
 DEFAULT_MAX_GAP_S = 300.0
 
 SEGMENT_CSV_COLUMNS = ["id", "device_id", "activity", "start", "end", "n_points"]
 
 
+def check_max_gap(max_gap_s: float) -> float:
+    """max_gap_s, if it is >= 0 s; an infinite gap never cuts a segment."""
+    return check_number("max_gap_s", max_gap_s, at_least=0, finite=False)
+
+
 def build_segments(trace: TraceColumns,
                    max_gap_s: float = DEFAULT_MAX_GAP_S) -> list[ActivitySegment]:
     """Cut the trace on a device change, an activity change or a gap between
     consecutive points of more than max_gap_s."""
+    check_max_gap(max_gap_s)
     if not len(trace):
         return []
     cuts = np.flatnonzero((np.diff(trace.device_id) != 0)

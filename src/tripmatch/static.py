@@ -26,7 +26,6 @@ its share, and prepares the segment alone when given none.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from datetime import timedelta
 from functools import cached_property
@@ -39,7 +38,7 @@ from .geodesy import (blocks, distances_m, points_to_polylines_m, ranges,
 from .ingest import format_timestamp, write_csv
 from .planner import Itinerary, JourneyPlanner, PlanQuery, PlanResult
 from .types import (ActivitySegment, GeoPoint, LineType, MAX_SLACK_S,
-                    seconds_between)
+                    check_number, seconds_between)
 
 
 def _minute_rounded(seconds: float) -> float:
@@ -73,37 +72,18 @@ class MatchConstants:
     resample_spacing_m: float = 100.0
 
     def __post_init__(self) -> None:
-        numbers = ("dEmax_m", "walk_speed_mps", "transit_speed_mps",
-                   "schedule_deviation_s", "route_quorum", "route_limit_m",
-                   "resample_spacing_m")
-        for name in numbers:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
         for name in ("dEmax_m", "walk_speed_mps", "transit_speed_mps",
                      "route_limit_m", "resample_spacing_m"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value!r}")
-        if not self.schedule_deviation_s >= 0:
-            raise ValueError(f"schedule_deviation_s must be >= 0, "
-                             f"got {self.schedule_deviation_s!r}")
-        value = self.max_adjacent_outside
-        if type(value) is not int or value < 0:
-            raise ValueError(f"max_adjacent_outside must be an integer >= 0, "
-                             f"got {value!r}")
-        if not 0.0 < self.route_quorum <= 1.0:
-            raise ValueError(f"route_quorum must be in (0, 1], "
-                             f"got {self.route_quorum!r}")
-        for name in numbers:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            check_number(name, getattr(self, name), positive=True)
+        check_number("schedule_deviation_s", self.schedule_deviation_s,
+                     at_least=0)
+        check_number("route_quorum", self.route_quorum, positive=True,
+                     at_most=1)
+        check_number("max_adjacent_outside", self.max_adjacent_outside,
+                     integer=True, at_least=0)
         # the query pulls its start back by tWb
-        if not self.walk_before_max_s <= MAX_SLACK_S:
-            raise ValueError(f"tWb = dEmax_m / walk_speed_mps must be at most "
-                             f"{MAX_SLACK_S:.0f} s, got "
-                             f"{self.walk_before_max_s!r}")
+        check_number("tWb = dEmax_m / walk_speed_mps", self.walk_before_max_s,
+                     at_most=MAX_SLACK_S, unit=" s")
 
     @cached_property
     def walk_before_max_s(self) -> float:

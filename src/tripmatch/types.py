@@ -10,6 +10,7 @@ only its row type, as VehiclePosition is that of FleetColumns.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
@@ -72,6 +73,39 @@ TIME_REF = datetime(2000, 1, 1)
 #: tWb): one day covers a one-day batch, and keeps the shifted times in
 #: datetime's range
 MAX_SLACK_S = 86400.0
+
+
+def check_number(name: str, value, *, integer: bool = False,
+                 positive: bool = False, at_least: Optional[float] = None,
+                 at_most: Optional[float] = None, finite: bool = True,
+                 unit: str = ""):
+    """value, if it keeps the rule of the tunable name; else a ValueError
+    "<name> must be <rule>, got <value!r>" naming the first part it breaks.
+    This is the one validity rule of every tunable number.
+
+    The rule: an int (integer) or any int or float, never a bool; > 0 if
+    positive; within at_least and at_most where given, which NaN never is;
+    finite unless finite is False. at_least goes with positive or at_most
+    only when at_most equals it; an integer's rule is worded whole."""
+    if at_most is None:
+        rule = ("positive" if positive else "a number" if at_least is None
+                else f">= {at_least:g}")
+    elif positive:
+        rule = f"in (0, {at_most:g}]"
+    else:
+        rule = (f"{at_most:g}" if at_least == at_most
+                else f"at most {at_most:g}{unit}")
+    if integer and at_least != at_most:
+        rule = f"an integer {rule}"
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        rule = rule if integer else "a number"
+    elif (value == value and (value > 0 or not positive)
+          and (at_least is None or value >= at_least)
+          and (at_most is None or value <= at_most)):
+        if not (finite and math.isinf(value)):
+            return value
+        rule = "finite"
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def as_seconds(t: datetime) -> float:

@@ -472,7 +472,7 @@ def test_inspect_segment_shows_each_live_method_as_it_matches(
 @pytest.mark.parametrize("section, values, message", [
     ("live", {"window_s": float("inf")}, "window_s must be finite, got inf"),
     ("planner", {"search_window_s": float("inf")},
-     "search_window_s: must be finite, got inf"),
+     "search_window_s must be finite, got inf"),
     ("static", {"walk_speed_mps": 1e-300},
      "tWb = dEmax_m / walk_speed_mps must be at most 86400 s, got 5e+302"),
 ])
@@ -508,3 +508,36 @@ def test_run_checks_old_live_sample_count(synth, tmp_path, capsys, count):
         assert capsys.readouterr().err == (
             f"error: live: old_live_samples must be an integer >= 2, "
             f"got {count!r}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("date: [2016\nmethods: [static]\n",
+     "line 2, column 8: expected ',' or ']', but got ':'"),
+    ("date: 2016-13-01\n", "month must be in 1..12"),
+])
+def test_unreadable_yaml_config_exits_1_naming_the_file(tmp_path, capsys,
+                                                         text, message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text, encoding="utf-8")
+    assert run_cli("run", "--config", bad) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("gate, flags, message", [
+    ({"method": "combined", "metric": "public_transprot", "min": 1}, [],
+     "gates[0]: unknown metric 'public_transprot'"),
+    ({"method": "combined", "metric": "subway_name", "min": 1}, [],
+     "gates[0]: unknown metric 'subway_name'"),
+    ({"method": "static", "metric": "public_transport", "min": 1},
+     ["--methods", "new-live"],
+     "gates[0]: method 'static' is not computed by this run"),
+])
+def test_gate_of_no_computed_metric_exits_1_before_any_stage(
+        synth, tmp_path, capsys, gate, flags, message):
+    cfg_raw = yaml.safe_load(Path(synth.config_path).read_text())
+    cfg_raw.update(output_dir=str(tmp_path / "out"), gates=[gate])
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(cfg_raw), encoding="utf-8")
+    assert run_cli("run", "--config", cfg, *flags) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}; choose from ")
+    assert not (tmp_path / "out").exists()

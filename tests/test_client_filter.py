@@ -52,6 +52,17 @@ def test_bad_accuracy_rejected():
     assert results[1] == (False, Reason.ACCURACY)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("sleep_timer_s", float("nan"), "sleep_timer_s must be positive, got nan"),
+    ("max_accuracy_m", True, "max_accuracy_m must be a number, got True"),
+    ("ping_interval_s", 0, "ping_interval_s must be positive, got 0"),
+])
+def test_filter_config_refuses_a_bad_parameter(field, value, message):
+    with pytest.raises(ValueError) as exc:
+        FilterConfig(**{field: value})
+    assert str(exc.value) == message
+
+
 def test_accuracy_boundary_999_passes_1000_fails():
     ok = run_filter([dp(0, Activity.WALKING), dp(10, Activity.STILL,
                                                  accuracy=999.0)])

@@ -8,12 +8,14 @@ import yaml
 from tripmatch.config import (
     ConfigError,
     DATA_DIR_ENV,
+    Gate,
     RunConfig,
     config_from_dict,
     load_config,
 )
 from tripmatch.live import LiveMatchConfig
 from tripmatch.static import MatchConstants
+from tripmatch.types import check_number
 
 
 def test_defaults():
@@ -191,25 +193,25 @@ def test_live_sample_count_of_two_accepted(key):
 _BAD_VALUES = [
     ("raw0", {"methods": "static"},
      "methods: expected a list of method names, got 'static'"),
-    ("raw1", {"jobs": "abc"}, "jobs: expected an integer, got 'abc'"),
-    ("raw2", {"jobs": 1.5}, "jobs: expected an integer, got 1.5"),
+    ("raw1", {"jobs": "abc"}, "jobs must be 1, got 'abc'"),
+    ("raw2", {"jobs": 1.5}, "jobs must be 1, got 1.5"),
     ("raw3", {"segmentation": {"max_gap_s": "x"}},
-     "segmentation: max_gap_s: expected a number, got 'x'"),
+     "segmentation: max_gap_s must be a number, got 'x'"),
     ("raw4", {"planner": {"search_window_s": "x"}},
-     "planner: search_window_s: expected a number, got 'x'"),
+     "planner: search_window_s must be a number, got 'x'"),
     ("raw5", {"permissive": "no"}, "permissive: expected true or false, got 'no'"),
     ("raw6", {"date": "friday"}, "date: expected YYYY-MM-DD, got 'friday'"),
     ("raw7", {"segmentation": 300}, "segmentation: expected a mapping, got 300"),
     ("raw8", {"gates": 5}, "gates: expected a list of gates, got 5"),
     ("raw9", {"gates": [{"method": "combined", "metric": "public_transport", "min": "a"}]},
-     "gates[0]: min: expected a number, got 'a'"),
+     "gates[0]: min must be a number, got 'a'"),
     ("raw10", {"gates": [{"method": "static", "metric": "car_recognized", "max": 0},
                          {"method": "static", "metric": "car_recognized", "max": [1]}]},
-     "gates[1]: max: expected a number, got [1]"),
+     "gates[1]: max must be a number, got [1]"),
     ("raw11", {"segmentation": {"max_gap_s": -5}},
-     "segmentation: max_gap_s: must be >= 0, got -5"),
+     "segmentation: max_gap_s must be >= 0, got -5"),
     ("raw12", {"planner": {"search_window_s": -1.0}},
-     "planner: search_window_s: must be >= 0, got -1.0"),
+     "planner: search_window_s must be >= 0, got -1.0"),
     ("raw13", {"static": {"walk_speed_mps": 0}},
      "static: walk_speed_mps must be positive, got 0"),
     ("raw14", {"static": {"transit_speed_mps": 0}},
@@ -246,15 +248,15 @@ _BAD_VALUES = [
      "live: quorum_fraction must be in (0, 1], got 0"),
     ("raw31", {"live": {"distance_limit_m": float("nan")}},
      "live: distance_limit_m must be positive, got nan"),
-    ("raw32", {"jobs": True}, "jobs: expected an integer, got True"),
-    ("raw33", {"jobs": 2}, "jobs: matching runs serially; only 1 is accepted, got 2"),
-    ("raw34", {"jobs": 0}, "jobs: matching runs serially; only 1 is accepted, got 0"),
+    ("raw32", {"jobs": True}, "jobs must be 1, got True"),
+    ("raw33", {"jobs": 2}, "jobs must be 1, got 2"),
+    ("raw34", {"jobs": 0}, "jobs must be 1, got 0"),
     ("raw35", {"segmentation": {"max_gap_s": float("nan")}},
-     "segmentation: max_gap_s: must be >= 0, got nan"),
+     "segmentation: max_gap_s must be >= 0, got nan"),
     ("raw36", {"planner": {"search_window_s": float("nan")}},
-     "planner: search_window_s: must be >= 0, got nan"),
+     "planner: search_window_s must be >= 0, got nan"),
     ("raw37", {"planner": {"search_window_s": float("inf")}},
-     "planner: search_window_s: must be finite, got inf"),
+     "planner: search_window_s must be finite, got inf"),
     ("raw38", {"live": {"window_s": float("inf")}},
      "live: window_s must be finite, got inf"),
     ("raw39", {"live": {"window_s": 1.0e300}},
@@ -269,10 +271,10 @@ _BAD_VALUES = [
      "got 5e+302"),
     ("raw43", {"gates": [{"method": "new-live", "metric": "public_transport",
                           "min": float("nan")}]},
-     "gates[0]: min: must not be NaN"),
+     "gates[0]: min must be a number, got nan"),
     ("raw44", {"gates": [{"method": "new-live", "metric": "public_transport",
                           "max": float("nan")}]},
-     "gates[0]: max: must not be NaN"),
+     "gates[0]: max must be a number, got nan"),
     ("raw45", {"live": {"distance_limit_m": float("inf")}},
      "live: distance_limit_m must be finite, got inf"),
     ("raw46", {"static": {"schedule_deviation_s": float("inf")}},
@@ -287,3 +289,68 @@ def test_bad_value_names_its_key(raw, message):
     with pytest.raises(ConfigError) as exc:
         config_from_dict(raw)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value, rule, message", [
+    (True, {}, "k must be a number, got True"),
+    ("1", {"positive": True}, "k must be a number, got '1'"),
+    (float("nan"), {"finite": False}, "k must be a number, got nan"),
+    (0.0, {"positive": True}, "k must be positive, got 0.0"),
+    (float("nan"), {"positive": True}, "k must be positive, got nan"),
+    (float("inf"), {"positive": True}, "k must be finite, got inf"),
+    (-1, {"at_least": 0}, "k must be >= 0, got -1"),
+    (1.5, {"positive": True, "at_most": 1}, "k must be in (0, 1], got 1.5"),
+    (90000.0, {"at_most": 86400.0, "unit": " s"},
+     "k must be at most 86400 s, got 90000.0"),
+    (2.0, {"integer": True, "at_least": 2}, "k must be an integer >= 2, got 2.0"),
+    (False, {"integer": True, "at_least": 0}, "k must be an integer >= 0, got False"),
+    (1, {"integer": True, "at_least": 2}, "k must be an integer >= 2, got 1"),
+    (2, {"integer": True, "at_least": 1, "at_most": 1}, "k must be 1, got 2"),
+])
+def test_check_number_words_the_first_rule_broken(value, rule, message):
+    with pytest.raises(ValueError) as exc:
+        check_number("k", value, **rule)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("value, rule", [
+    (float("inf"), {"at_least": 0, "finite": False}),
+    (float("-inf"), {"finite": False}),
+    (1, {"positive": True, "at_most": 1}),
+    (86400, {"at_most": 86400.0}),
+    (0, {"integer": True, "at_least": 0}),
+])
+def test_check_number_returns_a_value_that_keeps_the_rule(value, rule):
+    assert check_number("k", value, **rule) is value
+
+
+@pytest.mark.parametrize("gate, methods, message", [
+    ({"method": "combined", "metric": "public_transprot"}, None,
+     "gates[0]: unknown metric 'public_transprot'; choose from "),
+    ({"method": "combined", "metric": "subway_name"}, None,
+     "gates[0]: unknown metric 'subway_name'; choose from "),
+    ({"method": "combined", "metric": 5}, None,
+     "gates[0]: unknown metric 5; choose from "),
+    ({"method": "static", "metric": "bus"}, ["new-live"],
+     "gates[0]: method 'static' is not computed by this run; choose from "
+     "['new-live', 'combined']"),
+])
+def test_gate_names_are_checked_at_load(gate, methods, message):
+    raw = {"gates": [gate]}
+    if methods is not None:
+        raw["methods"] = methods
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(raw)
+    assert str(exc.value).startswith(message)
+
+
+def test_every_named_metric_of_each_mode_is_a_gate_metric():
+    cfg = config_from_dict({"gates": [
+        {"method": "static", "metric": metric, "max": 0} for metric in (
+            "bus", "BUS_NAME", "tram", "tram_name", "train", "train_name",
+            "subway", "public_transport", "public_transport_line_type",
+            "car_recognized")]})
+    assert len(cfg.gates) == 10
+    assert load_config(PUBLISHED).gates == [
+        Gate("combined", "public_transport", 42.0, 54.0),
+        Gate("combined", "car_recognized", None, 0.0)]

@@ -276,6 +276,18 @@ SHAPES_HEADER = "shape_id,shape_pt_lat,shape_pt_lon,shape_pt_sequence"
     ("shapes.txt",
      [SHAPES_HEADER, "s1,60.170,24.940,-2147483649"],
      "shapes.txt: line 2: column 'shape_pt_sequence': -2147483649 out of range"),
+    ("calendar.txt",
+     ["service_id,monday,tuesday,wednesday,thursday,friday,saturday,sunday,"
+      "start_date,end_date", "wd,1,1,1,1,2,0,0,20160801,20160930"],
+     "calendar.txt: line 2: column 'friday': expected one of 0, 1, got '2'"),
+    ("calendar.txt",
+     ["service_id,monday,tuesday,wednesday,thursday,friday,saturday,sunday,"
+      "start_date,end_date", "wd,1,1,1,1,1,0,00,20160801,20160930"],
+     "calendar.txt: line 2: column 'sunday': expected one of 0, 1, got '00'"),
+    ("calendar_dates.txt",
+     ["service_id,date,exception_type", "wd,20160826,1", "wd,20160827,3"],
+     "calendar_dates.txt: line 3: column 'exception_type': expected one of "
+     "1, 2, got '3'"),
 ])
 def test_bad_feed_errors_are_located(tmp_path, name, lines, message):
     tables = dict(MINIMAL, **{name: lines})

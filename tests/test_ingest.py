@@ -322,6 +322,24 @@ def test_train_stops_empty_object(tmp_path):
     assert ingest.load_train_stops(path).train_count == 0
 
 
+@pytest.mark.parametrize("text", ["42", '"abc"', '{"foo": 1}', '{"junat": 5}',
+                                  "null"])
+def test_train_stops_of_another_shape_are_refused(tmp_path, text):
+    path = tmp_path / "trains.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(IngestError) as info:
+        ingest.load_train_stops(path)
+    assert str(info.value) == (f"{path}: expected a list of trains or an "
+                               "object with a 'junat' list")
+
+
+def test_train_stops_counts_the_junat_list(tmp_path):
+    path = tmp_path / "trains.json"
+    path.write_text('{"junat": [{"trainNumber": 1}], "other": 2}',
+                    encoding="utf-8")
+    assert ingest.load_train_stops(path).train_count == 1
+
+
 def test_train_stops_truncated_reports_offset(tmp_path):
     path = tmp_path / "trains.json"
     path.write_text('[{"trainNumber": 1},\n {"trainNumber": 2}', encoding="utf-8")

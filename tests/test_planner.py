@@ -117,6 +117,22 @@ def test_unserviceable_date_raises():
         TimetablePlanner(bundle, date(2017, 8, 26), WALK_MPS)
 
 
+@pytest.mark.parametrize("walk_speed_mps, search_window_s, message", [
+    (WALK_MPS, math.nan, "search_window_s must be >= 0, got nan"),
+    (WALK_MPS, -5.0, "search_window_s must be >= 0, got -5.0"),
+    (WALK_MPS, math.inf, "search_window_s must be finite, got inf"),
+    (0.0, 7200.0, "walk_speed_mps must be positive, got 0.0"),
+    (-1.0, 7200.0, "walk_speed_mps must be positive, got -1.0"),
+    (math.nan, 7200.0, "walk_speed_mps must be positive, got nan"),
+])
+def test_planner_refuses_a_bad_walk_speed_or_window(walk_speed_mps,
+                                                    search_window_s, message):
+    with pytest.raises(ValueError) as exc:
+        TimetablePlanner(simple_bundle(), DAY, walk_speed_mps,
+                         search_window_s=search_window_s)
+    assert str(exc.value) == message
+
+
 def test_itinerary_time_arithmetic_consistent():
     planner = TimetablePlanner(simple_bundle(), DAY, WALK_MPS)
     result = planner.plan(PlanQuery(grid_stop(80, 0), grid_stop(40, 3000),

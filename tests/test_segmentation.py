@@ -264,3 +264,21 @@ def test_reload_refuses_a_filtered_table_that_differs(tmp_path, rows, message):
         load_segments_csv(path, TraceColumns.from_points(rows(points)))
     assert message in str(err.value)
     assert str(err.value).endswith("filtered table does not match")
+
+
+@pytest.mark.parametrize("max_gap_s, message", [
+    (-1.0, "max_gap_s must be >= 0, got -1.0"),
+    (float("nan"), "max_gap_s must be >= 0, got nan"),
+    ("300", "max_gap_s must be a number, got '300'"),
+])
+def test_a_bad_gap_is_refused_even_for_an_empty_table(max_gap_s, message):
+    for points in ([], [fp(0, Activity.WALKING), fp(10, Activity.WALKING)]):
+        with pytest.raises(ValueError) as exc:
+            build_segments(points, max_gap_s)
+        assert str(exc.value) == message
+
+
+def test_an_infinite_gap_cuts_only_on_a_change():
+    points = [fp(0, Activity.WALKING), fp(10_000, Activity.WALKING),
+              fp(20_000, Activity.STILL)]
+    assert len(build_segments(points, float("inf"))) == 2
