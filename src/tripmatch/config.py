@@ -216,22 +216,44 @@ def config_from_dict(raw: dict[str, Any], base_dir: Path | None = None) -> RunCo
     return cfg
 
 
+def _read_mapping(p: Path) -> dict[str, Any]:
+    """The top-level mapping of the YAML file p. Each value is constructed
+    from its own node, so that a value YAML cannot construct, such as the
+    date 2016-13-01, is refused at its key and line."""
+    with open(p, encoding="utf-8") as fh:
+        loader = yaml.SafeLoader(fh)
+        try:
+            node = loader.get_single_node()
+            if node is None:
+                return {}
+            if not isinstance(node, yaml.MappingNode):
+                raise ConfigError("config must be a mapping")
+            loader.flatten_mapping(node)
+            raw: dict[str, Any] = {}
+            for key, value in node.value:
+                try:
+                    raw.update(loader.construct_mapping(
+                        yaml.MappingNode(node.tag, [(key, value)]), deep=True))
+                except ValueError as exc:
+                    mark = value.start_mark
+                    raise ConfigError(f"line {mark.line + 1}, column "
+                                      f"{mark.column + 1}: {key.value}: {exc}"
+                                      ) from None
+            return raw
+        finally:
+            loader.dispose()
+
+
 def load_config(path) -> RunConfig:
+    """The RunConfig of the YAML file path; every refusal names the file."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     try:
-        with open(p, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+        return config_from_dict(_read_mapping(p), base_dir=p.parent)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         raise ConfigError(f"{p}: line {mark.line + 1}, column "
                           f"{mark.column + 1}: {exc.problem}") from None
-    except (yaml.YAMLError, ValueError) as exc:
-        # a value that YAML cannot construct, such as the date 2016-13-01
+    except (yaml.YAMLError, UnicodeDecodeError, ConfigError) as exc:
         raise ConfigError(f"{p}: {exc}") from None
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{p}: config must be a mapping")
-    return config_from_dict(raw, base_dir=p.parent)

@@ -15,10 +15,11 @@ vehicle with too many such misses, for all the segments of a stage at once:
 every (segment, vehicle in range) pair is tested in array passes, first
 with the vehicle's fix box over the segment's whole sample window, which
 holds the box of each run, and then, for the few pairs that pass, with its
-fix box over each run. Each survivor is then scored once, in ref order, by
-score_vehicle, which marks it eligible at the quorum; the best eligible
-score names the vehicle. decide_live returns all of this, so that a
-diagnostic shows what the matcher saw and decided.
+fix box over each run. The stage then scores its survivors in one pass:
+score_vehicle takes every (segment, survivor) pair at once and marks each
+eligible at the quorum; the best eligible score of a segment names its
+vehicle. decide_live returns all of this, so that a diagnostic shows what
+the matcher saw and decided.
 """
 from __future__ import annotations
 
@@ -46,6 +47,9 @@ NEW_LIVE = "new-live"
 OLD_LIVE = "old-live"
 
 _MAX_ROWS = 1 << 15  # index rows gathered per box block
+# (sample, fix) rows measured per scoring block: a scored row holds about
+# eight times the arrays of a box row
+_MAX_SCORED_ROWS = _MAX_ROWS // 8
 _MAX_PAIRS = 1 << 10  # (segment, vehicle) pairs per whole-window prune block
 
 
@@ -195,57 +199,85 @@ class VehicleScore:
     eligible: bool  # at the quorum with a positive score: it may be matched
 
 
-def score_vehicle(samples: TraceColumns, vehicle_ref: str,
-                  cfg: LiveMatchConfig, index: PositionIndex,
-                  use_linestring: bool = True) -> Optional[VehicleScore]:
-    """Score one vehicle against the user samples.
+def score_vehicle(samples: TraceColumns, sizes: Sequence[int],
+                  vehicle_refs: Sequence[str], cfg: LiveMatchConfig,
+                  index: PositionIndex, use_linestring: bool = True,
+                  ) -> list[Optional[VehicleScore]]:
+    """Score each (samples, vehicle) pair: pair k is vehicle_refs[k]
+    against the next sizes[k] rows of samples, the pairs' samples stacked
+    in pair order.
 
-    Sample k's window holds the vehicle's fixes in the closed window of
-    cfg.window_s around it; every (window, fix) pair is measured in one
-    array pass. A sample matches when its window is non-empty and the
-    window's polyline (use_linestring) or nearest fix lies within the
-    distance limit; samples with empty windows stay in the quorum
-    denominator. Returns None for an unknown vehicle or when no sample
-    matches; otherwise the score, eligible when the matched fraction reaches
-    the quorum and the score is positive.
+    A sample's window holds its vehicle's fixes in the closed window of
+    cfg.window_s around it. One window_rows call finds every window, and
+    every (window, fix) row is measured in array passes over blocks of
+    whole pairs of at most _MAX_SCORED_ROWS rows, a larger pair alone. A
+    sample matches when its window is non-empty and the window's polyline
+    (use_linestring) or nearest fix lies within the distance limit;
+    samples with empty windows stay in the quorum denominator. A pair's
+    result is None for an unknown vehicle or when no sample matches;
+    otherwise its score, eligible when the matched fraction reaches the
+    quorum and the score is positive.
 
-    Scores are summed in sample order and each matched sample votes for its
-    first nearest fix, in sample order, as a per-sample loop would.
+    Each pair's score is summed in sample order and each matched sample
+    votes for its first nearest fix, in sample order, as a per-sample loop
+    would.
     """
-    slot = index.slot(vehicle_ref)
-    if slot is None or not samples:
-        return None
-    n = len(samples)
-    lo, hi = index.window_rows(slot, samples.times_s - cfg.window_s,
+    sizes = np.asarray(sizes, dtype=np.intp)
+    ends = np.cumsum(sizes)
+    first = ends - sizes
+    # an unknown vehicle takes slot -1, whose every window is empty
+    slots = np.array([-1 if (slot := index.slot(ref)) is None else slot
+                      for ref in vehicle_refs], dtype=np.int64)
+    pair = np.repeat(np.arange(len(sizes)), sizes)
+    lo, hi = index.window_rows(slots[pair], samples.times_s - cfg.window_s,
                                samples.times_s + cfg.window_s, slice(None))
     counts = hi - lo
-    windowed = np.flatnonzero(counts)
-    if not len(windowed):
-        return None  # a sample with an empty window cannot match
-    row, first = ranges(lo, counts)
-    window = np.repeat(np.arange(len(counts)), counts)
-    p_lat, p_lng = samples.lats[window], samples.lngs[window]
-    lats, lngs = index.lats[row], index.lngs[row]
-    d_point = distances_m(p_lat, p_lng, lats, lngs)
-    starts = first[windowed]
-    nearest = np.minimum.reduceat(d_point, starts)
-    d = (points_to_polylines_m(p_lat, p_lng, lats, lngs, d_point, starts)
-         if use_linestring else nearest)
+    distances = np.full(len(samples), np.nan)
+    vote = np.zeros(len(samples), np.intp)  # each window's first nearest fix
+    # the rows of the windows before each sample
+    rows_to = np.concatenate([[0], np.cumsum(counts)])
+    for block in blocks(rows_to[ends] - rows_to[first], _MAX_SCORED_ROWS):
+        a, b = first[block.start], ends[block.stop - 1]
+        windowed = a + np.flatnonzero(counts[a:b])
+        if not len(windowed):
+            continue
+        row, starts = ranges(lo[windowed], counts[windowed])
+        window = np.repeat(windowed, counts[windowed])
+        p_lat, p_lng = samples.lats[window], samples.lngs[window]
+        lats, lngs = index.lats[row], index.lngs[row]
+        d_point = distances_m(p_lat, p_lng, lats, lngs)
+        nearest = np.minimum.reduceat(d_point, starts)
+        distances[windowed] = (
+            points_to_polylines_m(p_lat, p_lng, lats, lngs, d_point, starts)
+            if use_linestring else nearest)
+        hits = np.flatnonzero(d_point == np.repeat(nearest, counts[windowed]))
+        hit_window = window[hits]
+        first_hit = np.ones(len(hits), dtype=bool)
+        first_hit[1:] = hit_window[1:] != hit_window[:-1]
+        vote[windowed] = row[hits[first_hit]]
 
-    matched = d <= cfg.distance_limit_m
-    if not matched.any():
-        return None
-    fraction = int(np.count_nonzero(matched)) / n
-    score = float(np.cumsum(cfg.distance_limit_m - d[matched])[-1])
-    eligible = not (fraction < cfg.quorum_fraction or score <= 0.0)
-    hits = np.flatnonzero(d_point == np.repeat(nearest, counts[windowed]))
-    hit_window = window[hits]
-    first_hit = np.ones(len(hits), dtype=bool)
-    first_hit[1:] = hit_window[1:] != hit_window[:-1]
-    distances = np.full(n, np.nan)
-    distances[windowed] = d
-    votes = row[hits[first_hit]][matched]
-    return VehicleScore(vehicle_ref, score, fraction, distances, votes, eligible)
+    matched = distances <= cfg.distance_limit_m
+    matched_to = np.concatenate([[0], np.cumsum(matched)])
+    n_matched = matched_to[ends] - matched_to[first]
+    # each pair's terms in sample order, then zeros; adding the columns in
+    # order sums each row as cumsum would
+    terms = np.zeros((len(sizes), n_matched.max(initial=0)))
+    at = np.flatnonzero(matched)
+    terms[pair[at], matched_to[at] - matched_to[first[pair[at]]]] = \
+        cfg.distance_limit_m - distances[at]
+    scores = np.zeros(len(sizes))
+    for column in terms.T:
+        scores += column
+    out: list[Optional[VehicleScore]] = [None] * len(sizes)
+    for k in np.flatnonzero(n_matched).tolist():
+        a, b = int(first[k]), int(ends[k])
+        fraction = int(n_matched[k]) / (b - a)
+        score = float(scores[k])
+        out[k] = VehicleScore(
+            vehicle_refs[k], score, fraction, distances[a:b],
+            vote[a:b][matched[a:b]],
+            not (fraction < cfg.quorum_fraction or score <= 0.0))
+    return out
 
 
 @dataclass(frozen=True)
@@ -296,10 +328,13 @@ def _pick_identity(index: PositionIndex, votes: np.ndarray,
 
 @dataclass(frozen=True, eq=False)
 class LiveCandidates:
-    """What prune_live found for one segment and live method."""
+    """What prune_live found for one segment and live method, and what
+    score_survivors scored of it."""
     samples: TraceColumns  # the user samples to match
     in_range: list[str]    # vehicles with a fix in the time range, ref order
     survivors: list[str]   # those that pass the box prune, ref order
+    # each survivor's score_vehicle result, in ref order; None until scored
+    scored: Optional[dict[str, Optional[VehicleScore]]] = None
 
 
 def prune_live(segments: Sequence[ActivitySegment], cfg: LiveMatchConfig,
@@ -413,6 +448,27 @@ def prune_live(segments: Sequence[ActivitySegment], cfg: LiveMatchConfig,
     return out
 
 
+def score_survivors(candidates: Sequence[LiveCandidates],
+                    cfg: LiveMatchConfig, index: PositionIndex,
+                    method: str) -> list[LiveCandidates]:
+    """candidates with the score of every survivor: one score_vehicle pass
+    over all (segment, survivor) pairs, each pair's samples being those of
+    its segment."""
+    if not candidates:
+        return []
+    n = np.array([len(c.samples) for c in candidates])
+    survivors = [len(c.survivors) for c in candidates]
+    sizes = np.repeat(n, survivors)
+    rows, _ = ranges(np.repeat(np.cumsum(n) - n, survivors), sizes)
+    scores = iter(score_vehicle(
+        TraceColumns.concat([c.samples for c in candidates])[rows], sizes,
+        [ref for c in candidates for ref in c.survivors], cfg, index,
+        use_linestring=method == NEW_LIVE))
+    return [LiveCandidates(c.samples, c.in_range, c.survivors,
+                           {ref: next(scores) for ref in c.survivors})
+            for c in candidates]
+
+
 @dataclass(frozen=True)
 class LiveDecision:
     """What decide_live saw and decided for one segment."""
@@ -430,14 +486,12 @@ def decide_live(segment: ActivitySegment, cfg: LiveMatchConfig,
     """Match segment with live method: new-live measures up to
     cfg.max_user_samples samples to the window polylines, old-live
     cfg.old_live_samples samples to the nearest fixes. candidates is the
-    segment's prune_live result for the method, found here when None."""
+    segment's score_survivors result for the method, found here when
+    None."""
     if candidates is None:
-        candidates = prune_live([segment], cfg, index, method)[0]
-    use_linestring = method == NEW_LIVE
-    samples = candidates.samples
-    scored = {ref: score_vehicle(samples, ref, cfg, index,
-                                 use_linestring=use_linestring)
-              for ref in candidates.survivors}
+        candidates = score_survivors(prune_live([segment], cfg, index, method),
+                                     cfg, index, method)[0]
+    scored = candidates.scored
     best = min((s for s in scored.values() if s is not None and s.eligible),
                key=_score_order, default=None)
     result = None
@@ -446,7 +500,8 @@ def decide_live(segment: ActivitySegment, cfg: LiveMatchConfig,
                                          as_seconds(segment.midpoint_time))
         result = LiveMatchResult(segment.segment_id, method, best.vehicle_ref,
                                  line_type, name, best.score, best.matched_fraction)
-    return LiveDecision(samples, use_linestring, candidates.in_range, scored, result)
+    return LiveDecision(candidates.samples, method == NEW_LIVE,
+                        candidates.in_range, scored, result)
 
 
 def _score_order(s: VehicleScore) -> tuple:

@@ -3,7 +3,7 @@ intermediate CSV the next stage can load back, and is deterministic given the
 config. ``run_all`` and the stage subcommands share the ``stage_*``
 functions; the ``run_*_stage`` matchers beneath them only compute, one
 segment at a time in segment-id order, the live stage after one box prune
-of all its segments."""
+and one scoring pass of all its segments."""
 from __future__ import annotations
 
 import logging
@@ -27,6 +27,7 @@ from .live import (
     match_live,
     match_live_old,
     prune_live,
+    score_survivors,
 )
 from .planner import JourneyPlanner, TimetablePlanner
 from .static import (StaticMatchResult, match_static, plan_static,
@@ -123,12 +124,14 @@ def run_live_stage(cfg: RunConfig, segments: Sequence[ActivitySegment],
                    index: PositionIndex, method: str,
                    ) -> dict[int, LiveMatchResult]:
     """Match every vehicular candidate with the live method: one box prune
-    of them all, then each segment's survivors are scored."""
+    of them all and one scoring pass over every survivor, then each
+    segment's best score is picked."""
     matcher = match_live if method == NEW_LIVE else match_live_old
     segments = segmentation.vehicular_candidates(segments)
     results = {}
-    for s, candidates in zip(segments, prune_live(segments, cfg.live, index,
-                                                  method)):
+    for s, candidates in zip(segments, score_survivors(
+            prune_live(segments, cfg.live, index, method), cfg.live, index,
+            method)):
         result = matcher(s, cfg.live, index, candidates)
         if result is not None:
             results[s.segment_id] = result

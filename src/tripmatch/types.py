@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -170,6 +170,11 @@ class TraceColumns:
                  ACTIVITIES.index(p.activity)) for p in points]
         columns = zip(*rows) if rows else [()] * len(_TRACE_DTYPES)
         return cls(*map(np.array, columns, _TRACE_DTYPES)).by_device()
+
+    @classmethod
+    def concat(cls, parts: Sequence["TraceColumns"]) -> "TraceColumns":
+        """The rows of parts, one after another."""
+        return cls(*map(np.concatenate, zip(*(vars(p).values() for p in parts))))
 
     def by_device(self) -> "TraceColumns":
         """The rows stably sorted by (device_id, time)."""

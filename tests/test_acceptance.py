@@ -304,9 +304,9 @@ def test_criterion_7b_live_quorum_boundary():
         for n in range(2, 41):
             need = math.ceil(0.75 * n)
             samples, index = _exact_match_setup(n, need)
-            assert score_vehicle(samples, "v1", cfg, index).eligible, n
+            assert score_vehicle(samples, [n], ["v1"], cfg, index)[0].eligible, n
             samples, index = _exact_match_setup(n, need - 1)
-            scored = score_vehicle(samples, "v1", cfg, index)
+            scored = score_vehicle(samples, [n], ["v1"], cfg, index)[0]
             assert scored is not None and not scored.eligible, n
 
     _timed(run)

@@ -475,7 +475,7 @@ def test_inspect_segment_shows_each_live_method_as_it_matches(
      "search_window_s must be finite, got inf"),
     ("static", {"walk_speed_mps": 1e-300},
      "tWb = dEmax_m / walk_speed_mps must be at most 86400 s, got 5e+302"),
-])
+], ids=["live", "planner", "static"])
 def test_run_refuses_a_threshold_it_cannot_run(synth, tmp_path, capsys,
                                                section, values, message):
     cfg_raw = yaml.safe_load(Path(synth.config_path).read_text())
@@ -483,7 +483,7 @@ def test_run_refuses_a_threshold_it_cannot_run(synth, tmp_path, capsys,
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump(cfg_raw), encoding="utf-8")
     assert run_cli("run", "--config", cfg) == 1
-    assert capsys.readouterr().err == f"error: {section}: {message}\n"
+    assert capsys.readouterr().err == f"error: {cfg}: {section}: {message}\n"
 
 
 def test_bad_config_exits_1(tmp_path, capsys):
@@ -506,21 +506,23 @@ def test_run_checks_old_live_sample_count(synth, tmp_path, capsys, count):
     else:
         assert run_cli("run", "--config", cfg) == 1
         assert capsys.readouterr().err == (
-            f"error: live: old_live_samples must be an integer >= 2, "
+            f"error: {cfg}: live: old_live_samples must be an integer >= 2, "
             f"got {count!r}\n")
 
 
-@pytest.mark.parametrize("text, message", [
+@pytest.mark.parametrize("text, message, where", [
     ("date: [2016\nmethods: [static]\n",
-     "line 2, column 8: expected ',' or ']', but got ':'"),
-    ("date: 2016-13-01\n", "month must be in 1..12"),
+     "expected ',' or ']', but got ':'", "line 2, column 8: "),
+    ("date: 2016-13-01\n", "month must be in 1..12", "line 1, column 7: date: "),
 ])
 def test_unreadable_yaml_config_exits_1_naming_the_file(tmp_path, capsys,
-                                                         text, message):
+                                                         text, message, where):
+    """The refusal names the file, the line and column and, for a value
+    that YAML cannot construct, its key."""
     bad = tmp_path / "bad.yaml"
     bad.write_text(text, encoding="utf-8")
     assert run_cli("run", "--config", bad) == 1
-    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert capsys.readouterr().err == f"error: {bad}: {where}{message}\n"
 
 
 @pytest.mark.parametrize("gate, flags, message", [
@@ -539,5 +541,8 @@ def test_gate_of_no_computed_metric_exits_1_before_any_stage(
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump(cfg_raw), encoding="utf-8")
     assert run_cli("run", "--config", cfg, *flags) == 1
-    assert capsys.readouterr().err.startswith(f"error: {message}; choose from ")
+    # a refusal of the file names it; one that a flag causes does not
+    where = "" if flags else f"{cfg}: "
+    assert capsys.readouterr().err.startswith(
+        f"error: {where}{message}; choose from ")
     assert not (tmp_path / "out").exists()

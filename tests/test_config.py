@@ -95,6 +95,37 @@ def test_gates_parse_and_check():
     assert not cfg.gates[1].check(1)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("live:\n  window_s: 0\n", "live: window_s must be positive, got 0"),
+    ("a: 1\n", "unknown top-level config key(s) ['a']"),
+    ("methods: []\n", "no method chosen; choose from "
+     "['new-live', 'old-live', 'static']"),
+    ("- static\n", "config must be a mapping"),
+    ("methods: [static]\ndate: 2016-02-30\n",
+     "line 2, column 7: date: day is out of range for month"),
+], ids=["section", "top-level", "validate", "not-a-mapping", "date"])
+def test_load_config_names_the_file_in_every_refusal(tmp_path, text, message):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_config_read_node_by_node_keeps_yaml_semantics(tmp_path):
+    # an alias, a merge key and a repeated key (the last wins) read as
+    # yaml.safe_load reads them
+    path = tmp_path / "cfg.yaml"
+    path.write_text("live: {window_s: &w 30, distance_limit_m: *w}\n"
+                    "<<: {date: 2016-08-27, methods: [static]}\n"
+                    "methods: [new-live]\nmethods: [old-live]\n", "utf-8")
+    cfg = load_config(path)
+    assert (cfg.live.window_s, cfg.live.distance_limit_m) == (30, 30)
+    assert (cfg.date, cfg.methods) == (date(2016, 8, 27), ["old-live"])
+    assert cfg == config_from_dict(yaml.safe_load(path.read_text()),
+                                   base_dir=tmp_path)
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.yaml")

@@ -2,12 +2,14 @@ import math
 from collections import Counter
 from dataclasses import replace
 from datetime import timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tripmatch import live
 from tripmatch.config import RunConfig
 from tripmatch.geodesy import (
     EARTH_RADIUS_M,
@@ -27,6 +29,7 @@ from tripmatch.live import (
     match_live,
     match_live_old,
     prune_live,
+    score_survivors,
     score_vehicle,
     select_user_samples,
 )
@@ -64,6 +67,12 @@ def decoded(index, rows):
              from_seconds(index.times_s[r])) for r in rows.tolist()]
 
 
+def score_one(samples, ref, cfg, index, use_linestring=True):
+    """score_vehicle of the one pair (samples, ref)."""
+    return score_vehicle(samples, [len(samples)], [ref], cfg, index,
+                         use_linestring)[0]
+
+
 def same_score(a, b):
     """Two score_vehicle results are equal, NaN distances included."""
     if a is None or b is None:
@@ -72,6 +81,15 @@ def same_score(a, b):
             (b.vehicle_ref, b.score, b.matched_fraction, b.eligible)
             and np.array_equal(a.distances, b.distances, equal_nan=True)
             and np.array_equal(a.votes, b.votes))
+
+
+def same_decision(a, b):
+    """Two LiveDecisions are equal bit for bit, every score included."""
+    return (all(np.array_equal(x, y) for x, y in zip(vars(a.samples).values(),
+                                                     vars(b.samples).values()))
+            and (a.use_linestring, a.in_range, list(a.scored), a.result) ==
+            (b.use_linestring, b.in_range, list(b.scored), b.result)
+            and all(same_score(a.scored[ref], b.scored[ref]) for ref in a.scored))
 
 
 def boxes_of(index, t0, t1):
@@ -263,28 +281,28 @@ def test_window_collects_surrounding_fixes():
     index = index_of([vp(-30, offset_point(BASE, 0, 20)),
                       vp(0, offset_point(BASE, 0, 60)),
                       vp(30, offset_point(BASE, 0, 40)), vp(120, BASE)])
-    scored = score_vehicle(trace_points([(0, BASE)]), "v1", CFG, index,
-                           use_linestring=False)
+    scored = score_one(trace_points([(0, BASE)]), "v1", CFG, index,
+                       use_linestring=False)
     assert scored.distances[0] == pytest.approx(20, abs=0.01)
     assert [t for _, _, t in decoded(index, scored.votes)] == [at(-30)]
 
 
 def test_fix_outside_window_is_empty():
     index = index_of([vp(-90, BASE)])
-    assert score_vehicle(trace_points([(0, BASE)]), "v1", CFG, index) is None
+    assert score_one(trace_points([(0, BASE)]), "v1", CFG, index) is None
 
 
 def test_window_endpoints_inclusive():
     index = index_of([vp(-60, BASE), vp(60, BASE)])
-    scored = score_vehicle(trace_points([(0, BASE)]), "v1", CFG, index)
+    scored = score_one(trace_points([(0, BASE)]), "v1", CFG, index)
     assert scored.distances.tolist() == [0.0]
 
 
 def test_unknown_vehicle_is_empty():
     index = index_of([vp(0, BASE)])
     samples = trace_points([(0, BASE), (10, BASE)])
-    assert score_vehicle(samples, "v1", CFG, index).eligible
-    assert score_vehicle(samples, "ghost", CFG, index) is None
+    assert score_one(samples, "v1", CFG, index).eligible
+    assert score_one(samples, "ghost", CFG, index) is None
 
 
 def _exact_match_setup(n_samples, n_matched, offset_m=0.0):
@@ -306,7 +324,7 @@ def _exact_match_setup(n_samples, n_matched, offset_m=0.0):
 
 def test_perfect_match_scores_full():
     samples, index = _exact_match_setup(40, 40, offset_m=0.0)
-    scored = score_vehicle(samples, "v1", CFG, index)
+    scored = score_one(samples, "v1", CFG, index)
     assert scored is not None and scored.eligible
     assert scored.matched_fraction == 1.0
     assert scored.score == pytest.approx(4000.0, abs=1.0)
@@ -314,7 +332,7 @@ def test_perfect_match_scores_full():
 
 def test_quorum_boundary_30_of_40_at_50m():
     samples, index = _exact_match_setup(40, 30, offset_m=50.0)
-    scored = score_vehicle(samples, "v1", CFG, index)
+    scored = score_one(samples, "v1", CFG, index)
     assert scored is not None and scored.eligible
     assert scored.matched_fraction == pytest.approx(0.75)
     assert scored.score == pytest.approx(30 * 50.0, abs=1.0)
@@ -323,19 +341,19 @@ def test_quorum_boundary_30_of_40_at_50m():
 def test_29_of_40_rejected():
     # below the quorum the score is still reported, but not eligible
     samples, index = _exact_match_setup(40, 29, offset_m=50.0)
-    scored = score_vehicle(samples, "v1", CFG, index)
+    scored = score_one(samples, "v1", CFG, index)
     assert scored is not None and not scored.eligible
     assert scored.matched_fraction == pytest.approx(29 / 40)
 
 
 def test_all_samples_just_outside_limit_rejected():
     samples, index = _exact_match_setup(10, 10, offset_m=101.0)
-    assert score_vehicle(samples, "v1", CFG, index) is None
+    assert score_one(samples, "v1", CFG, index) is None
 
 
 def test_empty_window_samples_stay_in_denominator():
     samples, index = _exact_match_setup(4, 3, offset_m=0.0)
-    scored = score_vehicle(samples, "v1", CFG, index)
+    scored = score_one(samples, "v1", CFG, index)
     assert scored is not None and scored.eligible
     assert scored.matched_fraction == pytest.approx(0.75)
     assert math.isnan(scored.distances[3])
@@ -345,10 +363,43 @@ def test_empty_window_samples_stay_in_denominator():
 def test_quorum_boundary_across_sample_counts(n):
     need = math.ceil(0.75 * n)
     samples, index = _exact_match_setup(n, need)
-    assert score_vehicle(samples, "v1", CFG, index).eligible
+    assert score_one(samples, "v1", CFG, index).eligible
     samples, index = _exact_match_setup(n, need - 1)
-    scored = score_vehicle(samples, "v1", CFG, index)
+    scored = score_one(samples, "v1", CFG, index)
     assert scored is not None and not scored.eligible
+
+
+@pytest.mark.parametrize("max_rows", [1, 3, 8, live._MAX_SCORED_ROWS])
+def test_one_pass_scores_each_pair_as_it_scores_alone(max_rows):
+    # v1 runs 30 m east of every sample but the last, whose window is
+    # empty; v2 has a fix at every sample, 150 m east of it
+    samples = trace_points([(100.0 * i, offset_point(BASE, 0.0, 400.0 * i))
+                            for i in range(6)])
+    rows = [vp(100.0 * i + dt, offset_point(BASE, 30.0, 400.0 * i + dt), ref="v1")
+            for i in range(5) for dt in (-10.0, 10.0)]
+    rows += [vp(100.0 * i, offset_point(BASE, 150.0, 400.0 * i), ref="v2")
+             for i in range(6)]
+    index = index_of(rows)
+    later = trace_points([(5000.0 + 100.0 * i, offset_point(BASE, 0.0, 400.0 * i))
+                          for i in range(6)])
+    pairs = [(samples, "v1"), (samples, "ghost"), (later, "v1"), (samples, "v2"),
+             (samples[:0], "v1"), (samples[:3], "v1"), (samples, "v1")]
+    for use_linestring in (True, False):
+        alone = [score_one(*pair, CFG, index, use_linestring) for pair in pairs]
+        with mock.patch.object(live, "_MAX_SCORED_ROWS", max_rows):
+            together = score_vehicle(
+                TraceColumns.concat([p for p, _ in pairs]),
+                [len(p) for p, _ in pairs], [ref for _, ref in pairs], CFG,
+                index, use_linestring)
+        # an unknown ref, a pair whose windows are all empty, one with no
+        # sample within the limit and one without samples score None
+        assert [s is None for s in together] == \
+            [False, True, True, True, True, False, False]
+        assert all(same_score(a, b) for a, b in zip(together, alone))
+        assert together[0].matched_fraction == 5 / 6
+        assert math.isnan(together[0].distances[5])
+        assert together[5].matched_fraction == 1.0
+    assert score_vehicle(samples[:0], [], [], CFG, index) == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -356,8 +407,8 @@ def test_quorum_boundary_across_sample_counts(n):
 def test_score_monotone_in_distance(d_far, shrink):
     samples, index = _exact_match_setup(8, 8, offset_m=d_far)
     closer_samples, closer_index = _exact_match_setup(8, 8, offset_m=d_far * shrink)
-    far = score_vehicle(samples, "v1", CFG, index)
-    near = score_vehicle(closer_samples, "v1", CFG, closer_index)
+    far = score_one(samples, "v1", CFG, index)
+    near = score_one(closer_samples, "v1", CFG, closer_index)
     assert far is not None and near is not None
     assert far.eligible and near.eligible
     assert near.score >= far.score - 1e-6
@@ -408,8 +459,10 @@ def test_score_vehicle_agrees_with_scalar_reference(fixes, picks, quorum,
             for t, off, ref, name in fixes]
     samples = trace_points((10 * t, offset_point(BASE, *off)) for t, off in picks)
     index = index_of(rows)
-    for ref in ("a", "b"):
-        got = score_vehicle(samples, ref, cfg, index, use_linestring)
+    both = score_vehicle(TraceColumns.concat([samples, samples]),
+                         [len(samples)] * 2, ["a", "b"], cfg, index,
+                         use_linestring)
+    for ref, got in zip(("a", "b"), both):
         want = _reference_score(samples, rows, ref, cfg, use_linestring)
         if want is None:
             assert got is None
@@ -564,7 +617,7 @@ def test_score_vehicle_scores_each_vehicle_inside_the_prune_margin():
     assert decision.in_range == ["v1", "v2", "v3"]
     assert list(decision.scored) == ["v1", "v2"]
     samples = select_user_samples(segment.trace, CFG.max_user_samples)
-    assert score_vehicle(samples, "v2", CFG, index) is None
+    assert score_one(samples, "v2", CFG, index) is None
     assert decision.scored["v2"] is None
 
 
@@ -574,7 +627,7 @@ def _brute_force_match(segment, cfg, index, n_samples, use_linestring):
     samples = select_user_samples(segment.trace, n_samples)
     t0_s = as_seconds(segment.start_time) - cfg.window_s
     t1_s = as_seconds(segment.end_time) + cfg.window_s
-    scored = [score_vehicle(samples, ref, cfg, index, use_linestring)
+    scored = [score_one(samples, ref, cfg, index, use_linestring)
               for ref in index.vehicles_in_range(t0_s, t1_s)]
     return min((s for s in scored if s is not None and s.eligible),
                key=_score_order, default=None)
@@ -683,7 +736,7 @@ def _assert_matchers_agree_with_brute_force(segment, rows, cfg):
         t1_s = as_seconds(segment.end_time) + cfg.window_s
         assert decision.in_range == index.vehicles_in_range(t0_s, t1_s)
         for ref in decision.in_range:
-            scored = score_vehicle(samples, ref, cfg, index, use_linestring)
+            scored = score_one(samples, ref, cfg, index, use_linestring)
             if ref in decision.scored:
                 assert same_score(decision.scored[ref], scored)
             else:
@@ -836,10 +889,12 @@ def _segment_sets(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_segment_sets())
-def test_stage_prune_equals_the_prune_of_each_segment(scenario):
+@given(_segment_sets(), st.sampled_from([1, 5, 40, live._MAX_SCORED_ROWS]))
+def test_stage_prune_equals_the_prune_of_each_segment(scenario, max_rows):
     """Pruned together, segments of several devices and times get what
-    each gets alone, which is what the per-run rule keeps; the live stage
+    each gets alone, which is what the per-run rule keeps; scored together
+    in blocks of at most max_rows rows, each segment gets the decision
+    that decide_live makes for it alone, bit for bit; the live stage
     matches as decide_live matches each segment; and every vehicle that
     the prune drops is one that score_vehicle rejects."""
     segments, rows, cfg = scenario
@@ -864,6 +919,11 @@ def test_stage_prune_equals_the_prune_of_each_segment(scenario):
         assert together[-2].survivors == []
         assert together[-1].in_range == ["v3", "v4"]
         assert together[-1].survivors == ["v3"]
+        with mock.patch.object(live, "_MAX_SCORED_ROWS", max_rows):
+            scored = score_survivors(together, cfg, index, method)
+        for s, c in zip(segments, scored):
+            assert same_decision(decide_live(s, cfg, index, method, c),
+                                 decide_live(s, cfg, index, method))
         assert run_live_stage(run_cfg, segments, index, method) == {
             s.segment_id: d.result for s in segments
             if (d := decide_live(s, cfg, index, method)).result is not None}
