@@ -135,11 +135,11 @@ class PositionIndex:
                     t1_s: np.ndarray, window: np.ndarray,
                     ) -> tuple[np.ndarray, np.ndarray]:
         """Rows lo[i]:hi[i] are vehicle slots[i]'s fixes with t0_s[w] <=
-        time <= t1_s[w], w = window[i], time-sorted; slots may be one slot
-        for every window that window selects. The comparisons are exact: a
-        fix is at or after t0 iff no fewer fixes are earlier than it than
-        are earlier than t0, and at or before t1 iff fewer fixes are
-        earlier than it than are at or before t1."""
+        time <= t1_s[w], w = window[i], time-sorted; slot -1, whose keys
+        precede every row's, has none. The comparisons are exact: a fix is
+        at or after t0 iff no fewer fixes are earlier than it than are
+        earlier than t0, and at or before t1 iff fewer fixes are earlier
+        than it than are at or before t1."""
         base = np.asarray(slots, dtype=np.int64) * self._stride
         keys = np.concatenate([base + self._fixes_before(t0_s, "left")[window],
                                base + self._fixes_before(t1_s, "right")[window]])
