@@ -11,15 +11,18 @@ sample longer than the misses the quorum allows, so a vehicle that misses
 every sample of one run is below quorum. A vehicle in the segment's time
 range whose fix box over a run's windows lies beyond twice the distance
 limit of that run's samples misses all of them. prune_live drops every
-vehicle with too many such misses, for all the segments of a stage at once:
-every (segment, vehicle in range) pair is tested in array passes, first
-with the vehicle's fix box over the segment's whole sample window, which
-holds the box of each run, and then, for the few pairs that pass, with its
-fix box over each run. The stage then scores its survivors in one pass:
-score_vehicle takes every (segment, survivor) pair at once and marks each
-eligible at the quorum; the best eligible score of a segment names its
-vehicle. decide_live returns all of this, so that a diagnostic shows what
-the matcher saw and decided.
+vehicle with too many such misses, for all the segments of a stage and
+both live methods at once. Both methods keep a segment's first and last
+point, so one in-range query per segment and one pass over every
+(segment, vehicle in range) pair's fix box over the segment's whole sample
+window, which holds the box of each run, serve them both. Each method
+tests the pairs with those boxes in array passes, and then, for the few
+that pass, with their fix boxes over each of its runs. Each method then
+scores its survivors in one pass: score_vehicle takes every
+(segment, survivor) pair at once and marks each eligible at the quorum;
+the best eligible score of a segment names its vehicle. decide_live
+returns all of this, so that a diagnostic shows what the matcher saw and
+decided.
 """
 from __future__ import annotations
 
@@ -337,114 +340,123 @@ class LiveCandidates:
     scored: Optional[dict[str, Optional[VehicleScore]]] = None
 
 
+class _Runs:
+    """The runs of several sample sets, and the quorum test of vehicles
+    against them.
+
+    Sample set j, n samples, is split into runs of n - need + 1
+    consecutive samples, need being the fewest matched samples that reach
+    the quorum, so that one run missed in full leaves a vehicle below it.
+    A run's box is that of its samples widened by twice the distance limit;
+    run k's windows span t0[k] to t1[k]."""
+
+    def __init__(self, samples: Sequence[TraceColumns], cfg: LiveMatchConfig):
+        counts, needs, first_run, run_first, run_last = [], [], [], [], []
+        offset = 0
+        for s in samples:
+            n = len(s)
+            # the fewest matched samples that pass score_vehicle's float
+            # test, matched / n >= quorum; the test is monotone in the
+            # count, so every count below need fails it and every count
+            # from need on passes
+            need = next(c for c in range(n + 1) if not c / n < cfg.quorum_fraction)
+            counts.append(n)
+            needs.append(need)
+            first_run.append(len(run_first))
+            starts = range(offset, offset + n, n - need + 1)
+            run_first += starts
+            run_last += [min(a + n - need, offset + n - 1) for a in starts]
+            offset += n
+        times = np.concatenate([s.times_s for s in samples])
+        run_first, run_last = np.array(run_first), np.array(run_last)
+        self.size = run_last - run_first + 1
+        self.t0 = times[run_first] - cfg.window_s
+        self.t1 = times[run_last] + cfg.window_s
+        self.lows, self.highs = _run_boxes(
+            np.concatenate([s.lats for s in samples]),
+            np.concatenate([s.lngs for s in samples]),
+            run_first, 2 * cfg.distance_limit_m)
+        self.first = np.array(first_run)
+        self.runs = np.diff(self.first, append=len(run_first))
+        self.counts, self.needs = np.array(counts), np.array(needs)
+
+    def keeps(self, of: np.ndarray, box_of) -> np.ndarray:
+        """Whether each vehicle k keeps the quorum of sample set of[k],
+        box_of(k, run) being the fix box of vehicle k[i] over run[i]: the
+        samples of the runs whose box it misses leave it need or more.
+        Every (vehicle, run) is taken in one pass."""
+        runs = self.runs[of]
+        run, _ = ranges(self.first[of], runs)
+        k = np.repeat(np.arange(len(of)), runs)
+        box = box_of(k, run)
+        missed = self.size[run] * ((box[:, :2] > self.highs[run])
+                                   | (box[:, 2:] < self.lows[run])).any(axis=1)
+        return (self.counts[of] - np.bincount(k, missed, len(of))
+                >= self.needs[of])
+
+
 def prune_live(segments: Sequence[ActivitySegment], cfg: LiveMatchConfig,
-               index: PositionIndex, method: str) -> list[LiveCandidates]:
+               index: PositionIndex, methods: Sequence[str],
+               ) -> dict[str, list[LiveCandidates]]:
     """The samples, the vehicles in range and the box-prune survivors of
-    each segment for the live method, in segment order.
+    each segment for each live method of methods, in segment order.
 
-    A segment's samples are split into runs of n - need + 1 consecutive
-    samples, need being the fewest matched samples that reach the quorum,
-    so that one run missed in full leaves the vehicle below it. A run's
-    box is that of its samples widened by twice the distance limit: a
-    sample within the distance limit of its window's polyline has the
-    vehicle's fix box of its run within the box, twice the limit covering
-    the degree approximation. A pair whose fix box misses the boxes of
-    runs of too many samples to reach the quorum is dropped.
+    select_user_samples keeps a trace's first and last point for either
+    method, so a segment's vehicles in range, those with a fix in its whole
+    sample window, and each one's fix box over that window serve every
+    method: one vehicles_in_range call per segment with two points or more
+    and one boxes_in_range pass over every (segment, vehicle in range) pair
+    find them. The pass takes the pairs in blocks of whole segments, of at
+    most _MAX_PAIRS pairs unless one segment has more, so that its per-pair
+    arrays stay small.
 
-    Every (segment, vehicle in range) pair is tested so in array passes,
-    twice: first with the vehicle's fix box over the segment's whole sample
-    window, which holds its fix box over each run, so that the pass drops
-    only pairs that the second drops too; then, for the pairs that pass,
-    with its fix box over each run's windows. The survivors are those of
-    the second test alone. The first pass takes the pairs in blocks of
-    whole segments, of at most _MAX_PAIRS pairs unless one segment has
-    more, so that its per-pair arrays stay small.
+    A sample within the distance limit of its window's polyline has the
+    vehicle's fix box of its run within the run's box, twice the limit
+    covering the degree approximation. So a pair whose fix box misses the
+    boxes of a method's runs of too many samples to reach the quorum is
+    dropped for that method. Each method tests the pairs so twice: first,
+    a block at a time, with the fix box over the whole window, which holds
+    the fix box over each run, so that this test drops only pairs that the
+    second drops too; then, in one pass, those that pass with their fix box
+    over each of its runs' windows. The survivors are those of the second
+    test alone.
     """
-    max_samples = (cfg.max_user_samples if method == NEW_LIVE
-                   else cfg.old_live_samples)
-    found = []
-    # per segment with a vehicle in range: its sample count, need and
-    # first run; per run, its first sample and its last
-    counts, needs, first_run, run_first, run_last = [], [], [], [], []
-    samples_of, slots = [], []
-    for segment in segments:
-        samples = select_user_samples(segment.trace, max_samples)
-        n = len(samples)
-        refs: list[str] = []
-        if n >= 2:
-            refs = index.vehicles_in_range(samples.times_s[0] - cfg.window_s,
-                                           samples.times_s[-1] + cfg.window_s)
-        found.append((samples, refs))
-        if not refs:
-            continue
-        # the fewest matched samples that pass score_vehicle's float test,
-        # matched / n >= quorum; the test is monotone in the count, so every
-        # count below need fails it and every count from need on passes
-        need = next(c for c in range(n + 1) if not c / n < cfg.quorum_fraction)
-        offset = run_last[-1] + 1 if run_last else 0
-        counts.append(n)
-        needs.append(need)
-        first_run.append(len(run_first))
-        run_first += range(offset, offset + n, n - need + 1)
-        run_last += [min(a + n - need, offset + n - 1)
-                     for a in run_first[first_run[-1]:]]
-        samples_of.append(samples)
-        slots += map(index.slot, refs)
-    if not slots:
-        return [LiveCandidates(samples, refs, []) for samples, refs in found]
-
-    times = np.concatenate([s.times_s for s in samples_of])
-    run_first, run_last = np.array(run_first), np.array(run_last)
-    run_size = run_last - run_first + 1
-    run_t0, run_t1 = times[run_first] - cfg.window_s, times[run_last] + cfg.window_s
-    lows, highs = _run_boxes(np.concatenate([s.lats for s in samples_of]),
-                             np.concatenate([s.lngs for s in samples_of]),
-                             run_first, 2 * cfg.distance_limit_m)
-    first_run = np.array(first_run)
-    runs = np.diff(first_run, append=len(run_first))
-    counts, needs = np.array(counts), np.array(needs)
-    # the segment of each pair, its pairs in ref order
-    segment = np.repeat(np.arange(len(counts)),
-                        [len(refs) for _, refs in found if refs])
-    slots = np.array(slots)
-
-    def keeps(pairs, box_of):
-        """Whether each of the pairs keeps the quorum, box_of(k, run) being
-        the fix box of pairs[k] over run: the samples of the runs whose box
-        it misses leave it need or more. Run r of every pair is taken in
-        one pass."""
-        of = segment[pairs]
-        missed = np.zeros(len(pairs), dtype=np.int64)
-        for r in range(runs[of].max(initial=0)):
-            k = np.flatnonzero(runs[of] > r)
-            run = first_run[of[k]] + r
-            box = box_of(k, run)
-            missed[k] += run_size[run] * ((box[:, :2] > highs[run])
-                                          | (box[:, 2:] < lows[run])).any(axis=1)
-        return counts[of] - missed >= needs[of]
-
-    # the fix box over the whole sample window holds the fix box of each
-    # run, so a run whose box it misses is missed in full. The pairs are
-    # taken in blocks of whole segments, at most _MAX_PAIRS pairs each
-    t0, t1 = run_t0[first_run], run_t1[first_run + runs - 1]
-    per_segment = np.bincount(segment)
-    first_pair = np.cumsum(per_segment) - per_segment
-    near = []
-    for block in blocks(per_segment, _MAX_PAIRS):
-        pairs = np.arange(first_pair[block.start],
-                          first_pair[block.stop - 1] + per_segment[block.stop - 1])
-        whole = index.boxes_in_range(slots[pairs], t0[block], t1[block],
-                                     segment[pairs] - block.start)
-        near.append(pairs[keeps(pairs, lambda k, run: whole[k])])
-    near = np.concatenate(near)
-    alive = np.zeros(len(slots), dtype=bool)
-    alive[near] = keeps(near, lambda k, run: index.boxes_in_range(
-        slots[near[k]], run_t0, run_t1, run))
-    out, at = [], 0
-    for samples, refs in found:
-        out.append(LiveCandidates(samples, refs, list(compress(
-            refs, alive[at:at + len(refs)].tolist()))))
-        at += len(refs)
+    in_range = [index.vehicles_in_range(s.trace.times_s[0] - cfg.window_s,
+                                        s.trace.times_s[-1] + cfg.window_s)
+                if len(s.trace) >= 2 else [] for s in segments]
+    samples = {m: [select_user_samples(s.trace, cfg.max_user_samples
+                                       if m == NEW_LIVE else cfg.old_live_samples)
+                   for s in segments] for m in methods}
+    ranged = [j for j, refs in enumerate(in_range) if refs]
+    per_segment = np.array([len(in_range[j]) for j in ranged], dtype=np.intp)
+    alive = {m: np.zeros(per_segment.sum(), dtype=bool) for m in methods}
+    if ranged:
+        # the segment of each pair, its pairs in ref order
+        segment = np.repeat(np.arange(len(ranged)), per_segment)
+        slots = np.array([index.slot(ref) for j in ranged for ref in in_range[j]])
+        first_pair = np.concatenate([[0], np.cumsum(per_segment)])
+        t0 = np.array([segments[j].trace.times_s[0] for j in ranged]) - cfg.window_s
+        t1 = np.array([segments[j].trace.times_s[-1] for j in ranged]) + cfg.window_s
+        runs = {m: _Runs([samples[m][j] for j in ranged], cfg) for m in methods}
+        near = {m: [] for m in methods}
+        for block in blocks(per_segment, _MAX_PAIRS):
+            pairs = np.arange(first_pair[block.start], first_pair[block.stop])
+            whole = index.boxes_in_range(slots[pairs], t0[block], t1[block],
+                                         segment[pairs] - block.start)
+            for m in methods:
+                near[m].append(pairs[runs[m].keeps(segment[pairs],
+                                                   lambda k, run: whole[k])])
+        for m in methods:
+            kept, test = np.concatenate(near[m]), runs[m]
+            alive[m][kept] = test.keeps(segment[kept], lambda k, run: (
+                index.boxes_in_range(slots[kept[k]], test.t0, test.t1, run)))
+    out = {}
+    for m in methods:
+        out[m], at = [], 0
+        for s, refs in zip(samples[m], in_range):
+            out[m].append(LiveCandidates(s, refs, list(compress(
+                refs, alive[m][at:at + len(refs)].tolist()))))
+            at += len(refs)
     return out
 
 
@@ -489,8 +501,9 @@ def decide_live(segment: ActivitySegment, cfg: LiveMatchConfig,
     segment's score_survivors result for the method, found here when
     None."""
     if candidates is None:
-        candidates = score_survivors(prune_live([segment], cfg, index, method),
-                                     cfg, index, method)[0]
+        candidates = score_survivors(
+            prune_live([segment], cfg, index, [method])[method], cfg, index,
+            method)[0]
     scored = candidates.scored
     best = min((s for s in scored.values() if s is not None and s.eligible),
                key=_score_order, default=None)

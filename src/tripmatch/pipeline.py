@@ -2,8 +2,10 @@
 intermediate CSV the next stage can load back, and is deterministic given the
 config. ``run_all`` and the stage subcommands share the ``stage_*``
 functions; the ``run_*_stage`` matchers beneath them only compute, one
-segment at a time in segment-id order, the live stage after one box prune
-and one scoring pass of all its segments."""
+segment at a time in segment-id order. The live stage decides after one
+box prune of all its segments, whose in-range query and whole-window box
+pass per segment serve both live methods, and one scoring pass per
+method."""
 from __future__ import annotations
 
 import logging
@@ -121,21 +123,25 @@ def build_planner(cfg: RunConfig) -> JourneyPlanner:
 
 
 def run_live_stage(cfg: RunConfig, segments: Sequence[ActivitySegment],
-                   index: PositionIndex, method: str,
-                   ) -> dict[int, LiveMatchResult]:
-    """Match every vehicular candidate with the live method: one box prune
-    of them all and one scoring pass over every survivor, then each
-    segment's best score is picked."""
-    matcher = match_live if method == NEW_LIVE else match_live_old
+                   index: PositionIndex, methods: Sequence[str],
+                   ) -> dict[str, dict[int, LiveMatchResult]]:
+    """Match every vehicular candidate with each live method of methods:
+    one box prune of them all, whose in-range query and whole-window box
+    pass serve every method, then per method one scoring pass over its
+    survivors, and each segment's best score is picked."""
+    matchers = {NEW_LIVE: match_live, OLD_LIVE: match_live_old}
     segments = segmentation.vehicular_candidates(segments)
-    results = {}
-    for s, candidates in zip(segments, score_survivors(
-            prune_live(segments, cfg.live, index, method), cfg.live, index,
-            method)):
-        result = matcher(s, cfg.live, index, candidates)
-        if result is not None:
-            results[s.segment_id] = result
-    return results
+    pruned = prune_live(segments, cfg.live, index, methods)
+    matched = {}
+    for method in methods:
+        results = matched[method] = {}
+        # each method's candidates are let go once scored
+        for s, candidates in zip(segments, score_survivors(
+                pruned.pop(method), cfg.live, index, method)):
+            result = matchers[method](s, cfg.live, index, candidates)
+            if result is not None:
+                results[s.segment_id] = result
+    return matched
 
 
 def run_static_stage(cfg: RunConfig, segments: Sequence[ActivitySegment],
@@ -274,12 +280,10 @@ def stage_match_live(cfg: RunConfig, segments: Sequence[ActivitySegment],
                      ) -> dict[str, dict[int, LiveMatchResult]]:
     """Match segments against the fleet feed with each live method and
     write its match table."""
-    index = build_position_index(cfg)
+    matched = run_live_stage(cfg, segments, build_position_index(cfg), methods)
     out_dir = _out_dir(cfg)
-    matched = {}
-    for method in methods:
-        matched[method] = run_live_stage(cfg, segments, index, method)
-        write_match_csv(matched[method], segments, out_dir / MATCH_FILES[method])
+    for method, results in matched.items():
+        write_match_csv(results, segments, out_dir / MATCH_FILES[method])
     return matched
 
 

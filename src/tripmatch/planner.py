@@ -312,11 +312,14 @@ class TimetablePlanner:
         mid = np.clip(mid, lo, hi)
 
         def expand(lo, hi, cut=None):
-            """(departure, alight row, entry, alight walk) of each pair that
+            """(departure, alight row, entry, alight walk) of the pairs that
             the departures lo[i]:hi[i] of entry i give, where the alight call
             is timed and both walks together keep to the budget; only the
             departures bounded by cut of their query, when given. Departures
-            and pairs are each gathered in blocks of at most _MAX_PAIRS."""
+            and pairs are each gathered in blocks of at most _MAX_PAIRS, and
+            only each block's bests are kept, in pair order, so that no more
+            than a block of pairs is alive at once; the first best of the
+            blocks' bests is the first best of all."""
             out = []
             for entries in blocks(hi - lo, _MAX_PAIRS):
                 count = (hi - lo)[entries]
@@ -339,14 +342,18 @@ class TimetablePlanner:
                                     len(dest_key) - 1)
                     d_alight = np.where(dest_key[at] == key, dest_m[at], np.inf)
                     kept = entry_walk[of] + d_alight <= max_walk[entry_q[of]]
-                    out.append((departure[pair[kept]], alight[kept], of[kept],
-                                d_alight[kept]))
+                    pairs = (departure[pair[kept]], alight[kept], of[kept],
+                             d_alight[kept])
+                    best = bests(*pairs)[0]
+                    out.append([column[best] for column in pairs])
             return [np.concatenate(column) for column in zip(*out)] if out else [
                 np.empty(0, np.int64)] * 3 + [np.empty(0)]
 
-        def rank(departure, alight, entry, d_alight):
-            """Each (query, instance)'s best pair, ranked per query by (end,
-            duration, instance): their indices, queries, ends and ranks."""
+        def bests(departure, alight, entry, d_alight):
+            """Each (query, instance)'s best pair by (end, duration, total
+            walk, board stop id, alight stop id, departure, row), the first
+            of equal ones: their indices in the order given, and their
+            queries, instances, ends and durations."""
             q = entry_q[entry]
             inst, row = self._dep_inst[departure], self._dep_row[departure]
             dep_s, d_board = self._dep_s[departure], entry_walk[entry]
@@ -358,11 +365,17 @@ class TimetablePlanner:
             of = q * len(self._inst_trip) + inst
             order = np.lexsort((row, dep_s, stop, st.stop[row],
                                 d_board + d_alight, duration, end_s, of))
-            best = order[np.diff(of[order], prepend=-1) != 0]
-            best = best[np.lexsort((inst[best], duration[best], end_s[best],
-                                    q[best]))]
-            q = q[best]
-            return best, q, end_s[best], np.arange(len(q)) - np.searchsorted(q, q)
+            best = np.sort(order[np.diff(of[order], prepend=-1) != 0])
+            return best, q[best], inst[best], end_s[best], duration[best]
+
+        def rank(*pairs):
+            """Each (query, instance)'s best pair, ranked per query by (end,
+            duration, instance): their indices, queries, ends and ranks."""
+            best, q, inst, end_s, duration = bests(*pairs)
+            by_rank = np.lexsort((inst, duration, end_s, q))
+            q = q[by_rank]
+            return (best[by_rank], q, end_s[by_rank],
+                    np.arange(len(q)) - np.searchsorted(q, q))
 
         pairs = expand(lo, mid)
         best, q, end_s, nth = rank(*pairs)

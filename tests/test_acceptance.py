@@ -95,8 +95,8 @@ def ds_live(ds_cfg, ds_segments):
     segments, _ = ds_segments
     t0 = time.perf_counter()
     index = pipeline.build_position_index(ds_cfg)
-    results = {m: pipeline.run_live_stage(ds_cfg, segments, index, m)
-               for m in (NEW_LIVE, OLD_LIVE)}
+    results = pipeline.run_live_stage(ds_cfg, segments, index,
+                                      [NEW_LIVE, OLD_LIVE])
     return results, time.perf_counter() - t0
 
 

@@ -888,25 +888,40 @@ def _segment_sets(draw):
     return segments, rows, cfg
 
 
+def _pruned(candidates):
+    """The samples' times, the vehicles in range and the survivors of each
+    of candidates."""
+    return [(c.samples.times_s.tolist(), c.in_range, c.survivors)
+            for c in candidates]
+
+
 @settings(max_examples=120, deadline=None)
-@given(_segment_sets(), st.sampled_from([1, 5, 40, live._MAX_SCORED_ROWS]))
-def test_stage_prune_equals_the_prune_of_each_segment(scenario, max_rows):
-    """Pruned together, segments of several devices and times get what
-    each gets alone, which is what the per-run rule keeps; scored together
-    in blocks of at most max_rows rows, each segment gets the decision
-    that decide_live makes for it alone, bit for bit; the live stage
-    matches as decide_live matches each segment; and every vehicle that
-    the prune drops is one that score_vehicle rejects."""
+@given(_segment_sets(), st.sampled_from([1, 5, 40, live._MAX_SCORED_ROWS]),
+       st.sampled_from([1, 3, live._MAX_PAIRS]))
+def test_stage_prune_equals_the_prune_of_each_segment(scenario, max_rows,
+                                                      max_pairs):
+    """Pruned together for both methods, the whole-window boxes taken in
+    blocks of at most max_pairs pairs, segments of several devices and
+    times get for each method what each gets alone for that method alone,
+    which is what the per-run rule keeps; scored together in blocks of at
+    most max_rows rows, each segment gets the decision that decide_live
+    makes for it alone, bit for bit; the live stage matches as decide_live
+    matches each segment; and every vehicle that the prune drops is one
+    that score_vehicle rejects."""
     segments, rows, cfg = scenario
     index = index_of(rows)
-    run_cfg = RunConfig(live=cfg)
+    methods = [NEW_LIVE, OLD_LIVE]
+    with mock.patch.object(live, "_MAX_PAIRS", max_pairs):
+        pruned = prune_live(segments, cfg, index, methods)
+    assert list(pruned) == methods
+    stage = run_live_stage(RunConfig(live=cfg), segments, index, methods)
+    assert list(stage) == methods
     for method, n_samples in ((NEW_LIVE, cfg.max_user_samples),
                               (OLD_LIVE, cfg.old_live_samples)):
-        together = prune_live(segments, cfg, index, method)
-        alone = [prune_live([s], cfg, index, method)[0] for s in segments]
-        assert [(c.samples.times_s.tolist(), c.in_range, c.survivors)
-                for c in together] == \
-            [(c.samples.times_s.tolist(), c.in_range, c.survivors) for c in alone]
+        together = pruned[method]
+        alone = [prune_live([s], cfg, index, [method])[method][0]
+                 for s in segments]
+        assert _pruned(together) == _pruned(alone)
         for s, c in zip(segments, together):
             assert c.samples.times_s.tolist() == \
                 select_user_samples(s.trace, n_samples).times_s.tolist()
@@ -924,11 +939,78 @@ def test_stage_prune_equals_the_prune_of_each_segment(scenario, max_rows):
         for s, c in zip(segments, scored):
             assert same_decision(decide_live(s, cfg, index, method, c),
                                  decide_live(s, cfg, index, method))
-        assert run_live_stage(run_cfg, segments, index, method) == {
+        assert stage[method] == {
             s.segment_id: d.result for s in segments
             if (d := decide_live(s, cfg, index, method)).result is not None}
     for s in vehicular_candidates(segments):
         _assert_matchers_agree_with_brute_force(s, rows, cfg)
+
+
+def _two_rides():
+    """Two rides of 3 samples 150 s apart on one fleet, v1 beside the
+    first, v2 beside the second and v3 far from both."""
+    rows, segments = [], []
+    for i, start in enumerate((0, 1000)):
+        specs = [(start + 150 * j, offset_point(BASE, 0.0, 200.0 * j))
+                 for j in range(3)]
+        segments.append(ride_segment(specs, device_id=i + 1,
+                                     segment_id=i + 1))
+        for t, here in specs:
+            rows.append(vp(t, here, ref=f"v{i + 1}"))
+            rows.append(vp(t, offset_point(here, 5000.0, 0.0), ref="v3"))
+    return segments, rows
+
+
+def test_stage_of_one_live_method_prunes_as_a_stage_of_both():
+    segments, rows = _two_rides()
+    index = index_of(rows)
+    with mock.patch.object(index, "vehicles_in_range",
+                           wraps=index.vehicles_in_range) as query:
+        both = prune_live(segments, CFG, index, [NEW_LIVE, OLD_LIVE])
+    assert query.call_count == len(segments)
+    for method in (NEW_LIVE, OLD_LIVE):
+        one = prune_live(segments, CFG, index, [method])
+        assert list(one) == [method]
+        assert _pruned(one[method]) == _pruned(both[method])
+        assert [c.survivors for c in one[method]] == [["v1"], ["v2"]]
+        stage = run_live_stage(RunConfig(live=CFG), segments, index, [method])
+        assert list(stage) == [method]
+        assert [r.vehicle_ref for r in stage[method].values()] == ["v1", "v2"]
+    assert prune_live(segments, CFG, index, []) == {}
+
+
+def test_stage_without_a_segment_of_two_samples_queries_nothing():
+    segments = [ride_segment([(100.0 * i, BASE)], device_id=i + 1,
+                             segment_id=i + 1) for i in range(3)]
+    index = index_of([vp(100.0 * i, BASE) for i in range(3)])
+    with mock.patch.object(index, "vehicles_in_range",
+                           wraps=index.vehicles_in_range) as query:
+        pruned = prune_live(segments, CFG, index, [NEW_LIVE, OLD_LIVE])
+    assert query.call_count == 0
+    for method in (NEW_LIVE, OLD_LIVE):
+        assert [(len(c.samples), c.in_range, c.survivors)
+                for c in pruned[method]] == [(1, [], [])] * 3
+    assert run_live_stage(RunConfig(live=CFG), segments, index,
+                          [NEW_LIVE, OLD_LIVE]) == {NEW_LIVE: {}, OLD_LIVE: {}}
+
+
+@pytest.mark.parametrize("quorum, survivors", [(0.5, ["v1"]), (1.0, [])])
+def test_a_vehicle_of_a_single_fix_keeps_only_the_runs_it_meets(quorum,
+                                                                 survivors):
+    # two samples 150 s apart: the fix is in the first sample's window only,
+    # so it meets the first run and misses the second
+    specs = [(0.0, BASE), (150.0, offset_point(BASE, 0.0, 200.0))]
+    segment = ride_segment(specs)
+    rows = [vp(10.0, BASE)]
+    index = index_of(rows)
+    cfg = LiveMatchConfig(quorum_fraction=quorum)
+    pruned = prune_live([segment], cfg, index, [NEW_LIVE, OLD_LIVE])
+    for method in (NEW_LIVE, OLD_LIVE):
+        [c] = pruned[method]
+        assert (c.in_range, c.survivors) == (["v1"], survivors)
+        assert c.survivors == _reference_survivors(c.samples, c.in_range,
+                                                   rows, cfg)
+    _assert_matchers_agree_with_brute_force(segment, rows, cfg)
 
 
 # --- old live vs new live ---

@@ -32,6 +32,23 @@ def run(synth, tmp_path_factory):
     return cfg, outputs, truth
 
 
+@pytest.mark.parametrize("methods", [[NEW_LIVE], [OLD_LIVE],
+                                     [NEW_LIVE, OLD_LIVE]])
+def test_a_live_method_matches_alike_with_or_without_the_other(
+        run, tmp_path, methods):
+    """The live stage prunes once for all the live methods of a run; each
+    method's match table is byte-identical to that of the run of every
+    method."""
+    cfg, outputs, _ = run
+    some = pipeline.run_all(dataclasses.replace(
+        cfg, methods=methods, output_dir=tmp_path / "some"))
+    for method, name in pipeline.MATCH_FILES.items():
+        assert (some.out_dir / name).exists() == (method in methods)
+        if method in methods:
+            assert (some.out_dir / name).read_bytes() == \
+                (outputs.out_dir / name).read_bytes()
+
+
 def test_vehicular_segment_count_matches_truth(run):
     _, outputs, truth = run
     candidates = segmentation.vehicular_candidates(outputs.segments)

@@ -347,9 +347,13 @@ def _random_bundle(rng: random.Random, first_departure_s: int = S9):
     return make_bundle(*_random_feed(rng, first_departure_s))
 
 
+#: gather limits of search: one pair per block, a few, and the default
+_PAIR_LIMITS = st.sampled_from([1, 3, planner_module._MAX_PAIRS])
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000))
-def test_planner_matches_brute_force_oracle(seed):
+@given(st.integers(0, 10_000), _PAIR_LIMITS)
+def test_planner_matches_brute_force_oracle(seed, max_pairs):
     rng = random.Random(seed)
     bundle = _random_bundle(rng)
     planner = TimetablePlanner(bundle, DAY, WALK_MPS)
@@ -360,8 +364,9 @@ def test_planner_matches_brute_force_oracle(seed):
     query = PlanQuery(origin, dest, at(rng.randrange(0, 3600, 30)),
                       max_walk_m=rng.choice([500.0, 1000.0, 1500.0]),
                       n_plans=rng.randint(1, 4))
-    _assert_oracle(_plan_signatures(planner.plan(query)),
-                   oracle_plan(bundle, DAY, query))
+    with mock.patch.object(planner_module, "_MAX_PAIRS", max_pairs):
+        got = planner.plan(query)
+    _assert_oracle(_plan_signatures(got), oracle_plan(bundle, DAY, query))
 
 
 LATE_CALL = 23 * 3600 + 2400  # 23:40, a trip that runs past midnight
@@ -374,9 +379,9 @@ def _near_point(rng, bundle, stop_id):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000),
-       st.sampled_from(["default", 0.0, 7200.0, 26 * 3600.0]))
+       st.sampled_from(["default", 0.0, 7200.0, 26 * 3600.0]), _PAIR_LIMITS)
 def test_search_with_its_cut_equals_each_query_alone_and_the_oracle(
-        seed, first_window_s):
+        seed, first_window_s, max_pairs):
     # a random feed, plus "down", whose stop times fall along its calls,
     # "up" over the same calls with rising times, and "night" past
     # midnight; down ends before up, but departs after the first window of
@@ -412,9 +417,11 @@ def test_search_with_its_cut_equals_each_query_alone_and_the_oracle(
     rng.shuffle(queries)
     window = (planner_module._FIRST_WINDOW_S if first_window_s == "default"
               else first_window_s)
-    with mock.patch.object(planner_module, "_FIRST_WINDOW_S", window):
+    with mock.patch.object(planner_module, "_FIRST_WINDOW_S", window), \
+            mock.patch.object(planner_module, "_MAX_PAIRS", max_pairs):
         together = [planner.plan(q, picks)
                     for q, picks in zip(queries, planner.search(queries))]
+    with mock.patch.object(planner_module, "_FIRST_WINDOW_S", window):
         alone = [planner.plan(q) for q in queries]
     for query, got, one in zip(queries, together, alone):
         assert (got.reason, _plan_signatures(got)) == (
@@ -508,8 +515,8 @@ LATE = 23 * 3600 + 1800  # trips from 23:30 run past midnight
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000))
-def test_planner_matches_oracle_across_midnight(seed):
+@given(st.integers(0, 10_000), _PAIR_LIMITS)
+def test_planner_matches_oracle_across_midnight(seed, max_pairs):
     # every trip also runs the day before, so the small hours of DAY hold
     # the day before's late runs; a search window over a day long reaches
     # both runs of one trip
@@ -532,7 +539,9 @@ def test_planner_matches_oracle_across_midnight(seed):
                       midnight + timedelta(seconds=rng.randrange(-3600, 3600, 30)),
                       max_walk_m=rng.choice([500.0, 1000.0, 1500.0]),
                       n_plans=rng.randint(1, 4))
-    _assert_oracle(_plan_signatures(planner.plan(query)),
+    with mock.patch.object(planner_module, "_MAX_PAIRS", max_pairs):
+        got = planner.plan(query)
+    _assert_oracle(_plan_signatures(got),
                    oracle_plan(bundle, DAY, query, horizon_s=window))
 
 
